@@ -25,7 +25,7 @@ from typing import Any, Generator
 from repro.core.codecs import CodecConfig, real_compress, real_decompress
 from repro.core.designs import CompressionDesign, Placement, parse_design_spec
 from repro.core.header import HEADER_SIZE, PedalHeader
-from repro.core.mempool import MemoryPool, get_scratch_pool
+from repro.core.mempool import MemoryPool
 from repro.core.registry import ResolvedDesign, cengine_core_algo, resolve
 from repro.doca.sdk import DocaSession
 from repro.dpu.device import BlueFieldDPU
@@ -188,13 +188,6 @@ class PedalContext:
         """
         breakdown = TimeBreakdown()
         if not self._initialized:
-            # Host-side analogue of the buffer prewarm below: seed the
-            # real scratch pool (vectorized kernels' pack buffers) so
-            # steady-state compress calls allocate nothing.  Wall-clock
-            # only — no simulated time is charged.
-            get_scratch_pool().prewarm(
-                self.config.max_message_bytes + 16, count=2
-            )
             policy = self.config.retry
             metrics = get_metrics()
             with device_span(

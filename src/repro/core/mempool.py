@@ -9,11 +9,11 @@ grows, paying the full map cost for the new buffer — a *pool miss*,
 counted in the statistics.
 
 The pool enforces the acquire/release lifecycle: every buffer handed
-out is tracked in an *outstanding* set until it comes back, so a double
-``release()`` (which would put the same buffer on the free list twice
-and hand it to two concurrent acquirers) and a release of a buffer the
-pool never issued (a *foreign* buffer) both raise
-:class:`~repro.errors.PoolLifecycleError` instead of silently
+out is tracked in a :class:`~repro.util.lease.LeaseLedger` until it
+comes back, so a double ``release()`` (which would put the same buffer
+on the free list twice and hand it to two concurrent acquirers) and a
+release of a buffer the pool never issued (a *foreign* buffer) both
+raise :class:`~repro.errors.PoolLifecycleError` instead of silently
 corrupting ``_free``.  ``drain()`` likewise refuses to tear the pool
 down while buffers are outstanding — resetting the totals under a live
 acquirer would leak the buffer out of the unmapped-tracking.
@@ -24,11 +24,11 @@ Two pools live under this module:
   in device time.
 * the **host-side scratch pool** (re-exported from
   :mod:`repro.util.scratch`) — real ``numpy`` byte buffers reused by the
-  vectorized codec kernels (bit emission pack buffers, parallel-chunk
-  staging), charged in wall-clock time.  It enforces the same
-  acquire/release discipline (:class:`ScratchLifecycleError` on double
-  or foreign release) and zeroes every buffer on acquire so one
-  request's plaintext can never leak into another's scratch space.
+  vectorized codec kernels' bit emission, charged in wall-clock time.
+  It keeps the same ledger and discipline (:class:`ScratchLifecycleError`,
+  a ``PoolLifecycleError``, on double or foreign release) and zeroes
+  every buffer on acquire so one request's plaintext can never leak
+  into another's scratch space.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Generator
 
 from repro.doca.buffers import BufInventory, DocaBuffer
-from repro.errors import PoolLifecycleError
 from repro.obs import device_span, get_metrics
+from repro.util.lease import LeaseLedger
 from repro.util.scratch import (
     ScratchLifecycleError,
     ScratchPool,
@@ -81,8 +81,8 @@ class MemoryPool:
     buffer_bytes: int
     stats: PoolStats = field(default_factory=PoolStats)
     _free: list[DocaBuffer] = field(default_factory=list)
-    # Buffers handed to an acquirer and not yet released (identity set).
-    _outstanding: "dict[int, DocaBuffer]" = field(default_factory=dict)
+    # Buffers handed to an acquirer and not yet released.
+    _leases: LeaseLedger = field(default_factory=LeaseLedger)
     _total: int = 0
 
     @property
@@ -96,7 +96,7 @@ class MemoryPool:
     @property
     def outstanding_buffers(self) -> int:
         """Buffers currently acquired and not yet released."""
-        return len(self._outstanding)
+        return len(self._leases)
 
     def prewarm(self, count: int) -> Generator:
         """Map ``count`` buffers up front; returns total mapping seconds.
@@ -125,7 +125,7 @@ class MemoryPool:
             if metrics.recording:
                 metrics.inc("mempool.hits")
             buf = self._free.pop()
-            self._outstanding[id(buf)] = buf
+            self._leases.issue(buf)
             return buf
         # Pool miss: map a fresh buffer at full cost.
         self.stats.misses += 1
@@ -139,7 +139,7 @@ class MemoryPool:
             buf = yield from self.inventory.map_buffer(self.buffer_bytes)
         self.stats.grow_seconds += buf.map_seconds
         self._total += 1
-        self._outstanding[id(buf)] = buf
+        self._leases.issue(buf)
         return buf
 
     def release(self, buf: DocaBuffer) -> None:
@@ -152,14 +152,7 @@ class MemoryPool:
         """
         if not buf.is_live:
             raise ValueError("released buffer is no longer mapped")
-        if self._outstanding.pop(id(buf), None) is None:
-            if any(buf is free for free in self._free):
-                raise PoolLifecycleError(
-                    "double release: buffer is already on the pool free list"
-                )
-            raise PoolLifecycleError(
-                "foreign release: buffer was not acquired from this pool"
-            )
+        self._leases.settle(buf, free=self._free)
         self._free.append(buf)
 
     def drain(self) -> None:
@@ -169,11 +162,7 @@ class MemoryPool:
         live acquirer (and zeroing ``_total``) would leak the buffer out
         of the pool's unmapped-tracking.
         """
-        if self._outstanding:
-            raise PoolLifecycleError(
-                f"drain with {len(self._outstanding)} outstanding "
-                "buffer(s) still acquired; release them first"
-            )
+        self._leases.require_settled("drain")
         for buf in self._free:
             buf.release()
         self._free.clear()

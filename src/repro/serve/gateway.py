@@ -37,7 +37,6 @@ from repro.algorithms.ac import ACConfig, ac_compress, ac_decompress
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
 from repro.algorithms.lz4 import lz4_compress, lz4_decompress
 from repro.core.registry import cengine_core_algo
-from repro.util.scratch import get_scratch_pool
 from repro.dpu.specs import Algo, Direction
 from repro.errors import NoCapableWorkerError, NoLatencySamplesError, WorkerDiedError
 from repro.obs import MetricsRegistry, QuantileSketch, device_span, get_metrics
@@ -90,9 +89,6 @@ class ServeConfig:
     deflate: DeflateConfig | None = None
     ac: ACConfig | None = None
     telemetry: TelemetryConfig | None = None
-    # Host-side scratch prewarm: bytes of codec pack-buffer seeded per
-    # device at gateway construction (0 disables).  Wall-clock only.
-    scratch_prewarm_bytes: int = 1 << 20
     # Worker-death failover: when on, every in-flight batch races its
     # scheduler completion against the worker's death event and
     # re-dispatches to a surviving replica on loss.  Off by default:
@@ -182,13 +178,6 @@ class ServeGateway:
             router = router.clone()
         self.router = router
         self.admission = AdmissionController(self.config.max_pending)
-        # Seed the host-side scratch pool so the per-algo codecs hit
-        # warm pack buffers from the first request (mirrors PEDAL_init's
-        # DOCA buffer prewarm, but for real wall-clock allocations).
-        if self.config.scratch_prewarm_bytes > 0:
-            get_scratch_pool().prewarm(
-                self.config.scratch_prewarm_bytes, count=len(self.workers)
-            )
         self.batcher = Batcher(env, self.config.batch, self._dispatch)
         # Append-only routing trace: (batch_id, kind, worker) per pick.
         # The cluster bench digests this for bit-for-bit gating.

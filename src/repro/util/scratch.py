@@ -2,30 +2,37 @@
 
 :mod:`repro.core.mempool` models the *device* buffer pool (DOCA
 ``doca_buf`` inventory, simulated clock).  This module is its host-side
-counterpart: a real, wall-clock buffer-reuse pool that the vectorized
-kernels draw their numpy scratch arenas from, so the per-call hot path
-stops allocating (PR 8 tentpole).  ``core.mempool`` re-exports it so
-both halves of the story live behind one import.
+counterpart: a real, wall-clock pool of numpy arenas.  ``core.mempool``
+re-exports it so both halves of the story live behind one import.
+
+The pool is **demand-driven**: nothing prewarms it.  Its one consumer,
+:meth:`repro.util.bitio.BitWriter.write_code_array`, leases the Huffman
+pack buffer of *one block* (~300 B for a 256 B serve request, 135–701 KB
+per MiB of corpus data) from the process-global pool
+(:func:`get_scratch_pool`); a first-use miss is one untouched
+``np.empty`` (~1 µs).  An arena only serves its own size class, so
+seeding by *message* size zero-fills memory no request is ever handed
+(DESIGN.md §5j has the measurements).
 
 Design points:
 
 * **Power-of-two size classes.**  An ``acquire(nbytes)`` is served from
   the smallest arena class that fits; arenas are recycled per class.
-* **Zero-on-acquire.**  The returned view is zero-filled every time.  A
-  pooled buffer is handed to a *different* request on reuse, and codec
-  scratch regularly holds plaintext — zeroing is the invariant that no
-  request can observe another request's bytes through the pool
-  (enforced by ``tests/core/test_scratch_pool.py``).
+* **Zero-on-acquire.**  The *requested* bytes of the returned view are
+  zero-filled every time.  A pooled buffer is handed to a *different*
+  request on reuse, and codec scratch regularly holds plaintext —
+  zeroing is the invariant that no request can observe another
+  request's bytes through the pool (enforced by
+  ``tests/core/test_scratch_pool.py``).
 * **Guarded lifecycle.**  Double release and foreign-buffer release
   raise :class:`ScratchLifecycleError` instead of silently corrupting
-  the free list.
-* **Thread-safe.**  One lock; the serve gateway and the parallel
-  compressor share the process-global pool.
-
-The process-global pool (:func:`get_scratch_pool`) is what the kernels
-use; :class:`~repro.core.api.PedalContext`, the parallel compressor and
-the serve gateway prewarm it for their expected payload sizes and
-surface its stats.
+  the free list (:class:`~repro.util.lease.LeaseLedger`, shared with
+  the device pool).
+* **Thread-safe.**  One lock around every free-list and stats update.
+* **Counted.**  ``zeroed_bytes`` and ``arenas_allocated`` price the
+  zero-fill and the allocations separately.  They stay off the
+  :mod:`repro.obs` registry: scratch traffic depends on codec-memo
+  state, and identical sim runs must dump identical registries.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+from repro.errors import PoolLifecycleError
+from repro.util.lease import LeaseLedger
 
 __all__ = [
     "ScratchLifecycleError",
@@ -50,7 +60,7 @@ __all__ = [
 MIN_CLASS_BYTES = 1024
 
 
-class ScratchLifecycleError(RuntimeError):
+class ScratchLifecycleError(PoolLifecycleError):
     """A scratch buffer was released twice, or was never acquired here."""
 
 
@@ -59,11 +69,13 @@ class ScratchStats:
     """Counters for one :class:`ScratchPool`."""
 
     hits: int = 0            # acquires served from a recycled arena
-    misses: int = 0          # acquires that allocated a fresh arena
+    misses: int = 0          # fresh arenas: acquire misses + prewarm top-ups
     releases: int = 0
     bytes_served: int = 0    # sum of requested nbytes over all acquires
     high_water_outstanding: int = 0
     retired: int = 0         # arenas dropped because a class was full
+    zeroed_bytes: int = 0    # bytes the zero-on-acquire fill has written
+    arenas_allocated: int = 0  # np.empty calls (a prewarm top-up zeroes none)
 
     @property
     def acquires(self) -> int:
@@ -89,11 +101,16 @@ class ScratchPool:
             raise ValueError("max_buffers_per_class must be >= 1")
         self.max_buffers_per_class = max_buffers_per_class
         self._free: "dict[int, list[np.ndarray]]" = {}
-        # id(view) -> (view, arena, size_class); holding the view keeps
-        # its id stable for the lifetime of the lease.
-        self._outstanding: "dict[int, tuple[np.ndarray, np.ndarray, int]]" = {}
+        # view -> its whole arena, for every lease not yet released.
+        self._leases = LeaseLedger(ScratchLifecycleError)
         self._lock = threading.Lock()
         self.stats = ScratchStats()
+
+    def _new_arena(self, cls: int) -> np.ndarray:
+        """One untouched arena of class ``cls``; caller holds the lock."""
+        self.stats.misses += 1
+        self.stats.arenas_allocated += 1
+        return np.empty(cls, dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -116,30 +133,22 @@ class ScratchPool:
                 arena = free.pop()
                 self.stats.hits += 1
             else:
-                arena = np.empty(cls, dtype=np.uint8)
-                self.stats.misses += 1
+                arena = self._new_arena(cls)
             view = arena[:nbytes]
             view.fill(0)
-            self._outstanding[id(view)] = (view, arena, cls)
+            self._leases.issue(view, arena)
+            self.stats.zeroed_bytes += nbytes
             self.stats.bytes_served += nbytes
             self.stats.high_water_outstanding = max(
-                self.stats.high_water_outstanding, len(self._outstanding)
+                self.stats.high_water_outstanding, len(self._leases)
             )
         return view
 
     def release(self, view: np.ndarray) -> None:
         """Return a borrowed view; raises on double/foreign release."""
         with self._lock:
-            entry = self._outstanding.pop(id(view), None)
-            if entry is None or entry[0] is not view:
-                if entry is not None:  # id collision with a live lease
-                    self._outstanding[id(view)] = entry
-                raise ScratchLifecycleError(
-                    "release of a buffer this pool does not have outstanding "
-                    "(double release, or a foreign buffer)"
-                )
-            _, arena, cls = entry
-            free = self._free.setdefault(cls, [])
+            arena = self._leases.settle(view)
+            free = self._free.setdefault(arena.size, [])
             if len(free) < self.max_buffers_per_class:
                 free.append(arena)
             else:
@@ -161,25 +170,26 @@ class ScratchPool:
 
     @property
     def outstanding(self) -> int:
-        return len(self._outstanding)
+        return len(self._leases)
 
     def prewarm(self, nbytes: int, count: int = 1) -> None:
-        """Pre-populate ``count`` arenas of the class serving ``nbytes``.
+        """Top up the class serving ``nbytes`` to ``count`` free arenas.
 
-        The allocations count as misses in the stats — they document
-        where the arenas came from; real traffic lands hits on top.
+        Only the shortfall is allocated (as misses — the stats document
+        where arenas came from), capped at ``max_buffers_per_class``,
+        and never zero-filled: :meth:`acquire` zeroes what it hands out.
+        A class already holding ``count`` free arenas is left alone.
         """
-        views = [self.acquire(nbytes) for _ in range(count)]
-        for view in views:
-            self.release(view)
+        cls = _size_class(nbytes)
+        with self._lock:
+            free = self._free.setdefault(cls, [])
+            while len(free) < min(count, self.max_buffers_per_class):
+                free.append(self._new_arena(cls))
 
     def drain(self) -> None:
         """Drop every free arena; raises if leases are outstanding."""
         with self._lock:
-            if self._outstanding:
-                raise ScratchLifecycleError(
-                    f"drain with {len(self._outstanding)} leases outstanding"
-                )
+            self._leases.require_settled("drain")
             self._free.clear()
 
 

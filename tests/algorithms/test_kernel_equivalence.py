@@ -23,13 +23,14 @@ from hypothesis import strategies as st
 from repro.algorithms import huffman
 from repro.algorithms.ac import ACConfig
 from repro.algorithms.ac.model import ContextModel
-from repro.algorithms.deflate import deflate_compress
+from repro.algorithms.deflate import DeflateConfig, deflate_compress
 from repro.algorithms.lz77 import MatcherConfig, tokenize
 from repro.algorithms.sz3.predictor import predict_residual, reconstruct_codes
 from repro.algorithms.sz3.quantizer import dequantize, quantize
 from repro.datasets import get_dataset
 from repro.util.bitio import BitWriter
 from repro.util.kernels import SCALAR, VECTORIZED, force_kernel_mode
+from repro.util.scratch import ScratchPool, set_scratch_pool
 
 BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260806"))
 
@@ -148,6 +149,59 @@ def test_write_code_array_equivalence(pairs, lead_bits):
 
     scalar, vec = both_modes(emit)
     assert scalar == vec
+
+
+# -- Scratch traffic --------------------------------------------------------
+
+# A token is at most litlen(15) + len-extra(5) + dist(15) + dist-extra(13) bits.
+_MAX_TOKEN_BITS = 48
+# Pending-bit rounding (2 bytes) + the emitter's byte planes (at most 5).
+_PACK_SLACK = 2 + 5
+
+
+class _RecordingPool(ScratchPool):
+    """Notes the size of every request ``write_code_array`` makes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.requests: "list[int]" = []
+
+    def acquire(self, nbytes):
+        self.requests.append(nbytes)
+        return super().acquire(nbytes)
+
+
+@pytest.mark.parametrize("block_tokens", [1 << 20, 256])
+@pytest.mark.parametrize("strategy", ["auto", "fixed", "dynamic"])
+@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_scratch_requests_are_block_bounded(case, strategy, block_tokens):
+    """Host scratch is sized by one block, never by the message: each
+    request fits 48 bits per token of its block, and under ``auto`` —
+    which stores any block Huffman coding would grow — its raw bytes."""
+    data = CORPUS[case]
+    cfg = DeflateConfig(strategy=strategy, block_tokens=block_tokens)
+    tok_lengths, _ = tokenize(data, cfg.matcher).arrays()
+    starts = range(0, tok_lengths.size, block_tokens)
+    block_tokens_max = max(
+        (tok_lengths[s:s + block_tokens].size for s in starts), default=0)
+    block_raw_max = max(
+        (int(np.maximum(tok_lengths[s:s + block_tokens], 1).sum())
+         for s in starts), default=0)
+
+    pool = _RecordingPool()
+    previous = set_scratch_pool(pool)
+    try:
+        with force_kernel_mode(VECTORIZED):
+            deflate_compress(data, cfg)
+    finally:
+        set_scratch_pool(previous)
+
+    assert len(pool.requests) <= len(starts)  # at most one per block
+    for nbytes in pool.requests:
+        assert nbytes <= _MAX_TOKEN_BITS * block_tokens_max // 8 + _PACK_SLACK
+        if strategy == "auto":
+            stored = block_raw_max + 5 * (1 + block_raw_max // 65535) + 1
+            assert nbytes <= stored + _PACK_SLACK
 
 
 # -- SZ3 quantizer / predictor ----------------------------------------------

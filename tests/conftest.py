@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.codecs import clear_codec_cache
+from repro.core.mempool import ScratchPool, set_scratch_pool
 from repro.dpu import make_device
 from repro.sim import Environment
 
@@ -16,6 +17,15 @@ def _fresh_codec_cache():
     clear_codec_cache()
     yield
     clear_codec_cache()
+
+
+@pytest.fixture
+def scratch_pool():
+    """A fresh process-global host scratch pool, for counting its traffic."""
+    pool = ScratchPool()
+    previous = set_scratch_pool(pool)
+    yield pool
+    set_scratch_pool(previous)
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from repro.core.api import (
     PEDAL_init,
 )
 from repro.core.designs import ALL_DESIGNS
+from repro.core.mempool import ScratchStats
 from repro.dpu.specs import Algo
 from repro.errors import PedalNotInitializedError
 
@@ -62,6 +63,20 @@ class TestLifecycle:
         ctx = PedalContext(bf2, PedalConfig(pool_buffers=7))
         run_sim(env, ctx.init())
         assert ctx.pool is not None and ctx.pool.total_buffers == 7
+
+
+    def test_init_leaves_host_scratch_alone(self, env, bf2, bf3, run_sim,
+                                            scratch_pool):
+        """Host scratch is demand-driven: bringing a context up (or back
+        up, or a second one) acquires, zero-fills and allocates nothing."""
+        ctx = PedalContext(bf2)
+        run_sim(env, ctx.init())
+        run_sim(env, ctx.finalize())
+        run_sim(env, ctx.init())
+        run_sim(env, PedalContext(bf3).init())
+        assert scratch_pool.stats.zeroed_bytes == 0
+        assert scratch_pool.stats.arenas_allocated == 0
+        assert scratch_pool.stats == ScratchStats()
 
 
 class TestAllDesignsRoundtrip:

@@ -12,6 +12,7 @@ The pool's two safety invariants are tested adversarially:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.mempool import (
     scratch_lease,
     set_scratch_pool,
 )
+from repro.errors import PoolLifecycleError
 from repro.util.scratch import MIN_CLASS_BYTES, _size_class
 
 
@@ -114,6 +116,59 @@ def test_prewarm_then_drain():
     b = pool.acquire(8192)  # drained: must allocate fresh
     assert pool.stats.misses == 4
     pool.release(b)
+
+
+def test_fresh_prewarm_allocates_without_zeroing():
+    pool = ScratchPool()
+    pool.prewarm(8192, count=3)
+    assert pool.stats.misses == 3 and pool.stats.arenas_allocated == 3
+    assert pool.stats.zeroed_bytes == 0 and pool.stats.bytes_served == 0
+    assert pool.stats.hits == 0 and pool.stats.releases == 0
+
+
+def test_prewarm_on_warm_class_is_noop():
+    pool = ScratchPool()
+    pool.prewarm(8192, count=3)
+    before = dataclasses.replace(pool.stats)
+    pool.prewarm(8192, count=3)
+    pool.prewarm(5000, count=2)  # same 8 KiB class, already above 2
+    assert pool.stats == before
+    pool.prewarm(8192, count=5)  # tops up the shortfall only
+    assert pool.stats.arenas_allocated == 5 and pool.stats.zeroed_bytes == 0
+
+
+def test_prewarm_capped_at_class_capacity():
+    pool = ScratchPool(max_buffers_per_class=2)
+    pool.prewarm(1024, count=100)
+    assert pool.stats.arenas_allocated == 2
+
+
+def test_zero_on_acquire_holds_after_top_up():
+    """A topped-up arena is untouched ``np.empty`` memory; whatever it
+    holds, the lease handed out of it is zero."""
+    pool = ScratchPool()
+    pool.prewarm(4096, count=2)
+    for arena in pool._free[_size_class(4096)]:
+        arena.fill(0xA5)  # stand-in for whatever np.empty left there
+    first, second = pool.acquire(4096), pool.acquire(3000)
+    assert pool.stats.hits == 2  # both served from the top-up
+    assert not first.any() and not second.any()
+    first.fill(0xFF)
+    pool.release(first)
+    pool.prewarm(4096, count=1)  # warm: must not disturb the books
+    again = pool.acquire(4096)
+    assert not again.any()
+    assert pool.stats.zeroed_bytes == 4096 + 3000 + 4096
+    pool.release(second)
+    pool.release(again)
+
+
+def test_lifecycle_error_is_a_pool_lifecycle_error():
+    """One ``except`` covers both pools' acquire/release contract."""
+    pool = ScratchPool()
+    with pytest.raises(PoolLifecycleError):
+        pool.release(np.zeros(8, dtype=np.uint8))
+    assert issubclass(ScratchLifecycleError, PoolLifecycleError)
 
 
 def test_class_capacity_retires_excess():

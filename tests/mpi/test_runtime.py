@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.deflate import deflate_compress
+from repro.core.codecs import CodecConfig
 from repro.errors import MpiAbortError, SimDeadlockError
 from repro.mpi import CommConfig, CommMode, run_mpi
 
@@ -188,3 +190,19 @@ class TestModes:
         result = run_mpi(self._pingpong(text_payload, 5.1e6), 2, "bf2", cfg)
         assert result.layers[0].compress_seconds > 0
         assert result.layers[0].decompress_seconds > 0  # echo comes back
+
+    def test_job_zero_fills_no_more_scratch_than_its_payload(
+            self, text_payload, scratch_pool):
+        """Rank bring-up costs no host scratch: a 4-rank PEDAL broadcast
+        zero-fills what compressing its one payload once zero-fills."""
+        def broadcast(ctx):
+            data = text_payload if ctx.rank == 0 else None
+            out = yield from ctx.bcast(data, root=0, sim_bytes=5.1e6)
+            return out == text_payload
+
+        deflate_compress(text_payload, CodecConfig().deflate)  # not memoised
+        once = scratch_pool.stats.zeroed_bytes
+        cfg = CommConfig(mode=CommMode.PEDAL, design="SoC_DEFLATE")
+        result = run_mpi(broadcast, 4, "bf2", cfg)
+        assert all(result.returns)
+        assert 0 < scratch_pool.stats.zeroed_bytes - once <= once
