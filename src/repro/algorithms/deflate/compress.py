@@ -33,8 +33,8 @@ class DeflateConfig:
 
     ``strategy`` selects block coding: ``"auto"`` picks the cheapest of
     stored/fixed/dynamic per block; ``"fixed"``/``"dynamic"``/``"stored"``
-    force one type (still falling back to stored when a Huffman block
-    would exceed the stored size is only done under ``"auto"``).
+    force one type.  Only ``"auto"`` falls back to a stored block when a
+    Huffman block would exceed the stored size.
     """
 
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
@@ -55,140 +55,127 @@ class DeflateConfig:
 # ---------------------------------------------------------------------------
 
 def _map_symbols(lengths: np.ndarray, values: np.ndarray) -> dict[str, np.ndarray]:
-    """Map an LZ77 token block to DEFLATE symbol/extra-bit arrays."""
+    """Map an LZ77 token block to DEFLATE symbol/extra-bit arrays.
+
+    ``is_match`` and ``litlen_sym`` have one entry per token; the other
+    arrays have one entry per *match*, in token order.
+    """
     is_match = lengths > 0
-    litlen_sym = np.where(is_match, 0, values).astype(np.int32)
-    len_extra_bits = np.zeros(lengths.size, dtype=np.int64)
-    len_extra_val = np.zeros(lengths.size, dtype=np.uint32)
-    dist_sym = np.zeros(lengths.size, dtype=np.int32)
-    dist_extra_bits = np.zeros(lengths.size, dtype=np.int64)
-    dist_extra_val = np.zeros(lengths.size, dtype=np.uint32)
-
-    if is_match.any():
-        m_len = lengths[is_match]
-        m_dist = values[is_match]
-        lsym = T.LENGTH_SYM_FOR_LEN[m_len]
-        litlen_sym[is_match] = 257 + lsym
-        len_extra_bits[is_match] = T.LENGTH_EXTRA[lsym]
-        len_extra_val[is_match] = (m_len - T.LENGTH_BASE[lsym]).astype(np.uint32)
-        dsym = T.dist_symbol(m_dist)
-        dist_sym[is_match] = dsym
-        dist_extra_bits[is_match] = T.DIST_EXTRA[dsym]
-        dist_extra_val[is_match] = (m_dist - T.DIST_BASE[dsym]).astype(np.uint32)
-
+    m_len = lengths[is_match]
+    m_dist = values[is_match]
+    lsym = T.LENGTH_SYM_FOR_LEN[m_len]
+    dsym = T.dist_symbol(m_dist)
+    litlen_sym = np.where(is_match, 0, values).astype(np.int32, copy=False)
+    litlen_sym[is_match] = 257 + lsym
     return {
         "is_match": is_match,
         "litlen_sym": litlen_sym,
-        "len_extra_bits": len_extra_bits,
-        "len_extra_val": len_extra_val,
-        "dist_sym": dist_sym,
-        "dist_extra_bits": dist_extra_bits,
-        "dist_extra_val": dist_extra_val,
+        "len_extra_bits": T.LENGTH_EXTRA[lsym],
+        "len_extra_val": m_len - T.LENGTH_BASE[lsym],
+        "dist_sym": dsym,
+        "dist_extra_bits": T.DIST_EXTRA[dsym],
+        "dist_extra_val": m_dist - T.DIST_BASE[dsym],
     }
 
 
 def _block_cost_bits(
-    syms: dict[str, np.ndarray],
-    litlen_lengths: np.ndarray,
-    dist_lengths: np.ndarray,
+    litlen_freq: np.ndarray,
+    dist_freq: np.ndarray,
+    litlen_cost: np.ndarray,
+    dist_cost: np.ndarray,
 ) -> int:
-    """Exact payload size in bits of a block under the given trees."""
-    cost = int(litlen_lengths[syms["litlen_sym"]].sum())
-    cost += int(syms["len_extra_bits"].sum())
-    is_match = syms["is_match"]
-    if is_match.any():
-        cost += int(dist_lengths[syms["dist_sym"][is_match]].sum())
-        cost += int(syms["dist_extra_bits"][is_match].sum())
-    cost += int(litlen_lengths[T.END_OF_BLOCK])
-    return cost
+    """Exact payload size in bits of a block, from its symbol histograms.
+
+    ``*_cost`` is what one occurrence of each symbol spends: its code
+    length plus its extra bits.  ``litlen_freq`` counts the block's
+    end-of-block symbol too, so the two dot products are the whole payload.
+    """
+    return int(litlen_freq @ litlen_cost) + int(dist_freq @ dist_cost)
 
 
 # ---------------------------------------------------------------------------
 # Dynamic tree header (code-length-code encoding, RFC 1951 §3.2.7)
 # ---------------------------------------------------------------------------
 
-def _rle_code_lengths(all_lengths: np.ndarray) -> tuple[list[int], list[tuple[int, int]]]:
+_CL_EXTRA_BITS = {16: 2, 17: 3, 18: 7}
+
+
+def _rle_code_lengths(all_lengths: np.ndarray) -> tuple[list[int], list[int]]:
     """RLE-compress the concatenated litlen+dist length sequence.
 
-    Returns ``(cl_symbols, extras)`` where ``extras[i]`` is the
-    ``(value, nbits)`` extra field for ``cl_symbols[i]`` (``nbits`` 0 when
-    the symbol carries no extra bits).
+    Returns ``(cl_symbols, extras)``: ``extras`` holds, in order of
+    appearance, the extra-field value behind each repeat symbol (16..18)
+    in ``cl_symbols``; :data:`_CL_EXTRA_BITS` gives the field widths.
     """
-    seq = [int(x) for x in all_lengths]
-    out_syms: list[int] = []
-    out_extras: list[tuple[int, int]] = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        value = seq[i]
-        run = 1
-        while i + run < n and seq[i + run] == value:
-            run += 1
-        i += run
+    syms: list[int] = []
+    extras: list[int] = []
+    # Run boundaries in one numpy pass; the loop then visits runs, not
+    # the ~290 lengths (most of them zeros in a few long runs).
+    cuts = np.flatnonzero(all_lengths[1:] != all_lengths[:-1]) + 1
+    starts = [0, *cuts.tolist(), all_lengths.size]
+    for i, value in enumerate(all_lengths[starts[:-1]].tolist()):
+        run = starts[i + 1] - starts[i]
         if value == 0:
             while run >= 11:
                 take = min(run, 138)
-                out_syms.append(18)
-                out_extras.append((take - 11, 7))
+                syms.append(18)
+                extras.append(take - 11)
                 run -= take
             while run >= 3:
                 take = min(run, 10)
-                out_syms.append(17)
-                out_extras.append((take - 3, 3))
+                syms.append(17)
+                extras.append(take - 3)
                 run -= take
-            out_syms.extend([0] * run)
-            out_extras.extend([(0, 0)] * run)
-        else:
-            out_syms.append(value)
-            out_extras.append((0, 0))
+        elif run >= 4:
+            syms.append(value)
             run -= 1
             while run >= 3:
                 take = min(run, 6)
-                out_syms.append(16)
-                out_extras.append((take - 3, 2))
+                syms.append(16)
+                extras.append(take - 3)
                 run -= take
-            out_syms.extend([value] * run)
-            out_extras.extend([(0, 0)] * run)
-    return out_syms, out_extras
+        syms += [value] * run
+    return syms, extras
 
 
 def _dynamic_header(
     litlen_lengths: np.ndarray, dist_lengths: np.ndarray
-) -> tuple[list[tuple[int, int]], int]:
-    """Build the dynamic block header as ``(value, nbits)`` fields.
+) -> tuple[int, int]:
+    """Build the dynamic block header (everything after BTYPE).
 
-    Returns the field list and the total header size in bits.
+    Returns ``(value, nbits)``: the header's fields packed LSB-first into
+    one integer, ready for a single ``write_bits``.
     """
     # HLIT: number of litlen codes - 257 (at least the EOB code is used).
-    hlit = max(int(np.flatnonzero(litlen_lengths > 0).max(initial=256)) + 1, 257)
-    used_dist = np.flatnonzero(dist_lengths > 0)
-    hdist = max(int(used_dist.max(initial=0)) + 1, 1)
+    hlit = max(int(np.flatnonzero(litlen_lengths).max(initial=256)) + 1, 257)
+    hdist = max(int(np.flatnonzero(dist_lengths).max(initial=0)) + 1, 1)
 
     all_lengths = np.concatenate([litlen_lengths[:hlit], dist_lengths[:hdist]])
     cl_syms, cl_extras = _rle_code_lengths(all_lengths)
 
-    cl_freq = np.bincount(np.asarray(cl_syms, dtype=np.int64), minlength=19)
+    cl_freq = np.bincount(cl_syms, minlength=19)
     cl_lengths = huffman.code_lengths(cl_freq, _MAX_CL_BITS)
-    cl_codes = huffman.lsb_codes(cl_lengths)
+    cl_codes = huffman.lsb_codes(cl_lengths).tolist()
 
-    ordered = cl_lengths[T.CLCODE_ORDER]
+    ordered = cl_lengths[T.CLCODE_ORDER].tolist()
+    cl_bits = cl_lengths.tolist()
     hclen = 19
     while hclen > 4 and ordered[hclen - 1] == 0:
         hclen -= 1
 
-    fields: list[tuple[int, int]] = [
-        (hlit - 257, 5),
-        (hdist - 1, 5),
-        (hclen - 4, 4),
-    ]
-    for k in range(hclen):
-        fields.append((int(ordered[k]), 3))
-    for sym, (extra_val, extra_bits) in zip(cl_syms, cl_extras):
-        fields.append((int(cl_codes[sym]), int(cl_lengths[sym])))
-        if extra_bits:
-            fields.append((extra_val, extra_bits))
-    total_bits = sum(nbits for _, nbits in fields)
-    return fields, total_bits
+    value = (hlit - 257) | (hdist - 1) << 5 | (hclen - 4) << 10
+    nbits = 14
+    for length in ordered[:hclen]:
+        value |= length << nbits
+        nbits += 3
+    extras = iter(cl_extras)
+    for sym in cl_syms:
+        value |= cl_codes[sym] << nbits
+        nbits += cl_bits[sym]
+        if sym >= 16:
+            value |= next(extras) << nbits
+            nbits += _CL_EXTRA_BITS[sym]
+    return value, nbits
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +187,31 @@ def _emit_huffman_block(
     syms: dict[str, np.ndarray],
     litlen_lengths: np.ndarray,
     dist_lengths: np.ndarray,
+    codes: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> None:
-    """Emit the token payload + EOB under the given trees (bulk-packed)."""
+    """Emit the token payload + EOB under the given trees (bulk-packed).
+
+    ``codes`` is the trees' ``(litlen, dist)`` LSB-first codes when the
+    caller already has them (the fixed trees); otherwise they are built
+    from the lengths here.
+    """
     with get_profiler().kernel("huffman.emit"):
-        _emit_huffman_payload(writer, syms, litlen_lengths, dist_lengths)
+        litlen_codes, dist_codes = codes or (
+            huffman.lsb_codes(litlen_lengths), huffman.lsb_codes(dist_lengths)
+        )
+        _emit_huffman_payload(
+            writer, syms, litlen_codes, litlen_lengths, dist_codes, dist_lengths
+        )
 
 
 def _emit_huffman_payload(
     writer: BitWriter,
     syms: dict[str, np.ndarray],
+    litlen_codes: np.ndarray,
     litlen_lengths: np.ndarray,
+    dist_codes: np.ndarray,
     dist_lengths: np.ndarray,
 ) -> None:
-    litlen_codes = huffman.lsb_codes(litlen_lengths)
-    dist_codes = huffman.lsb_codes(dist_lengths)
-
     n = syms["litlen_sym"].size
     codes = np.zeros((n, 4), dtype=np.uint32)
     bits = np.zeros((n, 4), dtype=np.int64)
@@ -222,14 +219,14 @@ def _emit_huffman_payload(
     codes[:, 0] = litlen_codes[lsym]
     bits[:, 0] = litlen_lengths[lsym]
     is_match = syms["is_match"]
-    if is_match.any():
-        codes[is_match, 1] = syms["len_extra_val"][is_match]
-        bits[is_match, 1] = syms["len_extra_bits"][is_match]
-        dsym = syms["dist_sym"][is_match]
+    dsym = syms["dist_sym"]
+    if dsym.size:
+        codes[is_match, 1] = syms["len_extra_val"]
+        bits[is_match, 1] = syms["len_extra_bits"]
         codes[is_match, 2] = dist_codes[dsym]
         bits[is_match, 2] = dist_lengths[dsym]
-        codes[is_match, 3] = syms["dist_extra_val"][is_match]
-        bits[is_match, 3] = syms["dist_extra_bits"][is_match]
+        codes[is_match, 3] = syms["dist_extra_val"]
+        bits[is_match, 3] = syms["dist_extra_bits"]
     writer.write_code_array(codes.reshape(-1), bits.reshape(-1))
     writer.write_bits(int(litlen_codes[T.END_OF_BLOCK]), int(litlen_lengths[T.END_OF_BLOCK]))
 
@@ -281,21 +278,22 @@ def _deflate_compress(data: bytes, config: DeflateConfig | None) -> bytes:
 
     n_tokens = len(tokens)
     block_starts = list(range(0, n_tokens, cfg.block_tokens)) or [0]
-    # Byte offset of each token, to slice the raw input for stored blocks.
-    byte_pos = np.zeros(n_tokens + 1, dtype=np.int64)
-    np.cumsum(np.where(tok_lengths > 0, tok_lengths, 1), out=byte_pos[1:])
+    raw_stop = 0  # byte offset of the next block's first token
 
-    for bi, start in enumerate(block_starts):
+    for start in block_starts:
         stop = min(start + cfg.block_tokens, n_tokens)
         final = stop >= n_tokens
-        syms = _map_symbols(tok_lengths[start:stop], tok_values[start:stop])
-        raw = data[int(byte_pos[start]) : int(byte_pos[stop])]
+        blk_lengths = tok_lengths[start:stop]
+        syms = _map_symbols(blk_lengths, tok_values[start:stop])
+        # The raw bytes the block covers, should it go out stored: a
+        # literal token is one byte, a match its length.
+        raw_start = raw_stop
+        raw_stop += int(np.maximum(blk_lengths, 1).sum())
+        raw = data[raw_start:raw_stop]
 
         litlen_freq = np.bincount(syms["litlen_sym"], minlength=286)
         litlen_freq[T.END_OF_BLOCK] += 1
-        dist_freq = np.bincount(
-            syms["dist_sym"][syms["is_match"]], minlength=30
-        )
+        dist_freq = np.bincount(syms["dist_sym"], minlength=30)
 
         dyn_litlen = huffman.code_lengths(litlen_freq, _MAX_BITS)
         dyn_dist = huffman.code_lengths(dist_freq, _MAX_BITS)
@@ -304,10 +302,13 @@ def _deflate_compress(data: bytes, config: DeflateConfig | None) -> bytes:
             dyn_dist = dyn_dist.copy()
             dyn_dist[0] = 1
 
-        header_fields, dyn_header_bits = _dynamic_header(dyn_litlen, dyn_dist)
-        dyn_bits = 3 + dyn_header_bits + _block_cost_bits(syms, dyn_litlen, dyn_dist)
+        header, header_bits = _dynamic_header(dyn_litlen, dyn_dist)
+        dyn_bits = 3 + header_bits + _block_cost_bits(
+            litlen_freq, dist_freq,
+            dyn_litlen + T.LITLEN_EXTRA, dyn_dist + T.DIST_EXTRA,
+        )
         fixed_bits = 3 + _block_cost_bits(
-            syms, T.FIXED_LITLEN_LENGTHS, T.FIXED_DIST_LENGTHS
+            litlen_freq, dist_freq, T.FIXED_LITLEN_COST, T.FIXED_DIST_COST
         )
         stored_bits = (len(raw) + 5 * (1 + len(raw) // 65535)) * 8 + 8
 
@@ -325,16 +326,14 @@ def _deflate_compress(data: bytes, config: DeflateConfig | None) -> bytes:
             _emit_stored_block(writer, raw, final)
             continue
 
-        writer.write_bits(1 if final else 0, 1)
         if choice == "fixed":
-            writer.write_bits(1, 2)
+            writer.write_bits(final | 1 << 1, 3)
             _emit_huffman_block(
-                writer, syms, T.FIXED_LITLEN_LENGTHS, T.FIXED_DIST_LENGTHS
+                writer, syms, T.FIXED_LITLEN_LENGTHS, T.FIXED_DIST_LENGTHS,
+                (T.FIXED_LITLEN_CODES, T.FIXED_DIST_CODES),
             )
         else:
-            writer.write_bits(2, 2)
-            for value, nbits in header_fields:
-                writer.write_bits(value, nbits)
+            writer.write_bits(final | 2 << 1 | header << 3, 3 + header_bits)
             _emit_huffman_block(writer, syms, dyn_litlen, dyn_dist)
 
     return writer.getvalue()

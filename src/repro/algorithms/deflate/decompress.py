@@ -8,8 +8,6 @@ Python stdlib's zlib as an independent producer).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms import huffman
 from repro.algorithms.deflate import tables as T
 from repro.errors import CorruptStreamError, OutputOverflowError
@@ -17,6 +15,10 @@ from repro.obs.profile import get_profiler
 from repro.util.bitio import BitReader
 
 __all__ = ["deflate_decompress"]
+
+_CLCODE_ORDER = T.CLCODE_ORDER.tolist()
+_NO_DIST_TABLE = (0,)  # every lookup misses: a block without distance codes
+_NO_LIMIT = float("inf")
 
 _FIXED_LITLEN_DECODER: huffman.HuffmanDecoder | None = None
 _FIXED_DIST_DECODER: huffman.HuffmanDecoder | None = None
@@ -33,54 +35,46 @@ def _fixed_decoders() -> tuple[huffman.HuffmanDecoder, huffman.HuffmanDecoder]:
 
 def _read_dynamic_trees(
     reader: BitReader,
-) -> tuple[huffman.HuffmanDecoder, huffman.HuffmanDecoder]:
+) -> tuple[huffman.HuffmanDecoder, huffman.HuffmanDecoder | None]:
     """Parse the dynamic block header (RFC 1951 §3.2.7)."""
-    hlit = reader.read_bits(5) + 257
-    hdist = reader.read_bits(5) + 1
-    hclen = reader.read_bits(4) + 4
+    counts = reader.read_bits(14)
+    hlit = (counts & 31) + 257
+    hdist = (counts >> 5 & 31) + 1
+    hclen = (counts >> 10) + 4
 
-    cl_lengths = np.zeros(19, dtype=np.int32)
-    for k in range(hclen):
-        cl_lengths[int(T.CLCODE_ORDER[k])] = reader.read_bits(3)
+    packed = reader.read_bits(3 * hclen)
+    cl_lengths = [0] * 19
+    for slot in _CLCODE_ORDER[:hclen]:
+        cl_lengths[slot] = packed & 7
+        packed >>= 3
     cl_decoder = huffman.HuffmanDecoder(cl_lengths)
 
     total = hlit + hdist
-    lengths = np.zeros(total, dtype=np.int32)
-    i = 0
-    while i < total:
-        sym = cl_decoder.decode(reader)
-        if sym < 16:
-            lengths[i] = sym
-            i += 1
-        elif sym == 16:
-            if i == 0:
+    lengths: list[int] = []
+    while len(lengths) < total:
+        sym = huffman.decode_run(
+            cl_decoder, reader, lengths, total - len(lengths), stop=16
+        )
+        if sym < 0:
+            break
+        if sym == 16:
+            if not lengths:
                 raise CorruptStreamError("repeat code with no previous length")
-            run = 3 + reader.read_bits(2)
-            if i + run > total:
-                raise CorruptStreamError("code-length repeat overruns alphabet")
-            lengths[i : i + run] = lengths[i - 1]
-            i += run
+            run = [lengths[-1]] * (3 + reader.read_bits(2))
         elif sym == 17:
-            run = 3 + reader.read_bits(3)
-            if i + run > total:
-                raise CorruptStreamError("code-length zero-run overruns alphabet")
-            i += run
+            run = [0] * (3 + reader.read_bits(3))
         else:  # sym == 18
-            run = 11 + reader.read_bits(7)
-            if i + run > total:
-                raise CorruptStreamError("code-length zero-run overruns alphabet")
-            i += run
+            run = [0] * (11 + reader.read_bits(7))
+        lengths += run
+        if len(lengths) > total:
+            raise CorruptStreamError("code-length run overruns alphabet")
 
-    litlen_lengths = lengths[:hlit]
-    dist_lengths = lengths[hlit:]
-    if litlen_lengths[T.END_OF_BLOCK] == 0:
+    if lengths[T.END_OF_BLOCK] == 0:
         raise CorruptStreamError("dynamic block has no end-of-block code")
-    litlen_decoder = huffman.HuffmanDecoder(litlen_lengths)
-    if dist_lengths.max(initial=0) == 0:
-        dist_decoder = None
-    else:
-        dist_decoder = huffman.HuffmanDecoder(dist_lengths)
-    return litlen_decoder, dist_decoder  # type: ignore[return-value]
+    litlen_decoder = huffman.HuffmanDecoder(lengths[:hlit])
+    if not any(lengths[hlit:]):
+        return litlen_decoder, None
+    return litlen_decoder, huffman.HuffmanDecoder(lengths[hlit:])
 
 
 def _inflate_block(
@@ -103,50 +97,86 @@ def _inflate_block_loop(
     dist_decoder: huffman.HuffmanDecoder | None,
     max_output: int | None,
 ) -> None:
-    # Local aliases: this is the hottest loop in the decompressor.
-    lit_table = litlen_decoder.table
-    lit_bits = litlen_decoder.max_bits
-    peek = reader.peek_bits
-    skip = reader.skip_bits
-    read = reader.read_bits
-    length_base = T.LENGTH_BASE
-    length_extra = T.LENGTH_EXTRA
-    dist_base = T.DIST_BASE
-    dist_extra = T.DIST_EXTRA
+    # The hottest loop in the decompressor.  It is huffman.decode_run's
+    # loop written out — reader state in locals, eight-byte refills —
+    # with the match path inline, because a call per match costs more
+    # than the decode it would share.  One refill covers a whole token:
+    # 15 + 5 bits of length, 15 + 13 of distance.
+    lit_lookup = litlen_decoder.lookup
+    lit_mask = (1 << litlen_decoder.max_bits) - 1
+    if dist_decoder is None:
+        dist_lookup, dist_mask = _NO_DIST_TABLE, 0
+    else:
+        dist_lookup = dist_decoder.lookup
+        dist_mask = (1 << dist_decoder.max_bits) - 1
+    length_codes = T.LENGTH_TABLE
+    dist_codes = T.DIST_TABLE
+    limit = _NO_LIMIT if max_output is None else max_output
+    append = out.append
+    data, pos, acc, nbits = reader.hoist()
 
     while True:
-        entry = int(lit_table[peek(lit_bits)])
-        if entry == 0:
+        if nbits < 48:
+            if nbits < 0:
+                break
+            chunk = data[pos : pos + 8]
+            acc |= int.from_bytes(chunk, "little") << nbits
+            pos += len(chunk)
+            nbits += len(chunk) << 3
+        entry = lit_lookup[acc & lit_mask]
+        if not entry:
             raise CorruptStreamError("invalid literal/length code")
-        skip(entry >> 9)
+        used = entry >> 9
+        acc >>= used
+        nbits -= used
         sym = entry & 0x1FF
         if sym < 256:
-            out.append(sym)
-        elif sym == T.END_OF_BLOCK:
-            return
-        else:
-            if sym > 285:
-                raise CorruptStreamError(f"invalid length symbol {sym}")
-            idx = sym - 257
-            length = int(length_base[idx]) + read(int(length_extra[idx]))
+            append(sym)
+            continue
+        if sym == 256:
+            break
+        if sym > 285:
+            raise CorruptStreamError(f"invalid length symbol {sym}")
+        length, extra = length_codes[sym - 257]
+        if extra:
+            length += acc & ((1 << extra) - 1)
+            acc >>= extra
+            nbits -= extra
+        entry = dist_lookup[acc & dist_mask]
+        if not entry:
             if dist_decoder is None:
                 raise CorruptStreamError("match in block with empty distance tree")
-            dsym = dist_decoder.decode(reader)
-            if dsym > 29:
-                raise CorruptStreamError(f"invalid distance symbol {dsym}")
-            dist = int(dist_base[dsym]) + read(int(dist_extra[dsym]))
-            start = len(out) - dist
-            if start < 0:
-                raise CorruptStreamError("back-reference before start of output")
-            if dist >= length:
-                out += out[start : start + length]
-            else:
-                for k in range(length):  # overlapping copy
-                    out.append(out[start + k])
-        if max_output is not None and len(out) > max_output:
-            raise OutputOverflowError(
-                f"decompressed output exceeds limit of {max_output} bytes"
-            )
+            raise CorruptStreamError("invalid distance code")
+        used = entry >> 9
+        acc >>= used
+        nbits -= used
+        sym = entry & 0x1FF
+        if sym > 29:
+            raise CorruptStreamError(f"invalid distance symbol {sym}")
+        dist, extra = dist_codes[sym]
+        if extra:
+            dist += acc & ((1 << extra) - 1)
+            acc >>= extra
+            nbits -= extra
+        if nbits < 0:
+            break
+        start = len(out) - dist
+        if start < 0:
+            raise CorruptStreamError("back-reference before start of output")
+        if dist >= length:
+            out += out[start : start + length]
+        else:
+            # Overlapping copy: the last `dist` bytes repeat.
+            out += (out[start:] * (length // dist + 1))[:length]
+        if len(out) > limit:
+            break
+    reader.restore(pos, acc, nbits)
+    # Literals are not counted one by one: a block's literals cannot
+    # outnumber its input bits, so the overshoot is bounded by the input.
+    if len(out) > limit:
+        raise OutputOverflowError(
+            f"decompressed output exceeds limit of {max_output} bytes"
+        )
 
 
 def deflate_decompress(

@@ -11,23 +11,34 @@ Three pieces, shared by DEFLATE and the SZ3 encoder stage:
   lengths (shorter codes numerically first, ties broken by symbol order).
 * :class:`HuffmanDecoder` — flat-table decoder: one table lookup per
   symbol against an LSB-first :class:`~repro.util.bitio.BitReader`.
+* :func:`decode_run` — the decode loop DEFLATE's tree header and SZ3
+  share: symbols until one needs the caller, reader state in locals.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from operator import add
 
 import numpy as np
 
 from repro.errors import CorruptStreamError
 from repro.obs.profile import get_profiler
-from repro.util.bitio import BitReader, reverse_bits
+from repro.util.bitio import BIT_REVERSE_16, BitReader
 from repro.util.kernels import scalar_kernels
 
 __all__ = [
+    "MAX_CODE_BITS",
     "code_lengths",
     "canonical_codes",
     "lsb_codes",
     "HuffmanDecoder",
+    "decode_run",
 ]
+
+#: Longest code :func:`lsb_codes` and :class:`HuffmanDecoder` handle (the
+#: width of the bit-reversal table); DEFLATE and SZ3 stop at 15.
+MAX_CODE_BITS = 16
 
 
 def code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
@@ -57,10 +68,9 @@ def code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
 
 
 def _code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
-    freqs = np.asarray(freqs, dtype=np.int64)
-    n_symbols = freqs.size
-    used = np.flatnonzero(freqs > 0)
-    lengths = np.zeros(n_symbols, dtype=np.int32)
+    freqs = np.asarray(freqs, dtype=np.int64).ravel()
+    used = (freqs > 0).nonzero()[0]
+    lengths = np.zeros(freqs.size, dtype=np.int32)
 
     if used.size == 0:
         return lengths
@@ -73,27 +83,47 @@ def _code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
             f"{used.size} symbols cannot be coded in {max_bits}-bit codes"
         )
 
-    # Leaves sorted by frequency.  Each item is (freq, tuple_of_leaf_ids)
-    # where leaf ids index into `used`.
-    order = used[np.argsort(freqs[used], kind="stable")]
-    leaves = [(int(freqs[s]), (int(s),)) for s in order]
-
-    packages = list(leaves)
+    # Count-only package-merge.  A level's list is the leaves merged with
+    # the packages paired up from the level below, by weight, a leaf
+    # before a package of equal weight.  Only the weights are kept: the
+    # leaves among the first k items of a level are always a prefix of
+    # the weight-sorted leaves, so "how many" identifies them.
+    weights = freqs[used]
+    by_weight = weights.argsort(kind="stable")
+    leaves = weights[by_weight].tolist()
+    n = len(leaves)
+    levels = []  # per level: (its packages, leaves and packages merged)
+    packages: "list[int]" = []
+    merged = leaves
     for _ in range(max_bits - 1):
-        # Pair up adjacent packages; drop a trailing odd one.
-        merged = [
-            (packages[i][0] + packages[i + 1][0], packages[i][1] + packages[i + 1][1])
-            for i in range(0, len(packages) - 1, 2)
-        ]
-        # Merge the new packages back with the original leaves, keeping
-        # the combined list sorted by frequency.
-        packages = sorted(leaves + merged, key=lambda item: item[0])
+        levels.append((packages, merged))
+        paired = list(map(add, merged[::2], merged[1::2]))
+        if paired == packages:
+            # Fixed point: every level above repeats this one.
+            levels.extend([levels[-1]] * (max_bits - 1 - len(levels)))
+            break
+        packages = paired
+        merged = sorted(leaves + packages)
+    levels.append((packages, merged))
 
-    # The first 2n-2 items determine the code: each occurrence of a leaf
-    # adds one to its code length.
-    for _freq, members in packages[: 2 * used.size - 2]:
-        for sym in members:
-            lengths[sym] += 1
+    # Walk back from the first 2n-2 items of the top level.  Each level
+    # adds one bit to the leaves in its prefix; the prefix's packages
+    # are the first (k - leaves) pairs of the level below.
+    depth = [0] * (n + 1)  # depth[a]: levels whose prefix holds a leaves
+    walked = 0
+    k = 2 * n - 2
+    for packages, merged in reversed(levels):
+        if not k:
+            break
+        walked += 1
+        cut = merged[k - 1]
+        lighter = bisect_left(leaves, cut)
+        ties = k - lighter - bisect_left(packages, cut)
+        in_prefix = lighter + min(ties, bisect_right(leaves, cut) - lighter)
+        depth[in_prefix] += 1
+        k = 2 * (k - in_prefix)
+    # A leaf's length is the number of levels whose prefix reached it.
+    lengths[used[by_weight]] = walked - np.cumsum(depth[:n])
     return lengths
 
 
@@ -102,24 +132,21 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
     Symbols with length 0 receive code 0 (unused).
     """
-    lengths = np.asarray(lengths, dtype=np.int32)
-    if lengths.size == 0:
-        return np.zeros(0, dtype=np.uint32)
-    max_bits = int(lengths.max(initial=0))
+    lengths = np.asarray(lengths, dtype=np.int32).ravel()
     codes = np.zeros(lengths.size, dtype=np.uint32)
-    if max_bits == 0:
+    bl_count = np.bincount(lengths).tolist()
+    max_bits = len(bl_count) - 1
+    if max_bits < 1:
         return codes
-
-    bl_count = np.bincount(lengths, minlength=max_bits + 1)
     bl_count[0] = 0
-    next_code = np.zeros(max_bits + 1, dtype=np.int64)
+    next_code = [0] * (max_bits + 1)
     code = 0
     for bits in range(1, max_bits + 1):
-        code = (code + int(bl_count[bits - 1])) << 1
+        code = (code + bl_count[bits - 1]) << 1
         next_code[bits] = code
         # Over-subscribed trees are caller bugs (encoder) or stream
         # corruption (decoder builds via HuffmanDecoder which re-checks).
-        if code + int(bl_count[bits]) > (1 << bits):
+        if code + bl_count[bits] > (1 << bits):
             raise CorruptStreamError(f"over-subscribed Huffman tree at length {bits}")
 
     if scalar_kernels():
@@ -131,18 +158,16 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
         return codes
 
     # Vectorized assignment: within one length, canonical codes are
-    # consecutive in symbol order, so each symbol's code is
-    # ``next_code[len] + rank-within-length``.  A stable argsort by
-    # length yields (length, symbol) order; the rank is the distance to
-    # the first entry of the same length.
-    syms = np.flatnonzero(lengths > 0)
-    if syms.size:
-        lens = lengths[syms].astype(np.int64)
-        by_len = np.argsort(lens, kind="stable")
-        sorted_lens = lens[by_len]
-        first_of_len = np.searchsorted(sorted_lens, sorted_lens, side="left")
-        ranks = np.arange(sorted_lens.size, dtype=np.int64) - first_of_len
-        codes[syms[by_len]] = (next_code[sorted_lens] + ranks).astype(np.uint32)
+    # consecutive in symbol order.  A stable argsort by length puts the
+    # used symbols in (length, symbol) order, where the code of the j-th
+    # is j plus a per-length constant: that length's first code minus
+    # the number of shorter codes before it.
+    by_len = lengths.argsort(kind="stable")[lengths.size - sum(bl_count):]
+    shorter = 0
+    for bits in range(1, max_bits + 1):
+        next_code[bits] -= shorter
+        shorter += bl_count[bits]
+    codes[by_len] = np.arange(shorter) + np.repeat(next_code, bl_count)
     return codes
 
 
@@ -151,23 +176,15 @@ def lsb_codes(lengths: np.ndarray) -> np.ndarray:
 
     DEFLATE transmits Huffman codes most-significant-bit first inside an
     LSB-first byte stream, which is equivalent to writing the
-    bit-reversed code LSB-first.  Reversal is vectorised one bit-plane at
-    a time.
+    bit-reversed code LSB-first.  Reversal is one gather through
+    :data:`~repro.util.bitio.BIT_REVERSE_16`.
     """
     lengths = np.asarray(lengths, dtype=np.int32)
-    codes = canonical_codes(lengths)
-    max_bits = int(lengths.max(initial=0))
-    out = np.zeros_like(codes)
-    work = codes.copy()
-    for _ in range(max_bits):
-        out = (out << np.uint32(1)) | (work & np.uint32(1))
-        work >>= np.uint32(1)
-    # Each code was reversed as if it were max_bits wide; shift away the
-    # surplus low zero bits for shorter codes.
-    shift = (max_bits - lengths).clip(min=0).astype(np.uint32)
-    out >>= shift
-    out[lengths == 0] = 0
-    return out
+    if int(lengths.max(initial=0)) > MAX_CODE_BITS:
+        raise ValueError(f"code lengths above {MAX_CODE_BITS} bits are not supported")
+    # A length-0 symbol has code 0, which reverses to 0 at any width.
+    wide = BIT_REVERSE_16[canonical_codes(lengths)].astype(np.uint32)
+    return wide >> (MAX_CODE_BITS - lengths).astype(np.uint32)
 
 
 class HuffmanDecoder:
@@ -175,11 +192,13 @@ class HuffmanDecoder:
 
     The table has ``2**max_bits`` entries; entry ``i`` packs
     ``(code_length << 9) | symbol`` for the unique code that is a prefix
-    of the bit pattern ``i`` (read LSB-first).  Symbols must therefore be
-    < 512 — ample for every alphabet DEFLATE and SZ3 use.
+    of the bit pattern ``i`` (read LSB-first), 0 where no code is.
+    Symbols must therefore be < 512 — ample for every alphabet DEFLATE
+    and SZ3 use.  ``table`` is the ``uint16`` array; ``lookup`` is a
+    view of it whose items read as plain ``int``, for decode loops.
     """
 
-    __slots__ = ("table", "max_bits", "n_symbols", "_complete")
+    __slots__ = ("table", "lookup", "max_bits", "n_symbols", "_complete")
 
     def __init__(self, lengths: np.ndarray) -> None:
         lengths = np.asarray(lengths, dtype=np.int32)
@@ -189,20 +208,29 @@ class HuffmanDecoder:
         max_bits = int(lengths.max(initial=0))
         if max_bits == 0:
             raise CorruptStreamError("empty Huffman tree")
+        if max_bits > MAX_CODE_BITS:
+            raise CorruptStreamError(
+                f"Huffman code length {max_bits} exceeds {MAX_CODE_BITS} bits"
+            )
         self.max_bits = max_bits
-        codes = canonical_codes(lengths)
 
-        table = np.zeros(1 << max_bits, dtype=np.uint32)
-        kraft = 0
-        for sym in np.flatnonzero(lengths > 0):
-            nbits = int(lengths[sym])
-            kraft += 1 << (max_bits - nbits)
-            rev = reverse_bits(int(codes[sym]), nbits)
-            # All peeked values whose low `nbits` bits equal `rev` decode
-            # to this symbol: indices rev, rev + 2^nbits, rev + 2*2^nbits, ...
-            table[rev :: 1 << nbits] = (nbits << 9) | int(sym)
-        self.table = table
-        self._complete = kraft == (1 << max_bits)
+        # Canonical codes in (length, symbol) order tile the MSB-first
+        # code space from 0 upward, each code owning 2**(max_bits - len)
+        # consecutive slots; the LSB-first table is that tiling read
+        # through the bit-reversal permutation.
+        by_len = np.argsort(lengths, kind="stable")
+        by_len = by_len[lengths.size - np.count_nonzero(lengths):]
+        lens = lengths[by_len]
+        slots = np.left_shift(1, max_bits - lens)
+        size = 1 << max_bits
+        filled = int(slots.sum())
+        if filled > size:
+            raise CorruptStreamError("over-subscribed Huffman tree")
+        msb_first = np.zeros(size, dtype=np.uint16)
+        msb_first[:filled] = np.repeat((lens << 9) | by_len, slots)
+        self.table = msb_first[BIT_REVERSE_16[:size] >> (MAX_CODE_BITS - max_bits)]
+        self.lookup = memoryview(self.table)
+        self._complete = filled == size
 
     @property
     def is_complete(self) -> bool:
@@ -211,8 +239,51 @@ class HuffmanDecoder:
 
     def decode(self, reader: BitReader) -> int:
         """Decode one symbol from ``reader``."""
-        entry = int(self.table[reader.peek_bits(self.max_bits)])
+        entry = self.lookup[reader.peek_bits(self.max_bits)]
         if entry == 0:
             raise CorruptStreamError("invalid Huffman code in stream")
         reader.skip_bits(entry >> 9)
         return entry & 0x1FF
+
+
+def decode_run(
+    decoder: HuffmanDecoder, reader: BitReader, out, count: int, stop: int
+) -> int:
+    """Decode symbols below ``stop`` onto ``out`` until one is not.
+
+    Appends at most ``count`` symbols.  Returns the first symbol that is
+    ``>= stop`` (consumed, not appended — the caller reads whatever
+    follows it from ``reader``) or -1 once ``count`` were appended.
+
+    The reader's state lives in locals for the length of the run and is
+    refilled eight bytes at a time; past the end of the input the refill
+    supplies zero bits and ``nbits`` goes negative once one of them is
+    consumed, which is checked before any refill and on the way out.
+    """
+    table = decoder.lookup
+    mask = (1 << decoder.max_bits) - 1
+    longest_code = MAX_CODE_BITS
+    append = out.append
+    data, pos, acc, nbits = reader.hoist()
+    for _ in range(count):
+        if nbits < longest_code:
+            if nbits < 0:
+                raise CorruptStreamError("unexpected end of bit stream")
+            chunk = data[pos : pos + 8]
+            acc |= int.from_bytes(chunk, "little") << nbits
+            pos += len(chunk)
+            nbits += len(chunk) << 3
+        entry = table[acc & mask]
+        if not entry:
+            raise CorruptStreamError("invalid Huffman code in stream")
+        used = entry >> 9
+        acc >>= used
+        nbits -= used
+        sym = entry & 0x1FF
+        if sym >= stop:
+            break
+        append(sym)
+    else:
+        sym = -1
+    reader.restore(pos, acc, nbits)
+    return sym

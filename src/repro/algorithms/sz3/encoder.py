@@ -21,6 +21,7 @@ Payload layout::
 from __future__ import annotations
 
 import struct
+from array import array
 
 import numpy as np
 
@@ -93,27 +94,19 @@ def decode_residuals(payload: bytes) -> np.ndarray:
     if len(bitstream) * 8 < nbits:
         raise CorruptStreamError("SZ3 bitstream shorter than declared")
 
+    if n > nbits:
+        # Every value costs at least one bit; a header that claims more
+        # would have the decoder allocate for values that cannot exist.
+        raise CorruptStreamError("SZ3 entropy payload declares more values than bits")
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
-    decoder = huffman.HuffmanDecoder(lengths.astype(np.int32))
+    decoder = huffman.HuffmanDecoder(lengths)
     reader = BitReader(bitstream)
-    out = np.empty(n, dtype=np.uint64)
-    table = decoder.table
-    max_bits = decoder.max_bits
-    peek = reader.peek_bits
-    skip = reader.skip_bits
-    read = reader.read_bits
-    for i in range(n):
-        entry = int(table[peek(max_bits)])
-        if entry == 0:
-            raise CorruptStreamError("invalid Huffman code in SZ3 stream")
-        skip(entry >> 9)
-        sym = entry & 0x1FF
+    out = array("Q")
+    while len(out) < n:
+        sym = huffman.decode_run(decoder, reader, out, n - len(out), stop=_ESCAPE)
         if sym == _ESCAPE:
-            lo = read(32)
-            hi = read(32)
-            out[i] = (hi << 32) | lo
-        else:
-            out[i] = sym
-    return _unzigzag(out)
+            lo = reader.read_bits(32)
+            out.append(reader.read_bits(32) << 32 | lo)
+    return _unzigzag(np.frombuffer(out, dtype=np.uint64))

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 import time
 from typing import Any
 
@@ -102,6 +103,9 @@ _WALL_LIT_SUITE = ("noise", "ascii")
 #: both modes by construction) dominates, so these gate on
 #: non-inferiority floors only.
 _WALL_PARITY_SUITE = ("silesia/xml", "silesia/samba", "runs2")
+#: Entropy-stage rows: (block bytes, silesia/xml windows per timing).
+_WALL_ENTROPY_BLOCKS = ((256, 16), (1024, 16), (65536, 2))
+_WALL_ENTROPY_REPS = 9    # min-of-N per side, sides interleaved
 
 #: Band gates for BENCH_PR8 — wall clock, floors only, deliberately
 #: generous (roughly half of what a loaded CI host measures; recorded
@@ -119,6 +123,18 @@ WALL_BANDS: "dict[str, tuple[float | None, float | None]]" = {
     "wall_vec_speedup_runs2": (0.45, None),
     # The headline suite must be measuring what it claims to measure.
     "wall_top_kernel_is_lz77": (1.0, 1.0),
+    # Entropy stage vs its retained reference twins, timed interleaved
+    # in one process (so the ratio, unlike the microseconds beside it,
+    # carries over between hosts).  Code-length build: count-only vs
+    # tuple-carrying package-merge on the histograms real small blocks
+    # produce (recorded ~3.7x); inflate: word-at-a-time vs per-symbol
+    # peek/skip over a byte-at-a-time reader (recorded ~2.3x on a 256 B
+    # block, ~2.5x at 64 KiB).
+    "wall_build_speedup_256": (1.5, None),
+    "wall_build_speedup_1024": (1.5, None),
+    "wall_inflate_speedup_256": (1.2, None),
+    "wall_inflate_speedup_1024": (1.2, None),
+    "wall_inflate_speedup_65536": (1.8, None),
 }
 
 #: Per-codec compress-throughput floors (MB/s, vectorized mode, 256 KiB
@@ -207,7 +223,7 @@ SELECT_BANDS: dict[str, tuple[float | None, float | None]] = {
 # Telemetry-plane gates (BENCH_PR6.json).  Sim-section bands hold on
 # deterministic numbers; the wall section re-measures at gate time.
 OBS_OVERHEAD_CEILING = 1.05  # telemetry-on wall clock <= 5% over off
-_OBS_WALL_REPS = 7
+_OBS_WALL_PAIRS = 31       # interleaved off/on pairs; the gate reads their median
 _OBS_SERVE_LOAD = 12_000.0
 _OBS_FLAME_BYTES = 64 * 1024
 
@@ -477,40 +493,36 @@ def _records_identical(a: dict, b: dict) -> bool:
     return True
 
 
-def _wall_serve_seconds(telemetry_on: bool, actual_bytes: int) -> float:
-    best = float("inf")
-    for _ in range(_OBS_WALL_REPS):
-        started = time.perf_counter()
-        _serve_point_record(telemetry_on, actual_bytes)
-        best = min(best, time.perf_counter() - started)
-    return best
+def _wall_serve_pair(actual_bytes: int) -> "tuple[float, float, float]":
+    """``(off_s, on_s, overhead)`` from *interleaved* off/on pairs.
 
-
-def _wall_serve_pair(actual_bytes: int) -> "tuple[float, float]":
-    """Trimmed-total (off, on) wall seconds, reps *interleaved*.
-
-    The vectorized kernels shrank the serve point to ~0.5 s, where this
-    host's run-to-run jitter is the same order as the telemetry
-    overhead being measured, so two things keep the ratio honest:
-    off/on reps are interleaved (slow drift — thermal, noisy
-    neighbours — can't land entirely on one side and fake an
-    overhead), and each side drops its fastest and slowest rep before
-    summing (a min-of-N ratio is the quotient of two extreme order
-    statistics, far noisier than the trimmed totals).
+    ``overhead`` is ``1 +`` the median over pairs of
+    ``(on_i - off_i) / off_i``; ``off_s`` / ``on_s`` are the medians of
+    each side, for the record.  The serve point is a few hundred
+    milliseconds of small-block codec work, where this host's
+    run-to-run jitter is the same order as the telemetry overhead being
+    measured.  Three things keep the ratio honest: each on-rep is
+    divided by the off-rep run right next to it (slow drift — thermal,
+    noisy neighbours — moves both), the order inside a pair alternates
+    (whatever the first rep of a pair pays, both sides pay it equally
+    often), and the median over pairs discards the pairs a stall landed
+    in (a ratio of trimmed totals still carries every stall that
+    survives the trim, which read 0.91-1.10 here with nothing changed).
     """
     offs: "list[float]" = []
     ons: "list[float]" = []
-    for _ in range(_OBS_WALL_REPS):
-        started = time.perf_counter()
-        _serve_point_record(False, actual_bytes)
-        offs.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        _serve_point_record(True, actual_bytes)
-        ons.append(time.perf_counter() - started)
-    trim = 1 if _OBS_WALL_REPS >= 3 else 0
-    off_s = sum(sorted(offs)[trim:_OBS_WALL_REPS - trim])
-    on_s = sum(sorted(ons)[trim:_OBS_WALL_REPS - trim])
-    return off_s, on_s
+    for pair in range(_OBS_WALL_PAIRS):
+        timed = {}
+        for telemetry_on in ((False, True), (True, False))[pair % 2]:
+            timed[telemetry_on] = _timed(
+                lambda: _serve_point_record(telemetry_on, actual_bytes)
+            )
+        offs.append(timed[False])
+        ons.append(timed[True])
+    overhead = 1.0 + statistics.median(
+        (on - off) / off for off, on in zip(offs, ons)
+    )
+    return statistics.median(offs), statistics.median(ons), overhead
 
 
 def collect_obs(actual_bytes: int = 1024) -> dict[str, Any]:
@@ -534,8 +546,8 @@ def collect_obs(actual_bytes: int = 1024) -> dict[str, Any]:
         1.0 if _records_identical(plain, telemetered) else 0.0
     )
 
-    # Wall section: overhead ratio (min-of-N either way) + top kernel.
-    off_s, on_s = _wall_serve_pair(actual_bytes)
+    # Wall section: overhead ratio (median over interleaved pairs) + top kernel.
+    off_s, on_s, overhead = _wall_serve_pair(actual_bytes)
     profiler = obs.CodecProfiler()
     payload = bytes(generate_payload(_ROUNDTRIP_DATASET, _OBS_FLAME_BYTES))
     prev = obs.set_profiler(profiler)
@@ -552,7 +564,7 @@ def collect_obs(actual_bytes: int = 1024) -> dict[str, Any]:
             "actual_bytes": actual_bytes,
             "serve_load_req_s": _OBS_SERVE_LOAD,
             "batch_msgs": _SERVE_BATCH_MSGS,
-            "wall_repetitions": _OBS_WALL_REPS,
+            "wall_repetitions": _OBS_WALL_PAIRS,
             "flamegraph_bytes": _OBS_FLAME_BYTES,
             "overhead_ceiling": OBS_OVERHEAD_CEILING,
         },
@@ -564,7 +576,7 @@ def collect_obs(actual_bytes: int = 1024) -> dict[str, Any]:
         },
         "wall": {
             "headlines": {
-                "obs_overhead_ratio": on_s / off_s,
+                "obs_overhead_ratio": overhead,
                 "obs_top_kernel_is_lz77": (
                     1.0 if top == "lz77.match_loop" else 0.0
                 ),
@@ -671,6 +683,85 @@ def _wall_codec_mbps() -> "dict[str, float]":
     return out
 
 
+def _timed(fn) -> float:
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
+
+
+def _interleaved_best(slow, fast) -> "tuple[float, float]":
+    """Min-of-N seconds of two callables, run alternately so a slow
+    minute lands on both."""
+    pairs = [(_timed(slow), _timed(fast)) for _ in range(_WALL_ENTROPY_REPS)]
+    return min(s for s, _ in pairs), min(f for _, f in pairs)
+
+
+def _wall_entropy_rows() -> "list[dict[str, Any]]":
+    """Small-block DEFLATE entropy stage vs ``huffman_reference``.
+
+    Per block size: the three code-length builds a dynamic block needs
+    (literal/length, distance, code-length alphabets) and a whole
+    inflate, each timed against its reference twin; compress and
+    decompress microseconds per block ride along as absolute context.
+    Outputs are asserted identical before anything is timed.
+    """
+    from repro.algorithms import huffman, huffman_reference
+    from repro.algorithms.deflate import compress as dc
+    from repro.algorithms.deflate import deflate_compress, deflate_decompress
+    from repro.algorithms.lz77 import MatcherConfig, tokenize
+
+    corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
+    rows = []
+    for size, count in _WALL_ENTROPY_BLOCKS:
+        stride = (len(corpus) - size) // count
+        blocks = [corpus[i * stride:i * stride + size] for i in range(count)]
+        blobs = [deflate_compress(block) for block in blocks]
+
+        histograms = []
+        for block in blocks:
+            syms = dc._map_symbols(*tokenize(block, MatcherConfig()).arrays())
+            litlen = np.bincount(syms["litlen_sym"], minlength=286)
+            litlen[256] += 1
+            dist = np.bincount(syms["dist_sym"], minlength=30)
+            trees = [huffman.code_lengths(litlen, 15), huffman.code_lengths(dist, 15)]
+            cl_syms, _ = dc._rle_code_lengths(np.concatenate(trees))
+            histograms += [(litlen, 15), (dist, 15),
+                           (np.bincount(cl_syms, minlength=19), 7)]
+        for freqs, limit in histograms:
+            if not np.array_equal(huffman.code_lengths(freqs, limit),
+                                  huffman_reference.code_lengths(freqs, limit)):
+                raise AssertionError("code_lengths diverges from its reference")
+        for block, blob in zip(blocks, blobs):
+            if not deflate_decompress(blob) == huffman_reference.inflate(blob) == block:
+                raise AssertionError("inflate diverges from its reference")
+
+        build_ref_s, build_s = _interleaved_best(
+            lambda: [huffman_reference.code_lengths(f, b) for f, b in histograms],
+            lambda: [huffman.code_lengths(f, b) for f, b in histograms],
+        )
+        inflate_ref_s, inflate_s = _interleaved_best(
+            lambda: [huffman_reference.inflate(blob) for blob in blobs],
+            lambda: [deflate_decompress(blob) for blob in blobs],
+        )
+        compress_s = min(
+            _timed(lambda: [deflate_compress(block) for block in blocks])
+            for _ in range(_WALL_ENTROPY_REPS)
+        )
+        rows.append({
+            "block_bytes": size,
+            "blocks": count,
+            "build_reference_us": build_ref_s / count * 1e6,
+            "build_us": build_s / count * 1e6,
+            "build_speedup": build_ref_s / build_s,
+            "inflate_reference_us": inflate_ref_s / count * 1e6,
+            "inflate_us": inflate_s / count * 1e6,
+            "inflate_speedup": inflate_ref_s / inflate_s,
+            "inflate_mb_s": size * count / inflate_s / 1e6,
+            "compress_us": compress_s / count * 1e6,
+        })
+    return rows
+
+
 def collect_wallclock() -> dict[str, Any]:
     """Measure the kernel-vectorization wall trajectory; BENCH_PR8 report.
 
@@ -687,6 +778,9 @@ def collect_wallclock() -> dict[str, Any]:
       ``runs2``) gate on non-inferiority floors because scalar and
       vectorized walk the identical candidate sequence there.
     * per-codec compress throughput floors in vectorized mode.
+    * the DEFLATE entropy stage on 256 B / 1 KiB / 64 KiB blocks, as
+      ratios against the retained ``huffman_reference`` twins
+      (:func:`_wall_entropy_rows`).
     """
     from repro.algorithms.deflate import deflate_compress
     from repro.util.kernels import force_kernel_mode
@@ -737,6 +831,12 @@ def collect_wallclock() -> dict[str, Any]:
         headlines[f"wall_vec_speedup_{_wall_key(name)}"] = value
     for codec, mbps in _wall_codec_mbps().items():
         headlines[f"wall_mbps_{codec}"] = mbps
+    entropy_rows = _wall_entropy_rows()
+    for row in entropy_rows:
+        size = row["block_bytes"]
+        headlines[f"wall_inflate_speedup_{size}"] = row["inflate_speedup"]
+        if f"wall_build_speedup_{size}" in WALL_BANDS:
+            headlines[f"wall_build_speedup_{size}"] = row["build_speedup"]
 
     return {
         "schema": WALL_SCHEMA,
@@ -751,6 +851,7 @@ def collect_wallclock() -> dict[str, Any]:
         "wall": {
             "headlines": headlines,
             "rows": rows,
+            "entropy_rows": entropy_rows,
             "top_kernel": top,
         },
     }

@@ -17,6 +17,13 @@ host-side scratch pool (:mod:`repro.util.scratch`), so steady-state
 emission does not allocate.  The scalar reference (one
 :meth:`BitWriter.write_bits` call per code) is selected by
 ``REPRO_SCALAR_KERNELS`` / ``force_kernel_mode`` and is byte-identical.
+
+The reader refills its accumulator eight bytes at a time; decode loops
+that cannot afford a method call per symbol (inflate, the Huffman
+symbol run in :func:`repro.algorithms.huffman.decode_run`) hoist
+``(data, pos, acc, nbits)`` into locals with :meth:`BitReader.hoist`,
+repeat the same refill inline, and hand the state back with
+:meth:`BitReader.restore`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,20 @@ from repro.errors import CorruptStreamError
 from repro.util.kernels import scalar_kernels
 from repro.util.scratch import get_scratch_pool
 
-__all__ = ["BitWriter", "BitReader", "reverse_bits"]
+__all__ = ["BitWriter", "BitReader", "reverse_bits", "BIT_REVERSE_16"]
+
+
+def _bit_reverse_16() -> np.ndarray:
+    rev = np.arange(1 << 16, dtype=np.uint16)
+    for shift, mask in ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF)):
+        rev = ((rev >> shift) & mask) | ((rev & mask) << shift)
+    return rev
+
+
+#: ``BIT_REVERSE_16[v]`` is ``v`` with its 16 bits reversed (128 KiB,
+#: built once at import); ``BIT_REVERSE_16[v] >> (16 - n)`` reverses the
+#: low ``n`` bits of an ``n``-bit value.
+BIT_REVERSE_16 = _bit_reverse_16()
 
 
 def reverse_bits(value: int, nbits: int) -> int:
@@ -64,12 +84,14 @@ class BitWriter:
             return
         if value >> nbits:
             raise ValueError(f"value 0x{value:x} does not fit in {nbits} bits")
-        self._acc |= value << self._nbits
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._out.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._nbits -= 8
+        acc = self._acc | (value << self._nbits)
+        total = self._nbits + nbits
+        whole = total >> 3
+        if whole:
+            self._out += (acc & ((1 << (whole << 3)) - 1)).to_bytes(whole, "little")
+            acc >>= whole << 3
+        self._acc = acc
+        self._nbits = total & 7
 
     def align_to_byte(self) -> None:
         """Pad with zero bits up to the next byte boundary."""
@@ -184,20 +206,32 @@ class BitReader:
         """Bytes consumed, rounding the current partial byte up."""
         return self._pos - (self._nbits // 8)
 
-    def _fill(self, nbits: int) -> None:
-        data = self._data
-        while self._nbits < nbits:
-            if self._pos >= len(data):
-                raise CorruptStreamError("unexpected end of bit stream")
-            self._acc |= data[self._pos] << self._nbits
-            self._pos += 1
-            self._nbits += 8
+    def hoist(self) -> "tuple[bytes, int, int, int]":
+        """``(data, pos, acc, nbits)`` for a loop that keeps them in locals."""
+        return self._data, self._pos, self._acc, self._nbits
+
+    def restore(self, pos: int, acc: int, nbits: int) -> None:
+        """Hand back the state a :meth:`hoist`-ing loop advanced.
+
+        ``nbits < 0`` means the loop consumed zero bits peeked past the
+        end of the stream.
+        """
+        if nbits < 0:
+            raise CorruptStreamError("unexpected end of bit stream")
+        self._pos, self._acc, self._nbits = pos, acc, nbits
+
+    def _refill(self) -> None:
+        chunk = self._data[self._pos : self._pos + 8]
+        self._acc |= int.from_bytes(chunk, "little") << self._nbits
+        self._pos += len(chunk)
+        self._nbits += len(chunk) << 3
 
     def read_bits(self, nbits: int) -> int:
         """Consume and return ``nbits`` bits (LSB-first)."""
-        if nbits == 0:
-            return 0
-        self._fill(nbits)
+        while self._nbits < nbits:
+            if self._pos >= len(self._data):
+                raise CorruptStreamError("unexpected end of bit stream")
+            self._refill()
         value = self._acc & ((1 << nbits) - 1)
         self._acc >>= nbits
         self._nbits -= nbits
@@ -210,11 +244,8 @@ class BitReader:
         bits are returned as zero, matching common inflate implementations
         that over-peek into the lookup table.
         """
-        data = self._data
-        while self._nbits < nbits and self._pos < len(data):
-            self._acc |= data[self._pos] << self._nbits
-            self._pos += 1
-            self._nbits += 8
+        while self._nbits < nbits and self._pos < len(self._data):
+            self._refill()
         return self._acc & ((1 << nbits) - 1)
 
     def skip_bits(self, nbits: int) -> None:
@@ -233,16 +264,11 @@ class BitReader:
     def read_bytes(self, n: int) -> bytes:
         """Byte-align, then read ``n`` raw bytes."""
         self.align_to_byte()
-        # Return whole buffered bytes first.
-        out = bytearray()
-        while self._nbits and n:
-            out.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._nbits -= 8
-            n -= 1
-        if n:
-            if self._pos + n > len(self._data):
-                raise CorruptStreamError("unexpected end of byte stream")
-            out += self._data[self._pos : self._pos + n]
-            self._pos += n
-        return bytes(out)
+        # Whole bytes still buffered came from just behind the cursor.
+        start = self._pos - (self._nbits >> 3)
+        if start + n > len(self._data):
+            raise CorruptStreamError("unexpected end of byte stream")
+        self._pos = start + n
+        self._acc = 0
+        self._nbits = 0
+        return self._data[start : start + n]

@@ -130,6 +130,65 @@ class TestCorruption:
             deflate_decompress(b"")
 
 
+def _fixed_block(literals: bytes, matches: "list[tuple[int, int]]") -> bytes:
+    """A hand-built final fixed-Huffman block: ``literals``, then one
+    ``(length, distance)`` back-reference per entry, then end-of-block."""
+    from repro.algorithms.deflate import tables as T
+    from repro.util.bitio import BitWriter
+
+    w = BitWriter()
+    w.write_bits(0b011, 3)  # BFINAL=1, BTYPE=01
+
+    def put(sym):
+        w.write_bits(int(T.FIXED_LITLEN_CODES[sym]), int(T.FIXED_LITLEN_LENGTHS[sym]))
+
+    for byte in literals:
+        put(byte)
+    for length, dist in matches:
+        lsym = int(T.LENGTH_SYM_FOR_LEN[length])
+        put(257 + lsym)
+        w.write_bits(length - int(T.LENGTH_BASE[lsym]), int(T.LENGTH_EXTRA[lsym]))
+        dsym = int(T.dist_symbol(np.array([dist]))[0])
+        w.write_bits(int(T.FIXED_DIST_CODES[dsym]), 5)
+        w.write_bits(dist - int(T.DIST_BASE[dsym]), int(T.DIST_EXTRA[dsym]))
+    put(256)
+    return w.getvalue()
+
+
+class TestOverlappingCopy:
+    """``dist < length``: the copy reads bytes it has just written."""
+
+    @pytest.mark.parametrize("dist", range(1, 8))
+    def test_short_period_max_length(self, dist):
+        period = bytes(range(65, 65 + dist))
+        stream = _fixed_block(period, [(258, dist), (258, dist)])
+        expected = (period * (516 // dist + 2))[: dist + 516]
+        assert stdzlib.decompress(stream, wbits=-15) == expected
+        assert deflate_decompress(stream) == expected
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 7, 8, 9, 257, 258])
+    def test_lengths_around_the_period(self, length):
+        stream = _fixed_block(b"abcd", [(length, 4), (length, 3)])
+        assert deflate_decompress(stream) == stdzlib.decompress(stream, wbits=-15)
+
+    def test_all_zero_64k(self):
+        data = bytes(64 * 1024)
+        stream = deflate_compress(data)
+        assert len(stream) < 200
+        assert stdzlib.decompress(stream, wbits=-15) == data
+        assert deflate_decompress(stream) == data
+
+    def test_reference_before_start_rejected(self):
+        with pytest.raises(CorruptStreamError):
+            deflate_decompress(_fixed_block(b"ab", [(258, 3)]))
+
+    def test_output_limit_enforced_inside_a_run(self):
+        stream = _fixed_block(b"a", [(258, 1)] * 40)
+        assert len(deflate_decompress(stream, max_output=1 + 258 * 40)) == 10321
+        with pytest.raises(OutputOverflowError):
+            deflate_decompress(stream, max_output=5000)
+
+
 @given(st.binary(max_size=4000))
 @settings(max_examples=50, deadline=None)
 def test_property_roundtrip(blob):

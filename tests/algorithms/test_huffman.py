@@ -218,3 +218,164 @@ def test_property_encode_decode_roundtrip(data):
     decoder = huffman.HuffmanDecoder(lengths)
     r = BitReader(w.getvalue())
     assert [decoder.decode(r) for _ in symbols] == symbols
+
+
+# -- production kernels vs the retained reference twins ----------------------
+#
+# ``huffman_reference`` keeps the pre-hoist implementations; the fast
+# ones must reproduce them exactly — the same arrays, not merely the same
+# cost — because every compressed stream is pinned byte for byte.
+
+from repro.algorithms import huffman_reference as reference  # noqa: E402
+
+
+def _fibonacci(count: int) -> "list[int]":
+    out = [1, 1]
+    while len(out) < count:
+        out.append(out[-1] + out[-2])
+    return out[:count]
+
+
+@st.composite
+def histograms(draw):
+    """(freqs, max_bits): 1..286 used symbols scattered over an alphabet,
+    from weight families chosen to hit ties and to make the limit bind."""
+    max_bits = draw(st.sampled_from([7, 15]))
+    n_used = draw(st.integers(1, min(286, 1 << max_bits)))
+    family = draw(st.sampled_from(
+        ["random", "few_values", "fibonacci", "equal", "powers_of_two"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "random":
+        weights = rng.integers(1, 5000, n_used)
+    elif family == "few_values":        # ties everywhere
+        weights = rng.integers(1, 4, n_used)
+    elif family == "fibonacci":         # deepest possible unbounded tree
+        weights = np.array(_fibonacci(80) * 4)[:n_used]
+    elif family == "equal":
+        weights = np.full(n_used, int(rng.integers(1, 100)))
+    else:
+        weights = 1 << rng.integers(0, 30, n_used)
+    weights = rng.permutation(weights)
+    freqs = np.zeros(draw(st.integers(n_used, 286)), dtype=np.int64)
+    freqs[rng.choice(freqs.size, n_used, replace=False)] = weights
+    return freqs, max_bits
+
+
+@given(histograms())
+@settings(max_examples=300, deadline=None)
+def test_code_lengths_equal_reference(case):
+    freqs, max_bits = case
+    lengths = huffman.code_lengths(freqs, max_bits)
+    assert lengths.dtype == np.int32
+    assert np.array_equal(lengths, reference.code_lengths(freqs, max_bits))
+    used = lengths[lengths > 0].astype(np.int64)
+    assert ((freqs > 0) == (lengths > 0)).all()
+    assert lengths.max() <= max_bits
+    if used.size > 1:
+        assert (1 << (max_bits - used)).sum() <= 1 << max_bits  # Kraft
+
+
+@pytest.mark.parametrize("max_bits, count", [(15, 17), (15, 40), (7, 9), (7, 19)])
+def test_fibonacci_weights_bind_the_limit(max_bits, count):
+    freqs = np.array(_fibonacci(count), dtype=np.int64)
+    lengths = huffman.code_lengths(freqs, max_bits)
+    assert lengths.max() == max_bits  # an unbounded tree would be deeper
+    assert np.array_equal(lengths, reference.code_lengths(freqs, max_bits))
+
+
+@given(histograms())
+@settings(max_examples=100, deadline=None)
+def test_lsb_codes_equal_per_symbol_reversal(case):
+    freqs, max_bits = case
+    lengths = huffman.code_lengths(freqs, max_bits)
+    codes = huffman.lsb_codes(lengths)
+    assert codes.dtype == np.uint32
+    assert np.array_equal(codes, reference.lsb_codes(lengths))
+
+
+def test_lsb_codes_rejects_lengths_beyond_reversal_table():
+    with pytest.raises(ValueError):
+        huffman.lsb_codes(np.array([1, 17, 17]))
+
+
+@given(histograms(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_decoder_table_equals_reference(case, drop_one):
+    freqs, max_bits = case
+    lengths = huffman.code_lengths(freqs, max_bits)
+    if drop_one and np.count_nonzero(lengths) > 1:
+        # Remove a code: the tree becomes incomplete, its slots invalid.
+        lengths[np.flatnonzero(lengths)[0]] = 0
+    decoder = huffman.HuffmanDecoder(lengths)
+    expected = reference.decoder_table(lengths)
+    assert decoder.max_bits == lengths.max()
+    assert np.array_equal(decoder.table, expected)
+    assert list(decoder.lookup) == expected.tolist()
+    assert decoder.is_complete == bool((expected != 0).all())
+
+
+def test_decoder_table_single_symbol_code():
+    lengths = np.zeros(30, dtype=np.int32)
+    lengths[7] = 1
+    decoder = huffman.HuffmanDecoder(lengths)
+    assert decoder.table.tolist() == [(1 << 9) | 7, 0]
+    assert np.array_equal(decoder.table, reference.decoder_table(lengths))
+    assert not decoder.is_complete
+
+
+def test_decoder_rejects_oversubscribed_and_overlong_codes():
+    with pytest.raises(CorruptStreamError):
+        huffman.HuffmanDecoder(np.array([1, 1, 1]))
+    with pytest.raises(CorruptStreamError):
+        huffman.HuffmanDecoder(np.array([1, 200]))  # hostile u8 length
+
+
+class TestDecodeRun:
+    def _stream(self, lengths, symbols, tail_bits=0):
+        codes = huffman.lsb_codes(lengths)
+        w = BitWriter()
+        for sym in symbols:
+            w.write_bits(int(codes[sym]), int(lengths[sym]))
+        w.write_bits((1 << tail_bits) - 1, tail_bits)
+        return w.getvalue()
+
+    def test_stops_at_first_symbol_at_or_above_stop(self):
+        lengths = huffman.code_lengths(np.arange(1, 21), 15)
+        symbols = [3, 4, 15, 0, 17, 2, 2]
+        reader = BitReader(self._stream(lengths, symbols, tail_bits=5))
+        decoder = huffman.HuffmanDecoder(lengths)
+        out: "list[int]" = []
+        assert huffman.decode_run(decoder, reader, out, 100, stop=16) == 17
+        assert out == [3, 4, 15, 0]
+        # The reader sits right behind the stop symbol.
+        assert huffman.decode_run(decoder, reader, out, 2, stop=16) == -1
+        assert out == [3, 4, 15, 0, 2, 2]
+        assert reader.read_bits(5) == 0b11111
+
+    def test_matches_symbol_at_a_time_decode(self):
+        rng = np.random.default_rng(5)
+        lengths = huffman.code_lengths(rng.integers(0, 50, 200), 15)
+        usable = np.flatnonzero(lengths)
+        symbols = rng.choice(usable, 3000).tolist()
+        data = self._stream(lengths, symbols)
+        decoder = huffman.HuffmanDecoder(lengths)
+        out = bytearray()
+        assert huffman.decode_run(
+            decoder, BitReader(data), out, len(symbols), stop=512) == -1
+        reader = BitReader(data)
+        assert list(out) == [decoder.decode(reader) for _ in symbols] == symbols
+
+    def test_truncated_stream_raises_instead_of_reading_zeros(self):
+        # Symbol 0 gets the all-zero code, so a decoder that treated the
+        # bits past the end as data would "decode" it forever.
+        lengths = np.array([1, 2, 2], dtype=np.int32)
+        decoder = huffman.HuffmanDecoder(lengths)
+        data = self._stream(lengths, [1, 2, 1, 2])  # exactly one byte
+        with pytest.raises(CorruptStreamError):
+            huffman.decode_run(decoder, BitReader(data), [], 5, stop=512)
+
+    def test_invalid_code_raises(self):
+        decoder = huffman.HuffmanDecoder(np.array([2, 0, 0], dtype=np.int32))
+        with pytest.raises(CorruptStreamError):
+            huffman.decode_run(decoder, BitReader(b"\xff"), [], 1, stop=512)

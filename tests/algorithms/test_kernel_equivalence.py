@@ -20,10 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import huffman
+from repro.algorithms import huffman, huffman_reference
 from repro.algorithms.ac import ACConfig
 from repro.algorithms.ac.model import ContextModel
-from repro.algorithms.deflate import DeflateConfig, deflate_compress
+from repro.algorithms.deflate import (
+    DeflateConfig,
+    deflate_compress,
+    deflate_decompress,
+)
+from repro.algorithms.deflate import compress as deflate_compress_module
 from repro.algorithms.lz77 import MatcherConfig, tokenize
 from repro.algorithms.sz3.predictor import predict_residual, reconstruct_codes
 from repro.algorithms.sz3.quantizer import dequantize, quantize
@@ -149,6 +154,55 @@ def test_write_code_array_equivalence(pairs, lead_bits):
 
     scalar, vec = both_modes(emit)
     assert scalar == vec
+
+
+# -- Entropy stage vs its retained reference twins --------------------------
+#
+# The count-only package-merge, the table-driven code reversal and the
+# word-at-a-time inflate have no mode switch: their pre-rewrite twins
+# live in ``huffman_reference`` and are compared here on the histograms
+# and streams real blocks produce (tests/algorithms/test_huffman.py has
+# the synthetic families).
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_block_code_lengths_equal_reference(case):
+    tokens = tokenize(CORPUS[case], MatcherConfig())
+    syms = deflate_compress_module._map_symbols(*tokens.arrays())
+    litlen_freq = np.bincount(syms["litlen_sym"], minlength=286)
+    litlen_freq[256] += 1
+    dist_freq = np.bincount(syms["dist_sym"], minlength=30)
+    litlen = huffman.code_lengths(litlen_freq, 15)
+    dist = huffman.code_lengths(dist_freq, 15)
+    assert np.array_equal(litlen, huffman_reference.code_lengths(litlen_freq, 15))
+    assert np.array_equal(dist, huffman_reference.code_lengths(dist_freq, 15))
+    cl_syms, _ = deflate_compress_module._rle_code_lengths(
+        np.concatenate([litlen, dist])
+    )
+    cl_freq = np.bincount(cl_syms, minlength=19)
+    assert np.array_equal(
+        huffman.code_lengths(cl_freq, 7), huffman_reference.code_lengths(cl_freq, 7)
+    )
+    for lengths in (litlen, dist):
+        assert np.array_equal(
+            huffman.lsb_codes(lengths), huffman_reference.lsb_codes(lengths)
+        )
+
+
+@pytest.mark.parametrize("strategy", ["auto", "fixed", "dynamic", "stored"])
+@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_inflate_equals_reference(case, strategy):
+    data = CORPUS[case]
+    cfg = DeflateConfig(strategy=strategy, block_tokens=700)  # multi-block
+    stream = deflate_compress(data, cfg)
+    assert deflate_decompress(stream) == huffman_reference.inflate(stream) == data
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.binary(max_size=1024))
+def test_inflate_equals_reference_hypothesis(data):
+    stream = deflate_compress(data)
+    assert deflate_decompress(stream) == huffman_reference.inflate(stream) == data
 
 
 # -- Scratch traffic --------------------------------------------------------

@@ -160,6 +160,35 @@ class TestEncoder:
             encoder.decode_residuals(bytes(payload))
 
 
+    @pytest.mark.parametrize("claimed", [2**30, 2**45, 2**64 - 1])
+    def test_value_count_beyond_the_bitstream_rejected(self, claimed):
+        """Decompression bomb: ``n_values`` is read before any bit is, and
+        used to size the output — 2**45 asked numpy for 256 TiB, 2**30
+        really allocated 8 GiB and then looped."""
+        import struct
+
+        payload = bytearray(encoder.encode_residuals(np.arange(10, dtype=np.int64)))
+        struct.pack_into("<Q", payload, 0, claimed)
+        with pytest.raises(CorruptStreamError):
+            encoder.decode_residuals(bytes(payload))
+
+    def test_value_count_one_past_the_bits_rejected(self):
+        import struct
+
+        payload = bytearray(encoder.encode_residuals(np.zeros(64, dtype=np.int64)))
+        (nbits,) = struct.unpack_from("<Q", payload, 8 + 255)
+        assert nbits == 64  # one symbol, one bit each
+        struct.pack_into("<Q", payload, 0, nbits + 1)
+        with pytest.raises(CorruptStreamError):
+            encoder.decode_residuals(bytes(payload))
+
+    def test_hostile_code_length_rejected(self):
+        payload = bytearray(encoder.encode_residuals(np.arange(10, dtype=np.int64)))
+        payload[8 + 3] = 200  # a 200-bit code: the table would be 2**200 slots
+        with pytest.raises(CorruptStreamError):
+            encoder.decode_residuals(bytes(payload))
+
+
 @given(
     arrays(
         dtype=np.int64,

@@ -3,10 +3,11 @@
 Unlike the sim trajectories, every number here is a host-local
 wall-clock reading, so nothing is compared exactly: the committed file
 must sit inside the generous ``WALL_BANDS`` / per-codec MB/s floors,
-and one fresh measurement re-checks the headline claim — the
-vectorized DEFLATE pipeline beats the scalar reference on the
-literal-dominated (``lz77.match_loop``-bound) payload — on whatever
-machine runs the tests.
+and fresh measurements re-check the headline claims — the vectorized
+DEFLATE pipeline beats the scalar reference on the literal-dominated
+(``lz77.match_loop``-bound) payload, and the entropy stage beats its
+retained ``huffman_reference`` twins — on whatever machine runs the
+tests.
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ def test_committed_rows_are_byte_identical_across_kernels(committed_report):
         assert row["speedup"] == pytest.approx(
             row["scalar_s"] / row["vectorized_s"], rel=1e-9
         )
+
+
+def test_committed_entropy_rows_back_their_headlines(committed_report):
+    """The entropy-stage ratios are recorded next to the microseconds
+    they were computed from, one row per block size."""
+    wall = committed_report["wall"]
+    rows = {row["block_bytes"]: row for row in wall["entropy_rows"]}
+    assert sorted(rows) == [256, 1024, 65536]
+    for size, row in rows.items():
+        assert row["build_speedup"] == pytest.approx(
+            row["build_reference_us"] / row["build_us"], rel=1e-9)
+        assert row["inflate_speedup"] == pytest.approx(
+            row["inflate_reference_us"] / row["inflate_us"], rel=1e-9)
+        assert wall["headlines"][f"wall_inflate_speedup_{size}"] \
+            == row["inflate_speedup"]
+        assert row["compress_us"] > 0
 
 
 def test_top_kernel_is_lz77(committed_report):
@@ -115,3 +132,25 @@ def test_fresh_vectorized_beats_scalar_on_literal_payload():
     assert speedup > 1.2, (
         f"vectorized DEFLATE only {speedup:.2f}x scalar on noise payload"
     )
+
+
+def test_fresh_entropy_stage_beats_reference():
+    """Live ratios against the retained twins, interleaved in-process.
+
+    ``_wall_entropy_rows`` first asserts the fast kernels reproduce the
+    reference arrays and bytes, then times both.  Recorded: code-length
+    build ~3.7x at every block size, inflate ~2.3x on small blocks and
+    ~2.5x at 64 KiB.  The floors here sit well under the recorded
+    values: they catch a kernel that silently fell back to the
+    reference's method, not host jitter.
+    """
+    for row in regress._wall_entropy_rows():
+        size = row["block_bytes"]
+        assert row["build_speedup"] > 1.5, (
+            f"code-length build only {row['build_speedup']:.2f}x the "
+            f"reference on {size} B blocks"
+        )
+        assert row["inflate_speedup"] > (1.4 if size >= 65536 else 1.2), (
+            f"inflate only {row['inflate_speedup']:.2f}x the reference "
+            f"on {size} B blocks"
+        )

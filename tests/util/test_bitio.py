@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptStreamError
-from repro.util.bitio import BitReader, BitWriter, reverse_bits
+from repro.util.bitio import BIT_REVERSE_16, BitReader, BitWriter, reverse_bits
 
 
 class TestReverseBits:
@@ -24,7 +24,32 @@ class TestReverseBits:
             assert reverse_bits(reverse_bits(value, 8), 8) == value
 
 
+    def test_reversal_table_matches_every_width(self):
+        assert BIT_REVERSE_16.dtype == np.uint16 and BIT_REVERSE_16.size == 1 << 16
+        for value in range(1 << 16):
+            assert BIT_REVERSE_16[value] == reverse_bits(value, 16)
+        rng = np.random.default_rng(3)
+        for nbits in range(1, 17):
+            for value in rng.integers(0, 1 << nbits, 50).tolist():
+                assert BIT_REVERSE_16[value] >> (16 - nbits) == reverse_bits(value, nbits)
+
+
 class TestBitWriter:
+    def test_one_wide_field_equals_its_parts(self):
+        """A whole block header goes out as one multi-hundred-bit field."""
+        fields = [(5, 3), (0x1FFF, 13), (0, 2), (0xABCDE, 20), (1, 1), (77, 7)] * 9
+        parts, whole = BitWriter(), BitWriter()
+        parts.write_bits(1, 1)
+        whole.write_bits(1, 1)
+        value = nbits = 0
+        for field, width in fields:
+            parts.write_bits(field, width)
+            value |= field << nbits
+            nbits += width
+        whole.write_bits(value, nbits)
+        assert whole.bit_length == parts.bit_length == 1 + nbits
+        assert whole.getvalue() == parts.getvalue()
+
     def test_empty(self):
         assert BitWriter().getvalue() == b""
 
@@ -170,6 +195,31 @@ class TestBitReader:
         r = BitReader(b"ab")
         with pytest.raises(CorruptStreamError):
             r.read_bytes(3)
+
+    def test_hoisted_state_round_trips(self):
+        data = bytes(range(1, 40))
+        r = BitReader(data)
+        assert r.read_bits(11) == int.from_bytes(data, "little") & 0x7FF
+        buf, pos, acc, nbits = r.hoist()
+        assert buf == data and pos * 8 - nbits == 11
+        # A loop that consumed 5 more bits from its local copy:
+        r.restore(pos, acc >> 5, nbits - 5)
+        assert r.bits_consumed == 16
+        assert r.read_bytes(3) == data[2:5]
+
+    def test_restore_rejects_bits_read_past_the_end(self):
+        r = BitReader(b"\x01")
+        _buf, pos, acc, nbits = r.hoist()
+        with pytest.raises(CorruptStreamError):
+            r.restore(pos, acc, nbits - 1)
+
+    def test_read_bytes_after_a_wide_refill(self):
+        data = bytes(range(50))
+        r = BitReader(data)
+        assert r.read_bits(3) == 0  # buffers eight bytes, consumes 3 bits
+        assert r.read_bytes(20) == data[1:21]
+        assert r.read_bits(8) == 21
+        assert r.bytes_consumed == 22
 
     def test_bits_consumed(self):
         r = BitReader(bytes([0xFF, 0xFF]))
