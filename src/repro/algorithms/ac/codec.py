@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -48,7 +49,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.algorithms.ac.model import ACConfig, ContextModel
-from repro.algorithms.ac.rangecoder import RangeDecoder, RangeEncoder
+from repro.algorithms.ac.rangecoder import TOP, RangeDecoder, RangeEncoder
 from repro.errors import (
     CorruptStreamError,
     ChecksumMismatchError,
@@ -218,6 +219,10 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
     ``max_output``.  The symbol loop is bounded by the declared length
     and every renormalization consumes interval width, so corrupt
     streams can never hang the decoder.
+
+    The loop is :class:`RangeDecoder` plus ``symbol_from_target`` with
+    the coder state in locals; ``reference.decode_stepwise`` is the same
+    decode through those objects (DESIGN.md §5j, decode round 2).
     """
     config, length, crc = parse_header(blob)
     if max_output is not None and length > max_output:
@@ -229,58 +234,71 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
             raise ChecksumMismatchError("crc32", crc, 0)
         return b""
     payload = blob[HEADER_BYTES:]
-    # The dense cumulative matrix costs O(2**table_bits * 257) memory —
-    # only worth it (and only safe against hostile headers declaring a
-    # huge table for a tiny stream) when the output is of comparable
-    # scale; the lazy row cache decodes identically, just slower.
-    track_rows = length * 256 >= 1 << config.table_bits
-    model = ContextModel(config, track_rows=track_rows)
-    dec = RangeDecoder(payload)
-    out = np.empty(length, dtype=np.uint8)
-    outl: list[int] = [0] * length
-    history: list[int] = []
-    chunk = config.chunk_bytes
+    primed = RangeDecoder(payload)  # pad byte + first code bytes, or typed error
+    code, rng, pos = primed.code, primed.range, primed.bytes_consumed
+    model = ContextModel(config)
+    uniform = model.uniform_row
     order = config.order
-    hash_scalar = model.context_hash_scalar
-    cum_mat = model.cum_mat
-    decode_target = dec.decode_target
-    consume = dec.consume
-    searchsorted = np.searchsorted
-    start = 0
-    while start < length:
-        stop = min(start + chunk, length)
-        if track_rows:
-            for pos in range(start, stop):
-                ctx = hash_scalar(history)
-                row = cum_mat[ctx]
-                total = row[256].item()
-                target = decode_target(total)
-                sym = searchsorted(row, target, side="right").item() - 1
-                lo = row[sym].item()
-                consume(lo, row[sym + 1].item() - lo, total)
-                outl[pos] = sym
-                history.append(sym)
-                if len(history) > order:
-                    history.pop(0)
-        else:
-            # Lazy-row path (tiny output or oversized declared table):
-            # same arithmetic over python-list rows, no dense matrix.
-            for pos in range(start, stop):
-                ctx = hash_scalar(history)
-                row = model.cum_row(ctx)
-                total = row[256]
-                target = decode_target(total)
-                sym = model.symbol_from_target(ctx, target)
-                lo = row[sym]
-                consume(lo, row[sym + 1] - lo, total)
-                outl[pos] = sym
-                history.append(sym)
-                if len(history) > order:
-                    history.pop(0)
-        out[start:stop] = outl[start:stop]
-        model.update_chunk(out, start, stop)
-        start = stop
-    raw = out.tobytes()
+    # The last ``order`` bytes, newest lowest; zeros before the message.
+    history = 0
+    history_mask = (1 << 8 * order) - 1
+    out = bytearray()
+    try:
+        for start in range(0, length, config.chunk_bytes):
+            stop = min(start + config.chunk_bytes, length)
+            # The tables are frozen within a chunk, so a history names
+            # its row: one hash and one row build per distinct history.
+            rows: dict[int, list[int]] = {}
+            for _ in range(start, stop):
+                row = rows.get(history)
+                if row is None:
+                    # Nothing is folded in before the first boundary.
+                    row = rows[history] = model.cum_row(
+                        model.context_hash_packed(history)) if start else uniform
+                if row is uniform:
+                    # row[s] == s, total 256: the search is the division.
+                    r = rng >> 8
+                    sym = code // r
+                    if sym < 255:
+                        rng = r
+                    else:
+                        sym = 255
+                        rng -= r * 255
+                    code -= r * sym
+                else:
+                    total = row[256]
+                    r = rng // total
+                    target = code // r
+                    # Top-symbol slack (or corrupt input) can overshoot.
+                    sym = bisect_right(row, target) - 1 if target < total else 255
+                    lo = row[sym]
+                    hi = row[sym + 1]
+                    code -= r * lo
+                    if hi == total:
+                        rng -= r * lo
+                    else:
+                        rng = r * (hi - lo)
+                if code >= rng:
+                    raise CorruptStreamError(
+                        "decoder state invariant violated (corrupt stream)")
+                while rng < TOP:
+                    rng <<= 8  # < 2**32: rng was below 2**24
+                    code = code << 8 | payload[pos]
+                    pos += 1
+                out.append(sym)
+                history = (history << 8 | sym) & history_mask
+            if stop < length:
+                # Fold the chunk in; its contexts reach ``order`` bytes back.
+                base = max(start - order, 0)
+                model.update_chunk(np.frombuffer(out[base:stop], dtype=np.uint8),
+                                   start - base, stop - base)
+    except IndexError:  # payload[pos]
+        raise CorruptStreamError(
+            f"range-coded payload truncated at byte {pos}") from None
+    except ZeroDivisionError:  # r == 0: a total above the range
+        raise CorruptStreamError(
+            "range collapsed during decode (corrupt stream)") from None
+    raw = bytes(out)
     actual = zlib.crc32(raw) & 0xFFFF_FFFF
     if actual != crc:
         raise ChecksumMismatchError("crc32", crc, actual)

@@ -82,26 +82,20 @@ class ACConfig:
 class ContextModel:
     """Hashed order-N frequency model shared by encoder and decoder."""
 
-    def __init__(self, config: ACConfig, track_rows: bool = False) -> None:
+    def __init__(self, config: ACConfig) -> None:
         self.config = config
         self.n_contexts = 1 << config.table_bits
         # Dense count matrix: row = context, column = next byte.  int32
         # is ample (totals are halved long before overflow).
         self._counts = np.zeros((self.n_contexts, 256), dtype=np.int32)
         self._totals = np.zeros(self.n_contexts, dtype=np.int64)
-        self._uniform_row = list(range(257))
-        # Decode-side fast path: with track_rows a dense cumulative
-        # matrix is maintained — the rows of every *touched* context are
-        # rebuilt in one vectorized pass at each chunk boundary, so the
-        # sequential symbol loop only does row indexing + searchsorted.
-        self.track_rows = track_rows
-        if track_rows:
-            self.cum_mat = np.empty((self.n_contexts, 257), dtype=np.int64)
-            self.cum_mat[:] = np.arange(257, dtype=np.int64)
-        else:
-            self.cum_mat = None
-        # Lazy per-context row cache for the non-tracking path.
+        #: The one row object every untouched context shares
+        #: (``row[s] == s``); decoders test for it by identity.
+        self.uniform_row = list(range(257))
+        # Decode-side rows, built on first use and dropped when their
+        # context's counts change.
         self._cum: dict[int, list[int]] = {}
+        self._lag_multipliers = _LAG_MULTIPLIERS[:config.order]
         self._shift = np.uint64(64 - config.table_bits)
         self._fold = np.uint64(_FOLD_MULTIPLIER)
 
@@ -155,14 +149,18 @@ class ContextModel:
         before the start of the message are zeros.
         """
         order = self.config.order
-        if order == 0:
-            return 0
+        return self.context_hash_packed(
+            int.from_bytes(bytes(history[-order:]), "big") if order else 0)
+
+    def context_hash_packed(self, history: int) -> int:
+        """:meth:`context_hash_scalar` of the last ``order`` bytes packed
+        into one int, newest in the low byte."""
         h = 0
-        m = len(history)
-        for lag in range(1, order + 1):
-            prev = history[m - lag] if m >= lag else 0
-            h = (h + prev * _LAG_MULTIPLIERS[lag - 1]) & MASK64
-        return ((h * _FOLD_MULTIPLIER) & MASK64) >> (64 - self.config.table_bits)
+        for multiplier in self._lag_multipliers:
+            h += (history & 255) * multiplier
+            history >>= 8
+        return (((h & MASK64) * _FOLD_MULTIPLIER & MASK64)
+                >> 64 - self.config.table_bits)
 
     # -- vectorized encode path --------------------------------------------
 
@@ -190,13 +188,11 @@ class ContextModel:
 
     def cum_row(self, ctx: int) -> list[int]:
         """257-entry cumulative row of ``counts + 1`` for ``ctx``."""
-        if self.track_rows:
-            return self.cum_mat[ctx].tolist()
         row = self._cum.get(ctx)
         if row is not None:
             return row
         if self._totals[ctx] == 0:
-            return self._uniform_row
+            return self.uniform_row
         cum = np.empty(257, dtype=np.int64)
         cum[0] = 0
         np.cumsum(self._counts[ctx] + 1, out=cum[1:])
@@ -240,14 +236,10 @@ class ContextModel:
         if len(over):
             self._counts[over] >>= 1
             self._totals[over] = self._counts[over].sum(axis=1)
-        touched = np.unique(hashes)
-        if self.track_rows:
-            # Halved contexts are a subset of the touched set, so one
-            # rebuild pass covers both plain updates and halvings.
-            block = self._counts[touched].astype(np.int64) + 1
-            self.cum_mat[touched, 1:] = np.cumsum(block, axis=1)
-        elif self._cum:
-            for ctx in touched.tolist():
+        if self._cum:
+            # A context still over after one halving is halved again at
+            # the next boundary even if that chunk never touched it.
+            for ctx in np.union1d(hashes, over).tolist():
                 self._cum.pop(ctx, None)
 
     # -- introspection (tests) ---------------------------------------------

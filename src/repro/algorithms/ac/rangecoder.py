@@ -97,6 +97,8 @@ class RangeDecoder:
     Exhausting the payload mid-stream raises
     :class:`~repro.errors.CorruptStreamError`; the decoder never reads
     past the buffer and never loops without consuming interval width.
+    ``ac_decompress`` runs this arithmetic inline with the state in
+    locals; the class is the step-wise form its tests compare it with.
     """
 
     def __init__(self, data: bytes) -> None:

@@ -169,12 +169,17 @@ def reference_decompress_payload(
     payload: bytes, length: int, config: "ACConfig | None" = None
 ) -> bytes:
     """Decode ``length`` symbols from a reference-coded payload."""
-    if config is None:
-        config = ACConfig()
-    if length == 0:
-        return b""
+    return decode_stepwise(ReferenceDecoder(payload), length, config or ACConfig())
+
+
+def decode_stepwise(decoder, length: int, config: ACConfig) -> bytes:
+    """Decode one ``decode_target`` / ``consume`` step at a time.
+
+    With a :class:`ReferenceDecoder` this is the bitwise oracle; with a
+    ``RangeDecoder`` it is the twin ``ac_decompress``'s fused loop is
+    tested and timed against.
+    """
     model = ContextModel(config)
-    dec = ReferenceDecoder(payload)
     out = np.empty(length, dtype=np.uint8)
     history: list[int] = []
     order = config.order
@@ -184,10 +189,10 @@ def reference_decompress_payload(
         for pos in range(start, stop):
             ctx = model.context_hash_scalar(history)
             total = model.cum_row(ctx)[256]
-            target = dec.decode_target(total)
+            target = decoder.decode_target(total)
             sym = model.symbol_from_target(ctx, target)
             lo, fr, tot = model.triple(ctx, sym)
-            dec.consume(lo, fr, tot)
+            decoder.consume(lo, fr, tot)
             out[pos] = sym
             history.append(sym)
             if len(history) > order:

@@ -34,6 +34,10 @@ _MFLIMIT = 12  # no match may start within the last 12 bytes
 _LAST_LITERALS = 5
 _MAX_OFFSET = 65535
 _HASH_BITS = 16
+#: Inputs shorter than this keep their hash table in a dict holding only
+#: the slots their own positions hash to; allocating the 64 Ki-entry
+#: list costs more than compressing a block this small.
+_SPARSE_TABLE_BELOW = 2048
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,12 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
         return bytes(out)
 
     hashes = _hash_all(data)
-    table = [-1] * (1 << _HASH_BITS)
+    # Either table maps slot -> last position, every slot starting at -1,
+    # so the candidates (and the block) do not depend on which is used.
+    if n < _SPARSE_TABLE_BELOW:
+        table = dict.fromkeys(hashes, -1)
+    else:
+        table = [-1] * (1 << _HASH_BITS)
     match_limit = n - _MFLIMIT  # last position where a match may start
     anchor = 0
     i = 0
@@ -210,11 +219,13 @@ def lz4_block_decompress(
         start = len(out) - offset
         if start < 0:
             raise CorruptStreamError("match offset before start of output")
+        if max_output is not None and len(out) + match_len > max_output:
+            raise OutputOverflowError("LZ4 output exceeds limit")
         if offset >= match_len:
             out += out[start : start + match_len]
         else:
-            for k in range(match_len):  # overlapping copy
-                out.append(out[start + k])
-        if max_output is not None and len(out) > max_output:
-            raise OutputOverflowError("LZ4 output exceeds limit")
+            # Overlapping copy: the last ``offset`` bytes repeat.
+            pattern = out[start:]
+            repeats, rest = divmod(match_len, offset)
+            out += pattern * repeats + pattern[:rest]
     return bytes(out)

@@ -25,7 +25,11 @@ from repro.algorithms.lz4.block import (
     lz4_block_compress,
     lz4_block_decompress,
 )
-from repro.errors import ChecksumMismatchError, CorruptStreamError
+from repro.errors import (
+    ChecksumMismatchError,
+    CorruptStreamError,
+    OutputOverflowError,
+)
 from repro.util.xxhash32 import xxh32
 
 __all__ = ["lz4_compress", "lz4_decompress", "MAGIC"]
@@ -103,6 +107,11 @@ def lz4_decompress(frame: bytes, max_output: int | None = None) -> bytes:
     pos += 1
     if hc != (xxh32(descriptor) >> 8) & 0xFF:
         raise ChecksumMismatchError("LZ4 header", hc, (xxh32(descriptor) >> 8) & 0xFF)
+    if (max_output is not None and expected_size is not None
+            and expected_size > max_output):
+        raise OutputOverflowError(
+            f"declared content size {expected_size} exceeds max_output {max_output}"
+        )
 
     out = bytearray()
     while True:
@@ -120,10 +129,12 @@ def lz4_decompress(frame: bytes, max_output: int | None = None) -> bytes:
         pos += size
         if has_block_checksum:
             pos += 4  # we never emit these; skip if present
+        remaining = None if max_output is None else max_output - len(out)
         if stored:
+            if remaining is not None and size > remaining:
+                raise OutputOverflowError("LZ4 output exceeds limit")
             out += payload
         else:
-            remaining = None if max_output is None else max_output - len(out)
             out += lz4_block_decompress(payload, max_output=remaining)
 
     data = bytes(out)

@@ -53,20 +53,6 @@ def test_chunk_triples_match_sequential_triples():
         seq_model.update_chunk(data, start, stop)
 
 
-def test_tracked_rows_match_lazy_rows():
-    config = _config()
-    tracked = ContextModel(config, track_rows=True)
-    lazy = ContextModel(config)
-    rng = np.random.default_rng(12)
-    data = rng.integers(0, 256, size=1024, dtype=np.uint8)
-    for start in range(0, len(data), config.chunk_bytes):
-        stop = min(start + config.chunk_bytes, len(data))
-        tracked.update_chunk(data, start, stop)
-        lazy.update_chunk(data, start, stop)
-    for ctx in np.unique(tracked.context_hashes(data, 0, len(data))):
-        assert tracked.cum_row(int(ctx)) == lazy.cum_row(int(ctx))
-
-
 def test_untouched_context_is_uniform():
     model = ContextModel(_config())
     row = model.cum_row(0)

@@ -78,6 +78,37 @@ class TestBlock:
         with pytest.raises(OutputOverflowError):
             lz4_block_decompress(block, max_output=100)
 
+    @staticmethod
+    def _overlap_block(offset: int, match_len: int) -> bytes:
+        """``offset`` distinct literals, one match of ``match_len`` at
+        that offset, then a literal-only closing sequence."""
+        extra = match_len - 4
+        block = bytearray([offset << 4 | min(extra, 15)])
+        block += bytes(range(1, offset + 1)) + bytes([offset, 0])
+        if extra >= 15:
+            extra -= 15
+            block += b"\xff" * (extra // 255) + bytes([extra % 255])
+        return bytes(block) + b"\x30END"
+
+    def test_overlapping_copy_matches_the_per_byte_definition(self):
+        """offset < length: each copied byte may be one the copy itself
+        just wrote.  The slice-repeat must equal copying byte by byte."""
+        for offset in range(1, 9):
+            for match_len in range(4, 601):
+                expected = bytearray(range(1, offset + 1))
+                for _ in range(match_len):
+                    expected.append(expected[-offset])
+                expected += b"END"
+                block = self._overlap_block(offset, match_len)
+                assert lz4_block_decompress(block) == expected, (offset, match_len)
+
+    def test_output_limit_inside_an_overlapping_copy(self):
+        block = self._overlap_block(3, 600)  # 3 literals + 600 copied + 3
+        assert len(lz4_block_decompress(block, max_output=606)) == 606
+        for limit in (3, 4, 300, 602, 605):
+            with pytest.raises(OutputOverflowError):
+                lz4_block_decompress(block, max_output=limit)
+
     def test_long_match_extension_bytes(self):
         # A >270-byte match exercises the 255-saturated extension path.
         data = b"Lorem ipsum " + b"A" * 2000 + b" dolor sit amet"
@@ -127,6 +158,35 @@ class TestFrame:
         assert len(frame) < len(data) + 64
         assert lz4_decompress(frame) == data
 
+    def test_output_limit_covers_stored_blocks(self):
+        """Incompressible data travels as stored blocks, which must obey
+        ``max_output`` like compressed ones: the declared content size
+        is refused up front, and a frame that declares none is refused
+        at the block that would pass the limit."""
+        from repro.util.xxhash32 import xxh32
+
+        data = np.random.default_rng(6).bytes(5000)
+        frame = lz4_compress(data)
+        assert len(frame) > len(data)  # stored
+        assert lz4_decompress(frame, max_output=5000) == data
+        for limit in (0, 100, 4999):
+            with pytest.raises(OutputOverflowError):
+                lz4_decompress(frame, max_output=limit)
+
+        descriptor = bytes([(1 << 6) | (1 << 5) | (1 << 2), 7 << 4])  # no C.Size
+        sizeless = (
+            struct.pack("<I", MAGIC) + descriptor
+            + bytes([(xxh32(descriptor) >> 8) & 0xFF])
+            + struct.pack("<I", 3000 | 0x80000000) + data[:3000]
+            + struct.pack("<I", 2000 | 0x80000000) + data[3000:]
+            + struct.pack("<II", 0, xxh32(data))
+        )
+        assert lz4_decompress(sizeless) == data
+        assert lz4_decompress(sizeless, max_output=5000) == data
+        for limit in (100, 2999, 3000, 4999):
+            with pytest.raises(OutputOverflowError):
+                lz4_decompress(sizeless, max_output=limit)
+
     def test_invalid_block_size_code(self):
         with pytest.raises(ValueError):
             lz4_compress(b"x", block_size_code=3)
@@ -160,3 +220,27 @@ def test_property_frame_roundtrip(blob):
 def test_property_low_entropy_block(symbols):
     blob = bytes(symbols)
     assert lz4_block_decompress(lz4_block_compress(blob)) == blob
+
+
+def test_sparse_table_blocks_equal_dense_table_blocks(monkeypatch):
+    """Short inputs keep the matcher's hash table in a dict, long ones
+    in a 64 Ki-entry list: same slots, same candidates, same block.
+    Every length 0..300 and a stride up to 4 KiB, each compressed with
+    the switch forced both ways."""
+    from repro.algorithms.lz4 import block
+
+    rng = np.random.default_rng(8)
+    corpora = [
+        b"the quick brown fox jumps over the lazy dog. " * 100,
+        bytes(rng.integers(0, 4, size=4200, dtype=np.uint8)),
+        rng.bytes(4200),
+        b"\x00" * 4200,
+    ]
+    lengths = [*range(301), *range(301, 4200, 97), 2047, 2048, 2049, 4096]
+    for corpus in corpora:
+        for n in lengths:
+            monkeypatch.setattr(block, "_SPARSE_TABLE_BELOW", 1 << 30)
+            sparse = lz4_block_compress(corpus[:n])
+            monkeypatch.setattr(block, "_SPARSE_TABLE_BELOW", 0)
+            assert sparse == lz4_block_compress(corpus[:n]), n
+            assert lz4_block_decompress(sparse) == corpus[:n]

@@ -5,9 +5,9 @@ wall-clock reading, so nothing is compared exactly: the committed file
 must sit inside the generous ``WALL_BANDS`` / per-codec MB/s floors,
 and fresh measurements re-check the headline claims — the vectorized
 DEFLATE pipeline beats the scalar reference on the literal-dominated
-(``lz77.match_loop``-bound) payload, and the entropy stage beats its
-retained ``huffman_reference`` twins — on whatever machine runs the
-tests.
+(``lz77.match_loop``-bound) payload, the entropy stage beats its
+retained ``huffman_reference`` twins, and AC decode and xxh32 beat
+their step-wise / scalar twins — on whatever machine runs the tests.
 """
 
 from __future__ import annotations
@@ -72,6 +72,20 @@ def test_committed_entropy_rows_back_their_headlines(committed_report):
         assert wall["headlines"][f"wall_inflate_speedup_{size}"] \
             == row["inflate_speedup"]
         assert row["compress_us"] > 0
+
+
+def test_committed_decode_rows_back_their_headlines(committed_report):
+    """AC decode and xxh32 ratios sit next to the microseconds they
+    were computed from: two AC windows, three xxh32 lengths."""
+    wall = committed_report["wall"]
+    rows = wall["decode_rows"]
+    assert [(r["kernel"], r["input_bytes"]) for r in rows] == [
+        ("ac_decode", 6144), ("ac_decode", 6144),
+        ("xxh32", 65536), ("xxh32", 128), ("xxh32", 12)]
+    for row in rows:
+        assert row["speedup"] == pytest.approx(
+            row["reference_us"] / row["us"], rel=1e-9)
+        assert wall["headlines"][row["headline"]] == row["speedup"]
 
 
 def test_top_kernel_is_lz77(committed_report):
@@ -153,4 +167,23 @@ def test_fresh_entropy_stage_beats_reference():
         assert row["inflate_speedup"] > (1.4 if size >= 65536 else 1.2), (
             f"inflate only {row['inflate_speedup']:.2f}x the reference "
             f"on {size} B blocks"
+        )
+
+
+def test_fresh_decode_kernels_beat_their_twins():
+    """Live ratios for the fused AC decode loop and the packed-lane
+    xxh32, interleaved in-process after asserting equal outputs.
+
+    Recorded: AC ~3.0x (xml) / ~2.0x (obs_error) over the step-wise
+    twin, xxh32 ~4x at 64 KiB and ~1.85x at 128 B over the scalar loop.
+    The floors are the committed report's own ``WALL_BANDS`` (ISSUE 15's
+    numbers; see there for obs_error); the 12-byte row (no stripe on
+    either side) only bounds what the length dispatch may cost.
+    """
+    rows = regress._wall_decode_rows()
+    assert len(rows) == 5
+    for row in rows:
+        floor, _ = regress.WALL_BANDS[row["headline"]]
+        assert row["speedup"] > floor, (
+            f"{row['headline']}: only {row['speedup']:.2f}x its twin"
         )
