@@ -159,7 +159,14 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
         while i + mlen < limit and data[cand + mlen] == data[i + mlen]:
             mlen += 1
 
-        _emit_sequence(out, data[anchor:i], mlen, i - cand)
+        lit_len = i - anchor
+        if lit_len < 15 and mlen < _MIN_MATCH + 15:
+            # Both lengths fit the token's nibbles: no extension bytes.
+            out.append(lit_len << 4 | mlen - _MIN_MATCH)
+            out += data[anchor:i]
+            out += (i - cand).to_bytes(2, "little")
+        else:
+            _emit_sequence(out, data[anchor:i], mlen, i - cand)
         i += mlen
         anchor = i
         # Seed the table for intra-match positions (sparse, like lz4 fast).

@@ -128,7 +128,15 @@ def lz4_decompress(frame: bytes, max_output: int | None = None) -> bytes:
         payload = frame[pos : pos + size]
         pos += size
         if has_block_checksum:
-            pos += 4  # we never emit these; skip if present
+            # Never emitted here, but another encoder's frame may carry
+            # them: xxh32 of the block as stored in the frame.
+            if len(frame) < pos + 4:
+                raise CorruptStreamError("truncated block checksum")
+            (stored_sum,) = struct.unpack_from("<I", frame, pos)
+            pos += 4
+            actual = xxh32(payload)
+            if stored_sum != actual:
+                raise ChecksumMismatchError("LZ4 block xxh32", stored_sum, actual)
         remaining = None if max_output is None else max_output - len(out)
         if stored:
             if remaining is not None and size > remaining:

@@ -9,34 +9,28 @@ Two byte-identical implementations live here, selected via
 :mod:`repro.util.kernels`:
 
 * :func:`_tokenize` — the scalar reference: per-position hash-chain
-  inserts and a head-table walk, exactly as zlib structures it.
-* :func:`_tokenize_vec` — the vectorized kernel.  Every position is
-  inserted into its chain exactly once, in increasing position order,
-  *before* it can ever be a candidate, so the entire chain table is a
-  pure function of the input and can be precomputed in one shot: a
-  stable argsort by hash links each position to the most recent earlier
-  position in its bucket (``prev_all``).  The per-byte insert work
-  vanishes from the scan loop, and literal runs are emitted in bulk: a
-  second table keyed on exact *trigrams* (not hashes, which alias)
-  marks the positions with an in-window 3-byte-equal predecessor — any
-  match is at least ``min_match >= 3`` long, so every other position
-  provably emits a literal and is skipped without a walk.  The chain walk
-  itself keeps the scalar's exact candidate order, quick-reject,
-  ``good_match`` shortening and lazy semantics, so the token streams
-  are identical (enforced by ``tests/algorithms/test_kernel_equivalence``
-  and by the golden vectors, which predate the rewrite).
+  inserts and a head-table walk, exactly as zlib structures it; match
+  extension compares 16-byte slices, then single bytes.
+* :func:`_tokenize_vec` — the production kernel.  The chains are a pure
+  function of the input, so one stable argsort by hash stores every
+  bucket contiguously and a position's chain is a slice of it; the
+  quick-reject is a reverse byte search over a column aligned with the
+  sort, match length the lowest set bit of an XOR of 8-byte words, and
+  the literal runs between positions with an in-window trigram-equal
+  predecessor (any match is >= 3 long) are emitted in bulk.  Candidate
+  order, ``good_match`` shortening and lazy semantics are the scalar's,
+  so the token streams are identical (``tests/algorithms/test_lz77_layout``,
+  ``test_kernel_equivalence``, the golden vectors); see DESIGN.md §5j.
 
-Match extension compares 16-byte slices before falling back to per-byte
-comparison; inputs may be ``bytes`` or ``memoryview`` (slicing stays
-zero-copy either way).
-
-The output is a token stream of literals and ``(length, distance)``
-copies, encoded as two parallel Python lists for cheap conversion to
-numpy arrays by the entropy coders.
+Inputs may be ``bytes`` or ``memoryview``.  The output is a token stream
+of literals and ``(length, distance)`` copies, encoded as two parallel
+Python lists for cheap conversion to numpy arrays by the entropy coders.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +42,7 @@ __all__ = ["MatcherConfig", "TokenStream", "tokenize", "reconstruct"]
 
 _HASH_BITS = 15
 _HASH_SIZE = 1 << _HASH_BITS
+_COLUMNS = 32  # quick-reject byte columns kept by the vectorized walk
 
 
 @dataclass(frozen=True)
@@ -256,164 +251,169 @@ def _tokenize(data: bytes, config: MatcherConfig | None) -> TokenStream:
 def _tokenize_vec(data: bytes, config: MatcherConfig | None) -> TokenStream:
     """Vectorized tokenizer; token-identical to :func:`_tokenize`.
 
-    Correctness argument for the precomputed chain table: in the scalar
-    matcher every position ``p < n_hash`` is inserted into its bucket
-    exactly once and in increasing position order (the match-emission
-    paths insert every covered position in their catch-up loops), and
-    always *before* any later position examines the chain.  Therefore
-    at the moment position ``pos`` is examined, ``head[hash(pos)]`` is
-    precisely the largest ``p < pos`` with the same hash, and the walk
-    visits same-hash predecessors in strictly decreasing position
-    order.  ``prev_all`` below encodes exactly that relation for every
-    position at once, which makes the walk's candidate sequence — and
-    hence the emitted tokens — identical by induction.
+    The scalar matcher inserts every position into its bucket exactly
+    once, in increasing order (match emission inserts every covered
+    position) and *before* any later position examines the chain.  So
+    the chain ``pos`` walks is the same-hash positions below it, newest
+    first: ``order[lo:rank[pos]]`` read right to left, for ``order`` the
+    stable argsort by hash and ``rank`` its inverse; bucket start, hop
+    budget and window only move ``lo``.
     """
     cfg = config or MatcherConfig()
     n = len(data)
-    lengths: list[int] = []
-    values: list[int] = []
-    if n == 0:
-        return TokenStream(lengths, values, 0)
-
-    hashes = _hash_all(data)
-    n_hash = hashes.shape[0]
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if n < 3:
+        return TokenStream([0] * n, buf.tolist(), n)
+    n_hash = n - 2
     window = cfg.window_size
-    if n_hash:
-        # Batched hash-chain build: one stable argsort groups the
-        # buckets; adjacent same-hash entries link each position to its
-        # most recent same-hash predecessor.
-        # numpy's stable argsort is radix sort only for <= 16-bit keys
-        # (timsort otherwise, ~6x slower on megabyte inputs), so sort
-        # the 15-bit hashes as uint16 ...
-        order = np.argsort(hashes.astype(np.uint16), kind="stable")
-        prev_all = np.full(n_hash, -1, dtype=np.int64)
-        same = hashes[order[1:]] == hashes[order[:-1]]
-        prev_all[order[1:][same]] = order[:-1][same]
-        # Literal-run skip table, keyed on exact *trigrams* rather than
-        # hashes: any match has length >= min_match >= 3, so its first
-        # three bytes agree and the match source is a trigram-equal
-        # predecessor inside the window.  A position with no such
-        # predecessor provably emits a literal, and every run between
-        # two match-capable positions is emitted in bulk below.  Trigram
-        # chains are what make this effective on low-redundancy data:
-        # hash chains alias ~every position into some bucket
-        # (2**15 buckets vs a 32768-byte window), while exact trigram
-        # repeats within the window are rare.
-        # ... and the 24-bit trigrams with a two-pass LSD radix: stable
-        # argsort by the low 16 bits, then by the high byte.
-        buf = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
-        tri = (buf[:-2] << np.uint32(16)) | (buf[1:-1] << np.uint32(8)) | buf[2:]
-        t_lo = np.argsort(tri.astype(np.uint16), kind="stable")
-        t_hi = (tri >> np.uint32(16)).astype(np.uint8)[t_lo]
-        t_order = t_lo[np.argsort(t_hi, kind="stable")]
-        prev_tri = np.full(n_hash, -1, dtype=np.int64)
-        t_same = tri[t_order[1:]] == tri[t_order[:-1]]
-        prev_tri[t_order[1:][t_same]] = t_order[:-1][t_same]
-        pos_idx = np.arange(n_hash, dtype=np.int64)
-        has_cand = prev_tri >= np.maximum(pos_idx - window, 0)
-        cand_list = np.flatnonzero(has_cand).tolist()
-        prev_l = prev_all.tolist()
-    else:
-        cand_list = []
-        prev_l = []
-    ncand = len(cand_list)
-
     min_match = cfg.min_match
     max_match = cfg.max_match
-    max_chain = cfg.max_chain
+    max_chain = min(max(cfg.max_chain, 0), n)  # hops; a chain has < n entries
     good = cfg.good_match
     lazy = cfg.lazy
 
+    wide = buf.astype(np.uint32)
+    tri = (wide[:-2] << np.uint32(16)) | (wide[1:-1] << np.uint32(8)) | wide[2:]
+    # _hash_all's value: its XOR of three non-overlapping bytes is this OR.
+    hashes = (tri * np.uint32(2654435761)) >> np.uint32(32 - _HASH_BITS)
+    # numpy's stable argsort is radix sort only for <= 16-bit keys
+    # (timsort otherwise, ~6x slower on megabyte inputs), so sort the
+    # 15-bit hashes as uint16 ...
+    order_np = hashes.astype(np.uint16).argsort(kind="stable")
+    slots = np.arange(n_hash, dtype=np.int32)
+    rank_np = np.empty(n_hash, dtype=np.int32)
+    rank_np[order_np] = slots
+    # Leftmost slot of the walk that ends at slot k: its bucket's first
+    # slot (run-boundary flags and a running maximum — O(n), no table
+    # the size of the hash space) or k - max_chain.
+    in_order = hashes[order_np]
+    lo_np = np.zeros(n_hash, dtype=np.int32)
+    np.multiply(in_order[1:] != in_order[:-1], slots[1:], out=lo_np[1:])
+    np.maximum.accumulate(lo_np, out=lo_np)
+    np.maximum(lo_np, slots - max_chain, out=lo_np)
+    # ... and the 24-bit trigrams with a two-pass LSD radix: stable
+    # argsort by the low 16 bits, then by the high byte.  Only a
+    # position with a trigram-equal predecessor inside the window can
+    # start a match (hash chains alias ~every position into some bucket;
+    # exact trigram repeats are rare on low-redundancy data).
+    t_lo = tri.astype(np.uint16).argsort(kind="stable")
+    t_hi = (tri >> np.uint32(16)).astype(np.uint8)[t_lo]
+    t_order = t_lo[t_hi.argsort(kind="stable")]
+    newer, older = t_order[1:], t_order[:-1]
+    has_cand = np.zeros(n_hash, dtype=np.bool_)
+    has_cand[newer[(tri[newer] == tri[older]) & (newer - older <= window)]] = True
+
+    # The loops read typed arrays and bytes (4-8 bytes an entry; a list
+    # of ints is ~36).  ``words[p]`` is the little-endian 8-byte word at
+    # ``p`` of a zero-padded copy, ``columns[off][s] == data[order[s] +
+    # off]``, gathered on first use.  Padding never lengthens a match:
+    # ``limit <= n - pos`` caps it.
+    order = array("i", order_np.astype(np.int32).tobytes())
+    rank = array("i", rank_np.tobytes())
+    chain_lo = array("i", lo_np.tobytes())
+    cand_list = array("i", has_cand.nonzero()[0].astype(np.int32).tobytes())
+    cand_list.append(n)  # sentinel: the literal run after the last one
+    padded = np.concatenate((buf, np.zeros(_COLUMNS + 16, dtype=np.uint8)))
+    words = array("Q", np.ndarray((n + 8,), "<u8", padded, 0, (1,)).tobytes())
+    columns: list[bytes | None] = [None] * _COLUMNS
+
     def longest_match(pos: int) -> tuple[int, int]:
         """Best (length, distance) at ``pos``; (0, 0) if none."""
-        best_len = min_match - 1
-        best_dist = 0
         limit = min(max_match, n - pos)
         if limit < min_match:
             return 0, 0
-        chain = max_chain
-        cand = prev_l[pos]
-        low = pos - window
-        while cand >= 0 and cand >= low and chain > 0:
-            # Quick reject: a longer match must extend past the current best.
-            if data[cand + best_len] == data[pos + best_len]:
-                l = _match_length(data, cand, pos, limit)
-                if l > best_len:
-                    best_len = l
-                    best_dist = pos - cand
-                    if l >= limit:
-                        break
-                    if l >= good:
-                        chain >>= 2
-            cand = prev_l[cand]
-            chain -= 1
-        if best_dist == 0:
-            return 0, 0
-        return best_len, best_dist
+        best_len = min_match - 1
+        best_dist = 0
+        k = rank[pos]
+        lo = chain_lo[k]
+        spent = k - max_chain  # the slot at which the hop budget runs out
+        if order[lo] < pos - window:
+            lo = bisect_left(order, pos - window, lo, k)
+        head = words[pos]
+        while lo < k:
+            # Quick reject: a longer match must extend past the current
+            # best.  One reverse byte search finds the next candidate that
+            # does; past the column width, a plain walk.
+            target = data[pos + best_len]
+            if best_len < _COLUMNS:
+                column = columns[best_len]
+                if column is None:
+                    column = columns[best_len] = padded[best_len:].take(order_np).tobytes()
+                k = column.rfind(target, lo, k)
+            else:
+                k -= 1
+                while k >= lo and data[order[k] + best_len] != target:
+                    k -= 1
+            if k < lo:
+                break
+            cand = order[k]
+            # The lowest set bit of an XOR names the first differing byte:
+            # two table words, then the whole rest (long matches are runs).
+            l = 0
+            diff = words[cand] ^ head
+            if not diff:
+                l = 8
+                diff = words[cand + 8] ^ words[pos + 8]
+                if not diff:
+                    l = 16
+                    diff = int.from_bytes(data[cand + 16 : cand + limit], "little") \
+                        ^ int.from_bytes(data[pos + 16 : pos + limit], "little")
+            l = l + (((diff & -diff).bit_length() - 1) >> 3) if diff else limit
+            if l > best_len:
+                if l >= limit:
+                    return limit, pos - cand
+                best_len = l
+                best_dist = pos - cand
+                if l >= good:
+                    # ``chain >>= 2`` then ``chain -= 1``, on slots: the
+                    # budget left at this hop was k - spent + 1.
+                    spent = k - ((k - spent + 1) >> 2) + 1
+                    lo = max(lo, spent)
+        return (best_len, best_dist) if best_dist else (0, 0)
 
+    lengths: list[int] = []
+    values: list[int] = []
     i = 0
-    ci = 0  # cursor into cand_list (monotone; amortized O(ncand) total)
-    pending: tuple[int, int] | None = None  # deferred (length, dist) at i-1
+    ci = 0  # cursor into cand_list (monotone)
+    pend_len = pend_dist = 0  # match deferred at i-1; length 0: none
     while i < n:
-        if pending is None:
+        if not pend_len:
             # Bulk-emit the literal run up to the next position that has
-            # an in-window candidate (no such position can match).  The
-            # cursor re-syncs by galloping: long match jumps would cost
-            # one step per covered byte with a linear scan.
-            if ci < ncand and cand_list[ci] < i:
-                step = 1
-                while ci + step < ncand and cand_list[ci + step] < i:
-                    step <<= 1
-                lo, hi = ci + (step >> 1) + 1, min(ci + step, ncand)
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    if cand_list[mid] < i:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                ci = lo
-            j = cand_list[ci] if ci < ncand else n
+            # an in-window candidate (no such position can match).
+            ci = bisect_left(cand_list, i, ci)
+            j = cand_list[ci]
             if j > i:
                 values.extend(data[i:j])
                 lengths.extend([0] * (j - i))
                 i = j
                 if i >= n:
                     break
-        if i < n_hash:
-            cur_len, cur_dist = longest_match(i)
-        else:
-            cur_len, cur_dist = 0, 0
-
-        if pending is not None:
-            pend_len, pend_dist = pending
+        cur_len, cur_dist = longest_match(i) if i < n_hash else (0, 0)
+        if pend_len:
             if cur_len > pend_len:
                 lengths.append(0)
                 values.append(data[i - 1])
-                pending = (cur_len, cur_dist)
+                pend_len, pend_dist = cur_len, cur_dist
                 i += 1
-                continue
-            lengths.append(pend_len)
-            values.append(pend_dist)
-            i = i - 1 + pend_len
-            pending = None
-            continue
-
-        if cur_len >= min_match:
-            if lazy and cur_len < max_match and i + 1 < n:
-                pending = (cur_len, cur_dist)
-                i += 1
-                continue
-            lengths.append(cur_len)
-            values.append(cur_dist)
-            i += cur_len
-        else:
+            else:
+                lengths.append(pend_len)
+                values.append(pend_dist)
+                i += pend_len - 1
+                pend_len = 0
+        elif cur_len < min_match:
             lengths.append(0)
             values.append(data[i])
             i += 1
-
-    if pending is not None:
-        lengths.append(pending[0])
-        values.append(pending[1])
+        elif lazy and cur_len < max_match and i + 1 < n:
+            pend_len, pend_dist = cur_len, cur_dist
+            i += 1
+        else:
+            lengths.append(cur_len)
+            values.append(cur_dist)
+            i += cur_len
+    if pend_len:  # the stream ended while deferring
+        lengths.append(pend_len)
+        values.append(pend_dist)
     return TokenStream(lengths, values, n)
 
 

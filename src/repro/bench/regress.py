@@ -99,9 +99,11 @@ _WALL_CODEC_BYTES = 1 << 18
 #: the structures the vectorized kernels batch; their geomean is the
 #: headline aggregate.
 _WALL_LIT_SUITE = ("noise", "ascii")
-#: Deep-chain / degenerate members: the candidate walk (identical in
-#: both modes by construction) dominates, so these gate on
-#: non-inferiority floors only.
+#: Deep-chain / degenerate members: the candidate walk dominates.  Both
+#: modes visit the identical candidate sequence; the vectorized walk
+#: does it as ``rfind`` over bucket slices instead of one interpreter
+#: iteration per hop, so the silesia members gate on a gain, ``runs2``
+#: (few walks, all ``limit``-long matches) on non-inferiority.
 _WALL_PARITY_SUITE = ("silesia/xml", "silesia/samba", "runs2")
 #: Entropy-stage rows: (block bytes, silesia/xml windows per timing).
 _WALL_ENTROPY_BLOCKS = ((256, 16), (1024, 16), (65536, 2))
@@ -122,10 +124,12 @@ WALL_BANDS: "dict[str, tuple[float | None, float | None]]" = {
     "wall_vec_speedup_lit_geomean": (1.8, None),
     "wall_vec_speedup_noise": (1.5, None),
     "wall_vec_speedup_ascii": (1.5, None),
-    # Non-inferiority on the deep-chain suite (both modes walk the same
-    # candidate sequence; vectorized pays a small precompute constant).
-    "wall_vec_speedup_silesia_xml": (0.6, None),
-    "wall_vec_speedup_silesia_samba": (0.6, None),
+    # Deep-chain suite: the bucket-slice walk (ISSUE 18) must beat the
+    # scalar reference's per-hop loop — the linked-list walk it replaced
+    # recorded 1.03x / 1.17x here, i.e. fails these floors.  runs2 pays
+    # the precompute constant for almost no walking: non-inferiority.
+    "wall_vec_speedup_silesia_xml": (1.15, None),
+    "wall_vec_speedup_silesia_samba": (1.25, None),
     "wall_vec_speedup_runs2": (0.45, None),
     # The headline suite must be measuring what it claims to measure.
     "wall_top_kernel_is_lz77": (1.0, 1.0),
@@ -851,9 +855,9 @@ def collect_wallclock() -> dict[str, Any]:
       vectorized kernels (byte-identical outputs, asserted per row).
       The *literal-dominated* members (``noise``, ``ascii``) are where
       vectorization restructures the work — their geomean is the
-      headline aggregate; the deep-chain members (``silesia/*``,
-      ``runs2``) gate on non-inferiority floors because scalar and
-      vectorized walk the identical candidate sequence there.
+      headline aggregate; the deep-chain ``silesia/*`` members gate
+      on the bucket-slice walk's gain over the scalar per-hop loop,
+      ``runs2`` on a non-inferiority floor.
     * per-codec compress throughput floors in vectorized mode.
     * the DEFLATE entropy stage on 256 B / 1 KiB / 64 KiB blocks, as
       ratios against the retained ``huffman_reference`` twins

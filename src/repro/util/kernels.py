@@ -13,11 +13,14 @@ will:
   block — the kernel-equivalence tests use it to run the same input
   through both implementations inside one process.
 
-The environment variable is consulted on every call (not cached at
-import), so tests and benchmarks can flip modes without re-importing.
-Truthiness follows the usual convention: unset, ``""``, ``0``,
-``false``, ``no`` and ``off`` mean vectorized; anything else means
-scalar.
+The environment variable is read once, when this module is imported:
+:func:`kernel_mode` runs on every kernel dispatch and every PEDAL memo
+key, thousands of times per served batch, and must not pay an
+``os.environ`` lookup each time.  Set the variable before the
+interpreter starts; inside a process :func:`force_kernel_mode` is the
+switch.  Truthiness follows the usual convention: unset, ``""``,
+``0``, ``false``, ``no`` and ``off`` mean vectorized; anything else
+means scalar.
 """
 
 from __future__ import annotations
@@ -41,6 +44,12 @@ SCALAR = "scalar"
 
 _FALSEY = frozenset({"", "0", "false", "no", "off"})
 
+#: The environment's choice, fixed at import.
+_ENV_MODE = (
+    VECTORIZED if os.environ.get(ENV_VAR, "").strip().lower() in _FALSEY
+    else SCALAR
+)
+
 #: Scoped override installed by :func:`force_kernel_mode`; wins over the
 #: environment while set.
 _override: "str | None" = None
@@ -48,10 +57,7 @@ _override: "str | None" = None
 
 def kernel_mode() -> str:
     """Current kernel mode: ``"vectorized"`` or ``"scalar"``."""
-    if _override is not None:
-        return _override
-    raw = os.environ.get(ENV_VAR, "").strip().lower()
-    return SCALAR if raw not in _FALSEY else VECTORIZED
+    return _ENV_MODE if _override is None else _override
 
 
 def scalar_kernels() -> bool:

@@ -203,6 +203,68 @@ class TestFrame:
             lz4_decompress(bytes(frame))
 
 
+def _frame_with_block_checksums(blocks, content_checksum):
+    """A frame as another encoder may write it: B.Checksum set, one
+    ``(stored, raw)`` pair per block, each followed by xxh32 of the
+    payload as it sits in the frame.  Returns the frame, its content and
+    each payload's ``(start, end)``; the block checksum is the four
+    bytes at ``end``."""
+    from repro.util.xxhash32 import xxh32
+
+    flg = (1 << 6) | (1 << 5) | (1 << 4) | (content_checksum << 2)
+    descriptor = bytes([flg, 7 << 4])
+    out = struct.pack("<I", MAGIC) + descriptor
+    out += bytes([(xxh32(descriptor) >> 8) & 0xFF])
+    content, spans = b"", []
+    for stored, raw in blocks:
+        payload = raw if stored else lz4_block_compress(raw)
+        out += struct.pack("<I", len(payload) | (stored << 31))
+        spans.append((len(out), len(out) + len(payload)))
+        out += payload + struct.pack("<I", xxh32(payload))
+        content += raw
+    out += struct.pack("<I", 0)
+    if content_checksum:
+        out += struct.pack("<I", xxh32(content))
+    return out, content, spans
+
+
+@pytest.mark.parametrize("content_checksum", [0, 1])
+class TestBlockChecksum:
+    """FLG bit 4: every block carries xxh32 of its payload.  The encoder
+    here never sets it, so these frames are built by hand: one
+    compressed block, one stored."""
+
+    BLOCKS = [(0, b"block checksums guard each block " * 40),
+              (1, np.random.default_rng(9).bytes(300))]
+
+    def test_valid_checksums_accepted(self, content_checksum):
+        frame, content, _ = _frame_with_block_checksums(self.BLOCKS, content_checksum)
+        assert lz4_decompress(frame) == content
+
+    def test_flipped_payload_bit_detected(self, content_checksum):
+        frame, _, spans = _frame_with_block_checksums(self.BLOCKS, content_checksum)
+        for start, end in spans:
+            broken = bytearray(frame)
+            broken[(start + end) // 2] ^= 0x04
+            with pytest.raises(ChecksumMismatchError, match="LZ4 block"):
+                lz4_decompress(bytes(broken))
+
+    def test_flipped_checksum_bit_detected(self, content_checksum):
+        frame, _, spans = _frame_with_block_checksums(self.BLOCKS, content_checksum)
+        for _, end in spans:
+            broken = bytearray(frame)
+            broken[end + 3] ^= 0x80
+            with pytest.raises(ChecksumMismatchError, match="LZ4 block"):
+                lz4_decompress(bytes(broken))
+
+    def test_truncated_checksum_rejected(self, content_checksum):
+        frame, _, spans = _frame_with_block_checksums(self.BLOCKS, content_checksum)
+        for _, end in spans:
+            for kept in range(4):
+                with pytest.raises(CorruptStreamError, match="truncated block checksum"):
+                    lz4_decompress(frame[: end + kept])
+
+
 @given(st.binary(max_size=4000))
 @settings(max_examples=60, deadline=None)
 def test_property_block_roundtrip(blob):
@@ -244,3 +306,62 @@ def test_sparse_table_blocks_equal_dense_table_blocks(monkeypatch):
             monkeypatch.setattr(block, "_SPARSE_TABLE_BELOW", 0)
             assert sparse == lz4_block_compress(corpus[:n]), n
             assert lz4_block_decompress(sparse) == corpus[:n]
+
+
+def _sequences(block: bytes):
+    """Parse a block into ``(literals, match_len, offset)`` sequences;
+    the final, literal-only one has ``match_len == 0``."""
+    i = 0
+    while i < len(block):
+        token = block[i]
+        i += 1
+        lit_len = token >> 4
+        if lit_len == 15:
+            while block[i] == 255:
+                lit_len += 255
+                i += 1
+            lit_len += block[i]
+            i += 1
+        literals = block[i : i + lit_len]
+        i += lit_len
+        if i == len(block):
+            yield literals, 0, 0
+            return
+        offset = int.from_bytes(block[i : i + 2], "little")
+        i += 2
+        match_len = (token & 0x0F) + 4
+        if token & 0x0F == 15:
+            while block[i] == 255:
+                match_len += 255
+                i += 1
+            match_len += block[i]
+            i += 1
+        yield literals, match_len, offset
+
+
+def test_inlined_short_sequences_match_the_general_emitter():
+    """The compressor writes a sequence whose two lengths fit the token
+    nibbles without calling ``_emit_sequence``.  Re-emitting every parsed
+    sequence through ``_emit_sequence`` must reproduce the block, with
+    literal runs of 13..16 and matches of 17..20 bytes — both sides of
+    both nibble limits — present in it."""
+    from repro.algorithms.lz4.block import _emit_sequence
+
+    rng = np.random.default_rng(11)
+    phrase = rng.bytes(41)
+    data = bytearray(phrase)
+    for lit_len in (0, 1, 13, 14, 15, 16, 40):
+        for match_len in (4, 5, 17, 18, 19, 20, 40):
+            data += bytes(rng.integers(0, 256, lit_len, dtype=np.uint8))
+            data += phrase[:match_len] + bytes([phrase[match_len] ^ 0xFF])
+    data = bytes(data + rng.bytes(16))
+    block = lz4_block_compress(data)
+    assert lz4_block_decompress(block) == data
+    rebuilt = bytearray()
+    lit_lens, match_lens = set(), set()
+    for literals, match_len, offset in _sequences(block):
+        _emit_sequence(rebuilt, literals, match_len, offset)
+        lit_lens.add(len(literals))
+        match_lens.add(match_len)
+    assert bytes(rebuilt) == block
+    assert {14, 15, 16} <= lit_lens and {18, 19, 20} <= match_lens
