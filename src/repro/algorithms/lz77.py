@@ -101,14 +101,16 @@ class TokenStream:
         return len(self.lengths) - self.n_literals()
 
 
+def _trigram_hashes(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(trigram, its multiplicative hash)``, uint32, for every i with i+2 < len."""
+    wide = buf.astype(np.uint32)
+    tri = (wide[:-2] << np.uint32(16)) | (wide[1:-1] << np.uint32(8)) | wide[2:]
+    return tri, (tri * np.uint32(2654435761)) >> np.uint32(32 - _HASH_BITS)
+
+
 def _hash_all(data: bytes) -> np.ndarray:
     """3-byte multiplicative hash for every position with i+2 < len."""
-    buf = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
-    if buf.size < 3:
-        return np.zeros(0, dtype=np.int64)
-    h = (buf[:-2] << np.uint32(16)) ^ (buf[1:-1] << np.uint32(8)) ^ buf[2:]
-    h = (h * np.uint32(2654435761)) >> np.uint32(32 - _HASH_BITS)
-    return h.astype(np.int64)
+    return _trigram_hashes(np.frombuffer(data, dtype=np.uint8))[1].astype(np.int64)
 
 
 def _match_length(data: bytes, cand: int, pos: int, limit: int) -> int:
@@ -268,14 +270,11 @@ def _tokenize_vec(data: bytes, config: MatcherConfig | None) -> TokenStream:
     window = cfg.window_size
     min_match = cfg.min_match
     max_match = cfg.max_match
-    max_chain = min(max(cfg.max_chain, 0), n)  # hops; a chain has < n entries
+    max_chain = max(cfg.max_chain, 0)  # hops; unclamped: good_match quarters it
     good = cfg.good_match
     lazy = cfg.lazy
 
-    wide = buf.astype(np.uint32)
-    tri = (wide[:-2] << np.uint32(16)) | (wide[1:-1] << np.uint32(8)) | wide[2:]
-    # _hash_all's value: its XOR of three non-overlapping bytes is this OR.
-    hashes = (tri * np.uint32(2654435761)) >> np.uint32(32 - _HASH_BITS)
+    tri, hashes = _trigram_hashes(buf)
     # numpy's stable argsort is radix sort only for <= 16-bit keys
     # (timsort otherwise, ~6x slower on megabyte inputs), so sort the
     # 15-bit hashes as uint16 ...
@@ -284,13 +283,13 @@ def _tokenize_vec(data: bytes, config: MatcherConfig | None) -> TokenStream:
     rank_np = np.empty(n_hash, dtype=np.int32)
     rank_np[order_np] = slots
     # Leftmost slot of the walk that ends at slot k: its bucket's first
-    # slot (run-boundary flags and a running maximum — O(n), no table
-    # the size of the hash space) or k - max_chain.
+    # slot (run-boundary flags and a running maximum — O(n), no table the
+    # size of the hash space) or k - max_chain (int32: a chain has < n hops).
     in_order = hashes[order_np]
     lo_np = np.zeros(n_hash, dtype=np.int32)
     np.multiply(in_order[1:] != in_order[:-1], slots[1:], out=lo_np[1:])
     np.maximum.accumulate(lo_np, out=lo_np)
-    np.maximum(lo_np, slots - max_chain, out=lo_np)
+    np.maximum(lo_np, slots - min(max_chain, n), out=lo_np)
     # ... and the 24-bit trigrams with a two-pass LSD radix: stable
     # argsort by the low 16 bits, then by the high byte.  Only a
     # position with a trigram-equal predecessor inside the window can
@@ -305,16 +304,18 @@ def _tokenize_vec(data: bytes, config: MatcherConfig | None) -> TokenStream:
 
     # The loops read typed arrays and bytes (4-8 bytes an entry; a list
     # of ints is ~36).  ``words[p]`` is the little-endian 8-byte word at
-    # ``p`` of a zero-padded copy, ``columns[off][s] == data[order[s] +
-    # off]``, gathered on first use.  Padding never lengthens a match:
-    # ``limit <= n - pos`` caps it.
+    # ``p`` of a zero-padded copy (array('Q') is native-endian, hence the
+    # ``astype``: a no-op on little-endian hosts), ``columns[off][s] ==
+    # data[order[s] + off]``, gathered on first use.  Padding never
+    # lengthens a match: ``limit <= n - pos`` caps it.
     order = array("i", order_np.astype(np.int32).tobytes())
     rank = array("i", rank_np.tobytes())
     chain_lo = array("i", lo_np.tobytes())
     cand_list = array("i", has_cand.nonzero()[0].astype(np.int32).tobytes())
     cand_list.append(n)  # sentinel: the literal run after the last one
     padded = np.concatenate((buf, np.zeros(_COLUMNS + 16, dtype=np.uint8)))
-    words = array("Q", np.ndarray((n + 8,), "<u8", padded, 0, (1,)).tobytes())
+    le_words = np.ndarray((n + 8,), "<u8", padded, 0, (1,))  # overlapping, stride 1
+    words = array("Q", le_words.astype(np.uint64, copy=False).tobytes())
     columns: list[bytes | None] = [None] * _COLUMNS
 
     def longest_match(pos: int) -> tuple[int, int]:
@@ -378,8 +379,7 @@ def _tokenize_vec(data: bytes, config: MatcherConfig | None) -> TokenStream:
     pend_len = pend_dist = 0  # match deferred at i-1; length 0: none
     while i < n:
         if not pend_len:
-            # Bulk-emit the literal run up to the next position that has
-            # an in-window candidate (no such position can match).
+            # Bulk-emit literals up to the next position with an in-window candidate.
             ci = bisect_left(cand_list, i, ci)
             j = cand_list[ci]
             if j > i:

@@ -208,6 +208,20 @@ def test_two_good_match_shrinks_in_one_walk(lens, good, tail):
     assert lens[0] in deep.lengths and lens[0] not in tokens.lengths
 
 
+@pytest.mark.parametrize("max_chain", [128, 1 << 40])
+def test_shrink_quarters_the_configured_budget_not_the_input_length(max_chain):
+    """``max_chain`` > len(data): at position 31 the sixth hop finds a
+    good (8-byte) match and the shrink must quarter what is left of the
+    *configured* budget — enough to reach the 9-byte match at offset 0 —
+    not of a budget clamped to the 40-byte input ((35 >> 2) - 1 = 7 hops,
+    which stops short of it)."""
+    data = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
+    cfg = MatcherConfig(max_chain=max_chain, good_match=8)
+    tokens = assert_same_tokens(data, cfg)
+    assert len(data) == 40
+    assert (tokens.lengths[-1], tokens.values[-1]) == (9, 31)
+
+
 def test_long_run_walks_past_the_column_width():
     """``best_len`` >= 32 with budget left and no ``limit``-long match:
     candidates are then rejected by the per-hop walk, and a match longer
