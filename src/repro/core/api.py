@@ -20,28 +20,28 @@ Two sizes flow through every call:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
+from repro.core.charges import (  # phase names are re-exported from here
+    PHASE_COMP,
+    PHASE_DECOMP,
+    PHASE_HEADER,
+    PHASE_INIT,
+    PHASE_PREP,
+    execute,
+    op_plan,
+)
 from repro.core.codecs import CodecConfig, real_compress, real_decompress
 from repro.core.designs import CompressionDesign, Placement, parse_design_spec
 from repro.core.header import HEADER_SIZE, PedalHeader
 from repro.core.mempool import MemoryPool
-from repro.core.registry import ResolvedDesign, cengine_core_algo, resolve
+from repro.core.registry import ResolvedDesign, resolve
 from repro.doca.sdk import DocaSession
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
-from repro.errors import (
-    DocaInitError,
-    PedalNotInitializedError,
-    UnknownDesignError,
-)
-from repro.faults.policy import (
-    EngineFallback,
-    RetryPolicy,
-    backoff_wait,
-    engine_job_with_retry,
-)
-from repro.obs import device_span, get_metrics
+from repro.errors import PedalNotInitializedError, UnknownDesignError
+from repro.faults.policy import EngineFallback, RetryPolicy, init_with_retry
+from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
 from repro.select import PathDecision, PathSelector
 from repro.sim import TimeBreakdown
 
@@ -57,14 +57,8 @@ __all__ = [
     "PEDAL_finalize",
 ]
 
-# Phase names used in breakdowns (Fig. 7 / Fig. 9 legends).
-PHASE_INIT = "doca_init"
 # The adaptive-dispatch sentinel for ``path`` / ``placement`` arguments.
 PATH_AUTO = "auto"
-PHASE_PREP = "buffer_prep"
-PHASE_COMP = "compression"
-PHASE_DECOMP = "decompression"
-PHASE_HEADER = "header_trailer"
 
 
 def _coerce_path(path: "str | Placement | None") -> "str | Placement | None":
@@ -188,35 +182,24 @@ class PedalContext:
         """
         breakdown = TimeBreakdown()
         if not self._initialized:
-            policy = self.config.retry
-            metrics = get_metrics()
             with device_span(
                 "pedal.init", self.device,
                 device=self.device.name,
                 pool_buffers=self.config.pool_buffers,
             ) as span:
                 breakdown.bind(span)
-                attempts = 0
-                while True:
-                    attempts += 1
-                    try:
-                        init_seconds = yield from self.session.open()
-                    except DocaInitError as exc:
-                        breakdown.add(PHASE_INIT, exc.sim_seconds)
-                        if metrics.recording:
-                            metrics.inc("faults.retries")
-                        if attempts >= policy.max_attempts:
-                            self._engine_available = False
-                            span.set_attr("engine_available", False)
-                            if metrics.recording:
-                                metrics.inc("faults.fallbacks")
-                                metrics.inc("faults.init_giveups")
-                            break
-                        yield from backoff_wait(
-                            self.device, policy, attempts, breakdown
-                        )
-                        continue
-                    breakdown.add(PHASE_INIT, init_seconds)
+                try:
+                    yield from init_with_retry(
+                        self.device, self.config.retry, breakdown,
+                        PHASE_INIT, self.session.open,
+                    )
+                except EngineFallback:
+                    self._engine_available = False
+                    span.set_attr("engine_available", False)
+                    metrics = get_metrics()
+                    if metrics.recording:
+                        metrics.inc("faults.fallbacks")
+                else:
                     inventory, inv_seconds = (
                         yield from self.session.create_inventory()
                     )
@@ -228,7 +211,6 @@ class PedalContext:
                         self.config.pool_buffers
                     )
                     breakdown.add(PHASE_PREP, prewarm_seconds)
-                    break
             self._initialized = True
             self.init_breakdown = breakdown
         return breakdown
@@ -299,72 +281,12 @@ class PedalContext:
         mode = _coerce_path(path)
         if mode is None:
             mode = PATH_AUTO if spec_placement is None else spec_placement
-        sim_in_hint = float(
-            _payload_nbytes(data) if sim_bytes is None else sim_bytes
+        result = yield from compress_op(
+            self.device, "pedal.compress", algo, mode, data, sim_bytes,
+            self.config.codecs, self.config.retry, pool=self.pool,
+            engine_ok=self._engine_available, select=self._select_path,
         )
-        decision: PathDecision | None = None
-        if mode is PATH_AUTO:
-            # SZ3's measured entropy-stage size is only known after the
-            # codec runs, and the codec stream depends on the placement
-            # — so auto decides from the model's stage estimate.
-            decision = self._select_path(algo, Direction.COMPRESS, sim_in_hint)
-            placement = decision.placement
-        else:
-            placement = mode
-        dsg = CompressionDesign(algo, placement)
-        resolved = resolve(self.device, dsg,
-                           force_soc=not self._engine_available)
-        real = real_compress(dsg, data, self.config.codecs)
-        sim_in = float(real.original_bytes if sim_bytes is None else sim_bytes)
-        scale = sim_in / real.original_bytes if real.original_bytes else 1.0
-
-        breakdown = TimeBreakdown()
-        with device_span(
-            "pedal.compress", self.device,
-            device=self.device.name,
-            algo=dsg.algo.value,
-            engine=resolved.engine_for(Direction.COMPRESS),
-            direction=Direction.COMPRESS.value,
-            sim_bytes=sim_in,
-            actual_bytes=real.original_bytes,
-            path_mode=PATH_AUTO if decision is not None else "forced",
-        ) as span:
-            if decision is not None:
-                span.set_attr("select_crossover_bytes",
-                              decision.crossover_bytes)
-                span.set_attr("select_predicted_s",
-                              decision.predicted_seconds)
-            breakdown.bind(span)
-            if dsg.algo is Algo.SZ3:
-                yield from self._sim_sz3(
-                    Direction.COMPRESS, dsg, resolved, sim_in,
-                    None if real.cengine_stage_bytes is None
-                    else real.cengine_stage_bytes * scale,
-                    breakdown,
-                )
-                payload = real.payload
-            else:
-                payload = yield from self._sim_lossless(
-                    Direction.COMPRESS, dsg, resolved, sim_in, breakdown,
-                    payload=real.payload,
-                )
-
-        header = PedalHeader.for_algo(dsg.algo).encode()
-        message = header + payload
-        metrics = get_metrics()
-        if metrics.recording:
-            metrics.inc(f"codec.{dsg.algo.value}.bytes_in", real.original_bytes)
-            metrics.inc(f"codec.{dsg.algo.value}.bytes_out", len(message))
-        return CompressResult(
-            message=message,
-            design=dsg,
-            resolved=resolved,
-            original_bytes=real.original_bytes,
-            compressed_bytes=len(message),
-            sim_original_bytes=sim_in,
-            sim_compressed_bytes=len(message) * scale,
-            breakdown=breakdown,
-        )
+        return result
 
     # ------------------------------------------------------------------
     # Decompression
@@ -391,225 +313,177 @@ class PedalContext:
         mode = _coerce_path(placement)
         if mode is None:
             raise UnknownDesignError("placement must not be None")
-        header = PedalHeader.decode(message)
-        payload = message[HEADER_SIZE:]
-        breakdown = TimeBreakdown()
-        if not header.is_compressed:
-            return DecompressResult(
-                data=payload, algo=None, resolved=None, breakdown=breakdown
-            )
+        result = yield from decompress_op(
+            self.device, "pedal.decompress", message, mode, sim_bytes,
+            self.config.retry, pool=self.pool,
+            engine_ok=self._engine_available, select=self._select_path,
+        )
+        return result
 
-        algo = header.algo
-        assert algo is not None
-        data, stage_bytes = real_decompress(algo, payload)
-        actual_out = data.nbytes if hasattr(data, "nbytes") else len(data)
-        sim_out = float(actual_out if sim_bytes is None else sim_bytes)
-        scale = sim_out / actual_out if actual_out else 1.0
 
-        decision: PathDecision | None = None
-        if mode is PATH_AUTO:
-            decision = self._select_path(
-                algo, Direction.DECOMPRESS, sim_out,
-                stage_bytes=None if stage_bytes is None
-                else stage_bytes * scale,
-            )
-            placement = decision.placement
-        else:
-            placement = mode
+# ---------------------------------------------------------------------------
+# The op body PEDAL and the naive baseline share
+# ---------------------------------------------------------------------------
+#
+# ``hoisted`` / ``pool`` / ``engine_ok`` / ``select`` are what a PEDAL
+# context carries from one op to the next; the naive baseline
+# (:mod:`repro.core.baseline`) passes none of them.
 
-        from repro.core.designs import CompressionDesign as _CD
+def compress_op(
+    device: BlueFieldDPU,
+    span_name: str,
+    algo: Algo,
+    mode: "str | Placement",
+    data: Any,
+    sim_bytes: float | None,
+    codecs: CodecConfig,
+    retry: RetryPolicy,
+    hoisted: bool = True,
+    pool: MemoryPool | None = None,
+    engine_ok: bool = True,
+    select: "Callable[..., PathDecision] | None" = None,
+) -> Generator:
+    """Compress ``data`` for real, charge the op's plan, frame the message."""
+    decision = None
+    if mode is PATH_AUTO:
+        # SZ3's measured entropy-stage size is only known after the
+        # codec runs, and the codec stream depends on the placement
+        # — so auto decides from the model's stage estimate.
+        decision = select(algo, Direction.COMPRESS, float(
+            _payload_nbytes(data) if sim_bytes is None else sim_bytes
+        ))
+        mode = decision.placement
+    dsg = CompressionDesign(algo, mode)
+    real = real_compress(dsg, data, codecs)
+    sim_in = float(real.original_bytes if sim_bytes is None else sim_bytes)
+    scale = sim_in / real.original_bytes if real.original_bytes else 1.0
+    stage = real.cengine_stage_bytes
+    resolved, breakdown, span = _open_op(
+        device, span_name, dsg, Direction.COMPRESS, sim_in,
+        real.original_bytes, engine_ok, select is not None, decision,
+    )
+    with span:
+        payload, engine_up = yield from execute(
+            device,
+            op_plan(device, algo, mode, Direction.COMPRESS, sim_in,
+                    None if stage is None else stage * scale,
+                    hoisted, engine_ok),
+            retry, breakdown,
+            # The SZ3 hybrid's engine job carries the lossless stage, not
+            # the message payload, so there is nothing of it to verify.
+            None if algo is Algo.SZ3 else real.payload,
+            pool,
+        )
+    if not engine_up:   # a per-op DOCA bring-up gave up: the op ran SoC-side
+        resolved = resolve(device, dsg, force_soc=True)
+    message = PedalHeader.for_algo(algo).encode() + (
+        real.payload if payload is None else payload
+    )
+    _count_codec_bytes(algo, real.original_bytes, len(message))
+    return CompressResult(
+        message=message,
+        design=dsg,
+        resolved=resolved,
+        original_bytes=real.original_bytes,
+        compressed_bytes=len(message),
+        sim_original_bytes=sim_in,
+        sim_compressed_bytes=len(message) * scale,
+        breakdown=breakdown,
+    )
 
-        dsg = _CD(algo, placement)
-        resolved = resolve(self.device, dsg,
-                           force_soc=not self._engine_available)
-        with device_span(
-            "pedal.decompress", self.device,
-            device=self.device.name,
-            algo=algo.value,
-            engine=resolved.engine_for(Direction.DECOMPRESS),
-            direction=Direction.DECOMPRESS.value,
-            sim_bytes=sim_out,
-            actual_bytes=actual_out,
-            path_mode=PATH_AUTO if decision is not None else "forced",
-        ) as span:
-            if decision is not None:
-                span.set_attr("select_crossover_bytes",
-                              decision.crossover_bytes)
-                span.set_attr("select_predicted_s",
-                              decision.predicted_seconds)
-            breakdown.bind(span)
-            if algo is Algo.SZ3:
-                yield from self._sim_sz3(
-                    Direction.DECOMPRESS, dsg, resolved, sim_out,
-                    None if stage_bytes is None else stage_bytes * scale,
-                    breakdown,
-                )
-            else:
-                out = yield from self._sim_lossless(
-                    Direction.DECOMPRESS, dsg, resolved, sim_out, breakdown,
-                    payload=data if isinstance(data, bytes) else None,
-                )
-                if out is not None:
-                    data = out
-        metrics = get_metrics()
-        if metrics.recording:
-            metrics.inc(f"codec.{algo.value}.bytes_in", len(payload))
-            metrics.inc(f"codec.{algo.value}.bytes_out", actual_out)
+
+def decompress_op(
+    device: BlueFieldDPU,
+    span_name: str,
+    message: bytes,
+    mode: "str | Placement",
+    sim_bytes: float | None,
+    retry: RetryPolicy,
+    hoisted: bool = True,
+    pool: MemoryPool | None = None,
+    engine_ok: bool = True,
+    select: "Callable[..., PathDecision] | None" = None,
+) -> Generator:
+    """Decode a PEDAL message for real and charge the op's plan."""
+    header = PedalHeader.decode(message)
+    payload = message[HEADER_SIZE:]
+    if not header.is_compressed:
         return DecompressResult(
-            data=data, algo=algo, resolved=resolved, breakdown=breakdown
+            data=payload, algo=None, resolved=None, breakdown=TimeBreakdown()
         )
-
-    # ------------------------------------------------------------------
-    # Simulated-time choreography
-    # ------------------------------------------------------------------
-
-    def _sim_lossless(
-        self,
-        direction: Direction,
-        dsg: CompressionDesign,
-        resolved: ResolvedDesign,
-        sim_bytes: float,
-        breakdown: TimeBreakdown,
-        payload: "bytes | None" = None,
-    ) -> Generator:
-        """Charge hardware for a DEFLATE/zlib/LZ4 op under ``resolved``.
-
-        Returns ``payload`` — normally unchanged; under fault injection
-        the engine path verifies it against corruption and, on
-        persistent failure, escalates to the SoC pipeline.
-        """
-        device = self.device
-        soc = device.soc
-        phase = PHASE_COMP if direction is Direction.COMPRESS else PHASE_DECOMP
-        engine = resolved.engine_for(direction)
-
-        if engine == "soc" and dsg.placement is Placement.SOC:
-            # Native SoC design: the calibrated throughput covers the
-            # whole algorithm (zlib's includes its checksum work).
-            seconds = soc.codec_time(dsg.algo, direction, sim_bytes)
-            yield from soc.run(seconds)
-            breakdown.add(phase, seconds)
-            return payload
-
-        if engine == "soc":
-            yield from self._soc_fallback_pipeline(
-                direction, dsg, sim_bytes, breakdown, phase
-            )
-            return payload
-
-        # True C-Engine execution with pooled, pre-mapped buffers.  The
-        # path is zero-copy in both directions: senders produce into a
-        # pool buffer, and the co-design posts receives into pool
-        # buffers and decompresses straight into the user buffer
-        # "without an additional copy" (paper §IV).
-        assert self.pool is not None
-        core = cengine_core_algo(dsg.algo)
-        buf = yield from self.pool.acquire()
-        try:
-            try:
-                payload = yield from engine_job_with_retry(
-                    device, core, direction, sim_bytes,
-                    self.config.retry, breakdown, phase, payload=payload,
-                )
-            except EngineFallback:
-                metrics = get_metrics()
-                if metrics.recording:
-                    metrics.inc("faults.fallbacks")
-                yield from self._soc_fallback_pipeline(
-                    direction, dsg, sim_bytes, breakdown, phase
-                )
-                return payload
-            if dsg.algo is Algo.ZLIB:
-                check = soc.checksum_time(sim_bytes)
-                yield from soc.run(check)
-                breakdown.add(PHASE_HEADER, check)
-        finally:
-            self.pool.release(buf)
-        return payload
-
-    def _soc_fallback_pipeline(
-        self,
-        direction: Direction,
-        dsg: CompressionDesign,
-        sim_bytes: float,
-        breakdown: TimeBreakdown,
-        phase: str,
-    ) -> Generator:
-        """C-Engine design redirected to the SoC (Table III gap or a
-        runtime escalation): the engine-shaped pipeline runs on cores —
-        for zlib that is DEFLATE + separate checksum/header work,
-        slightly slower than the integrated SoC zlib path."""
-        soc = self.device.soc
-        core = cengine_core_algo(dsg.algo)
-        seconds = soc.codec_time(core, direction, sim_bytes)
-        yield from soc.run(seconds)
-        breakdown.add(phase, seconds)
-        if dsg.algo is Algo.ZLIB:
-            check = soc.checksum_time(sim_bytes)
-            yield from soc.run(check)
-            breakdown.add(PHASE_HEADER, check)
-
-    def _sim_sz3(
-        self,
-        direction: Direction,
-        dsg: CompressionDesign,
-        resolved: ResolvedDesign,
-        sim_bytes: float,
-        sim_stage_bytes: float | None,
-        breakdown: TimeBreakdown,
-    ) -> Generator:
-        """Charge hardware for an SZ3 op.
-
-        ``sim_stage_bytes`` is the (scaled) entropy-payload size the
-        lossless stage processes; None degrades to a size-proportional
-        estimate.
-        """
-        device = self.device
-        soc = device.soc
-        cal = device.cal
-        phase = PHASE_COMP if direction is Direction.COMPRESS else PHASE_DECOMP
-        total = cal.soc_time(Algo.SZ3, direction, sim_bytes)
-
-        if dsg.placement is Placement.SOC:
-            # Native pipeline with the zstd-class backend, all on cores.
-            yield from soc.run(total)
-            breakdown.add(phase, total)
-            return
-
-        # Hybrid design: entropy pipeline on the SoC...
-        entropy = (1.0 - cal.sz3_lossless_fraction) * total
-        yield from soc.run(entropy)
-        breakdown.add(phase, entropy)
-        # ...lossless stage as DEFLATE, on the C-Engine when the device
-        # supports that direction, else on SoC cores (the BF3 story).
-        stage_bytes = (
-            sim_stage_bytes if sim_stage_bytes is not None else sim_bytes / 3.0
+    algo = header.algo
+    assert algo is not None
+    data, stage_bytes = real_decompress(algo, payload)
+    actual_out = _payload_nbytes(data)
+    sim_out = float(actual_out if sim_bytes is None else sim_bytes)
+    scale = sim_out / actual_out if actual_out else 1.0
+    if stage_bytes is not None:
+        stage_bytes *= scale
+    decision = None
+    if mode is PATH_AUTO:
+        decision = select(algo, Direction.DECOMPRESS, sim_out, stage_bytes)
+        mode = decision.placement
+    dsg = CompressionDesign(algo, mode)
+    resolved, breakdown, span = _open_op(
+        device, span_name, dsg, Direction.DECOMPRESS, sim_out, actual_out,
+        engine_ok, select is not None, decision,
+    )
+    with span:
+        verified, engine_up = yield from execute(
+            device,
+            op_plan(device, algo, mode, Direction.DECOMPRESS, sim_out,
+                    stage_bytes, hoisted, engine_ok),
+            retry, breakdown, data if isinstance(data, bytes) else None, pool,
         )
-        engine = resolved.engine_for(direction)
-        if engine == "cengine":
-            assert self.pool is not None
-            buf = yield from self.pool.acquire()
-            try:
-                yield from engine_job_with_retry(
-                    device, Algo.DEFLATE, direction, stage_bytes,
-                    self.config.retry, breakdown, "lossless_stage",
-                )
-            except EngineFallback:
-                metrics = get_metrics()
-                if metrics.recording:
-                    metrics.inc("faults.fallbacks")
-                seconds = stage_bytes / cal.sz3_backend_deflate_throughput
-                yield from soc.run(seconds)
-                breakdown.add("lossless_stage", seconds)
-            finally:
-                self.pool.release(buf)
-        else:
-            # BF3-style fallback: DEFLATE over the entropy-coded payload
-            # on SoC cores (the paper's "redirect to the SoC DEFLATE
-            # design", §V-C2).
-            seconds = stage_bytes / cal.sz3_backend_deflate_throughput
-            yield from soc.run(seconds)
-            breakdown.add("lossless_stage", seconds)
+    if not engine_up:
+        resolved = resolve(device, dsg, force_soc=True)
+    _count_codec_bytes(algo, len(payload), actual_out)
+    return DecompressResult(
+        data=data if verified is None else verified,
+        algo=algo, resolved=resolved, breakdown=breakdown,
+    )
+
+
+def _open_op(
+    device: BlueFieldDPU,
+    span_name: str,
+    dsg: CompressionDesign,
+    direction: Direction,
+    sim_bytes: float,
+    actual_bytes: int,
+    engine_ok: bool,
+    selects: bool,
+    decision: PathDecision | None,
+) -> "tuple[ResolvedDesign, TimeBreakdown, Any]":
+    """Resolve ``dsg`` on the device and open the op's span, with its
+    breakdown bound to it; returns ``(resolved, breakdown, span)``.  An
+    owner that ``selects`` paths records how this one was picked."""
+    resolved = resolve(device, dsg, force_soc=not engine_ok)
+    breakdown = TimeBreakdown()
+    if not get_tracer().recording:   # the attributes are ~5 % of an op's host time
+        return resolved, breakdown, NULL_SPAN
+    span = device_span(
+        span_name, device,
+        device=device.name,
+        algo=dsg.algo.value,
+        engine=resolved.engine_for(direction),
+        direction=direction.value,
+        sim_bytes=sim_bytes,
+        actual_bytes=actual_bytes,
+    )
+    if selects:
+        span.set_attr("path_mode", "forced" if decision is None else PATH_AUTO)
+    if decision is not None:
+        span.set_attr("select_crossover_bytes", decision.crossover_bytes)
+        span.set_attr("select_predicted_s", decision.predicted_seconds)
+    return resolved, breakdown.bind(span), span
+
+
+def _count_codec_bytes(algo: Algo, bytes_in: int, bytes_out: int) -> None:
+    metrics = get_metrics()
+    if metrics.recording:
+        metrics.inc(f"codec.{algo.value}.bytes_in", bytes_in)
+        metrics.inc(f"codec.{algo.value}.bytes_out", bytes_out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ a message, given the device, the data kind, and the message size, by
 minimising the cost model's predicted compress+transfer+decompress time.
 
 The chooser is deliberately simple and fully explainable: it evaluates
-each candidate design's predicted pipeline time with the same
-calibration the simulator charges, assuming a caller-supplied expected
+each candidate design's predicted pipeline time by summing the charge
+plan the simulator executes (:mod:`repro.core.charges`), assuming a caller-supplied expected
 compression ratio (measurable from a data sample via
 :func:`estimate_ratio`).
 """
@@ -18,15 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.designs import (
-    LOSSLESS_DESIGNS,
-    LOSSY_DESIGNS,
-    CompressionDesign,
-    Placement,
-)
-from repro.core.registry import cengine_core_algo, resolve
+from repro.core.charges import op_plan, plan_seconds
+from repro.core.designs import LOSSLESS_DESIGNS, LOSSY_DESIGNS, CompressionDesign
 from repro.dpu.device import BlueFieldDPU
-from repro.dpu.specs import Algo, Direction
+from repro.dpu.specs import Direction
 
 __all__ = ["DesignChoice", "choose_design", "estimate_ratio", "predict_pipeline_time"]
 
@@ -57,42 +52,6 @@ def estimate_ratio(data: bytes, sample_bytes: int = 16384) -> float:
     return max(len(sample) / max(len(compressed), 1), 1.0)
 
 
-def _codec_seconds(
-    device: BlueFieldDPU,
-    design: CompressionDesign,
-    direction: Direction,
-    sim_bytes: float,
-) -> float:
-    """Predicted codec time for one direction under Table III resolution."""
-    cal = device.cal
-    resolved = resolve(device, design)
-    engine = resolved.engine_for(direction)
-
-    if design.algo is Algo.SZ3:
-        total = cal.soc_time(Algo.SZ3, direction, sim_bytes)
-        if design.placement is Placement.SOC:
-            return total
-        entropy = (1.0 - cal.sz3_lossless_fraction) * total
-        stage = sim_bytes / 3.0  # nominal payload share; refined by data
-        if engine == "cengine":
-            return entropy + cal.cengine_time(Algo.DEFLATE, direction, stage)
-        return entropy + stage / cal.sz3_backend_deflate_throughput
-
-    core = cengine_core_algo(design.algo)
-    if engine == "cengine":
-        seconds = cal.cengine_time(core, direction, sim_bytes)
-        if design.algo is Algo.ZLIB:
-            seconds += cal.checksum_time(sim_bytes)
-        return seconds
-    if design.placement is Placement.CENGINE:
-        # Fallback pipeline: engine-shaped work on cores.
-        seconds = cal.soc_time(core, direction, sim_bytes)
-        if design.algo is Algo.ZLIB:
-            seconds += cal.checksum_time(sim_bytes)
-        return seconds
-    return cal.soc_time(design.algo, direction, sim_bytes)
-
-
 def predict_pipeline_time(
     sender: BlueFieldDPU,
     receiver: BlueFieldDPU,
@@ -101,8 +60,13 @@ def predict_pipeline_time(
     expected_ratio: float,
 ) -> DesignChoice:
     """Predicted compress -> wire -> decompress time for one message."""
-    compress = _codec_seconds(sender, design, Direction.COMPRESS, sim_bytes)
-    decompress = _codec_seconds(receiver, design, Direction.DECOMPRESS, sim_bytes)
+    # Each side's steady-state (set-up hoisted) charge plan under Table
+    # III resolution; SZ3's lossless stage at its nominal payload share.
+    compress = plan_seconds(op_plan(
+        sender, design.algo, design.placement, Direction.COMPRESS, sim_bytes))
+    decompress = plan_seconds(op_plan(
+        receiver, design.algo, design.placement, Direction.DECOMPRESS,
+        sim_bytes))
     bandwidth = min(
         sender.spec.nic.bytes_per_second, receiver.spec.nic.bytes_per_second
     )

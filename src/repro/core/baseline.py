@@ -7,11 +7,14 @@ initialisation and buffer-preparation cost *inside the operation*
 during every message transmission", §V-D).  SoC-placed designs skip
 DOCA but still allocate their working buffers per call.
 
-The same real codecs produce the same real bytes as PEDAL — only the
-simulated-time accounting differs.
+The same real codecs produce the same real bytes as PEDAL, through the
+same op body (:func:`~repro.core.api.compress_op` /
+:func:`~repro.core.api.decompress_op`) and the same charge plan
+(:mod:`repro.core.charges`) — only *un-hoisted*: no memory pool, no
+path selector, and the per-op set-up prefix on every plan.
 
-Fault response mirrors :class:`~repro.core.api.PedalContext`: injected
-DOCA init failures and engine job failures are retried under the
+Fault response is therefore PEDAL's too: injected DOCA init failures and
+engine job failures are retried under the
 :class:`~repro.faults.RetryPolicy` and escalate to the SoC pipeline for
 the current operation once the budget is exhausted — but, true to the
 naive flow, nothing is remembered across operations (the next op pays
@@ -22,30 +25,11 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.core.api import (
-    PHASE_COMP,
-    PHASE_DECOMP,
-    PHASE_INIT,
-    PHASE_PREP,
-    PHASE_HEADER,
-    CompressResult,
-    DecompressResult,
-)
-from repro.core.codecs import CodecConfig, real_compress, real_decompress
+from repro.core.api import compress_op, decompress_op
+from repro.core.codecs import CodecConfig
 from repro.core.designs import CompressionDesign, Placement, design as lookup_design
-from repro.core.header import HEADER_SIZE, PedalHeader
-from repro.core.registry import ResolvedDesign, cengine_core_algo, resolve
 from repro.dpu.device import BlueFieldDPU
-from repro.dpu.specs import Algo, Direction
-from repro.faults.plan import get_fault_plan
-from repro.faults.policy import (
-    EngineFallback,
-    RetryPolicy,
-    backoff_wait,
-    engine_job_with_retry,
-)
-from repro.obs import device_span, get_metrics
-from repro.sim import TimeBreakdown
+from repro.faults.policy import RetryPolicy
 
 __all__ = ["NaiveCompressor"]
 
@@ -59,166 +43,6 @@ class NaiveCompressor:
         self.codecs = codecs or CodecConfig()
         self.retry = retry or RetryPolicy()
 
-    # -- simulated-time helpers ------------------------------------------
-
-    def _naive_overheads(
-        self,
-        dsg: CompressionDesign,
-        resolved: ResolvedDesign,
-        direction: Direction,
-        sim_bytes: float,
-        breakdown: TimeBreakdown,
-    ) -> Generator:
-        """Per-op setup: DOCA init (if the engine is used) + buffers.
-
-        Returns the (possibly re-resolved) design: injected DOCA init
-        failures are retried under the policy and, past the budget,
-        this *operation* is forced onto the SoC pipeline.
-        """
-        device = self.device
-        uses_engine = resolved.engine_for(direction) == "cengine"
-        if uses_engine:
-            plan = get_fault_plan()
-            metrics = get_metrics()
-            attempts = 0
-            while True:
-                attempts += 1
-                fail = plan.active and plan.session_init(
-                    device.name, device.env.now
-                )
-                with device_span("doca.init", device, device=device.name,
-                                 per_op=True) as span:
-                    if fail:
-                        span.set_attr("fault", "init_fail")
-                    breakdown.add(PHASE_INIT, device.cal.doca_init_time)
-                    yield device.env.timeout(device.cal.doca_init_time)
-                if not fail:
-                    break
-                if metrics.recording:
-                    metrics.inc("faults.retries")
-                if attempts >= self.retry.max_attempts:
-                    if metrics.recording:
-                        metrics.inc("faults.fallbacks")
-                        metrics.inc("faults.init_giveups")
-                    resolved = resolve(device, dsg, force_soc=True)
-                    uses_engine = False
-                    break
-                yield from backoff_wait(device, self.retry, attempts, breakdown)
-        if uses_engine:
-            # Inventory + source/destination buffers, allocated and
-            # DMA-mapped from scratch for this one operation.
-            prep = device.memory.doca_buffer_prep_time(int(2 * sim_bytes))
-            with device_span("buffer.prep", device, what="per_op_dma_map",
-                             bytes=int(2 * sim_bytes)):
-                breakdown.add(PHASE_PREP, prep)
-                yield device.env.timeout(prep)
-        else:
-            # SoC path: plain allocations for input staging + output.
-            prep = device.memory.alloc_time(int(2 * sim_bytes))
-            with device_span("buffer.prep", device, what="per_op_alloc",
-                             bytes=int(2 * sim_bytes)):
-                breakdown.add(PHASE_PREP, prep)
-                yield device.env.timeout(prep)
-        return resolved
-
-    def _soc_fallback_pipeline(
-        self,
-        dsg: CompressionDesign,
-        direction: Direction,
-        sim_bytes: float,
-        breakdown: TimeBreakdown,
-        phase: str,
-    ) -> Generator:
-        """Engine-shaped pipeline on SoC cores (capability gap or a
-        runtime escalation past the retry budget)."""
-        soc = self.device.soc
-        core = cengine_core_algo(dsg.algo)
-        seconds = soc.codec_time(core, direction, sim_bytes)
-        yield from soc.run(seconds)
-        breakdown.add(phase, seconds)
-        if dsg.algo is Algo.ZLIB:
-            check = soc.checksum_time(sim_bytes)
-            yield from soc.run(check)
-            breakdown.add(PHASE_HEADER, check)
-
-    def _sim_codec(
-        self,
-        dsg: CompressionDesign,
-        resolved: ResolvedDesign,
-        direction: Direction,
-        sim_bytes: float,
-        sim_stage_bytes: float | None,
-        breakdown: TimeBreakdown,
-        payload: "bytes | None" = None,
-    ) -> Generator:
-        """Charge the codec op; returns ``payload`` (engine jobs may
-        verify it against injected corruption, see :mod:`repro.faults`)."""
-        device = self.device
-        soc = device.soc
-        cal = device.cal
-        phase = PHASE_COMP if direction is Direction.COMPRESS else PHASE_DECOMP
-        engine = resolved.engine_for(direction)
-
-        if dsg.algo is Algo.SZ3:
-            total = cal.soc_time(Algo.SZ3, direction, sim_bytes)
-            if dsg.placement is Placement.SOC:
-                yield from soc.run(total)
-                breakdown.add(phase, total)
-                return payload
-            entropy = (1.0 - cal.sz3_lossless_fraction) * total
-            yield from soc.run(entropy)
-            breakdown.add(phase, entropy)
-            stage = (
-                sim_stage_bytes if sim_stage_bytes is not None else sim_bytes / 3.0
-            )
-            if engine == "cengine":
-                try:
-                    yield from engine_job_with_retry(
-                        device, Algo.DEFLATE, direction, stage,
-                        self.retry, breakdown, "lossless_stage",
-                    )
-                    return payload
-                except EngineFallback:
-                    metrics = get_metrics()
-                    if metrics.recording:
-                        metrics.inc("faults.fallbacks")
-            seconds = stage / cal.sz3_backend_deflate_throughput
-            yield from soc.run(seconds)
-            breakdown.add("lossless_stage", seconds)
-            return payload
-
-        if engine == "cengine":
-            core = cengine_core_algo(dsg.algo)
-            try:
-                payload = yield from engine_job_with_retry(
-                    device, core, direction, sim_bytes,
-                    self.retry, breakdown, phase, payload=payload,
-                )
-            except EngineFallback:
-                metrics = get_metrics()
-                if metrics.recording:
-                    metrics.inc("faults.fallbacks")
-                yield from self._soc_fallback_pipeline(
-                    dsg, direction, sim_bytes, breakdown, phase
-                )
-                return payload
-            if dsg.algo is Algo.ZLIB:
-                check = soc.checksum_time(sim_bytes)
-                yield from soc.run(check)
-                breakdown.add(PHASE_HEADER, check)
-        elif dsg.placement is Placement.CENGINE:
-            # Requested C-Engine but unsupported: SoC fallback pipeline.
-            yield from self._soc_fallback_pipeline(
-                dsg, direction, sim_bytes, breakdown, phase
-            )
-        else:
-            seconds = soc.codec_time(dsg.algo, direction, sim_bytes)
-            yield from soc.run(seconds)
-            breakdown.add(phase, seconds)
-        return payload
-
-    # -- public ops --------------------------------------------------------
-
     def compress(
         self,
         data: Any,
@@ -227,51 +51,11 @@ class NaiveCompressor:
     ) -> Generator:
         """One naive compression: init + prep + codec, all charged here."""
         dsg = lookup_design(design)
-        resolved = resolve(self.device, dsg)
-        real = real_compress(dsg, data, self.codecs)
-        sim_in = float(real.original_bytes if sim_bytes is None else sim_bytes)
-        scale = sim_in / real.original_bytes if real.original_bytes else 1.0
-
-        breakdown = TimeBreakdown()
-        with device_span(
-            "naive.compress", self.device,
-            device=self.device.name,
-            algo=dsg.algo.value,
-            engine=resolved.engine_for(Direction.COMPRESS),
-            direction=Direction.COMPRESS.value,
-            sim_bytes=sim_in,
-            actual_bytes=real.original_bytes,
-        ) as span:
-            breakdown.bind(span)
-            resolved = yield from self._naive_overheads(
-                dsg, resolved, Direction.COMPRESS, sim_in, breakdown
-            )
-            payload = yield from self._sim_codec(
-                dsg,
-                resolved,
-                Direction.COMPRESS,
-                sim_in,
-                None
-                if real.cengine_stage_bytes is None
-                else real.cengine_stage_bytes * scale,
-                breakdown,
-                payload=real.payload,
-            )
-        message = PedalHeader.for_algo(dsg.algo).encode() + payload
-        metrics = get_metrics()
-        if metrics.recording:
-            metrics.inc(f"codec.{dsg.algo.value}.bytes_in", real.original_bytes)
-            metrics.inc(f"codec.{dsg.algo.value}.bytes_out", len(message))
-        return CompressResult(
-            message=message,
-            design=dsg,
-            resolved=resolved,
-            original_bytes=real.original_bytes,
-            compressed_bytes=len(message),
-            sim_original_bytes=sim_in,
-            sim_compressed_bytes=len(message) * scale,
-            breakdown=breakdown,
+        result = yield from compress_op(
+            self.device, "naive.compress", dsg.algo, dsg.placement, data,
+            sim_bytes, self.codecs, self.retry, hoisted=False,
         )
+        return result
 
     def decompress(
         self,
@@ -280,46 +64,8 @@ class NaiveCompressor:
         sim_bytes: float | None = None,
     ) -> Generator:
         """One naive decompression (same per-op overheads)."""
-        header = PedalHeader.decode(message)
-        payload = message[HEADER_SIZE:]
-        breakdown = TimeBreakdown()
-        if not header.is_compressed:
-            return DecompressResult(
-                data=payload, algo=None, resolved=None, breakdown=breakdown
-            )
-        algo = header.algo
-        assert algo is not None
-        data, stage_bytes = real_decompress(algo, payload)
-        actual_out = data.nbytes if hasattr(data, "nbytes") else len(data)
-        sim_out = float(actual_out if sim_bytes is None else sim_bytes)
-        scale = sim_out / actual_out if actual_out else 1.0
-
-        dsg = CompressionDesign(algo, placement)
-        resolved = resolve(self.device, dsg)
-        with device_span(
-            "naive.decompress", self.device,
-            device=self.device.name,
-            algo=algo.value,
-            engine=resolved.engine_for(Direction.DECOMPRESS),
-            direction=Direction.DECOMPRESS.value,
-            sim_bytes=sim_out,
-            actual_bytes=actual_out,
-        ) as span:
-            breakdown.bind(span)
-            resolved = yield from self._naive_overheads(
-                dsg, resolved, Direction.DECOMPRESS, sim_out, breakdown
-            )
-            out = yield from self._sim_codec(
-                dsg,
-                resolved,
-                Direction.DECOMPRESS,
-                sim_out,
-                None if stage_bytes is None else stage_bytes * scale,
-                breakdown,
-                payload=data if isinstance(data, bytes) else None,
-            )
-            if out is not None:
-                data = out
-        return DecompressResult(
-            data=data, algo=algo, resolved=resolved, breakdown=breakdown
+        result = yield from decompress_op(
+            self.device, "naive.decompress", message, placement, sim_bytes,
+            self.retry, hoisted=False,
         )
+        return result

@@ -1,0 +1,240 @@
+"""The charge plan: what one PEDAL op costs, written down once.
+
+The paper's accounting has two parts.  Every path's cost is linear in
+the bytes it moves (§V), and DOCA initialisation plus buffer
+preparation — 90–94 % of an op done the naive way — is paid once in
+``PEDAL_Init`` instead of inside every op (§III-C, Fig. 7).
+:func:`op_plan` is that rule as data: for one (algorithm, placement,
+direction, bytes) op on one device it returns the ordered *stages* the
+op charges, and ``hoisted=False`` prepends the per-op set-up that the
+naive flow pays.  That prefix is the **only** difference between PEDAL
+and the naive baseline.
+
+Everything that needs the rule reads this module: the simulator
+*executes* a plan (:func:`execute`, under
+:class:`~repro.core.api.PedalContext` and
+:class:`~repro.core.baseline.NaiveCompressor` alike), while the path
+selector (:class:`~repro.select.CostModel`) and
+:mod:`~repro.core.autodesign` *sum* it (:func:`plan_seconds`) — so a
+prediction cannot drift from what the simulator charges.
+
+A stage is a plain tuple ``(phase, resource, seconds, detail,
+fallback)``:
+
+* ``phase`` — the :class:`~repro.sim.TimeBreakdown` phase it is billed
+  to (the Fig. 7 / Fig. 9 legends);
+* ``resource`` — :data:`SOC` (one core busy for ``seconds``),
+  :data:`ENGINE` (one C-Engine job, retried under the
+  :class:`~repro.faults.RetryPolicy`) or :data:`SETUP` (un-hoisted
+  per-op set-up, a plain wait);
+* ``seconds`` — the calibrated cost (:mod:`repro.dpu.calibration`);
+* ``detail`` — the engine job ``(core algo, direction, bytes)``, or the
+  per-op buffers ``(span label, bytes)``;
+* ``fallback`` — the plan that replaces *the rest of the op* once the
+  stage is given up on: the SoC pipeline for an engine job past its
+  retry budget, the whole SoC-side op for a DOCA bring-up past its.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Generator
+
+from repro.core.designs import Placement
+from repro.core.registry import cengine_core_algo
+from repro.dpu.specs import Algo, Direction
+from repro.errors import DocaInitError
+from repro.faults.plan import get_fault_plan
+from repro.faults.policy import (
+    EngineFallback,
+    RetryPolicy,
+    engine_job_with_retry,
+    init_with_retry,
+)
+from repro.obs import device_span, get_metrics
+
+if TYPE_CHECKING:
+    from repro.core.mempool import MemoryPool
+    from repro.dpu.device import BlueFieldDPU
+    from repro.sim import TimeBreakdown
+
+__all__ = [
+    "SOC", "ENGINE", "SETUP", "op_plan", "plan_seconds", "execute",
+    "PHASE_INIT", "PHASE_PREP", "PHASE_COMP", "PHASE_DECOMP", "PHASE_HEADER",
+    "PHASE_STAGE",
+]
+
+# Phase names used in breakdowns (Fig. 7 / Fig. 9 legends).
+PHASE_INIT = "doca_init"
+PHASE_PREP = "buffer_prep"
+PHASE_COMP = "compression"
+PHASE_DECOMP = "decompression"
+PHASE_HEADER = "header_trailer"
+PHASE_STAGE = "lossless_stage"
+
+SOC = "soc"
+ENGINE = "cengine"
+SETUP = "setup"
+
+
+def op_plan(
+    device: "BlueFieldDPU",
+    algo: Algo,
+    placement: Placement,
+    direction: Direction,
+    sim_bytes: float,
+    stage_bytes: float | None = None,
+    hoisted: bool = True,
+    engine_ok: bool = True,
+) -> tuple:
+    """The stages one op charges on ``device``.
+
+    ``stage_bytes`` is the (scaled) entropy-payload size SZ3's lossless
+    stage processes; None degrades to the ``sim_bytes / 3`` estimate.
+    ``hoisted=False`` prepends the naive per-op set-up.  ``engine_ok``
+    is False for an op whose DOCA bring-up was given up on: every
+    C-Engine design then takes its Table III SoC fallback.
+    """
+    cal = device.cal
+    phase = PHASE_COMP if direction is Direction.COMPRESS else PHASE_DECOMP
+    # Table III: a C-Engine design runs on the engine only where the
+    # device natively supports its core algorithm in this direction.
+    core = cengine_core_algo(algo)
+    on_engine = (
+        placement is not Placement.SOC
+        and engine_ok
+        and device.cengine.supports(core, direction)
+    )
+    if placement is Placement.SOC:
+        # Native SoC design: the calibrated throughput covers the whole
+        # algorithm (zlib's includes its checksum work, SZ3's the full
+        # pipeline with the zstd-class backend).
+        soc = ((phase, SOC, cal.soc_time(algo, direction, sim_bytes),
+                None, None),)
+    elif algo is Algo.SZ3:
+        # Hybrid design: entropy pipeline on the SoC, then the lossless
+        # stage as DEFLATE over the entropy-coded payload — on SoC cores
+        # at the backend rate (the BF3 story, paper §V-C2), or as a
+        # C-Engine job where the device supports the direction.
+        stage = stage_bytes if stage_bytes is not None else sim_bytes / 3.0
+        soc = (
+            (phase, SOC, (1.0 - cal.sz3_lossless_fraction) * cal.soc_time(
+                Algo.SZ3, direction, sim_bytes), None, None),
+            (PHASE_STAGE, SOC, stage / cal.sz3_backend_deflate_throughput,
+             None, None),
+        )
+        at, job = 1, (Algo.DEFLATE, direction, stage)
+    else:
+        # The engine-shaped pipeline: the core codec, then for zlib the
+        # adler32/header work, which stays on an SoC core either way —
+        # so on cores it is slightly slower than the integrated SoC zlib.
+        soc = ((phase, SOC, cal.soc_time(core, direction, sim_bytes),
+                None, None),)
+        if algo is Algo.ZLIB:
+            soc += ((PHASE_HEADER, SOC, cal.checksum_time(sim_bytes),
+                     None, None),)
+        at, job = 0, (core, direction, sim_bytes)
+    stages = soc
+    if on_engine:
+        # The job takes one SoC stage's place and falls back to the SoC
+        # plan from that stage on; what follows it (zlib's trailer) stays.
+        stages = soc[:at] + ((soc[at][0], ENGINE, cal.cengine_time(*job),
+                              job, soc[at:]),) + soc[at + 1:]
+    if hoisted:
+        return stages
+    # The naive flow allocates source + destination buffers for this one
+    # op, and on the engine path first brings DOCA up and DMA-maps them;
+    # past the bring-up budget the op continues as its SoC-side self.
+    nbytes = int(2 * sim_bytes)
+    alloc = (PHASE_PREP, SETUP, device.memory.alloc_time(nbytes),
+             ("per_op_alloc", nbytes), None)
+    if not on_engine:
+        return (alloc,) + stages
+    return (
+        (PHASE_INIT, SETUP, cal.doca_init_time, None, (alloc,) + soc),
+        (PHASE_PREP, SETUP, device.memory.doca_buffer_prep_time(nbytes),
+         ("per_op_dma_map", nbytes), None),
+    ) + stages
+
+
+def plan_seconds(plan: tuple) -> float:
+    """Fault-free, uncontended sim-clock latency of ``plan``."""
+    total = 0.0
+    for stage in plan:
+        total += stage[2]
+    return total
+
+
+def execute(
+    device: "BlueFieldDPU",
+    plan: tuple,
+    retry: RetryPolicy,
+    breakdown: "TimeBreakdown",
+    payload: "bytes | None" = None,
+    pool: "MemoryPool | None" = None,
+) -> Generator:
+    """Charge ``plan`` to the simulated hardware, stage by stage.
+
+    Returns ``(payload, engine_up)``: engine jobs verify ``payload``
+    against injected corruption (see :mod:`repro.faults`), and
+    ``engine_up`` is False when a per-op DOCA bring-up was given up on.
+    With a ``pool``, engine jobs run on a pooled, pre-mapped buffer held
+    from the first job to the end of the op — the path is zero-copy in
+    both directions (paper §IV) — and a pool miss bills its fresh
+    mapping to ``buffer_prep``.
+    """
+    buf = None
+    try:
+        for phase, resource, seconds, detail, fallback in plan:
+            try:
+                if resource is SOC:
+                    yield from device.soc.run(seconds)
+                    breakdown.add(phase, seconds)
+                elif resource is ENGINE:
+                    if pool is not None and buf is None:
+                        misses = pool.stats.misses
+                        buf = yield from pool.acquire()
+                        if pool.stats.misses != misses:
+                            breakdown.add(PHASE_PREP, buf.map_seconds)
+                    payload = yield from engine_job_with_retry(
+                        device, *detail, retry, breakdown, phase,
+                        payload=payload,
+                    )
+                elif fallback is None:
+                    what, nbytes = detail
+                    with device_span("buffer.prep", device, what=what,
+                                     bytes=nbytes):
+                        breakdown.add(phase, seconds)
+                        yield device.env.timeout(seconds)
+                else:
+                    yield from init_with_retry(
+                        device, retry, breakdown, phase,
+                        lambda: _per_op_doca_init(device, seconds),
+                    )
+            except EngineFallback:
+                metrics = get_metrics()
+                if metrics.recording:
+                    metrics.inc("faults.fallbacks")
+                payload, _ = yield from execute(
+                    device, fallback, retry, breakdown, payload)
+                # Only a failed bring-up takes the engine down for the op.
+                return payload, resource is not SETUP
+        return payload, True
+    finally:
+        if buf is not None:
+            pool.release(buf)
+
+
+def _per_op_doca_init(device: "BlueFieldDPU", seconds: float) -> Generator:
+    """One un-hoisted DOCA bring-up: the naive flow opens a session for
+    every op (and, true to it, remembers nothing about the last one)."""
+    plan = get_fault_plan()
+    fail = plan.active and plan.session_init(device.name, device.env.now)
+    with device_span("doca.init", device, device=device.name,
+                     per_op=True) as span:
+        if fail:
+            span.set_attr("fault", "init_fail")
+        yield device.env.timeout(seconds)
+    if fail:
+        raise DocaInitError(
+            f"DOCA bring-up failed on {device.name}", sim_seconds=seconds)
+    return seconds

@@ -6,12 +6,14 @@ that decision: a job the hardware should run but keeps failing is
 retried under an exponential sim-clock backoff and, once the attempt
 budget is exhausted, escalated to the SoC pipeline by the caller.
 
-:func:`engine_job_with_retry` is the shared driver used by both the
-PEDAL context and the naive baseline.  It raises
-:class:`EngineFallback` when the engine must be given up on — the
-caller then runs its existing SoC path, which is exactly what makes
-fault runs byte-identical to fault-free runs (the real codec bytes
-never depend on which engine the simulation charged).
+:func:`engine_job_with_retry` drives one engine job and
+:func:`init_with_retry` one DOCA bring-up; both raise
+:class:`EngineFallback` when the engine must be given up on.  For
+PEDAL and naive ops alike the charge-plan executor
+(:func:`repro.core.charges.execute`) catches it and runs the stage's
+SoC fallback plan, which is exactly what makes fault runs
+byte-identical to fault-free runs (the real codec bytes never depend
+on which engine the simulation charged).
 
 Every retry, detected corruption, and backoff is counted in
 :mod:`repro.obs` metrics (``faults.retries``,
@@ -22,9 +24,9 @@ backoff waits appear as ``fault.backoff`` spans on the device track.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Callable, Generator
 
-from repro.errors import DocaTransientError
+from repro.errors import DocaInitError, DocaTransientError
 from repro.faults.plan import get_fault_plan
 from repro.obs import device_span, get_metrics
 from repro.obs.metrics import RETRY_ATTEMPT_BUCKETS
@@ -36,7 +38,7 @@ if TYPE_CHECKING:
     from repro.sim import TimeBreakdown
 
 __all__ = ["RetryPolicy", "EngineFallback", "engine_job_with_retry",
-           "backoff_wait", "PHASE_RETRY"]
+           "init_with_retry", "backoff_wait", "PHASE_RETRY"]
 
 # Breakdown phase for retry backoff waits and corruption re-verification.
 PHASE_RETRY = "fault_retry"
@@ -145,6 +147,41 @@ def engine_job_with_retry(
         if failed >= policy.max_attempts:
             raise EngineFallback("output corruption persisted", failed)
         yield from backoff_wait(device, policy, failed, breakdown)
+
+
+def init_with_retry(
+    device: "BlueFieldDPU",
+    policy: RetryPolicy,
+    breakdown: "TimeBreakdown",
+    phase: str,
+    bring_up: "Callable[[], Generator]",
+) -> Generator:
+    """Bring DOCA up under ``policy`` — hoisted (``PEDAL_init``) or per op.
+
+    ``bring_up()`` is one attempt: a generator that returns its sim
+    seconds or raises :class:`~repro.errors.DocaInitError` carrying
+    them.  Every attempt, failed ones included, is charged to
+    ``phase``.  Raises :class:`EngineFallback` once
+    ``policy.max_attempts`` attempts have failed.
+    """
+    metrics = get_metrics()
+    failed = 0
+    while True:
+        try:
+            seconds = yield from bring_up()
+        except DocaInitError as exc:
+            failed += 1
+            breakdown.add(phase, exc.sim_seconds)
+            if metrics.recording:
+                metrics.inc("faults.retries")
+            if failed >= policy.max_attempts:
+                if metrics.recording:
+                    metrics.inc("faults.init_giveups")
+                raise EngineFallback(str(exc), failed) from exc
+            yield from backoff_wait(device, policy, failed, breakdown)
+        else:
+            breakdown.add(phase, seconds)
+            return
 
 
 def backoff_wait(device: "BlueFieldDPU", policy: RetryPolicy, failed: int,

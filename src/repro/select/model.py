@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.charges import op_plan, plan_seconds
+from repro.core.designs import Placement
 from repro.core.registry import cengine_core_algo
 from repro.dpu.specs import Algo, Direction
 
@@ -31,14 +33,14 @@ __all__ = ["CostModel", "PATH_SOC", "PATH_CENGINE", "ALL_PATHS"]
 PATH_SOC = "soc"
 PATH_CENGINE = "cengine"
 ALL_PATHS = (PATH_SOC, PATH_CENGINE)
+PLACEMENTS = {PATH_SOC: Placement.SOC, PATH_CENGINE: Placement.CENGINE}
 
 
 class CostModel:
-    """Closed-form path costs for one device's calibration tables."""
+    """Path costs for one device: its charge plans, summed."""
 
     def __init__(self, device: "BlueFieldDPU") -> None:
         self.device = device
-        self.cal = device.cal
 
     # ------------------------------------------------------------------
     # Capabilities
@@ -82,19 +84,12 @@ class CostModel:
         lossless-stage size (defaults to the n/3 estimate the runtime
         uses when no measured entropy-payload size is available).
         """
-        n = float(sim_bytes)
-        if path == PATH_SOC:
-            base = self._soc_op(algo, direction, n)
-            if not amortized:
-                base += self.device.memory.alloc_time(2.0 * n)
-            return base
-        if path == PATH_CENGINE:
-            base = self._cengine_op(algo, direction, n, stage_bytes)
-            if not amortized:
-                base += self.cal.doca_init_time
-                base += self.device.memory.doca_buffer_prep_time(2.0 * n)
-            return base
-        raise ValueError(f"unknown path {path!r} (known: {ALL_PATHS})")
+        if path not in PLACEMENTS:
+            raise ValueError(f"unknown path {path!r} (known: {ALL_PATHS})")
+        return plan_seconds(op_plan(
+            self.device, algo, PLACEMENTS[path], direction, sim_bytes,
+            stage_bytes, hoisted=amortized,
+        ))
 
     def path_costs(
         self,
@@ -113,42 +108,6 @@ class CostModel:
             for path in self.capable_paths(algo, direction)
         }
 
-    # -- the PedalContext charging conventions, in closed form ---------
-
-    def _soc_op(self, algo: Algo, direction: Direction, n: float) -> float:
-        # Native SoC design: one calibrated throughput covers the whole
-        # algorithm (zlib's includes its checksum work; SZ3's covers
-        # the full native pipeline with the zstd-class backend).
-        return self.cal.soc_time(algo, direction, n)
-
-    def _cengine_op(
-        self, algo: Algo, direction: Direction, n: float,
-        stage_bytes: float | None,
-    ) -> float:
-        cal = self.cal
-        if algo is Algo.SZ3:
-            # Hybrid design: entropy pipeline on the SoC, lossless
-            # stage as a DEFLATE engine job (or the SoC DEFLATE
-            # fallback on engines that lack the direction).
-            total = cal.soc_time(Algo.SZ3, direction, n)
-            seconds = (1.0 - cal.sz3_lossless_fraction) * total
-            stage = stage_bytes if stage_bytes is not None else n / 3.0
-            if self.device.cengine.supports(Algo.DEFLATE, direction):
-                seconds += cal.cengine_time(Algo.DEFLATE, direction, stage)
-            else:
-                seconds += stage / cal.sz3_backend_deflate_throughput
-            return seconds
-        core = cengine_core_algo(algo)
-        if self.device.cengine.supports(core, direction):
-            seconds = cal.cengine_time(core, direction, n)
-        else:
-            # Capability fallback: the engine-shaped pipeline on cores.
-            seconds = cal.soc_time(core, direction, n)
-        if algo is Algo.ZLIB:
-            # adler32/header work stays on an SoC core either way.
-            seconds += cal.checksum_time(n)
-        return seconds
-
     # ------------------------------------------------------------------
     # Scheduler-level job costs (repro.sched / repro.serve conventions)
     # ------------------------------------------------------------------
@@ -158,12 +117,13 @@ class CostModel:
     ) -> float:
         """Exec time of one :class:`~repro.sched.EngineJob` on the
         C-Engine (``engine_bytes`` follows the job convention:
-        uncompressed on compress, compressed on decompress)."""
-        return self.cal.cengine_time(algo, direction, float(engine_bytes))
+        uncompressed on compress, compressed on decompress): the
+        job's algorithm on the C-Engine path, set-up hoisted."""
+        return self.path_seconds(algo, direction, engine_bytes, PATH_CENGINE)
 
     def soc_job_seconds(
         self, algo: Algo, direction: Direction, soc_bytes: float
     ) -> float:
         """Exec time of the same job work-stolen by an SoC core
         (billed against the uncompressed ``soc_bytes``)."""
-        return self.cal.soc_time(algo, direction, float(soc_bytes))
+        return self.path_seconds(algo, direction, soc_bytes, PATH_SOC)

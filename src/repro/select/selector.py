@@ -26,15 +26,19 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.designs import Placement
 from repro.dpu.specs import Algo, Direction
-from repro.select.model import ALL_PATHS, PATH_CENGINE, PATH_SOC, CostModel
+from repro.select.model import (
+    ALL_PATHS,
+    PATH_CENGINE,
+    PATH_SOC,
+    PLACEMENTS,
+    CostModel,
+)
 
 if TYPE_CHECKING:
     from repro.dpu.device import BlueFieldDPU
     from repro.obs.tracer import Tracer
 
 __all__ = ["PathDecision", "PathSelector"]
-
-_PLACEMENTS = {PATH_SOC: Placement.SOC, PATH_CENGINE: Placement.CENGINE}
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class PathDecision:
 
     @property
     def placement(self) -> Placement:
-        return _PLACEMENTS[self.path]
+        return PLACEMENTS[self.path]
 
 
 class PathSelector:

@@ -47,20 +47,6 @@ class TestPrediction:
         hi = predict_pipeline_time(sender, receiver, design("SoC_LZ4"), 5.1e6, 6.0)
         assert hi.transfer_seconds < lo.transfer_seconds
 
-    def test_prediction_matches_simulation(self, env, pair, run_sim, text_payload):
-        """The chooser's prediction must track what the simulator charges."""
-        from repro.core import PedalContext
-
-        sender, _ = pair
-        ctx = PedalContext(sender)
-        run_sim(env, ctx.init())
-        for label in ("SoC_DEFLATE", "C-Engine_DEFLATE", "SoC_LZ4"):
-            comp = run_sim(env, ctx.compress(text_payload, label, 5.1e6))
-            predicted = predict_pipeline_time(
-                sender, sender, design(label), 5.1e6, 4.0
-            ).compress_seconds
-            assert predicted == pytest.approx(comp.sim_seconds, rel=0.05)
-
 
 class TestChooser:
     def test_bf2_prefers_cengine_deflate_for_big_compressible(self, pair):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.api import PHASE_INIT, PHASE_PREP
 from repro.core.baseline import NaiveCompressor
 from repro.core.designs import Placement
+from repro.core.header import HEADER_SIZE
 
 
 @pytest.fixture
@@ -61,6 +62,36 @@ class TestProducesSameBytesAsPedal:
         pedal = run_sim(env, ctx.compress(text_payload, "C-Engine_DEFLATE"))
         naive = run_sim(env, naive2.compress(text_payload, "C-Engine_DEFLATE"))
         assert pedal.message == naive.message
+
+    def test_round_trip_leaves_the_same_codec_counters_as_pedal(
+        self, env, bf2, naive2, run_sim, text_payload
+    ):
+        """One op body: both directions count ``codec.<algo>.bytes_*``
+        in both flows."""
+        from repro import obs
+        from repro.core import PedalContext
+
+        def codec_counters(compressor):
+            registry = obs.MetricsRegistry()
+            previous = obs.set_metrics(registry)
+            try:
+                comp = run_sim(env, compressor.compress(
+                    text_payload, "C-Engine_zlib", 5.1e6))
+                run_sim(env, compressor.decompress(comp.message))
+            finally:
+                obs.set_metrics(previous)
+            return {k: v for k, v in registry.as_dict()["counters"].items()
+                    if k.startswith("codec.")}
+
+        ctx = PedalContext(bf2)
+        run_sim(env, ctx.init())
+        pedal, naive = codec_counters(ctx), codec_counters(naive2)
+        assert naive == pedal
+        # Each direction's input is the other's output (less the header
+        # the compressed side carries), so a flow that skipped one shows.
+        assert pedal["codec.zlib.bytes_out"] - pedal["codec.zlib.bytes_in"] \
+            == HEADER_SIZE
+        assert pedal["codec.zlib.bytes_in"] > len(text_payload)
 
     def test_lossy_roundtrip(self, env, naive2, run_sim, smooth_field):
         import numpy as np

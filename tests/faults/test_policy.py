@@ -215,6 +215,60 @@ class TestInitFailure:
         assert counters(metrics)["faults.init_giveups"] == 2
 
 
+class TestPedalNaiveParity:
+    """PEDAL and the naive baseline run one plan executor, so the same
+    injected failure must leave both on the same SoC stages with the
+    same fault accounting — the naive op only adds its set-up prefix."""
+
+    SETUP_PHASES = ("doca_init", "buffer_prep")
+
+    @pytest.mark.parametrize("design", [
+        "C-Engine_DEFLATE", "C-Engine_zlib", "C-Engine_SZ3",
+    ])
+    @pytest.mark.parametrize("fault", [
+        {"engine_fail": 1.0},   # every engine job fails past the budget
+        {"init_fail": 1.0},     # DOCA bring-up fails past the budget
+    ], ids=["engine_job", "doca_init"])
+    def test_same_soc_stages_and_fault_counts(self, fault, design,
+                                              smooth_field):
+        data = smooth_field if design.endswith("SZ3") else PAYLOAD
+
+        def one_compress(make):
+            registry = obs.MetricsRegistry()
+            previous = obs.set_metrics(registry)
+            try:
+                with injecting(seed=11, **fault):
+                    env = Environment()
+                    comp = drive(env, make(make_device(env, "bf2")))
+            finally:
+                obs.set_metrics(previous)
+            return comp, counters(registry)
+
+        def pedal(dev):
+            ctx = PedalContext(dev)
+            init = yield from ctx.init()
+            comp = yield from ctx.compress(data, design, 5.1e6)
+            # The naive op brings DOCA up itself; PEDAL did it in init.
+            comp.breakdown.merge(init)
+            return comp
+
+        def naive(dev):
+            return NaiveCompressor(dev).compress(data, design, 5.1e6)
+
+        (p, p_counts), (n, n_counts) = one_compress(pedal), one_compress(naive)
+        assert n.message == p.message
+        assert n.resolved.compress_engine == p.resolved.compress_engine
+        for key in ("faults.fallbacks", "faults.retries"):
+            assert n_counts[key] == p_counts[key] > 0
+
+        def stages(comp):
+            return {k: v for k, v in comp.breakdown.as_dict().items()
+                    if k not in self.SETUP_PHASES}
+
+        assert stages(n) == stages(p)
+        assert "compression" in stages(p) and PHASE_RETRY in stages(p)
+
+
 class TestDeterminism:
     def test_identical_runs_identical_everything(self):
         plan_kwargs = dict(seed=99, engine_fail=0.3, engine_stall=0.2,

@@ -13,7 +13,6 @@ import math
 
 import pytest
 
-from repro.core.api import PedalContext
 from repro.dpu.specs import Algo, Direction
 from repro.select import PATH_SOC, CostModel, PathSelector
 
@@ -71,21 +70,3 @@ class TestPricing:
             t2 = bf2.cal.soc_time(Algo.AC, direction, 1e6)
             t3 = bf3.cal.soc_time(Algo.AC, direction, 1e6)
             assert t3 == pytest.approx(t2 / scale)
-
-    def test_auto_prediction_matches_simulated_compress(
-        self, bf2, env, run_sim, text_payload
-    ):
-        """Zero-slack check for the new algo: the selector's predicted
-        seconds equal what the simulator actually charges under
-        ``path="auto"``."""
-        ctx = PedalContext(bf2)
-        run_sim(env, ctx.init())
-        n = 5.1e6
-        result = run_sim(env, ctx.compress(
-            text_payload, Algo.AC, sim_bytes=n, path="auto"
-        ))
-        model = CostModel(bf2)
-        assert result.sim_seconds == pytest.approx(
-            model.path_seconds(Algo.AC, Direction.COMPRESS, n, PATH_SOC),
-            rel=1e-12,
-        )

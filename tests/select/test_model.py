@@ -1,4 +1,4 @@
-"""CostModel: the closed-form mirror of what PedalContext charges."""
+"""CostModel: the charge plan, summed per (algorithm, direction, path)."""
 
 from __future__ import annotations
 
@@ -53,7 +53,11 @@ class TestCapabilities:
 class TestMatchesSimulator:
     """The model must predict the simulated breakdown *exactly* for
     every forced (algo, direction, path) — the selector's zero-slack
-    guarantee rests on this."""
+    guarantee rests on this.  These BF-2 lossless rows are the
+    selector-side view of the full device x algo x placement x direction
+    x hoisted grid in ``tests/core/test_charges.py`` (SZ3 stage hints,
+    AC, ``path="auto"``, the naive prefix and autodesign are rows
+    there)."""
 
     @pytest.mark.parametrize("algo", LOSSLESS)
     @pytest.mark.parametrize("n", [512.0, 64e3, 5.1e6])
@@ -88,27 +92,6 @@ class TestMatchesSimulator:
         ))
         assert result.sim_seconds == pytest.approx(
             model.path_seconds(Algo.DEFLATE, Direction.DECOMPRESS, n, path),
-            rel=1e-12,
-        )
-
-    def test_sz3_with_measured_stage_hint(self, pedal_bf2, env, run_sim,
-                                          smooth_field):
-        """With the measured entropy-stage size the SZ3 hybrid
-        prediction is exact too."""
-        from repro.core.codecs import real_compress
-
-        n = 10e6
-        dsg = CompressionDesign(Algo.SZ3, Placement.CENGINE)
-        real = real_compress(dsg, smooth_field, pedal_bf2.config.codecs)
-        scale = n / real.original_bytes
-        stage = real.cengine_stage_bytes * scale
-        result = run_sim(env, pedal_bf2.compress(
-            smooth_field, dsg, sim_bytes=n
-        ))
-        model = CostModel(pedal_bf2.device)
-        assert result.sim_seconds == pytest.approx(
-            model.path_seconds(Algo.SZ3, Direction.COMPRESS, n, PATH_CENGINE,
-                               stage_bytes=stage),
             rel=1e-12,
         )
 
