@@ -11,7 +11,7 @@ is byte-identical by construction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.util.kernels import kernel_mode
 __all__ = [
     "CodecConfig",
     "RealCompression",
+    "byte_codec",
     "real_compress",
     "real_decompress",
     "clear_codec_cache",
@@ -42,6 +43,27 @@ class CodecConfig:
     deflate: DeflateConfig | None = None
     sz3: SZ3Config = SZ3Config(error_bound=1e-4)  # the paper's bound
     ac: ACConfig = ACConfig()  # adaptive-context range coder defaults
+
+
+def byte_codec(
+    algo: Algo, config: CodecConfig | None = None
+) -> "tuple[Callable[[bytes], bytes], Callable[..., bytes]] | None":
+    """``(compress, decompress(blob, max_output=None))`` of a single-stage
+    byte codec (DEFLATE, LZ4, AC); None for zlib / SZ3.  The one place
+    that choice is made.  Codecs are looked up by global name at call
+    time, so a later rebinding (benchmarks/perf's tracer) sees each call.
+    """
+    cfg = config or CodecConfig()
+    if algo is Algo.DEFLATE:
+        return (lambda raw: deflate_compress(raw, cfg.deflate),
+                lambda blob, max_output=None: deflate_decompress(blob, max_output))
+    if algo is Algo.LZ4:
+        return (lambda raw: lz4_compress(raw),
+                lambda blob, max_output=None: lz4_decompress(blob, max_output))
+    if algo is Algo.AC:
+        return (lambda raw: ac_compress(raw, cfg.ac),
+                lambda blob, max_output=None: ac_decompress(blob, max_output))
+    return None
 
 
 @dataclass(frozen=True)
@@ -126,17 +148,12 @@ def _real_compress_uncached(
     design: CompressionDesign, data: Any, config: CodecConfig
 ) -> RealCompression:
     algo = design.algo
-    if algo is Algo.DEFLATE:
+    codec = byte_codec(algo, config)
+    if codec is not None:
+        # Single-stage on every placement (AC included: no C-Engine
+        # generation accelerates the range coder, so it has no hybrid).
         raw = _as_bytes(data)
-        return RealCompression(deflate_compress(raw, config.deflate), len(raw))
-    if algo is Algo.LZ4:
-        raw = _as_bytes(data)
-        return RealCompression(lz4_compress(raw), len(raw))
-    if algo is Algo.AC:
-        raw = _as_bytes(data)
-        # Single-stage on every placement: no C-Engine generation
-        # accelerates the range coder, so there is no hybrid variant.
-        return RealCompression(ac_compress(raw, config.ac), len(raw))
+        return RealCompression(codec[0](raw), len(raw))
     if algo is Algo.ZLIB:
         raw = _as_bytes(data)
         stream, sizes = hybrid_zlib_compress(raw, config.deflate)
@@ -180,12 +197,9 @@ def real_decompress(algo: Algo, payload: bytes) -> tuple[Any, int | None]:
 
 
 def _real_decompress_uncached(algo: Algo, payload: bytes) -> tuple[Any, int | None]:
-    if algo is Algo.DEFLATE:
-        return deflate_decompress(payload), None
-    if algo is Algo.LZ4:
-        return lz4_decompress(payload), None
-    if algo is Algo.AC:
-        return ac_decompress(payload), None
+    codec = byte_codec(algo)
+    if codec is not None:
+        return codec[1](payload), None
     if algo is Algo.ZLIB:
         data, sizes = hybrid_zlib_decompress(payload)
         return data, sizes.deflate_payload_bytes

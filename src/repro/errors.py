@@ -54,15 +54,15 @@ class StreamStateError(StreamError):
     flush, flush twice, reading a result before flush, ...)."""
 
 
-class StreamTruncatedError(StreamError, CorruptStreamError):
-    """The container ended mid-frame: more bytes were promised by the
-    framing than were ever fed.  Raised by ``Decompressor.flush`` —
-    truncation is detectable only at end-of-input, never by waiting."""
-
-
 class StreamCorruptError(StreamError, CorruptStreamError):
     """The container violates the RST1 framing specification (bad
     magic, unknown frame kind, impossible lengths, trailing garbage)."""
+
+
+class StreamTruncatedError(StreamCorruptError):
+    """The container ended mid-frame: more bytes were promised by the
+    framing than were ever fed.  Raised at end-of-input by every RST1
+    decoder — truncation is detectable only there, never by waiting."""
 
 
 class StreamChecksumError(StreamError, ChecksumMismatchError):

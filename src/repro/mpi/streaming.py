@@ -5,7 +5,7 @@ codec, wire transfer, receiver codec.  Here the payload is chunked
 through :mod:`repro.stream`'s RST1 container and the three stages
 overlap per chunk: while chunk *k* crosses the wire, chunk *k+1* is
 still compressing and chunk *k-1* is already decompressing on the
-receiver.  Real bytes flow through the streaming ``Compressor`` /
+receiver.  Real bytes are a ``FrameWriter``'s frames fed to a
 ``Decompressor`` (so the wire format is exactly the shared container,
 byte-identical to a one-shot :func:`~repro.stream.stream_compress`),
 while simulated time is charged per chunk on the design's placement:
@@ -40,7 +40,7 @@ from repro.mpi.protocol import Envelope, Protocol, should_compress
 from repro.obs import device_span
 from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.sim import Event, Resource, Store
-from repro.stream import ALGO_IDS, Compressor, Decompressor, StreamConfig
+from repro.stream import ALGO_IDS, Decompressor, FrameWriter, StreamConfig, chunk_codec
 
 if TYPE_CHECKING:
     from repro.mpi.runtime import RankContext
@@ -122,21 +122,18 @@ def stream_send(
     assert dsg is not None
     raw = bytes(data)
     scale = sim_bytes / len(raw)
-    stream_cfg = StreamConfig(
-        algo=dsg.algo, chunk_bytes=cfg.stream_chunk_bytes, codecs=cfg.codecs
-    )
 
-    # Real bytes: cut the container frames up front (wall-clock work);
-    # sim time for each chunk's codec is charged below, overlapped.
-    comp = Compressor(stream_cfg)
-    frames: list[tuple[bytes, int]] = []  # (container bytes, raw chunk len)
-    for start in range(0, len(raw), cfg.stream_chunk_bytes):
-        chunk = raw[start:start + cfg.stream_chunk_bytes]
-        frames.append((comp.feed(chunk), len(chunk)))
-    tail = comp.flush()  # end frame (+ final partial chunk, already cut)
-    out_bytes, raw_len = frames[-1]
-    frames[-1] = (out_bytes + tail, raw_len)
-    wire_total = sum(len(f) for f, _ in frames) * scale
+    # Real bytes: one wire frame per chunk, cut up front (wall-clock
+    # work), the end frame riding with the last; sim time for each
+    # chunk's codec is charged below, overlapped.
+    writer = FrameWriter(StreamConfig(
+        algo=dsg.algo, chunk_bytes=cfg.stream_chunk_bytes, codecs=cfg.codecs
+    ))
+    compress, _ = chunk_codec(dsg.algo, cfg.codecs)
+    chunks = writer.split(raw)
+    frames = [writer.frame(chunk, compress(chunk)) for chunk in chunks]
+    frames[-1] += writer.end()
+    wire_total = sum(len(f) for f in frames) * scale
 
     env = ctx.env
     store = Store(env)
@@ -148,7 +145,6 @@ def stream_send(
         "design": dsg,
         "scale": scale,
         "chunks": len(frames),
-        "stream_config": stream_cfg,
     }
     envlp = Envelope(
         source=ctx.rank,
@@ -178,13 +174,13 @@ def stream_send(
         tickets = [
             engine.submit(
                 Direction.COMPRESS,
-                engine_sim_bytes=raw_len * scale,
-                raw_sim_bytes=raw_len * scale,
+                engine_sim_bytes=len(chunk) * scale,
+                raw_sim_bytes=len(chunk) * scale,
                 tag=i,
             )
-            for i, (_, raw_len) in enumerate(frames)
+            for i, chunk in enumerate(chunks)
         ]
-        for ticket, (frame_bytes, _) in zip(tickets, frames):
+        for ticket, frame_bytes in zip(tickets, frames):
             yield ticket  # chunk compressed
             yield from comm.fabric.transfer(
                 ctx.rank, dest, len(frame_bytes) * scale

@@ -1,50 +1,30 @@
 """Large-payload streaming through the serving gateway.
 
-A :class:`StreamingSession` splits an oversized payload into
-chunk-sized :class:`~repro.serve.request.ServeRequest`\\ s, lets the
-gateway batch/route/execute them like any other traffic, and assembles
-the results into the same RST1 container the MPI fabric path ships
-(:mod:`repro.stream`).  The container is **byte-identical** to a
-one-shot :func:`repro.stream.stream_compress` with matching codec
-configuration — a client can compress through the gateway and hand the
-container to an MPI rank (or vice versa) and every CRC checks out.
-
-The decompress direction accepts any RST1 container, fans its frames
-out as per-chunk decompress requests, and verifies the per-chunk and
-whole-stream CRCs on reassembly, raising the same typed
-:class:`~repro.errors.StreamError`\\ s as the incremental decoder.
+A :class:`StreamingSession` is :mod:`repro.stream`'s RST1 writer and
+reader with gateway tickets in place of a local codec: each chunk is a
+:class:`~repro.serve.request.ServeRequest` the gateway batches, routes
+and executes like any other traffic (a shed chunk's ticket raises
+:class:`~repro.errors.AdmissionError` when waited on).  The container is
+**byte-identical** to a one-shot :func:`repro.stream.stream_compress`
+with matching codec configuration — a client can compress through the
+gateway and hand the container to an MPI rank (or vice versa) and every
+CRC checks out.  Decompress accepts any RST1 container, decodes each
+chunk under the container's own algo, and raises the same typed
+:class:`~repro.errors.StreamError`\\ s as every other RST1 decoder.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import TYPE_CHECKING, Generator
 
-from repro.core.codecs import CodecConfig
 from repro.dpu.specs import Algo, Direction
-from repro.errors import (
-    AdmissionError,
-    CodecError,
-    StreamChecksumError,
-    StreamCorruptError,
-    StreamError,
-)
 from repro.serve.request import ServeRequest
-from repro.stream import (
-    DEFAULT_CHUNK_BYTES,
-    FrameParser,
-    StreamConfig,
-    encode_data_frame,
-    encode_end_frame,
-    encode_stream_header,
-)
+from repro.stream import DEFAULT_CHUNK_BYTES, FrameReader, FrameWriter, StreamConfig
 
 if TYPE_CHECKING:
     from repro.serve.gateway import ServeGateway
 
 __all__ = ["StreamingSession"]
-
-_U32_MAX = 0xFFFF_FFFF
 
 
 class StreamingSession:
@@ -57,16 +37,10 @@ class StreamingSession:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         tenant: str | None = None,
     ) -> None:
-        # StreamConfig validates algo/chunk_bytes and pins the codec
-        # tuning to the gateway's, so containers produced here match
-        # repro.stream.stream_compress byte for byte.
+        # StreamConfig validates algo/chunk_bytes; the gateway's codec
+        # tuning makes the containers match repro.stream byte for byte.
         self.config = StreamConfig(
-            algo=algo,
-            chunk_bytes=chunk_bytes,
-            codecs=CodecConfig(
-                deflate=gateway.config.deflate,
-                ac=gateway.config.ac or CodecConfig().ac,
-            ),
+            algo=algo, chunk_bytes=chunk_bytes, codecs=gateway.codecs
         )
         self.gateway = gateway
         self.tenant = tenant
@@ -79,101 +53,52 @@ class StreamingSession:
 
         Returns the complete RST1 container.  Chunks are submitted up
         front (the gateway's admission/batching policies apply) and
-        assembled in order as their tickets complete.
+        framed in order as their tickets complete.
         """
         raw = bytes(payload)
         scale = (sim_bytes / len(raw)) if sim_bytes and len(raw) else 1.0
-        size = self.config.chunk_bytes
-        chunks = [raw[i:i + size] for i in range(0, len(raw), size)]
+        writer = FrameWriter(self.config)
+        chunks = writer.split(raw)
         tickets = [
-            self._submit(Direction.COMPRESS, chunk, len(chunk) * scale)
+            self._submit(Direction.COMPRESS, chunk, len(chunk) * scale,
+                         self.config.algo)
             for chunk in chunks
         ]
-        out = bytearray(encode_stream_header(self.config.algo, size))
+        out = bytearray()
         for ticket, chunk in zip(tickets, chunks):
-            if ticket.shed:
-                raise AdmissionError(
-                    "gateway shed a streaming chunk; the container cannot "
-                    "be completed"
-                )
             response = yield from ticket.wait()
-            out += encode_data_frame(
-                response.payload, len(chunk), zlib.crc32(chunk) & _U32_MAX
-            )
-        out += encode_end_frame(len(raw), zlib.crc32(raw) & _U32_MAX)
-        return bytes(out)
+            out += writer.frame(chunk, response.payload)
+        return bytes(out + writer.end())
 
     # -- decompress --------------------------------------------------------
 
     def decompress(self, container: bytes, sim_bytes: float | None = None) -> Generator:
         """Sim process: decode an RST1 container through the gateway."""
-        parser = FrameParser()
-        parsed = parser.feed(bytes(container))
-        if not parser.finished:
-            raise StreamCorruptError(
-                "container truncated: no end frame "
-                f"({parser.pending_bytes} byte(s) buffered mid-frame)"
-            )
-        end = parsed[-1]  # parser.finished guarantees the terminator
-        frames = parsed[:-1]
+        reader = FrameReader()
+        frames = reader.parser.feed(bytes(container))
+        reader.close()  # truncated: raise before any request goes out
+        end = frames.pop()
         total = sum(f.raw_len for f in frames)
         scale = (sim_bytes / total) if sim_bytes and total else 1.0
-        try:
-            # The gateway runs the real codec at submit time, so an
-            # undecodable chunk payload surfaces here — re-typed to the
-            # incremental Decompressor's contract.
+        # The gateway runs the real codec at submit time, so an
+        # undecodable chunk payload surfaces here.
+        with reader.undecodable():
             tickets = [
-                self._submit(
-                    Direction.DECOMPRESS, f.payload, f.raw_len * scale
-                )
+                self._submit(Direction.DECOMPRESS, f.payload,
+                             f.raw_len * scale, reader.algo)
                 for f in frames
             ]
-        except StreamError:
-            raise
-        except CodecError as exc:
-            raise StreamCorruptError(
-                f"chunk payload undecodable: {exc}"
-            ) from exc
-        crc = 0
         parts: list[bytes] = []
         for frame, ticket in zip(frames, tickets):
-            if ticket.shed:
-                raise AdmissionError(
-                    "gateway shed a streaming chunk; the container cannot "
-                    "be decoded"
-                )
-            try:
-                response = yield from ticket.wait()
-            except StreamError:
-                raise
-            except CodecError as exc:
-                # Same contract as the incremental Decompressor: a chunk
-                # payload the codec rejects is a corrupt *stream*.
-                raise StreamCorruptError(
-                    f"chunk payload undecodable: {exc}"
-                ) from exc
-            raw = response.payload
-            if len(raw) != frame.raw_len:
-                raise StreamCorruptError(
-                    f"chunk decoded to {len(raw)} bytes, frame declared "
-                    f"{frame.raw_len}"
-                )
-            actual = zlib.crc32(raw) & _U32_MAX
-            if actual != frame.crc:
-                raise StreamChecksumError("chunk crc32", frame.crc, actual)
-            crc = zlib.crc32(raw, crc) & _U32_MAX
-            parts.append(raw)
-        if total != end.raw_len:
-            raise StreamCorruptError(
-                f"end frame declares {end.raw_len} raw bytes, decoded {total}"
-            )
-        if crc != end.crc:
-            raise StreamChecksumError("stream crc32", end.crc, crc)
+            response = yield from ticket.wait()
+            parts.append(reader.check(frame, response.payload))
+        reader.check(end)
         return b"".join(parts)
 
     # -- internals ---------------------------------------------------------
 
-    def _submit(self, direction: Direction, payload: bytes, sim_bytes: float):
+    def _submit(self, direction: Direction, payload: bytes, sim_bytes: float,
+                algo: Algo):
         self._req_seq += 1
         return self.gateway.submit(
             ServeRequest(
@@ -182,6 +107,6 @@ class StreamingSession:
                 sim_bytes=sim_bytes,
                 req_id=("stream", self._req_seq),
                 tenant=self.tenant,
-                algo=self.config.algo,
+                algo=algo,
             )
         )

@@ -2,16 +2,19 @@
 
 A chunked, self-describing container (RST1) plus incremental
 ``Compressor``/``Decompressor`` objects with ``feed``/``flush``
-semantics and bounded internal state.  MPI rendezvous
+semantics and bounded internal state.  Their engine — one
+``FrameWriter``, one ``FrameReader`` — is also what MPI rendezvous
 (:mod:`repro.mpi.streaming`) and the serving gateway
-(:mod:`repro.serve.streaming`) share this one framing, so a stream
-compressed anywhere in the system decodes anywhere else.
+(:mod:`repro.serve.streaming`) run, so a stream compressed anywhere in
+the system decodes anywhere else.
 """
 
 from repro.stream.api import (
     DEFAULT_CHUNK_BYTES,
     Compressor,
     Decompressor,
+    FrameReader,
+    FrameWriter,
     StreamConfig,
     chunk_codec,
     stream_compress,
@@ -38,6 +41,8 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "Compressor",
     "Decompressor",
+    "FrameReader",
+    "FrameWriter",
     "StreamConfig",
     "chunk_codec",
     "stream_compress",

@@ -1,4 +1,4 @@
-"""Streaming ``Compressor``/``Decompressor`` over the RST1 container.
+"""The RST1 streaming engine: writer, reader, ``Compressor``/``Decompressor``.
 
 ZipLine-style incremental compression for the fabric path: callers
 ``feed`` arbitrary byte slices and receive container bytes back as
@@ -7,12 +7,10 @@ partial chunk plus the mandatory end frame.  Internal state is bounded
 by one chunk on both sides — a compressor buffers at most
 ``chunk_bytes`` of raw input, a decompressor at most one frame.
 
-The chunk payloads are complete, independent streams of the configured
-codec (DEFLATE / AC / LZ4), so MPI can ship them as separate wire
-chunks and decompress them as they land, overlapping C-Engine work
-with fabric transfer (see :mod:`repro.mpi.streaming`), while serve
-reuses the exact same framing for large-payload requests
-(:mod:`repro.serve.streaming`).
+This module is the only code that writes or checks RST1.
+:class:`FrameWriter` and :class:`FrameReader` do not know where the
+chunk codec runs: ``Compressor``/``Decompressor`` are them plus the
+local codec, :mod:`repro.serve.streaming` plus gateway tickets.
 
 Flush ordering under a zero-length final chunk is part of the
 contract: ``flush()`` after an empty (or absent) ``feed`` still emits
@@ -25,14 +23,11 @@ yields the identical container.
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
-from repro.algorithms.ac.codec import ac_compress, ac_decompress
-from repro.algorithms.deflate.compress import deflate_compress
-from repro.algorithms.deflate.decompress import deflate_decompress
-from repro.algorithms.lz4.frame import lz4_compress, lz4_decompress
-from repro.core.codecs import CodecConfig
+from repro.core.codecs import CodecConfig, byte_codec
 from repro.dpu.specs import Algo
 from repro.errors import (
     CodecError,
@@ -45,6 +40,7 @@ from repro.errors import (
 )
 from repro.stream.container import (
     ALGO_IDS,
+    Frame,
     FrameParser,
     encode_data_frame,
     encode_end_frame,
@@ -54,6 +50,8 @@ from repro.stream.container import (
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "StreamConfig",
+    "FrameWriter",
+    "FrameReader",
     "Compressor",
     "Decompressor",
     "stream_compress",
@@ -91,47 +89,148 @@ class StreamConfig:
 
 def chunk_codec(
     algo: Algo, codecs: CodecConfig | None = None
-) -> "tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]":
-    """The per-chunk ``(compress, decompress)`` pair for ``algo``.
+) -> "tuple[Callable[[bytes], bytes], Callable[..., bytes]]":
+    """The per-chunk ``(compress, decompress)`` pair for ``algo``
+    (``decompress`` takes a ``max_output`` cap)."""
+    codec = byte_codec(algo, codecs)
+    if codec is None:
+        raise StreamError(f"algo {getattr(algo, 'value', algo)!r} is not streamable")
+    return codec
 
-    Shared by the streaming API and the MPI per-chunk engine jobs so
-    both sides agree byte-for-byte on what a chunk payload is.
+
+class FrameWriter:
+    """Writes one RST1 container chunk by chunk; the caller compresses.
+
+    The stream header rides on the first frame (on the end frame if no
+    chunk came first); the end frame carries the running total and CRC.
     """
-    cfg = codecs or CodecConfig()
-    if algo is Algo.DEFLATE:
-        return (
-            lambda chunk: deflate_compress(chunk, cfg.deflate),
-            lambda blob: deflate_decompress(blob),
-        )
-    if algo is Algo.AC:
-        return (
-            lambda chunk: ac_compress(chunk, cfg.ac),
-            lambda blob: ac_decompress(blob),
-        )
-    if algo is Algo.LZ4:
-        return (
-            lambda chunk: lz4_compress(chunk),
-            lambda blob: lz4_decompress(blob),
-        )
-    raise StreamError(f"algo {getattr(algo, 'value', algo)!r} is not streamable")
 
-
-class Compressor:
-    """Incremental RST1 compressor (``feed``/``flush``)."""
-
-    def __init__(self, config: StreamConfig | None = None) -> None:
-        self.config = config or StreamConfig()
-        self._compress, _ = chunk_codec(self.config.algo, self.config.codecs)
-        self._buf = bytearray()
-        self._crc = 0
-        self._total = 0
-        self._header_emitted = False
-        self._finished = False
+    def __init__(self, config: StreamConfig) -> None:
+        self.config = config
+        self.total = 0  # raw bytes framed so far
         self.chunks_emitted = 0
+        self.finished = False  # end frame written
+        self._crc = 0
+        self._header_emitted = False
+
+    def header(self) -> bytes:
+        """The stream header the first time, ``b""`` after."""
+        if self._header_emitted:
+            return b""
+        self._header_emitted = True
+        return encode_stream_header(self.config.algo, self.config.chunk_bytes)
+
+    def split(self, raw: bytes) -> list[bytes]:
+        """``raw`` cut into ``chunk_bytes`` pieces, the last one ragged."""
+        size = self.config.chunk_bytes
+        return [raw[i:i + size] for i in range(0, len(raw), size)]
+
+    def frame(self, raw: bytes, payload: bytes) -> bytes:
+        """The data frame for one non-empty raw chunk and its payload."""
+        self._crc = zlib.crc32(raw, self._crc) & _U32_MAX
+        self.total += len(raw)
+        self.chunks_emitted += 1
+        return self.header() + encode_data_frame(
+            payload, len(raw), zlib.crc32(raw) & _U32_MAX
+        )
+
+    def end(self) -> bytes:
+        """The mandatory end frame over everything framed so far."""
+        self.finished = True
+        return self.header() + encode_end_frame(self.total, self._crc)
+
+
+class FrameReader:
+    """Checks one RST1 container frame by frame; the caller feeds the
+    bytes to :attr:`parser`, decodes each data frame's payload inside
+    :meth:`undecodable` and hands the result to :meth:`check`.  Every
+    error is a typed
+    :class:`~repro.errors.StreamError`.
+    """
+
+    def __init__(self) -> None:
+        self.parser = FrameParser()  # feed it the container bytes
+        self.total = 0  # raw bytes checked so far
+        self.chunks_decoded = 0
+        self._crc = 0
 
     @property
     def finished(self) -> bool:
-        return self._finished
+        """True once the end frame has been parsed."""
+        return self.parser.finished
+
+    @property
+    def algo(self) -> Algo | None:
+        """The container's codec (None until the header arrives)."""
+        header = self.parser.header
+        return None if header is None else header.algo
+
+    @contextmanager
+    def undecodable(self) -> Iterator[None]:
+        """Around a chunk codec call: a payload the codec rejects is a
+        corrupt *stream*, whichever codec it was and wherever it ran."""
+        try:
+            yield
+        except StreamError:
+            raise
+        except CodecError as exc:
+            raise StreamCorruptError(
+                f"chunk {self.chunks_decoded} payload undecodable: {exc}"
+            ) from exc
+
+    def check(self, frame: Frame, raw: bytes = b"") -> bytes:
+        """Verify ``raw`` against its data frame, or the stream so far
+        against the end frame; returns ``raw``."""
+        if frame.is_end:
+            if frame.raw_len != self.total:
+                raise StreamCorruptError(
+                    f"end frame declares {frame.raw_len} raw bytes, "
+                    f"decoded {self.total}"
+                )
+            if frame.crc != self._crc:
+                raise StreamChecksumError("stream crc32", frame.crc, self._crc)
+            return raw
+        if len(raw) != frame.raw_len:
+            raise StreamCorruptError(
+                f"chunk {self.chunks_decoded} decoded to {len(raw)} bytes, "
+                f"frame declared {frame.raw_len}"
+            )
+        actual = zlib.crc32(raw) & _U32_MAX
+        if actual != frame.crc:
+            raise StreamChecksumError("chunk crc32", frame.crc, actual)
+        self._crc = zlib.crc32(raw, self._crc) & _U32_MAX
+        self.total += len(raw)
+        self.chunks_decoded += 1
+        return raw
+
+    def close(self) -> None:
+        """Declare end-of-input; raises if the end frame never came."""
+        parser = self.parser
+        if not parser.finished:
+            raise StreamTruncatedError(
+                "container truncated: no end frame after "
+                f"{parser.frames_parsed} data frame(s) "
+                f"({parser.pending_bytes} byte(s) buffered mid-frame)"
+            )
+
+
+class Compressor:
+    """Incremental RST1 compressor (``feed``/``flush``): a
+    :class:`FrameWriter` plus the local chunk codec."""
+
+    def __init__(self, config: StreamConfig | None = None) -> None:
+        self.config = config or StreamConfig()
+        self._writer = FrameWriter(self.config)
+        self._compress, _ = chunk_codec(self.config.algo, self.config.codecs)
+        self._buf = bytearray()
+
+    @property
+    def finished(self) -> bool:
+        return self._writer.finished
+
+    @property
+    def chunks_emitted(self) -> int:
+        return self._writer.chunks_emitted
 
     @property
     def buffered_bytes(self) -> int:
@@ -141,21 +240,21 @@ class Compressor:
 
     def feed(self, chunk: bytes) -> bytes:
         """Absorb ``chunk``; return any container bytes now complete."""
-        if self._finished:
+        writer = self._writer
+        if writer.finished:
             raise StreamStateError("feed() after flush()")
         view = bytes(chunk)
         if not view:
             return b""  # empty feed is a no-op, not a frame
-        if self._total + len(view) > _U32_MAX:
+        if writer.total + len(self._buf) + len(view) > _U32_MAX:
             raise StreamError("streams are limited to < 4 GiB of raw input")
-        out = bytearray(self._emit_header())
-        self._crc = zlib.crc32(view, self._crc) & _U32_MAX
-        self._total += len(view)
+        out = bytearray(writer.header())
         self._buf += view
         size = self.config.chunk_bytes
         while len(self._buf) >= size:
-            out += self._emit_chunk(bytes(self._buf[:size]))
+            raw = bytes(self._buf[:size])
             del self._buf[:size]
+            out += writer.frame(raw, self._compress(raw))
         return bytes(out)
 
     def flush(self) -> bytes:
@@ -165,32 +264,20 @@ class Compressor:
         result is still a well-formed container (header + terminator)
         that decodes to ``b""``.
         """
-        if self._finished:
+        writer = self._writer
+        if writer.finished:
             raise StreamStateError("flush() called twice")
-        out = bytearray(self._emit_header())
+        out = b""
         if self._buf:
-            out += self._emit_chunk(bytes(self._buf))
+            raw = bytes(self._buf)
             self._buf.clear()
-        out += encode_end_frame(self._total, self._crc)
-        self._finished = True
-        return bytes(out)
-
-    # -- internals ---------------------------------------------------------
-
-    def _emit_header(self) -> bytes:
-        if self._header_emitted:
-            return b""
-        self._header_emitted = True
-        return encode_stream_header(self.config.algo, self.config.chunk_bytes)
-
-    def _emit_chunk(self, raw: bytes) -> bytes:
-        payload = self._compress(raw)
-        self.chunks_emitted += 1
-        return encode_data_frame(payload, len(raw), zlib.crc32(raw) & _U32_MAX)
+            out = writer.frame(raw, self._compress(raw))
+        return out + writer.end()
 
 
 class Decompressor:
-    """Incremental RST1 decompressor (``feed``/``flush``).
+    """Incremental RST1 decompressor (``feed``/``flush``): a
+    :class:`FrameReader` plus the local chunk codec.
 
     Every error is a typed :class:`~repro.errors.StreamError` (format
     violations, checksum mismatches, truncation at flush) or
@@ -200,90 +287,57 @@ class Decompressor:
 
     def __init__(self, max_output: int | None = None) -> None:
         self.max_output = max_output
-        self._parser = FrameParser()
-        self._decompress: "Callable[[bytes], bytes] | None" = None
-        self._crc = 0
-        self._total = 0
+        self._reader = FrameReader()
+        self._decompress: "Callable[..., bytes] | None" = None
         self._flushed = False
-        self.chunks_decoded = 0
 
     @property
     def finished(self) -> bool:
         """True once the end frame has been parsed and verified."""
-        return self._parser.finished
+        return self._reader.finished
 
     @property
     def algo(self) -> Algo | None:
         """The container's codec (None until the header arrives)."""
-        header = self._parser.header
-        return None if header is None else header.algo
+        return self._reader.algo
+
+    @property
+    def chunks_decoded(self) -> int:
+        return self._reader.chunks_decoded
 
     def feed(self, data: bytes) -> bytes:
         """Absorb container bytes; return the raw bytes they complete."""
         if self._flushed:
             raise StreamStateError("feed() after flush()")
+        reader = self._reader
         out = bytearray()
-        for frame in self._parser.feed(bytes(data)):
-            if frame.is_end:
-                self._check_end(frame.raw_len, frame.crc)
-                continue
-            out += self._decode_chunk(frame.payload, frame.raw_len, frame.crc)
+        for frame in reader.parser.feed(bytes(data)):
+            out += reader.check(frame, b"" if frame.is_end else self._decode(frame))
         return bytes(out)
 
     def flush(self) -> bytes:
         """Declare end-of-input; raises if the container is incomplete."""
         if self._flushed:
             raise StreamStateError("flush() called twice")
-        if not self._parser.finished:
-            raise StreamTruncatedError(
-                "container truncated: no end frame after "
-                f"{self.chunks_decoded} chunk(s) "
-                f"({self._parser.pending_bytes} byte(s) buffered mid-frame)"
-            )
+        self._reader.close()
         self._flushed = True
         return b""
 
     # -- internals ---------------------------------------------------------
 
-    def _decode_chunk(self, payload: bytes, raw_len: int, crc: int) -> bytes:
-        header = self._parser.header
-        assert header is not None
-        if self._decompress is None:
-            _, self._decompress = chunk_codec(header.algo)
-        if self.max_output is not None and self._total + raw_len > self.max_output:
+    def _decode(self, frame: Frame) -> bytes:
+        reader = self._reader
+        if self.max_output is not None and reader.total + frame.raw_len > self.max_output:
             raise OutputOverflowError(
                 f"stream exceeds max_output={self.max_output} at chunk "
-                f"{self.chunks_decoded}"
+                f"{reader.chunks_decoded}"
             )
-        try:
-            raw = self._decompress(payload)
-        except StreamError:
-            raise
-        except CodecError as exc:
-            raise StreamCorruptError(
-                f"chunk {self.chunks_decoded} payload undecodable: {exc}"
-            ) from exc
-        if len(raw) != raw_len:
-            raise StreamCorruptError(
-                f"chunk {self.chunks_decoded} decoded to {len(raw)} bytes, "
-                f"frame declared {raw_len}"
-            )
-        actual = zlib.crc32(raw) & _U32_MAX
-        if actual != crc:
-            raise StreamChecksumError("chunk crc32", crc, actual)
-        self._crc = zlib.crc32(raw, self._crc) & _U32_MAX
-        self._total += raw_len
-        self.chunks_decoded += 1
-        return raw
-
-    def _check_end(self, total_raw_len: int, crc: int) -> None:
-        if total_raw_len != self._total:
-            raise StreamCorruptError(
-                f"end frame declares {total_raw_len} raw bytes, "
-                f"decoded {self._total}"
-            )
-        if crc != self._crc:
-            raise StreamChecksumError("stream crc32", crc, self._crc)
+        if self._decompress is None:
+            _, self._decompress = chunk_codec(reader.algo)
+        with reader.undecodable():
+            # Capped at the declared length: a frame that lies about its
+            # raw_len cannot make the codec inflate past it.
+            return self._decompress(frame.payload, frame.raw_len)
 
 
 def stream_compress(data: bytes, config: StreamConfig | None = None) -> bytes:
