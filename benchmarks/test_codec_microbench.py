@@ -4,16 +4,16 @@ These measure the *Python implementation's* real speed (pytest-benchmark
 statistics), which is orthogonal to the simulated DPU times: useful for
 tracking regressions in the pure-algorithm layer.
 
-Every benchmark is parametrized over the kernel mode, so one run emits
-a ``[vectorized]`` and a ``[scalar]`` row per codec — the pairwise diff
-is the vectorization win on that host.  Setting ``REPRO_SCALAR_KERNELS``
-in the environment skips the vectorized rows (the env var pins the
-whole process to the scalar reference, so a vectorized row would be
-mislabeled).
+Every benchmark is parametrized over the kernels, so one run emits a
+``[vectorized]`` row (production) and a ``[scalar]`` row (the same call
+inside ``repro.algorithms.reference.twins()``) per codec — the pairwise
+diff is the vectorization win on that host.
 
 ``--repro-bytes`` sets the payload size (default 64 KiB), so
 ``pytest benchmarks --repro-bytes=4096`` is uniformly fast.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -22,22 +22,20 @@ from repro.algorithms.lz4 import lz4_compress, lz4_decompress
 from repro.algorithms.sz3 import SZ3Config, sz3_compress, sz3_decompress
 from repro.algorithms.zlib_format import zlib_compress
 from repro.algorithms.zstdlite import zstdlite_compress
+from repro.algorithms.reference import twins
 from repro.datasets import get_dataset
-from repro.util.kernels import SCALAR, VECTORIZED, force_kernel_mode, scalar_kernels
 
 DEFAULT_PAYLOAD_BYTES = 64 * 1024
 
 
-@pytest.fixture(params=[VECTORIZED, SCALAR])
+@pytest.fixture(params=["vectorized", "scalar"])
 def kernel(request):
-    """Kernel mode under test; honors a process-wide scalar pin."""
-    if request.param == VECTORIZED and scalar_kernels():
-        pytest.skip("REPRO_SCALAR_KERNELS pins this process to scalar kernels")
-    return request.param
+    """Scope the call runs in: production kernels or their twins."""
+    return twins if request.param == "scalar" else nullcontext
 
 
-def _in_mode(mode, fn, *args):
-    with force_kernel_mode(mode):
+def _in_mode(scope, fn, *args):
+    with scope():
         return fn(*args)
 
 

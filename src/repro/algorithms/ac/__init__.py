@@ -6,7 +6,7 @@ feeding a from-scratch carry-aware range coder
 (:mod:`~repro.algorithms.ac.rangecoder`), with the two stages decoupled
 behind a bounded batch queue (:mod:`~repro.algorithms.ac.codec`).  A
 deliberately-simple bitwise arithmetic coder
-(:mod:`~repro.algorithms.ac.reference`) serves as the differential
+(:mod:`repro.algorithms.reference.ac`) serves as the differential
 oracle.
 
 Like every codec under :mod:`repro.algorithms`, this is pure bytes-in /

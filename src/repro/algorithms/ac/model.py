@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CorruptStreamError
-from repro.util.kernels import scalar_kernels
 
 MASK64 = (1 << 64) - 1
 
@@ -112,8 +111,6 @@ class ContextModel:
         order = self.config.order
         if order == 0:
             return np.zeros(n, dtype=np.int64)
-        if scalar_kernels():
-            return self._context_hashes_scalar(data, start, stop)
         h = np.zeros(n, dtype=np.uint64)
         if start >= order:
             # Fast path (every chunk but the first): each lag's
@@ -131,30 +128,9 @@ class ContextModel:
             h += prev * np.uint64(_LAG_MULTIPLIERS[lag - 1])
         return ((h * self._fold) >> self._shift).astype(np.int64)
 
-    def _context_hashes_scalar(
-        self, data: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Per-position reference for :meth:`context_hashes`, built on
-        the decoder's :meth:`context_hash_scalar` twin."""
-        out = np.empty(stop - start, dtype=np.int64)
-        for k, pos in enumerate(range(start, stop)):
-            history = [int(b) for b in data[max(pos - self.config.order, 0) : pos]]
-            out[k] = self.context_hash_scalar(history)
-        return out
-
-    def context_hash_scalar(self, history: list[int]) -> int:
-        """Scalar twin of :meth:`context_hashes` for the decoder.
-
-        ``history`` is the most recent decoded bytes, newest last; bytes
-        before the start of the message are zeros.
-        """
-        order = self.config.order
-        return self.context_hash_packed(
-            int.from_bytes(bytes(history[-order:]), "big") if order else 0)
-
     def context_hash_packed(self, history: int) -> int:
-        """:meth:`context_hash_scalar` of the last ``order`` bytes packed
-        into one int, newest in the low byte."""
+        """:meth:`context_hashes` at one position, from the last
+        ``order`` bytes packed into one int, newest in the low byte."""
         h = 0
         for multiplier in self._lag_multipliers:
             h += (history & 255) * multiplier

@@ -25,7 +25,6 @@ import numpy as np
 from repro.errors import CorruptStreamError
 from repro.obs.profile import get_profiler
 from repro.util.bitio import BIT_REVERSE_16, BitReader
-from repro.util.kernels import scalar_kernels
 
 __all__ = [
     "MAX_CODE_BITS",
@@ -148,14 +147,6 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
         # corruption (decoder builds via HuffmanDecoder which re-checks).
         if code + bl_count[bits] > (1 << bits):
             raise CorruptStreamError(f"over-subscribed Huffman tree at length {bits}")
-
-    if scalar_kernels():
-        # Scalar reference: walk symbols in order, consuming next_code.
-        for sym in np.flatnonzero(lengths > 0):
-            bits = int(lengths[sym])
-            codes[sym] = next_code[bits]
-            next_code[bits] += 1
-        return codes
 
     # Vectorized assignment: within one length, canonical codes are
     # consecutive in symbol order.  A stable argsort by length puts the

@@ -5,22 +5,18 @@ A hash-chain matcher in the spirit of zlib's ``deflate_slow``: a rolling
 newest-first; an optional one-step *lazy* evaluation defers a match when
 the next position matches longer.
 
-Two byte-identical implementations live here, selected via
-:mod:`repro.util.kernels`:
-
-* :func:`_tokenize` — the scalar reference: per-position hash-chain
-  inserts and a head-table walk, exactly as zlib structures it; match
-  extension compares 16-byte slices, then single bytes.
-* :func:`_tokenize_vec` — the production kernel.  The chains are a pure
-  function of the input, so one stable argsort by hash stores every
-  bucket contiguously and a position's chain is a slice of it; the
-  quick-reject is a reverse byte search over a column aligned with the
-  sort, match length the lowest set bit of an XOR of 8-byte words, and
-  the literal runs between positions with an in-window trigram-equal
-  predecessor (any match is >= 3 long) are emitted in bulk.  Candidate
-  order, ``good_match`` shortening and lazy semantics are the scalar's,
-  so the token streams are identical (``tests/algorithms/test_lz77_layout``,
-  ``test_kernel_equivalence``, the golden vectors); see DESIGN.md §5j.
+The kernel is :func:`_tokenize_vec`.  The chains are a pure function
+of the input, so one stable argsort by hash stores every bucket
+contiguously and a position's chain is a slice of it; the quick-reject
+is a reverse byte search over a column aligned with the sort, match
+length the lowest set bit of an XOR of 8-byte words, and the literal
+runs between positions with an in-window trigram-equal predecessor (any
+match is >= 3 long) are emitted in bulk.  Candidate order,
+``good_match`` shortening and lazy semantics are those of the scalar
+zlib-shaped matcher kept as its twin in
+:mod:`repro.algorithms.reference.lz77`, so the token streams are
+identical (``tests/algorithms/test_lz77_layout``,
+``test_kernel_equivalence``, the golden vectors); see DESIGN.md §5j.
 
 Inputs may be ``bytes`` or ``memoryview``.  The output is a token stream
 of literals and ``(length, distance)`` copies, encoded as two parallel
@@ -36,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs.profile import get_profiler
-from repro.util.kernels import scalar_kernels
 
 __all__ = ["MatcherConfig", "TokenStream", "tokenize", "reconstruct"]
 
 _HASH_BITS = 15
-_HASH_SIZE = 1 << _HASH_BITS
 _COLUMNS = 32  # quick-reject byte columns kept by the vectorized walk
 
 
@@ -113,145 +107,15 @@ def _hash_all(data: bytes) -> np.ndarray:
     return _trigram_hashes(np.frombuffer(data, dtype=np.uint8))[1].astype(np.int64)
 
 
-def _match_length(data: bytes, cand: int, pos: int, limit: int) -> int:
-    """Longest l <= limit with data[cand:cand+l] == data[pos:pos+l]."""
-    l = 0
-    # 16-byte strides first.
-    while l + 16 <= limit and data[cand + l : cand + l + 16] == data[pos + l : pos + l + 16]:
-        l += 16
-    while l < limit and data[cand + l] == data[pos + l]:
-        l += 1
-    return l
-
-
 def tokenize(data: bytes, config: MatcherConfig | None = None) -> TokenStream:
-    """Factor ``data`` into an LZ77 token stream.
-
-    Dispatches to the vectorized kernel unless the scalar reference is
-    selected (``REPRO_SCALAR_KERNELS`` / ``force_kernel_mode``); both
-    produce identical token streams.
-    """
+    """Factor ``data`` into an LZ77 token stream."""
     with get_profiler().kernel("lz77.match_loop"):
-        if scalar_kernels():
-            return _tokenize(data, config)
         return _tokenize_vec(data, config)
 
 
-def _tokenize(data: bytes, config: MatcherConfig | None) -> TokenStream:
-    cfg = config or MatcherConfig()
-    n = len(data)
-    lengths: list[int] = []
-    values: list[int] = []
-    if n == 0:
-        return TokenStream(lengths, values, 0)
-
-    hashes = _hash_all(data)
-    head = [-1] * _HASH_SIZE  # most recent position per hash bucket
-    prev = [0] * n  # previous position in this bucket's chain
-
-    min_match = cfg.min_match
-    max_match = cfg.max_match
-    window = cfg.window_size
-    max_chain = cfg.max_chain
-    good = cfg.good_match
-    lazy = cfg.lazy
-    n_hash = hashes.shape[0]
-    hashes_l = hashes.tolist()  # plain ints: ~3x faster element access
-
-    def longest_match(pos: int) -> tuple[int, int]:
-        """Best (length, distance) at ``pos``; (0, 0) if none."""
-        best_len = min_match - 1
-        best_dist = 0
-        limit = min(max_match, n - pos)
-        if limit < min_match:
-            return 0, 0
-        chain = max_chain
-        cand = head[hashes_l[pos]]
-        low = pos - window
-        first_pos = pos
-        while cand >= 0 and cand >= low and chain > 0:
-            # Quick reject: a longer match must extend past the current best.
-            if data[cand + best_len] == data[first_pos + best_len]:
-                l = _match_length(data, cand, pos, limit)
-                if l > best_len:
-                    best_len = l
-                    best_dist = pos - cand
-                    if l >= limit:
-                        break
-                    if l >= good:
-                        chain >>= 2
-            cand = prev[cand]
-            chain -= 1
-        if best_dist == 0:
-            return 0, 0
-        return best_len, best_dist
-
-    def insert(pos: int) -> None:
-        h = hashes_l[pos]
-        prev[pos] = head[h]
-        head[h] = pos
-
-    i = 0
-    pending: tuple[int, int] | None = None  # deferred (length, dist) at i-1
-    while i < n:
-        if i < n_hash:
-            cur_len, cur_dist = longest_match(i)
-            insert(i)
-        else:
-            cur_len, cur_dist = 0, 0
-
-        if pending is not None:
-            pend_len, pend_dist = pending
-            if cur_len > pend_len:
-                # The deferred position loses; emit its byte as a literal
-                # and defer the (strictly longer) current match instead.
-                lengths.append(0)
-                values.append(data[i - 1])
-                pending = (cur_len, cur_dist)
-                i += 1
-                continue
-            # Deferred match wins: emit it; it covers i-1 .. i-2+pend_len.
-            # Position i was already inserted above; catch up from i+1.
-            lengths.append(pend_len)
-            values.append(pend_dist)
-            end = i - 1 + pend_len
-            j = i + 1
-            stop = min(end, n_hash)
-            while j < stop:
-                insert(j)
-                j += 1
-            i = end
-            pending = None
-            continue
-
-        if cur_len >= min_match:
-            if lazy and cur_len < max_match and i + 1 < n:
-                pending = (cur_len, cur_dist)
-                i += 1
-                continue
-            lengths.append(cur_len)
-            values.append(cur_dist)
-            end = i + cur_len
-            stop = min(end, n_hash)
-            i += 1
-            while i < stop:
-                insert(i)
-                i += 1
-            i = end
-        else:
-            lengths.append(0)
-            values.append(data[i])
-            i += 1
-
-    if pending is not None:
-        # Stream ended while deferring: the pending match still applies.
-        lengths.append(pending[0])
-        values.append(pending[1])
-    return TokenStream(lengths, values, n)
-
-
 def _tokenize_vec(data: bytes, config: MatcherConfig | None) -> TokenStream:
-    """Vectorized tokenizer; token-identical to :func:`_tokenize`.
+    """Vectorized tokenizer; token-identical to the scalar matcher
+    (``repro.algorithms.reference.lz77.tokenize``).
 
     The scalar matcher inserts every position into its bucket exactly
     once, in increasing order (match emission inserts every covered

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.profile import get_profiler
-from repro.util.kernels import scalar_kernels
 
 __all__ = ["predict_residual", "reconstruct_codes"]
 
@@ -40,41 +39,6 @@ def _lorenzo_reconstruct(res: np.ndarray) -> np.ndarray:
     codes = res
     for axis in reversed(range(res.ndim)):
         codes = np.cumsum(codes, axis=axis, dtype=np.int64)
-    return codes
-
-
-def _lorenzo_residual_scalar(codes: np.ndarray) -> np.ndarray:
-    """Per-element reference for :func:`_lorenzo_residual` — the classic
-    sequential Lorenzo sweep, one sample at a time.  Integer arithmetic
-    is exact, so the result matches the vectorized successive-diff
-    formulation bit for bit in any dimension count."""
-    res = np.asarray(codes, dtype=np.int64)
-    for axis in range(res.ndim):
-        out = np.empty_like(res)
-        length = res.shape[axis]
-        moved = np.moveaxis(res, axis, 0)
-        out_moved = np.moveaxis(out, axis, 0)
-        for k in range(length - 1, -1, -1):
-            for idx in np.ndindex(moved.shape[1:]):
-                prev = moved[(k - 1,) + idx] if k > 0 else np.int64(0)
-                out_moved[(k,) + idx] = moved[(k,) + idx] - prev
-        res = out
-    return res
-
-
-def _lorenzo_reconstruct_scalar(res: np.ndarray) -> np.ndarray:
-    """Per-element reference for :func:`_lorenzo_reconstruct`."""
-    codes = np.asarray(res, dtype=np.int64)
-    for axis in reversed(range(codes.ndim)):
-        out = np.empty_like(codes)
-        length = codes.shape[axis]
-        moved = np.moveaxis(codes, axis, 0)
-        out_moved = np.moveaxis(out, axis, 0)
-        for k in range(length):
-            for idx in np.ndindex(moved.shape[1:]):
-                prev = out_moved[(k - 1,) + idx] if k > 0 else np.int64(0)
-                out_moved[(k,) + idx] = prev + moved[(k,) + idx]
-        codes = out
     return codes
 
 
@@ -141,15 +105,12 @@ def _interp_reconstruct(res: np.ndarray) -> np.ndarray:
 def predict_residual(codes: np.ndarray, kind: str) -> np.ndarray:
     """Transform quantisation codes into prediction residuals.
 
-    The Lorenzo predictor dispatches between the whole-array numpy
-    kernel and the sequential per-element reference
-    (``REPRO_SCALAR_KERNELS`` / ``force_kernel_mode``); ``interp``
-    only has the level-wise vectorized form.
+    Both predictors are whole-array numpy kernels; the Lorenzo pair's
+    sequential per-element twins live in
+    :mod:`repro.algorithms.reference.sz3`.
     """
     with get_profiler().kernel(f"{kind}.predict"):
         if kind == "lorenzo":
-            if scalar_kernels():
-                return _lorenzo_residual_scalar(codes)
             return _lorenzo_residual(codes)
         if kind == "interp":
             return _interp_residual(codes)
@@ -162,8 +123,6 @@ def reconstruct_codes(residual: np.ndarray, kind: str) -> np.ndarray:
     """Inverse of :func:`predict_residual`."""
     with get_profiler().kernel(f"{kind}.reconstruct"):
         if kind == "lorenzo":
-            if scalar_kernels():
-                return _lorenzo_reconstruct_scalar(residual)
             return _lorenzo_reconstruct(residual)
         if kind == "interp":
             return _interp_reconstruct(residual)

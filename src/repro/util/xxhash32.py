@@ -10,9 +10,9 @@ specification written out, one accumulator at a time;
 :func:`_stripes_packed` carries the four accumulators as four 64-bit
 fields of one Python int, so a stripe costs ten big-int operations
 instead of ~40 small-int ones (DESIGN.md §5j has the field-width
-argument).  :func:`xxh32` picks by input length; :func:`xxh32_scalar`
-always takes the scalar loop and is what the tests and the wall gates
-compare against.
+argument).  :func:`xxh32` picks by input length; its twin
+``repro.algorithms.reference.xxhash32.xxh32_scalar`` always takes the
+scalar loop and is what the tests and the wall gates compare against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["xxh32", "xxh32_scalar"]
+__all__ = ["xxh32"]
 
 _PRIME1 = 0x9E3779B1
 _PRIME2 = 0x85EBCA77
@@ -147,8 +147,3 @@ def xxh32(data: bytes | bytearray | memoryview, seed: int = 0) -> int:
     if len(data) < _PACKED_MIN_BYTES:
         return _digest(data, seed, _stripes_scalar)
     return _digest(data, seed, _stripes_packed)
-
-
-def xxh32_scalar(data: bytes | bytearray | memoryview, seed: int = 0) -> int:
-    """:func:`xxh32` through the scalar stripe loop at every length."""
-    return _digest(bytes(data), seed, _stripes_scalar)

@@ -18,7 +18,7 @@ import pytest
 from repro.algorithms.ac import ACConfig, ac_compress, ac_decompress
 from repro.algorithms.ac.codec import HEADER_BYTES
 from repro.algorithms.ac.rangecoder import FLUSH_BYTES
-from repro.algorithms.ac.reference import (
+from repro.algorithms.reference.ac import (
     reference_compress_payload,
     reference_decompress_payload,
 )

@@ -26,7 +26,7 @@ from repro.algorithms.ac import (
     ac_decompress,
     parse_header,
 )
-from repro.algorithms.ac.reference import decode_stepwise
+from repro.algorithms.reference.ac import decode_stepwise
 from repro.datasets import get_dataset
 from repro.errors import ChecksumMismatchError, CorruptStreamError, ReproError
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.ac.model import MAX_ORDER, ACConfig, ContextModel
+from repro.algorithms.reference.ac import context_hash_scalar
 from repro.errors import CorruptStreamError
 
 
@@ -26,7 +27,7 @@ def test_scalar_hash_matches_vectorized(order):
     vec = model.context_hashes(data, 0, len(data))
     history: list[int] = []
     for pos in range(len(data)):
-        assert model.context_hash_scalar(history) == vec[pos], pos
+        assert context_hash_scalar(model, history) == vec[pos], pos
         history.append(int(data[pos]))
         if len(history) > order:
             history.pop(0)
@@ -43,7 +44,7 @@ def test_chunk_triples_match_sequential_triples():
         lo, fr, tot = vec_model.chunk_triples(data, start, stop)
         history = [int(b) for b in data[max(0, start - config.order):start]]
         for i, pos in enumerate(range(start, stop)):
-            ctx = seq_model.context_hash_scalar(history)
+            ctx = context_hash_scalar(seq_model, history)
             s_lo, s_fr, s_tot = seq_model.triple(ctx, int(data[pos]))
             assert (lo[i], fr[i], tot[i]) == (s_lo, s_fr, s_tot)
             history.append(int(data[pos]))

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.ac import ac_compress, ac_decompress
 from repro.algorithms.deflate import deflate_compress, deflate_decompress
-from repro.algorithms.gzip_format import gzip_decompress
-from repro.algorithms.lz4 import lz4_block_decompress, lz4_decompress
+from repro.algorithms.gzip_format import gzip_compress, gzip_decompress
+from repro.algorithms.lz4 import (lz4_block_compress, lz4_block_decompress,
+                                  lz4_compress, lz4_decompress)
 from repro.algorithms.sz3 import sz3_decompress
-from repro.algorithms.zlib_format import zlib_decompress
-from repro.algorithms.zstdlite import zstdlite_decompress
-from repro.errors import ReproError
+from repro.algorithms.zlib_format import zlib_compress, zlib_decompress
+from repro.algorithms.zstdlite import zstdlite_compress, zstdlite_decompress
+from repro.errors import OutputOverflowError, ReproError
 
 DECODERS = {
     "deflate": lambda b: deflate_decompress(b, max_output=1 << 20),
@@ -38,6 +40,30 @@ def test_random_bytes_fail_cleanly(name, blob):
         DECODERS[name](blob)
     except ReproError:
         pass  # the expected outcome for garbage
+
+
+#: Every byte codec whose decoder takes ``max_output``.
+CAPPED_CODECS = {
+    "deflate": (deflate_compress, deflate_decompress),
+    "zlib": (zlib_compress, zlib_decompress),
+    "gzip": (gzip_compress, gzip_decompress),
+    "lz4_block": (lz4_block_compress, lz4_block_decompress),
+    "lz4_frame": (lz4_compress, lz4_decompress),
+    "zstdlite": (zstdlite_compress, zstdlite_decompress),
+    "ac": (ac_compress, ac_decompress),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_CODECS))
+def test_output_one_byte_over_the_cap_is_an_overflow(name):
+    """Not corruption: a caller catching ``OutputOverflowError`` must
+    see the same error from every codec."""
+    compress, decompress = CAPPED_CODECS[name]
+    data = bytes(5000)
+    blob = compress(data)
+    assert decompress(blob, max_output=len(data)) == data
+    with pytest.raises(OutputOverflowError):
+        decompress(blob, max_output=len(data) - 1)
 
 
 @pytest.mark.parametrize("name", sorted(DECODERS))

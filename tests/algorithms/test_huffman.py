@@ -222,11 +222,11 @@ def test_property_encode_decode_roundtrip(data):
 
 # -- production kernels vs the retained reference twins ----------------------
 #
-# ``huffman_reference`` keeps the pre-hoist implementations; the fast
-# ones must reproduce them exactly — the same arrays, not merely the same
-# cost — because every compressed stream is pinned byte for byte.
+# ``repro.algorithms.reference`` keeps the pre-hoist implementations;
+# the fast ones must reproduce them exactly — the same arrays, not merely
+# the same cost — because every compressed stream is pinned byte for byte.
 
-from repro.algorithms import huffman_reference as reference  # noqa: E402
+from repro.algorithms.reference import huffman as reference  # noqa: E402
 
 
 def _fibonacci(count: int) -> "list[int]":

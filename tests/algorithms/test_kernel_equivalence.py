@@ -1,10 +1,10 @@
-"""Scalar-vs-vectorized kernel equivalence (PR 8 tentpole harness).
+"""Twin-vs-production kernel equivalence.
 
 Every hot kernel that grew a vectorized fast path keeps its scalar
-reference selectable via :mod:`repro.util.kernels`; these tests run the
-same input through both implementations inside one process
-(:func:`force_kernel_mode`) and require **byte-identical** results —
-not "close", identical.  The corpus is adversarial by construction
+twin in :mod:`repro.algorithms.reference`; these tests run the same
+input through both implementations inside one process (production,
+then the same call inside :func:`~repro.algorithms.reference.twins`)
+and require **byte-identical** results — not "close", identical.  The corpus is adversarial by construction
 (empty, single byte, all-zero, incompressible, max-match-length runs,
 NaN/Inf/denormal floats) plus hypothesis-generated inputs, with the
 seeded corpus rotating via ``REPRO_FUZZ_SEED`` like the round-trip
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import huffman, huffman_reference
+from repro.algorithms import huffman
 from repro.algorithms.ac import ACConfig
 from repro.algorithms.ac.model import ContextModel
 from repro.algorithms.deflate import (
@@ -30,23 +30,22 @@ from repro.algorithms.deflate import (
 )
 from repro.algorithms.deflate import compress as deflate_compress_module
 from repro.algorithms.lz77 import MatcherConfig, tokenize
+from repro.algorithms.reference import huffman as huffman_reference
+from repro.algorithms.reference import twins
 from repro.algorithms.sz3.predictor import predict_residual, reconstruct_codes
 from repro.algorithms.sz3.quantizer import dequantize, quantize
 from repro.datasets import get_dataset
 from repro.util.bitio import BitWriter
-from repro.util.kernels import SCALAR, VECTORIZED, force_kernel_mode
 from repro.util.scratch import ScratchPool, set_scratch_pool
 
 BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260806"))
 
 
 def both_modes(fn):
-    """Run ``fn`` under the scalar reference and the vectorized kernels."""
-    with force_kernel_mode(SCALAR):
+    """Run ``fn`` on the reference twins, then on the production kernels."""
+    with twins():
         scalar = fn()
-    with force_kernel_mode(VECTORIZED):
-        vec = fn()
-    return scalar, vec
+    return scalar, fn()
 
 
 def adversarial_corpus() -> "dict[str, bytes]":
@@ -160,8 +159,8 @@ def test_write_code_array_equivalence(pairs, lead_bits):
 # -- Entropy stage vs its retained reference twins --------------------------
 #
 # The count-only package-merge, the table-driven code reversal and the
-# word-at-a-time inflate have no mode switch: their pre-rewrite twins
-# live in ``huffman_reference`` and are compared here on the histograms
+# word-at-a-time inflate have no call-time site: their pre-rewrite twins
+# live in ``reference.huffman`` and are compared here on the histograms
 # and streams real blocks produce (tests/algorithms/test_huffman.py has
 # the synthetic families).
 
@@ -246,8 +245,7 @@ def test_scratch_requests_are_block_bounded(case, strategy, block_tokens):
     pool = _RecordingPool()
     previous = set_scratch_pool(pool)
     try:
-        with force_kernel_mode(VECTORIZED):
-            deflate_compress(data, cfg)
+        deflate_compress(data, cfg)
     finally:
         set_scratch_pool(previous)
 

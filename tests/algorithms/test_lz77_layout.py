@@ -1,7 +1,7 @@
 """Token identity of the bucket-slice LZ77 walk against the scalar matcher.
 
-``lz77.tokenize`` (vectorized mode) must return the scalar
-``lz77._tokenize``'s two lists element for element — not an equally
+``lz77.tokenize`` must return its scalar twin's (the registry row
+``tokenize``) two lists element for element — not an equally
 good factorization, the same one — for every ``MatcherConfig``: DEFLATE
 block boundaries, Huffman trees and therefore every compressed byte
 downstream depend on it.  A seeded sample of the configuration grid
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import lz77
 from repro.algorithms.lz77 import MatcherConfig, reconstruct
-from repro.util.kernels import VECTORIZED, force_kernel_mode
+from repro.algorithms.reference import REGISTRY
 
 BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260806"))
 
@@ -38,9 +38,8 @@ WORDS = (b"alpha", b"beta ", b"<row id=", b"</row>", b"0123456789", b"ab")
 
 def assert_same_tokens(data, cfg):
     """Production tokens == scalar tokens; returns them."""
-    with force_kernel_mode(VECTORIZED):
-        got = lz77.tokenize(data, cfg)
-    want = lz77._tokenize(data, cfg)
+    got = lz77.tokenize(data, cfg)
+    want = REGISTRY["tokenize"].twin(data, cfg)
     assert got.lengths == want.lengths, cfg
     assert got.values == want.values, cfg
     assert got.n_input == want.n_input == len(data)

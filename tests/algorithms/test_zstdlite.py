@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.zstdlite import zstdlite_compress, zstdlite_decompress
-from repro.errors import ChecksumMismatchError, CorruptStreamError
+from repro.errors import ChecksumMismatchError, CorruptStreamError, OutputOverflowError
 
 
 class TestRoundtrip:
@@ -34,7 +34,7 @@ class TestRoundtrip:
 
     def test_declared_size_bounds_output(self, text_payload):
         blob = zstdlite_compress(text_payload)
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(OutputOverflowError):
             zstdlite_decompress(blob, max_output=10)
 
     def test_faster_matcher_still_compresses(self, text_payload):

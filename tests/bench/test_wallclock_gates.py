@@ -4,19 +4,21 @@ Unlike the sim trajectories, every number here is a host-local
 wall-clock reading, so nothing is compared exactly: the committed file
 must sit inside the generous ``WALL_BANDS`` / per-codec MB/s floors,
 and fresh measurements re-check the headline claims — the vectorized
-DEFLATE pipeline beats the scalar reference on the literal-dominated
+DEFLATE pipeline beats the same pipeline on its reference twins
+(``repro.algorithms.reference.twins``) on the literal-dominated
 (``lz77.match_loop``-bound) payload, the entropy stage beats its
-retained ``huffman_reference`` twins, and AC decode and xxh32 beat
-their step-wise / scalar twins — on whatever machine runs the tests.
+retained reference twins, and AC decode and xxh32 beat their step-wise
+/ scalar twins — on whatever machine runs the tests.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
+from contextlib import nullcontext
 
+from repro.algorithms.reference import twins
 from repro.bench import regress
-from repro.util.kernels import SCALAR, VECTORIZED, force_kernel_mode
 
 import pytest
 
@@ -126,7 +128,7 @@ def test_fresh_vectorized_beats_scalar_on_literal_payload():
     The measured margin is ~4-5x on the noise payload (where the scalar
     profile is lz77.match_loop-dominated); 1.2x is the generous floor
     that still catches a vectorized path silently falling back to the
-    scalar reference.  Single rep per mode with a small warm call —
+    scalar reference.  Single rep per side with a small warm call —
     this is a sanity check, not a benchmark.
     """
     from repro.algorithms.deflate import deflate_compress
@@ -135,14 +137,14 @@ def test_fresh_vectorized_beats_scalar_on_literal_payload():
     warm = data[:4096]
     times = {}
     blobs = {}
-    for mode in (SCALAR, VECTORIZED):
-        with force_kernel_mode(mode):
+    for side, scope in (("twin", twins), ("production", nullcontext)):
+        with scope():
             deflate_compress(warm)
             start = time.perf_counter()
-            blobs[mode] = deflate_compress(data)
-            times[mode] = time.perf_counter() - start
-    assert blobs[SCALAR] == blobs[VECTORIZED]  # byte-identical first
-    speedup = times[SCALAR] / times[VECTORIZED]
+            blobs[side] = deflate_compress(data)
+            times[side] = time.perf_counter() - start
+    assert blobs["twin"] == blobs["production"]  # byte-identical first
+    speedup = times["twin"] / times["production"]
     assert speedup > 1.2, (
         f"vectorized DEFLATE only {speedup:.2f}x scalar on noise payload"
     )

@@ -1,15 +1,22 @@
 #!/usr/bin/env python
-"""Regenerate the golden compressed-vector corpus.
+"""Regenerate the golden compressed-vector corpus and its manifest.
 
-Run from the repository root after an *intentional* wire-format change::
+Run from the repository root::
 
-    PYTHONPATH=src python tests/vectors/regenerate.py
+    PYTHONPATH=src python tests/vectors/regenerate.py [--format-change]
 
 Rewrites ``<case>.in`` / ``<case>.<codec>.bin`` pairs and
-``manifest.json`` (sha256 of every artifact).  The loader test
-(:mod:`tests.vectors.test_golden_vectors`) fails when current encoder
-output drifts from these files — an unintentional format change shows
-up as a diff here before it ever corrupts someone's stored data.
+``manifest.json`` (sha256 of every artifact, plus ``digest_pins``:
+encoder output pinned by sha256 alone, at the sizes ``benchmarks/perf``
+runs and on the matcher corners where an escape once lived).  The
+loader tests (:mod:`tests.vectors.test_golden_vectors`,
+:mod:`tests.vectors.test_benchmark_scale_digests`) fail when current
+encoder output drifts from these pins — an unintentional format change
+shows up as a diff here before it ever corrupts someone's stored data.
+
+A digest that is already pinned is never changed silently: without
+``--format-change`` the script prints every drifting digest and exits
+non-zero without writing anything.  New pins are added freely.
 
 Inputs are generated from fixed seeds, so regeneration only changes
 the ``.bin`` side unless the corpus definition itself is edited.
@@ -17,16 +24,19 @@ the ``.bin`` side unless the corpus definition itself is edited.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from repro.algorithms.ac import ac_compress
-from repro.algorithms.deflate import deflate_compress
+from repro.algorithms.deflate import DeflateConfig, deflate_compress
 from repro.algorithms.gzip_format import gzip_compress
 from repro.algorithms.lz4 import lz4_block_compress, lz4_compress
+from repro.algorithms.lz77 import MatcherConfig
 from repro.algorithms.sz3 import SZ3Config, sz3_compress
 from repro.algorithms.zlib_format import zlib_compress
 from repro.algorithms.zstdlite import zstdlite_compress
@@ -35,6 +45,7 @@ from repro.dpu.specs import Algo
 from repro.stream import StreamConfig, stream_compress
 
 VECTOR_DIR = Path(__file__).resolve().parent
+KIB = 1024
 
 BYTE_CODECS = {
     "deflate": deflate_compress,
@@ -86,82 +97,168 @@ def stream_inputs() -> "dict[str, bytes]":
     }
 
 
-def main() -> None:
+# -- digest pins: encoder output pinned by sha256, no artifact file ----------
+
+
+def _head(key: str, nbytes: int) -> bytes:
+    return bytes(get_dataset(key).generate(nbytes))
+
+
+def _exaalt_window() -> np.ndarray:
+    field = get_dataset("exaalt-dataset1").generate(256 * KIB)
+    return np.ascontiguousarray(field[: 40 * KIB])
+
+
+def _low_entropy(n: int) -> bytes:
+    """``n`` bytes, three in four zero, the rest one, from an LCG (no
+    RNG-version drift): long same-hash chains, so ``max_chain`` binds."""
+    state, out = 16, bytearray()
+    for _ in range(n):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        out.append((state >> 16) % 4 == 3)
+    return bytes(out)
+
+
+def _deflate_with(**matcher):
+    config = DeflateConfig(matcher=MatcherConfig(**matcher))
+    return lambda data: deflate_compress(data, config)
+
+
+#: The 40-byte input on which the LZ77 walk once quartered a budget
+#: clamped to len(data) instead of ``max_chain`` (see
+#: tests/algorithms/test_lz77_layout.py).
+CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
+
+#: name -> (make input, encode).  The first five are the
+#: ``codec_compress`` / ``stream_paths`` operating points (the golden
+#: vectors are <= 6 KB, so a matcher change that only alters tokens once
+#: chains get deep, the window binds or a block spans several Huffman
+#: blocks passes them); the rest are the ``max_chain`` corners around
+#: the input length, with a ``good_match`` that shrinks the walk (a
+#: budget clamped to the input length reads 2n as n + 1).
+DIGEST_PINS = {
+    "deflate-xml-64k": (lambda: _head("silesia/xml", 64 * KIB), deflate_compress),
+    "deflate-mozilla-32k": (
+        lambda: _head("silesia/mozilla", 32 * KIB), deflate_compress),
+    "deflate-telemetry-8k-chunk": (
+        lambda: _head("net_telemetry", 48 * KIB)[: 8 * KIB], deflate_compress),
+    "zlib-obs-error-48k": (lambda: _head("obs_error", 48 * KIB), zlib_compress),
+    "sz3-exaalt-40ki-floats": (
+        _exaalt_window,
+        lambda field: sz3_compress(field, SZ3Config(error_bound=1e-4))),
+    "deflate-chain128-good8-counterexample-40": (
+        lambda: CHAIN_COUNTEREXAMPLE, _deflate_with(max_chain=128, good_match=8)),
+    **{
+        f"deflate-chain{chain}-good8-low-entropy-400": (
+            lambda: _low_entropy(400), _deflate_with(max_chain=chain, good_match=8))
+        for chain in (399, 401, 800)
+    },
+}
+
+
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def pin_entry(name: str) -> dict:
+    """The manifest entry of digest pin ``name``, computed now."""
+    make_input, encode = DIGEST_PINS[name]
+    payload = make_input()
+    raw = payload.tobytes() if isinstance(payload, np.ndarray) else payload
+    blob = encode(payload)
+    return {"input_sha256": _sha256(raw), "bytes": len(blob), "sha256": _sha256(blob)}
+
+
+def _case_entry(files: dict, case: str, payload: bytes, encoders: dict, suffix: str) -> dict:
+    files[f"{case}.in"] = payload
+    entry = {"input_sha256": _sha256(payload), "input_bytes": len(payload),
+             "artifacts": {}}
+    for name, encode in encoders.items():
+        blob = files[f"{case}.{name}{suffix}"] = encode(payload)
+        entry["artifacts"][name] = {"sha256": _sha256(blob), "bytes": len(blob)}
+    return entry
+
+
+def build() -> "tuple[dict[str, bytes], dict]":
+    """Every corpus file (name -> bytes) and the manifest, in memory."""
+    files: "dict[str, bytes]" = {}
     manifest: dict = {
         "format_version": 1,
         "sz3_error_bound": SZ3_ERROR_BOUND,
-        "cases": {},
-    }
-    for case, payload in byte_inputs().items():
-        (VECTOR_DIR / f"{case}.in").write_bytes(payload)
-        entry = {
-            "input_sha256": hashlib.sha256(payload).hexdigest(),
-            "input_bytes": len(payload),
-            "artifacts": {},
-        }
-        for codec, compress in BYTE_CODECS.items():
-            blob = compress(payload)
-            (VECTOR_DIR / f"{case}.{codec}.bin").write_bytes(blob)
-            entry["artifacts"][codec] = {
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "bytes": len(blob),
-            }
-        manifest["cases"][case] = entry
-
-    field = sz3_input()
-    (VECTOR_DIR / "field.f32.in").write_bytes(field.tobytes())
-    blob = sz3_compress(field, SZ3Config(error_bound=SZ3_ERROR_BOUND))
-    (VECTOR_DIR / "field.sz3.bin").write_bytes(blob)
-    # Same field through SZ3 with the adaptive-context lossless stage:
-    # freezes the backend-id wiring and the ac container inside SZ3.
-    ac_blob = sz3_compress(
-        field, SZ3Config(error_bound=SZ3_ERROR_BOUND, backend="ac")
-    )
-    (VECTOR_DIR / "field.ac-sz3.bin").write_bytes(ac_blob)
-    manifest["cases"]["field"] = {
-        "input_sha256": hashlib.sha256(field.tobytes()).hexdigest(),
-        "input_bytes": field.nbytes,
-        "dtype": "float32",
-        "artifacts": {
-            "sz3": {
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "bytes": len(blob),
-            },
-            "ac-sz3": {
-                "sha256": hashlib.sha256(ac_blob).hexdigest(),
-                "bytes": len(ac_blob),
-            },
+        "cases": {
+            case: _case_entry(files, case, payload, BYTE_CODECS, ".bin")
+            for case, payload in byte_inputs().items()
         },
     }
 
-    manifest["stream_chunk_bytes"] = STREAM_CHUNK_BYTES
-    manifest["stream_cases"] = {}
-    for case, payload in stream_inputs().items():
-        (VECTOR_DIR / f"{case}.in").write_bytes(payload)
-        entry = {
-            "input_sha256": hashlib.sha256(payload).hexdigest(),
-            "input_bytes": len(payload),
-            "artifacts": {},
-        }
-        for name, algo in STREAM_ALGOS.items():
-            blob = stream_compress(
-                payload,
-                StreamConfig(algo=algo, chunk_bytes=STREAM_CHUNK_BYTES),
-            )
-            (VECTOR_DIR / f"{case}.{name}.rst1").write_bytes(blob)
-            entry["artifacts"][name] = {
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "bytes": len(blob),
-            }
-        manifest["stream_cases"][case] = entry
+    field = sz3_input()
+    files["field.f32.in"] = field.tobytes()
+    # Same field through SZ3 with the adaptive-context lossless stage
+    # too: freezes the backend-id wiring and the ac container inside SZ3.
+    sz3 = {
+        "sz3": sz3_compress(field, SZ3Config(error_bound=SZ3_ERROR_BOUND)),
+        "ac-sz3": sz3_compress(
+            field, SZ3Config(error_bound=SZ3_ERROR_BOUND, backend="ac")),
+    }
+    for name, blob in sz3.items():
+        files[f"field.{name}.bin"] = blob
+    manifest["cases"]["field"] = {
+        "input_sha256": _sha256(field.tobytes()),
+        "input_bytes": field.nbytes,
+        "dtype": "float32",
+        "artifacts": {name: {"sha256": _sha256(blob), "bytes": len(blob)}
+                      for name, blob in sz3.items()},
+    }
 
-    out = VECTOR_DIR / "manifest.json"
-    out.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    total = sum(
-        len(a["artifacts"]) for a in manifest["cases"].values()
-    )
-    print(f"wrote {total} artifacts + manifest to {VECTOR_DIR}")
+    manifest["stream_chunk_bytes"] = STREAM_CHUNK_BYTES
+    stream_encoders = {
+        name: (lambda payload, algo=algo: stream_compress(
+            payload, StreamConfig(algo=algo, chunk_bytes=STREAM_CHUNK_BYTES)))
+        for name, algo in STREAM_ALGOS.items()
+    }
+    manifest["stream_cases"] = {
+        case: _case_entry(files, case, payload, stream_encoders, ".rst1")
+        for case, payload in stream_inputs().items()
+    }
+    manifest["digest_pins"] = {name: pin_entry(name) for name in DIGEST_PINS}
+    return files, manifest
+
+
+def _digests(node, path: str = ""):
+    """``(path, sha256)`` for every digest in a manifest."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _digests(value, f"{path}/{key}")
+    elif path.endswith("sha256"):
+        yield path, node
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden vector corpus.")
+    parser.add_argument(
+        "--format-change", action="store_true",
+        help="allow digests that are already pinned to change "
+             "(an intentional wire-format change)")
+    args = parser.parse_args(argv)
+
+    files, manifest = build()
+    path = VECTOR_DIR / "manifest.json"
+    pinned = dict(_digests(json.loads(path.read_text()))) if path.exists() else {}
+    fresh = dict(_digests(manifest))
+    drift = sorted(key for key, sha in pinned.items() if fresh.get(key) != sha)
+    if drift and not args.format_change:
+        for key in drift:
+            print(f"{key}: {pinned[key]} -> {fresh.get(key)}", file=sys.stderr)
+        print(f"{len(drift)} pinned digest(s) would change; nothing written "
+              "(pass --format-change if the change is intentional)", file=sys.stderr)
+        return 1
+    for name, blob in files.items():
+        (VECTOR_DIR / name).write_bytes(blob)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(files)} files + manifest to {VECTOR_DIR}"
+          + (f" ({len(drift)} pinned digest(s) changed)" if drift else ""))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,8 +10,8 @@ Two distinct guarantees, both per (case, codec):
   drift fails loudly instead of silently invalidating stored streams.
 
 After an intentional format change run
-``PYTHONPATH=src python tests/vectors/regenerate.py`` and commit the
-diff (see README.md here).
+``PYTHONPATH=src python tests/vectors/regenerate.py --format-change``
+and commit the diff (see README.md here).
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from repro.algorithms.lz4 import (
     lz4_compress,
     lz4_decompress,
 )
+from repro.algorithms.reference import twins
 from repro.algorithms.sz3 import SZ3Config, sz3_compress, sz3_decompress
 from repro.algorithms.zlib_format import zlib_compress, zlib_decompress
 from repro.algorithms.zstdlite import zstdlite_compress, zstdlite_decompress
+from tests.vectors import regenerate
 
 VECTOR_DIR = Path(__file__).resolve().parent
 MANIFEST = json.loads((VECTOR_DIR / "manifest.json").read_text())
@@ -142,3 +144,13 @@ class TestSZ3Vector:
         meta = MANIFEST["cases"]["field"]["artifacts"]["ac-sz3"]
         blob = _read("field.ac-sz3", ".bin")
         assert hashlib.sha256(blob).hexdigest() == meta["sha256"]
+
+
+def test_twin_pipeline_matches_golden():
+    """Every golden input and digest pin, encoded with every registry
+    site bound to its reference twin, reproduces the pinned bytes."""
+    with twins():
+        files, manifest = regenerate.build()
+    assert manifest == MANIFEST
+    assert [name for name, blob in files.items()
+            if blob != (VECTOR_DIR / name).read_bytes()] == []
