@@ -58,6 +58,7 @@ def test_parallel_vs_single_engine_job(benchmark):
     buffer-map lead-in and one CRC-drain tail; every interior map and
     drain overlaps engine execution."""
     device = make_device(Environment(), "bf2")
+    from repro.core.charges import job_plan
     from repro.dpu.specs import Algo, Direction
 
     one_job = device.cal.cengine_time(Algo.DEFLATE, Direction.COMPRESS, NOMINAL)
@@ -65,11 +66,9 @@ def test_parallel_vs_single_engine_job(benchmark):
     assert hybrid.sim_seconds > one_job
     overhead = device.cal.cengine_overhead[Direction.COMPRESS]
     chunk = NOMINAL / 8
-    pipeline_edges = (
-        device.memory.alloc_time(chunk)
-        + device.memory.dma_map_time(chunk)
-        + device.cal.checksum_time(chunk)
-    )
+    fill, _, drain = job_plan(device, Algo.DEFLATE, Direction.COMPRESS,
+                              chunk, chunk)
+    pipeline_edges = fill[2] + drain[2]
     assert hybrid.sim_seconds == pytest.approx(
         one_job + 7 * overhead + pipeline_edges, rel=0.05
     )

@@ -17,6 +17,10 @@ Everything that needs the rule reads this module: the simulator
 selector (:class:`~repro.select.CostModel`) and
 :mod:`~repro.core.autodesign` *sum* it (:func:`plan_seconds`) — so a
 prediction cannot drift from what the simulator charges.
+:func:`job_plan` is the same rule for one job of the pipelined work
+queue (map → exec → drain): :class:`~repro.sched.PipelineScheduler`
+runs it, the parallel compressor's chunk split and
+:meth:`~repro.select.PathSelector.job_costs` sum it.
 
 A stage is a plain tuple ``(phase, resource, seconds, detail,
 fallback)``:
@@ -32,7 +36,8 @@ fallback)``:
   per-op buffers ``(span label, bytes)``;
 * ``fallback`` — the plan that replaces *the rest of the op* once the
   stage is given up on: the SoC pipeline for an engine job past its
-  retry budget, the whole SoC-side op for a DOCA bring-up past its.
+  retry budget, the whole SoC-side op for a DOCA bring-up past its, the
+  SoC work-steal for a scheduler job.
 """
 
 from __future__ import annotations
@@ -58,9 +63,10 @@ if TYPE_CHECKING:
     from repro.sim import TimeBreakdown
 
 __all__ = [
-    "SOC", "ENGINE", "SETUP", "op_plan", "plan_seconds", "execute",
-    "PHASE_INIT", "PHASE_PREP", "PHASE_COMP", "PHASE_DECOMP", "PHASE_HEADER",
-    "PHASE_STAGE",
+    "SOC", "ENGINE", "SETUP", "op_plan", "job_plan", "steal_stage",
+    "plan_seconds", "execute", "PHASE_INIT", "PHASE_PREP", "PHASE_COMP",
+    "PHASE_DECOMP", "PHASE_HEADER", "PHASE_STAGE", "PHASE_MAP", "PHASE_EXEC",
+    "PHASE_DRAIN",
 ]
 
 # Phase names used in breakdowns (Fig. 7 / Fig. 9 legends).
@@ -70,6 +76,10 @@ PHASE_COMP = "compression"
 PHASE_DECOMP = "decompression"
 PHASE_HEADER = "header_trailer"
 PHASE_STAGE = "lossless_stage"
+# ... and the work queue's per-stage phases (repro.sched).
+PHASE_MAP = "sched_map"
+PHASE_EXEC = "sched_exec"
+PHASE_DRAIN = "sched_drain"
 
 SOC = "soc"
 ENGINE = "cengine"
@@ -156,6 +166,42 @@ def op_plan(
     ) + stages
 
 
+def job_plan(
+    device: "BlueFieldDPU",
+    algo: Algo,
+    direction: Direction,
+    engine_bytes: float,
+    soc_bytes: float,
+) -> tuple:
+    """The stages one pipelined work-queue job charges on ``device``.
+
+    ``engine_bytes`` is what the C-Engine ingests (compressed bytes on
+    decompress), ``soc_bytes`` the uncompressed size an SoC core bills.
+    The job maps its buffer, runs on the engine — falling back to the
+    SoC work-steal — and CRC-verifies its output on an SoC core.  Where
+    the engine lacks (``algo``, ``direction``) the plan is the steal
+    alone.
+    """
+    cal = device.cal
+    steal = (PHASE_EXEC, SOC, cal.soc_time(algo, direction, soc_bytes),
+             None, None)
+    if not device.cengine.supports(algo, direction):
+        return (steal,)
+    memory = device.memory
+    job = (algo, direction, engine_bytes)
+    return (
+        (PHASE_MAP, SETUP, memory.alloc_time(engine_bytes)
+         + memory.dma_map_time(engine_bytes), None, None),
+        (PHASE_EXEC, ENGINE, cal.cengine_time(*job), job, (steal,)),
+        (PHASE_DRAIN, SOC, cal.checksum_time(soc_bytes), None, None),
+    )
+
+
+def steal_stage(plan: tuple) -> tuple:
+    """The SoC work-steal stage of a :func:`job_plan`."""
+    return plan[0] if len(plan) == 1 else plan[1][4][0]
+
+
 def plan_seconds(plan: tuple) -> float:
     """Fault-free, uncontended sim-clock latency of ``plan``."""
     total = 0.0
@@ -195,9 +241,11 @@ def execute(
                         buf = yield from pool.acquire()
                         if pool.stats.misses != misses:
                             breakdown.add(PHASE_PREP, buf.map_seconds)
+                    # A corrupted output is re-verified at the job
+                    # plan's drain rate (a CRC over the job's bytes).
                     payload = yield from engine_job_with_retry(
                         device, *detail, retry, breakdown, phase,
-                        payload=payload,
+                        device.cal.checksum_time(detail[2]), payload=payload,
                     )
                 elif fallback is None:
                     what, nbytes = detail

@@ -36,11 +36,13 @@ Container format (little-endian)::
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Generator
 
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
+from repro.core.charges import job_plan, steal_stage
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
 from repro.errors import CorruptStreamError
@@ -104,19 +106,50 @@ def _split_even(data: "bytes | memoryview", parts: int) -> list[memoryview]:
     return out
 
 
+def _engine_chunks(
+    device: BlueFieldDPU,
+    plan: tuple,
+    n_chunks: int,
+    engine_bytes: "list[float] | None",
+) -> int:
+    """Number of chunks the C-Engine lane should take (0..n_chunks).
+
+    ``plan`` is one even chunk's :func:`~repro.core.charges.job_plan`;
+    the engine serves at most one chunk stream (it is a single-server
+    queue, so more streams would just queue), none where it lacks the
+    direction.  The split is the argmin over ``k`` of the steady-state
+    makespan ``max(lane(k), ceil((n - k) / cores) * t_steal)`` — exec
+    dominates the pipelined lane once map and drain overlap: ``lane(k)``
+    is ``k * t_exec`` for an even split, or the running sum of the first
+    ``k`` exec stages when ``engine_bytes`` carries the decompress
+    direction's unequal compressed chunk sizes.  (BENCH_PR3.json gates
+    the splits bit-for-bit, so the two sums stay exactly these.)
+    """
+    if len(plan) == 1:
+        return 0
+    _, exec_stage, _ = plan
+    algo, direction, chunk_bytes = exec_stage[3]
+    if engine_bytes is None:
+        lane = [k * exec_stage[2] for k in range(n_chunks + 1)]
+    else:
+        lane = [0.0]
+        for size in engine_bytes:
+            lane.append(lane[-1] + job_plan(
+                device, algo, direction, size, chunk_bytes)[1][2])
+    t_soc = steal_stage(plan)[2]
+    cores = device.soc.cores.capacity
+    return min(
+        range(n_chunks + 1),
+        key=lambda k: max(lane[k], math.ceil((n_chunks - k) / cores) * t_soc),
+    )
+
+
 class ParallelCompressor:
     """Chunk-parallel DEFLATE over one device's SoC pool (+ C-Engine)."""
 
     def __init__(self, device: BlueFieldDPU, config: ParallelConfig | None = None) -> None:
         self.device = device
         self.config = config or ParallelConfig()
-
-    def _plan_engine_chunks(self, direction: Direction) -> int:
-        """How many chunk streams the engine serves (0 or 1 stream —
-        it is a single-server queue, so more streams would just queue)."""
-        if not self.config.use_cengine:
-            return 0
-        return 1 if self.device.cengine.supports(Algo.DEFLATE, direction) else 0
 
     def compress(self, data: bytes, sim_bytes: float | None = None) -> Generator:
         """Compress ``data`` chunk-parallel; returns :class:`ParallelResult`."""
@@ -214,40 +247,28 @@ class ParallelCompressor:
         queue (:class:`~repro.sched.PipelineScheduler`) that overlaps
         buffer mapping, C-Engine execution, and result drain across
         consecutive chunks; the remaining chunks fan out over SoC
-        cores.  The chunk split is the argmin of the steady-state
-        makespan ``max(k * t_engine, ceil((n-k)/cores) * t_soc)`` over
-        k (per-chunk exec dominates the pipelined lane once map/drain
-        overlap) — with the engine orders of magnitude faster it
-        usually takes every chunk, which is itself an instructive
-        outcome.  Chunks the engine gives up on mid-stream (fault
-        injection past the retry budget) are work-stolen by the SoC
-        inside the scheduler; the returned engine/SoC counts reflect
-        where each chunk actually executed.
+        cores.  The chunk split (:func:`_engine_chunks`) minimises the
+        steady-state makespan — with the engine orders of magnitude
+        faster it usually takes every chunk, which is itself an
+        instructive outcome.  Chunks the engine gives up on mid-stream
+        (fault injection past the retry budget) are work-stolen by the
+        SoC inside the scheduler; the returned engine/SoC counts
+        reflect where each chunk actually executed.
         """
         from repro.sched import EngineJob, PipelineScheduler, SchedConfig
-        from repro.select.planning import plan_engine_chunks
 
         device = self.device
         env = device.env
         chunk_bytes = sim_total / n_chunks
-        engine_streams = self._plan_engine_chunks(direction)
-
-        soc_rate = device.cal.soc_throughput[(Algo.DEFLATE, direction)]
-        if engine_streams:
-            # Shared cost-model planner (repro.select): argmin of the
-            # steady-state makespan over the engine-lane chunk count,
-            # arithmetic identical to the historical inline split
-            # (BENCH_PR3.json is gated bit-for-bit on it).
-            n_engine = plan_engine_chunks(
-                device.cal, direction, n_chunks, chunk_bytes,
-                device.soc.cores.capacity, engine_bytes=engine_bytes,
-            )
-        else:
-            n_engine = 0
+        plan = job_plan(device, Algo.DEFLATE, direction, chunk_bytes,
+                        chunk_bytes)
+        n_engine = (_engine_chunks(device, plan, n_chunks, engine_bytes)
+                    if self.config.use_cengine else 0)
         n_soc = n_chunks - n_engine
+        t_soc = steal_stage(plan)[2]
 
         def soc_chunk(env):
-            yield from device.soc.run(chunk_bytes / soc_rate)
+            yield from device.soc.run(t_soc)
 
         t0 = env.now
         procs = []

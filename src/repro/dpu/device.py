@@ -27,7 +27,7 @@ class BlueFieldDPU:
         self.env = env
         self.spec = spec
         self.cal: Calibration = calibration_for(spec)
-        self.soc = Soc(env, spec.soc, self.cal)
+        self.soc = Soc(env, spec.soc)
         self.cengine = CEngine(env, spec, self.cal)
         self.cengine.owner = self  # job spans share the device's trace track
         self.memory = MemoryModel(spec.memory, self.cal.buffer_fixed_time)

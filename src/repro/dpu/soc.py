@@ -4,15 +4,15 @@ Codec work occupies one core for ``bytes / throughput`` seconds (the
 codecs the paper runs are single-threaded per message).  The core pool
 is a simulated :class:`~repro.sim.resources.Resource`, so concurrent
 messages contend for cores exactly as they would on the 8-core A72 /
-16-core A78 SoCs.
+16-core A78 SoCs.  What a piece of work costs is the charge plan's
+business (:mod:`repro.core.charges`); a core only runs it.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.dpu.calibration import Calibration
-from repro.dpu.specs import Algo, Direction, SocSpec
+from repro.dpu.specs import SocSpec
 from repro.sim import Environment, Resource
 
 __all__ = ["Soc"]
@@ -21,20 +21,11 @@ __all__ = ["Soc"]
 class Soc:
     """The DPU's ARM SoC."""
 
-    def __init__(self, env: Environment, spec: SocSpec, cal: Calibration) -> None:
+    def __init__(self, env: Environment, spec: SocSpec) -> None:
         self.env = env
         self.spec = spec
-        self.cal = cal
         self.cores = Resource(env, capacity=spec.n_cores)
         self.busy_seconds = 0.0  # accumulated core-occupancy, for stats
-
-    def codec_time(self, algo: Algo, direction: Direction, nbytes: int) -> float:
-        """Pure execution time of a codec op on one core."""
-        return self.cal.soc_time(algo, direction, nbytes)
-
-    def checksum_time(self, nbytes: int) -> float:
-        """Checksum/header stream work (adler32, zlib/PEDAL headers)."""
-        return self.cal.checksum_time(nbytes)
 
     def run(self, seconds: float) -> Generator:
         """Occupy one core for ``seconds`` of simulated time."""
@@ -45,11 +36,3 @@ class Soc:
             self.busy_seconds += seconds
         finally:
             self.cores.release(req)
-
-    def run_codec(
-        self, algo: Algo, direction: Direction, nbytes: int
-    ) -> Generator:
-        """Occupy one core for a codec op; returns the op duration."""
-        seconds = self.codec_time(algo, direction, nbytes)
-        yield from self.run(seconds)
-        return seconds

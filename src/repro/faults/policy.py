@@ -87,6 +87,7 @@ def engine_job_with_retry(
     policy: RetryPolicy,
     breakdown: "TimeBreakdown",
     phase: str,
+    verify_seconds: float,
     payload: "bytes | None" = None,
 ) -> Generator:
     """Run one C-Engine job under ``policy``; returns the (possibly
@@ -94,9 +95,10 @@ def engine_job_with_retry(
 
     Engine execution time — including time burned by failed attempts —
     is charged to ``phase``; backoff waits and corruption verification
-    go to :data:`PHASE_RETRY`.  When ``payload`` is given, the active
-    fault plan may corrupt it; the corruption is detected by CRC-32
-    comparison against the engine's job completion record (the
+    (``verify_seconds`` on an SoC core, priced by the caller's charge
+    plan) go to :data:`PHASE_RETRY`.  When ``payload`` is given, the
+    active fault plan may corrupt it; the corruption is detected by
+    CRC-32 comparison against the engine's job completion record (the
     "existing checksum layer" of the wire formats stands in for the
     DOCA output CRC here) and treated as one more transient failure.
     Raises :class:`EngineFallback` once ``policy.max_attempts`` engine
@@ -131,11 +133,10 @@ def engine_job_with_retry(
             return payload
         # The engine DMA'd a damaged buffer: verify against the job's
         # completion checksum on SoC cores, then resubmit.
-        verify = device.soc.checksum_time(sim_bytes)
         with device_span("fault.verify", device, device=device.name,
                          algo=algo.value, direction=direction.value):
-            yield from device.soc.run(verify)
-        breakdown.add(PHASE_RETRY, verify)
+            yield from device.soc.run(verify_seconds)
+        breakdown.add(PHASE_RETRY, verify_seconds)
         if crc32(damaged) == crc32(payload):  # pragma: no cover - collision
             return damaged
         failed += 1

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from repro.core.charges import op_plan
 from repro.core.designs import CompressionDesign, Placement
 from repro.dpu.specs import Direction
 from repro.errors import StreamError
@@ -103,11 +104,10 @@ class _ChunkEngine:
         slot = self._slots.request()
         yield slot
         try:
-            soc = self.device.soc
-            seconds = soc.codec_time(
-                self.design.algo, direction, raw_sim_bytes
-            )
-            yield from soc.run(seconds)
+            ((_, _, seconds, _, _),) = op_plan(
+                self.device, self.design.algo, Placement.SOC, direction,
+                raw_sim_bytes)
+            yield from self.device.soc.run(seconds)
         finally:
             self._slots.release(slot)
 

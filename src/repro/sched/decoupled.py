@@ -38,6 +38,8 @@ from repro.algorithms.ac import (
     ac_compress,
     ac_compress_pipelined,
 )
+from repro.core.charges import op_plan
+from repro.core.designs import Placement
 from repro.dpu.calibration import AC_MODEL_FRACTION
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
@@ -94,8 +96,10 @@ class DecoupledCodecPipeline:
     # -- stage timing ------------------------------------------------------
 
     def stage_seconds(self, sim_bytes: float) -> "tuple[float, float, int]":
-        """(model_total, coder_total, n_chunks) for a message."""
-        total = self.soc.codec_time(Algo.AC, Direction.COMPRESS, sim_bytes)
+        """(model_total, coder_total, n_chunks) for a message: the
+        SoC ``ac`` plan's one stage, split between the two stages."""
+        ((_, _, total, _, _),) = op_plan(
+            self.device, Algo.AC, Placement.SOC, Direction.COMPRESS, sim_bytes)
         model = total * self.config.model_fraction
         n_chunks = max(1, math.ceil(sim_bytes / self.config.ac.chunk_bytes))
         return model, total - model, n_chunks

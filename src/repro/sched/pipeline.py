@@ -33,13 +33,18 @@ on scheduling: payloads flow through untouched (corrupted engine output
 is detected at drain and re-executed), so pipelined runs are
 byte-identical to serial (``depth=1``) runs — only the sim clock
 improves.
+
+What each stage costs is the job's charge plan
+(:func:`repro.core.charges.job_plan`); this module only decides when
+and on which resource the plan's stages run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Iterable, Sequence
+from typing import TYPE_CHECKING, Generator, Iterable
 
+from repro.core.charges import PHASE_EXEC, job_plan, steal_stage
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaCapabilityError, DocaTransientError
 from repro.faults.plan import get_fault_plan
@@ -62,11 +67,6 @@ __all__ = [
     "PipelineScheduler",
 ]
 
-# Breakdown phase names (per stage, mirrored onto the stage spans).
-PHASE_MAP = "sched_map"
-PHASE_EXEC = "sched_exec"
-PHASE_DRAIN = "sched_drain"
-
 
 @dataclass(frozen=True)
 class SchedConfig:
@@ -74,7 +74,6 @@ class SchedConfig:
 
     depth: int = 2                 # queue slots: max jobs in flight
     ring_buffers: int | None = None  # mapped-buffer ring; default depth + 1
-    drain_verify: bool = True      # CRC-verify outputs on an SoC core
     soc_fallback: bool = True      # work-steal exhausted jobs to the SoC
     # Steal jobs the repro.select cost model prices cheaper on an SoC
     # core than on the engine (tiny jobs dominated by the fixed job
@@ -277,22 +276,26 @@ class PipelineScheduler:
         metrics = self._metrics()
         if metrics.recording:
             metrics.inc("sched.jobs")
+        plan = job_plan(self.device, job.algo, job.direction,
+                        job.sim_bytes, job.soc_bytes)
+        steal = steal_stage(plan)
 
-        if not self.device.cengine.supports(job.algo, job.direction):
-            # Capability-matrix reject: the SoC steals the job outright.
-            yield from self._soc_lane(index, job, breakdown, attempts=0,
-                                      reason="capability")
-            return self._finish(index, job, "soc", 0, submitted_at, breakdown)
-
-        if self.config.cost_aware_steal and self.selector.job_engine(
+        if len(plan) == 1:
+            # Capability-matrix reject: the plan is the SoC steal alone.
+            reason = "capability"
+        elif self.config.cost_aware_steal and self.selector.job_engine(
             job.algo, job.direction, job.sim_bytes, job.soc_bytes
         ) == "soc":
             # The calibrated cost model prices this job cheaper on an
             # SoC core (the fixed engine-job overhead dominates tiny
             # jobs) — steal it up front rather than occupy the queue.
-            yield from self._soc_lane(index, job, breakdown, attempts=0,
-                                      reason="cost_model")
+            reason = "cost_model"
+        else:
+            reason = None
+        if reason is not None:
+            yield from self._soc_lane(index, job, steal, breakdown, reason)
             return self._finish(index, job, "soc", 0, submitted_at, breakdown)
+        map_stage, exec_stage, drain_stage = plan
 
         policy = self.config.retry
         attempts = 0
@@ -304,17 +307,17 @@ class PipelineScheduler:
             buf = None
             failure: DocaTransientError | str | None = None
             try:
-                buf = yield from self._map_stage(index, job, breakdown)
+                buf = yield from self._map_stage(index, job, map_stage,
+                                                 breakdown)
                 try:
                     with device_span(
                         "sched.exec", self.device,
                         job=index, attempt=attempts,
                         algo=job.algo.value, direction=job.direction.value,
                         bytes=job.sim_bytes,
-                    ) as span:
+                    ):
                         seconds = yield from self.device.cengine.submit(
-                            job.algo, job.direction, job.sim_bytes
-                        )
+                            *exec_stage[3])
                     breakdown.add(PHASE_EXEC, seconds)
                 except DocaTransientError as exc:
                     # Time the engine burned before failing still counts
@@ -323,7 +326,8 @@ class PipelineScheduler:
                         breakdown.add(PHASE_EXEC, exc.sim_seconds)
                     failure = exc
                 else:
-                    clean = yield from self._drain_stage(index, job, breakdown)
+                    clean = yield from self._drain_stage(index, job,
+                                                         drain_stage, breakdown)
                     if not clean:
                         failure = "output corruption detected at drain"
             finally:
@@ -348,8 +352,8 @@ class PipelineScheduler:
                     if isinstance(failure, DocaTransientError):
                         raise failure
                     raise DocaTransientError(failure)
-                yield from self._soc_lane(index, job, breakdown,
-                                          attempts=attempts, reason="retry_budget")
+                yield from self._soc_lane(index, job, steal, breakdown,
+                                          reason="retry_budget")
                 return self._finish(
                     index, job, "soc", attempts, submitted_at, breakdown
                 )
@@ -359,7 +363,7 @@ class PipelineScheduler:
 
     # -- stages -----------------------------------------------------------
 
-    def _map_stage(self, index: int, job: EngineJob,
+    def _map_stage(self, index: int, job: EngineJob, stage: tuple,
                    breakdown: TimeBreakdown) -> Generator:
         """Acquire a DMA-mapped buffer big enough for the job."""
         device = self.device
@@ -374,27 +378,19 @@ class PipelineScheduler:
                 # Cold ring slot: pay the full allocation + registration
                 # cost (the naive per-op "buffer preparation" of Fig. 7).
                 self._ring_mapped += 1
-                seconds = (
-                    device.memory.alloc_time(job.sim_bytes)
-                    + device.memory.dma_map_time(job.sim_bytes)
-                )
-                yield device.env.timeout(seconds)
+                yield device.env.timeout(stage[2])
                 buf = _RingBuffer(job.sim_bytes)
                 span.set_attr("source", "ring_map")
             else:
                 buf = yield self._ring.get()
                 if buf.capacity < job.sim_bytes:
                     # Undersized slot: re-register at the larger size.
-                    seconds = (
-                        device.memory.alloc_time(job.sim_bytes)
-                        + device.memory.dma_map_time(job.sim_bytes)
-                    )
-                    yield device.env.timeout(seconds)
+                    yield device.env.timeout(stage[2])
                     buf.capacity = job.sim_bytes
                     span.set_attr("source", "ring_grow")
                 else:
                     span.set_attr("source", "ring_reuse")
-        breakdown.add(PHASE_MAP, device.env.now - t0)
+        breakdown.add(stage[0], device.env.now - t0)
         return buf
 
     def _release_buffer(self, buf) -> None:
@@ -403,20 +399,18 @@ class PipelineScheduler:
         else:
             self._ring.put(buf)
 
-    def _drain_stage(self, index: int, job: EngineJob,
+    def _drain_stage(self, index: int, job: EngineJob, stage: tuple,
                      breakdown: TimeBreakdown) -> Generator:
-        """Completion handling; returns False when the output failed CRC."""
-        if not self.config.drain_verify:
-            return True
+        """Completion handling: the plan bills the CRC over the job's
+        *output* bytes (``soc_bytes``, the uncompressed side on
+        decompress); returns False when the output failed it."""
         device = self.device
-        # CRC runs over the job's *output* bytes: the uncompressed side
-        # for decompress jobs (soc_bytes), sim_bytes otherwise.
-        verify = device.soc.checksum_time(job.soc_bytes)
+        phase, _, seconds, _, _ = stage
         with device_span(
             "sched.drain", device, job=index, bytes=job.sim_bytes,
         ) as span:
-            yield from device.soc.run(verify)
-            breakdown.add(PHASE_DRAIN, verify)
+            yield from device.soc.run(seconds)
+            breakdown.add(phase, seconds)
             if job.payload is None:
                 return True
             plan = get_fault_plan()
@@ -434,17 +428,17 @@ class PipelineScheduler:
                 metrics.inc("faults.corruptions_detected")
         return False
 
-    def _soc_lane(self, index: int, job: EngineJob, breakdown: TimeBreakdown,
-                  attempts: int, reason: str) -> Generator:
-        """Work-steal: run the job on an SoC core instead."""
+    def _soc_lane(self, index: int, job: EngineJob, stage: tuple,
+                  breakdown: TimeBreakdown, reason: str) -> Generator:
+        """Work-steal: run the job's SoC ``stage`` on a core instead
+        (billed against the uncompressed ``soc_bytes``, the convention
+        the SoC throughputs are calibrated in)."""
         device = self.device
         metrics = self._metrics()
         if metrics.recording:
             metrics.inc("sched.soc_steals")
         self.jobs_stolen += 1
-        # SoC codec throughputs are calibrated against uncompressed
-        # bytes in both directions — bill the stolen job accordingly.
-        seconds = device.soc.codec_time(job.algo, job.direction, job.soc_bytes)
+        phase, _, seconds, _, _ = stage
         with device_span(
             "sched.exec", self.device,
             job=index, engine="soc", steal_reason=reason,
@@ -452,7 +446,7 @@ class PipelineScheduler:
             bytes=job.sim_bytes,
         ):
             yield from device.soc.run(seconds)
-        breakdown.add(PHASE_EXEC, seconds)
+        breakdown.add(phase, seconds)
 
     # -- bookkeeping ------------------------------------------------------
 

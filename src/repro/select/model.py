@@ -1,13 +1,10 @@
 """Per-path latency prediction for one PEDAL operation.
 
-:class:`CostModel` mirrors, in closed form, exactly what
-:class:`~repro.core.api.PedalContext` charges the simulated hardware
-for each (algorithm, direction, path) — the calibrated SoC/C-Engine
-throughputs and job overheads of :mod:`repro.dpu.calibration`, the zlib
-checksum/header stream work, SZ3's hybrid entropy + lossless-stage
-split, and (when the DOCA session/buffer amortization of ``PEDAL_init``
-is *not* in effect) the naive per-op DOCA init + buffer-registration
-costs of :class:`~repro.core.baseline.NaiveCompressor`.
+:class:`CostModel` sums the charge plan (:func:`repro.core.charges.
+op_plan`) that :class:`~repro.core.api.PedalContext` — or, un-hoisted,
+:class:`~repro.core.baseline.NaiveCompressor` — executes for each
+(algorithm, direction, path), so it predicts exactly what the
+simulated hardware is charged.
 
 Every path cost is affine in the payload size, ``t(n) = a + b*n``
 (the paper's linear cost model, §V), which is what makes the
@@ -107,23 +104,3 @@ class CostModel:
             )
             for path in self.capable_paths(algo, direction)
         }
-
-    # ------------------------------------------------------------------
-    # Scheduler-level job costs (repro.sched / repro.serve conventions)
-    # ------------------------------------------------------------------
-
-    def engine_job_seconds(
-        self, algo: Algo, direction: Direction, engine_bytes: float
-    ) -> float:
-        """Exec time of one :class:`~repro.sched.EngineJob` on the
-        C-Engine (``engine_bytes`` follows the job convention:
-        uncompressed on compress, compressed on decompress): the
-        job's algorithm on the C-Engine path, set-up hoisted."""
-        return self.path_seconds(algo, direction, engine_bytes, PATH_CENGINE)
-
-    def soc_job_seconds(
-        self, algo: Algo, direction: Direction, soc_bytes: float
-    ) -> float:
-        """Exec time of the same job work-stolen by an SoC core
-        (billed against the uncompressed ``soc_bytes``)."""
-        return self.path_seconds(algo, direction, soc_bytes, PATH_SOC)

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
+from repro.core.charges import job_plan, steal_stage
 from repro.core.designs import Placement
 from repro.dpu.specs import Algo, Direction
 from repro.select.model import (
@@ -231,18 +232,20 @@ class PathSelector:
 
         Follows the :class:`~repro.sched.EngineJob` size conventions
         (``engine_bytes`` is what the C-Engine ingests, ``soc_bytes``
-        the uncompressed size an SoC core bills).  Pipeline stage costs
-        outside exec (ring-amortized buffer mapping, the drain CRC at
-        the ~10 GB/s SoC checksum rate) are second-order and excluded.
+        the uncompressed size an SoC core bills).  The costs are the
+        job plan's exec stage and its SoC work-steal fallback; the
+        stages outside exec (ring-amortized buffer mapping, the drain
+        CRC at the ~10 GB/s SoC checksum rate) are second-order and
+        excluded.
         """
+        plan = job_plan(self.device, algo, direction, engine_bytes, soc_bytes)
         costs = {
             PATH_SOC: self.correction(PATH_SOC, algo, direction)
-            * self.model.soc_job_seconds(algo, direction, soc_bytes)
+            * steal_stage(plan)[2]
         }
-        if self.device.cengine.supports(algo, direction):
+        if len(plan) > 1:
             costs[PATH_CENGINE] = self.correction(
-                PATH_CENGINE, algo, direction
-            ) * self.model.engine_job_seconds(algo, direction, engine_bytes)
+                PATH_CENGINE, algo, direction) * plan[1][2]
         return costs
 
     def job_engine(

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms.ac import ac_compress, ac_compress_pipelined, ac_decompress
+from repro.core.charges import op_plan
+from repro.core.designs import Placement
 from repro.dpu.calibration import AC_MODEL_FRACTION
 from repro.dpu.device import make_device
 from repro.dpu.specs import Algo, Direction
@@ -112,7 +114,9 @@ def test_stage_seconds_sum_to_calibrated_codec_time():
     device = make_device(env, "bf2")
     pipe = DecoupledCodecPipeline(device)
     model_s, coder_s, n_chunks = pipe.stage_seconds(1e6)
-    total = device.soc.codec_time(Algo.AC, Direction.COMPRESS, 1e6)
+    ((_, _, total, _, _),) = op_plan(
+        device, Algo.AC, Placement.SOC, Direction.COMPRESS, 1e6)
+    assert total == pytest.approx(1e6 / 12e6)   # the 12 MB/s BF-2 anchor
     assert model_s + coder_s == pytest.approx(total)
     assert model_s == pytest.approx(total * AC_MODEL_FRACTION)
     assert n_chunks == int(np.ceil(1e6 / pipe.config.ac.chunk_bytes))

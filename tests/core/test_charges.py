@@ -4,8 +4,10 @@
 written down; PEDAL and the naive baseline execute it, ``CostModel``
 and ``autodesign`` sum it.  The grid below drives every (device, algo,
 placement, direction, hoisted, size) through the real op and compares
-the charged breakdown with the plan's sum; a handful of anchors then
-pin the plan itself to the calibration constants by hand.
+the charged breakdown with the plan's sum; a second grid does the same
+for one work-queue job (``job_plan``) against ``PipelineScheduler`` and
+``PathSelector.job_costs``; a handful of anchors then pin both plans to
+the calibration constants by hand.
 """
 
 from __future__ import annotations
@@ -20,13 +22,26 @@ import repro
 from repro.core.api import PedalConfig, PedalContext
 from repro.core.autodesign import predict_pipeline_time
 from repro.core.baseline import NaiveCompressor
-from repro.core.charges import ENGINE, SETUP, SOC, op_plan, plan_seconds
+from repro.core.charges import (
+    ENGINE,
+    PHASE_DRAIN,
+    PHASE_EXEC,
+    PHASE_MAP,
+    SETUP,
+    SOC,
+    job_plan,
+    op_plan,
+    plan_seconds,
+    steal_stage,
+)
 from repro.core.codecs import CodecConfig, real_compress, real_decompress
 from repro.core.designs import CompressionDesign, Placement
 from repro.core.header import HEADER_SIZE
 from repro.dpu.device import make_device
 from repro.dpu.specs import Algo, Direction
-from repro.select import CostModel
+from repro.faults import FaultPlan, injecting
+from repro.sched import EngineJob, PipelineScheduler, SchedConfig
+from repro.select import PATH_CENGINE, PATH_SOC, CostModel, PathSelector
 from repro.sim import Environment
 from tests.conftest import drive
 
@@ -195,6 +210,21 @@ class TestPlanAgainstCalibration:
                                 memory.alloc_time(nbytes),
                                 ("per_op_alloc", nbytes), None)
 
+    def test_bf2_deflate_job_is_overhead_plus_bytes_over_2908(self, bf2, bf3):
+        fill, job, drain = job_plan(bf2, Algo.DEFLATE, C, self.N, self.N)
+        memory = bf2.memory
+        assert fill[:3] == ("sched_map", SETUP, memory.alloc_time(self.N)
+                            + memory.dma_map_time(self.N))
+        assert job[:4] == ("sched_exec", ENGINE, 0.25e-3 + self.N / 2908e6,
+                           (Algo.DEFLATE, C, self.N))
+        # Past the retry budget the SoC steals it at the A1 25 MB/s.
+        assert job[4] == (("sched_exec", SOC, self.N / 25e6, None, None),)
+        assert drain == ("sched_drain", SOC, self.N / 10e9, None, None)
+        # BF-3 has no compression engine: the plan is the steal alone.
+        scale = bf3.spec.soc.perf_scale
+        assert job_plan(bf3, Algo.DEFLATE, C, self.N, self.N) == (
+            ("sched_exec", SOC, self.N / (25e6 * scale), None, None),)
+
     def test_fig7_setup_share_of_a_naive_engine_op_pair(self, bf2):
         pair = [op_plan(bf2, Algo.DEFLATE, Placement.CENGINE, d, self.N,
                         hoisted=False) for d in (C, D)]
@@ -222,16 +252,102 @@ class TestExecutor:
         assert ctx.pool.outstanding_buffers == 0
 
 
+JOB_SIZES = ((64.0, 64.0), (5.1e6, 5.1e6), (1.2e6, 5.1e6))
+JOB_MODES = ("cold_ring", "mempool", "cost_aware_steal", "retry_exhausted")
+
+JOB_GRID = [
+    pytest.param(kind, algo, direction, engine_bytes, soc_bytes, mode,
+                 id=f"{kind}-{algo.value}-{direction.value}"
+                    f"-{engine_bytes:g}-{soc_bytes:g}-{mode}")
+    for kind in ("bf2", "bf3")
+    for algo in (Algo.DEFLATE, Algo.LZ4, Algo.AC, Algo.ZLIB)
+    for direction in (C, D)
+    for engine_bytes, soc_bytes in JOB_SIZES
+    for mode in JOB_MODES
+]
+
+
+def _run_job(kind, algo, direction, engine_bytes, soc_bytes, mode):
+    """One job through a fresh scheduler; returns (device, outcome)."""
+    env = Environment()
+    device = make_device(env, kind)
+    pool = None
+    if mode == "mempool":
+        ctx = PedalContext(device)
+        drive(env, ctx.init())
+        pool = ctx.pool
+    config = SchedConfig(cost_aware_steal=mode == "cost_aware_steal")
+    scheduler = PipelineScheduler(device, config, pool=pool)
+    job = EngineJob(algo, direction, engine_bytes, soc_sim_bytes=soc_bytes)
+    # Failed attempts burn no engine time, so exec is the steal alone.
+    faults = FaultPlan(seed=1, engine_fail=1.0 if mode == "retry_exhausted"
+                       else 0.0, fail_latency_fraction=0.0)
+    with injecting(faults):
+        (outcome,) = drive(env, scheduler.submit_many([job]))
+    return device, outcome
+
+
+@pytest.mark.parametrize(
+    "kind,algo,direction,engine_bytes,soc_bytes,mode", JOB_GRID)
+def test_job_executed_equals_plan(kind, algo, direction, engine_bytes,
+                                  soc_bytes, mode):
+    device, outcome = _run_job(kind, algo, direction, engine_bytes,
+                               soc_bytes, mode)
+    plan = job_plan(device, algo, direction, engine_bytes, soc_bytes)
+    steal = steal_stage(plan)
+    costs = PathSelector(device).job_costs(
+        algo, direction, engine_bytes, soc_bytes)
+    # What the selector predicts: the exec stage and its fallback.
+    if len(plan) == 1:
+        assert costs == {PATH_SOC: steal[2]}
+        ran = plan
+    else:
+        fill, job, drain = plan
+        assert job[4] == (steal,)
+        assert costs == {PATH_SOC: steal[2], PATH_CENGINE: job[2]}
+        if mode == "cost_aware_steal" and steal[2] < job[2]:
+            ran = (steal,)
+        elif mode == "retry_exhausted":
+            ran = (fill, steal)
+        else:
+            ran = plan
+    # What the scheduler charged: each stage it ran, once.  A pooled
+    # buffer is already mapped, so only a cold ring slot pays the map.
+    expected = dict.fromkeys((PHASE_MAP, PHASE_EXEC, PHASE_DRAIN), 0.0)
+    for phase, resource, seconds, _, _ in ran:
+        if resource is not SETUP or mode != "mempool":
+            expected[phase] += seconds
+    for phase, seconds in expected.items():
+        assert outcome.breakdown.get(phase) == pytest.approx(seconds,
+                                                             rel=1e-12)
+    (last,) = [s for s in ran if s[0] == PHASE_EXEC]
+    assert outcome.engine == {ENGINE: "cengine", SOC: "soc"}[last[1]]
+
+
 def test_charge_functions_are_called_from_the_plan_only():
-    """Source guard: PEDAL-op accounting has one spelling.  If one of
-    the calibration charge functions reappears in a module that should
-    only execute or sum the plan, a second copy has been started."""
+    """Source guard: op and job accounting have one spelling.  If one
+    of the calibration charge functions reappears in a module that
+    should only execute or sum a plan, a second copy has been started.
+    Only the device models themselves (dpu/, the DOCA buffer mapping)
+    and the host model are allowed to name them."""
     src = Path(repro.__file__).parent
     banned = re.compile(
         r"soc_time|codec_time|cengine_time|checksum_time"
+        r"|alloc_time|dma_map_time|soc_throughput"
         r"|sz3_lossless_fraction|doca_buffer_prep_time")
-    for rel in ("core/api.py", "core/baseline.py", "core/autodesign.py",
-                "select/model.py"):
-        hits = banned.findall((src / rel).read_text())
+    allowed = ("core/charges.py", "doca/buffers.py", "dpu/", "host/")
+    checked = set()
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        if rel.startswith(allowed):
+            continue
+        checked.add(rel)
+        hits = banned.findall(path.read_text())
         assert not hits, f"{rel} charges on its own: {sorted(set(hits))}"
+    assert {"core/api.py", "core/baseline.py", "core/autodesign.py",
+            "core/parallel.py", "select/model.py", "select/selector.py",
+            "sched/pipeline.py", "sched/decoupled.py", "mpi/streaming.py",
+            "faults/policy.py"} <= checked
     assert banned.search((src / "core/charges.py").read_text())
+    # The chunk splitter sums the job plan beside its one caller.
+    assert not (src / "select/planning.py").exists()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.charges import job_plan, op_plan
+from repro.core.designs import Placement
 from repro.dpu import make_device
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaCapabilityError
@@ -22,10 +24,11 @@ class TestMakeDevice:
 
 class TestSoc:
     def test_run_codec_charges_time(self, env, bf2, run_sim):
-        seconds = run_sim(
-            env, bf2.soc.run_codec(Algo.DEFLATE, Direction.COMPRESS, int(25e6))
-        )
+        # 25 MB of SoC DEFLATE compression is one second on one core.
+        ((_, _, seconds, _, _),) = op_plan(
+            bf2, Algo.DEFLATE, Placement.SOC, Direction.COMPRESS, 25e6)
         assert seconds == pytest.approx(1.0)
+        run_sim(env, bf2.soc.run(seconds))
         assert env.now == pytest.approx(1.0)
         assert bf2.soc.busy_seconds == pytest.approx(1.0)
 
@@ -44,7 +47,9 @@ class TestSoc:
         assert finished == [1.0] * n + [2.0]
 
     def test_checksum_time(self, bf2):
-        assert bf2.soc.checksum_time(10e9) == pytest.approx(1.0)
+        # A job's drain CRC runs at the 10 GB/s SoC checksum rate.
+        drain = job_plan(bf2, Algo.DEFLATE, Direction.COMPRESS, 1.0, 10e9)[2]
+        assert drain[2] == pytest.approx(1.0)
 
 
 class TestCEngine:

@@ -330,7 +330,7 @@ class TestPolicyDriver:
             with pytest.raises(EngineFallback) as excinfo:
                 drive(env, engine_job_with_retry(
                     dev, Algo.DEFLATE, Direction.COMPRESS, 4096,
-                    policy, breakdown, "phase"))
+                    policy, breakdown, "phase", 4096 / 10e9))
         assert excinfo.value.attempts == 4
         assert counters(metrics)["faults.retries"] == 4
         assert breakdown.get("phase") > 0          # burned engine time
@@ -346,7 +346,8 @@ class TestPolicyDriver:
             with pytest.raises(EngineFallback):
                 drive(env, engine_job_with_retry(
                     dev, Algo.DEFLATE, Direction.COMPRESS, 4096,
-                    RetryPolicy(max_attempts=2), breakdown, "phase"))
+                    RetryPolicy(max_attempts=2), breakdown, "phase",
+                    4096 / 10e9))
         assert breakdown.get("phase") == pytest.approx(2 * 0.5 * nominal)
 
     def test_engine_fallback_never_escapes_pipelines(self):

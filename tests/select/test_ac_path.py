@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.core.charges import job_plan
 from repro.dpu.specs import Algo, Direction
 from repro.select import PATH_SOC, CostModel, PathSelector
 
@@ -58,11 +59,13 @@ class TestPricing:
     ])
     def test_soc_job_matches_calibration_anchor(self, bf2, direction,
                                                 mb_per_s):
-        model = CostModel(bf2)
-        assert model.soc_job_seconds(Algo.AC, direction, 12e6) \
-            == pytest.approx(12e6 / (mb_per_s * 1e6))
-        assert model.soc_job_seconds(Algo.AC, direction, 1e6) \
-            == bf2.cal.soc_time(Algo.AC, direction, 1e6)
+        # No engine lane: the job plan is the SoC work-steal alone.
+        (stage,) = job_plan(bf2, Algo.AC, direction, 12e6, 12e6)
+        assert stage[2] == pytest.approx(12e6 / (mb_per_s * 1e6))
+        (stage,) = job_plan(bf2, Algo.AC, direction, 1e6, 1e6)
+        assert stage[2] == bf2.cal.soc_time(Algo.AC, direction, 1e6)
+        assert PathSelector(bf2).job_costs(Algo.AC, direction, 1e6, 1e6) \
+            == {PATH_SOC: stage[2]}
 
     def test_bf3_soc_carries_the_generation_scale(self, bf2, bf3):
         scale = bf3.spec.soc.perf_scale

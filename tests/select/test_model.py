@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.api import PedalContext
+from repro.core.charges import job_plan, steal_stage
 from repro.core.designs import CompressionDesign, Placement
 from repro.dpu.specs import Algo, Direction
 from repro.select import ALL_PATHS, PATH_CENGINE, PATH_SOC, CostModel
@@ -139,17 +140,24 @@ class TestAffinity:
 
 
 class TestJobCosts:
+    """A pipeline job's exec stage is the engine path's one-stage op
+    plan; its work-steal is the SoC path's."""
+
     def test_engine_job_matches_calibration(self, bf2):
-        model = CostModel(bf2)
-        assert model.engine_job_seconds(
-            Algo.DEFLATE, Direction.COMPRESS, 1e6
-        ) == bf2.cal.cengine_time(Algo.DEFLATE, Direction.COMPRESS, 1e6)
+        _, exec_stage, _ = job_plan(
+            bf2, Algo.DEFLATE, Direction.COMPRESS, 1e6, 1e6)
+        assert exec_stage[2] == bf2.cal.cengine_time(
+            Algo.DEFLATE, Direction.COMPRESS, 1e6)
+        assert exec_stage[2] == CostModel(bf2).path_seconds(
+            Algo.DEFLATE, Direction.COMPRESS, 1e6, PATH_CENGINE)
 
     def test_soc_job_matches_calibration(self, bf2):
-        model = CostModel(bf2)
-        assert model.soc_job_seconds(
-            Algo.DEFLATE, Direction.DECOMPRESS, 1e6
-        ) == bf2.cal.soc_time(Algo.DEFLATE, Direction.DECOMPRESS, 1e6)
+        steal = steal_stage(job_plan(
+            bf2, Algo.DEFLATE, Direction.DECOMPRESS, 0.3e6, 1e6))
+        assert steal[2] == bf2.cal.soc_time(
+            Algo.DEFLATE, Direction.DECOMPRESS, 1e6)
+        assert steal[2] == CostModel(bf2).path_seconds(
+            Algo.DEFLATE, Direction.DECOMPRESS, 1e6, PATH_SOC)
 
     def test_math_is_finite(self, bf2):
         model = CostModel(bf2)
