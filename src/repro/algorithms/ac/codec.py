@@ -50,16 +50,12 @@ import numpy as np
 
 from repro.algorithms.ac.model import ACConfig, ContextModel
 from repro.algorithms.ac.rangecoder import TOP, RangeDecoder, RangeEncoder
-from repro.errors import (
-    CorruptStreamError,
-    ChecksumMismatchError,
-    OutputOverflowError,
-    UnsupportedDataError,
-)
+from repro.errors import CorruptStreamError, UnsupportedDataError
+from repro.util.framing import Reader, cap, verify
 
 MAGIC = b"RAC1"
-HEADER_BYTES = 16
-_HEADER = struct.Struct("<4sBBBBII")
+_FIELDS = struct.Struct("<BBBBII")  # order, chunk_log2, table_bits, 0, length, crc
+HEADER_BYTES = len(MAGIC) + _FIELDS.size
 
 #: Default operating point (see ACConfig docstring).
 DEFAULT_CONFIG = ACConfig()
@@ -144,8 +140,8 @@ def _pipelined_batches(
 
 
 def _header(config: ACConfig, length: int, crc: int) -> bytes:
-    return _HEADER.pack(
-        MAGIC, config.order, config.chunk_log2, config.table_bits, 0,
+    return MAGIC + _FIELDS.pack(
+        config.order, config.chunk_log2, config.table_bits, 0,
         length, crc,
     )
 
@@ -189,14 +185,9 @@ def ac_compress_pipelined(
 
 def parse_header(blob: bytes) -> tuple[ACConfig, int, int]:
     """Validate the container header; returns (config, length, crc)."""
-    if len(blob) < HEADER_BYTES:
-        raise CorruptStreamError(
-            f"ac stream too short for header ({len(blob)} < {HEADER_BYTES})"
-        )
-    magic, order, chunk_log2, table_bits, reserved, length, crc = \
-        _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise CorruptStreamError(f"bad ac magic {magic!r}")
+    r = Reader(blob, "ac")
+    r.magic(MAGIC)
+    order, chunk_log2, table_bits, reserved, length, crc = r.unpack(_FIELDS)
     if reserved != 0:
         raise CorruptStreamError(f"nonzero reserved header byte {reserved}")
     try:
@@ -225,14 +216,12 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
     decode through those objects (DESIGN.md §5j, decode round 2).
     """
     config, length, crc = parse_header(blob)
-    if max_output is not None and length > max_output:
-        raise OutputOverflowError(
-            f"declared length {length} exceeds max_output {max_output}"
-        )
+    cap(length, max_output, "ac")
     if length == 0:
-        if crc != 0:
-            raise ChecksumMismatchError("crc32", crc, 0)
+        verify("crc32", crc, 0)
         return b""
+    # The payload runs to the end of the blob: the range decoder reads
+    # only as far as ``length`` symbols need.
     payload = blob[HEADER_BYTES:]
     primed = RangeDecoder(payload)  # pad byte + first code bytes, or typed error
     code, rng, pos = primed.code, primed.range, primed.bytes_consumed
@@ -299,7 +288,5 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
         raise CorruptStreamError(
             "range collapsed during decode (corrupt stream)") from None
     raw = bytes(out)
-    actual = zlib.crc32(raw) & 0xFFFF_FFFF
-    if actual != crc:
-        raise ChecksumMismatchError("crc32", crc, actual)
+    verify("crc32", crc, zlib.crc32(raw) & 0xFFFF_FFFF)
     return raw

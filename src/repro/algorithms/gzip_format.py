@@ -20,14 +20,18 @@ from __future__ import annotations
 import struct
 
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
-from repro.errors import ChecksumMismatchError, CorruptStreamError
+from repro.errors import CorruptStreamError
 from repro.util.checksums import crc32
+from repro.util.framing import Reader, verify
 
 __all__ = ["gzip_compress", "gzip_decompress"]
 
 _MAGIC = b"\x1f\x8b"
 _CM_DEFLATE = 8
 _OS_UNIX = 3
+_HEADER = struct.Struct("<BBIBB")  # CM, FLG, MTIME, XFL, OS
+_U16 = struct.Struct("<H")
+_TRAILER = struct.Struct("<II")  # CRC32, ISIZE
 
 _FTEXT = 1 << 0
 _FHCRC = 1 << 1
@@ -47,66 +51,37 @@ def gzip_compress(
     ``mtime`` defaults to 0 (no timestamp) so output is deterministic.
     """
     flg = _FNAME if filename else 0
-    out = bytearray()
-    out += _MAGIC
-    out.append(_CM_DEFLATE)
-    out.append(flg)
-    out += struct.pack("<I", mtime & 0xFFFFFFFF)
-    out.append(0)  # XFL
-    out.append(_OS_UNIX)
+    out = bytearray(_MAGIC)
+    out += _HEADER.pack(_CM_DEFLATE, flg, mtime & 0xFFFFFFFF, 0, _OS_UNIX)
     if filename:
         out += filename.encode("latin-1") + b"\x00"
     out += deflate_compress(data, config)
-    out += struct.pack("<I", crc32(data))
-    out += struct.pack("<I", len(data) & 0xFFFFFFFF)
+    out += _TRAILER.pack(crc32(data), len(data) & 0xFFFFFFFF)
     return bytes(out)
-
-
-def _skip_zero_terminated(blob: bytes, pos: int) -> int:
-    end = blob.find(b"\x00", pos)
-    if end < 0:
-        raise CorruptStreamError("unterminated gzip string field")
-    return end + 1
 
 
 def gzip_decompress(blob: bytes, max_output: int | None = None) -> bytes:
     """Decompress one gzip member, verifying CRC32 and ISIZE."""
-    if len(blob) < 18:
-        raise CorruptStreamError("gzip member shorter than header + trailer")
-    if blob[:2] != _MAGIC:
-        raise CorruptStreamError("bad gzip magic")
-    if blob[2] != _CM_DEFLATE:
-        raise CorruptStreamError(f"unsupported gzip method {blob[2]}")
-    flg = blob[3]
+    r = Reader(blob, "gzip")
+    r.magic(_MAGIC)
+    cm, flg, _mtime, _xfl, _os = r.unpack(_HEADER)
+    if cm != _CM_DEFLATE:
+        raise CorruptStreamError(f"unsupported gzip method {cm}")
     if flg & 0xE0:
         raise CorruptStreamError("reserved gzip FLG bits set")
-    pos = 10
     if flg & _FEXTRA:
-        if len(blob) < pos + 2:
-            raise CorruptStreamError("truncated FEXTRA")
-        (xlen,) = struct.unpack_from("<H", blob, pos)
-        pos += 2 + xlen
-    if flg & _FNAME:
-        pos = _skip_zero_terminated(blob, pos)
-    if flg & _FCOMMENT:
-        pos = _skip_zero_terminated(blob, pos)
+        r.take(r.unpack(_U16, "FEXTRA length")[0], "FEXTRA")
+    # NUL-terminated fields: with no NUL, find() gives -1, a negative length.
+    for flag, what in ((_FNAME, "FNAME"), (_FCOMMENT, "FCOMMENT")):
+        if flg & flag:
+            r.take(blob.find(b"\x00", r.pos) + 1 - r.pos, what)
     if flg & _FHCRC:
-        if len(blob) < pos + 2:
-            raise CorruptStreamError("truncated FHCRC")
-        (stored_hcrc,) = struct.unpack_from("<H", blob, pos)
-        actual_hcrc = crc32(blob[:pos]) & 0xFFFF
-        if stored_hcrc != actual_hcrc:
-            raise ChecksumMismatchError("gzip header", stored_hcrc, actual_hcrc)
-        pos += 2
-    if len(blob) < pos + 8:
-        raise CorruptStreamError("gzip member missing trailer")
+        header_crc = crc32(blob[:r.pos]) & 0xFFFF
+        verify("gzip header", r.unpack(_U16, "FHCRC")[0], header_crc)
 
-    payload = blob[pos:-8]
-    data = deflate_decompress(payload, max_output=max_output)
-    stored_crc, isize = struct.unpack_from("<II", blob, len(blob) - 8)
-    actual_crc = crc32(data)
-    if stored_crc != actual_crc:
-        raise ChecksumMismatchError("gzip crc32", stored_crc, actual_crc)
+    data = deflate_decompress(r.rest(trailer=_TRAILER.size), max_output=max_output)
+    stored_crc, isize = r.unpack(_TRAILER, "trailer")
+    verify("gzip crc32", stored_crc, crc32(data))
     if isize != len(data) & 0xFFFFFFFF:
         raise CorruptStreamError(
             f"gzip ISIZE mismatch: header {isize}, actual {len(data)}"

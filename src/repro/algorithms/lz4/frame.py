@@ -25,17 +25,17 @@ from repro.algorithms.lz4.block import (
     lz4_block_compress,
     lz4_block_decompress,
 )
-from repro.errors import (
-    ChecksumMismatchError,
-    CorruptStreamError,
-    OutputOverflowError,
-)
+from repro.errors import CorruptStreamError
+from repro.util.framing import Reader, cap, verify
 from repro.util.xxhash32 import xxh32
 
 __all__ = ["lz4_compress", "lz4_decompress", "MAGIC"]
 
 MAGIC = 0x184D2204
+_MAGIC_BYTES = MAGIC.to_bytes(4, "little")
 _UNCOMPRESSED_FLAG = 0x80000000
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 # Block-max-size table: code 4..7 => 64 KiB, 256 KiB, 1 MiB, 4 MiB.
 _BLOCK_SIZES = {4: 64 << 10, 5: 256 << 10, 6: 1 << 20, 7: 4 << 20}
@@ -54,105 +54,69 @@ def lz4_compress(
 
     flg = (1 << 6) | (1 << 5) | (1 << 3) | (1 << 2)  # v01, B.Indep, C.Size, C.Checksum
     bd = block_size_code << 4
-    descriptor = bytes([flg, bd]) + struct.pack("<Q", len(data))
-    hc = (xxh32(descriptor) >> 8) & 0xFF
-
-    out = bytearray()
-    out += struct.pack("<I", MAGIC)
-    out += descriptor
-    out.append(hc)
+    descriptor = bytes([flg, bd]) + _U64.pack(len(data))
+    out = bytearray(_MAGIC_BYTES + descriptor)
+    out.append((xxh32(descriptor) >> 8) & 0xFF)  # HC
 
     for start in range(0, len(data), block_size):
         chunk = data[start : start + block_size]
         compressed = lz4_block_compress(chunk, config)
         if len(compressed) < len(chunk):
-            out += struct.pack("<I", len(compressed))
+            out += _U32.pack(len(compressed))
             out += compressed
         else:
-            out += struct.pack("<I", len(chunk) | _UNCOMPRESSED_FLAG)
+            out += _U32.pack(len(chunk) | _UNCOMPRESSED_FLAG)
             out += chunk
 
-    out += struct.pack("<I", 0)  # end mark
-    out += struct.pack("<I", xxh32(data))
+    out += _U32.pack(0)  # end mark
+    out += _U32.pack(xxh32(data))
     return bytes(out)
 
 
 def lz4_decompress(frame: bytes, max_output: int | None = None) -> bytes:
-    """Decompress a standalone LZ4 frame produced by :func:`lz4_compress`."""
-    if len(frame) < 7:
-        raise CorruptStreamError("LZ4 frame shorter than its header")
-    (magic,) = struct.unpack_from("<I", frame, 0)
-    if magic != MAGIC:
-        raise CorruptStreamError(f"bad LZ4 magic 0x{magic:08x}")
-    flg = frame[4]
+    """Decompress a standalone LZ4 frame produced by :func:`lz4_compress`.
+
+    The frame ends after its content checksum (or end mark): anything
+    after it, such as a second frame, is a trailing-bytes error.
+    """
+    r = Reader(frame, "LZ4 frame")
+    r.magic(_MAGIC_BYTES)
+    flg, _bd = r.take(2, "frame descriptor")
     if (flg >> 6) != 1:
         raise CorruptStreamError("unsupported LZ4 frame version")
-    has_content_size = bool(flg & (1 << 3))
-    has_content_checksum = bool(flg & (1 << 2))
-    has_block_checksum = bool(flg & (1 << 4))
     if flg & 0x03:
         raise CorruptStreamError("reserved FLG bits set")
-
-    pos = 6
-    expected_size: int | None = None
-    if has_content_size:
-        if len(frame) < pos + 8:
-            raise CorruptStreamError("truncated content-size field")
-        (expected_size,) = struct.unpack_from("<Q", frame, pos)
-        pos += 8
-    descriptor = frame[4:pos]
-    if pos >= len(frame):
-        raise CorruptStreamError("truncated frame descriptor")
-    hc = frame[pos]
-    pos += 1
-    if hc != (xxh32(descriptor) >> 8) & 0xFF:
-        raise ChecksumMismatchError("LZ4 header", hc, (xxh32(descriptor) >> 8) & 0xFF)
-    if (max_output is not None and expected_size is not None
-            and expected_size > max_output):
-        raise OutputOverflowError(
-            f"declared content size {expected_size} exceeds max_output {max_output}"
-        )
+    expected_size = r.unpack(_U64, "content-size field")[0] if flg & (1 << 3) else None
+    descriptor = frame[4:r.pos]
+    hc = r.take(1, "header checksum")[0]
+    verify("LZ4 header", hc, (xxh32(descriptor) >> 8) & 0xFF)
+    if expected_size is not None:
+        cap(expected_size, max_output, "LZ4 frame")
 
     out = bytearray()
     while True:
-        if len(frame) < pos + 4:
-            raise CorruptStreamError("truncated block size field")
-        (raw_size,) = struct.unpack_from("<I", frame, pos)
-        pos += 4
+        (raw_size,) = r.unpack(_U32, "block size field")
         if raw_size == 0:
             break
-        stored = bool(raw_size & _UNCOMPRESSED_FLAG)
         size = raw_size & ~_UNCOMPRESSED_FLAG
-        if len(frame) < pos + size:
-            raise CorruptStreamError("truncated block payload")
-        payload = frame[pos : pos + size]
-        pos += size
-        if has_block_checksum:
+        payload = r.take(size, "block payload")
+        if flg & (1 << 4):
             # Never emitted here, but another encoder's frame may carry
             # them: xxh32 of the block as stored in the frame.
-            if len(frame) < pos + 4:
-                raise CorruptStreamError("truncated block checksum")
-            (stored_sum,) = struct.unpack_from("<I", frame, pos)
-            pos += 4
-            actual = xxh32(payload)
-            if stored_sum != actual:
-                raise ChecksumMismatchError("LZ4 block xxh32", stored_sum, actual)
+            (stored_sum,) = r.unpack(_U32, "block checksum")
+            verify("LZ4 block xxh32", stored_sum, xxh32(payload))
         remaining = None if max_output is None else max_output - len(out)
-        if stored:
-            if remaining is not None and size > remaining:
-                raise OutputOverflowError("LZ4 output exceeds limit")
+        if raw_size & _UNCOMPRESSED_FLAG:
+            cap(size, remaining, "LZ4 stored block")
             out += payload
         else:
             out += lz4_block_decompress(payload, max_output=remaining)
 
     data = bytes(out)
-    if has_content_checksum:
-        if len(frame) < pos + 4:
-            raise CorruptStreamError("truncated content checksum")
-        (stored_sum,) = struct.unpack_from("<I", frame, pos)
-        actual = xxh32(data)
-        if stored_sum != actual:
-            raise ChecksumMismatchError("xxh32", stored_sum, actual)
+    if flg & (1 << 2):
+        (stored_sum,) = r.unpack(_U32, "content checksum")
+        verify("xxh32", stored_sum, xxh32(data))
+    r.end()
     if expected_size is not None and expected_size != len(data):
         raise CorruptStreamError(
             f"content size mismatch: header says {expected_size}, got {len(data)}"

@@ -20,6 +20,7 @@ to charge the right simulated hardware for the right stage.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -28,8 +29,9 @@ import numpy as np
 from repro.algorithms.sz3 import encoder, lossless, predictor, quantizer
 from repro.obs.profile import get_profiler
 from repro.algorithms.sz3.config import SZ3Config
-from repro.algorithms.sz3.preprocessor import DTYPE_FROM_CODE, preprocess
+from repro.algorithms.sz3.preprocessor import DTYPE_FROM_CODE, MAX_NDIM, preprocess
 from repro.errors import CorruptStreamError
+from repro.util.framing import Reader
 
 __all__ = ["SZ3Compressor", "StageSizes", "sz3_compress", "sz3_decompress"]
 
@@ -37,6 +39,8 @@ _MAGIC = b"SZ3R"
 _VERSION = 1
 _PREDICTOR_IDS = {"lorenzo": 0, "interp": 1, "none": 2}
 _PREDICTOR_NAMES = {v: k for k, v in _PREDICTOR_IDS.items()}
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
 
 
 @dataclass
@@ -69,17 +73,12 @@ class SZ3Compressor:
         residual = predictor.predict_residual(codes, self.config.predictor)
         payload = encoder.encode_residuals(residual)
 
-        header = bytearray()
-        header += _MAGIC
-        header.append(_VERSION)
-        header.append(pre.dtype_code)
-        header.append(len(pre.shape))
-        header.append(_PREDICTOR_IDS[self.config.predictor])
-        header.append(lossless.BACKEND_IDS[self.config.backend])
-        for dim in pre.shape:
-            header += struct.pack("<Q", dim)
-        header += struct.pack("<d", pre.abs_error_bound)
-        return bytes(header), payload
+        ndim = len(pre.shape)
+        header = _MAGIC + bytes([
+            _VERSION, pre.dtype_code, ndim, _PREDICTOR_IDS[self.config.predictor],
+            lossless.BACKEND_IDS[self.config.backend],
+        ]) + struct.pack(f"<{ndim}Q", *pre.shape) + _F64.pack(pre.abs_error_bound)
+        return header, payload
 
     def lossless_stage(self, payload: bytes) -> bytes:
         """Apply the configured lossless backend to the entropy payload."""
@@ -87,7 +86,7 @@ class SZ3Compressor:
 
     def assemble(self, header: bytes, blob: bytes) -> bytes:
         """Concatenate header + blob length + blob into the final stream."""
-        return header + struct.pack("<Q", len(blob)) + blob
+        return header + _U64.pack(len(blob)) + blob
 
     # -- one-shot APIs ------------------------------------------------------
 
@@ -118,39 +117,30 @@ class SZ3Compressor:
         The sizes let callers (PEDAL's hybrid design) attribute the
         lossless-stage work separately from the entropy pipeline.
         """
-        if len(stream) < 9 or stream[:4] != _MAGIC:
-            raise CorruptStreamError("not an SZ3R stream")
-        version = stream[4]
+        r = Reader(stream, "SZ3R")
+        r.magic(_MAGIC)
+        version, dtype_code, ndim, predictor_id, backend_id = r.take(5, "header")
         if version != _VERSION:
             raise CorruptStreamError(f"unsupported SZ3R version {version}")
-        dtype_code = stream[5]
-        ndim = stream[6]
-        predictor_id = stream[7]
-        backend_id = stream[8]
         if dtype_code not in DTYPE_FROM_CODE:
             raise CorruptStreamError(f"unknown dtype code {dtype_code}")
+        if not 1 <= ndim <= MAX_NDIM:
+            raise CorruptStreamError(f"SZ3R ndim {ndim} outside 1..{MAX_NDIM}")
         if predictor_id not in _PREDICTOR_NAMES:
             raise CorruptStreamError(f"unknown predictor id {predictor_id}")
         if backend_id not in lossless.BACKEND_NAMES:
             raise CorruptStreamError(f"unknown backend id {backend_id}")
-        pos = 9
-        if len(stream) < pos + 8 * ndim + 8 + 8:
-            raise CorruptStreamError("SZ3R header truncated")
-        shape = tuple(
-            struct.unpack_from("<Q", stream, pos + 8 * k)[0] for k in range(ndim)
-        )
-        pos += 8 * ndim
-        (eb,) = struct.unpack_from("<d", stream, pos)
-        pos += 8
-        (blob_len,) = struct.unpack_from("<Q", stream, pos)
-        pos += 8
-        if len(stream) < pos + blob_len:
-            raise CorruptStreamError("SZ3R backend blob truncated")
-        blob = stream[pos : pos + blob_len]
+        shape = r.unpack(struct.Struct(f"<{ndim}Q"), "shape")
+        (eb,) = r.unpack(_F64, "error bound")
+        if not 0 < eb < math.inf:
+            raise CorruptStreamError(f"SZ3R error bound {eb!r} is not in (0, inf)")
+        (blob_len,) = r.unpack(_U64, "backend blob length")
+        blob = r.take(blob_len, "backend blob")
+        r.end()
 
         payload = lossless.backend_decompress(blob, lossless.BACKEND_NAMES[backend_id])
         residual = encoder.decode_residuals(payload)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 0
+        n = math.prod(shape)
         if residual.size != n:
             raise CorruptStreamError(
                 f"decoded {residual.size} residuals for shape {shape} ({n} expected)"

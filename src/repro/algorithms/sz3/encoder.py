@@ -28,12 +28,14 @@ import numpy as np
 from repro.algorithms import huffman
 from repro.errors import CorruptStreamError
 from repro.util.bitio import BitReader, BitWriter
+from repro.util.framing import Reader
 
 __all__ = ["encode_residuals", "decode_residuals"]
 
 _ESCAPE = 254
 _ALPHABET = 255
 _MAX_BITS = 15
+_U64 = struct.Struct("<Q")
 
 
 def _zigzag(values: np.ndarray) -> np.ndarray:
@@ -76,21 +78,20 @@ def encode_residuals(residuals: np.ndarray) -> bytes:
     nbits = writer.bit_length
 
     out = bytearray()
-    out += struct.pack("<Q", n)
+    out += _U64.pack(n)
     out += lengths.astype(np.uint8).tobytes()
-    out += struct.pack("<Q", nbits)
+    out += _U64.pack(nbits)
     out += bitstream
     return bytes(out)
 
 
 def decode_residuals(payload: bytes) -> np.ndarray:
     """Inverse of :func:`encode_residuals`; returns a flat ``int64`` array."""
-    if len(payload) < 8 + _ALPHABET + 8:
-        raise CorruptStreamError("SZ3 entropy payload truncated")
-    (n,) = struct.unpack_from("<Q", payload, 0)
-    lengths = np.frombuffer(payload, dtype=np.uint8, count=_ALPHABET, offset=8)
-    (nbits,) = struct.unpack_from("<Q", payload, 8 + _ALPHABET)
-    bitstream = payload[8 + _ALPHABET + 8 :]
+    r = Reader(payload, "SZ3 entropy payload")
+    (n,) = r.unpack(_U64, "value count")
+    lengths = np.frombuffer(r.take(_ALPHABET, "code lengths"), dtype=np.uint8)
+    (nbits,) = r.unpack(_U64, "bit count")
+    bitstream = r.rest()
     if len(bitstream) * 8 < nbits:
         raise CorruptStreamError("SZ3 bitstream shorter than declared")
 

@@ -7,6 +7,7 @@ SZ3's preprocessing stage that "normalizes and conditions the data".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +15,12 @@ import numpy as np
 from repro.algorithms.sz3.config import SZ3Config
 from repro.errors import UnsupportedDataError
 
-__all__ = ["Preprocessed", "preprocess", "DTYPE_CODES", "DTYPE_FROM_CODE"]
+__all__ = ["Preprocessed", "preprocess", "DTYPE_CODES", "DTYPE_FROM_CODE", "MAX_NDIM"]
 
 DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 DTYPE_FROM_CODE = {v: k for k, v in DTYPE_CODES.items()}
 
-_MAX_NDIM = 4
+MAX_NDIM = 4
 # Quantisation codes are int64; leave generous headroom for the zigzag
 # doubling and Lorenzo differencing (each difference at most doubles the
 # magnitude per axis).
@@ -42,17 +43,18 @@ def preprocess(array: np.ndarray, config: SZ3Config) -> Preprocessed:
     Raises
     ------
     UnsupportedDataError
-        For non-float dtypes, >4-D arrays, non-finite values, or an
-        error bound so small that quantisation codes would overflow.
+        For non-float dtypes, >4-D arrays, non-finite values, a resolved
+        error bound that is not a positive finite number, or one so
+        small that quantisation codes would overflow.
     """
     array = np.asarray(array)
     if array.dtype not in DTYPE_CODES:
         raise UnsupportedDataError(
             f"SZ3 supports float32/float64 arrays, got dtype {array.dtype}"
         )
-    if array.ndim == 0 or array.ndim > _MAX_NDIM:
+    if array.ndim == 0 or array.ndim > MAX_NDIM:
         raise UnsupportedDataError(
-            f"SZ3 supports 1..{_MAX_NDIM}-D arrays, got {array.ndim}-D"
+            f"SZ3 supports 1..{MAX_NDIM}-D arrays, got {array.ndim}-D"
         )
     if array.size and not np.isfinite(array).all():
         raise UnsupportedDataError("SZ3 input must be finite (no NaN/Inf)")
@@ -65,6 +67,9 @@ def preprocess(array: np.ndarray, config: SZ3Config) -> Preprocessed:
         else:
             value_range = 0.0
         eb = eb * value_range if value_range > 0 else config.error_bound
+    # The decoder refuses any other bound, so never write one.
+    if not 0 < eb < math.inf:
+        raise UnsupportedDataError(f"resolved error bound {eb!r} is not in (0, inf)")
 
     if array.size:
         max_code = float(np.abs(array).max()) / (2.0 * eb)

@@ -10,9 +10,12 @@ pieces separately in addition to the one-shot codec.
 
 from __future__ import annotations
 
+import struct
+
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
-from repro.errors import ChecksumMismatchError, CorruptStreamError
+from repro.errors import CorruptStreamError
 from repro.util.checksums import adler32
+from repro.util.framing import Reader, verify
 
 __all__ = [
     "zlib_compress",
@@ -20,11 +23,14 @@ __all__ = [
     "build_zlib_header",
     "build_zlib_trailer",
     "parse_zlib_header",
+    "split_zlib_stream",
     "assemble_zlib_stream",
 ]
 
 _CM_DEFLATE = 8
 _CINFO_32K = 7  # 32 KiB window
+_CMF_FLG = struct.Struct("BB")
+_ADLER = struct.Struct(">I")
 
 
 def build_zlib_header(level_hint: int = 2) -> bytes:
@@ -50,9 +56,7 @@ def build_zlib_trailer(data: bytes) -> bytes:
 
 def parse_zlib_header(stream: bytes) -> int:
     """Validate the 2-byte header; return the advisory FLEVEL."""
-    if len(stream) < 2:
-        raise CorruptStreamError("zlib stream shorter than its header")
-    cmf, flg = stream[0], stream[1]
+    cmf, flg = Reader(stream, "zlib").unpack(_CMF_FLG)
     if cmf & 0x0F != _CM_DEFLATE:
         raise CorruptStreamError(f"unsupported zlib compression method {cmf & 0x0F}")
     if (cmf >> 4) > 7:
@@ -62,6 +66,14 @@ def parse_zlib_header(stream: bytes) -> int:
     if flg & 0x20:
         raise CorruptStreamError("preset dictionaries (FDICT) are not supported")
     return flg >> 6
+
+
+def split_zlib_stream(stream: bytes) -> tuple[bytes, int]:
+    """Validate the framing; return (DEFLATE payload, stored Adler-32)."""
+    r = Reader(stream, "zlib")
+    parse_zlib_header(r.take(_CMF_FLG.size, "header"))
+    payload = r.rest(trailer=_ADLER.size)
+    return payload, r.unpack(_ADLER, "Adler-32 trailer")[0]
 
 
 def assemble_zlib_stream(deflate_payload: bytes, header: bytes, trailer: bytes) -> bytes:
@@ -83,13 +95,7 @@ def zlib_compress(data: bytes, config: DeflateConfig | None = None) -> bytes:
 
 def zlib_decompress(stream: bytes, max_output: int | None = None) -> bytes:
     """One-shot zlib decompression with Adler-32 verification."""
-    parse_zlib_header(stream)
-    if len(stream) < 6:
-        raise CorruptStreamError("zlib stream shorter than header + trailer")
-    payload = stream[2:-4]
+    payload, stored = split_zlib_stream(stream)
     data = deflate_decompress(payload, max_output=max_output)
-    stored = int.from_bytes(stream[-4:], "big")
-    actual = adler32(data)
-    if stored != actual:
-        raise ChecksumMismatchError("adler32", stored, actual)
+    verify("adler32", stored, adler32(data))
     return data

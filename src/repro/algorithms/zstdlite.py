@@ -23,12 +23,14 @@ import struct
 
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
 from repro.algorithms.lz77 import MatcherConfig
-from repro.errors import ChecksumMismatchError, CorruptStreamError, OutputOverflowError
+from repro.errors import CorruptStreamError
+from repro.util.framing import Reader, cap, verify
 from repro.util.xxhash32 import xxh32
 
 __all__ = ["zstdlite_compress", "zstdlite_decompress", "FAST_MATCHER"]
 
 _MAGIC = b"ZSL1"
+_HEADER = struct.Struct("<QI")
 
 FAST_MATCHER = MatcherConfig(max_chain=8, lazy=False, good_match=16)
 _FAST_CONFIG = DeflateConfig(matcher=FAST_MATCHER)
@@ -37,22 +39,20 @@ _FAST_CONFIG = DeflateConfig(matcher=FAST_MATCHER)
 def zstdlite_compress(data: bytes) -> bytes:
     """Compress ``data`` into a zstd-lite container."""
     payload = deflate_compress(data, _FAST_CONFIG)
-    return _MAGIC + struct.pack("<QI", len(data), xxh32(data)) + payload
+    return _MAGIC + _HEADER.pack(len(data), xxh32(data)) + payload
 
 
 def zstdlite_decompress(blob: bytes, max_output: int | None = None) -> bytes:
     """Decompress a zstd-lite container."""
-    if len(blob) < 16 or blob[:4] != _MAGIC:
-        raise CorruptStreamError("not a zstd-lite container")
-    size, checksum = struct.unpack_from("<QI", blob, 4)
-    if max_output is not None and size > max_output:
-        raise OutputOverflowError("declared content size exceeds output limit")
-    data = deflate_decompress(blob[16:], max_output=size)
+    r = Reader(blob, "zstd-lite")
+    r.magic(_MAGIC)
+    size, checksum = r.unpack(_HEADER)
+    cap(size, max_output, "zstd-lite")
+    # The payload runs to the end of the blob: DEFLATE decides where it stops.
+    data = deflate_decompress(r.rest(), max_output=size)
     if len(data) != size:
         raise CorruptStreamError(
             f"content size mismatch: header says {size}, got {len(data)}"
         )
-    actual = xxh32(data)
-    if actual != checksum:
-        raise ChecksumMismatchError("xxh32", checksum, actual)
+    verify("xxh32", checksum, xxh32(data))
     return data

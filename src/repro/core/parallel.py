@@ -15,7 +15,10 @@ that design as an experimental extension:
 * chunks the capability matrix rejects — or that exhaust their engine
   retry budget under fault injection — are work-stolen by the SoC, so
   the container completes regardless of engine health;
-* a small container records chunk boundaries.
+* the container is RST1 (:mod:`repro.stream`): one DEFLATE data frame
+  per non-empty chunk, then the end frame.  Its ``chunk_bytes`` is
+  ``ceil(len / n_chunks)``, which bounds every chunk, so any RST1
+  decoder reads it back.
 
 Chunk bytes are compressed eagerly, before any simulated scheduling, so
 the container is byte-identical whatever the queue depth, device, or
@@ -25,19 +28,11 @@ Chunk independence costs a little ratio (no cross-chunk matches); the
 simulated speedup approaches ``min(n_chunks, n_cores)`` for SoC-only
 runs and better when the engine helps.  The ablation bench
 (``benchmarks/test_ablation_parallel.py``) quantifies both effects.
-
-Container format (little-endian)::
-
-    magic  b"PPAR"
-    u32    n_chunks
-    u64[n] compressed chunk sizes
-    bytes  concatenated DEFLATE streams
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Generator
 
@@ -45,12 +40,11 @@ from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_de
 from repro.core.charges import job_plan, steal_stage
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
-from repro.errors import CorruptStreamError
+from repro.errors import StreamCorruptError
 from repro.sim import TimeBreakdown
+from repro.stream.api import FrameReader, FrameWriter, StreamConfig
 
 __all__ = ["ParallelConfig", "ParallelResult", "ParallelCompressor"]
-
-_MAGIC = b"PPAR"
 
 
 @dataclass(frozen=True)
@@ -155,22 +149,18 @@ class ParallelCompressor:
         """Compress ``data`` chunk-parallel; returns :class:`ParallelResult`."""
         cfg = self.config
         sim_total = float(len(data) if sim_bytes is None else sim_bytes)
-        chunks = _split_even(data, cfg.n_chunks)
+        chunks = [chunk for chunk in _split_even(data, cfg.n_chunks) if chunk]
         compressed = [deflate_compress(chunk, cfg.deflate) for chunk in chunks]
-
-        container = bytearray()
-        container += _MAGIC
-        container += struct.pack("<I", len(compressed))
-        for blob in compressed:
-            container += struct.pack("<Q", len(blob))
-        for blob in compressed:
-            container += blob
+        writer = FrameWriter(
+            StreamConfig(chunk_bytes=-(-len(data) // cfg.n_chunks) or 1))
+        container = b"".join(
+            writer.frame(chunk, blob) for chunk, blob in zip(chunks, compressed)
+        ) + writer.end()
 
         breakdown, n_engine, n_soc = yield from self._fan_out(
-            Direction.COMPRESS, cfg.n_chunks, sim_total, payloads=compressed
-        )
+            Direction.COMPRESS, compressed, sim_total)
         return ParallelResult(
-            payload=bytes(container),
+            payload=container,
             original_bytes=len(data),
             breakdown=breakdown,
             chunks_on_engine=n_engine,
@@ -179,46 +169,38 @@ class ParallelCompressor:
 
     def decompress(self, payload: bytes, sim_bytes: float | None = None) -> Generator:
         """Inverse of :meth:`compress`; returns :class:`ParallelResult`
-        whose ``payload`` is the reassembled original data."""
-        if len(payload) < 8 or payload[:4] != _MAGIC:
-            raise CorruptStreamError("not a PPAR container")
-        (n_chunks,) = struct.unpack_from("<I", payload, 4)
-        if n_chunks < 1:
-            raise CorruptStreamError("PPAR container declares zero chunks")
-        pos = 8
-        if len(payload) < pos + 8 * n_chunks:
-            raise CorruptStreamError("PPAR chunk table truncated")
-        sizes = [
-            struct.unpack_from("<Q", payload, pos + 8 * i)[0] for i in range(n_chunks)
-        ]
-        pos += 8 * n_chunks
-        # The chunk table must account for the payload *exactly*: a
-        # corrupted size field shows up as a short/overlong container
-        # here rather than as a mis-framed DEFLATE stream further down.
-        if sum(sizes) != len(payload) - pos:
-            raise CorruptStreamError(
-                f"PPAR chunk table claims {sum(sizes)} payload bytes, "
-                f"container carries {len(payload) - pos}"
-            )
+        whose ``payload`` is the reassembled original data.
+
+        Every error is a typed :class:`~repro.errors.StreamError`, the
+        same class :func:`repro.stream.stream_decompress` raises.
+        """
+        reader = FrameReader()
+        frames = reader.parser.feed(payload)
+        if reader.algo not in (None, Algo.DEFLATE):
+            raise StreamCorruptError(
+                f"parallel containers are DEFLATE, not {reader.algo.value}")
         pieces = []
-        for size in sizes:
-            pieces.append(deflate_decompress(payload[pos : pos + size]))
-            pos += size
+        for frame in frames:
+            raw = b""
+            if not frame.is_end:
+                with reader.undecodable():
+                    raw = deflate_decompress(frame.payload, max_output=frame.raw_len)
+                pieces.append(raw)
+            reader.check(frame, raw)
+        reader.close()
         data = b"".join(pieces)
 
         sim_total = float(len(data) if sim_bytes is None else sim_bytes)
         # The C-Engine ingests the *compressed* stream on the decompress
         # direction, so engine-bound chunk jobs bill on the per-chunk
-        # compressed sizes from the chunk table, scaled into the
-        # simulated domain like every other actual→sim conversion.  SoC
-        # chunks keep the uncompressed-bytes convention (that is what
-        # the SoC decompress throughputs are calibrated against).
+        # compressed sizes from the frames, scaled into the simulated
+        # domain like every other actual→sim conversion.  SoC chunks
+        # keep the uncompressed-bytes convention (that is what the SoC
+        # decompress throughputs are calibrated against).
         scale = sim_total / len(data) if data else 1.0
-        engine_bytes = [size * scale for size in sizes]
+        engine_bytes = [len(frame.payload) * scale for frame in frames[:-1]]
         breakdown, n_engine, n_soc = yield from self._fan_out(
-            Direction.DECOMPRESS, n_chunks, sim_total, payloads=pieces,
-            engine_bytes=engine_bytes,
-        )
+            Direction.DECOMPRESS, pieces, sim_total, engine_bytes)
         return ParallelResult(
             payload=data,
             original_bytes=len(data),
@@ -230,13 +212,12 @@ class ParallelCompressor:
     def _fan_out(
         self,
         direction: Direction,
-        n_chunks: int,
+        payloads: "list[bytes]",
         sim_total: float,
-        payloads: "list[bytes] | None" = None,
         engine_bytes: "list[float] | None" = None,
     ) -> Generator:
-        """Run chunk jobs concurrently; returns (breakdown, n_engine,
-        n_soc).
+        """Run one chunk job per payload concurrently; returns
+        (breakdown, n_engine, n_soc).
 
         ``engine_bytes`` overrides the per-chunk size billed to the
         C-Engine (the decompress direction passes the scaled compressed
@@ -257,6 +238,9 @@ class ParallelCompressor:
         """
         from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 
+        n_chunks = len(payloads)
+        if not n_chunks:  # empty input: nothing framed, nothing to run
+            return TimeBreakdown(), 0, 0
         device = self.device
         env = device.env
         chunk_bytes = sim_total / n_chunks
@@ -282,7 +266,7 @@ class ParallelCompressor:
                     Algo.DEFLATE,
                     direction,
                     chunk_bytes if engine_bytes is None else engine_bytes[i],
-                    payload=payloads[i] if payloads is not None else None,
+                    payload=payloads[i],
                     tag=i,
                     soc_sim_bytes=None if engine_bytes is None else chunk_bytes,
                 )
@@ -292,8 +276,7 @@ class ParallelCompressor:
             procs.append(engine_proc)
         for _ in range(n_soc):
             procs.append(env.process(soc_chunk(env)))
-        if procs:
-            yield env.all_of(procs)
+        yield env.all_of(procs)
         if engine_proc is not None:
             outcomes = engine_proc.value
             n_engine = sum(1 for o in outcomes if o.engine == "cengine")

@@ -22,10 +22,10 @@ from repro.algorithms.zlib_format import (
     assemble_zlib_stream,
     build_zlib_header,
     build_zlib_trailer,
-    parse_zlib_header,
+    split_zlib_stream,
 )
-from repro.errors import ChecksumMismatchError, CorruptStreamError
 from repro.util.checksums import adler32
+from repro.util.framing import verify
 
 __all__ = ["ZlibStageSizes", "hybrid_zlib_compress", "hybrid_zlib_decompress"]
 
@@ -56,17 +56,11 @@ def hybrid_zlib_compress(
 def hybrid_zlib_decompress(stream: bytes) -> tuple[bytes, ZlibStageSizes]:
     """Stage-split zlib decompression; returns (data, stage sizes)."""
     # SoC stage (header side): parse/validate RFC 1950 framing.
-    parse_zlib_header(stream)
-    if len(stream) < 6:
-        raise CorruptStreamError("zlib stream shorter than header + trailer")
-    payload = stream[2:-4]
+    payload, stored = split_zlib_stream(stream)
     # C-Engine stage: inflate the DEFLATE payload.
     data = deflate_decompress(payload)
     # SoC stage (trailer side): adler32 verification.
-    stored = int.from_bytes(stream[-4:], "big")
-    actual = adler32(data)
-    if stored != actual:
-        raise ChecksumMismatchError("adler32", stored, actual)
+    verify("adler32", stored, adler32(data))
     return data, ZlibStageSizes(
         deflate_payload_bytes=len(payload), checksum_bytes=len(data)
     )

@@ -31,7 +31,6 @@ from repro.core.codecs import CodecConfig, byte_codec
 from repro.dpu.specs import Algo
 from repro.errors import (
     CodecError,
-    OutputOverflowError,
     StreamChecksumError,
     StreamCorruptError,
     StreamError,
@@ -46,6 +45,7 @@ from repro.stream.container import (
     encode_end_frame,
     encode_stream_header,
 )
+from repro.util.framing import cap
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
@@ -327,11 +327,8 @@ class Decompressor:
 
     def _decode(self, frame: Frame) -> bytes:
         reader = self._reader
-        if self.max_output is not None and reader.total + frame.raw_len > self.max_output:
-            raise OutputOverflowError(
-                f"stream exceeds max_output={self.max_output} at chunk "
-                f"{reader.chunks_decoded}"
-            )
+        cap(reader.total + frame.raw_len, self.max_output,
+            f"RST1 stream at chunk {reader.chunks_decoded}")
         if self._decompress is None:
             _, self._decompress = chunk_codec(reader.algo)
         with reader.undecodable():

@@ -9,6 +9,9 @@ Contents
     From-scratch, table-driven CRC-32 (IEEE 802.3) and vectorised Adler-32.
 :mod:`repro.util.xxhash32`
     xxHash32 used by the LZ4 frame format.
+:mod:`repro.util.framing`
+    The bounded field reader every one-shot container decoder reads
+    through, plus the shared checksum and output-cap checks.
 :mod:`repro.util.stats`
     Byte histograms and Shannon-entropy estimators used by dataset
     generators and block-type heuristics.

@@ -6,6 +6,8 @@ random garbage must raise a :class:`~repro.errors.ReproError` subclass
 unhandled exception, infinite loop, or memory blow-up.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,18 @@ from repro.algorithms.lz4 import (lz4_block_compress, lz4_block_decompress,
 from repro.algorithms.sz3 import sz3_decompress
 from repro.algorithms.zlib_format import zlib_compress, zlib_decompress
 from repro.algorithms.zstdlite import zstdlite_compress, zstdlite_decompress
-from repro.errors import OutputOverflowError, ReproError
+from repro.core.parallel import ParallelCompressor, ParallelConfig
+from repro.dpu import make_device
+from repro.errors import CorruptStreamError, OutputOverflowError, ReproError
+from repro.sim import Environment
+
+
+def _parallel(method: str, blob: bytes) -> bytes:
+    """One chunk-parallel (RST1 DEFLATE, 8 chunks) call on a fresh device."""
+    env = Environment()
+    compressor = ParallelCompressor(make_device(env, "bf2"), ParallelConfig(n_chunks=8))
+    return env.run(until=env.process(getattr(compressor, method)(blob))).payload
+
 
 DECODERS = {
     "deflate": lambda b: deflate_decompress(b, max_output=1 << 20),
@@ -29,6 +42,8 @@ DECODERS = {
     "lz4_frame": lz4_decompress,
     "zstdlite": zstdlite_decompress,
     "sz3": sz3_decompress,
+    "ac": lambda b: ac_decompress(b, max_output=1 << 20),
+    "parallel": lambda b: _parallel("decompress", b),
 }
 
 
@@ -126,10 +141,34 @@ def test_sz3_corruption_never_crashes(values, index):
     try:
         out = sz3_decompress(bytes(stream))
         assert isinstance(out, np.ndarray)
-    except (ReproError, ValueError):
-        # ValueError covers pathological reshape sizes from corrupted
-        # shape fields caught by numpy before our own checks.
+    except ReproError:
         pass
+
+
+@pytest.mark.parametrize("eb", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
+def test_sz3_error_bound_must_be_positive_and_finite(eb):
+    """The decoder refuses a stored bound outside (0, inf) — it would
+    dequantize to NaN/inf or flipped signs — and the encoder never
+    writes one."""
+    from repro.algorithms.sz3 import SZ3Config, sz3_compress
+
+    field = np.linspace(-1.0, 1.0, 64, dtype=np.float32)
+    stream = bytearray(sz3_compress(field, SZ3Config(error_bound=1e-3)))
+    eb_at = 4 + 5 + 8  # magic, five id bytes, one u64 dim
+    assert struct.unpack_from("<d", stream, eb_at) == (1e-3,)
+    struct.pack_into("<d", stream, eb_at, eb)
+    with pytest.raises(CorruptStreamError, match="error bound"):
+        sz3_decompress(bytes(stream))
+    with pytest.raises((ValueError, ReproError)):
+        sz3_compress(field, SZ3Config(error_bound=eb))
+
+
+def test_sz3_rel_bound_resolving_to_inf_is_not_written():
+    from repro.algorithms.sz3 import SZ3Config, sz3_compress
+
+    field = np.linspace(-1e300, 1e300, 64)
+    with pytest.raises(ReproError, match="error bound inf"):
+        sz3_compress(field, SZ3Config(error_bound=1e300, error_mode="rel"))
 
 
 # -- systematic (exhaustive, non-hypothesis) sweeps -------------------------
@@ -156,15 +195,19 @@ ENCODERS = {
     "lz4_block": lz4_block_compress,
     "lz4_frame": lz4_compress,
     "zstdlite": zstdlite_compress,
+    "ac": ac_compress,
+    "parallel": lambda data: _parallel("compress", data),
 }
 
 # Formats whose wire checksum must catch (or survive) any single flip.
 CHECKSUMMED = {
-    "zlib": zlib_compress,
-    "gzip": gzip_compress,
-    "lz4_frame": lz4_compress,
-    "zstdlite": zstdlite_compress,
+    name: ENCODERS[name]
+    for name in ("zlib", "gzip", "lz4_frame", "zstdlite", "ac", "parallel")
 }
+
+#: Layouts whose payload runs to the end of the blob, because the inner
+#: decoder decides where it stops (see the trailing-bytes sweep).
+RUNS_TO_END = {"deflate", "lz4_block", "zstdlite", "ac"}
 
 
 @pytest.mark.parametrize("name", sorted(ENCODERS))
@@ -199,6 +242,33 @@ def test_every_single_bitflip_detected_or_harmless(name):
         except ReproError:
             continue
         assert out == _SWEEP_PAYLOAD, f"silent corruption at bit {position}"
+
+
+@pytest.mark.parametrize("name", sorted(set(ENCODERS) - RUNS_TO_END))
+def test_trailing_bytes_fail_where_the_layout_fixes_the_end(name):
+    """Bytes after a container whose layout fixes its end must raise.
+
+    The LZ4 frame ends after its content checksum and RST1 after its
+    end frame (``Reader.end()`` or the frame parser; SZ3R, which ends
+    after its backend blob, is the next test); gzip and zlib end in a
+    trailer, so appended bytes become the trailer and fail its checksum.  Four layouts are exempt:
+    raw DEFLATE and LZ4 blocks, and the ZSL1 and RAC1 payloads, run to
+    the end of the blob, because the inner decoder decides where they
+    stop.
+    """
+    stream = ENCODERS[name](_SWEEP_PAYLOAD)
+    assert DECODERS[name](stream) == _SWEEP_PAYLOAD
+    with pytest.raises(ReproError):
+        DECODERS[name](stream + b"junk")
+
+
+def test_trailing_bytes_after_lz4_frame_and_sz3r_are_typed_errors():
+    first, second = lz4_compress(b"first frame"), lz4_compress(b"second frame")
+    with pytest.raises(CorruptStreamError, match="trailing"):
+        lz4_decompress(first + second)
+    stream = sz3_compress(np.ones(16, dtype=np.float32), SZ3Config(error_bound=1e-3))
+    with pytest.raises(CorruptStreamError, match="trailing"):
+        sz3_decompress(stream + b"junk")
 
 
 def test_sz3_every_truncation_fails_cleanly():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.parallel import ParallelCompressor, ParallelConfig
 from repro.errors import CorruptStreamError
+from repro.stream import FrameParser
 
 
 class TestRoundtrip:
@@ -20,6 +21,18 @@ class TestRoundtrip:
         dec = run_sim(env, pc.decompress(comp.payload))
         assert dec.payload == b""
 
+    @pytest.mark.parametrize("data", [b"", b"abc"], ids=["empty", "3-byte"])
+    def test_fewer_bytes_than_chunks(self, env, bf2, run_sim, data):
+        """Only non-empty chunks are framed and fanned out, both ways."""
+        pc = ParallelCompressor(bf2, ParallelConfig(n_chunks=8))
+        comp = run_sim(env, pc.compress(data))
+        dec = run_sim(env, pc.decompress(comp.payload))
+        assert dec.payload == data
+        assert comp.chunks_on_engine + comp.chunks_on_soc == len(data)
+        assert dec.chunks_on_engine + dec.chunks_on_soc == len(data)
+        frames = FrameParser().feed(comp.payload)
+        assert [f.raw_len for f in frames[:-1]] == [1] * len(data)
+
     def test_invalid_chunks(self):
         with pytest.raises(ValueError):
             ParallelConfig(n_chunks=0)
@@ -34,70 +47,6 @@ class TestRoundtrip:
         comp = run_sim(env, pc.compress(text_payload))
         with pytest.raises(CorruptStreamError):
             run_sim(env, pc.decompress(comp.payload[: len(comp.payload) // 2]))
-
-
-class TestContainerValidation:
-    """The chunk table must exactly account for the payload bytes —
-    regression tests for the size-field validation."""
-
-    def _container(self, env, bf2, run_sim, text_payload):
-        pc = ParallelCompressor(bf2, ParallelConfig(n_chunks=4))
-        comp = run_sim(env, pc.compress(text_payload))
-        return pc, bytearray(comp.payload)
-
-    def test_zero_chunks_rejected(self, env, bf2, run_sim):
-        import struct
-
-        blob = b"PPAR" + struct.pack("<I", 0)
-        with pytest.raises(CorruptStreamError, match="zero chunks"):
-            run_sim(env, ParallelCompressor(bf2).decompress(blob))
-
-    def test_huge_chunk_count_rejected_without_blowup(self, env, bf2, run_sim):
-        import struct
-
-        blob = b"PPAR" + struct.pack("<I", 0xFFFFFFFF) + b"\x00" * 64
-        with pytest.raises(CorruptStreamError):
-            run_sim(env, ParallelCompressor(bf2).decompress(blob))
-
-    def test_inflated_size_field_rejected(self, env, bf2, run_sim,
-                                          text_payload):
-        import struct
-
-        pc, blob = self._container(env, bf2, run_sim, text_payload)
-        (size0,) = struct.unpack_from("<Q", blob, 8)
-        struct.pack_into("<Q", blob, 8, size0 + 1)
-        with pytest.raises(CorruptStreamError, match="chunk table claims"):
-            run_sim(env, pc.decompress(bytes(blob)))
-
-    def test_deflated_size_field_rejected(self, env, bf2, run_sim,
-                                          text_payload):
-        import struct
-
-        pc, blob = self._container(env, bf2, run_sim, text_payload)
-        (size0,) = struct.unpack_from("<Q", blob, 8)
-        struct.pack_into("<Q", blob, 8, size0 - 1)
-        with pytest.raises(CorruptStreamError, match="chunk table claims"):
-            run_sim(env, pc.decompress(bytes(blob)))
-
-    def test_trailing_garbage_rejected(self, env, bf2, run_sim, text_payload):
-        pc, blob = self._container(env, bf2, run_sim, text_payload)
-        with pytest.raises(CorruptStreamError, match="chunk table claims"):
-            run_sim(env, pc.decompress(bytes(blob) + b"\x00"))
-
-    def test_overflowing_size_field_rejected(self, env, bf2, run_sim,
-                                             text_payload):
-        import struct
-
-        pc, blob = self._container(env, bf2, run_sim, text_payload)
-        struct.pack_into("<Q", blob, 8, 1 << 60)
-        with pytest.raises(CorruptStreamError):
-            run_sim(env, pc.decompress(bytes(blob)))
-
-    def test_valid_container_still_accepted(self, env, bf2, run_sim,
-                                            text_payload):
-        pc, blob = self._container(env, bf2, run_sim, text_payload)
-        dec = run_sim(env, pc.decompress(bytes(blob)))
-        assert dec.payload == text_payload
 
 
 class TestRatioTrade:
@@ -191,8 +140,6 @@ class TestDecompressEngineBilling:
         """The serial (depth-1) all-engine decompress lane's span must
         match the cost model applied to the scaled compressed chunk
         sizes exactly."""
-        import struct
-
         from repro.dpu.specs import Algo, Direction
 
         env = bf3.env
@@ -202,9 +149,9 @@ class TestDecompressEngineBilling:
         )
         comp = run_sim(env, pc.compress(payload, self.NOMINAL))
         container = comp.payload
-        (n,) = struct.unpack_from("<I", container, 4)
-        sizes = [struct.unpack_from("<Q", container, 8 + 8 * i)[0]
-                 for i in range(n)]
+        sizes = [len(f.payload) for f in FrameParser().feed(container)
+                 if not f.is_end]
+        assert len(sizes) == self.N
         scale = self.NOMINAL / len(payload)
         dec = run_sim(env, pc.decompress(container, self.NOMINAL))
         assert dec.chunks_on_engine == self.N

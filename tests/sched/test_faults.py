@@ -147,7 +147,7 @@ class TestChunkOrderUnderFaults:
         faulty = compress(
             FaultPlan(seed=7, engine_fail=0.4, corrupt_output=0.3)
         )
-        # Retries re-enter the pipeline out of band, but the PPAR
+        # Retries re-enter the pipeline out of band, but the parallel
         # container keeps its chunks in submission order: byte-identical.
         assert faulty.payload == clean.payload
 

@@ -1,10 +1,11 @@
 """One hostile-container sweep over every RST1 decoder.
 
 Each row damages a valid container in one way.  The one-shot
-``stream_decompress``, a ``Decompressor`` fed 7 bytes at a time and the
-gateway's ``StreamingSession.decompress`` all run the one
+``stream_decompress``, a ``Decompressor`` fed 7 bytes at a time, the
+gateway's ``StreamingSession.decompress`` and the chunk-parallel
+``ParallelCompressor.decompress`` all run the one
 :class:`~repro.stream.FrameReader`, so each row must raise the *same*
-exception class from all three.  Also pinned here: the local decoder
+exception class from all four.  Also pinned here: the local decoder
 decodes a chunk under a cap of its declared length, so a frame that lies
 about ``raw_len`` cannot make the codec inflate past it.  The session's
 chunks decode inside the gateway, which takes no per-request cap, so
@@ -21,6 +22,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.parallel import ParallelCompressor
 from repro.dpu import make_device
 from repro.dpu.specs import Algo
 from repro.errors import (
@@ -119,10 +121,17 @@ def _session(blob: bytes) -> bytes:
     return env.run(until=env.process(session.decompress(blob)))
 
 
+def _parallel(blob: bytes) -> bytes:
+    env = Environment()
+    parallel = ParallelCompressor(make_device(env, "bf2"))
+    return env.run(until=env.process(parallel.decompress(blob))).payload
+
+
 DECODERS = {
     "stream_decompress": stream_decompress,
     "Decompressor 7-byte feeds": _sliced,
     "StreamingSession": _session,
+    "ParallelCompressor": _parallel,
 }
 
 

@@ -40,8 +40,11 @@ from repro.algorithms.lz77 import MatcherConfig
 from repro.algorithms.sz3 import SZ3Config, sz3_compress
 from repro.algorithms.zlib_format import zlib_compress
 from repro.algorithms.zstdlite import zstdlite_compress
+from repro.core.parallel import ParallelCompressor, ParallelConfig
 from repro.datasets import get_dataset
+from repro.dpu import make_device
 from repro.dpu.specs import Algo
+from repro.sim import Environment
 from repro.stream import StreamConfig, stream_compress
 
 VECTOR_DIR = Path(__file__).resolve().parent
@@ -119,6 +122,13 @@ def _low_entropy(n: int) -> bytes:
     return bytes(out)
 
 
+def _parallel_8chunks(data: bytes) -> bytes:
+    """The chunk-parallel container (RST1, one DEFLATE frame per chunk)."""
+    env = Environment()
+    compressor = ParallelCompressor(make_device(env, "bf2"), ParallelConfig(n_chunks=8))
+    return env.run(until=env.process(compressor.compress(data))).payload
+
+
 def _deflate_with(**matcher):
     config = DeflateConfig(matcher=MatcherConfig(**matcher))
     return lambda data: deflate_compress(data, config)
@@ -133,9 +143,10 @@ CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
 #: ``codec_compress`` / ``stream_paths`` operating points (the golden
 #: vectors are <= 6 KB, so a matcher change that only alters tokens once
 #: chains get deep, the window binds or a block spans several Huffman
-#: blocks passes them); the rest are the ``max_chain`` corners around
-#: the input length, with a ``good_match`` that shrinks the walk (a
-#: budget clamped to the input length reads 2n as n + 1).
+#: blocks passes them); then the ``max_chain`` corners around the input
+#: length, with a ``good_match`` that shrinks the walk (a budget clamped
+#: to the input length reads 2n as n + 1); last the ``pedal_ops``
+#: chunk-parallel container's framing.
 DIGEST_PINS = {
     "deflate-xml-64k": (lambda: _head("silesia/xml", 64 * KIB), deflate_compress),
     "deflate-mozilla-32k": (
@@ -153,6 +164,8 @@ DIGEST_PINS = {
             lambda: _low_entropy(400), _deflate_with(max_chain=chain, good_match=8))
         for chain in (399, 401, 800)
     },
+    "parallel-deflate-xml-64k-8chunks": (
+        lambda: _head("silesia/xml", 64 * KIB), _parallel_8chunks),
 }
 
 
