@@ -129,9 +129,15 @@ def _parallel_8chunks(data: bytes) -> bytes:
     return env.run(until=env.process(compressor.compress(data))).payload
 
 
-def _deflate_with(**matcher):
-    config = DeflateConfig(matcher=MatcherConfig(**matcher))
+def _deflate_with(matcher: "dict | None" = None, **config):
+    config = DeflateConfig(matcher=MatcherConfig(**(matcher or {})), **config)
     return lambda data: deflate_compress(data, config)
+
+
+def _serve_window() -> bytes:
+    """The first of ``serve_sweep``'s 64 pool windows at the benchmark's
+    default seed: 256 B of the 256 KiB ``silesia/xml`` corpus."""
+    return _head("silesia/xml", 256 * KIB)[182140:182140 + 256]
 
 
 #: The 40-byte input on which the LZ77 walk once quartered a budget
@@ -145,8 +151,10 @@ CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
 #: chains get deep, the window binds or a block spans several Huffman
 #: blocks passes them); then the ``max_chain`` corners around the input
 #: length, with a ``good_match`` that shrinks the walk (a budget clamped
-#: to the input length reads 2n as n + 1); last the ``pedal_ops``
-#: chunk-parallel container's framing.
+#: to the input length reads 2n as n + 1); then the ``pedal_ops``
+#: chunk-parallel container's framing; last the small blocks
+#: ``serve_sweep`` encodes, around the size at which a DEFLATE block
+#: stops being a few hundred tokens.
 DIGEST_PINS = {
     "deflate-xml-64k": (lambda: _head("silesia/xml", 64 * KIB), deflate_compress),
     "deflate-mozilla-32k": (
@@ -158,14 +166,39 @@ DIGEST_PINS = {
         _exaalt_window,
         lambda field: sz3_compress(field, SZ3Config(error_bound=1e-4))),
     "deflate-chain128-good8-counterexample-40": (
-        lambda: CHAIN_COUNTEREXAMPLE, _deflate_with(max_chain=128, good_match=8)),
+        lambda: CHAIN_COUNTEREXAMPLE,
+        _deflate_with(dict(max_chain=128, good_match=8))),
     **{
         f"deflate-chain{chain}-good8-low-entropy-400": (
-            lambda: _low_entropy(400), _deflate_with(max_chain=chain, good_match=8))
+            lambda: _low_entropy(400),
+            _deflate_with(dict(max_chain=chain, good_match=8)))
         for chain in (399, 401, 800)
     },
     "parallel-deflate-xml-64k-8chunks": (
         lambda: _head("silesia/xml", 64 * KIB), _parallel_8chunks),
+    # Small blocks, where one Huffman block covers a few hundred tokens:
+    # the serve_sweep request, a 1 KiB and a 2 KiB window, the xml
+    # prefixes of 2 861 and 2 863 bytes (511 and 513 tokens), each forced
+    # block type, and block_tokens splits that cut a block mid-stream.
+    "deflate-serve-xml-256": (_serve_window, deflate_compress),
+    "deflate-xml-1k": (lambda: _head("silesia/xml", KIB), deflate_compress),
+    "deflate-telemetry-2k": (lambda: _head("net_telemetry", 2 * KIB), deflate_compress),
+    "deflate-xml-511-tokens": (
+        lambda: _head("silesia/xml", 8 * KIB)[:2861], deflate_compress),
+    "deflate-xml-513-tokens": (
+        lambda: _head("silesia/xml", 8 * KIB)[:2863], deflate_compress),
+    **{
+        f"deflate-serve-xml-256-{strategy}": (
+            _serve_window, _deflate_with(strategy=strategy))
+        for strategy in ("fixed", "dynamic", "stored")
+    },
+    **{
+        f"deflate-{name}-block{block}": (make, _deflate_with(block_tokens=block))
+        for name, make in (
+            ("serve-xml-256", _serve_window),
+            ("telemetry-2k", lambda: _head("net_telemetry", 2 * KIB)))
+        for block in (7, 100)
+    },
 }
 
 
