@@ -1,17 +1,24 @@
 """DEFLATE compressor (RFC 1951).
 
-Pipeline: LZ77 tokenisation (:mod:`repro.algorithms.lz77`) → vectorised
-symbol mapping → per-block choice among stored / fixed-Huffman /
-dynamic-Huffman based on exact emitted sizes → bulk bit packing.
+Pipeline: LZ77 tokenisation (:mod:`repro.algorithms.lz77`) → symbol
+histograms → per-block choice among stored / fixed-Huffman /
+dynamic-Huffman based on exact emitted sizes → bit packing.
 
 Token streams are encoded as one DEFLATE block per ``block_tokens``
 tokens (a single block for typical inputs); each block's Huffman trees
-are built from that block's own statistics.
+are built from that block's own statistics.  A block of at most
+:data:`_SMALL_BLOCK_TOKENS` tokens is mapped, counted and packed from
+the token lists in Python ints (:class:`_TokenLists`); a larger one
+through numpy arrays (:class:`_TokenArrays`).  The trees, the header
+and the block-type choice are shared, so both give the same bytes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
 
 import numpy as np
 
@@ -25,6 +32,15 @@ __all__ = ["DeflateConfig", "deflate_compress"]
 
 _MAX_BITS = 15  # litlen/dist code length limit
 _MAX_CL_BITS = 7  # code-length alphabet limit
+
+#: Blocks of at most this many tokens take the token lists as they are
+#: (:class:`_TokenLists`), larger ones numpy arrays (:class:`_TokenArrays`).
+#: Set from the measured crossover of the two paths' token work (DESIGN.md
+#: §5j): ~530 tokens on xml, ~580 on mozilla, ~850 on literal-only noise.
+#: Below it a block's ~20 numpy dispatches cost more than a loop over its
+#: tokens; above it the loop's per-token cost (and the growing payload
+#: int) does.
+_SMALL_BLOCK_TOKENS = 512
 
 
 @dataclass(frozen=True)
@@ -51,7 +67,51 @@ class DeflateConfig:
 
 
 # ---------------------------------------------------------------------------
-# Symbol mapping
+# Tables as lists: the alphabet-sized work is plain ints on both paths
+# ---------------------------------------------------------------------------
+
+# Match length (3..258) -> literal/length symbol (257..285).
+_LITLEN_FOR_LEN = (T.LENGTH_SYM_FOR_LEN + 257).tolist()
+# Per literal/length symbol: base match length and extra bits (0 below 257).
+_LITLEN_BASE = [0] * 257 + T.LENGTH_BASE.tolist()
+_LITLEN_EXTRA = T.LITLEN_EXTRA.tolist()
+# zlib's distance -> code table: entry ``d - 1`` for d <= 256, entry
+# ``256 + (d - 1 >> 7)`` above (codes 16..29 start on multiples of 128).
+_DIST_CODE = T.dist_symbol(
+    np.concatenate([np.arange(1, 257), (np.arange(256) << 7) + 1])).tolist()
+_DIST_BASE = T.DIST_BASE.tolist()
+_DIST_EXTRA = T.DIST_EXTRA.tolist()
+_FIXED_LITLEN_COST = T.FIXED_LITLEN_COST.tolist()
+_FIXED_DIST_COST = T.FIXED_DIST_COST.tolist()
+_FIXED_TREES = (T.FIXED_LITLEN_LENGTHS.tolist(), T.FIXED_DIST_LENGTHS.tolist())
+_FIXED_CODES = (T.FIXED_LITLEN_CODES.tolist(), T.FIXED_DIST_CODES.tolist())
+_CLCODE_ORDER = T.CLCODE_ORDER.tolist()
+
+
+def _payload_bits(
+    litlen_freq: "list[int]", dist_freq: "list[int]",
+    litlen_bits: "list[int]", dist_bits: "list[int]",
+) -> "tuple[int, int]":
+    """Exact payload size in bits (EOB included) of a block under its
+    dynamic trees and under the fixed trees, from its histograms.
+
+    One pass over each alphabet's used symbols: an occurrence spends
+    its code length plus its extra bits.
+    """
+    dynamic = fixed = 0
+    for freq, bits, extra, fixed_cost in (
+        (litlen_freq, litlen_bits, _LITLEN_EXTRA, _FIXED_LITLEN_COST),
+        (dist_freq, dist_bits, _DIST_EXTRA, _FIXED_DIST_COST),
+    ):
+        for sym in compress(range(len(freq)), freq):
+            count = freq[sym]
+            dynamic += count * (bits[sym] + extra[sym])
+            fixed += count * fixed_cost[sym]
+    return dynamic, fixed
+
+
+# ---------------------------------------------------------------------------
+# Token-sized work, large blocks: numpy arrays
 # ---------------------------------------------------------------------------
 
 def _map_symbols(lengths: np.ndarray, values: np.ndarray) -> dict[str, np.ndarray]:
@@ -78,19 +138,103 @@ def _map_symbols(lengths: np.ndarray, values: np.ndarray) -> dict[str, np.ndarra
     }
 
 
-def _block_cost_bits(
-    litlen_freq: np.ndarray,
-    dist_freq: np.ndarray,
-    litlen_cost: np.ndarray,
-    dist_cost: np.ndarray,
-) -> int:
-    """Exact payload size in bits of a block, from its symbol histograms.
+class _TokenArrays:
+    """A block's tokens as numpy arrays: vectorised symbol mapping,
+    ``bincount`` histograms, one ``write_code_array`` for the payload."""
 
-    ``*_cost`` is what one occurrence of each symbol spends: its code
-    length plus its extra bits.  ``litlen_freq`` counts the block's
-    end-of-block symbol too, so the two dot products are the whole payload.
+    def __init__(self, lengths: "list[int]", values: "list[int]") -> None:
+        self.syms = syms = _map_symbols(np.asarray(lengths, dtype=np.int32),
+                                        np.asarray(values, dtype=np.int32))
+        litlen = np.bincount(syms["litlen_sym"], minlength=286)
+        litlen[T.END_OF_BLOCK] += 1
+        self.litlen_freq = litlen.tolist()
+        self.dist_freq = np.bincount(syms["dist_sym"], minlength=30).tolist()
+
+    def emit(self, writer: BitWriter, litlen_codes: "list[int]",
+             litlen_bits: "list[int]", dist_codes: "list[int]",
+             dist_bits: "list[int]") -> None:
+        syms = self.syms
+        n = syms["litlen_sym"].size
+        codes = np.zeros((n, 4), dtype=np.uint32)
+        bits = np.zeros((n, 4), dtype=np.int64)
+        lsym = syms["litlen_sym"]
+        codes[:, 0] = np.array(litlen_codes, dtype=np.uint32)[lsym]
+        bits[:, 0] = np.array(litlen_bits)[lsym]
+        is_match = syms["is_match"]
+        dsym = syms["dist_sym"]
+        if dsym.size:
+            codes[is_match, 1] = syms["len_extra_val"]
+            bits[is_match, 1] = syms["len_extra_bits"]
+            codes[is_match, 2] = np.array(dist_codes, dtype=np.uint32)[dsym]
+            bits[is_match, 2] = np.array(dist_bits)[dsym]
+            codes[is_match, 3] = syms["dist_extra_val"]
+            bits[is_match, 3] = syms["dist_extra_bits"]
+        writer.write_code_array(codes.reshape(-1), bits.reshape(-1))
+        writer.write_bits(litlen_codes[T.END_OF_BLOCK], litlen_bits[T.END_OF_BLOCK])
+
+
+# ---------------------------------------------------------------------------
+# Token-sized work, small blocks: the token lists as they are
+# ---------------------------------------------------------------------------
+
+class _TokenLists:
+    """A block's tokens as the lists ``tokenize`` returned: one loop
+    counts both histograms through list lookups, :func:`_pack_tokens`
+    builds the payload as one int."""
+
+    def __init__(self, lengths: "list[int]", values: "list[int]") -> None:
+        self.lengths = lengths
+        self.values = values
+        litlen = [0] * 286
+        litlen[T.END_OF_BLOCK] = 1
+        dist = [0] * 30
+        litlen_for_len, dist_code = _LITLEN_FOR_LEN, _DIST_CODE
+        for length, value in zip(lengths, values):
+            if length:
+                litlen[litlen_for_len[length]] += 1
+                value -= 1
+                dist[dist_code[value if value < 256 else 256 + (value >> 7)]] += 1
+            else:
+                litlen[value] += 1
+        self.litlen_freq = litlen
+        self.dist_freq = dist
+
+    def emit(self, writer: BitWriter, litlen_codes: "list[int]",
+             litlen_bits: "list[int]", dist_codes: "list[int]",
+             dist_bits: "list[int]") -> None:
+        writer.write_bits(*_pack_tokens(self.lengths, self.values, litlen_codes,
+                                        litlen_bits, dist_codes, dist_bits))
+
+
+def _pack_tokens(
+    lengths: "list[int]", values: "list[int]",
+    litlen_codes: "list[int]", litlen_bits: "list[int]",
+    dist_codes: "list[int]", dist_bits: "list[int]",
+) -> "tuple[int, int]":
+    """A block's payload + EOB packed LSB-first into one int.
+
+    Returns ``(value, nbits)`` for a single ``write_bits``.  The codes
+    are the trees' LSB-first codes, indexed by symbol.
     """
-    return int(litlen_freq @ litlen_cost) + int(dist_freq @ dist_cost)
+    litlen_for_len, litlen_base, litlen_extra = _LITLEN_FOR_LEN, _LITLEN_BASE, _LITLEN_EXTRA
+    dist_code, dist_base, dist_extra = _DIST_CODE, _DIST_BASE, _DIST_EXTRA
+    acc = nbits = 0
+    for length, value in zip(lengths, values):
+        if length:
+            sym = litlen_for_len[length]
+            width = litlen_bits[sym]
+            acc |= (litlen_codes[sym] | (length - litlen_base[sym]) << width) << nbits
+            nbits += width + litlen_extra[sym]
+            value -= 1
+            sym = dist_code[value if value < 256 else 256 + (value >> 7)]
+            width = dist_bits[sym]
+            acc |= (dist_codes[sym] | (value + 1 - dist_base[sym]) << width) << nbits
+            nbits += width + dist_extra[sym]
+        else:
+            acc |= litlen_codes[value] << nbits
+            nbits += litlen_bits[value]
+    acc |= litlen_codes[T.END_OF_BLOCK] << nbits
+    return acc, nbits + litlen_bits[T.END_OF_BLOCK]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +244,12 @@ def _block_cost_bits(
 _CL_EXTRA_BITS = {16: 2, 17: 3, 18: 7}
 
 
-def _rle_code_lengths(all_lengths: np.ndarray) -> tuple[list[int], list[int]]:
+#: A run the code-length RLE shortens: three or more zeros, or four or
+#: more of one non-zero length (which is sent once, then repeated).
+_LONG_RUN = re.compile(rb"\x00{3,}|(.)\1{3,}", re.DOTALL)
+
+
+def _rle_code_lengths(all_lengths: "list[int]") -> tuple[list[int], list[int]]:
     """RLE-compress the concatenated litlen+dist length sequence.
 
     Returns ``(cl_symbols, extras)``: ``extras`` holds, in order of
@@ -109,12 +258,15 @@ def _rle_code_lengths(all_lengths: np.ndarray) -> tuple[list[int], list[int]]:
     """
     syms: list[int] = []
     extras: list[int] = []
-    # Run boundaries in one numpy pass; the loop then visits runs, not
-    # the ~290 lengths (most of them zeros in a few long runs).
-    cuts = np.flatnonzero(all_lengths[1:] != all_lengths[:-1]) + 1
-    starts = [0, *cuts.tolist(), all_lengths.size]
-    for i, value in enumerate(all_lengths[starts[:-1]].tolist()):
-        run = starts[i + 1] - starts[i]
+    # A regex over the lengths as bytes finds the few runs worth a
+    # repeat code; everything between them goes out as is.
+    pos = 0
+    for match in _LONG_RUN.finditer(bytes(all_lengths)):
+        start, end = match.span()
+        syms += all_lengths[pos:start]
+        pos = end
+        run = end - start
+        value = all_lengths[start]
         if value == 0:
             while run >= 11:
                 take = min(run, 138)
@@ -126,7 +278,7 @@ def _rle_code_lengths(all_lengths: np.ndarray) -> tuple[list[int], list[int]]:
                 syms.append(17)
                 extras.append(take - 3)
                 run -= take
-        elif run >= 4:
+        else:
             syms.append(value)
             run -= 1
             while run >= 3:
@@ -135,30 +287,34 @@ def _rle_code_lengths(all_lengths: np.ndarray) -> tuple[list[int], list[int]]:
                 extras.append(take - 3)
                 run -= take
         syms += [value] * run
+    syms += all_lengths[pos:]
     return syms, extras
 
 
 def _dynamic_header(
-    litlen_lengths: np.ndarray, dist_lengths: np.ndarray
+    litlen_bits: "list[int]", dist_bits: "list[int]"
 ) -> tuple[int, int]:
     """Build the dynamic block header (everything after BTYPE).
 
     Returns ``(value, nbits)``: the header's fields packed LSB-first into
     one integer, ready for a single ``write_bits``.
     """
-    # HLIT: number of litlen codes - 257 (at least the EOB code is used).
-    hlit = max(int(np.flatnonzero(litlen_lengths).max(initial=256)) + 1, 257)
-    hdist = max(int(np.flatnonzero(dist_lengths).max(initial=0)) + 1, 1)
+    # HLIT: number of litlen codes - 257 (the EOB code is always used).
+    hlit = len(litlen_bits)
+    while hlit > 257 and not litlen_bits[hlit - 1]:
+        hlit -= 1
+    hdist = len(dist_bits)
+    while hdist > 1 and not dist_bits[hdist - 1]:
+        hdist -= 1
 
-    all_lengths = np.concatenate([litlen_lengths[:hlit], dist_lengths[:hdist]])
-    cl_syms, cl_extras = _rle_code_lengths(all_lengths)
+    cl_syms, cl_extras = _rle_code_lengths(litlen_bits[:hlit] + dist_bits[:hdist])
+    cl_freq = [0] * 19
+    for sym in cl_syms:
+        cl_freq[sym] += 1
+    cl_bits = huffman.code_length_list(cl_freq, _MAX_CL_BITS)
+    cl_codes = huffman.lsb_code_list(cl_bits)
 
-    cl_freq = np.bincount(cl_syms, minlength=19)
-    cl_lengths = huffman.code_lengths(cl_freq, _MAX_CL_BITS)
-    cl_codes = huffman.lsb_codes(cl_lengths).tolist()
-
-    ordered = cl_lengths[T.CLCODE_ORDER].tolist()
-    cl_bits = cl_lengths.tolist()
+    ordered = [cl_bits[sym] for sym in _CLCODE_ORDER]
     hclen = 19
     while hclen > 4 and ordered[hclen - 1] == 0:
         hclen -= 1
@@ -184,51 +340,22 @@ def _dynamic_header(
 
 def _emit_huffman_block(
     writer: BitWriter,
-    syms: dict[str, np.ndarray],
-    litlen_lengths: np.ndarray,
-    dist_lengths: np.ndarray,
-    codes: "tuple[np.ndarray, np.ndarray] | None" = None,
+    block: "_TokenArrays | _TokenLists",
+    litlen_bits: "list[int]",
+    dist_bits: "list[int]",
+    codes: "tuple[list[int], list[int]] | None" = None,
 ) -> None:
-    """Emit the token payload + EOB under the given trees (bulk-packed).
+    """Emit the block's token payload + EOB under the given trees.
 
     ``codes`` is the trees' ``(litlen, dist)`` LSB-first codes when the
     caller already has them (the fixed trees); otherwise they are built
-    from the lengths here.
+    from the code lengths here.
     """
     with get_profiler().kernel("huffman.emit"):
         litlen_codes, dist_codes = codes or (
-            huffman.lsb_codes(litlen_lengths), huffman.lsb_codes(dist_lengths)
+            huffman.lsb_code_list(litlen_bits), huffman.lsb_code_list(dist_bits)
         )
-        _emit_huffman_payload(
-            writer, syms, litlen_codes, litlen_lengths, dist_codes, dist_lengths
-        )
-
-
-def _emit_huffman_payload(
-    writer: BitWriter,
-    syms: dict[str, np.ndarray],
-    litlen_codes: np.ndarray,
-    litlen_lengths: np.ndarray,
-    dist_codes: np.ndarray,
-    dist_lengths: np.ndarray,
-) -> None:
-    n = syms["litlen_sym"].size
-    codes = np.zeros((n, 4), dtype=np.uint32)
-    bits = np.zeros((n, 4), dtype=np.int64)
-    lsym = syms["litlen_sym"]
-    codes[:, 0] = litlen_codes[lsym]
-    bits[:, 0] = litlen_lengths[lsym]
-    is_match = syms["is_match"]
-    dsym = syms["dist_sym"]
-    if dsym.size:
-        codes[is_match, 1] = syms["len_extra_val"]
-        bits[is_match, 1] = syms["len_extra_bits"]
-        codes[is_match, 2] = dist_codes[dsym]
-        bits[is_match, 2] = dist_lengths[dsym]
-        codes[is_match, 3] = syms["dist_extra_val"]
-        bits[is_match, 3] = syms["dist_extra_bits"]
-    writer.write_code_array(codes.reshape(-1), bits.reshape(-1))
-    writer.write_bits(int(litlen_codes[T.END_OF_BLOCK]), int(litlen_lengths[T.END_OF_BLOCK]))
+        block.emit(writer, litlen_codes, litlen_bits, dist_codes, dist_bits)
 
 
 def _emit_stored_block(writer: BitWriter, raw: bytes, final: bool) -> None:
@@ -274,7 +401,6 @@ def _deflate_compress(data: bytes, config: DeflateConfig | None) -> bytes:
 
     tokens = tokenize(data, cfg.matcher)
     writer = BitWriter()
-    tok_lengths, tok_values = tokens.arrays()
 
     n_tokens = len(tokens)
     block_starts = list(range(0, n_tokens, cfg.block_tokens)) or [0]
@@ -283,33 +409,27 @@ def _deflate_compress(data: bytes, config: DeflateConfig | None) -> bytes:
     for start in block_starts:
         stop = min(start + cfg.block_tokens, n_tokens)
         final = stop >= n_tokens
-        blk_lengths = tok_lengths[start:stop]
-        syms = _map_symbols(blk_lengths, tok_values[start:stop])
+        lengths = tokens.lengths[start:stop]
+        path = _TokenLists if stop - start <= _SMALL_BLOCK_TOKENS else _TokenArrays
+        block = path(lengths, tokens.values[start:stop])
         # The raw bytes the block covers, should it go out stored: a
         # literal token is one byte, a match its length.
         raw_start = raw_stop
-        raw_stop += int(np.maximum(blk_lengths, 1).sum())
+        raw_stop += sum(lengths) + lengths.count(0)
         raw = data[raw_start:raw_stop]
 
-        litlen_freq = np.bincount(syms["litlen_sym"], minlength=286)
-        litlen_freq[T.END_OF_BLOCK] += 1
-        dist_freq = np.bincount(syms["dist_sym"], minlength=30)
-
-        dyn_litlen = huffman.code_lengths(litlen_freq, _MAX_BITS)
-        dyn_dist = huffman.code_lengths(dist_freq, _MAX_BITS)
-        if not dist_freq.any():
+        litlen_freq, dist_freq = block.litlen_freq, block.dist_freq
+        dyn_litlen = huffman.code_length_list(litlen_freq, _MAX_BITS)
+        dyn_dist = huffman.code_length_list(dist_freq, _MAX_BITS)
+        if not any(dyn_dist):
             # RFC: at least one distance code must be describable.
-            dyn_dist = dyn_dist.copy()
             dyn_dist[0] = 1
 
         header, header_bits = _dynamic_header(dyn_litlen, dyn_dist)
-        dyn_bits = 3 + header_bits + _block_cost_bits(
-            litlen_freq, dist_freq,
-            dyn_litlen + T.LITLEN_EXTRA, dyn_dist + T.DIST_EXTRA,
-        )
-        fixed_bits = 3 + _block_cost_bits(
-            litlen_freq, dist_freq, T.FIXED_LITLEN_COST, T.FIXED_DIST_COST
-        )
+        dyn_payload, fixed_payload = _payload_bits(
+            litlen_freq, dist_freq, dyn_litlen, dyn_dist)
+        dyn_bits = 3 + header_bits + dyn_payload
+        fixed_bits = 3 + fixed_payload
         stored_bits = (len(raw) + 5 * (1 + len(raw) // 65535)) * 8 + 8
 
         choice = cfg.strategy
@@ -328,12 +448,9 @@ def _deflate_compress(data: bytes, config: DeflateConfig | None) -> bytes:
 
         if choice == "fixed":
             writer.write_bits(final | 1 << 1, 3)
-            _emit_huffman_block(
-                writer, syms, T.FIXED_LITLEN_LENGTHS, T.FIXED_DIST_LENGTHS,
-                (T.FIXED_LITLEN_CODES, T.FIXED_DIST_CODES),
-            )
+            _emit_huffman_block(writer, block, *_FIXED_TREES, _FIXED_CODES)
         else:
             writer.write_bits(final | 2 << 1 | header << 3, 3 + header_bits)
-            _emit_huffman_block(writer, syms, dyn_litlen, dyn_dist)
+            _emit_huffman_block(writer, block, dyn_litlen, dyn_dist)
 
     return writer.getvalue()

@@ -2,22 +2,32 @@
 
 Three pieces, shared by DEFLATE and the SZ3 encoder stage:
 
-* :func:`code_lengths` — optimal *length-limited* code lengths from symbol
-  frequencies via the package-merge algorithm (Larmore & Hirschberg 1990).
-  Package-merge is exactly optimal under a maximum-length constraint,
-  which DEFLATE needs (15-bit limit for literal/length and distance codes,
-  7-bit limit for the code-length alphabet).
-* :func:`canonical_codes` — RFC 1951 canonical code assignment from
-  lengths (shorter codes numerically first, ties broken by symbol order).
+* :func:`code_length_list` — optimal *length-limited* code lengths from
+  symbol frequencies via the package-merge algorithm (Larmore &
+  Hirschberg 1990).  Package-merge is exactly optimal under a
+  maximum-length constraint, which DEFLATE needs (15-bit limit for
+  literal/length and distance codes, 7-bit limit for the code-length
+  alphabet).
+* :func:`canonical_code_list` / :func:`lsb_code_list` — RFC 1951
+  canonical code assignment from lengths (shorter codes numerically
+  first, ties broken by symbol order), as is or bit-reversed for the
+  wire.
 * :class:`HuffmanDecoder` — flat-table decoder: one table lookup per
   symbol against an LSB-first :class:`~repro.util.bitio.BitReader`.
 * :func:`decode_run` — the decode loop DEFLATE's tree header and SZ3
   share: symbols until one needs the caller, reader state in locals.
+
+The alphabets are small (at most 288 symbols), so the code builders
+work on plain ``list``s of ints: at that size a numpy call costs more
+than the loop it replaces.  :func:`code_lengths`, :func:`canonical_codes`
+and :func:`lsb_codes` are the same builders for numpy callers (SZ3, the
+fixed DEFLATE trees), arrays in and out.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress
 from operator import add
 
 import numpy as np
@@ -29,8 +39,11 @@ from repro.util.bitio import BIT_REVERSE_16, BitReader
 __all__ = [
     "MAX_CODE_BITS",
     "code_lengths",
+    "code_length_list",
     "canonical_codes",
+    "canonical_code_list",
     "lsb_codes",
+    "lsb_code_list",
     "HuffmanDecoder",
     "decode_run",
 ]
@@ -41,6 +54,12 @@ MAX_CODE_BITS = 16
 
 
 def code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
+    """:func:`code_length_list` for numpy callers: ``int32`` array out."""
+    freqs = np.asarray(freqs, dtype=np.int64).ravel().tolist()
+    return np.array(code_length_list(freqs, max_bits), dtype=np.int32)
+
+
+def code_length_list(freqs: "list[int]", max_bits: int) -> "list[int]":
     """Optimal code lengths under a ``max_bits`` limit (package-merge).
 
     Parameters
@@ -53,8 +72,8 @@ def code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
 
     Returns
     -------
-    numpy.ndarray
-        ``int32`` array of per-symbol code lengths.
+    list of int
+        Per-symbol code lengths.
 
     Raises
     ------
@@ -66,20 +85,17 @@ def code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
         return _code_lengths(freqs, max_bits)
 
 
-def _code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
-    freqs = np.asarray(freqs, dtype=np.int64).ravel()
-    used = (freqs > 0).nonzero()[0]
-    lengths = np.zeros(freqs.size, dtype=np.int32)
-
-    if used.size == 0:
-        return lengths
-    if used.size == 1:
+def _code_lengths(freqs: "list[int]", max_bits: int) -> "list[int]":
+    lengths = [0] * len(freqs)
+    used = list(compress(range(len(freqs)), freqs))
+    if len(used) <= 1:
         # A single symbol still needs one bit on the wire.
-        lengths[used[0]] = 1
+        for sym in used:
+            lengths[sym] = 1
         return lengths
-    if used.size > (1 << max_bits):
+    if len(used) > (1 << max_bits):
         raise ValueError(
-            f"{used.size} symbols cannot be coded in {max_bits}-bit codes"
+            f"{len(used)} symbols cannot be coded in {max_bits}-bit codes"
         )
 
     # Count-only package-merge.  A level's list is the leaves merged with
@@ -87,9 +103,8 @@ def _code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
     # before a package of equal weight.  Only the weights are kept: the
     # leaves among the first k items of a level are always a prefix of
     # the weight-sorted leaves, so "how many" identifies them.
-    weights = freqs[used]
-    by_weight = weights.argsort(kind="stable")
-    leaves = weights[by_weight].tolist()
+    used.sort(key=freqs.__getitem__)  # stable: equal weights by symbol
+    leaves = [freqs[sym] for sym in used]
     n = len(leaves)
     levels = []  # per level: (its packages, leaves and packages merged)
     packages: "list[int]" = []
@@ -122,60 +137,78 @@ def _code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
         depth[in_prefix] += 1
         k = 2 * (k - in_prefix)
     # A leaf's length is the number of levels whose prefix reached it.
-    lengths[used[by_weight]] = walked - np.cumsum(depth[:n])
+    for sym, shallower in zip(used, accumulate(depth)):
+        lengths[sym] = walked - shallower
     return lengths
 
 
 def canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """:func:`canonical_code_list` for numpy callers: ``uint32`` array out."""
+    lengths = np.asarray(lengths, dtype=np.int64).ravel().tolist()
+    return np.array(canonical_code_list(lengths), dtype=np.uint32)
+
+
+def canonical_code_list(lengths: "list[int]") -> "list[int]":
     """Assign canonical (MSB-first) codes from code lengths, per RFC 1951.
 
-    Symbols with length 0 receive code 0 (unused).
+    Symbols with length 0 receive code 0 (unused).  In (length, symbol)
+    order the codes count up from 0, shifting left by the length step
+    whenever the length grows.
     """
-    lengths = np.asarray(lengths, dtype=np.int32).ravel()
-    codes = np.zeros(lengths.size, dtype=np.uint32)
-    bl_count = np.bincount(lengths).tolist()
-    max_bits = len(bl_count) - 1
-    if max_bits < 1:
-        return codes
-    bl_count[0] = 0
-    next_code = [0] * (max_bits + 1)
-    code = 0
-    for bits in range(1, max_bits + 1):
-        code = (code + bl_count[bits - 1]) << 1
-        next_code[bits] = code
-        # Over-subscribed trees are caller bugs (encoder) or stream
-        # corruption (decoder builds via HuffmanDecoder which re-checks).
-        if code + bl_count[bits] > (1 << bits):
-            raise CorruptStreamError(f"over-subscribed Huffman tree at length {bits}")
-
-    # Vectorized assignment: within one length, canonical codes are
-    # consecutive in symbol order.  A stable argsort by length puts the
-    # used symbols in (length, symbol) order, where the code of the j-th
-    # is j plus a per-length constant: that length's first code minus
-    # the number of shorter codes before it.
-    by_len = lengths.argsort(kind="stable")[lengths.size - sum(bl_count):]
-    shorter = 0
-    for bits in range(1, max_bits + 1):
-        next_code[bits] -= shorter
-        shorter += bl_count[bits]
-    codes[by_len] = np.arange(shorter) + np.repeat(next_code, bl_count)
+    codes = [0] * len(lengths)
+    code = width = 0
+    for sym in sorted(compress(range(len(lengths)), lengths),
+                      key=lengths.__getitem__):
+        bits = lengths[sym]
+        if bits != width:
+            _check_subscription(code, width)
+            code <<= bits - width
+            width = bits
+        codes[sym] = code
+        code += 1
+    _check_subscription(code, width)
     return codes
 
 
+def _check_subscription(code: int, width: int) -> None:
+    """Raise unless the codes so far, ``code`` of them counted at
+    ``width`` bits, fit in ``width`` bits.
+
+    Over-subscribed trees are caller bugs (encoder) or stream corruption
+    (decoder builds via HuffmanDecoder which re-checks).
+    """
+    if code > 1 << width:
+        raise CorruptStreamError(f"over-subscribed Huffman tree at length {width}")
+
+
 def lsb_codes(lengths: np.ndarray) -> np.ndarray:
+    """:func:`lsb_code_list` for numpy callers: ``uint32`` array out."""
+    lengths = np.asarray(lengths, dtype=np.int64).ravel().tolist()
+    return np.array(lsb_code_list(lengths), dtype=np.uint32)
+
+
+#: ``_REVERSE_8[b]`` is the byte ``b`` with its 8 bits reversed.
+_REVERSE_8 = (BIT_REVERSE_16[:256] >> 8).tolist()
+
+
+def lsb_code_list(lengths: "list[int]") -> "list[int]":
     """Canonical codes pre-reversed into LSB-first wire order.
 
     DEFLATE transmits Huffman codes most-significant-bit first inside an
     LSB-first byte stream, which is equivalent to writing the
-    bit-reversed code LSB-first.  Reversal is one gather through
-    :data:`~repro.util.bitio.BIT_REVERSE_16`.
+    bit-reversed code LSB-first.  A code of up to 16 bits reverses
+    through two byte-reversal lookups.
     """
-    lengths = np.asarray(lengths, dtype=np.int32)
-    if int(lengths.max(initial=0)) > MAX_CODE_BITS:
-        raise ValueError(f"code lengths above {MAX_CODE_BITS} bits are not supported")
+    codes = canonical_code_list(lengths)
+    reverse = _REVERSE_8
     # A length-0 symbol has code 0, which reverses to 0 at any width.
-    wide = BIT_REVERSE_16[canonical_codes(lengths)].astype(np.uint32)
-    return wide >> (MAX_CODE_BITS - lengths).astype(np.uint32)
+    for sym in compress(range(len(lengths)), lengths):
+        code = codes[sym]
+        shift = MAX_CODE_BITS - lengths[sym]
+        if shift < 0:
+            raise ValueError(f"code lengths above {MAX_CODE_BITS} bits are not supported")
+        codes[sym] = (reverse[code & 0xFF] << 8 | reverse[code >> 8]) >> shift
+    return codes
 
 
 class HuffmanDecoder:

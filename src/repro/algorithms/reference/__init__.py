@@ -19,6 +19,7 @@ from repro.algorithms import huffman as _huffman
 from repro.algorithms import lz77 as _lz77
 from repro.algorithms.ac.codec import ac_decompress, encode_batches
 from repro.algorithms.ac.model import ContextModel
+from repro.algorithms.deflate import compress as _deflate_compress
 from repro.algorithms.deflate import deflate_decompress
 from repro.algorithms.reference import ac, huffman, lz77, sz3, xxhash32
 from repro.algorithms.sz3 import predictor as _predictor
@@ -41,10 +42,12 @@ class Twin:
 
 REGISTRY: "dict[str, Twin]" = {row.name: row for row in (
     Twin("tokenize", _lz77._tokenize_vec, lz77.tokenize, ((_lz77, "_tokenize_vec"),)),
-    Twin("canonical_codes", _huffman.canonical_codes, huffman.canonical_codes,
-         ((_huffman, "canonical_codes"),)),
+    Twin("canonical_codes", _huffman.canonical_code_list, huffman.canonical_codes,
+         ((_huffman, "canonical_code_list"),)),
     Twin("write_code_array", BitWriter.write_code_array, huffman.write_code_array,
          ((BitWriter, "write_code_array"),)),
+    Twin("pack_tokens", _deflate_compress._pack_tokens, huffman.pack_tokens,
+         ((_deflate_compress, "_pack_tokens"),)),
     Twin("lorenzo_residual", _predictor._lorenzo_residual, sz3.lorenzo_residual,
          ((_predictor, "_lorenzo_residual"),)),
     Twin("lorenzo_reconstruct", _predictor._lorenzo_reconstruct,

@@ -749,7 +749,7 @@ def _wall_entropy_rows() -> "list[dict[str, Any]]":
             litlen[256] += 1
             dist = np.bincount(syms["dist_sym"], minlength=30)
             trees = [huffman.code_lengths(litlen, 15), huffman.code_lengths(dist, 15)]
-            cl_syms, _ = dc._rle_code_lengths(np.concatenate(trees))
+            cl_syms, _ = dc._rle_code_lengths(np.concatenate(trees).tolist())
             histograms += [(litlen, 15), (dist, 15),
                            (np.bincount(cl_syms, minlength=19), 7)]
         for freqs, limit in histograms:

@@ -15,9 +15,13 @@ function of ``(TrafficConfig, seed)`` and replays bit-for-bit.
 * **Sizes** — per-tenant lognormal (median/sigma) or Pareto-tailed
   (Lomax, ``median * (1 + X)``), clipped to ``[min_bytes, max_bytes]``.
   Sizes feed ``sim_bytes`` (the simulated nominal size); the *actual*
-  payload bytes come from a small deterministic pool so the eager
-  codec work stays wall-clock cheap (the codec memo cache serves
-  repeats) without changing any simulated number.
+  payload bytes come from a small deterministic pool of
+  ``actual_bytes``-sized entries, so the eager codec work stays
+  wall-clock cheap without changing any simulated number.  Nothing
+  memoises it: the gateway runs the real codec on every admitted
+  request (``ServeGateway._make_entry`` calls
+  :func:`repro.core.codecs.byte_codec` directly), which is why a
+  serving benchmark measures codec cost at all.
 * **Tenants** — weighted mix of compress and decompress profiles,
   each carrying an optional p99 SLO threshold the bench feeds to the
   :mod:`repro.obs.slo` burn-rate monitor.
@@ -164,8 +168,10 @@ def _payload_pool(seed: int, actual_bytes: int, algo: Algo,
     Compress-direction entries are mildly compressible pseudo-random
     bytes; decompress-direction entries are those bytes pre-compressed
     with the tenant's codec (the gateway decompresses eagerly, so the
-    input must be a valid stream).  Small pool + repeated entries keep
-    the eager codec work amortized by the codec memo cache.
+    input must be a valid stream).  Arrivals cycle through the pool,
+    but repeats are not cached: the gateway runs the codec on every
+    admitted request, so ``actual_bytes`` sets the wall-clock cost per
+    request.
     """
     rng = np.random.default_rng((seed, int(algo_index(algo)), 777))
     pool = []

@@ -14,6 +14,7 @@ fuzzers.
 from __future__ import annotations
 
 import os
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -104,11 +105,34 @@ def test_tokenize_equivalence_hypothesis(data):
     assert scalar.values == vec.values
 
 
-@settings(max_examples=25)
-@given(st.binary(max_size=1024))
-def test_deflate_equivalence_hypothesis(data):
-    scalar, vec = both_modes(lambda: deflate_compress(data))
+#: Arbitrary bytes up to 1 KiB, then inputs either side of the
+#: small-block threshold (512 tokens): xml windows of 2-4 KiB (~400-620
+#: tokens, matches and literals mixed) and 256-1024 seeded random bytes
+#: (as many tokens, all literals).
+_SMALL_AND_LARGE_BLOCKS = st.one_of(
+    st.binary(max_size=1024),
+    st.builds(lambda start, size: CORPUS["xml_sample"][start:start + size],
+              st.integers(0, len(CORPUS["xml_sample"]) - 4096),
+              st.integers(2048, 4096)),
+    st.builds(lambda seed, size: np.random.default_rng(seed).bytes(size),
+              st.integers(0, 2**32 - 1), st.integers(256, 1024)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _SMALL_AND_LARGE_BLOCKS,
+    st.sampled_from(["auto", "fixed", "dynamic", "stored"]),
+    st.one_of(st.integers(1, 300), st.just(DeflateConfig().block_tokens)),
+)
+def test_deflate_equivalence_hypothesis(data, strategy, block_tokens):
+    """Production equals the twin pipeline, and every block encoded from
+    the token lists equals the same block through the numpy arrays."""
+    cfg = DeflateConfig(strategy=strategy, block_tokens=block_tokens)
+    scalar, vec = both_modes(lambda: deflate_compress(data, cfg))
     assert scalar == vec
+    with patch.object(deflate_compress_module, "_SMALL_BLOCK_TOKENS", 0):
+        assert deflate_compress(data, cfg) == vec
 
 
 # -- Huffman emission -------------------------------------------------------
@@ -177,7 +201,7 @@ def test_block_code_lengths_equal_reference(case):
     assert np.array_equal(litlen, huffman_reference.code_lengths(litlen_freq, 15))
     assert np.array_equal(dist, huffman_reference.code_lengths(dist_freq, 15))
     cl_syms, _ = deflate_compress_module._rle_code_lengths(
-        np.concatenate([litlen, dist])
+        np.concatenate([litlen, dist]).tolist()
     )
     cl_freq = np.bincount(cl_syms, minlength=19)
     assert np.array_equal(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pathlib
 import time
 from contextlib import nullcontext
+from unittest import mock
 
 from repro.algorithms.reference import twins
 from repro.bench import regress
@@ -188,4 +189,44 @@ def test_fresh_decode_kernels_beat_their_twins():
         floor, _ = regress.WALL_BANDS[row["headline"]]
         assert row["speedup"] > floor, (
             f"{row['headline']}: only {row['speedup']:.2f}x its twin"
+        )
+
+
+def test_each_block_size_takes_its_faster_encode_path():
+    """Live check of ``_SMALL_BLOCK_TOKENS``: force every block through
+    the token lists, then through the numpy arrays, interleaved.
+
+    Tokens are computed once and served from a dict, so only block
+    encoding is timed.  Recorded: the lists take ~0.66x the arrays'
+    time on 32 xml windows of 256 B (~140 tokens), the arrays ~0.3x the
+    lists' on two of 64 KiB (~4 500 tokens).  The floors (1.2x, 1.5x)
+    catch a threshold on the wrong side of either size, not host jitter.
+    """
+    from repro.algorithms.deflate import compress as dc
+    from repro.datasets import get_dataset
+
+    corpus = bytes(get_dataset("silesia/xml").generate(256 * 1024))
+    for size, count, winner, floor in ((256, 32, "lists", 1.2),
+                                       (65536, 2, "arrays", 1.5)):
+        stride = (len(corpus) - size) // count
+        blocks = [corpus[i * stride:i * stride + size] for i in range(count)]
+        tokens = {block: dc.tokenize(block, None) for block in blocks}
+        threshold = {"lists": 1 << 30, "arrays": 0}
+
+        def encode(path):
+            with mock.patch.object(dc, "_SMALL_BLOCK_TOKENS", threshold[path]):
+                return [dc.deflate_compress(block) for block in blocks]
+
+        with mock.patch.object(dc, "tokenize", lambda data, _cfg: tokens[data]):
+            assert encode("lists") == encode("arrays")
+            times = {"lists": [], "arrays": []}
+            for _ in range(9):
+                for path in times:
+                    start = time.perf_counter()
+                    encode(path)
+                    times[path].append(time.perf_counter() - start)
+        loser = "arrays" if winner == "lists" else "lists"
+        speedup = min(times[loser]) / min(times[winner])
+        assert speedup > floor, (
+            f"{size} B blocks: the {winner} path is only {speedup:.2f}x the {loser}"
         )

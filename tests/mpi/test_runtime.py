@@ -192,15 +192,20 @@ class TestModes:
         assert result.layers[0].decompress_seconds > 0  # echo comes back
 
     def test_job_zero_fills_no_more_scratch_than_its_payload(
-            self, text_payload, scratch_pool):
+            self, binary_payload, scratch_pool):
         """Rank bring-up costs no host scratch: a 4-rank PEDAL broadcast
-        zero-fills what compressing its one payload once zero-fills."""
-        def broadcast(ctx):
-            data = text_payload if ctx.rank == 0 else None
-            out = yield from ctx.bcast(data, root=0, sim_bytes=5.1e6)
-            return out == text_payload
+        zero-fills what compressing its one payload once zero-fills.
 
-        deflate_compress(text_payload, CodecConfig().deflate)  # not memoised
+        The payload is ~6 600 tokens, so its one DEFLATE block is packed
+        through ``write_code_array`` and its scratch; a block of a few
+        hundred tokens is packed without any.
+        """
+        def broadcast(ctx):
+            data = binary_payload if ctx.rank == 0 else None
+            out = yield from ctx.bcast(data, root=0, sim_bytes=5.1e6)
+            return out == binary_payload
+
+        deflate_compress(binary_payload, CodecConfig().deflate)  # not memoised
         once = scratch_pool.stats.zeroed_bytes
         cfg = CommConfig(mode=CommMode.PEDAL, design="SoC_DEFLATE")
         result = run_mpi(broadcast, 4, "bf2", cfg)
