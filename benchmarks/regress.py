@@ -1,30 +1,18 @@
 #!/usr/bin/env python
-"""Regenerate the deterministic perf trajectories.
+"""Regenerate every committed bench report (BENCH_PR3 .. BENCH_PR10).
 
-``BENCH_PR3.json`` carries the core-runtime headlines (PEDAL vs naive,
-BF-3 vs BF-2 engine, pipelined vs serial work queue); ``BENCH_PR4.json``
-carries the serving-layer offered-load vs goodput/p99 curves;
-``BENCH_PR5.json`` carries the path-selection crossover sweep
-(path="auto" vs the static paths); ``BENCH_PR6.json`` carries the
-telemetry-plane trajectory (deterministic "sim" section) plus the
-band-only wall-clock overhead gate ("wall" section); ``BENCH_PR7.json``
-carries the adaptive-context coder sweep (ac-vs-DEFLATE ratio trade
-plus the decoupled model/coder pipeline speedup); ``BENCH_PR9.json``
-carries the fleet-cluster sweep (goodput saturation at 10-100x the
-PR 4 offered loads, plus the mid-run worker-kill failover record);
-``BENCH_PR10.json`` carries the streaming-rendezvous sweep (streamed
-vs whole-message latency on the hypersparse telemetry stream).
+Each row of ``repro.bench.regress.REPORTS`` is re-collected and gated
+on its bands; only when every report passes are the files written, all
+of them, so a failing gate never leaves some files regenerated and
+others not.  See ``repro.bench.regress`` for the table of reports.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/regress.py            # write + gate
+    PYTHONPATH=src python benchmarks/regress.py            # gate + write
     PYTHONPATH=src python benchmarks/regress.py --check    # gate only
 
-All gated trajectories are simulated clock readings, so the files are
-bit-for-bit reproducible on any machine (BENCH_PR6's "wall" section is
-the one exception: host-local wall-clock readings, gated on bands and
-re-measured at test time, never compared exactly); ``tests/bench/test_regression_gates.py``
-enforces both the headline bands and exact agreement with these files.
+Exact sections reproduce bit-for-bit on any machine (``tests/bench``
+compares them with the files); wall sections are only band-gated.
 """
 
 from __future__ import annotations
@@ -37,97 +25,33 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import regress  # noqa: E402
 
+REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
+
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    repo_root = os.path.join(os.path.dirname(__file__), "..")
-    parser.add_argument(
-        "--out",
-        default=os.path.join(repo_root, regress.DEFAULT_REPORT_PATH),
-        help="core report path (default: BENCH_PR3.json at the repo root)",
-    )
-    parser.add_argument(
-        "--serve-out",
-        default=os.path.join(repo_root, regress.DEFAULT_SERVE_REPORT_PATH),
-        help="serve report path (default: BENCH_PR4.json at the repo root)",
-    )
-    parser.add_argument(
-        "--select-out",
-        default=os.path.join(repo_root, regress.DEFAULT_SELECT_REPORT_PATH),
-        help="path-selection report path (default: BENCH_PR5.json at the "
-             "repo root)",
-    )
-    parser.add_argument(
-        "--obs-out",
-        default=os.path.join(repo_root, regress.DEFAULT_OBS_REPORT_PATH),
-        help="telemetry report path (default: BENCH_PR6.json at the repo "
-             "root)",
-    )
-    parser.add_argument(
-        "--edpc-out",
-        default=os.path.join(repo_root, regress.DEFAULT_EDPC_REPORT_PATH),
-        help="adaptive-context coder report path (default: BENCH_PR7.json "
-             "at the repo root)",
-    )
-    parser.add_argument(
-        "--wall-out",
-        default=os.path.join(repo_root, regress.DEFAULT_WALL_REPORT_PATH),
-        help="kernel-vectorization wall report path (default: "
-             "BENCH_PR8.json at the repo root)",
-    )
-    parser.add_argument(
-        "--cluster-out",
-        default=os.path.join(repo_root, regress.DEFAULT_CLUSTER_REPORT_PATH),
-        help="fleet-cluster report path (default: BENCH_PR9.json at the "
-             "repo root)",
-    )
-    parser.add_argument(
-        "--stream-out",
-        default=os.path.join(repo_root, regress.DEFAULT_STREAM_REPORT_PATH),
-        help="streaming-rendezvous report path (default: BENCH_PR10.json "
-             "at the repo root)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="gate the freshly collected numbers without writing the files",
-    )
+    parser.add_argument("--check", action="store_true",
+                        help="gate the fresh numbers without writing the files")
     args = parser.parse_args(argv)
 
-    violations = []
-    for label, collect, gate, out in (
-        ("core", regress.collect, regress.gate, args.out),
-        ("serve", regress.collect_serve, regress.gate_serve, args.serve_out),
-        ("select", regress.collect_select, regress.gate_select,
-         args.select_out),
-        ("obs", regress.collect_obs, regress.gate_obs, args.obs_out),
-        ("edpc", regress.collect_edpc, regress.gate_edpc, args.edpc_out),
-        ("wall", regress.collect_wallclock, regress.gate_wallclock,
-         args.wall_out),
-        ("cluster", regress.collect_cluster, regress.gate_cluster,
-         args.cluster_out),
-        ("stream", regress.collect_stream, regress.gate_stream,
-         args.stream_out),
-    ):
-        report = collect()
-        violations += gate(report)
-        if label == "obs":
-            headlines = dict(report["sim"]["headlines"])
-            headlines.update(report["wall"]["headlines"])
-        elif label == "wall":
-            headlines = report["wall"]["headlines"]
-        else:
-            headlines = report["headlines"]
-        for key, value in sorted(headlines.items()):
-            print(f"  {key:<48s} {value:12.6g}")
-        if not violations and not args.check:
-            regress.write_report(report, os.path.normpath(out))
-            print(f"wrote {os.path.normpath(out)}")
+    reports, violations = {}, []
+    for name in regress.REPORTS:
+        reports[name] = regress.collect(name)
+        violations += regress.gate(name, reports[name])
+        print(f"{name}:")
+        for key, section in regress.REPORTS[name].sections.items():
+            headlines = (reports[name][key] if key else reports[name])["headlines"]
+            for band, value in sorted(headlines.items()):
+                print(f"  {band:<48s} {value:12.6g}")
     if violations:
         print("REGRESSION GATE FAILED:")
-        for v in violations:
-            print(f"  - {v}")
+        print("\n".join(f"  - {v}" for v in violations))
         return 1
+    if not args.check:
+        for name, report in reports.items():
+            path = os.path.join(REPO_ROOT, regress.REPORTS[name].path)
+            regress.write_report(report, path)
+            print(f"wrote {path}")
     print("regression gate passed")
     return 0
 

@@ -7,7 +7,7 @@ vectorized or had their per-block fixed cost hoisted (for the
 small-block packer, which had no slow predecessor, the obvious
 version), kept obvious rather than fast.  The property tests require
 the production kernels to equal these *array for array* and byte for
-byte, and ``repro.bench.regress.collect_wallclock`` times the two
+byte, and the BENCH_PR8 report (``repro.bench.regress``) times the two
 interleaved to gate the speed-up as a ratio.
 
 * :func:`code_lengths` — package-merge that carries every package's

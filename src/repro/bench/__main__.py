@@ -37,11 +37,9 @@ import sys
 import time
 
 from repro import obs
-from repro.bench.harness import run_experiment
+from repro.bench import experiments  # noqa: F401  (registers every id)
+from repro.bench.harness import EXPERIMENTS, run_experiment
 from repro.faults import FaultPlan, parse_fault_spec, set_fault_plan
-
-_ALL = ["table4", "table5", "fig7", "fig8", "fig9", "fig10", "fig11", "sched",
-        "serve", "obs", "edpc"]
 
 log = obs.get_logger("bench")
 
@@ -54,7 +52,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help=f"experiment ids ({', '.join(_ALL)}) or 'all'",
+        help=f"experiment ids ({', '.join(EXPERIMENTS)}) or 'all'",
     )
     parser.add_argument(
         "--actual-bytes",
@@ -120,10 +118,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     names: list[str] = []
     for name in args.experiments:
-        if name == "all":
-            names.extend(_ALL)
-        else:
-            names.append(name)
+        names.extend(EXPERIMENTS if name == "all" else [name])
 
     tracer = obs.Tracer() if (args.trace or args.trace_jsonl) else None
     metrics = obs.MetricsRegistry() if args.metrics else None

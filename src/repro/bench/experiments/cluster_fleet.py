@@ -175,6 +175,7 @@ def run_cluster_point(
     kill: "WorkerKillSchedule | None" = None,
     with_slo: bool = False,
     diurnal_amplitude: float = 0.3,
+    actual_bytes: int = TrafficConfig.actual_bytes,
 ) -> dict:
     """One deterministic cluster run at ``offered_req_s``.
 
@@ -202,6 +203,7 @@ def run_cluster_point(
         seed=seed,
         tenants=_TENANTS,
         diurnal_amplitude=diurnal_amplitude,
+        actual_bytes=actual_bytes,
     ))
 
     monitor = None
@@ -313,7 +315,9 @@ def run_cluster_point(
     return record
 
 
-def run_failover_point(seed: int = _SEED) -> dict:
+def run_failover_point(
+    seed: int = _SEED, actual_bytes: int = TrafficConfig.actual_bytes,
+) -> dict:
     """The dedicated mid-run worker-kill recovery measurement.
 
     Runs at a flat (no-diurnal) rate the fleet still covers with one
@@ -329,11 +333,15 @@ def run_failover_point(seed: int = _SEED) -> dict:
         ),
         with_slo=True,
         diurnal_amplitude=0.0,
+        actual_bytes=actual_bytes,
     )
 
 
 @register_experiment("cluster")
-def run(loads_req_s: "tuple[float, ...]" = CLUSTER_LOADS_REQ_S) -> ExperimentResult:
+def run(
+    loads_req_s: "tuple[float, ...]" = CLUSTER_LOADS_REQ_S,
+    actual_bytes: int = TrafficConfig.actual_bytes,
+) -> ExperimentResult:
     result = ExperimentResult(
         experiment="cluster",
         title=(
@@ -345,7 +353,7 @@ def run(loads_req_s: "tuple[float, ...]" = CLUSTER_LOADS_REQ_S) -> ExperimentRes
     )
     records = []
     for load in loads_req_s:
-        rec = run_cluster_point(load)
+        rec = run_cluster_point(load, actual_bytes=actual_bytes)
         records.append(rec)
         result.rows.append({
             "offered_req_s": load,
@@ -362,7 +370,7 @@ def run(loads_req_s: "tuple[float, ...]" = CLUSTER_LOADS_REQ_S) -> ExperimentRes
             "failovers": rec["failovers"],
             "epoch": rec["epoch"],
         })
-    fo = run_failover_point()
+    fo = run_failover_point(actual_bytes=actual_bytes)
     result.rows.append({
         "offered_req_s": fo["offered_req_s"],
         "arrivals": fo["arrivals"],

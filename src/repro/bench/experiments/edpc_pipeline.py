@@ -19,8 +19,8 @@ axes EDPC trades on:
    carries real data through both dataflows and asserts byte identity,
    so the speedup is provably a scheduling effect, not a codec change.
 
-Headlines are gated in ``BENCH_PR7.json`` via
-``repro.bench.regress.collect_edpc`` / ``gate_edpc``.
+Headlines are gated in ``BENCH_PR7.json`` (the ``edpc`` row of
+``repro.bench.regress.REPORTS``).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ _RATIO_NOMINAL = 5.1e6  # the paper's xml grid point; shared for fairness
 # the byte-carrying point.
 _PIPE_SIM_BYTES = (0.5e6, 5e6, 48.85e6)
 _PIPE_ACTUAL = 16 * 1024
+_QUEUE_DEPTH = 2
 
 COLUMNS = [
     "section", "dataset", "algo", "ratio", "sim_s", "throughput_mb_s",
@@ -84,7 +85,7 @@ def run_ratio_rows(actual_bytes: int = _RATIO_ACTUAL) -> list[dict]:
 
 def run_pipeline_rows(
     actual_bytes: int = _PIPE_ACTUAL,
-    queue_depth: int = 2,
+    queue_depth: int = _QUEUE_DEPTH,
 ) -> list[dict]:
     """Serial vs pipelined decoupled-codec rows on a BF-2 SoC."""
     rows = []
@@ -130,7 +131,7 @@ def run_pipeline_rows(
 def run(
     actual_bytes: int = _RATIO_ACTUAL,
     pipeline_actual_bytes: int = _PIPE_ACTUAL,
-    queue_depth: int = 2,
+    queue_depth: int = _QUEUE_DEPTH,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="edpc",

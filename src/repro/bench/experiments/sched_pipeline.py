@@ -71,7 +71,7 @@ def run(
         experiment="sched",
         title=(
             f"sched: pipelined vs serial C-Engine work queue "
-            f"({n_chunks}-chunk PPAR, {_NOMINAL / 1e6:.4g} MB nominal)"
+            f"({n_chunks}-chunk RST1 parallel container, {_NOMINAL / 1e6:.4g} MB nominal)"
         ),
         columns=COLUMNS,
     )

@@ -34,7 +34,7 @@ from repro.serve import (
 )
 from repro.sim import Environment
 
-__all__ = ["run", "run_serve_point"]
+__all__ = ["run", "run_serve_point", "run_serve_sweep"]
 
 # Small real payload (the sim clock only sees the nominal size); 64 KiB
 # nominal keeps per-request engine time overhead-dominated on BF-2
@@ -131,6 +131,44 @@ def run_serve_point(
     }
 
 
+def run_serve_sweep(
+    actual_bytes: int = _DEFAULT_ACTUAL,
+    loads_req_s: "tuple[float, ...]" = _LOADS_REQ_S,
+    batch_msgs: int = _BATCH_MSGS,
+) -> "tuple[dict[str, list[dict]], dict]":
+    """The sweep's points under the capability router, unbatched then
+    batched, one per load; plus batched round-robin at the top load.
+
+    Returns ``(curves, round_robin)``: ``curves`` maps ``"unbatched"`` /
+    ``"batched"`` to their records in ``loads_req_s`` order.
+    """
+    curves = {
+        label: [run_serve_point(load, msgs, actual_bytes=actual_bytes)
+                for load in loads_req_s]
+        for msgs, label in ((1, "unbatched"), (batch_msgs, "batched"))
+    }
+    round_robin = run_serve_point(max(loads_req_s), batch_msgs,
+                                  router="round_robin",
+                                  actual_bytes=actual_bytes)
+    return curves, round_robin
+
+
+def _row(rec: dict) -> dict:
+    return {
+        "config": rec["config"],
+        "router": rec["router"],
+        "offered_req_s": rec["offered_req_s"],
+        "offered": rec["offered"],
+        "completed": rec["completed"],
+        "shed": rec["shed"],
+        "goodput_mb_s": rec["goodput_bytes_s"] / 1e6,
+        "p50_ms": rec["p50_s"] * 1e3,
+        "p99_ms": rec["p99_s"] * 1e3,
+        "sample_count": rec["sample_count"],
+        "peak_pending": rec["peak_pending"],
+    }
+
+
 @register_experiment("serve")
 def run(
     actual_bytes: int = _DEFAULT_ACTUAL,
@@ -146,57 +184,22 @@ def run(
         ),
         columns=COLUMNS,
     )
-    points: dict[tuple[str, float], dict] = {}
-    for msgs, label in ((1, "unbatched"), (batch_msgs, "batched")):
-        for load in loads_req_s:
-            rec = run_serve_point(load, msgs, actual_bytes=actual_bytes)
-            points[(label, load)] = rec
-            result.rows.append(
-                {
-                    "config": label,
-                    "router": rec["router"],
-                    "offered_req_s": load,
-                    "offered": rec["offered"],
-                    "completed": rec["completed"],
-                    "shed": rec["shed"],
-                    "goodput_mb_s": rec["goodput_bytes_s"] / 1e6,
-                    "p50_ms": rec["p50_s"] * 1e3,
-                    "p99_ms": rec["p99_s"] * 1e3,
-                    "sample_count": rec["sample_count"],
-                    "peak_pending": rec["peak_pending"],
-                }
-            )
-    # The round-robin comparison point at the top (overload) rate.
-    top = max(loads_req_s)
-    rr = run_serve_point(top, batch_msgs, router="round_robin",
-                         actual_bytes=actual_bytes)
-    result.rows.append(
-        {
-            "config": "batched",
-            "router": "round_robin",
-            "offered_req_s": top,
-            "offered": rr["offered"],
-            "completed": rr["completed"],
-            "shed": rr["shed"],
-            "goodput_mb_s": rr["goodput_bytes_s"] / 1e6,
-            "p50_ms": rr["p50_s"] * 1e3,
-            "p99_ms": rr["p99_s"] * 1e3,
-            "sample_count": rr["sample_count"],
-            "peak_pending": rr["peak_pending"],
-        }
+    curves, rr = run_serve_sweep(actual_bytes, loads_req_s, batch_msgs)
+    result.rows.extend(
+        _row(rec) for rec in curves["unbatched"] + curves["batched"] + [rr]
     )
 
-    saturating = top
+    # The saturating (top) offered load doubles as the overload point.
+    top = loads_req_s.index(max(loads_req_s))
+    batched, unbatched = curves["batched"][top], curves["unbatched"][top]
     result.headlines["batched_vs_unbatched_goodput_at_saturation"] = (
-        points[("batched", saturating)]["goodput_bytes_s"]
-        / points[("unbatched", saturating)]["goodput_bytes_s"]
+        batched["goodput_bytes_s"] / unbatched["goodput_bytes_s"]
     )
     result.headlines["capability_vs_round_robin_goodput"] = (
-        points[("batched", saturating)]["goodput_bytes_s"]
-        / rr["goodput_bytes_s"]
+        batched["goodput_bytes_s"] / rr["goodput_bytes_s"]
     )
     result.headlines["unbatched_peak_pending_overload"] = float(
-        points[("unbatched", saturating)]["peak_pending"]
+        unbatched["peak_pending"]
     )
     result.notes.append(
         "goodput counts nominal uncompressed bytes of completed requests; "

@@ -1,41 +1,46 @@
-"""Deterministic perf-regression harness (``BENCH_PR3.json`` / ``BENCH_PR4.json``).
+"""The committed bench reports (``BENCH_PR*.json``), one table row each.
 
-The simulation is fully deterministic: every sim-clock number below is
-a pure function of the cost model and the scheduler, independent of the
-host machine and of the *actual* payload size (the real codec bytes
-only affect ratios, which this harness deliberately excludes).  That
-makes an exact trajectory file possible: ``benchmarks/regress.py``
-writes the headline numbers to ``BENCH_PR3.json`` at the repo root, and
-``tests/bench/test_regression_gates.py`` re-runs the same experiments
-and asserts (a) the recorded values are *bit-for-bit reproduced* and
-(b) the headline bands the reproduction stands on still hold:
+:data:`REPORTS` maps a report name to its file, the function that
+re-runs its experiment, and its sections:
 
-* PEDAL beats the naive per-message flow by a wide factor (Fig. 7);
-* the BF3 C-Engine beats BF2's on DEFLATE decompression (Fig. 8);
-* the pipelined work queue (depth >= 2) beats serial submission on
-  every engine-capable PPAR grid point, with the queue actually
-  reaching its configured depth.
+========  ===============  =====================================  ==========
+name      file             what it records                        sections
+========  ===============  =====================================  ==========
+core      BENCH_PR3.json   PEDAL vs naive (Fig. 7), BF-3 vs BF-2  top: exact
+                           engine decompress (Fig. 8), pipelined
+                           vs serial work queue on the RST1
+                           parallel container
+serve     BENCH_PR4.json   gateway offered load vs goodput/p99,   top: exact
+                           batched vs unbatched, capability vs
+                           round-robin routing
+select    BENCH_PR5.json   SoC vs C-Engine crossover sweep under  top: exact
+                           ``path="auto"``
+obs       BENCH_PR6.json   fleet sketch error, SLO alerts,        sim: exact
+                           telemetry on == off; telemetry         wall: wall
+                           overhead and top codec kernel
+edpc      BENCH_PR7.json   AC vs DEFLATE ratio, decoupled         top: exact
+                           model/coder pipeline speedup
+wall      BENCH_PR8.json   production kernels vs their reference  wall: wall
+                           twins, per-codec MB/s
+cluster   BENCH_PR9.json   sharded-cluster goodput at 10-100x     top: exact
+                           load, mid-run worker-kill failover
+stream    BENCH_PR10.json  streamed vs whole-message rendezvous   top: exact
+========  ===============  =====================================  ==========
 
-A second report, ``BENCH_PR4.json``, records the serving-layer
-trajectory (:mod:`repro.serve`): offered-load vs goodput/p99 curves for
-the batched and unbatched gateway over a mixed BF-2/BF-3 fleet, gated
-on the serving headlines (batching beats unbatched goodput at
-saturating load; admission keeps peak pending <= ``max_pending`` even
-at >2x overload; the capability router beats round-robin).
+A section is the report's top level or its ``sim`` / ``wall`` sub-dict;
+each has its own ``headlines`` and its own bands, ``(floor, ceiling)``
+with ``None`` for an open side.  An *exact* section is simulated clock
+and real codec bytes, a pure function of the cost model, the scheduler
+and the seeds, so the tests re-collect it and compare it with the
+committed file bit-for-bit (floats at rel 1e-12).  A *wall* section is
+host-local wall clock: it is re-measured wherever the gate runs and
+only has to stay inside its bands.
 
-``BENCH_PR6.json`` (telemetry plane) is split in two sections with
-*different* gating disciplines: ``"sim"`` carries the deterministic
-fleet-demo trajectory (sketch roll-up error vs exact pooled
-percentiles, SLO alert stream, bit-for-bit equality of the serve sweep
-with telemetry on vs off) and is exact-gated like every other report;
-``"wall"`` carries host-dependent wall-clock readings (the telemetry
-overhead ratio on the serve experiment, the codec flamegraph's top
-kernel) and is gated on bands only — wall numbers are re-measured at
-test time, never compared bit-for-bit.
-
-Future PRs that change the cost model or the scheduler must regenerate
-the files (``python benchmarks/regress.py``) — the diff then *is* the
-perf trajectory, reviewed like any other artifact.
+:func:`collect` re-runs one report, :func:`gate` checks its bands.
+``python benchmarks/regress.py`` collects and gates every report and
+then writes all of them or none.  A change to the cost model, the
+scheduler or a codec's output regenerates the files in the same PR, so
+the diff *is* the perf trajectory, reviewed like any other artifact.
 """
 
 from __future__ import annotations
@@ -44,54 +49,379 @@ import json
 import math
 import statistics
 import time
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import run_naive_roundtrip, run_pedal_roundtrip
-from repro.core.parallel import ParallelCompressor, ParallelConfig
+from repro.bench.experiments import (
+    cluster_fleet,
+    edpc_pipeline,
+    obs_telemetry,
+    sched_pipeline,
+    select_crossover,
+    serve_gateway,
+    stream_fabric,
+)
+from repro.bench.harness import (
+    generate_payload,
+    run_naive_roundtrip,
+    run_pedal_roundtrip,
+)
 from repro.datasets import get_dataset
-from repro.dpu.device import make_device
 from repro.dpu.specs import Direction
-from repro.sim import Environment
-
-__all__ = ["collect", "collect_serve", "collect_select", "collect_obs",
-           "collect_edpc", "collect_wallclock", "collect_cluster",
-           "collect_stream",
-           "gate", "gate_serve", "gate_select", "gate_obs", "gate_edpc",
-           "gate_wallclock", "gate_cluster", "gate_stream",
-           "write_report", "load_report", "BANDS",
-           "SERVE_BANDS", "SELECT_BANDS", "OBS_SIM_BANDS", "OBS_WALL_BANDS",
-           "EDPC_BANDS", "WALL_BANDS", "WALL_CODEC_FLOORS_MBPS",
-           "CLUSTER_BANDS", "STREAM_BANDS",
-           "DEFAULT_REPORT_PATH",
-           "DEFAULT_SERVE_REPORT_PATH", "DEFAULT_SELECT_REPORT_PATH",
-           "DEFAULT_OBS_REPORT_PATH", "DEFAULT_EDPC_REPORT_PATH",
-           "DEFAULT_WALL_REPORT_PATH", "DEFAULT_CLUSTER_REPORT_PATH",
-           "DEFAULT_STREAM_REPORT_PATH",
-           "SCHEMA", "SERVE_SCHEMA", "SELECT_SCHEMA", "OBS_SCHEMA",
-           "EDPC_SCHEMA", "WALL_SCHEMA", "CLUSTER_SCHEMA", "STREAM_SCHEMA",
-           "SELECT_TOLERANCE", "OBS_OVERHEAD_CEILING"]
+from repro.serve import TelemetryConfig
 
 SCHEMA = 1
-DEFAULT_REPORT_PATH = "BENCH_PR3.json"
-SERVE_SCHEMA = 1
-DEFAULT_SERVE_REPORT_PATH = "BENCH_PR4.json"
-SELECT_SCHEMA = 1
-DEFAULT_SELECT_REPORT_PATH = "BENCH_PR5.json"
-OBS_SCHEMA = 1
-DEFAULT_OBS_REPORT_PATH = "BENCH_PR6.json"
-EDPC_SCHEMA = 1
-DEFAULT_EDPC_REPORT_PATH = "BENCH_PR7.json"
-WALL_SCHEMA = 1
-DEFAULT_WALL_REPORT_PATH = "BENCH_PR8.json"
-CLUSTER_SCHEMA = 1
-DEFAULT_CLUSTER_REPORT_PATH = "BENCH_PR9.json"
-STREAM_SCHEMA = 1
-DEFAULT_STREAM_REPORT_PATH = "BENCH_PR10.json"
 
-# -- BENCH_PR8 (kernel vectorization wall clock) -----------------------
+Bands = dict[str, tuple[float | None, float | None]]
+
+
+@dataclass(frozen=True)
+class Section:
+    """One gated part of a report: its headline bands, and whether a
+    fresh collection must reproduce it exactly (sim clock) or is wall
+    clock, gated on the bands alone."""
+
+    bands: Bands
+    exact: bool = True
+
+
+@dataclass(frozen=True)
+class Report:
+    """One ``BENCH_PR*.json``: the file at the repo root, the function
+    that re-runs the experiment (everything but ``schema`` and
+    ``generator``), and the sections, keyed ``""`` for the top level."""
+
+    path: str
+    run: "Callable[[], dict[str, Any]]"
+    sections: "dict[str, Section]"
+
+
+# -- core (BENCH_PR3) --------------------------------------------------
+_ROUNDTRIP_DATASET = "silesia/xml"   # the paper's 5.1 MB grid point
+_PPAR_CHUNKS = 8
+_PPAR_DEPTH = 2
+
+# Floors are deliberately loose versions of the paper's factors; the
+# exact-trajectory check in the tests is the tight screw.
+BANDS: Bands = {
+    # Fig. 7: DOCA init + buffer prep dominate the naive flow.
+    "pedal_vs_naive_deflate_xml": (5.0, None),
+    # Fig. 8: the BF3 engine generation is faster at decompression.
+    "bf3_vs_bf2_engine_decompress": (1.0, None),
+    # Pipelining must strictly beat serial submission.
+    "pipelined_vs_serial_bf2_compress": (1.0, None),
+    "pipelined_vs_serial_bf2_decompress": (1.0, None),
+    "pipelined_vs_serial_bf3_decompress": (1.0, None),
+    # The bounded queue actually fills to its configured depth.
+    "sched_occupancy_max": (float(_PPAR_DEPTH), None),
+}
+
+
+def _core() -> "dict[str, Any]":
+    # A small real payload: the sim-clock headlines do not depend on it.
+    actual_bytes = sched_pipeline._DEFAULT_ACTUAL
+    headlines: "dict[str, float]" = {}
+    rows: "dict[str, float]" = {}
+
+    pedal = run_pedal_roundtrip(
+        "bf2", "C-Engine_DEFLATE", _ROUNDTRIP_DATASET, actual_bytes=actual_bytes
+    )
+    naive = run_naive_roundtrip(
+        "bf2", "C-Engine_DEFLATE", _ROUNDTRIP_DATASET, actual_bytes=actual_bytes
+    )
+    pedal_total = pedal.compress_seconds + pedal.decompress_seconds
+    naive_total = naive.compress_seconds + naive.decompress_seconds
+    headlines["pedal_vs_naive_deflate_xml"] = naive_total / pedal_total
+    rows["roundtrip_bf2_pedal_s"] = pedal_total
+    rows["roundtrip_bf2_naive_s"] = naive_total
+
+    bf3 = run_pedal_roundtrip(
+        "bf3", "C-Engine_DEFLATE", _ROUNDTRIP_DATASET, actual_bytes=actual_bytes
+    )
+    headlines["bf3_vs_bf2_engine_decompress"] = (
+        pedal.decompress_seconds / bf3.decompress_seconds
+    )
+    rows["decompress_bf2_engine_s"] = pedal.decompress_seconds
+    rows["decompress_bf3_engine_s"] = bf3.decompress_seconds
+
+    occupancy_max = 0.0
+    for device_kind, direction in (("bf2", Direction.COMPRESS),
+                                   ("bf2", Direction.DECOMPRESS),
+                                   ("bf3", Direction.DECOMPRESS)):
+        serial = sched_pipeline._run_once(
+            device_kind, direction, _PPAR_CHUNKS, 1, actual_bytes)
+        metrics = obs.MetricsRegistry()
+        prev = obs.set_metrics(metrics)
+        try:
+            piped = sched_pipeline._run_once(
+                device_kind, direction, _PPAR_CHUNKS, _PPAR_DEPTH, actual_bytes)
+        finally:
+            obs.set_metrics(prev)
+        occupancy_max = max(occupancy_max, metrics.gauge("sched.occupancy").max)
+        point = f"{device_kind}_{direction.value}"
+        headlines[f"pipelined_vs_serial_{point}"] = (
+            serial.sim_seconds / piped.sim_seconds
+        )
+        rows[f"ppar_{point}_serial_s"] = serial.sim_seconds
+        rows[f"ppar_{point}_depth{_PPAR_DEPTH}_s"] = piped.sim_seconds
+    headlines["sched_occupancy_max"] = occupancy_max
+
+    return {
+        "config": {
+            "actual_bytes": actual_bytes,
+            "nominal_bytes": sched_pipeline._NOMINAL,
+            "ppar_chunks": _PPAR_CHUNKS,
+            "ppar_depth": _PPAR_DEPTH,
+            "roundtrip_dataset": _ROUNDTRIP_DATASET,
+            "ppar_dataset": sched_pipeline._DATASET,
+        },
+        "headlines": headlines,
+        "rows": rows,
+    }
+
+
+# -- serve (BENCH_PR4) -------------------------------------------------
+SERVE_BANDS: Bands = {
+    # Batching amortizes the per-job engine overhead: at the unbatched
+    # saturation point it must deliver strictly more goodput.
+    "serve_batched_vs_unbatched_goodput_at_saturation": (1.0, None),
+    # Backpressure: pending requests stay bounded at >2x overload.
+    "serve_unbatched_peak_pending_overload": (
+        None, float(serve_gateway._MAX_PENDING)),
+    "serve_batched_peak_pending_overload": (
+        None, float(serve_gateway._MAX_PENDING)),
+    # Capability-aware routing keeps compress batches off BF-3's
+    # engine-less (SoC fallback) path.
+    "serve_capability_vs_round_robin_goodput": (1.0, None),
+}
+
+
+def _serve() -> "dict[str, Any]":
+    curves, round_robin = serve_gateway.run_serve_sweep()
+    at_top = {label: curve[-1] for label, curve in curves.items()}
+    return {
+        "config": {
+            "actual_bytes": serve_gateway._DEFAULT_ACTUAL,
+            "loads_req_s": list(serve_gateway._LOADS_REQ_S),
+            "batch_msgs": serve_gateway._BATCH_MSGS,
+            "max_pending": serve_gateway._MAX_PENDING,
+        },
+        "curves": curves,
+        "round_robin_at_overload": round_robin,
+        "headlines": {
+            "serve_batched_vs_unbatched_goodput_at_saturation": (
+                at_top["batched"]["goodput_bytes_s"]
+                / at_top["unbatched"]["goodput_bytes_s"]
+            ),
+            "serve_unbatched_peak_pending_overload": float(
+                at_top["unbatched"]["peak_pending"]
+            ),
+            "serve_batched_peak_pending_overload": float(
+                at_top["batched"]["peak_pending"]
+            ),
+            "serve_capability_vs_round_robin_goodput": (
+                at_top["batched"]["goodput_bytes_s"]
+                / round_robin["goodput_bytes_s"]
+            ),
+            "serve_unbatched_p99_overload_s": at_top["unbatched"]["p99_s"],
+            "serve_batched_p99_overload_s": at_top["batched"]["p99_s"],
+        },
+    }
+
+
+# -- select (BENCH_PR5) ------------------------------------------------
+# The crossover bands are factor-2 envelopes around the calibrated
+# closed-form values (BF2 DEFLATE compress ~6.3 KB, decompress ~190 KB,
+# BF3 decompress ~52 KB).
+SELECT_TOLERANCE = 0.05
+
+SELECT_BANDS: Bands = {
+    # path="auto" latency <= best static path + the model's tolerance.
+    "select_auto_vs_best_static_max": (None, 1.0 + SELECT_TOLERANCE),
+    # Tables II/III: BF-3 compress must never route to its
+    # decompress-only C-Engine.
+    "select_bf3_compress_engine_picks": (None, 0.0),
+    # Paper shape: SoC wins below the crossover, C-Engine above, and
+    # the sweep brackets every capable crossover.
+    "select_paper_shape_ok": (1.0, None),
+    # Steady-state dispatch hits the memoized crossover cache.
+    "select_cache_hit_rate": (0.5, None),
+    "select_crossover_bf2_compress_bytes": (4.0e3, 16.0e3),
+    "select_crossover_bf2_decompress_bytes": (128.0e3, 512.0e3),
+    "select_crossover_bf3_decompress_bytes": (32.0e3, 128.0e3),
+}
+
+
+def _select() -> "dict[str, Any]":
+    sweep = select_crossover.run_select_sweep()
+    return {
+        "config": {
+            "actual_bytes": select_crossover._DEFAULT_ACTUAL,
+            "sizes": list(select_crossover._SIZES),
+            "tolerance": SELECT_TOLERANCE,
+        },
+        "rows": sweep["rows"],
+        "headlines": sweep["headlines"],
+    }
+
+
+# -- obs (BENCH_PR6) ---------------------------------------------------
+_OBS_WALL_PAIRS = 31       # interleaved off/on pairs; the gate reads their median
+_OBS_SERVE_LOAD = 12_000.0
+_OBS_FLAME_BYTES = 64 * 1024
+
+OBS_SIM_BANDS: Bands = {
+    # Fleet sketch percentiles stay within the advertised relative
+    # error of the exact pooled nearest-rank values (alpha = 0.01).
+    "obs_fleet_p50_rel_err": (None, 0.01),
+    "obs_fleet_p99_rel_err": (None, 0.01),
+    # The seeded overload fires the full deterministic alert stream:
+    # pages, tickets, and a goodput-floor breach.
+    "obs_slo_alerts": (1.0, None),
+    "obs_slo_page_alerts": (1.0, None),
+    "obs_slo_goodput_alerts": (1.0, None),
+    # The scrape loop ran and >= 2 gateways' registries rolled up.
+    "obs_scrapes": (2.0, None),
+    "obs_member_registries": (4.0, None),
+    # The serve sweep point is bit-for-bit identical with telemetry on.
+    "obs_bit_for_bit": (1.0, 1.0),
+}
+
+OBS_WALL_BANDS: Bands = {
+    # Telemetry-on wall clock <= 5 % over off.
+    "obs_overhead_ratio": (None, 1.05),
+    # The DEFLATE-compress flamegraph names the match loop on top.
+    "obs_top_kernel_is_lz77": (1.0, 1.0),
+}
+
+
+def _serve_point_record(telemetry_on: bool) -> dict:
+    return serve_gateway.run_serve_point(
+        _OBS_SERVE_LOAD, serve_gateway._BATCH_MSGS,
+        telemetry=TelemetryConfig() if telemetry_on else None,
+    )
+
+
+def _wall_serve_pair() -> "tuple[float, float, float]":
+    """``(off_s, on_s, overhead)`` from *interleaved* off/on pairs.
+
+    ``overhead`` is ``1 +`` the median over pairs of
+    ``(on_i - off_i) / off_i``; ``off_s`` / ``on_s`` are the medians of
+    each side, for the record.  The serve point is a few hundred
+    milliseconds of small-block codec work, where this host's
+    run-to-run jitter is the same order as the telemetry overhead being
+    measured.  Three things keep the ratio honest: each on-rep is
+    divided by the off-rep run right next to it (slow drift — thermal,
+    noisy neighbours — moves both), the order inside a pair alternates
+    (whatever the first rep of a pair pays, both sides pay it equally
+    often), and the median over pairs discards the pairs a stall landed
+    in (a ratio of trimmed totals still carries every stall that
+    survives the trim, which read 0.91-1.10 here with nothing changed).
+    """
+    offs: "list[float]" = []
+    ons: "list[float]" = []
+    for pair in range(_OBS_WALL_PAIRS):
+        timed = {}
+        for telemetry_on in ((False, True), (True, False))[pair % 2]:
+            timed[telemetry_on] = _timed(
+                lambda: _serve_point_record(telemetry_on)
+            )
+        offs.append(timed[False])
+        ons.append(timed[True])
+    overhead = 1.0 + statistics.median(
+        (on - off) / off for off, on in zip(offs, ons)
+    )
+    return statistics.median(offs), statistics.median(ons), overhead
+
+
+def _obs() -> "dict[str, Any]":
+    from repro.algorithms.deflate import deflate_compress
+
+    demo = obs_telemetry.run_fleet_demo()
+
+    # Telemetry must not change a single simulated number (NaN
+    # percentiles included, hence the JSON text comparison).
+    plain = _serve_point_record(False)
+    telemetered = _serve_point_record(True)
+    sim_headlines = dict(demo["headlines"])
+    sim_headlines["obs_bit_for_bit"] = float(
+        json.dumps(plain, sort_keys=True)
+        == json.dumps(telemetered, sort_keys=True)
+    )
+
+    off_s, on_s, overhead = _wall_serve_pair()
+    profiler = obs.CodecProfiler()
+    payload = bytes(generate_payload(_ROUNDTRIP_DATASET, _OBS_FLAME_BYTES))
+    prev = obs.set_profiler(profiler)
+    try:
+        deflate_compress(payload)
+    finally:
+        obs.set_profiler(prev)
+    top = profiler.top_kernel(("deflate.compress",))
+
+    return {
+        "config": {
+            "actual_bytes": serve_gateway._DEFAULT_ACTUAL,
+            "serve_load_req_s": _OBS_SERVE_LOAD,
+            "batch_msgs": serve_gateway._BATCH_MSGS,
+            "wall_repetitions": _OBS_WALL_PAIRS,
+            "flamegraph_bytes": _OBS_FLAME_BYTES,
+            "overhead_ceiling": OBS_WALL_BANDS["obs_overhead_ratio"][1],
+        },
+        "sim": {
+            "headlines": sim_headlines,
+            "rows": demo["rows"],
+            "alerts": demo["alerts"],
+            "serve_point": plain,
+        },
+        "wall": {
+            "headlines": {
+                "obs_overhead_ratio": overhead,
+                "obs_top_kernel_is_lz77": float(top == "lz77.match_loop"),
+            },
+            "telemetry_off_s": off_s,
+            "telemetry_on_s": on_s,
+            "top_kernel": top,
+        },
+    }
+
+
+# -- edpc (BENCH_PR7) --------------------------------------------------
+# Ratios come from seeded dataset generators through the real codecs,
+# makespans from the calibrated cost model.  The pipelined speedup is
+# bounded above by 1/max(f, 1-f) of the ac codec time (f = model
+# fraction, 0.55 -> bound ~1.82); the floor requires pipelining to
+# actually pay at the largest message.
+EDPC_BANDS: Bands = {
+    # Decoupling must never lose, and must approach the stage bound.
+    "edpc_pipelined_vs_unpipelined_large": (1.5, 1.0 / 0.55 + 1e-9),
+    # Both dataflows emit bit-identical streams (scheduling-only win).
+    "edpc_bytes_identical": (1.0, 1.0),
+    # Measured ratio trade vs DEFLATE at the 24 KiB samples: LZ77's
+    # exact-repeat matches beat the order-2 context model on these
+    # corpora; the bands pin the trade so a codec change shows up.
+    "edpc_ac_vs_deflate_ratio_xml": (0.25, 0.5),
+    "edpc_ac_vs_deflate_ratio_obs_error": (0.65, 0.95),
+}
+
+
+def _edpc() -> "dict[str, Any]":
+    result = edpc_pipeline.run()
+    return {
+        "config": {
+            "ratio_actual_bytes": edpc_pipeline._RATIO_ACTUAL,
+            "pipeline_actual_bytes": edpc_pipeline._PIPE_ACTUAL,
+            "queue_depth": edpc_pipeline._QUEUE_DEPTH,
+        },
+        "rows": [dict(row) for row in result.rows],
+        "headlines": dict(result.headlines),
+    }
+
+
+# -- wall (BENCH_PR8) --------------------------------------------------
 _WALL_REPS = 3            # min-of-N per timing
 _WALL_SUITE_BYTES = 1 << 20
 _WALL_CODEC_BYTES = 1 << 18
@@ -115,16 +445,16 @@ _WALL_AC_DECODE = (("silesia/xml", 6144), ("obs_error", 6144))
 #: and a frame descriptor's (no stripe: only call overhead can differ).
 _WALL_XXH32_BYTES = (65536, 128, 12)
 
-#: Band gates for BENCH_PR8 — wall clock, floors only, deliberately
-#: generous (roughly half of what a loaded CI host measures; recorded
-#: trajectory values run 1.5-2x above every floor).
-WALL_BANDS: "dict[str, tuple[float | None, float | None]]" = {
+#: Floors only, deliberately generous (roughly half of what a loaded CI
+#: host measures; recorded trajectory values run 1.5-2x above every
+#: floor).
+WALL_BANDS: Bands = {
     # Aggregate: vectorized kernels vs the full-scalar reference
     # pipeline on the match_loop-dominated literal suite (recorded ~3.5x).
     "wall_vec_speedup_lit_geomean": (1.8, None),
     "wall_vec_speedup_noise": (1.5, None),
     "wall_vec_speedup_ascii": (1.5, None),
-    # Deep-chain suite: the bucket-slice walk (ISSUE 18) must beat the
+    # Deep-chain suite: the bucket-slice walk must beat the
     # scalar reference's per-hop loop — the linked-list walk it replaced
     # recorded 1.03x / 1.17x here, i.e. fails these floors.  runs2 pays
     # the precompute constant for almost no walking: non-inferiority.
@@ -146,12 +476,12 @@ WALL_BANDS: "dict[str, tuple[float | None, float | None]]" = {
     "wall_inflate_speedup_1024": (1.2, None),
     "wall_inflate_speedup_65536": (1.8, None),
     # Decode kernels vs their retained step-wise / scalar twins, same
-    # interleaved timing, ISSUE 15's floors.  AC: the fused loop vs
+    # interleaved timing.  AC: the fused loop vs
     # RangeDecoder + ContextModel.symbol_from_target (recorded ~3.0x on
     # xml).  The twin shares the model, and on obs_error — where nearly
     # every history of the second chunk is new — set-up and row builds
-    # are ~60 % of the fused time: recorded 1.98x, so the issue's
-    # >= 2.0x is not met there and that one floor sits below it.
+    # are ~60 % of the fused time: recorded 1.98x, so the 2.0x
+    # target is not met there and that one floor sits below it.
     # xxh32: packed lanes vs the scalar stripe loop (recorded ~4.2x at
     # 64 KiB, ~1.85x at 128 B); at 12 B both take the scalar loop and
     # the floor only bounds the dispatch overhead (<= 1.15x slower).
@@ -160,480 +490,18 @@ WALL_BANDS: "dict[str, tuple[float | None, float | None]]" = {
     "wall_xxh32_speedup_65536": (2.5, None),
     "wall_xxh32_speedup_128": (1.3, None),
     "wall_xxh32_speedup_12": (1 / 1.15, None),
+    # Per-codec compress throughput, MB/s (production kernels, 256 KiB
+    # silesia/xml sample; sz3 on a float32 field): roughly 1/6 of a
+    # development-host measurement so loaded CI machines clear them.
+    "wall_mbps_deflate": (0.12, None),
+    "wall_mbps_zlib": (0.12, None),
+    "wall_mbps_gzip": (0.12, None),
+    "wall_mbps_lz4b": (0.5, None),
+    "wall_mbps_lz4f": (0.4, None),
+    "wall_mbps_zstdlite": (0.2, None),
+    "wall_mbps_ac": (0.2, None),
+    "wall_mbps_sz3": (1.5, None),
 }
-
-#: Per-codec compress-throughput floors (MB/s, production kernels, 256 KiB
-#: silesia/xml sample; sz3 on a float32 field).  Set to roughly 1/6 of
-#: a development-host measurement so loaded CI machines clear them.
-WALL_CODEC_FLOORS_MBPS: "dict[str, float]" = {
-    "deflate": 0.12,
-    "zlib": 0.12,
-    "gzip": 0.12,
-    "lz4b": 0.5,
-    "lz4f": 0.4,
-    "zstdlite": 0.2,
-    "ac": 0.2,
-    "sz3": 1.5,
-}
-
-# Small real payloads: the sim-clock headlines are independent of the
-# actual byte budget, so the harness stays fast.
-_ACTUAL_BYTES = 8 * 1024
-_NOMINAL = 48.85e6
-_ROUNDTRIP_DATASET = "silesia/xml"   # the paper's 5.1 MB grid point
-_PPAR_DATASET = "silesia/mozilla"
-_PPAR_CHUNKS = 8
-_PPAR_DEPTH = 2
-
-# Headline bands: (floor, ceiling) — None = unbounded on that side.
-# Floors are deliberately loose versions of the paper's factors; the
-# exact-trajectory check in the gate test is the tight screw.
-BANDS: dict[str, tuple[float | None, float | None]] = {
-    # Fig. 7: DOCA init + buffer prep dominate the naive flow.
-    "pedal_vs_naive_deflate_xml": (5.0, None),
-    # Fig. 8: the BF3 engine generation is faster at decompression.
-    "bf3_vs_bf2_engine_decompress": (1.0, None),
-    # Tentpole: pipelining must strictly beat serial submission.
-    "pipelined_vs_serial_bf2_compress": (1.0, None),
-    "pipelined_vs_serial_bf2_decompress": (1.0, None),
-    "pipelined_vs_serial_bf3_decompress": (1.0, None),
-    # The bounded queue actually fills to its configured depth.
-    "sched_occupancy_max": (float(_PPAR_DEPTH), None),
-}
-
-
-# Serving-layer sweep (BENCH_PR4.json).  The top rate is >2x the
-# unbatched fleet's engine capacity (~7.3k req/s on two BF-2s), so it
-# doubles as the overload point for the bounded-queue gate.
-_SERVE_LOADS_REQ_S = (2_000, 6_000, 12_000, 24_000)
-_SERVE_BATCH_MSGS = 8
-_SERVE_MAX_PENDING = 64
-
-SERVE_BANDS: dict[str, tuple[float | None, float | None]] = {
-    # Batching amortizes the per-job engine overhead: at the unbatched
-    # saturation point it must deliver strictly more goodput.
-    "serve_batched_vs_unbatched_goodput_at_saturation": (1.0, None),
-    # Backpressure: pending requests stay bounded at >2x overload.
-    "serve_unbatched_peak_pending_overload": (None, float(_SERVE_MAX_PENDING)),
-    "serve_batched_peak_pending_overload": (None, float(_SERVE_MAX_PENDING)),
-    # Capability-aware routing keeps compress batches off BF-3's
-    # engine-less (SoC fallback) path.
-    "serve_capability_vs_round_robin_goodput": (1.0, None),
-}
-
-
-# Path-selection sweep (BENCH_PR5.json).  The crossover bands are
-# factor-2 envelopes around the calibrated closed-form values (BF2
-# DEFLATE compress ~6.3 KB, decompress ~190 KB, BF3 decompress
-# ~52 KB); the exact-trajectory gate is, as always, the tight screw.
-SELECT_TOLERANCE = 0.05
-
-SELECT_BANDS: dict[str, tuple[float | None, float | None]] = {
-    # path="auto" latency <= best static path + the model's tolerance.
-    "select_auto_vs_best_static_max": (None, 1.0 + SELECT_TOLERANCE),
-    # Tables II/III: BF-3 compress must never route to its
-    # decompress-only C-Engine.
-    "select_bf3_compress_engine_picks": (None, 0.0),
-    # Paper shape: SoC wins below the crossover, C-Engine above, and
-    # the sweep brackets every capable crossover.
-    "select_paper_shape_ok": (1.0, None),
-    # Steady-state dispatch hits the memoized crossover cache.
-    "select_cache_hit_rate": (0.5, None),
-    "select_crossover_bf2_compress_bytes": (4.0e3, 16.0e3),
-    "select_crossover_bf2_decompress_bytes": (128.0e3, 512.0e3),
-    "select_crossover_bf3_decompress_bytes": (32.0e3, 128.0e3),
-}
-
-
-# Telemetry-plane gates (BENCH_PR6.json).  Sim-section bands hold on
-# deterministic numbers; the wall section re-measures at gate time.
-OBS_OVERHEAD_CEILING = 1.05  # telemetry-on wall clock <= 5% over off
-_OBS_WALL_PAIRS = 31       # interleaved off/on pairs; the gate reads their median
-_OBS_SERVE_LOAD = 12_000.0
-_OBS_FLAME_BYTES = 64 * 1024
-
-OBS_SIM_BANDS: dict[str, tuple[float | None, float | None]] = {
-    # Fleet sketch percentiles stay within the advertised relative
-    # error of the exact pooled nearest-rank values (alpha = 0.01).
-    "obs_fleet_p50_rel_err": (None, 0.01),
-    "obs_fleet_p99_rel_err": (None, 0.01),
-    # The seeded overload fires the full deterministic alert stream:
-    # pages, tickets, and a goodput-floor breach.
-    "obs_slo_alerts": (1.0, None),
-    "obs_slo_page_alerts": (1.0, None),
-    "obs_slo_goodput_alerts": (1.0, None),
-    # The scrape loop ran and >= 2 gateways' registries rolled up.
-    "obs_scrapes": (2.0, None),
-    "obs_member_registries": (4.0, None),
-    # The serve sweep point is bit-for-bit identical with telemetry on.
-    "obs_bit_for_bit": (1.0, 1.0),
-}
-
-OBS_WALL_BANDS: dict[str, tuple[float | None, float | None]] = {
-    "obs_overhead_ratio": (None, OBS_OVERHEAD_CEILING),
-    # The DEFLATE-compress flamegraph names the match loop on top.
-    "obs_top_kernel_is_lz77": (1.0, 1.0),
-}
-
-
-# Adaptive-context coder gates (BENCH_PR7.json).  All deterministic:
-# ratios come from seeded dataset generators through the real codecs,
-# makespans from the calibrated cost model.  The pipelined speedup is
-# bounded above by 1/max(f, 1-f) of the ac codec time (f = model
-# fraction, 0.55 -> bound ~1.82); the floor requires pipelining to
-# actually pay at the largest message.
-EDPC_BANDS: dict[str, tuple[float | None, float | None]] = {
-    # Decoupling must never lose, and must approach the stage bound.
-    "edpc_pipelined_vs_unpipelined_large": (1.5, 1.0 / 0.55 + 1e-9),
-    # Both dataflows emit bit-identical streams (scheduling-only win).
-    "edpc_bytes_identical": (1.0, 1.0),
-    # Measured ratio trade vs DEFLATE at the 24 KiB samples: LZ77's
-    # exact-repeat matches beat the order-2 context model on these
-    # corpora; the bands pin the trade so a codec change shows up.
-    "edpc_ac_vs_deflate_ratio_xml": (0.25, 0.5),
-    "edpc_ac_vs_deflate_ratio_obs_error": (0.65, 0.95),
-}
-
-
-# Fleet-cluster gates (BENCH_PR9.json).  All deterministic sim-clock
-# numbers; the exact-trajectory check (routing digests included) is the
-# tight screw, these bands pin the *shape* the tentpole claims:
-# goodput saturates under the global+shard admission split instead of
-# collapsing, the shard budget actually binds, and in-shard failover
-# recovers the kill.
-_CLUSTER_SHARD_MAX_PENDING = 64   # mirrors cluster_fleet._SHARD_MAX_PENDING
-
-CLUSTER_BANDS: "dict[str, tuple[float | None, float | None]]" = {
-    # Saturation, not collapse: the 100x point holds >= 90 % of the
-    # curve's peak goodput (recorded: it *is* the peak) ...
-    "cluster_goodput_at_100x_vs_peak": (0.9, None),
-    # ... and no step down the curve loses more than 10 % (monotone up
-    # to the saturation plateau; recorded minimum successive ratio
-    # ~0.985 at the 1.2M point).
-    "cluster_goodput_successive_ratio_min": (0.9, None),
-    # Per-shard pending never exceeds the shard admission budget, even
-    # at 100x overload (recorded: exactly at budget, never over).
-    "cluster_max_shard_pending_overload": (
-        None, float(_CLUSTER_SHARD_MAX_PENDING)
-    ),
-    # Every request admitted anywhere is completed or failed: both
-    # admission layers drain to zero after every run (the slot-leak
-    # regression this PR fixes would show up here).
-    "cluster_pending_after_drain": (0.0, 0.0),
-    # The mid-run whole-worker kill recovers >= 90 % of the pre-kill
-    # completion rate via in-shard failover (recorded ~0.95).
-    "cluster_failover_recovery_ratio": (0.9, None),
-    # The kill actually exercised the failover path at least once ...
-    "cluster_failovers": (1.0, None),
-    # ... and the latency spike tripped the burn-rate alert stream.
-    "cluster_slo_alerts_failover": (1.0, None),
-}
-
-
-def _ppar_run(device_kind: str, direction: Direction, depth: int,
-              actual_bytes: int, container: bytes | None = None):
-    env = Environment()
-    device = make_device(env, device_kind)
-    pc = ParallelCompressor(
-        device, ParallelConfig(n_chunks=_PPAR_CHUNKS, pipeline_depth=depth)
-    )
-    if direction is Direction.COMPRESS:
-        payload = get_dataset(_PPAR_DATASET).generate(actual_bytes)
-        proc = env.process(pc.compress(payload, _NOMINAL))
-    else:
-        proc = env.process(pc.decompress(container, _NOMINAL))
-    return env.run(until=proc)
-
-
-def collect(actual_bytes: int = _ACTUAL_BYTES) -> dict[str, Any]:
-    """Run the regression experiments; returns the report dict."""
-    headlines: dict[str, float] = {}
-    rows: dict[str, Any] = {}
-
-    # -- PEDAL vs naive (Fig. 7 factor) --------------------------------
-    pedal = run_pedal_roundtrip(
-        "bf2", "C-Engine_DEFLATE", _ROUNDTRIP_DATASET, actual_bytes=actual_bytes
-    )
-    naive = run_naive_roundtrip(
-        "bf2", "C-Engine_DEFLATE", _ROUNDTRIP_DATASET, actual_bytes=actual_bytes
-    )
-    pedal_total = pedal.compress_seconds + pedal.decompress_seconds
-    naive_total = naive.compress_seconds + naive.decompress_seconds
-    headlines["pedal_vs_naive_deflate_xml"] = naive_total / pedal_total
-    rows["roundtrip_bf2_pedal_s"] = pedal_total
-    rows["roundtrip_bf2_naive_s"] = naive_total
-
-    # -- BF2 vs BF3 engine direction (Fig. 8) --------------------------
-    bf3 = run_pedal_roundtrip(
-        "bf3", "C-Engine_DEFLATE", _ROUNDTRIP_DATASET, actual_bytes=actual_bytes
-    )
-    headlines["bf3_vs_bf2_engine_decompress"] = (
-        pedal.decompress_seconds / bf3.decompress_seconds
-    )
-    rows["decompress_bf2_engine_s"] = pedal.decompress_seconds
-    rows["decompress_bf3_engine_s"] = bf3.decompress_seconds
-
-    # -- pipelined vs serial work queue (tentpole) ---------------------
-    container = _ppar_run(
-        "bf2", Direction.COMPRESS, 1, actual_bytes
-    ).payload
-    grid = [
-        ("bf2", Direction.COMPRESS),
-        ("bf2", Direction.DECOMPRESS),
-        ("bf3", Direction.DECOMPRESS),
-    ]
-    occupancy_max = 0.0
-    for device_kind, direction in grid:
-        serial = _ppar_run(device_kind, direction, 1, actual_bytes,
-                           container=container)
-        metrics = obs.MetricsRegistry()
-        prev = obs.set_metrics(metrics)
-        try:
-            piped = _ppar_run(device_kind, direction, _PPAR_DEPTH,
-                              actual_bytes, container=container)
-        finally:
-            obs.set_metrics(prev)
-        occupancy_max = max(
-            occupancy_max, metrics.gauge("sched.occupancy").max
-        )
-        key = f"pipelined_vs_serial_{device_kind}_{direction.value}"
-        headlines[key] = serial.sim_seconds / piped.sim_seconds
-        rows[f"ppar_{device_kind}_{direction.value}_serial_s"] = serial.sim_seconds
-        rows[f"ppar_{device_kind}_{direction.value}_depth{_PPAR_DEPTH}_s"] = (
-            piped.sim_seconds
-        )
-    headlines["sched_occupancy_max"] = occupancy_max
-
-    return {
-        "schema": SCHEMA,
-        "generator": "repro.bench.regress",
-        "config": {
-            "actual_bytes": actual_bytes,
-            "nominal_bytes": _NOMINAL,
-            "ppar_chunks": _PPAR_CHUNKS,
-            "ppar_depth": _PPAR_DEPTH,
-            "roundtrip_dataset": _ROUNDTRIP_DATASET,
-            "ppar_dataset": _PPAR_DATASET,
-        },
-        "headlines": headlines,
-        "rows": rows,
-    }
-
-
-def collect_serve(actual_bytes: int = 1024) -> dict[str, Any]:
-    """Run the serving-layer sweep; returns the BENCH_PR4 report dict.
-
-    Curves are full offered-load sweeps (goodput, p50/p99, shed and
-    peak-pending counts) for the batched and unbatched gateway; the
-    headlines condense them into the gated ratios.
-    """
-    from repro.bench.experiments.serve_gateway import run_serve_point
-
-    curves: dict[str, list[dict]] = {"unbatched": [], "batched": []}
-    for msgs, label in ((1, "unbatched"), (_SERVE_BATCH_MSGS, "batched")):
-        for load in _SERVE_LOADS_REQ_S:
-            curves[label].append(
-                run_serve_point(load, msgs, actual_bytes=actual_bytes,
-                                max_pending=_SERVE_MAX_PENDING)
-            )
-    top = max(_SERVE_LOADS_REQ_S)
-    round_robin = run_serve_point(
-        top, _SERVE_BATCH_MSGS, router="round_robin",
-        actual_bytes=actual_bytes, max_pending=_SERVE_MAX_PENDING,
-    )
-    at_top = {label: curves[label][-1] for label in curves}
-
-    headlines = {
-        "serve_batched_vs_unbatched_goodput_at_saturation": (
-            at_top["batched"]["goodput_bytes_s"]
-            / at_top["unbatched"]["goodput_bytes_s"]
-        ),
-        "serve_unbatched_peak_pending_overload": float(
-            at_top["unbatched"]["peak_pending"]
-        ),
-        "serve_batched_peak_pending_overload": float(
-            at_top["batched"]["peak_pending"]
-        ),
-        "serve_capability_vs_round_robin_goodput": (
-            at_top["batched"]["goodput_bytes_s"]
-            / round_robin["goodput_bytes_s"]
-        ),
-        "serve_unbatched_p99_overload_s": at_top["unbatched"]["p99_s"],
-        "serve_batched_p99_overload_s": at_top["batched"]["p99_s"],
-    }
-    return {
-        "schema": SERVE_SCHEMA,
-        "generator": "repro.bench.regress",
-        "config": {
-            "actual_bytes": actual_bytes,
-            "loads_req_s": list(_SERVE_LOADS_REQ_S),
-            "batch_msgs": _SERVE_BATCH_MSGS,
-            "max_pending": _SERVE_MAX_PENDING,
-        },
-        "curves": curves,
-        "round_robin_at_overload": round_robin,
-        "headlines": headlines,
-    }
-
-
-def collect_select(actual_bytes: int = 1024) -> dict[str, Any]:
-    """Run the path-selection sweep; returns the BENCH_PR5 report dict."""
-    from repro.bench.experiments.select_crossover import _SIZES, run_select_sweep
-
-    sweep = run_select_sweep(actual_bytes=actual_bytes)
-    return {
-        "schema": SELECT_SCHEMA,
-        "generator": "repro.bench.regress",
-        "config": {
-            "actual_bytes": actual_bytes,
-            "sizes": list(_SIZES),
-            "tolerance": SELECT_TOLERANCE,
-        },
-        "rows": sweep["rows"],
-        "headlines": sweep["headlines"],
-    }
-
-
-def _serve_point_record(telemetry_on: bool, actual_bytes: int) -> dict:
-    from repro.bench.experiments.serve_gateway import run_serve_point
-    from repro.serve import TelemetryConfig
-
-    return run_serve_point(
-        _OBS_SERVE_LOAD, _SERVE_BATCH_MSGS, actual_bytes=actual_bytes,
-        max_pending=_SERVE_MAX_PENDING,
-        telemetry=TelemetryConfig() if telemetry_on else None,
-    )
-
-
-def _records_identical(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    for key, value in a.items():
-        other = b[key]
-        if isinstance(value, float) and isinstance(other, float):
-            if math.isnan(value) and math.isnan(other):
-                continue
-        if value != other:
-            return False
-    return True
-
-
-def _wall_serve_pair(actual_bytes: int) -> "tuple[float, float, float]":
-    """``(off_s, on_s, overhead)`` from *interleaved* off/on pairs.
-
-    ``overhead`` is ``1 +`` the median over pairs of
-    ``(on_i - off_i) / off_i``; ``off_s`` / ``on_s`` are the medians of
-    each side, for the record.  The serve point is a few hundred
-    milliseconds of small-block codec work, where this host's
-    run-to-run jitter is the same order as the telemetry overhead being
-    measured.  Three things keep the ratio honest: each on-rep is
-    divided by the off-rep run right next to it (slow drift — thermal,
-    noisy neighbours — moves both), the order inside a pair alternates
-    (whatever the first rep of a pair pays, both sides pay it equally
-    often), and the median over pairs discards the pairs a stall landed
-    in (a ratio of trimmed totals still carries every stall that
-    survives the trim, which read 0.91-1.10 here with nothing changed).
-    """
-    offs: "list[float]" = []
-    ons: "list[float]" = []
-    for pair in range(_OBS_WALL_PAIRS):
-        timed = {}
-        for telemetry_on in ((False, True), (True, False))[pair % 2]:
-            timed[telemetry_on] = _timed(
-                lambda: _serve_point_record(telemetry_on, actual_bytes)
-            )
-        offs.append(timed[False])
-        ons.append(timed[True])
-    overhead = 1.0 + statistics.median(
-        (on - off) / off for off, on in zip(offs, ons)
-    )
-    return statistics.median(offs), statistics.median(ons), overhead
-
-
-def collect_obs(actual_bytes: int = 1024) -> dict[str, Any]:
-    """Run the telemetry-plane demo + overhead gate; BENCH_PR6 report.
-
-    The ``sim`` section is deterministic (exact-gated by the tests);
-    the ``wall`` section is re-measured on whatever host runs the gate
-    and only has to stay inside its bands.
-    """
-    from repro.algorithms.deflate import deflate_compress
-    from repro.bench.experiments.obs_telemetry import run_fleet_demo
-    from repro.bench.harness import generate_payload
-
-    demo = run_fleet_demo()
-
-    # Telemetry must not change a single simulated number.
-    plain = _serve_point_record(False, actual_bytes)
-    telemetered = _serve_point_record(True, actual_bytes)
-    sim_headlines = dict(demo["headlines"])
-    sim_headlines["obs_bit_for_bit"] = (
-        1.0 if _records_identical(plain, telemetered) else 0.0
-    )
-
-    # Wall section: overhead ratio (median over interleaved pairs) + top kernel.
-    off_s, on_s, overhead = _wall_serve_pair(actual_bytes)
-    profiler = obs.CodecProfiler()
-    payload = bytes(generate_payload(_ROUNDTRIP_DATASET, _OBS_FLAME_BYTES))
-    prev = obs.set_profiler(profiler)
-    try:
-        deflate_compress(payload)
-    finally:
-        obs.set_profiler(prev)
-    top = profiler.top_kernel(("deflate.compress",))
-
-    return {
-        "schema": OBS_SCHEMA,
-        "generator": "repro.bench.regress",
-        "config": {
-            "actual_bytes": actual_bytes,
-            "serve_load_req_s": _OBS_SERVE_LOAD,
-            "batch_msgs": _SERVE_BATCH_MSGS,
-            "wall_repetitions": _OBS_WALL_PAIRS,
-            "flamegraph_bytes": _OBS_FLAME_BYTES,
-            "overhead_ceiling": OBS_OVERHEAD_CEILING,
-        },
-        "sim": {
-            "headlines": sim_headlines,
-            "rows": demo["rows"],
-            "alerts": demo["alerts"],
-            "serve_point": plain,
-        },
-        "wall": {
-            "headlines": {
-                "obs_overhead_ratio": overhead,
-                "obs_top_kernel_is_lz77": (
-                    1.0 if top == "lz77.match_loop" else 0.0
-                ),
-            },
-            "telemetry_off_s": off_s,
-            "telemetry_on_s": on_s,
-            "top_kernel": top,
-        },
-    }
-
-
-def collect_edpc() -> dict[str, Any]:
-    """Run the adaptive-context coder sweep; BENCH_PR7 report dict.
-
-    Everything here is deterministic — real codec ratios on seeded
-    dataset samples plus calibrated sim-clock makespans — so the whole
-    report is exact-gated like BENCH_PR3.
-    """
-    from repro.bench.experiments.edpc_pipeline import run as run_edpc
-
-    result = run_edpc()
-    return {
-        "schema": EDPC_SCHEMA,
-        "generator": "repro.bench.regress",
-        "config": {
-            "ratio_actual_bytes": 24 * 1024,
-            "pipeline_actual_bytes": 16 * 1024,
-            "queue_depth": 2,
-        },
-        "rows": [dict(row) for row in result.rows],
-        "headlines": dict(result.headlines),
-    }
 
 
 def _wall_payload(name: str, nbytes: int) -> bytes:
@@ -845,13 +713,9 @@ def _wall_decode_rows() -> "list[dict[str, Any]]":
     return rows
 
 
-def collect_wallclock() -> dict[str, Any]:
-    """Measure the kernel-vectorization wall trajectory; BENCH_PR8 report.
 
-    Everything in here is host-local wall clock, so the entire report is
-    band-gated (floors only, generous) and re-measured wherever the gate
-    runs — recorded values document the trajectory, they are never
-    compared bit-for-bit.  Two row families:
+def _wall() -> "dict[str, Any]":
+    """Three row families, all host wall clock:
 
     * the DEFLATE compress suite at 1 MiB, the production kernels vs
       the same pipeline inside ``reference.twins()`` (byte-identical
@@ -861,12 +725,13 @@ def collect_wallclock() -> dict[str, Any]:
       headline aggregate; the deep-chain ``silesia/*`` members gate
       on the bucket-slice walk's gain over the scalar per-hop loop,
       ``runs2`` on a non-inferiority floor.
-    * per-codec compress throughput floors.
     * the DEFLATE entropy stage on 256 B / 1 KiB / 64 KiB blocks, as
       ratios against their retained reference twins
       (:func:`_wall_entropy_rows`).
     * AC decode and xxh32 as ratios against their step-wise / scalar
       twins (:func:`_wall_decode_rows`).
+
+    Per-codec compress throughput rides along as ``wall_mbps_*``.
     """
     from contextlib import nullcontext
 
@@ -928,8 +793,6 @@ def collect_wallclock() -> dict[str, Any]:
         headlines[row["headline"]] = row["speedup"]
 
     return {
-        "schema": WALL_SCHEMA,
-        "generator": "repro.bench.regress",
         "config": {
             "suite_bytes": _WALL_SUITE_BYTES,
             "codec_bytes": _WALL_CODEC_BYTES,
@@ -947,85 +810,93 @@ def collect_wallclock() -> dict[str, Any]:
     }
 
 
-def collect_cluster() -> dict[str, Any]:
-    """Run the fleet-cluster sweep; returns the BENCH_PR9 report dict.
+def _wall_key(dataset: str) -> str:
+    return dataset.replace("/", "_").replace("-", "_")
 
-    The curve sweeps offered load from 10x the PR 4 single-gateway
-    sweep's lowest point to 100x its highest (2.4M req/s) over the
-    12-worker / 4-shard cluster; the failover record kills a whole
-    worker mid-run at a load the fleet still covers one worker down.
-    Everything — goodput, shed counts, per-shard peaks, failover
-    re-picks, the shard-map epoch, the BLAKE2b routing digests — is a
-    pure function of the seed and the cost model, so the whole report
-    is exact-gated; the bands condense the tentpole's shape claims.
-    """
-    from repro.bench.experiments.cluster_fleet import (
-        _BATCH_MSGS,
-        _FLEET,
-        _GLOBAL_MAX_PENDING,
-        _NUM_SHARDS,
-        _SEED,
-        _SHARD_MAX_PENDING,
-        CLUSTER_LOADS_REQ_S,
-        FAILOVER_LOAD_REQ_S,
-        run_cluster_point,
-        run_failover_point,
-    )
 
-    curve = [run_cluster_point(load) for load in CLUSTER_LOADS_REQ_S]
-    failover = run_failover_point()
+# -- cluster (BENCH_PR9) -----------------------------------------------
+# The exact-trajectory check (routing digests included) is the tight
+# screw; these bands pin the *shape*: goodput saturates under the
+# global+shard admission split instead of collapsing, the shard budget
+# actually binds, and in-shard failover recovers the kill.
+CLUSTER_BANDS: Bands = {
+    # Saturation, not collapse: the 100x point holds >= 90 % of the
+    # curve's peak goodput (recorded: it *is* the peak) ...
+    "cluster_goodput_at_100x_vs_peak": (0.9, None),
+    # ... and no step down the curve loses more than 10 % (monotone up
+    # to the saturation plateau; recorded minimum successive ratio
+    # ~0.985 at the 1.2M point).
+    "cluster_goodput_successive_ratio_min": (0.9, None),
+    # Per-shard pending never exceeds the shard admission budget, even
+    # at 100x overload (recorded: exactly at budget, never over).
+    "cluster_max_shard_pending_overload": (
+        None, float(cluster_fleet._SHARD_MAX_PENDING)
+    ),
+    # Every request admitted anywhere is completed or failed: both
+    # admission layers drain to zero after every run (a slot leak
+    # would show up here).
+    "cluster_pending_after_drain": (0.0, 0.0),
+    # The mid-run whole-worker kill recovers >= 90 % of the pre-kill
+    # completion rate via in-shard failover (recorded ~0.95).
+    "cluster_failover_recovery_ratio": (0.9, None),
+    # The kill actually exercised the failover path at least once ...
+    "cluster_failovers": (1.0, None),
+    # ... and the latency spike tripped the burn-rate alert stream.
+    "cluster_slo_alerts_failover": (1.0, None),
+}
+
+
+def _cluster() -> "dict[str, Any]":
+    curve = [cluster_fleet.run_cluster_point(load)
+             for load in cluster_fleet.CLUSTER_LOADS_REQ_S]
+    failover = cluster_fleet.run_failover_point()
 
     goodputs = [r["goodput_bytes_s"] for r in curve]
     peak = max(goodputs)
-    successive_min = min(
-        goodputs[i + 1] / goodputs[i] for i in range(len(goodputs) - 1)
-    )
-    headlines = {
-        "cluster_goodput_at_100x_vs_peak": (
-            goodputs[-1] / peak if peak > 0.0 else 0.0
-        ),
-        "cluster_goodput_successive_ratio_min": successive_min,
-        "cluster_max_shard_pending_overload": float(
-            max(r["max_shard_pending"] for r in curve)
-        ),
-        "cluster_pending_after_drain": float(
-            max(r["pending_after_drain"] for r in curve + [failover])
-        ),
-        "cluster_failover_recovery_ratio": failover["recovery_ratio"],
-        "cluster_failovers": float(failover["failovers"]),
-        "cluster_slo_alerts_failover": float(failover["slo_alerts"]),
-        "cluster_goodput_peak_bytes_s": peak,
-        "cluster_failover_epoch": float(failover["epoch"]),
-    }
     return {
-        "schema": CLUSTER_SCHEMA,
-        "generator": "repro.bench.regress",
         "config": {
-            "fleet": [list(pair) for pair in _FLEET],
-            "num_shards": _NUM_SHARDS,
-            "global_max_pending": _GLOBAL_MAX_PENDING,
-            "shard_max_pending": _SHARD_MAX_PENDING,
-            "batch_msgs": _BATCH_MSGS,
-            "seed": _SEED,
-            "loads_req_s": list(CLUSTER_LOADS_REQ_S),
-            "failover_load_req_s": FAILOVER_LOAD_REQ_S,
+            "fleet": [list(pair) for pair in cluster_fleet._FLEET],
+            "num_shards": cluster_fleet._NUM_SHARDS,
+            "global_max_pending": cluster_fleet._GLOBAL_MAX_PENDING,
+            "shard_max_pending": cluster_fleet._SHARD_MAX_PENDING,
+            "batch_msgs": cluster_fleet._BATCH_MSGS,
+            "seed": cluster_fleet._SEED,
+            "loads_req_s": list(cluster_fleet.CLUSTER_LOADS_REQ_S),
+            "failover_load_req_s": cluster_fleet.FAILOVER_LOAD_REQ_S,
         },
         "curve": curve,
         "failover": failover,
-        "headlines": headlines,
+        "headlines": {
+            "cluster_goodput_at_100x_vs_peak": (
+                goodputs[-1] / peak if peak > 0.0 else 0.0
+            ),
+            "cluster_goodput_successive_ratio_min": min(
+                later / earlier for earlier, later in zip(goodputs, goodputs[1:])
+            ),
+            "cluster_max_shard_pending_overload": float(
+                max(r["max_shard_pending"] for r in curve)
+            ),
+            "cluster_pending_after_drain": float(
+                max(r["pending_after_drain"] for r in curve + [failover])
+            ),
+            "cluster_failover_recovery_ratio": failover["recovery_ratio"],
+            "cluster_failovers": float(failover["failovers"]),
+            "cluster_slo_alerts_failover": float(failover["slo_alerts"]),
+            "cluster_goodput_peak_bytes_s": peak,
+            "cluster_failover_epoch": float(failover["epoch"]),
+        },
     }
 
 
-# Streaming-rendezvous gates (BENCH_PR10.json).  Deterministic
-# sim-clock numbers from the `stream` experiment: pt2pt/bcast on the
-# hypersparse telemetry payload, SoC DEFLATE design (whole-message vs
-# streamed through the RST1 container).  Recorded speedups sit ~4.26x;
-# the floors encode the tentpole's ordering claims, not the exact
-# operating point.
-STREAM_BANDS: "dict[str, tuple[float | None, float | None]]" = {
+# -- stream (BENCH_PR10) -----------------------------------------------
+# pt2pt/bcast on the hypersparse telemetry payload, SoC DEFLATE design,
+# whole-message vs streamed through the RST1 container.  Recorded
+# speedups sit ~4.26x; the floors encode the ordering claims, not the
+# exact operating point.
+STREAM_BANDS: Bands = {
     # At >= 4 MiB streaming must be no worse than whole-message
-    # rendezvous (the acceptance bar), and strictly better at 16 MiB
-    # where the overlap win dwarfs container overhead.
+    # rendezvous, and strictly better at 16 MiB where the overlap win
+    # dwarfs container overhead.
     "stream_vs_whole_latency_4mib": (1.0, None),
     "stream_vs_whole_latency_16mib": (1.05, None),
     # Binomial bcast re-streams every hop, so the win must survive
@@ -1037,126 +908,66 @@ STREAM_BANDS: "dict[str, tuple[float | None, float | None]]" = {
 }
 
 
-def collect_stream() -> dict[str, Any]:
-    """Run the streaming-rendezvous sweep; returns the BENCH_PR10 dict.
-
-    Thin shell over the ``stream`` experiment: the report carries its
-    rows verbatim (exact-gateable — the sim clock is deterministic)
-    plus the headline speedups the bands condense.
-    """
-    from repro.bench.experiments.stream_fabric import (
-        _CHUNK_BYTES,
-        _GATE_DESIGN,
-        _SIM_MB,
-        DEFAULT_ACTUAL_BYTES,
-        run as run_stream,
-    )
-
-    result = run_stream()
+def _stream() -> "dict[str, Any]":
+    result = stream_fabric.run()
     return {
-        "schema": STREAM_SCHEMA,
-        "generator": "repro.bench.regress",
         "config": {
-            "actual_bytes": DEFAULT_ACTUAL_BYTES,
-            "chunk_bytes": _CHUNK_BYTES,
-            "gate_design": _GATE_DESIGN,
-            "sim_mb": list(_SIM_MB),
+            "actual_bytes": stream_fabric.DEFAULT_ACTUAL_BYTES,
+            "chunk_bytes": stream_fabric._CHUNK_BYTES,
+            "gate_design": stream_fabric._GATE_DESIGN,
+            "sim_mb": list(stream_fabric._SIM_MB),
         },
         "rows": result.rows,
         "headlines": dict(result.headlines),
     }
 
 
-def _wall_key(dataset: str) -> str:
-    return dataset.replace("/", "_").replace("-", "_")
+REPORTS: "dict[str, Report]" = {
+    "core": Report("BENCH_PR3.json", _core, {"": Section(BANDS)}),
+    "serve": Report("BENCH_PR4.json", _serve, {"": Section(SERVE_BANDS)}),
+    "select": Report("BENCH_PR5.json", _select, {"": Section(SELECT_BANDS)}),
+    "obs": Report("BENCH_PR6.json", _obs, {
+        "sim": Section(OBS_SIM_BANDS),
+        "wall": Section(OBS_WALL_BANDS, exact=False),
+    }),
+    "edpc": Report("BENCH_PR7.json", _edpc, {"": Section(EDPC_BANDS)}),
+    "wall": Report("BENCH_PR8.json", _wall,
+                   {"wall": Section(WALL_BANDS, exact=False)}),
+    "cluster": Report("BENCH_PR9.json", _cluster, {"": Section(CLUSTER_BANDS)}),
+    "stream": Report("BENCH_PR10.json", _stream, {"": Section(STREAM_BANDS)}),
+}
 
 
-def _gate_bands(report: dict[str, Any],
-                bands: "dict[str, tuple[float | None, float | None]]") -> list[str]:
+def collect(name: str) -> "dict[str, Any]":
+    """Re-run report ``name``'s experiment; returns the report dict."""
+    return {"schema": SCHEMA, "generator": "repro.bench.regress",
+            **REPORTS[name].run()}
+
+
+def gate(name: str, report: "dict[str, Any]") -> "list[str]":
+    """Check every band of every section of report ``name``; returns
+    the violations (empty when it passes)."""
     violations = []
-    headlines = report.get("headlines", {})
-    for key, (floor, ceiling) in bands.items():
-        if key not in headlines:
-            violations.append(f"{key}: missing from report")
-            continue
-        value = headlines[key]
-        if floor is not None and value < floor:
-            violations.append(f"{key}: {value:.6g} below floor {floor:.6g}")
-        if ceiling is not None and value > ceiling:
-            violations.append(f"{key}: {value:.6g} above ceiling {ceiling:.6g}")
+    for key, section in REPORTS[name].sections.items():
+        headlines = (report.get(key, {}) if key else report).get("headlines", {})
+        for band, (floor, ceiling) in section.bands.items():
+            if band not in headlines:
+                violations.append(f"{band}: missing from report")
+                continue
+            value = headlines[band]
+            if floor is not None and value < floor:
+                violations.append(f"{band}: {value:.6g} below floor {floor:.6g}")
+            if ceiling is not None and value > ceiling:
+                violations.append(f"{band}: {value:.6g} above ceiling {ceiling:.6g}")
     return violations
 
 
-def gate(report: dict[str, Any]) -> list[str]:
-    """Check every BENCH_PR3 headline band; returns the violations."""
-    return _gate_bands(report, BANDS)
-
-
-def gate_serve(report: dict[str, Any]) -> list[str]:
-    """Check every BENCH_PR4 headline band; returns the violations."""
-    return _gate_bands(report, SERVE_BANDS)
-
-
-def gate_select(report: dict[str, Any]) -> list[str]:
-    """Check every BENCH_PR5 headline band; returns the violations."""
-    return _gate_bands(report, SELECT_BANDS)
-
-
-def gate_obs(report: dict[str, Any]) -> list[str]:
-    """Check the BENCH_PR6 sim and wall bands; returns the violations.
-
-    The two sections gate independently: sim headlines are
-    deterministic, wall headlines are host-local measurements.
-    """
-    return (
-        _gate_bands(report.get("sim", {}), OBS_SIM_BANDS)
-        + _gate_bands(report.get("wall", {}), OBS_WALL_BANDS)
-    )
-
-
-def gate_edpc(report: dict[str, Any]) -> list[str]:
-    """Check every BENCH_PR7 headline band; returns the violations."""
-    return _gate_bands(report, EDPC_BANDS)
-
-
-def gate_wallclock(report: dict[str, Any]) -> list[str]:
-    """Check the BENCH_PR8 wall bands; returns the violations.
-
-    Per-codec throughput headlines gate on floors declared *in the
-    report itself* (``config`` has no say): every ``wall_mbps_<codec>``
-    headline must clear :data:`WALL_CODEC_FLOORS_MBPS`.
-    """
-    wall = report.get("wall", {})
-    violations = _gate_bands(wall, WALL_BANDS)
-    headlines = wall.get("headlines", {})
-    for codec, floor in WALL_CODEC_FLOORS_MBPS.items():
-        key = f"wall_mbps_{codec}"
-        if key not in headlines:
-            violations.append(f"{key}: missing from report")
-            continue
-        if headlines[key] < floor:
-            violations.append(
-                f"{key}: {headlines[key]:.6g} MB/s below floor {floor:.6g}"
-            )
-    return violations
-
-
-def gate_cluster(report: dict[str, Any]) -> list[str]:
-    """Check every BENCH_PR9 headline band; returns the violations."""
-    return _gate_bands(report, CLUSTER_BANDS)
-
-
-def gate_stream(report: dict[str, Any]) -> list[str]:
-    """Check every BENCH_PR10 headline band; returns the violations."""
-    return _gate_bands(report, STREAM_BANDS)
-
-
-def write_report(report: dict[str, Any], path: str) -> None:
+def write_report(report: "dict[str, Any]", path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_report(path: str) -> dict[str, Any]:
+def load_report(path: str) -> "dict[str, Any]":
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)

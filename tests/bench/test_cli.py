@@ -1,10 +1,14 @@
 """End-to-end ``python -m repro.bench`` CLI: trace/metrics/json outputs."""
 
+import inspect
 import json
 
 import pytest
 
+from repro.bench import __main__ as bench_main
+from repro.bench import experiments  # noqa: F401  (registers every id)
 from repro.bench.__main__ import main
+from repro.bench.harness import EXPERIMENTS, ExperimentResult
 from repro.obs import NULL_METRICS, NULL_TRACER, get_metrics, get_tracer
 
 
@@ -107,3 +111,21 @@ class TestGlobalStateRestored:
     def test_cli_restores_noop_tracer_and_metrics(self, fig7_outputs):
         assert get_tracer() is NULL_TRACER
         assert get_metrics() is NULL_METRICS
+
+
+class TestExperimentIds:
+    def test_every_experiment_accepts_actual_bytes(self):
+        assert "cluster" in EXPERIMENTS
+        for name, fn in EXPERIMENTS.items():
+            assert "actual_bytes" in inspect.signature(fn).parameters, name
+
+    def test_all_runs_every_registered_experiment(self, monkeypatch):
+        ran = []
+
+        def fake_run(name, **kwargs):
+            ran.append((name, kwargs))
+            return ExperimentResult(name, name, ["x"], rows=[{"x": 1}])
+
+        monkeypatch.setattr(bench_main, "run_experiment", fake_run)
+        assert main(["all", "--actual-bytes", "1024"]) == 0
+        assert ran == [(name, {"actual_bytes": 1024}) for name in EXPERIMENTS]

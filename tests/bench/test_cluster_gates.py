@@ -12,62 +12,43 @@ Same two-layer discipline as the other trajectory files:
 * **Exact trajectory** — every number, including the BLAKE2b routing
   digests over shard lookups / batch dispatches / failover re-picks /
   shard-map heals, is a pure function of the seed and the cost model,
-  so a fresh :func:`repro.bench.regress.collect_cluster` must reproduce
-  the committed report bit-for-bit.  Any routing, admission, or
+  so a fresh ``regress.collect("cluster")`` must reproduce the
+  committed report bit-for-bit.  Any routing, admission, or
   failover change shows up as a diff here and requires regenerating the
   file (``python benchmarks/regress.py``) in the same PR.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.bench import regress
-from tests.bench.test_regression_gates import assert_deep_exact
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-CLUSTER_REPORT_PATH = REPO_ROOT / regress.DEFAULT_CLUSTER_REPORT_PATH
-
-
-@pytest.fixture(scope="module")
-def fresh_cluster_report():
-    return regress.collect_cluster()
+from tests.bench.reports import assert_reproduced, committed, fresh
 
 
 @pytest.fixture(scope="module")
 def committed_cluster_report():
-    if not CLUSTER_REPORT_PATH.exists():
-        pytest.fail(
-            f"{regress.DEFAULT_CLUSTER_REPORT_PATH} missing — regenerate it "
-            f"with 'python benchmarks/regress.py'"
-        )
-    return regress.load_report(CLUSTER_REPORT_PATH)
+    return committed("cluster")
 
 
-def test_fresh_numbers_pass_bands(fresh_cluster_report):
-    assert regress.gate_cluster(fresh_cluster_report) == []
+def test_fresh_numbers_pass_bands():
+    assert regress.gate("cluster", fresh("cluster")) == []
 
 
 def test_committed_report_passes_bands(committed_cluster_report):
-    assert regress.gate_cluster(committed_cluster_report) == []
+    assert regress.gate("cluster", committed_cluster_report) == []
 
 
 def test_committed_report_schema(committed_cluster_report):
-    assert committed_cluster_report["schema"] == regress.CLUSTER_SCHEMA
-    assert set(regress.CLUSTER_BANDS) <= set(
-        committed_cluster_report["headlines"]
+    assert len(committed_cluster_report["curve"]) == len(
+        committed_cluster_report["config"]["loads_req_s"]
     )
 
 
-def test_trajectory_is_reproduced_exactly(fresh_cluster_report,
-                                          committed_cluster_report):
+def test_trajectory_is_reproduced_exactly():
     """Bit-for-bit: headlines, every curve record, the failover record,
     and — via the digests inside each record — every routing decision."""
-    assert_deep_exact(
-        fresh_cluster_report, committed_cluster_report, "BENCH_PR9"
-    )
+    assert_reproduced("cluster")
 
 
 def test_routing_digests_are_pinned(committed_cluster_report):

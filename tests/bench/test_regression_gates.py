@@ -1,133 +1,96 @@
-"""Regression gates over the committed perf trajectories
-(BENCH_PR3.json — core runtime; BENCH_PR4.json — serving layer;
-BENCH_PR5.json — path-selection crossover sweep; BENCH_PR6.json —
-telemetry plane: deterministic sim section + band-only wall section;
-BENCH_PR7.json — EDPC decoupled model/coder pipeline).
+"""Regression gates over the committed perf trajectories: BENCH_PR3
+(core runtime), BENCH_PR4 (serving layer), BENCH_PR5 (path-selection
+crossover sweep), BENCH_PR6 (telemetry plane: exact sim section +
+band-only wall section) and BENCH_PR7 (EDPC decoupled model/coder
+pipeline), plus the guard that ties the ``regress.REPORTS`` table to
+the files at the repo root.
 
-Two layers of protection:
+Two layers of protection, the same for every row of the table:
 
-* **Bands** — the headline ratios the reproduction stands on (PEDAL
-  beats naive, BF3 engine beats BF2 on decompress, pipelined beats
-  serial, the work queue reaches its depth; batched gateway goodput
-  beats unbatched at saturating load, admission bounds pending at
-  overload) must hold both in the committed files and when recomputed
-  from scratch.
+* **Bands** — the headline ratios the reproduction stands on must hold
+  both in the committed files and when recomputed from scratch
+  (:func:`repro.bench.regress.gate`).
 * **Exact trajectory** — the sim clock is deterministic, so a fresh
-  :func:`repro.bench.regress.collect` / ``collect_serve`` must
-  reproduce the committed numbers bit-for-bit.  Any cost-model or
+  :func:`repro.bench.regress.collect` must reproduce every exact
+  section of the committed file bit-for-bit
+  (:func:`tests.bench.reports.assert_exact`).  Any cost-model or
   scheduler change shows up as a diff here and requires regenerating
   the files (``python benchmarks/regress.py``) in the same PR.
 """
 
 from __future__ import annotations
 
-import pathlib
+import copy
 
 import pytest
 
 from repro.bench import regress
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-REPORT_PATH = REPO_ROOT / regress.DEFAULT_REPORT_PATH
-SERVE_REPORT_PATH = REPO_ROOT / regress.DEFAULT_SERVE_REPORT_PATH
-SELECT_REPORT_PATH = REPO_ROOT / regress.DEFAULT_SELECT_REPORT_PATH
-OBS_REPORT_PATH = REPO_ROOT / regress.DEFAULT_OBS_REPORT_PATH
-EDPC_REPORT_PATH = REPO_ROOT / regress.DEFAULT_EDPC_REPORT_PATH
-
-
-def assert_deep_exact(fresh, recorded, where):
-    """Recursive bit-for-bit comparison (floats at rel=1e-12)."""
-    if isinstance(recorded, float) and isinstance(fresh, float):
-        assert fresh == pytest.approx(recorded, rel=1e-12, abs=0.0), (
-            f"{where} drifted"
-        )
-    elif isinstance(recorded, dict):
-        assert set(fresh) == set(recorded), f"{where} keys drifted"
-        for key in recorded:
-            assert_deep_exact(fresh[key], recorded[key], f"{where}.{key}")
-    elif isinstance(recorded, list):
-        assert len(fresh) == len(recorded), f"{where} length drifted"
-        for i, (f, r) in enumerate(zip(fresh, recorded)):
-            assert_deep_exact(f, r, f"{where}[{i}]")
-    else:
-        assert fresh == recorded, f"{where} drifted"
+from tests.bench.reports import (
+    REPO_ROOT,
+    assert_exact,
+    assert_gate_flags_every_band,
+    assert_reproduced,
+    committed,
+    fresh,
+)
 
 
-@pytest.fixture(scope="module")
-def fresh_report():
-    return regress.collect()
+def test_report_table_matches_committed_files():
+    """Every ``BENCH_PR*.json`` at the repo root is a row of the table
+    and every row has its file (no orphan, no missing report), and every
+    band of every section names a headline the committed section has."""
+    on_disk = {path.name for path in REPO_ROOT.glob("BENCH_PR*.json")}
+    assert on_disk == {report.path for report in regress.REPORTS.values()}
+    for name, row in regress.REPORTS.items():
+        report = committed(name)
+        assert report["schema"] == regress.SCHEMA, name
+        assert report["generator"] == "repro.bench.regress", name
+        for key, section in row.sections.items():
+            headlines = (report[key] if key else report)["headlines"]
+            assert set(section.bands) <= set(headlines), (name, key)
 
 
-@pytest.fixture(scope="module")
-def committed_report():
-    if not REPORT_PATH.exists():
-        pytest.fail(
-            f"{regress.DEFAULT_REPORT_PATH} missing — regenerate it with "
-            f"'python benchmarks/regress.py'"
-        )
-    return regress.load_report(REPORT_PATH)
+def test_comparer_catches_round_robin_drift():
+    """The exact comparer walks every field of an exact section,
+    including the round-robin point no headline is computed from."""
+    recorded = committed("serve")
+    drifted = copy.deepcopy(recorded)
+    drifted["round_robin_at_overload"]["goodput_bytes_s"] *= 1 + 1e-9
+    assert_exact("serve", recorded, copy.deepcopy(recorded))
+    with pytest.raises(AssertionError,
+                       match=r"round_robin_at_overload\.goodput_bytes_s"):
+        assert_exact("serve", drifted, recorded)
 
 
-@pytest.fixture(scope="module")
-def fresh_serve_report():
-    return regress.collect_serve()
+# ---------------------------------------------------------------------------
+# Core runtime trajectory (BENCH_PR3.json)
+# ---------------------------------------------------------------------------
+
+def test_fresh_numbers_pass_bands():
+    assert regress.gate("core", fresh("core")) == []
 
 
-@pytest.fixture(scope="module")
-def committed_serve_report():
-    if not SERVE_REPORT_PATH.exists():
-        pytest.fail(
-            f"{regress.DEFAULT_SERVE_REPORT_PATH} missing — regenerate it "
-            f"with 'python benchmarks/regress.py'"
-        )
-    return regress.load_report(SERVE_REPORT_PATH)
+def test_committed_report_passes_bands():
+    assert regress.gate("core", committed("core")) == []
 
 
-@pytest.fixture(scope="module")
-def fresh_select_report():
-    return regress.collect_select()
+def test_committed_report_schema():
+    """Each pipelined-vs-serial band sits on its two recorded rows."""
+    rows = committed("core")["rows"]
+    for band in regress.BANDS:
+        if band.startswith("pipelined_vs_serial_"):
+            point = band[len("pipelined_vs_serial_"):]
+            assert {f"ppar_{point}_serial_s", f"ppar_{point}_depth2_s"} <= set(rows)
 
 
-@pytest.fixture(scope="module")
-def committed_select_report():
-    if not SELECT_REPORT_PATH.exists():
-        pytest.fail(
-            f"{regress.DEFAULT_SELECT_REPORT_PATH} missing — regenerate it "
-            f"with 'python benchmarks/regress.py'"
-        )
-    return regress.load_report(SELECT_REPORT_PATH)
+def test_trajectory_is_reproduced_exactly():
+    assert_reproduced("core")
 
 
-def test_fresh_numbers_pass_bands(fresh_report):
-    assert regress.gate(fresh_report) == []
-
-
-def test_committed_report_passes_bands(committed_report):
-    assert regress.gate(committed_report) == []
-
-
-def test_committed_report_schema(committed_report):
-    assert committed_report["schema"] == regress.SCHEMA
-    assert set(regress.BANDS) <= set(committed_report["headlines"])
-
-
-def test_trajectory_is_reproduced_exactly(fresh_report, committed_report):
-    """The sim clock is deterministic: recomputed headlines and raw
-    sim-second rows must match the committed file bit-for-bit."""
-    for key, recorded in committed_report["headlines"].items():
-        assert fresh_report["headlines"][key] == pytest.approx(
-            recorded, rel=1e-12, abs=0.0
-        ), f"headline {key} drifted — regenerate BENCH_PR3.json"
-    for key, recorded in committed_report["rows"].items():
-        assert fresh_report["rows"][key] == pytest.approx(
-            recorded, rel=1e-12, abs=0.0
-        ), f"row {key} drifted — regenerate BENCH_PR3.json"
-
-
-def test_pipelined_strictly_beats_serial(fresh_report):
-    """Tentpole acceptance: >=8-chunk PPAR at depth>=2 is strictly
-    faster than serial on every engine-capable grid point."""
-    rows = fresh_report["rows"]
+def test_pipelined_strictly_beats_serial():
+    """>=8-chunk parallel container at depth>=2 is strictly faster than
+    serial on every engine-capable grid point."""
+    rows = fresh("core")["rows"]
     for device, direction in (
         ("bf2", "compress"), ("bf2", "decompress"), ("bf3", "decompress")
     ):
@@ -137,14 +100,12 @@ def test_pipelined_strictly_beats_serial(fresh_report):
 
 
 def test_gate_reports_violations():
-    bad = {"headlines": {key: -1.0 for key in regress.BANDS}}
-    violations = regress.gate(bad)
-    assert len(violations) == len(regress.BANDS)
-    assert all("below floor" in v for v in violations)
+    assert_gate_flags_every_band("core")
 
 
 def test_gate_reports_missing_headline():
-    violations = regress.gate({"headlines": {}})
+    violations = regress.gate("core", {"headlines": {}})
+    assert len(violations) == len(regress.BANDS)
     assert all("missing" in v for v in violations)
 
 
@@ -152,166 +113,108 @@ def test_gate_reports_missing_headline():
 # Serving-layer trajectory (BENCH_PR4.json)
 # ---------------------------------------------------------------------------
 
-def test_serve_fresh_numbers_pass_bands(fresh_serve_report):
-    assert regress.gate_serve(fresh_serve_report) == []
+def test_serve_fresh_numbers_pass_bands():
+    assert regress.gate("serve", fresh("serve")) == []
 
 
-def test_serve_committed_report_passes_bands(committed_serve_report):
-    assert regress.gate_serve(committed_serve_report) == []
+def test_serve_committed_report_passes_bands():
+    assert regress.gate("serve", committed("serve")) == []
 
 
-def test_serve_committed_report_schema(committed_serve_report):
-    assert committed_serve_report["schema"] == regress.SERVE_SCHEMA
-    assert set(regress.SERVE_BANDS) <= set(committed_serve_report["headlines"])
-    assert set(committed_serve_report["curves"]) == {"batched", "unbatched"}
+def test_serve_committed_report_schema():
+    assert set(committed("serve")["curves"]) == {"batched", "unbatched"}
 
 
-def test_serve_trajectory_is_reproduced_exactly(
-    fresh_serve_report, committed_serve_report
-):
-    """Same determinism screw as the core report: the committed curves
-    must come back bit-for-bit."""
-    for key, recorded in committed_serve_report["headlines"].items():
-        assert fresh_serve_report["headlines"][key] == pytest.approx(
-            recorded, rel=1e-12, abs=0.0
-        ), f"serve headline {key} drifted — regenerate BENCH_PR4.json"
-    for label, recorded_curve in committed_serve_report["curves"].items():
-        fresh_curve = fresh_serve_report["curves"][label]
-        assert len(fresh_curve) == len(recorded_curve)
-        for fresh_pt, recorded_pt in zip(fresh_curve, recorded_curve):
-            for key, recorded_val in recorded_pt.items():
-                if isinstance(recorded_val, float):
-                    assert fresh_pt[key] == pytest.approx(
-                        recorded_val, rel=1e-12, abs=0.0
-                    ), f"serve curve {label}/{key} drifted"
-                else:
-                    assert fresh_pt[key] == recorded_val, (
-                        f"serve curve {label}/{key} drifted"
-                    )
+def test_serve_trajectory_is_reproduced_exactly():
+    assert_reproduced("serve")
 
 
-def test_serve_batched_goodput_beats_unbatched_at_saturation(fresh_serve_report):
-    """Tentpole acceptance: at the saturating (top) offered load the
-    batched gateway serves strictly more bytes per second."""
-    batched = fresh_serve_report["curves"]["batched"][-1]
-    unbatched = fresh_serve_report["curves"]["unbatched"][-1]
+def test_serve_batched_goodput_beats_unbatched_at_saturation():
+    """At the saturating (top) offered load the batched gateway serves
+    strictly more bytes per second."""
+    batched = fresh("serve")["curves"]["batched"][-1]
+    unbatched = fresh("serve")["curves"]["unbatched"][-1]
     assert batched["offered_req_s"] == unbatched["offered_req_s"]
     assert batched["goodput_bytes_s"] > unbatched["goodput_bytes_s"]
 
 
-def test_serve_queue_depth_bounded_under_overload(fresh_serve_report):
-    """Tentpole acceptance: the top sweep point is >2x the unbatched
-    fleet capacity, yet pending never exceeds the admission bound —
-    overload is shed, not queued."""
-    max_pending = fresh_serve_report["config"]["max_pending"]
+def test_serve_queue_depth_bounded_under_overload():
+    """The top sweep point is >2x the unbatched fleet capacity, yet
+    pending never exceeds the admission bound — overload is shed, not
+    queued."""
+    report = fresh("serve")
     for label in ("batched", "unbatched"):
-        top = fresh_serve_report["curves"][label][-1]
-        assert top["peak_pending"] <= max_pending
-    overload = fresh_serve_report["curves"]["unbatched"][-1]
-    assert overload["shed"] > 0  # the bound actually engaged
+        top = report["curves"][label][-1]
+        assert top["peak_pending"] <= report["config"]["max_pending"]
+    assert report["curves"]["unbatched"][-1]["shed"] > 0  # the bound engaged
 
 
 def test_serve_gate_reports_violations():
-    bad = {"headlines": {key: -1.0 for key in regress.SERVE_BANDS}}
-    violations = regress.gate_serve(bad)
-    # Every floor-banded headline trips; ceiling-only ones pass at -1.
-    assert all("below floor" in v for v in violations)
-    assert violations
+    assert_gate_flags_every_band("serve")
 
 
 # ---------------------------------------------------------------------------
 # Path-selection trajectory (BENCH_PR5.json)
 # ---------------------------------------------------------------------------
 
-def test_select_fresh_numbers_pass_bands(fresh_select_report):
-    assert regress.gate_select(fresh_select_report) == []
+def test_select_fresh_numbers_pass_bands():
+    assert regress.gate("select", fresh("select")) == []
 
 
-def test_select_committed_report_passes_bands(committed_select_report):
-    assert regress.gate_select(committed_select_report) == []
+def test_select_committed_report_passes_bands():
+    assert regress.gate("select", committed("select")) == []
 
 
-def test_select_committed_report_schema(committed_select_report):
-    assert committed_select_report["schema"] == regress.SELECT_SCHEMA
-    assert set(regress.SELECT_BANDS) <= set(
-        committed_select_report["headlines"]
-    )
-    assert committed_select_report["config"]["tolerance"] \
-        == regress.SELECT_TOLERANCE
+def test_select_committed_report_schema():
+    assert committed("select")["config"]["tolerance"] == regress.SELECT_TOLERANCE
 
 
-def test_select_trajectory_is_reproduced_exactly(
-    fresh_select_report, committed_select_report
-):
-    """Same determinism screw: every per-size row (forced soc/cengine
-    seconds, auto seconds, auto's chosen path) must come back
-    bit-for-bit."""
-    for key, recorded in committed_select_report["headlines"].items():
-        assert fresh_select_report["headlines"][key] == pytest.approx(
-            recorded, rel=1e-12, abs=0.0
-        ), f"select headline {key} drifted — regenerate BENCH_PR5.json"
-    assert set(fresh_select_report["rows"]) \
-        == set(committed_select_report["rows"])
-    for key, recorded_row in committed_select_report["rows"].items():
-        fresh_row = fresh_select_report["rows"][key]
-        for col, recorded_val in recorded_row.items():
-            if isinstance(recorded_val, float):
-                assert fresh_row[col] == pytest.approx(
-                    recorded_val, rel=1e-12, abs=0.0
-                ), f"select row {key}/{col} drifted"
-            else:  # auto_path is a string
-                assert fresh_row[col] == recorded_val, (
-                    f"select row {key}/{col} drifted"
-                )
+def test_select_trajectory_is_reproduced_exactly():
+    assert_reproduced("select")
 
 
-def test_select_auto_never_loses_to_best_static(fresh_select_report):
-    """Tentpole acceptance: per sweep point, auto latency <= the best
-    forced path within the stated tolerance."""
-    tol = fresh_select_report["config"]["tolerance"]
-    for key, row in fresh_select_report["rows"].items():
+def test_select_auto_never_loses_to_best_static():
+    """Per sweep point, auto latency <= the best forced path within the
+    stated tolerance."""
+    report = fresh("select")
+    tol = report["config"]["tolerance"]
+    for key, row in report["rows"].items():
         best = min(row["soc_s"], row["cengine_s"])
         assert row["auto_s"] <= best * (1.0 + tol), key
 
 
-def test_select_paper_shaped_crossover(fresh_select_report):
+def test_select_paper_shaped_crossover():
     """SoC wins at the smallest size, the engine wins at the largest,
     and the calibrated crossover sits inside the sweep — on every
     engine-capable grid line."""
-    headlines = fresh_select_report["headlines"]
+    report = fresh("select")
+    headlines = report["headlines"]
     assert headlines["select_paper_shape_ok"] == 1.0
-    sizes = fresh_select_report["config"]["sizes"]
+    sizes = report["config"]["sizes"]
     for grid in ("bf2_compress", "bf2_decompress", "bf3_decompress"):
         crossover = headlines[f"select_crossover_{grid}_bytes"]
         assert sizes[0] < crossover < sizes[-1]
-        device, direction = grid.split("_")
-        first = fresh_select_report["rows"][f"{device}_{direction}_{sizes[0]}"]
-        last = fresh_select_report["rows"][f"{device}_{direction}_{sizes[-1]}"]
+        first = report["rows"][f"{grid}_{sizes[0]}"]
+        last = report["rows"][f"{grid}_{sizes[-1]}"]
         assert first["soc_s"] < first["cengine_s"]
         assert last["cengine_s"] < last["soc_s"]
         assert first["auto_path"] == "soc"
         assert last["auto_path"] == "cengine"
 
 
-def test_select_bf3_compress_never_routes_to_engine(fresh_select_report):
-    assert fresh_select_report["headlines"][
-        "select_bf3_compress_engine_picks"
-    ] == 0.0
-    sizes = fresh_select_report["config"]["sizes"]
-    for size in sizes:
-        row = fresh_select_report["rows"][f"bf3_compress_{size}"]
-        assert row["auto_path"] == "soc"
+def test_select_bf3_compress_never_routes_to_engine():
+    report = fresh("select")
+    assert report["headlines"]["select_bf3_compress_engine_picks"] == 0.0
+    for size in report["config"]["sizes"]:
+        assert report["rows"][f"bf3_compress_{size}"]["auto_path"] == "soc"
 
 
 def test_select_gate_reports_violations():
-    bad = {"headlines": {key: -1.0 for key in regress.SELECT_BANDS}}
-    violations = regress.gate_select(bad)
-    assert all("below floor" in v for v in violations)
-    assert violations
+    assert_gate_flags_every_band("select")
 
 
 def test_select_gate_reports_missing_headline():
-    violations = regress.gate_select({"headlines": {}})
+    violations = regress.gate("select", {"headlines": {}})
     assert len(violations) == len(regress.SELECT_BANDS)
     assert all("missing" in v for v in violations)
 
@@ -320,94 +223,60 @@ def test_select_gate_reports_missing_headline():
 # Telemetry-plane trajectory (BENCH_PR6.json)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def fresh_obs_report():
-    return regress.collect_obs()
+def test_obs_fresh_numbers_pass_bands():
+    assert regress.gate("obs", fresh("obs")) == []
 
 
-@pytest.fixture(scope="module")
-def committed_obs_report():
-    if not OBS_REPORT_PATH.exists():
-        pytest.fail(
-            f"{regress.DEFAULT_OBS_REPORT_PATH} missing — regenerate it "
-            f"with 'python benchmarks/regress.py'"
-        )
-    return regress.load_report(OBS_REPORT_PATH)
+def test_obs_committed_sim_section_passes_bands():
+    """The sim section of the committed file; its wall section records
+    the generating host's measurements, which the fresh report
+    re-measures on this host instead of trusting."""
+    violations = regress.gate("obs", committed("obs"))
+    assert [v for v in violations if v.split(":")[0] in regress.OBS_SIM_BANDS] == []
 
 
-def test_obs_fresh_numbers_pass_bands(fresh_obs_report):
-    assert regress.gate_obs(fresh_obs_report) == []
+def test_obs_committed_report_schema():
+    report = committed("obs")
+    assert report["config"]["overhead_ceiling"] \
+        == regress.OBS_WALL_BANDS["obs_overhead_ratio"][1]
 
 
-def test_obs_committed_sim_section_passes_bands(committed_obs_report):
-    """Only the sim section of the committed file is gated: the wall
-    section records the generating host's measurements, which the fresh
-    fixture re-measures on this host instead of trusting."""
-    assert regress._gate_bands(
-        committed_obs_report["sim"], regress.OBS_SIM_BANDS
-    ) == []
+def test_obs_sim_trajectory_is_reproduced_exactly():
+    """Fleet quantiles, alert stream, per-gateway rows, the serve point
+    and the config; the wall section is not compared."""
+    assert_reproduced("obs")
 
 
-def test_obs_committed_report_schema(committed_obs_report):
-    assert committed_obs_report["schema"] == regress.OBS_SCHEMA
-    assert set(regress.OBS_SIM_BANDS) <= set(
-        committed_obs_report["sim"]["headlines"]
-    )
-    assert set(regress.OBS_WALL_BANDS) <= set(
-        committed_obs_report["wall"]["headlines"]
-    )
-    assert committed_obs_report["config"]["overhead_ceiling"] \
-        == regress.OBS_OVERHEAD_CEILING
+def test_obs_telemetry_is_bit_for_bit():
+    """The serve experiment's simulated numbers are identical with
+    telemetry on and off."""
+    assert fresh("obs")["sim"]["headlines"]["obs_bit_for_bit"] == 1.0
 
 
-def test_obs_sim_trajectory_is_reproduced_exactly(
-    fresh_obs_report, committed_obs_report
-):
-    """The sim section — fleet quantiles, alert stream, per-gateway
-    rows, the serve point — is pure sim-clock arithmetic and must come
-    back bit-for-bit.  The wall section is deliberately excluded."""
-    assert_deep_exact(
-        fresh_obs_report["sim"], committed_obs_report["sim"], "obs sim"
-    )
-
-
-def test_obs_telemetry_is_bit_for_bit(fresh_obs_report):
-    """Tentpole acceptance: the serve experiment's simulated numbers
-    are identical with telemetry on and off."""
-    assert fresh_obs_report["sim"]["headlines"]["obs_bit_for_bit"] == 1.0
-
-
-def test_obs_fleet_quantile_error_within_alpha(fresh_obs_report):
-    headlines = fresh_obs_report["sim"]["headlines"]
+def test_obs_fleet_quantile_error_within_alpha():
+    headlines = fresh("obs")["sim"]["headlines"]
     alpha = headlines["obs_sketch_alpha"]
     assert headlines["obs_fleet_p50_rel_err"] <= alpha
     assert headlines["obs_fleet_p99_rel_err"] <= alpha
 
 
-def test_obs_overhead_and_top_kernel(fresh_obs_report):
-    """Tentpole acceptance: telemetry costs <= the ceiling on this
-    host, and the flamegraph names the LZ77 match loop as the top
-    kernel on the DEFLATE compress path."""
-    wall = fresh_obs_report["wall"]
+def test_obs_overhead_and_top_kernel():
+    """Telemetry costs <= the ceiling on this host, and the flamegraph
+    names the LZ77 match loop as the top kernel on the DEFLATE compress
+    path."""
+    wall = fresh("obs")["wall"]
     assert wall["headlines"]["obs_overhead_ratio"] \
-        <= regress.OBS_OVERHEAD_CEILING
+        <= regress.OBS_WALL_BANDS["obs_overhead_ratio"][1]
     assert wall["top_kernel"] == "lz77.match_loop"
     assert wall["headlines"]["obs_top_kernel_is_lz77"] == 1.0
 
 
 def test_obs_gate_reports_violations():
-    bad = {
-        "sim": {"headlines": {key: -1.0 for key in regress.OBS_SIM_BANDS}},
-        "wall": {"headlines": {key: 9.0 for key in regress.OBS_WALL_BANDS}},
-    }
-    violations = regress.gate_obs(bad)
-    assert violations
-    assert any("below floor" in v for v in violations)
-    assert any("above ceiling" in v for v in violations)
+    assert_gate_flags_every_band("obs")
 
 
 def test_obs_gate_reports_missing_sections():
-    violations = regress.gate_obs({})
+    violations = regress.gate("obs", {})
     assert len(violations) == (
         len(regress.OBS_SIM_BANDS) + len(regress.OBS_WALL_BANDS)
     )
@@ -418,68 +287,45 @@ def test_obs_gate_reports_missing_sections():
 # EDPC decoupled-pipeline trajectory (BENCH_PR7.json)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def fresh_edpc_report():
-    return regress.collect_edpc()
+def test_edpc_fresh_numbers_pass_bands():
+    assert regress.gate("edpc", fresh("edpc")) == []
 
 
-@pytest.fixture(scope="module")
-def committed_edpc_report():
-    if not EDPC_REPORT_PATH.exists():
-        pytest.fail(
-            f"{regress.DEFAULT_EDPC_REPORT_PATH} missing — regenerate it "
-            f"with 'python benchmarks/regress.py'"
-        )
-    return regress.load_report(EDPC_REPORT_PATH)
+def test_edpc_committed_report_passes_bands():
+    assert regress.gate("edpc", committed("edpc")) == []
 
 
-def test_edpc_fresh_numbers_pass_bands(fresh_edpc_report):
-    assert regress.gate_edpc(fresh_edpc_report) == []
-
-
-def test_edpc_committed_report_passes_bands(committed_edpc_report):
-    assert regress.gate_edpc(committed_edpc_report) == []
-
-
-def test_edpc_committed_report_schema(committed_edpc_report):
-    assert committed_edpc_report["schema"] == regress.EDPC_SCHEMA
-    assert set(regress.EDPC_BANDS) <= set(committed_edpc_report["headlines"])
-    sections = {row["section"] for row in committed_edpc_report["rows"]}
+def test_edpc_committed_report_schema():
+    sections = {row["section"] for row in committed("edpc")["rows"]}
     assert sections == {"ratio", "pipeline"}
 
 
-def test_edpc_trajectory_is_reproduced_exactly(
-    fresh_edpc_report, committed_edpc_report
-):
-    """Both the sim clock and the real codec bytes are deterministic,
-    so the whole report must come back bit-for-bit."""
-    assert_deep_exact(fresh_edpc_report, committed_edpc_report, "edpc")
+def test_edpc_trajectory_is_reproduced_exactly():
+    assert_reproduced("edpc")
 
 
-def test_edpc_pipelined_never_slower_at_any_size(fresh_edpc_report):
-    """Satellite acceptance: pipelined sim time <= unpipelined at every
-    swept size, with the headline speedup at the largest."""
-    pipeline_rows = [
-        row for row in fresh_edpc_report["rows"]
-        if row["section"] == "pipeline"
-    ]
+def test_edpc_pipelined_never_slower_at_any_size():
+    """Pipelined sim time <= unpipelined at every swept size, with the
+    headline speedup at the largest."""
+    report = fresh("edpc")
+    pipeline_rows = [row for row in report["rows"] if row["section"] == "pipeline"]
     assert pipeline_rows
     for row in pipeline_rows:
         assert row["pipelined_s"] <= row["serial_s"] * (1 + 1e-12)
     largest = max(pipeline_rows, key=lambda row: row["sim_mb"])
     assert largest["speedup"] == pytest.approx(
-        fresh_edpc_report["headlines"]["edpc_pipelined_vs_unpipelined_large"]
+        report["headlines"]["edpc_pipelined_vs_unpipelined_large"]
     )
     # Real bytes ride the sim at the largest size and must be identical.
     assert largest["bytes_identical"] is True
 
 
-def test_edpc_ratio_rows_are_honest(fresh_edpc_report):
+def test_edpc_ratio_rows_are_honest():
     """AC trades ratio for adaptivity on these corpora: every dataset
     row must carry a real measured ratio (> 1) and the deflate
     comparison the headline bands pin."""
     ratio = {}
-    for row in fresh_edpc_report["rows"]:
+    for row in fresh("edpc")["rows"]:
         if row["section"] == "ratio":
             assert row["ratio"] > 1.0
             ratio[(row["dataset"], row["algo"])] = row["ratio"]
@@ -488,13 +334,10 @@ def test_edpc_ratio_rows_are_honest(fresh_edpc_report):
 
 
 def test_edpc_gate_reports_violations():
-    bad = {"headlines": {key: -1.0 for key in regress.EDPC_BANDS}}
-    violations = regress.gate_edpc(bad)
-    assert all("below floor" in v for v in violations)
-    assert violations
+    assert_gate_flags_every_band("edpc")
 
 
 def test_edpc_gate_reports_missing_headline():
-    violations = regress.gate_edpc({"headlines": {}})
+    violations = regress.gate("edpc", {"headlines": {}})
     assert len(violations) == len(regress.EDPC_BANDS)
     assert all("missing" in v for v in violations)

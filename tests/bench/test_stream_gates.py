@@ -7,69 +7,37 @@ Same two layers as the other committed trajectories:
   at 4 MiB on the gated SoC DEFLATE design, strictly better at 16 MiB
   and on the 4-rank bcast, and byte-identical everywhere.
 * **Exact trajectory** — the sweep is pure sim clock, so a fresh
-  ``collect_stream`` must reproduce the committed file bit-for-bit.
+  ``regress.collect("stream")`` must reproduce the committed file
+  bit-for-bit.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.bench import regress
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-STREAM_REPORT_PATH = REPO_ROOT / regress.DEFAULT_STREAM_REPORT_PATH
-
-
-@pytest.fixture(scope="module")
-def fresh_stream_report():
-    return regress.collect_stream()
+from tests.bench.reports import assert_reproduced, committed, fresh
 
 
 @pytest.fixture(scope="module")
 def committed_stream_report():
-    if not STREAM_REPORT_PATH.exists():
-        pytest.fail(
-            f"{regress.DEFAULT_STREAM_REPORT_PATH} missing — regenerate it "
-            f"with 'python benchmarks/regress.py'"
-        )
-    return regress.load_report(STREAM_REPORT_PATH)
+    return committed("stream")
 
 
-def test_fresh_numbers_pass_bands(fresh_stream_report):
-    assert regress.gate_stream(fresh_stream_report) == []
+def test_fresh_numbers_pass_bands():
+    assert regress.gate("stream", fresh("stream")) == []
 
 
 def test_committed_report_passes_bands(committed_stream_report):
-    assert regress.gate_stream(committed_stream_report) == []
+    assert regress.gate("stream", committed_stream_report) == []
 
 
 def test_committed_report_schema(committed_stream_report):
-    assert committed_stream_report["schema"] == regress.STREAM_SCHEMA
-    assert set(regress.STREAM_BANDS) <= set(
-        committed_stream_report["headlines"]
-    )
+    assert committed_stream_report["config"]["gate_design"] == "SoC_DEFLATE"
 
 
-def test_trajectory_is_reproduced_exactly(
-    fresh_stream_report, committed_stream_report
-):
-    for key, recorded in committed_stream_report["headlines"].items():
-        assert fresh_stream_report["headlines"][key] == pytest.approx(
-            recorded, rel=1e-12, abs=0.0
-        ), f"headline {key} drifted — regenerate BENCH_PR10.json"
-    assert len(fresh_stream_report["rows"]) == len(
-        committed_stream_report["rows"]
-    )
-    for fresh, recorded in zip(
-        fresh_stream_report["rows"], committed_stream_report["rows"]
-    ):
-        for col, value in recorded.items():
-            if isinstance(value, float):
-                assert fresh[col] == pytest.approx(value, rel=1e-12, abs=0.0)
-            else:
-                assert fresh[col] == value
+def test_trajectory_is_reproduced_exactly():
+    assert_reproduced("stream")
 
 
 def test_streaming_wins_are_material(committed_stream_report):

@@ -2,8 +2,8 @@
 
 Unlike the sim trajectories, every number here is a host-local
 wall-clock reading, so nothing is compared exactly: the committed file
-must sit inside the generous ``WALL_BANDS`` / per-codec MB/s floors,
-and fresh measurements re-check the headline claims — the vectorized
+must sit inside the generous ``WALL_BANDS`` (per-codec MB/s floors
+included), and fresh measurements re-check the headline claims — the vectorized
 DEFLATE pipeline beats the same pipeline on its reference twins
 (``repro.algorithms.reference.twins``) on the literal-dominated
 (``lz77.match_loop``-bound) payload, the entropy stage beats its
@@ -13,41 +13,28 @@ retained reference twins, and AC decode and xxh32 beat their step-wise
 
 from __future__ import annotations
 
-import pathlib
 import time
 from contextlib import nullcontext
 from unittest import mock
 
 from repro.algorithms.reference import twins
 from repro.bench import regress
+from tests.bench.reports import committed
 
 import pytest
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-WALL_REPORT_PATH = REPO_ROOT / regress.DEFAULT_WALL_REPORT_PATH
 
 
 @pytest.fixture(scope="module")
 def committed_report():
-    if not WALL_REPORT_PATH.exists():
-        pytest.skip(
-            f"{regress.DEFAULT_WALL_REPORT_PATH} missing — regenerate it "
-            "with `python benchmarks/regress.py`"
-        )
-    return regress.load_report(WALL_REPORT_PATH)
+    return committed("wall")
 
 
 def test_committed_report_passes_bands(committed_report):
-    assert regress.gate_wallclock(committed_report) == []
+    assert regress.gate("wall", committed_report) == []
 
 
 def test_committed_report_schema(committed_report):
-    assert committed_report["schema"] == regress.WALL_SCHEMA
-    headlines = committed_report["wall"]["headlines"]
-    for key in regress.WALL_BANDS:
-        assert key in headlines
-    for codec in regress.WALL_CODEC_FLOORS_MBPS:
-        assert f"wall_mbps_{codec}" in headlines
+    assert set(regress.WALL_BANDS) <= set(committed_report["wall"]["headlines"])
 
 
 def test_committed_rows_are_byte_identical_across_kernels(committed_report):
@@ -95,32 +82,23 @@ def test_top_kernel_is_lz77(committed_report):
     assert committed_report["wall"]["top_kernel"].startswith("lz77.")
 
 
+def _violations_with(committed_report, key, value):
+    broken = {"wall": dict(committed_report["wall"])}
+    broken["wall"]["headlines"] = {**committed_report["wall"]["headlines"],
+                                   key: value}
+    return regress.gate("wall", broken)
+
+
 def test_gate_reports_band_violation(committed_report):
-    broken = {
-        "schema": committed_report["schema"],
-        "wall": {
-            "headlines": dict(committed_report["wall"]["headlines"]),
-            "rows": committed_report["wall"]["rows"],
-            "top_kernel": committed_report["wall"]["top_kernel"],
-        },
-    }
-    broken["wall"]["headlines"]["wall_vec_speedup_noise"] = 0.01
-    violations = regress.gate_wallclock(broken)
+    violations = _violations_with(committed_report, "wall_vec_speedup_noise", 0.01)
     assert any("wall_vec_speedup_noise" in v for v in violations)
 
 
 def test_gate_reports_codec_floor_violation(committed_report):
-    broken = {
-        "schema": committed_report["schema"],
-        "wall": {
-            "headlines": dict(committed_report["wall"]["headlines"]),
-            "rows": committed_report["wall"]["rows"],
-            "top_kernel": committed_report["wall"]["top_kernel"],
-        },
-    }
-    broken["wall"]["headlines"]["wall_mbps_deflate"] = 1e-6
-    violations = regress.gate_wallclock(broken)
-    assert any("wall_mbps_deflate" in v for v in violations)
+    violations = _violations_with(committed_report, "wall_mbps_deflate", 1e-6)
+    assert violations == [
+        "wall_mbps_deflate: 1e-06 below floor 0.12"
+    ]
 
 
 def test_fresh_vectorized_beats_scalar_on_literal_payload():
