@@ -100,7 +100,12 @@ def _as_array(data: Any) -> np.ndarray:
 # relays), and pure-Python compression dominates their wall-clock.  The
 # simulated-time accounting is unaffected — only the byte-production is
 # cached.  Keys fingerprint the content (sha1) rather than object
-# identity, so logically equal payloads share entries.
+# identity, so logically equal payloads share entries.  Every simulated
+# op in repro.core and repro.mpi gets its bytes here: whole PEDAL
+# messages, each chunk of a streamed MPI message (an echoed or relayed
+# stream re-sends the same chunks) and each ParallelCompressor chunk.
+# The serve gateway and the repro.stream library API call byte_codec
+# directly and stay un-memoised (DESIGN.md lists who memoises and why).
 _COMPRESS_CACHE: dict[tuple, RealCompression] = {}
 _DECOMPRESS_CACHE: dict[tuple, tuple] = {}
 _CACHE_LIMIT = 256
@@ -173,31 +178,43 @@ def _real_compress_uncached(
     raise UnsupportedDataError(f"no real codec for algorithm {algo}")
 
 
-def real_decompress(algo: Algo, payload: bytes) -> tuple[Any, int | None]:
+def real_decompress(
+    algo: Algo, payload: bytes, max_output: int | None = None
+) -> tuple[Any, int | None]:
     """Decode ``payload``; returns ``(data, cengine_stage_bytes)``.
 
     ``cengine_stage_bytes`` is the intermediate the C-Engine stage
     would process on the receive side (zlib's DEFLATE payload, SZ3's
     backend blob input) or None for single-stage formats.  Memoised like
     :func:`real_compress`.
+
+    ``max_output`` caps the decoded length for the byte formats (DEFLATE,
+    LZ4, AC, zlib).  A memoised result longer than the cap is not
+    returned: the capped decode runs instead, so an over-long payload
+    raises the codec's own error whether the memo is warm or cold.  SZ3
+    takes no cap (ValueError).
     """
+    if max_output is not None and algo is Algo.SZ3:
+        raise ValueError("real_decompress: SZ3 takes no max_output")
     key = (algo, _fingerprint(payload))
     cached = _DECOMPRESS_CACHE.get(key)
-    if cached is not None:
+    if cached is not None and (max_output is None or len(cached[0]) <= max_output):
         return cached
-    result = _real_decompress_uncached(algo, payload)
+    result = _real_decompress_uncached(algo, payload, max_output)
     if len(_DECOMPRESS_CACHE) >= _CACHE_LIMIT:
         _DECOMPRESS_CACHE.clear()
     _DECOMPRESS_CACHE[key] = result
     return result
 
 
-def _real_decompress_uncached(algo: Algo, payload: bytes) -> tuple[Any, int | None]:
+def _real_decompress_uncached(
+    algo: Algo, payload: bytes, max_output: int | None
+) -> tuple[Any, int | None]:
     codec = byte_codec(algo)
     if codec is not None:
-        return codec[1](payload), None
+        return codec[1](payload, max_output), None
     if algo is Algo.ZLIB:
-        data, sizes = hybrid_zlib_decompress(payload)
+        data, sizes = hybrid_zlib_decompress(payload, max_output)
         return data, sizes.deflate_payload_bytes
     if algo is Algo.SZ3:
         array, sizes = SZ3Compressor.decompress_stages(payload)

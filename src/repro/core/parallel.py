@@ -22,7 +22,11 @@ that design as an experimental extension:
 
 Chunk bytes are compressed eagerly, before any simulated scheduling, so
 the container is byte-identical whatever the queue depth, device, or
-fault plan — only the simulated clock changes.
+fault plan — only the simulated clock changes.  They come from the
+real-codec memo (:func:`~repro.core.codecs.real_compress` under
+``SoC_DEFLATE``, :func:`~repro.core.codecs.real_decompress` capped at
+each frame's ``raw_len``), so a repeated round trip of the same payload
+runs the codec only once per distinct chunk and direction.
 
 Chunk independence costs a little ratio (no cross-chunk matches); the
 simulated speedup approaches ``min(n_chunks, n_cores)`` for SoC-only
@@ -36,8 +40,10 @@ import math
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
+from repro.algorithms.deflate import DeflateConfig
 from repro.core.charges import job_plan, steal_stage
+from repro.core.codecs import CodecConfig, real_compress, real_decompress
+from repro.core.designs import design
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
 from repro.errors import StreamCorruptError
@@ -45,6 +51,9 @@ from repro.sim import TimeBreakdown
 from repro.stream.api import FrameReader, FrameWriter, StreamConfig
 
 __all__ = ["ParallelConfig", "ParallelResult", "ParallelCompressor"]
+
+# Whose memo entries the chunks share: the bytes are placement-free.
+_DESIGN = design("SoC_DEFLATE")
 
 
 @dataclass(frozen=True)
@@ -81,21 +90,17 @@ class ParallelResult:
         return self.breakdown.total()
 
 
-def _split_even(data: "bytes | memoryview", parts: int) -> list[memoryview]:
-    """Split ``data`` into ``parts`` zero-copy memoryview slices.
-
-    The codecs consume memoryviews directly (slicing stays zero-copy all
-    the way into the LZ77 matcher), so chunking a large payload costs no
-    byte copies at all.
-    """
-    view = memoryview(data)
-    n = len(view)
-    base, rem = divmod(n, parts)
+def _split_even(data: "bytes | memoryview", parts: int) -> list[bytes]:
+    """Split ``data`` into ``parts`` slices, the first ``len % parts`` one
+    byte longer.  Bytes, not views: the memo fingerprints each chunk's
+    bytes anyway, and a ``bytes`` slice is hashed and encoded uncopied."""
+    raw = bytes(data)
+    base, rem = divmod(len(raw), parts)
     out = []
     pos = 0
     for i in range(parts):
         take = base + (1 if i < rem else 0)
-        out.append(view[pos : pos + take])
+        out.append(raw[pos : pos + take])
         pos += take
     return out
 
@@ -150,7 +155,9 @@ class ParallelCompressor:
         cfg = self.config
         sim_total = float(len(data) if sim_bytes is None else sim_bytes)
         chunks = [chunk for chunk in _split_even(data, cfg.n_chunks) if chunk]
-        compressed = [deflate_compress(chunk, cfg.deflate) for chunk in chunks]
+        codecs = CodecConfig(deflate=cfg.deflate)
+        compressed = [real_compress(_DESIGN, chunk, codecs).payload
+                      for chunk in chunks]
         writer = FrameWriter(
             StreamConfig(chunk_bytes=-(-len(data) // cfg.n_chunks) or 1))
         container = b"".join(
@@ -184,7 +191,8 @@ class ParallelCompressor:
             raw = b""
             if not frame.is_end:
                 with reader.undecodable():
-                    raw = deflate_decompress(frame.payload, max_output=frame.raw_len)
+                    raw, _ = real_decompress(
+                        Algo.DEFLATE, frame.payload, frame.raw_len)
                 pieces.append(raw)
             reader.check(frame, raw)
         reader.close()

@@ -53,12 +53,15 @@ def hybrid_zlib_compress(
     )
 
 
-def hybrid_zlib_decompress(stream: bytes) -> tuple[bytes, ZlibStageSizes]:
-    """Stage-split zlib decompression; returns (data, stage sizes)."""
+def hybrid_zlib_decompress(
+    stream: bytes, max_output: int | None = None
+) -> tuple[bytes, ZlibStageSizes]:
+    """Stage-split zlib decompression; returns (data, stage sizes).
+    ``max_output`` caps the inflated length."""
     # SoC stage (header side): parse/validate RFC 1950 framing.
     payload, stored = split_zlib_stream(stream)
     # C-Engine stage: inflate the DEFLATE payload.
-    data = deflate_decompress(payload)
+    data = deflate_decompress(payload, max_output)
     # SoC stage (trailer side): adler32 verification.
     verify("adler32", stored, adler32(data))
     return data, ZlibStageSizes(

@@ -5,8 +5,8 @@ codec, wire transfer, receiver codec.  Here the payload is chunked
 through :mod:`repro.stream`'s RST1 container and the three stages
 overlap per chunk: while chunk *k* crosses the wire, chunk *k+1* is
 still compressing and chunk *k-1* is already decompressing on the
-receiver.  Real bytes are a ``FrameWriter``'s frames fed to a
-``Decompressor`` (so the wire format is exactly the shared container,
+receiver.  Real bytes are a ``FrameWriter``'s frames read back by a
+``FrameReader`` (so the wire format is exactly the shared container,
 byte-identical to a one-shot :func:`~repro.stream.stream_compress`),
 while simulated time is charged per chunk on the design's placement:
 
@@ -27,6 +27,15 @@ Per-chunk sim sizes follow the core scaling convention: ``scale =
 sim_bytes / len(raw)`` maps every real chunk/frame length into the
 simulated byte domain, so the streamed wire total equals the real
 container size times the same scale the whole-message path uses.
+
+Chunk bytes come from the real-codec memo
+(:func:`~repro.core.codecs.real_compress` /
+:func:`~repro.core.codecs.real_decompress`), like every whole-message
+send: an echoed or relayed stream re-sends the same chunks, so only the
+first pass runs the codec.  Each chunk decodes under a cap of its
+frame's ``raw_len``, memo hit or not, so a frame that understates its
+length fails with the same typed error either way.  The memo changes
+host time only; wire bytes and the simulated clock do not depend on it.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.charges import op_plan
+from repro.core.codecs import real_compress, real_decompress
 from repro.core.designs import CompressionDesign, Placement
 from repro.dpu.specs import Direction
 from repro.errors import StreamError
@@ -41,7 +51,7 @@ from repro.mpi.protocol import Envelope, Protocol, should_compress
 from repro.obs import device_span
 from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.sim import Event, Resource, Store
-from repro.stream import ALGO_IDS, Decompressor, FrameWriter, StreamConfig, chunk_codec
+from repro.stream import ALGO_IDS, Frame, FrameReader, FrameWriter, StreamConfig
 
 if TYPE_CHECKING:
     from repro.mpi.runtime import RankContext
@@ -129,9 +139,9 @@ def stream_send(
     writer = FrameWriter(StreamConfig(
         algo=dsg.algo, chunk_bytes=cfg.stream_chunk_bytes, codecs=cfg.codecs
     ))
-    compress, _ = chunk_codec(dsg.algo, cfg.codecs)
     chunks = writer.split(raw)
-    frames = [writer.frame(chunk, compress(chunk)) for chunk in chunks]
+    frames = [writer.frame(chunk, real_compress(dsg, chunk, cfg.codecs).payload)
+              for chunk in chunks]
     frames[-1] += writer.end()
     wire_total = sum(len(f) for f in frames) * scale
 
@@ -191,6 +201,15 @@ def stream_send(
         envlp.data_ready.succeed()
 
 
+def _decode(reader: FrameReader, frame: Frame) -> bytes:
+    """One parsed frame's checked raw bytes (``b""`` for the end frame)."""
+    if frame.is_end:
+        return reader.check(frame)
+    with reader.undecodable():
+        raw, _ = real_decompress(reader.algo, frame.payload, frame.raw_len)
+    return reader.check(frame, raw)
+
+
 def stream_recv(ctx: "RankContext", envlp: Envelope) -> Generator:
     """Receive and decode a streamed rendezvous message."""
     meta = envlp.meta
@@ -201,7 +220,7 @@ def stream_recv(ctx: "RankContext", envlp: Envelope) -> Generator:
     env = ctx.env
 
     engine = _ChunkEngine(ctx.device, dsg, cfg.stream_depth)
-    dec = Decompressor()
+    reader = FrameReader()
     parts: list[bytes] = []
     tickets = []
     t0 = env.now
@@ -214,7 +233,8 @@ def stream_recv(ctx: "RankContext", envlp: Envelope) -> Generator:
             frame_bytes = yield store.get()
             if frame_bytes is _END:
                 break
-            raw = dec.feed(frame_bytes)
+            raw = b"".join(_decode(reader, frame)
+                           for frame in reader.parser.feed(frame_bytes))
             parts.append(raw)
             # Decode time overlaps later transfers: the codec job is
             # submitted as soon as this frame lands, and the loop goes
@@ -224,10 +244,10 @@ def stream_recv(ctx: "RankContext", envlp: Envelope) -> Generator:
                     Direction.DECOMPRESS,
                     engine_sim_bytes=len(frame_bytes) * scale,
                     raw_sim_bytes=len(raw) * scale,
-                    tag=dec.chunks_decoded,
+                    tag=reader.chunks_decoded,
                 )
             )
-        dec.flush()  # typed StreamTruncatedError if the sender lied
+        reader.close()  # typed StreamTruncatedError if the sender lied
         if len(parts) != meta["chunks"]:
             raise StreamError(
                 f"expected {meta['chunks']} chunks, decoded {len(parts)}"

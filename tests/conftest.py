@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,27 @@ def _fresh_codec_cache():
     clear_codec_cache()
     yield
     clear_codec_cache()
+
+
+@pytest.fixture
+def codec_calls(monkeypatch) -> Counter:
+    """Counts calls, by name, of the byte-codec kernels that
+    ``repro.core.codecs`` looks up at call time (only the memo's misses
+    reach them)."""
+    import repro.core.codecs as codecs
+
+    calls: Counter = Counter()
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("deflate_compress", "deflate_decompress", "lz4_compress",
+                 "lz4_decompress", "ac_compress", "ac_decompress"):
+        monkeypatch.setattr(codecs, name, counting(name, getattr(codecs, name)))
+    return calls
 
 
 @pytest.fixture

@@ -1,17 +1,21 @@
 """Real-codec dispatch and memoisation."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.codecs import (
     CodecConfig,
     clear_codec_cache,
     real_compress,
     real_decompress,
 )
-from repro.core.designs import design
+from repro.core.designs import CompressionDesign, Placement, design
 from repro.dpu.specs import Algo
-from repro.errors import UnsupportedDataError
+from repro.errors import CodecError, UnsupportedDataError
 
 
 CFG = CodecConfig()
@@ -92,3 +96,75 @@ class TestMemoisation:
         a = real_decompress(Algo.DEFLATE, result.payload)
         b = real_decompress(Algo.DEFLATE, result.payload)
         assert a is b
+
+
+class TestCappedDecode:
+    """``max_output`` bounds a memo hit exactly as it bounds a cold
+    decode, so whether a capped decode fails never depends on what the
+    memo holds."""
+
+    @pytest.mark.parametrize("dsg", [
+        design("SoC_DEFLATE"), design("SoC_LZ4"), design("SoC_zlib"),
+        CompressionDesign(Algo.AC, Placement.SOC),
+    ], ids=lambda d: d.algo.value)
+    def test_hit_over_the_cap_raises_like_a_cold_decode(self, dsg, text_payload):
+        blob = real_compress(dsg, text_payload, CFG).payload
+        n = len(text_payload)
+        with pytest.raises(CodecError) as cold:
+            real_decompress(dsg.algo, blob, max_output=n - 1)
+        warm = real_decompress(dsg.algo, blob)
+        with pytest.raises(CodecError) as hit:
+            real_decompress(dsg.algo, blob, max_output=n - 1)
+        assert type(hit.value) is type(cold.value)
+        assert real_decompress(dsg.algo, blob, max_output=n) is warm
+
+    def test_a_capped_miss_fills_the_memo(self, text_payload):
+        blob = real_compress(design("SoC_DEFLATE"), text_payload, CFG).payload
+        capped = real_decompress(Algo.DEFLATE, blob, max_output=len(text_payload))
+        assert capped[0] == text_payload
+        assert real_decompress(Algo.DEFLATE, blob) is capped
+
+    def test_sz3_takes_no_cap(self, smooth_field):
+        blob = real_compress(design("SoC_SZ3"), smooth_field, CFG).payload
+        with pytest.raises(ValueError):
+            real_decompress(Algo.SZ3, blob, max_output=smooth_field.nbytes)
+
+
+def _names(path: Path) -> set[str]:
+    """Every name a module's code imports, reads or reads an attribute by."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_simulated_ops_get_their_bytes_from_the_memo():
+    """Source guard: under ``repro.core`` and ``repro.mpi`` every codec
+    call that produces the bytes of a simulated op goes through
+    ``real_compress`` / ``real_decompress``.  Only the memo's own module
+    and the stage-split hybrids it calls may name a codec kernel, the
+    ``byte_codec`` choice or the stream engine's ``chunk_codec``.
+    (``autodesign.estimate_ratio``'s LZ4 block probe sizes a prefix
+    sample and ships no bytes, so it is not in the list.)"""
+    src = Path(repro.__file__).parent
+    banned = {"deflate_compress", "deflate_decompress", "lz4_compress",
+              "lz4_decompress", "ac_compress", "ac_decompress", "byte_codec",
+              "chunk_codec", "hybrid_zlib_compress", "hybrid_zlib_decompress",
+              "hybrid_sz3_compress", "SZ3Compressor"}
+    allowed = {"core/codecs.py", "core/zlib_hybrid.py", "core/sz3_hybrid.py"}
+    checked = set()
+    for path in sorted([*src.glob("core/*.py"), *src.glob("mpi/*.py")]):
+        rel = path.relative_to(src).as_posix()
+        if rel in allowed:
+            continue
+        checked.add(rel)
+        hits = _names(path) & banned
+        assert not hits, f"{rel} runs a codec past the memo: {sorted(hits)}"
+    assert {"core/api.py", "core/baseline.py", "core/parallel.py",
+            "mpi/streaming.py", "mpi/pedal_integration.py"} <= checked
+    assert _names(src / "core/codecs.py") >= banned - {"chunk_codec"}

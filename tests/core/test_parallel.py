@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.codecs import clear_codec_cache
 from repro.core.parallel import ParallelCompressor, ParallelConfig
+from repro.dpu import make_device
 from repro.errors import CorruptStreamError
+from repro.sim import Environment
 from repro.stream import FrameParser
 
 
@@ -163,3 +166,37 @@ class TestDecompressEngineBilling:
         # exec dominates, so the total sits within a small factor.
         assert dec.sim_seconds >= expected_exec
         assert dec.sim_seconds < expected_exec * 2.0
+
+
+class TestCodecMemo:
+    """Chunk bytes come from the real-codec memo: a repeated round trip
+    runs the codec once per distinct chunk and direction, and a warm
+    memo changes nothing but host time."""
+
+    NOMINAL = 48.85e6
+
+    def test_cold_and_warm_round_trips_agree(self, run_sim, codec_calls):
+        from repro.datasets import get_dataset
+
+        # The last four of eight even chunks repeat the first, so the
+        # payload holds 4 distinct chunks.
+        head = get_dataset("silesia/samba").generate(8 * 1024)
+        payload = head + head[:2048] * 4
+        chunks = {payload[i:i + 2048] for i in range(0, len(payload), 2048)}
+        assert len(chunks) == 4
+
+        def round_trip():
+            env = Environment()
+            pc = ParallelCompressor(make_device(env, "bf2"),
+                                    ParallelConfig(n_chunks=8))
+            comp = run_sim(env, pc.compress(payload, self.NOMINAL))
+            dec = run_sim(env, pc.decompress(comp.payload, self.NOMINAL))
+            return [(r.payload, r.breakdown.as_dict(), r.chunks_on_engine,
+                     r.chunks_on_soc) for r in (comp, dec)] + [env.now]
+
+        clear_codec_cache()
+        cold = round_trip()
+        assert cold == round_trip()
+        assert cold[1][0] == payload
+        assert codec_calls == {"deflate_compress": len(chunks),
+                               "deflate_decompress": len(chunks)}

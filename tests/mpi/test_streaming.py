@@ -9,13 +9,21 @@ serialized whole-message path on large messages).
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
+from repro.core.codecs import clear_codec_cache
 from repro.datasets import get_dataset
 from repro.dpu.specs import Algo
+from repro.errors import OutputOverflowError, StreamCorruptError
 from repro.mpi import CommConfig, CommMode, run_mpi
+from repro.mpi.communicator import ANY_TAG
 from repro.mpi.protocol import EAGER_THRESHOLD_BYTES
+from repro.mpi.streaming import stream_recv
+from repro.sim import Event
+from repro.stream import STREAM_HEADER_BYTES
 
 SIM_4MIB = 4.0 * 1024 * 1024
 
@@ -183,3 +191,105 @@ class TestStreamedAlgos:
             return streaming.wants_stream(ctx.layer, payload, SIM_4MIB)
 
         assert run_mpi(program, 1, "bf2", _config(True, design)).returns[0]
+
+
+class _Frames:
+    """The receive-side frame store of a streamed message, passing every
+    frame through ``edit`` and keeping what it delivers (``None`` ends
+    the stream)."""
+
+    def __init__(self, store, edit=lambda frame: frame) -> None:
+        self._store = store
+        self._edit = edit
+        self.delivered: list[bytes] = []
+
+    def get(self):
+        got = self._store.get()
+        passed = Event(got.env)
+        got.callbacks.append(lambda event: passed.succeed(self._pass(event.value)))
+        return passed
+
+    def _pass(self, frame):
+        if frame is not None:
+            frame = self._edit(frame)
+            self.delivered.append(frame)
+        return frame
+
+
+def _echo(config: CommConfig, payload: bytes, edit=lambda frame: frame):
+    """Rank 0 streams ``payload`` to rank 1, which echoes it back.
+    Returns (the job result, the frames rank 1 received)."""
+    seen: list[_Frames] = []
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from ctx.send(1, payload, sim_bytes=SIM_4MIB)
+            return bytes((yield from ctx.recv(source=1)))
+        envlp = yield from ctx.comm.recv(ctx.rank, 0, ANY_TAG)
+        envlp.payload = _Frames(envlp.payload, edit)
+        seen.append(envlp.payload)
+        data = yield from stream_recv(ctx, envlp)
+        yield from ctx.send(0, data, sim_bytes=SIM_4MIB)
+        return bytes(data)
+
+    result = run_mpi(program, 2, "bf2", config)
+    return result, seen[0].delivered
+
+
+class TestCodecMemo:
+    """Streamed chunks get their bytes from the real-codec memo: an
+    echoed message re-sends chunks the memo already holds, and a warm
+    memo changes nothing but host time."""
+
+    @pytest.mark.parametrize("design, compress, decompress", [
+        ("SoC_DEFLATE", "deflate_compress", "deflate_decompress"),
+        ("C-Engine_DEFLATE", "deflate_compress", "deflate_decompress"),
+        ("SoC_LZ4", "lz4_compress", "lz4_decompress"),
+    ])
+    def test_cold_and_warm_runs_agree(self, payload, codec_calls, design,
+                                      compress, decompress):
+        config = _config(True, design)
+
+        def observed():
+            result, frames = _echo(config, payload)
+            return {
+                "delivered": result.returns,
+                "sim_s": (result.init_seconds, result.elapsed_seconds),
+                "init": [b.as_dict() for b in result.init_breakdowns],
+                "codec_s": [(layer.compress_seconds, layer.decompress_seconds)
+                            for layer in result.layers],
+                "frames": frames,
+            }
+
+        clear_codec_cache()
+        cold = observed()
+        warm = observed()
+        assert cold == warm
+        assert cold["delivered"] == [payload, payload]
+        assert len(cold["frames"]) == 8
+        # Once per distinct chunk and direction across two jobs of two
+        # streamed messages each.
+        chunks = {payload[i:i + 2048] for i in range(0, len(payload), 2048)}
+        assert codec_calls == {compress: len(chunks), decompress: len(chunks)}
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_understated_raw_len_is_a_corrupt_stream(self, payload, warm):
+        """A frame declaring one byte fewer than its chunk decodes must
+        fail as a corrupt stream, the codec stopped at the cap, whether
+        or not the memo already holds the full chunk."""
+        config = _config(True)
+        if warm:
+            _echo(config, payload)  # the honest message fills the memo
+        raw_len = STREAM_HEADER_BYTES + 5  # first data frame's raw_len field
+
+        def understate(frame: bytes) -> bytes:
+            if not frame.startswith(b"RST1"):
+                return frame
+            out = bytearray(frame)
+            (declared,) = struct.unpack_from("<I", out, raw_len)
+            struct.pack_into("<I", out, raw_len, declared - 1)
+            return bytes(out)
+
+        with pytest.raises(StreamCorruptError) as info:
+            _echo(config, payload, understate)
+        assert isinstance(info.value.__cause__, OutputOverflowError)
