@@ -22,7 +22,7 @@ from repro.mpi import CommConfig, CommMode, run_mpi
 ACTUAL = 16 * 1024
 
 
-def _latency(nominal, rndv_threshold, device="bf2"):
+def _latency(nominal, eager_threshold, device="bf2"):
     payload = get_dataset("silesia/xml").generate(ACTUAL)
 
     def program(ctx):
@@ -38,7 +38,7 @@ def _latency(nominal, rndv_threshold, device="bf2"):
     cfg = CommConfig(
         mode=CommMode.PEDAL,
         design="C-Engine_DEFLATE",
-        rndv_threshold=rndv_threshold,
+        eager_threshold=eager_threshold,
     )
     return run_mpi(program, 2, device, cfg).returns[0]
 
@@ -47,8 +47,8 @@ def test_rndv_threshold_rule(benchmark):
     def sweep():
         rows = []
         for nominal in (16e3, 64e3, 256e3, 1e6, 5.1e6, 48.85e6):
-            passthrough = _latency(nominal, rndv_threshold=2**62)  # never compress
-            compressed = _latency(nominal, rndv_threshold=0)  # always compress
+            passthrough = _latency(nominal, eager_threshold=2**62)  # never compress
+            compressed = _latency(nominal, eager_threshold=0)  # always compress
             rows.append((nominal, passthrough, compressed))
         return rows
 
@@ -72,7 +72,7 @@ def test_compression_wins_on_slow_fabric(benchmark):
     from repro.dpu import make_device
     from repro.sim import Environment
 
-    def latency(nominal, rndv_threshold):
+    def latency(nominal, eager_threshold):
         env = Environment()
         devices = []
         for _ in range(2):
@@ -95,7 +95,7 @@ def test_compression_wins_on_slow_fabric(benchmark):
         cfg = CommConfig(
             mode=CommMode.PEDAL,
             design="C-Engine_DEFLATE",
-            rndv_threshold=rndv_threshold,
+            eager_threshold=eager_threshold,
         )
         return run_mpi(program, 2, devices=devices, env=env, comm_config=cfg).returns[0]
 

@@ -166,6 +166,6 @@ def run(
     result.notes.append(
         "ac is SoC-only (no engine core), so its throughput is the "
         "calibrated ARM-pool rate; pipelined speedup is bounded by "
-        "1/max(model_fraction, 1-model_fraction) of the codec time"
+        "1/max(f, 1-f) of the codec time, f = AC_MODEL_FRACTION"
     )
     return result

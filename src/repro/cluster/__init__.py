@@ -6,7 +6,7 @@ layer (:mod:`repro.serve`) out to a cluster:
 
 * :mod:`repro.cluster.shard` — consistent-hash tenant→shard map with
   epochs and deterministic healing;
-* :mod:`repro.cluster.placement` — capability/locality-aware device
+* :mod:`repro.cluster.placement` — capability-aware device
   partitioning (BF-3 decompress-only respected);
 * :mod:`repro.cluster.cluster` — :class:`ServeCluster`: S shard
   gateways, worker replication with in-shard failover, and a
@@ -18,7 +18,7 @@ Whole-worker kill schedules live in :mod:`repro.faults.workers`.
 """
 
 from repro.cluster.cluster import ClusterConfig, ServeCluster
-from repro.cluster.placement import PLACEMENTS, device_supports, plan_placement
+from repro.cluster.placement import device_supports, plan_placement
 from repro.cluster.shard import ConsistentHashRing, ShardMap, hash64
 from repro.cluster.traffic import (
     DEFAULT_TENANTS,
@@ -36,7 +36,6 @@ __all__ = [
     "ConsistentHashRing",
     "ShardMap",
     "hash64",
-    "PLACEMENTS",
     "device_supports",
     "plan_placement",
     "TenantProfile",

@@ -40,8 +40,9 @@ from repro.obs import QuantileSketch
 from repro.serve import ServeConfig, ServeGateway, ServeRequest, ServeTicket
 from repro.serve.admission import AdmissionController
 from repro.serve.gateway import TelemetryConfig
+from repro.serve.request import DEFAULT_TENANT
 from repro.cluster.placement import plan_placement
-from repro.cluster.shard import DEFAULT_VNODES, ShardMap
+from repro.cluster.shard import ShardMap
 
 if TYPE_CHECKING:
     from repro.dpu.device import BlueFieldDPU
@@ -63,18 +64,11 @@ class ClusterConfig:
     """
 
     num_shards: int = 4
-    placement: str = "capability_spread"
-    vnodes: int = DEFAULT_VNODES
     # Global pending budget across all shards (the host submit path's
     # protection); per-shard budget is the gateway's own bound.
     global_max_pending: int = 1024
     shard_max_pending: int = 64
     serve: ServeConfig = field(default_factory=ServeConfig)
-    # Telemetry fan-out: when an aggregator is given, each shard's
-    # gateway gets a TelemetryConfig labeled gateway=gw<i>, shard=<name>
-    # so fleet scrapes can group_by=("tenant", "shard").
-    telemetry_alpha: float = 0.01
-    default_tenant: str = "default"
 
 
 class ServeCluster:
@@ -89,22 +83,19 @@ class ServeCluster:
     ) -> None:
         self.env = env
         self.config = config or ClusterConfig()
-        groups = plan_placement(
-            devices, self.config.num_shards, self.config.placement
-        )
+        groups = plan_placement(devices, self.config.num_shards)
         self.shard_names = tuple(
             f"shard{i}" for i in range(len(groups))
         )
         self.gateways: "dict[str, ServeGateway]" = {}
         for i, (name, members) in enumerate(zip(self.shard_names, groups)):
+            # Telemetry fan-out: each shard's gateway is labeled
+            # gateway=gw<i>, shard=<name> so fleet scrapes can
+            # group_by=("tenant", "shard").
             telemetry = None
             if aggregator is not None:
                 telemetry = TelemetryConfig(
-                    gateway=f"gw{i}",
-                    alpha=self.config.telemetry_alpha,
-                    default_tenant=self.config.default_tenant,
-                    aggregator=aggregator,
-                    shard=name,
+                    gateway=f"gw{i}", aggregator=aggregator, shard=name,
                 )
             shard_config = dataclasses.replace(
                 self.config.serve,
@@ -113,7 +104,7 @@ class ServeCluster:
                 telemetry=telemetry,
             )
             self.gateways[name] = ServeGateway(env, members, shard_config)
-        self.shard_map = ShardMap(self.shard_names, self.config.vnodes)
+        self.shard_map = ShardMap(self.shard_names)
         self.admission = AdmissionController(self.config.global_max_pending)
         self.aggregator = aggregator
         self.submitted = 0
@@ -129,7 +120,7 @@ class ServeCluster:
 
     def shard_for(self, tenant: "str | None") -> str:
         """The shard currently owning ``tenant`` (healed map)."""
-        return self.shard_map.lookup(tenant or self.config.default_tenant)
+        return self.shard_map.lookup(tenant or DEFAULT_TENANT)
 
     def submit(self, request: ServeRequest) -> ServeTicket:
         """Offer one request through both admission layers.
@@ -143,7 +134,7 @@ class ServeCluster:
         if not self.admission.try_admit():
             self.shed_global += 1
             return ServeTicket(request, None)
-        tenant = request.tenant or self.config.default_tenant
+        tenant = request.tenant or DEFAULT_TENANT
         shard, epoch = self.shard_map.lookup_versioned(tenant)
         self.routing_log.append((self.submitted - 1, tenant, shard, epoch))
         ticket = self.gateways[shard].submit(request)

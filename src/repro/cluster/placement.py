@@ -5,21 +5,14 @@ Tables II/III), so a shard made entirely of BF-3s serves compress
 tenants off the slow SoC path.  Placement reuses the same capability
 probe the serve router uses (:func:`device_supports`, the device-level
 twin of ``DpuWorker.supports``) to spread compress-capable engines so
-every shard gets one when arithmetic allows.
+every shard gets one when arithmetic allows: the compress-capable
+devices are dealt round-robin across shards first, then the
+decompress-only remainder fills the smallest shards.  Heterogeneity is
+spread: a mixed BF-2/BF-3 fleet yields shards that can each serve both
+directions natively.
 
-Two deterministic policies:
-
-* ``capability_spread`` — deal the compress-capable devices round-robin
-  across shards first, then deal the decompress-only remainder onto the
-  smallest shards.  Heterogeneity is spread: a mixed BF-2/BF-3 fleet
-  yields shards that can each serve both directions natively.
-* ``locality_blocked`` — contiguous chunks in fleet order.  Adjacent
-  devices model co-located hardware (same chassis/rack in the paper's
-  testbed), so replicas of one shard share locality; capability is
-  whatever the block happens to contain.
-
-Both are pure functions of the device list, so placement never
-perturbs sim determinism.
+Placement is a pure function of the device list, so it never perturbs
+sim determinism.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from repro.errors import ClusterError
 if TYPE_CHECKING:
     from repro.dpu.device import BlueFieldDPU
 
-__all__ = ["device_supports", "plan_placement", "PLACEMENTS"]
+__all__ = ["device_supports", "plan_placement"]
 
 
 def device_supports(device: "BlueFieldDPU", direction: Direction,
@@ -43,8 +36,16 @@ def device_supports(device: "BlueFieldDPU", direction: Direction,
     return device.cengine.supports(cengine_core_algo(algo), direction)
 
 
-def _capability_spread(devices: "Sequence[BlueFieldDPU]",
-                       num_shards: int) -> "list[list[BlueFieldDPU]]":
+def plan_placement(devices: "Sequence[BlueFieldDPU]", num_shards: int,
+                   ) -> "list[list[BlueFieldDPU]]":
+    """Partition ``devices`` into ``num_shards`` non-empty groups."""
+    if num_shards < 1:
+        raise ClusterError(f"num_shards {num_shards} must be >= 1")
+    if num_shards > len(devices):
+        raise ClusterError(
+            f"cannot place {len(devices)} devices on {num_shards} shards "
+            "(every shard needs at least one worker)"
+        )
     shards: "list[list[BlueFieldDPU]]" = [[] for _ in range(num_shards)]
     compress_capable = [
         d for d in devices if device_supports(d, Direction.COMPRESS)
@@ -59,49 +60,4 @@ def _capability_spread(devices: "Sequence[BlueFieldDPU]",
     for device in rest:
         target = min(range(num_shards), key=lambda s: (len(shards[s]), s))
         shards[target].append(device)
-    return shards
-
-
-def _locality_blocked(devices: "Sequence[BlueFieldDPU]",
-                      num_shards: int) -> "list[list[BlueFieldDPU]]":
-    n = len(devices)
-    base, extra = divmod(n, num_shards)
-    shards = []
-    start = 0
-    for s in range(num_shards):
-        size = base + (1 if s < extra else 0)
-        shards.append(list(devices[start:start + size]))
-        start += size
-    return shards
-
-
-PLACEMENTS = {
-    "capability_spread": _capability_spread,
-    "locality_blocked": _locality_blocked,
-}
-
-
-def plan_placement(devices: "Sequence[BlueFieldDPU]", num_shards: int,
-                   policy: str = "capability_spread",
-                   ) -> "list[list[BlueFieldDPU]]":
-    """Partition ``devices`` into ``num_shards`` non-empty groups."""
-    if num_shards < 1:
-        raise ClusterError(f"num_shards {num_shards} must be >= 1")
-    if num_shards > len(devices):
-        raise ClusterError(
-            f"cannot place {len(devices)} devices on {num_shards} shards "
-            "(every shard needs at least one worker)"
-        )
-    try:
-        plan = PLACEMENTS[policy]
-    except KeyError:
-        raise ClusterError(
-            f"unknown placement {policy!r} (known: {sorted(PLACEMENTS)})"
-        ) from None
-    shards = plan(devices, num_shards)
-    if any(not members for members in shards):
-        raise ClusterError(
-            f"placement {policy!r} produced an empty shard "
-            f"({len(devices)} devices over {num_shards} shards)"
-        )
     return shards

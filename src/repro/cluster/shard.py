@@ -4,7 +4,7 @@ The cluster's front doors (N :class:`~repro.serve.ServeGateway`\\ s) must
 agree on which shard owns a tenant *without* talking to each other — in
 the paper's deployment every host-side client library hashes locally.
 A :class:`ConsistentHashRing` makes the owner a pure function of
-``(member set, vnodes, key)``: every gateway holding the same member
+``(member set, key)``: every gateway holding the same member
 set computes the same owner, and removing one member only moves the
 keys that member owned (~K/N of them), so a worker-pool loss does not
 reshuffle the whole tenant space.
@@ -31,7 +31,8 @@ from repro.errors import ShardMapError
 
 __all__ = ["ConsistentHashRing", "ShardMap", "hash64"]
 
-DEFAULT_VNODES = 64
+#: Ring points per member.
+VNODES = 64
 
 
 def hash64(key: str) -> int:
@@ -43,24 +44,20 @@ def hash64(key: str) -> int:
 class ConsistentHashRing:
     """Classic consistent hashing with virtual nodes.
 
-    Each member contributes ``vnodes`` points at
+    Each member contributes :data:`VNODES` points at
     ``hash64(f"{member}#{i}")``; a key is owned by the first point
     clockwise from ``hash64(key)``.  The ring is a pure function of the
     member *set* — construction order never matters — which is what
     lets independent gateways agree without coordination.
     """
 
-    __slots__ = ("_vnodes", "_points", "_owners", "_members")
+    __slots__ = ("_points", "_owners", "_members")
 
-    def __init__(self, members: Iterable[str],
-                 vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes < 1:
-            raise ValueError(f"vnodes {vnodes} must be >= 1")
-        self._vnodes = vnodes
+    def __init__(self, members: Iterable[str]) -> None:
         self._members = tuple(sorted(set(members)))
         points: list[tuple[int, str]] = []
         for member in self._members:
-            for i in range(vnodes):
+            for i in range(VNODES):
                 points.append((hash64(f"{member}#{i}"), member))
         # Ties between distinct members' points are broken by member
         # name (sort is on the tuple), keeping ownership deterministic
@@ -72,10 +69,6 @@ class ConsistentHashRing:
     @property
     def members(self) -> "tuple[str, ...]":
         return self._members
-
-    @property
-    def vnodes(self) -> int:
-        return self._vnodes
 
     def __len__(self) -> int:
         return len(self._members)
@@ -98,17 +91,13 @@ class ConsistentHashRing:
 
     def with_member(self, member: str) -> "ConsistentHashRing":
         """A new ring with ``member`` joined (idempotent)."""
-        return ConsistentHashRing(
-            set(self._members) | {member}, self._vnodes
-        )
+        return ConsistentHashRing(set(self._members) | {member})
 
     def without_member(self, member: str) -> "ConsistentHashRing":
         """A new ring with ``member`` removed."""
         if member not in set(self._members):
             raise ShardMapError(f"member {member!r} not on the ring")
-        return ConsistentHashRing(
-            set(self._members) - {member}, self._vnodes
-        )
+        return ConsistentHashRing(set(self._members) - {member})
 
 
 class ShardMap:
@@ -124,11 +113,10 @@ class ShardMap:
 
     __slots__ = ("_ring", "_epoch", "assignment_log")
 
-    def __init__(self, shards: Sequence[str],
-                 vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, shards: Sequence[str]) -> None:
         if not shards:
             raise ShardMapError("ShardMap needs at least one shard")
-        self._ring = ConsistentHashRing(shards, vnodes)
+        self._ring = ConsistentHashRing(shards)
         self._epoch = 0
         self.assignment_log: "list[tuple[int, str, str]]" = []
 

@@ -10,10 +10,11 @@ function of ``(TrafficConfig, seed)`` and replays bit-for-bit.
 
 * **Arrivals** — non-homogeneous Poisson by thinning: candidates are
   drawn at the peak rate ``base * (1 + amplitude)``, then each is kept
-  with probability ``rate(t) / peak`` where ``rate(t)`` follows a
-  sinusoidal "diurnal" curve over the run window.
+  with probability ``rate(t) / peak`` where ``rate(t)`` follows one
+  sinusoidal "diurnal" cycle over the run window.
 * **Sizes** — per-tenant lognormal (median/sigma) or Pareto-tailed
-  (Lomax, ``median * (1 + X)``), clipped to ``[min_bytes, max_bytes]``.
+  (Lomax, ``median * (1 + X)``), clipped to
+  ``[MIN_BYTES, MAX_BYTES]``.
   Sizes feed ``sim_bytes`` (the simulated nominal size); the *actual*
   payload bytes come from a small deterministic pool of
   ``actual_bytes``-sized entries, so the eager codec work stays
@@ -49,9 +50,15 @@ __all__ = [
     "build_schedule",
     "traffic_process",
     "DEFAULT_TENANTS",
+    "MIN_BYTES",
+    "MAX_BYTES",
 ]
 
 _POOL_SIZE = 4
+
+#: Every drawn request size is clipped to [MIN_BYTES, MAX_BYTES].
+MIN_BYTES = 256.0
+MAX_BYTES = 4e6
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,6 @@ class TrafficConfig:
     duration_s: float
     seed: int = 0
     diurnal_amplitude: float = 0.3      # rate swings +-30 % by default
-    diurnal_period_s: "float | None" = None  # None: one cycle per run
-    min_bytes: float = 256.0
-    max_bytes: float = 4e6
     actual_bytes: int = 1024            # real payload size (wall-clock only)
     tenants: "tuple[TenantProfile, ...]" = DEFAULT_TENANTS
 
@@ -208,7 +212,6 @@ def build_schedule(config: TrafficConfig) -> TrafficSchedule:
     """
     rng = np.random.default_rng(config.seed)
     peak = config.rate_req_s * (1.0 + config.diurnal_amplitude)
-    period = config.diurnal_period_s or config.duration_s
 
     # Homogeneous candidates at the peak rate, extended until the run
     # window is covered.
@@ -222,10 +225,11 @@ def build_schedule(config: TrafficConfig) -> TrafficSchedule:
         t_end = float(times[-1])
     times = times[times < config.duration_s]
 
-    # Thinning: accept with probability rate(t)/peak.
+    # Thinning: accept with probability rate(t)/peak, one diurnal
+    # cycle per run.
     rate_t = config.rate_req_s * (
         1.0 + config.diurnal_amplitude
-        * np.sin(2.0 * math.pi * times / period)
+        * np.sin(2.0 * math.pi * times / config.duration_s)
     )
     keep = rng.random(len(times)) * peak <= rate_t
     times = times[keep]
@@ -251,7 +255,7 @@ def build_schedule(config: TrafficConfig) -> TrafficSchedule:
     )
     sizes = np.clip(
         np.where(is_pareto, pareto_sizes, lognormal_sizes),
-        config.min_bytes, config.max_bytes,
+        MIN_BYTES, MAX_BYTES,
     )
 
     arrivals = []

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.algorithms.deflate import DeflateConfig
 from repro.core.charges import job_plan, steal_stage
 from repro.core.codecs import CodecConfig, real_compress, real_decompress
 from repro.core.designs import design
@@ -54,6 +53,7 @@ __all__ = ["ParallelConfig", "ParallelResult", "ParallelCompressor"]
 
 # Whose memo entries the chunks share: the bytes are placement-free.
 _DESIGN = design("SoC_DEFLATE")
+_CODECS = CodecConfig()
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class ParallelConfig:
 
     n_chunks: int = 8
     use_cengine: bool = True  # one chunk stream may use the engine
-    deflate: DeflateConfig | None = None
     # Work-queue depth for engine-bound chunks: 1 = serial (map, exec,
     # drain complete before the next chunk starts), >= 2 pipelines the
     # stages across chunks (double buffering).
@@ -155,8 +154,7 @@ class ParallelCompressor:
         cfg = self.config
         sim_total = float(len(data) if sim_bytes is None else sim_bytes)
         chunks = [chunk for chunk in _split_even(data, cfg.n_chunks) if chunk]
-        codecs = CodecConfig(deflate=cfg.deflate)
-        compressed = [real_compress(_DESIGN, chunk, codecs).payload
+        compressed = [real_compress(_DESIGN, chunk, _CODECS).payload
                       for chunk in chunks]
         writer = FrameWriter(
             StreamConfig(chunk_bytes=-(-len(data) // cfg.n_chunks) or 1))

@@ -238,9 +238,8 @@ class MpiError(ReproError):
 
 
 class MpiConfigError(MpiError):
-    """The communication-layer configuration is internally inconsistent
-    (e.g. ``rndv_threshold`` != ``eager_threshold``, which would produce
-    compressed-eager or uncompressed-rendezvous messages)."""
+    """The communication-layer configuration is invalid (e.g. a negative
+    ``eager_threshold`` or a ``stream_depth`` below 1)."""
 
 
 class MpiAbortError(MpiError):

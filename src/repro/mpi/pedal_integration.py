@@ -49,10 +49,10 @@ class CommConfig:
     mode: CommMode = CommMode.RAW
     design: "str | CompressionDesign | None" = None
     codecs: CodecConfig = field(default_factory=CodecConfig)
-    # PEDAL compresses only rendezvous-path messages (paper §IV).
-    rndv_threshold: int = EAGER_THRESHOLD_BYTES
+    # The eager/rendezvous boundary.  PEDAL compresses exactly the
+    # rendezvous-path messages (paper §IV), so this one size decides
+    # both the protocol and whether a message is compressed.
     eager_threshold: int = EAGER_THRESHOLD_BYTES
-    pool_buffers: int = 4
     # ZipLine-style streaming rendezvous: chunk the payload through
     # repro.stream and overlap C-Engine work with fabric transfer.
     streaming: bool = False
@@ -67,19 +67,6 @@ class CommConfig:
     def __post_init__(self) -> None:
         if self.mode is not CommMode.RAW and self.design is None:
             raise ValueError(f"mode {self.mode.value} requires a design")
-        # The compress decision (rndv_threshold) and the protocol
-        # decision (eager_threshold) share one byte domain — the
-        # pre-compression size.  Letting them diverge silently produces
-        # compressed-eager messages (rndv < eager) or uncompressed-
-        # rendezvous messages (rndv > eager), both of which break the
-        # paper's "compress only rendezvous traffic" invariant.
-        if self.rndv_threshold != self.eager_threshold:
-            raise MpiConfigError(
-                f"rndv_threshold ({self.rndv_threshold}) must equal "
-                f"eager_threshold ({self.eager_threshold}): diverging them "
-                "silently yields compressed-eager or uncompressed-rendezvous "
-                "messages"
-            )
         if self.eager_threshold < 0:
             raise MpiConfigError(
                 f"eager_threshold must be >= 0, got {self.eager_threshold}"
@@ -107,7 +94,7 @@ class CompressionLayer:
         if config.mode is CommMode.PEDAL:
             self.pedal = PedalContext(
                 device,
-                PedalConfig(codecs=config.codecs, pool_buffers=config.pool_buffers),
+                PedalConfig(codecs=config.codecs),
             )
         elif config.mode is CommMode.NAIVE:
             self.naive = NaiveCompressor(device, config.codecs)
@@ -137,7 +124,7 @@ class CompressionLayer:
         cfg = self.config
         dsg = cfg.resolved_design()
         if cfg.mode is CommMode.RAW or dsg is None or not should_compress(
-            sim_bytes, cfg.rndv_threshold
+            sim_bytes, cfg.eager_threshold
         ):
             if cfg.mode is CommMode.RAW:
                 return data, sim_bytes, {

@@ -77,7 +77,8 @@ def should_compress(sim_bytes: float, rndv_threshold: int = EAGER_THRESHOLD_BYTE
 
     Same byte domain as :func:`protocol_for` (pre-compression size), so
     the two decisions can never disagree when the thresholds match —
-    which :class:`~repro.mpi.pedal_integration.CommConfig` enforces.
+    :class:`~repro.mpi.pedal_integration.CommConfig` has one
+    ``eager_threshold`` and passes it to both.
     """
     decision = sim_bytes > rndv_threshold
     metrics = get_metrics()

@@ -73,7 +73,7 @@ def wants_stream(layer, data, sim_bytes: float) -> bool:
         return False
     if len(data) == 0:
         return False
-    return should_compress(sim_bytes, cfg.rndv_threshold)
+    return should_compress(sim_bytes, cfg.eager_threshold)
 
 
 class _ChunkEngine:

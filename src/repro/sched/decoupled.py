@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Generator
 
 from repro.algorithms.ac import (
-    ACConfig,
     DEFAULT_CONFIG,
     ac_compress,
     ac_compress_pipelined,
@@ -57,16 +56,10 @@ class DecoupledConfig:
 
     #: Maximum number of coding batches the model stage may run ahead.
     queue_depth: int = 2
-    #: Fraction of the calibrated ``ac`` codec time spent modeling.
-    model_fraction: float = AC_MODEL_FRACTION
-    #: Codec operating point (defines the chunk size = batch unit).
-    ac: ACConfig = DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if not 0.0 < self.model_fraction < 1.0:
-            raise ValueError("model_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -100,8 +93,8 @@ class DecoupledCodecPipeline:
         SoC ``ac`` plan's one stage, split between the two stages."""
         ((_, _, total, _, _),) = op_plan(
             self.device, Algo.AC, Placement.SOC, Direction.COMPRESS, sim_bytes)
-        model = total * self.config.model_fraction
-        n_chunks = max(1, math.ceil(sim_bytes / self.config.ac.chunk_bytes))
+        model = total * AC_MODEL_FRACTION
+        n_chunks = max(1, math.ceil(sim_bytes / DEFAULT_CONFIG.chunk_bytes))
         return model, total - model, n_chunks
 
     # -- execution ---------------------------------------------------------
@@ -127,10 +120,10 @@ class DecoupledCodecPipeline:
         if data is not None:
             if pipelined:
                 payload = ac_compress_pipelined(
-                    data, self.config.ac, queue_depth=self.config.queue_depth
+                    data, queue_depth=self.config.queue_depth
                 )
             else:
-                payload = ac_compress(data, self.config.ac)
+                payload = ac_compress(data)
         started = self.env.now
         with device_span(
             "sched.decoupled",

@@ -5,10 +5,10 @@ resource, so consecutive jobs overlap like an assembly line:
 
 * **map** (``sched.map``) — allocate + DMA-register the job's buffer
   (the per-byte registration cost of :mod:`repro.doca.buffers`).  The
-  scheduler keeps a small double-buffered *ring* of mapped buffers:
-  only the first ``ring_buffers`` jobs pay the map cost, later jobs
-  reuse a drained ring slot for free (or the caller supplies a PEDAL
-  :class:`~repro.core.mempool.MemoryPool` and hits it instead).
+  scheduler keeps a small double-buffered *ring* of ``depth + 1``
+  mapped buffers: only the first ``depth + 1`` jobs pay the map cost,
+  later jobs reuse a drained ring slot for free (or the caller supplies
+  a PEDAL :class:`~repro.core.mempool.MemoryPool` and hits it instead).
 * **exec** (``sched.exec``) — the C-Engine job itself
   (:meth:`~repro.dpu.cengine.CEngine.submit`); the engine's single-
   server FIFO serialises this stage, so exec time is the pipeline's
@@ -25,8 +25,9 @@ than unbounded batching.
 Fault interplay (:mod:`repro.faults`): a failed or stalled engine job
 **releases its queue slot** before backing off, so other jobs keep the
 pipeline busy during the wait; the retry then *re-enters* the pipeline
-through a fresh slot request.  Once the retry budget is exhausted the
-job is work-stolen by the SoC (``soc_fallback=True``, the PEDAL
+through a fresh slot request.  A job the engine cannot run at all is
+stolen up front.  Once the retry budget is exhausted the job is
+work-stolen by the SoC (``soc_fallback=True``, the PEDAL
 capability-fallback mirror) or the final DOCA error propagates
 (``soc_fallback=False``, raw-SDK semantics).  Output bytes never depend
 on scheduling: payloads flow through untouched (corrupted engine output
@@ -73,25 +74,18 @@ class SchedConfig:
     """Pipeline shape and failure policy."""
 
     depth: int = 2                 # queue slots: max jobs in flight
-    ring_buffers: int | None = None  # mapped-buffer ring; default depth + 1
     soc_fallback: bool = True      # work-steal exhausted jobs to the SoC
-    # Steal jobs the repro.select cost model prices cheaper on an SoC
-    # core than on the engine (tiny jobs dominated by the fixed job
-    # overhead), instead of only stealing on capability/retry grounds.
-    cost_aware_steal: bool = False
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.ring_buffers is not None and self.ring_buffers < 1:
-            raise ValueError("ring_buffers must be >= 1")
 
     @property
     def ring_size(self) -> int:
         # depth + 1 gives classic double buffering at depth 1: one
         # buffer in exec/drain while the next job maps into the other.
-        return self.ring_buffers if self.ring_buffers is not None else self.depth + 1
+        return self.depth + 1
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,6 @@ class PipelineScheduler:
         self._submitted = 0
         self.jobs_completed = 0
         self.jobs_stolen = 0  # work-stolen to the SoC
-        self._selector = None  # lazy PathSelector (cost_aware_steal)
 
     def _metrics(self):
         """The registry this scheduler reports into: its own labeled
@@ -214,15 +207,6 @@ class PipelineScheduler:
         if self._metrics_override is not None:
             return self._metrics_override
         return get_metrics()
-
-    @property
-    def selector(self):
-        """The device's :class:`~repro.select.PathSelector` (lazy)."""
-        if self._selector is None:
-            from repro.select import PathSelector
-
-            self._selector = PathSelector(self.device)
-        return self._selector
 
     # ------------------------------------------------------------------
     # Submission
@@ -282,18 +266,8 @@ class PipelineScheduler:
 
         if len(plan) == 1:
             # Capability-matrix reject: the plan is the SoC steal alone.
-            reason = "capability"
-        elif self.config.cost_aware_steal and self.selector.job_engine(
-            job.algo, job.direction, job.sim_bytes, job.soc_bytes
-        ) == "soc":
-            # The calibrated cost model prices this job cheaper on an
-            # SoC core (the fixed engine-job overhead dominates tiny
-            # jobs) — steal it up front rather than occupy the queue.
-            reason = "cost_model"
-        else:
-            reason = None
-        if reason is not None:
-            yield from self._soc_lane(index, job, steal, breakdown, reason)
+            yield from self._soc_lane(index, job, steal, breakdown,
+                                      reason="capability")
             return self._finish(index, job, "soc", 0, submitted_at, breakdown)
         map_stage, exec_stage, drain_stage = plan
 

@@ -255,7 +255,10 @@ class PathSelector:
         engine_bytes: float,
         soc_bytes: float,
     ) -> str:
-        """Cheapest lane for one pipeline job ("cengine" on ties)."""
+        """Cheapest lane for one pipeline job ("cengine" on ties).
+
+        A pricing query only: the scheduler never steals a job on cost.
+        """
         costs = self.job_costs(algo, direction, engine_bytes, soc_bytes)
         if PATH_CENGINE in costs and costs[PATH_CENGINE] <= costs[PATH_SOC]:
             return PATH_CENGINE

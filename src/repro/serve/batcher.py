@@ -4,9 +4,9 @@ Small messages are where the C-Engine's fixed per-job overhead
 (§V-B: 0.25 ms/1.0 ms per direction on BF-2, 161 µs on BF-3) dominates,
 so the gateway amortizes it ZipLine-style: requests accumulate in a
 per-direction open batch that flushes when it reaches ``max_msgs``
-messages or ``max_sim_bytes`` simulated bytes — or when the oldest
-request in it has waited ``flush_deadline_s`` on the sim clock, so a
-trickle of traffic never stalls indefinitely.
+messages or :data:`MAX_SIM_BYTES` simulated bytes — or when the oldest
+request in it has waited :data:`FLUSH_DEADLINE_S` on the sim clock, so
+a trickle of traffic never stalls indefinitely.
 
 ``max_msgs=1`` degenerates to unbatched pass-through, which is the
 baseline the serve bench compares against.
@@ -14,7 +14,6 @@ baseline the serve bench compares against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator
 
@@ -25,7 +24,15 @@ if TYPE_CHECKING:
     from repro.serve.request import ServeRequest
     from repro.sim.engine import Environment, Event
 
-__all__ = ["BatchPolicy", "BatchEntry", "Batch", "Batcher"]
+__all__ = [
+    "BatchPolicy", "BatchEntry", "Batch", "Batcher",
+    "MAX_SIM_BYTES", "FLUSH_DEADLINE_S",
+]
+
+#: An open batch flushes once it holds this many engine-billed bytes...
+MAX_SIM_BYTES = 8 * 2**20
+#: ...or once it is this old on the sim clock.
+FLUSH_DEADLINE_S = 2.5e-4
 
 
 @dataclass(frozen=True)
@@ -33,16 +40,10 @@ class BatchPolicy:
     """When an open batch flushes."""
 
     max_msgs: int = 8                  # flush at this many messages
-    max_sim_bytes: float = 8 * 2**20   # ...or this many engine-billed bytes
-    flush_deadline_s: float = 2.5e-4   # ...or this much sim-clock age
 
     def __post_init__(self) -> None:
         if self.max_msgs < 1:
             raise ValueError("max_msgs must be >= 1")
-        if self.max_sim_bytes <= 0:
-            raise ValueError("max_sim_bytes must be > 0")
-        if self.flush_deadline_s <= 0:
-            raise ValueError("flush_deadline_s must be > 0")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class Batcher:
     Flush triggers:
 
     * **size** — the open batch reaches ``max_msgs`` or
-      ``max_sim_bytes`` (checked on every :meth:`add`, flushes
+      :data:`MAX_SIM_BYTES` (checked on every :meth:`add`, flushes
       synchronously);
     * **deadline** — a sim-clock timer armed when the batch opens; a
       monotonically increasing per-direction epoch lets stale timers
@@ -133,10 +134,10 @@ class Batcher:
         batch.entries.append(entry)
         if (
             batch.size >= self.policy.max_msgs
-            or batch.engine_sim_bytes >= self.policy.max_sim_bytes
+            or batch.engine_sim_bytes >= MAX_SIM_BYTES
         ):
             self._flush_key(key)
-        elif newly_opened and math.isfinite(self.policy.flush_deadline_s):
+        elif newly_opened:
             self.env.process(
                 self._deadline(key, self._epoch[key]),
                 name=f"serve:deadline:{batch.batch_id}",
@@ -172,7 +173,7 @@ class Batcher:
             self._flush_key(key)
 
     def _deadline(self, key: "tuple[Direction, Algo]", epoch: int) -> Generator:
-        yield self.env.timeout(self.policy.flush_deadline_s)
+        yield self.env.timeout(FLUSH_DEADLINE_S)
         # Only fire for the batch that armed this timer: if it already
         # flushed on size (epoch advanced when a successor opened, or
         # the slot is simply empty), do nothing.

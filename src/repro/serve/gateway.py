@@ -33,22 +33,25 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Sequence
 
-from repro.algorithms.ac import ACConfig
 # ``deflate_compress`` is bound here but never called: the codecs come
 # from ``byte_codec``.  benchmarks/perf's harness test probes this name
 # to check its tracer's by-name rebinding; drop it when that probe moves.
-from repro.algorithms.deflate import DeflateConfig, deflate_compress  # noqa: F401
+from repro.algorithms.deflate import deflate_compress  # noqa: F401
 from repro.core.codecs import CodecConfig, byte_codec
 from repro.core.registry import cengine_core_algo
 from repro.dpu.specs import Algo, Direction
 from repro.errors import NoCapableWorkerError, NoLatencySamplesError, WorkerDiedError
 from repro.obs import MetricsRegistry, QuantileSketch, device_span, get_metrics
-from repro.obs.sketch import DEFAULT_ALPHA
 from repro.obs.slo import GOODPUT_COUNTER, LATENCY_METRIC
 from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import Batch, BatchEntry, Batcher, BatchPolicy
-from repro.serve.request import ServeRequest, ServeResponse, ServeTicket
+from repro.serve.request import (
+    DEFAULT_TENANT,
+    ServeRequest,
+    ServeResponse,
+    ServeTicket,
+)
 from repro.serve.router import Router, make_router
 
 if TYPE_CHECKING:
@@ -73,8 +76,6 @@ class TelemetryConfig:
     """
 
     gateway: str = "gw0"
-    alpha: float = DEFAULT_ALPHA
-    default_tenant: str = "default"
     aggregator: "FleetAggregator | None" = None
     # Cluster deployments set the owning shard so fleet scrapes can
     # group_by=("tenant", "shard"); None omits the label entirely.
@@ -89,8 +90,6 @@ class ServeConfig:
     max_pending: int = 64
     router: "str | Router" = "least_queue_depth"
     sched: SchedConfig = field(default_factory=SchedConfig)
-    deflate: DeflateConfig | None = None
-    ac: ACConfig | None = None
     telemetry: TelemetryConfig | None = None
     # Worker-death failover: when on, every in-flight batch races its
     # scheduler completion against the worker's death event and
@@ -163,11 +162,9 @@ class ServeGateway:
                 )
         self.env = env
         self.config = config or ServeConfig()
-        # The codec tuning every request runs with (``ac=None`` is the
-        # coder's defaults); StreamingSession frames with the same.
-        self.codecs = CodecConfig(
-            deflate=self.config.deflate, ac=self.config.ac or ACConfig()
-        )
+        # The codec tuning every request runs with; StreamingSession
+        # frames with the same.
+        self.codecs = CodecConfig()
         telemetry = self.config.telemetry
         self.telemetry = telemetry
         self.workers = [
@@ -199,8 +196,7 @@ class ServeGateway:
         # Always-on percentile store: deterministic, mergeable, O(1)
         # per observation (the exact list above is kept for tests and
         # error analysis, not for serving percentiles).
-        alpha = telemetry.alpha if telemetry is not None else DEFAULT_ALPHA
-        self.latency_sketch = QuantileSketch(alpha)
+        self.latency_sketch = QuantileSketch()
         # Per-(worker, tenant) registries, created on first completion.
         self._tenant_registries: "dict[tuple[str, str], MetricsRegistry]" = {}
 
@@ -226,7 +222,7 @@ class ServeGateway:
         telemetry = self.telemetry
         if telemetry is None:
             return None
-        key = (worker.name, tenant or telemetry.default_tenant)
+        key = (worker.name, tenant or DEFAULT_TENANT)
         registry = self._tenant_registries.get(key)
         if registry is None:
             registry = self._make_registry(worker=key[0], tenant=key[1])
@@ -317,7 +313,8 @@ class ServeGateway:
     def latency_percentile(self, q: float) -> float:
         """Sketch-backed percentile (``q`` in [0, 100]) of completed
         request latencies, within the sketch's relative-error bound
-        (``alpha``, default 1 %) of the exact nearest-rank value.
+        (:data:`~repro.obs.sketch.DEFAULT_ALPHA`, 1 %) of the exact
+        nearest-rank value.
 
         Raises :class:`~repro.errors.NoLatencySamplesError` (a
         :class:`ValueError` subclass) when no request has completed

@@ -11,7 +11,10 @@ from repro.errors import AdmissionError
 if TYPE_CHECKING:
     from repro.sim.engine import Event
 
-__all__ = ["ServeRequest", "ServeResponse", "ServeTicket"]
+__all__ = ["ServeRequest", "ServeResponse", "ServeTicket", "DEFAULT_TENANT"]
+
+#: The tenant an untenanted request is accounted (and sharded) under.
+DEFAULT_TENANT = "default"
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,8 @@ class ServeRequest:
 
     ``tenant`` (optional) names the client the request belongs to; the
     telemetry plane records latency/goodput into per-tenant labeled
-    registries so the SLO monitor can burn budgets per tenant.
+    registries so the SLO monitor can burn budgets per tenant.  None
+    counts as :data:`DEFAULT_TENANT`.
 
     ``algo`` picks the lossless codec (DEFLATE, LZ4, or the adaptive
     -context ``ac`` coder).  Mixed-algo traffic batches separately per

@@ -16,7 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.ac import ac_compress, ac_compress_pipelined, ac_decompress
+from repro.algorithms.ac import (
+    DEFAULT_CONFIG,
+    ac_compress,
+    ac_compress_pipelined,
+    ac_decompress,
+)
 from repro.core.charges import op_plan
 from repro.core.designs import Placement
 from repro.dpu.calibration import AC_MODEL_FRACTION
@@ -119,7 +124,7 @@ def test_stage_seconds_sum_to_calibrated_codec_time():
     assert total == pytest.approx(1e6 / 12e6)   # the 12 MB/s BF-2 anchor
     assert model_s + coder_s == pytest.approx(total)
     assert model_s == pytest.approx(total * AC_MODEL_FRACTION)
-    assert n_chunks == int(np.ceil(1e6 / pipe.config.ac.chunk_bytes))
+    assert n_chunks == int(np.ceil(1e6 / DEFAULT_CONFIG.chunk_bytes))
 
 
 def test_sim_run_carries_real_bytes_identically():
@@ -133,10 +138,6 @@ def test_sim_run_carries_real_bytes_identically():
 def test_decoupled_config_validation():
     with pytest.raises(ValueError):
         DecoupledConfig(queue_depth=0)
-    with pytest.raises(ValueError):
-        DecoupledConfig(model_fraction=0.0)
-    with pytest.raises(ValueError):
-        DecoupledConfig(model_fraction=1.0)
 
 
 def test_result_reports_stage_totals():

@@ -1,4 +1,4 @@
-"""Placement-policy tests: capability spread vs locality blocks."""
+"""Placement tests: capability spread over a mixed fleet."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ def test_device_supports_mirrors_engine_capabilities(env):
 
 
 def test_capability_spread_gives_every_shard_a_compress_engine(env, fleet):
-    shards = plan_placement(fleet, 2, "capability_spread")
+    shards = plan_placement(fleet, 2)
     assert len(shards) == 2
     assert sorted(len(s) for s in shards) == [3, 3]
     for members in shards:
@@ -34,27 +34,13 @@ def test_capability_spread_balances_replica_counts(env):
     devices = [make_device(env, "bf2", name="bf2-0")] + [
         make_device(env, "bf3", name=f"bf3-{i}") for i in range(5)
     ]
-    shards = plan_placement(devices, 3, "capability_spread")
+    shards = plan_placement(devices, 3)
     assert sorted(len(s) for s in shards) == [2, 2, 2]
 
 
-def test_locality_blocked_keeps_fleet_order_contiguous(env, fleet):
-    shards = plan_placement(fleet, 2, "locality_blocked")
-    names = [[d.name for d in members] for members in shards]
-    assert names == [
-        ["bf2-0", "bf2-1", "bf2-2"],
-        ["bf2-3", "bf3-0", "bf3-1"],
-    ]
-
-
-def test_locality_blocked_spreads_remainder(env, fleet):
-    shards = plan_placement(fleet, 4, "locality_blocked")
-    assert [len(s) for s in shards] == [2, 2, 1, 1]
-
-
 def test_placement_is_deterministic(env, fleet):
-    a = plan_placement(fleet, 3, "capability_spread")
-    b = plan_placement(fleet, 3, "capability_spread")
+    a = plan_placement(fleet, 3)
+    b = plan_placement(fleet, 3)
     assert [[d.name for d in s] for s in a] == [[d.name for d in s] for s in b]
 
 
@@ -63,5 +49,3 @@ def test_placement_rejects_bad_arguments(env, fleet):
         plan_placement(fleet, 0)
     with pytest.raises(ClusterError):
         plan_placement(fleet, len(fleet) + 1)
-    with pytest.raises(ClusterError):
-        plan_placement(fleet, 2, "unknown-policy")

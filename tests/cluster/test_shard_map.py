@@ -59,9 +59,7 @@ def test_ring_membership_protocol():
         ring.without_member("s9")
 
 
-def test_ring_rejects_bad_vnodes_and_empty_lookup():
-    with pytest.raises(ValueError):
-        ConsistentHashRing(["s0"], vnodes=0)
+def test_ring_rejects_empty_lookup():
     with pytest.raises(ShardMapError):
         ConsistentHashRing([]).lookup("tenant-0")
 

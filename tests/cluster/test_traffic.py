@@ -15,6 +15,7 @@ from repro.cluster import (
     build_schedule,
     traffic_process,
 )
+from repro.cluster.traffic import MAX_BYTES, MIN_BYTES
 from repro.dpu.specs import Algo, Direction
 from tests.conftest import drive
 
@@ -46,13 +47,13 @@ def test_arrivals_are_ordered_and_in_window():
 def test_sizes_respect_clip_bounds_and_heavy_tail():
     config = _config(
         rate_req_s=100_000.0,
-        min_bytes=256.0, max_bytes=64e6,
         tenants=(TenantProfile("tail", size_dist="pareto",
                                median_bytes=16e3, pareto_alpha=1.1),),
     )
     schedule = build_schedule(config)
     sizes = np.array([a.sim_bytes for a in schedule.arrivals])
-    assert sizes.min() >= 256.0 and sizes.max() <= 64e6
+    assert sizes.min() >= MIN_BYTES and sizes.max() <= MAX_BYTES
+    assert sizes.max() == MAX_BYTES  # the upper clip is reached
     # Heavy tail: the max dwarfs the median by orders of magnitude.
     assert sizes.max() > 20.0 * np.median(sizes)
     # ...and the mean sits well above the median (skew, not symmetry).

@@ -253,7 +253,7 @@ class TestExecutor:
 
 
 JOB_SIZES = ((64.0, 64.0), (5.1e6, 5.1e6), (1.2e6, 5.1e6))
-JOB_MODES = ("cold_ring", "mempool", "cost_aware_steal", "retry_exhausted")
+JOB_MODES = ("cold_ring", "mempool", "retry_exhausted")
 
 JOB_GRID = [
     pytest.param(kind, algo, direction, engine_bytes, soc_bytes, mode,
@@ -276,8 +276,7 @@ def _run_job(kind, algo, direction, engine_bytes, soc_bytes, mode):
         ctx = PedalContext(device)
         drive(env, ctx.init())
         pool = ctx.pool
-    config = SchedConfig(cost_aware_steal=mode == "cost_aware_steal")
-    scheduler = PipelineScheduler(device, config, pool=pool)
+    scheduler = PipelineScheduler(device, SchedConfig(), pool=pool)
     job = EngineJob(algo, direction, engine_bytes, soc_sim_bytes=soc_bytes)
     # Failed attempts burn no engine time, so exec is the steal alone.
     faults = FaultPlan(seed=1, engine_fail=1.0 if mode == "retry_exhausted"
@@ -305,9 +304,7 @@ def test_job_executed_equals_plan(kind, algo, direction, engine_bytes,
         fill, job, drain = plan
         assert job[4] == (steal,)
         assert costs == {PATH_SOC: steal[2], PATH_CENGINE: job[2]}
-        if mode == "cost_aware_steal" and steal[2] < job[2]:
-            ran = (steal,)
-        elif mode == "retry_exhausted":
+        if mode == "retry_exhausted":
             ran = (fill, steal)
         else:
             ran = plan

@@ -13,7 +13,7 @@ from repro.dpu import make_device
 from repro.errors import MpiConfigError
 from repro.mpi.communicator import Communicator
 from repro.mpi.network import Fabric
-from repro.mpi.pedal_integration import CommConfig, CommMode
+from repro.mpi.pedal_integration import CommConfig
 from repro.mpi.protocol import (
     EAGER_THRESHOLD_BYTES,
     Protocol,
@@ -129,24 +129,12 @@ class TestProtocolPinnedToPreCompressionSize:
 
 
 class TestCommConfigValidation:
-    """Inconsistent thresholds are a construction-time typed error,
-    not a silent protocol/compression divergence at send time."""
-
-    def test_divergent_thresholds_rejected(self):
-        with pytest.raises(MpiConfigError, match="rndv_threshold"):
-            CommConfig(
-                mode=CommMode.PEDAL,
-                design="C-Engine_DEFLATE",
-                rndv_threshold=EAGER_THRESHOLD_BYTES * 2,
-            )
-
-    def test_matching_custom_thresholds_accepted(self):
-        cfg = CommConfig(rndv_threshold=1024, eager_threshold=1024)
-        assert cfg.rndv_threshold == cfg.eager_threshold == 1024
+    """An invalid shim configuration is a construction-time typed
+    error, not a misbehaving send."""
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(MpiConfigError, match="eager_threshold"):
-            CommConfig(rndv_threshold=-1, eager_threshold=-1)
+            CommConfig(eager_threshold=-1)
 
     def test_bad_stream_chunk_bytes_rejected(self):
         with pytest.raises(MpiConfigError, match="stream_chunk_bytes"):

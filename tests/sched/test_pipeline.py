@@ -52,13 +52,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             SchedConfig(depth=0)
 
-    def test_ring_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SchedConfig(ring_buffers=0)
-
     def test_default_ring_is_depth_plus_one(self):
         assert SchedConfig(depth=3).ring_size == 4
-        assert SchedConfig(depth=3, ring_buffers=2).ring_size == 2
 
     def test_negative_job_size_rejected(self):
         with pytest.raises(ValueError):
@@ -73,10 +68,21 @@ class TestCapability:
             sched.submit(make_jobs(1)[0])
 
     def test_reject_steals_to_soc_with_fallback(self, bf3, make_jobs):
-        sched, outcomes = run_many(bf3, make_jobs(3), SchedConfig(depth=2))
+        jobs = make_jobs(3)
+        tracer = obs.Tracer()
+        prev = obs.set_tracer(tracer)
+        try:
+            sched, outcomes = run_many(bf3, jobs, SchedConfig(depth=2))
+        finally:
+            obs.set_tracer(prev)
         assert [o.engine for o in outcomes] == ["soc"] * 3
         assert all(o.attempts == 0 for o in outcomes)
         assert sched.jobs_stolen == 3
+        # A stolen job keeps its bytes and tag, and its span says why.
+        assert [(o.payload, o.tag) for o in outcomes] == [
+            (j.payload, j.tag) for j in jobs]
+        assert {s.attrs["steal_reason"]
+                for s in tracer.find("sched.exec")} == {"capability"}
 
     def test_supported_direction_uses_engine(self, bf3, make_jobs):
         jobs = make_jobs(3, direction=Direction.DECOMPRESS)

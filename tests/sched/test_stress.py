@@ -1,4 +1,4 @@
-"""Deadlock/starvation stress: extreme depths, tiny rings, big batches."""
+"""Deadlock/starvation stress: extreme depths and big batches."""
 
 from __future__ import annotations
 
@@ -46,29 +46,6 @@ class TestExtremeDepths:
         t2 = _run(jobs, SchedConfig(depth=2))[0]
         t16 = _run(jobs, SchedConfig(depth=16))[0]
         assert t16 == pytest.approx(t2, rel=0.05)
-
-
-class TestTinyRings:
-    def test_ring_smaller_than_depth_still_completes(self, make_jobs):
-        # One mapped buffer for four queue slots: jobs backpressure on
-        # the ring instead of the queue, but nothing deadlocks.
-        _, outcomes = _run(
-            make_jobs(12), SchedConfig(depth=4, ring_buffers=1)
-        )
-        assert len(outcomes) == 12
-        assert [o.index for o in outcomes] == list(range(12))
-
-    def test_single_slot_single_buffer(self, make_jobs):
-        _, outcomes = _run(
-            make_jobs(6), SchedConfig(depth=1, ring_buffers=1)
-        )
-        assert len(outcomes) == 6
-
-    def test_tiny_ring_costs_throughput_not_correctness(self, make_jobs):
-        jobs = make_jobs(12, sim_bytes=6e6)
-        starved = _run(jobs, SchedConfig(depth=4, ring_buffers=1))[0]
-        buffered = _run(jobs, SchedConfig(depth=4))[0]
-        assert buffered <= starved
 
 
 class TestMixedSizes:

@@ -6,6 +6,9 @@ import pytest
 
 from repro.dpu.specs import Direction
 from repro.serve import BatchEntry, Batcher, BatchPolicy, ServeRequest
+from repro.serve.batcher import FLUSH_DEADLINE_S, MAX_SIM_BYTES
+
+D = FLUSH_DEADLINE_S
 
 
 @pytest.fixture
@@ -46,13 +49,14 @@ class TestSizeFlush:
         assert batcher.open_count == 0
 
     def test_flushes_at_max_bytes(self, env, make_batcher, flushed):
-        batcher = make_batcher(max_msgs=100, max_sim_bytes=2500.0)
-        batcher.add(_entry(env, engine_bytes=1000.0))
-        batcher.add(_entry(env, engine_bytes=1000.0))
+        batcher = make_batcher(max_msgs=100)
+        part = 0.4 * MAX_SIM_BYTES
+        batcher.add(_entry(env, engine_bytes=part))
+        batcher.add(_entry(env, engine_bytes=part))
         assert flushed == []
-        batcher.add(_entry(env, engine_bytes=1000.0))  # 3000 >= 2500
+        batcher.add(_entry(env, engine_bytes=part))  # 1.2x the cap
         assert len(flushed) == 1
-        assert flushed[0].engine_sim_bytes == pytest.approx(3000.0)
+        assert flushed[0].engine_sim_bytes == pytest.approx(3 * part)
 
     def test_single_message_policy_is_passthrough(self, env, make_batcher,
                                                   flushed):
@@ -77,44 +81,44 @@ class TestSizeFlush:
 
 class TestDeadlineFlush:
     def test_deadline_flushes_partial_batch(self, env, make_batcher, flushed):
-        batcher = make_batcher(max_msgs=16, flush_deadline_s=1e-3)
+        batcher = make_batcher(max_msgs=16)
 
         def scenario(env):
             batcher.add(_entry(env))
             batcher.add(_entry(env))
-            yield env.timeout(0.5e-3)
+            yield env.timeout(0.5 * D)
             assert flushed == []  # before the deadline
-            yield env.timeout(0.6e-3)
+            yield env.timeout(0.6 * D)
             assert len(flushed) == 1 and flushed[0].size == 2
 
         env.run(until=env.process(scenario(env)))
 
     def test_deadline_measured_from_batch_open(self, env, make_batcher,
                                                flushed):
-        batcher = make_batcher(max_msgs=16, flush_deadline_s=1e-3)
+        batcher = make_batcher(max_msgs=16)
 
         def scenario(env):
             batcher.add(_entry(env))
-            yield env.timeout(0.9e-3)
+            yield env.timeout(0.9 * D)
             batcher.add(_entry(env))  # late joiner must not reset the clock
-            yield env.timeout(0.2e-3)
-            assert len(flushed) == 1  # 1.1 ms after open > 1 ms deadline
+            yield env.timeout(0.2 * D)
+            assert len(flushed) == 1  # 1.1 D after open > the deadline
 
         env.run(until=env.process(scenario(env)))
 
     def test_stale_timer_does_not_flush_successor(self, env, make_batcher,
                                                   flushed):
-        batcher = make_batcher(max_msgs=2, flush_deadline_s=1e-3)
+        batcher = make_batcher(max_msgs=2)
 
         def scenario(env):
             batcher.add(_entry(env))
-            yield env.timeout(0.5e-3)
+            yield env.timeout(0.5 * D)
             batcher.add(_entry(env))  # size-flush; timer from t=0 now stale
             assert len(flushed) == 1
-            batcher.add(_entry(env))  # successor batch opens at t=0.5ms
-            yield env.timeout(0.6e-3)  # stale timer fired at t=1ms: no-op
+            batcher.add(_entry(env))  # successor batch opens at t=0.5 D
+            yield env.timeout(0.6 * D)  # stale timer fired at t=D: no-op
             assert len(flushed) == 1
-            yield env.timeout(0.5e-3)  # successor's own deadline at t=1.5ms
+            yield env.timeout(0.5 * D)  # successor's own deadline at 1.5 D
             assert len(flushed) == 2
 
         env.run(until=env.process(scenario(env)))
@@ -136,8 +140,6 @@ class TestFlushAll:
 class TestPolicyValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_msgs": 0},
-        {"max_sim_bytes": 0.0},
-        {"flush_deadline_s": 0.0},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):

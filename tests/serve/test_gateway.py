@@ -324,14 +324,18 @@ class TestDrain:
     def test_drain_flushes_partial_batches(self, env, fleet):
         gateway = ServeGateway(
             env, fleet,
-            ServeConfig(batch=BatchPolicy(max_msgs=64, flush_deadline_s=10.0)),
+            ServeConfig(batch=BatchPolicy(max_msgs=64)),
         )
 
         def client(env):
             ticket = gateway.submit(
                 ServeRequest(Direction.COMPRESS, b"y" * 512, req_id="only")
             )
-            yield from gateway.drain()
+            drained = env.process(gateway.drain())
+            yield env.timeout(0)
+            # Flushed by the drain at t=0, not by the batch deadline.
+            assert gateway.batcher.open_count == 0
+            yield drained
             assert ticket.done
 
         env.run(until=env.process(client(env)))
