@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.algorithms.ac import ac_compress
+from repro.algorithms.ac import ACConfig, ac_compress
 from repro.algorithms.deflate import DeflateConfig, deflate_compress
 from repro.algorithms.gzip_format import gzip_compress
 from repro.algorithms.lz4 import lz4_block_compress, lz4_compress
@@ -122,6 +122,35 @@ def _low_entropy(n: int) -> bytes:
     return bytes(out)
 
 
+def _hot_context(n: int) -> bytes:
+    """``n`` bytes, 63 in 64 zero, from an LCG: the all-zero context
+    takes > 90 % of the hits at every order, so at the default
+    ``max_total`` it is halved before the last 4 KiB chunk of 40 KiB."""
+    state, out = 29, bytearray()
+    for _ in range(n):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        out.append(state >> 16 & 0xFF if state >> 24 & 63 == 0 else 0)
+    return bytes(out)
+
+
+#: Chunk length of the skip pin below.
+AC_SKIP_CHUNK = 2048
+
+
+def _ac_skip() -> bytes:
+    """Three ``AC_SKIP_CHUNK`` chunks for ``max_total`` 2^10: the first
+    gives the all-zero context ~2 000 hits, so it is still over budget
+    after one halving; the second never visits it and it is halved
+    again at that boundary; the third codes zeros with what is left."""
+    n = AC_SKIP_CHUNK
+    return bytes(n - 2) + b"bb" + b"a" * n + bytes(n) + b"xyz" * 200
+
+
+def _ac_with(**config):
+    config = ACConfig(**config)
+    return lambda data: ac_compress(data, config)
+
+
 def _parallel_8chunks(data: bytes) -> bytes:
     """The chunk-parallel container (RST1, one DEFLATE frame per chunk)."""
     env = Environment()
@@ -154,7 +183,12 @@ CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
 #: to the input length reads 2n as n + 1); then the ``pedal_ops``
 #: chunk-parallel container's framing; last the small blocks
 #: ``serve_sweep`` encodes, around the size at which a DEFLATE block
-#: stops being a few hundred tokens.
+#: stops being a few hundred tokens.  Then the AC context model: the two
+#: 12 KiB ``codec_compress`` windows, every order on an input that halves
+#: its hot context, both ends of ``table_bits`` and ``chunk_bytes``, and
+#: both ends of ``max_total`` (encoder bytes only: the RAC1 header does
+#: not carry it, so only the default decodes), one of them on an input
+#: whose middle chunk skips a context that is still over budget.
 DIGEST_PINS = {
     "deflate-xml-64k": (lambda: _head("silesia/xml", 64 * KIB), deflate_compress),
     "deflate-mozilla-32k": (
@@ -199,6 +233,27 @@ DIGEST_PINS = {
             ("telemetry-2k", lambda: _head("net_telemetry", 2 * KIB)))
         for block in (7, 100)
     },
+    "ac-xml-12k": (lambda: _head("silesia/xml", 12 * KIB), ac_compress),
+    "ac-obs-error-12k": (lambda: _head("obs_error", 12 * KIB), ac_compress),
+    **{
+        f"ac-order{order}-hot-40k": (
+            lambda: _hot_context(40 * KIB), _ac_with(order=order))
+        for order in range(5)
+    },
+    **{
+        f"ac-table{bits}-xml-12k": (
+            lambda: _head("silesia/xml", 12 * KIB), _ac_with(table_bits=bits))
+        for bits in (8, 20)
+    },
+    **{
+        f"ac-chunk{chunk}-hot-40k": (
+            lambda: _hot_context(40 * KIB), _ac_with(chunk_bytes=chunk))
+        for chunk in (256, 1 << 17)
+    },
+    "ac-maxtotal1k-skip": (
+        _ac_skip, _ac_with(chunk_bytes=AC_SKIP_CHUNK, max_total=1 << 10)),
+    "ac-maxtotal64k-hot-40k": (
+        lambda: _hot_context(40 * KIB), _ac_with(max_total=1 << 16)),
 }
 
 
