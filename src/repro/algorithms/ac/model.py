@@ -1,19 +1,21 @@
 """Chunk-adaptive order-N byte-context model.
 
 The model predicts each byte from a hash of its ``order`` predecessor
-bytes.  Frequencies live in a dense ``(2**table_bits, 256)`` count
-matrix with Laplace +1 smoothing (every symbol always codable) and
-periodic halving once a context's mass exceeds ``max_total`` (keeps
-totals within the range coder's
-:data:`~repro.algorithms.ac.rangecoder.MAX_TOTAL` precision budget and
-lets the model track drifting statistics).
+bytes.  Frequencies are kept for the (context, symbol) pairs seen so
+far only: sorted pair keys ``ctx << 8 | sym``, their counts and prefix
+sums over the counts, so the model's memory grows with the distinct
+pairs of the message and not with ``2**table_bits``.  Every count is
+Laplace +1 smoothed (every symbol always codable), and a context is
+halved once its mass exceeds ``max_total`` (keeps totals within the
+range coder's :data:`~repro.algorithms.ac.rangecoder.MAX_TOTAL`
+precision budget and lets the model track drifting statistics).
 
 Adaptation happens at **chunk boundaries**: within a chunk the tables
 are frozen, and after a chunk is encoded (or decoded) its bytes are
 folded into the counts.  Freezing buys two things:
 
-* the whole modeling stage is vectorized numpy — context hashing,
-  cumulative-row construction, and triple gathering are matrix ops over
+* the whole modeling stage is vectorized numpy — context hashing and
+  triple gathering are one ``searchsorted`` into the prefix sums over
   the chunk (:meth:`ContextModel.chunk_triples`), and
 * modeling and entropy coding become genuinely independent stages —
   the model can race ahead of the coder by whole chunks, which is what
@@ -22,6 +24,8 @@ folded into the counts.  Freezing buys two things:
 Encoder and decoder run the *identical* update schedule, so their
 tables stay bit-for-bit synchronized without any side channel.
 Everything is integer arithmetic — deterministic across platforms.
+Its twin, ``repro.algorithms.reference.ac.DenseContextModel``, keeps
+the same counts as a dense ``(2**table_bits, 256)`` matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ _LAG_MULTIPLIERS = (
 _FOLD_MULTIPLIER = 0xFF51AFD7ED558CCD
 
 MAX_ORDER = len(_LAG_MULTIPLIERS)
+
+#: The +1 smoothing's share of a cumulative row: ``row[s]`` is ``s``
+#: plus the counts of the symbols below ``s``.
+_SYMBOL_RANKS = np.arange(257, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -78,16 +86,24 @@ class ACConfig:
         return self.chunk_bytes.bit_length() - 1
 
 
+def _prefix_sums(counts: np.ndarray) -> np.ndarray:
+    """``out[i] = counts[:i].sum()`` for ``i`` in ``0..len(counts)``."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 class ContextModel:
     """Hashed order-N frequency model shared by encoder and decoder."""
 
     def __init__(self, config: ACConfig) -> None:
         self.config = config
-        self.n_contexts = 1 << config.table_bits
-        # Dense count matrix: row = context, column = next byte.  int32
-        # is ample (totals are halved long before overflow).
-        self._counts = np.zeros((self.n_contexts, 256), dtype=np.int32)
-        self._totals = np.zeros(self.n_contexts, dtype=np.int64)
+        # Nonzero counts only: sorted keys ``ctx << 8 | sym``, their
+        # counts, and ``_prefix[i]`` = the mass of the keys below
+        # ``_keys[i]`` (one more entry than keys).
+        self._keys = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
+        self._prefix = _prefix_sums(self._counts)
         #: The one row object every untouched context shares
         #: (``row[s] == s``); decoders test for it by identity.
         self.uniform_row = list(range(257))
@@ -105,7 +121,7 @@ class ContextModel:
 
         ``data`` is the full uint8 message; contexts deliberately cross
         chunk boundaries.  Positions before ``order`` see zero padding.
-        Returns int64 context indices in ``[0, n_contexts)``.
+        Returns int64 context indices in ``[0, 2**table_bits)``.
         """
         n = stop - start
         order = self.config.order
@@ -145,20 +161,19 @@ class ContextModel:
     ) -> "tuple[list[int], list[int], list[int]]":
         """Frequency triples for every position in a frozen chunk.
 
-        One cumulative matrix is built per *distinct* context in the
-        chunk, then triples are gathered with fancy indexing — no
-        per-symbol python work.
+        One ``searchsorted`` finds, per position, where its context's
+        keys start, where its own key is (or would be), the key after it
+        and where the context's keys end; the prefix sums at those four
+        places give ``lo``, ``freq`` and ``total`` — no per-context
+        matrix, no per-symbol python work.
         """
-        hashes = self.context_hashes(data, start, stop)
         syms = data[start:stop].astype(np.int64)
-        uniq, inv = np.unique(hashes, return_inverse=True)
-        block = self._counts[uniq].astype(np.int64) + 1
-        mat = np.zeros((len(uniq), 257), dtype=np.int64)
-        np.cumsum(block, axis=1, out=mat[:, 1:])
-        lo = mat[inv, syms]
-        fr = mat[inv, syms + 1] - lo
-        tot = mat[inv, 256]
-        return lo.tolist(), fr.tolist(), tot.tolist()
+        base = self.context_hashes(data, start, stop) << 8
+        key = base | syms
+        at = self._prefix[self._keys.searchsorted(
+            np.concatenate((base, key, key + 1, base + 256)))].reshape(4, -1)
+        return ((at[1] - at[0] + syms).tolist(), (at[2] - at[1] + 1).tolist(),
+                (at[3] - at[0] + 256).tolist())
 
     # -- sequential decode path --------------------------------------------
 
@@ -167,12 +182,12 @@ class ContextModel:
         row = self._cum.get(ctx)
         if row is not None:
             return row
-        if self._totals[ctx] == 0:
+        first, end = self._keys.searchsorted((ctx << 8, ctx + 1 << 8)).tolist()
+        if first == end:
             return self.uniform_row
-        cum = np.empty(257, dtype=np.int64)
-        cum[0] = 0
-        np.cumsum(self._counts[ctx] + 1, out=cum[1:])
-        row = cum.tolist()
+        cum = np.zeros(257, dtype=np.int64)
+        cum[(self._keys[first:end] & 255) + 1] = self._counts[first:end]
+        row = (cum.cumsum() + _SYMBOL_RANKS).tolist()
         self._cum[ctx] = row
         return row
 
@@ -200,26 +215,30 @@ class ContextModel:
         sequence on the encode and decode sides.
         """
         hashes = self.context_hashes(data, start, stop)
-        syms = data[start:stop].astype(np.int64)
-        # Sort-based pair counting: unique (context, symbol) pairs give
-        # duplicate-free fancy indices, so += is safe and one C call.
-        pairs, pair_counts = np.unique(hashes * 256 + syms, return_counts=True)
-        self._counts[pairs >> 8, pairs & 255] += pair_counts.astype(np.int32)
-        self._totals += np.bincount(
-            hashes, minlength=self.n_contexts
-        )
-        over = np.flatnonzero(self._totals + 256 > self.config.max_total)
-        if len(over):
-            self._counts[over] >>= 1
-            self._totals[over] = self._counts[over].sum(axis=1)
+        pairs, pair_counts = np.unique(
+            hashes << 8 | data[start:stop], return_counts=True)
+        keys, counts = self._keys, self._counts
+        at = keys.searchsorted(pairs)
+        seen = keys.searchsorted(pairs, side="right") > at
+        counts[at[seen]] += pair_counts[seen]
+        new = ~seen
+        keys = np.insert(keys, at[new], pairs[new])
+        counts = np.insert(counts, at[new], pair_counts[new])
+        # Every context over budget is halved, touched by this chunk or
+        # not: one still over after a halving is halved again at the
+        # next boundary.  A halved context keeps some mass (its total
+        # was > 768 over <= 256 symbols), so once seen it stays seen.
+        ctx = keys >> 8
+        bounds = np.append(np.flatnonzero(np.diff(ctx, prepend=-1)), len(keys))
+        prefix = _prefix_sums(counts)
+        over = np.diff(prefix[bounds]) + 256 > self.config.max_total
+        halved = ctx[bounds[:-1][over]]
+        if len(halved):
+            counts[np.repeat(over, np.diff(bounds))] >>= 1
+            kept = counts > 0
+            keys, counts = keys[kept], counts[kept]
+            prefix = _prefix_sums(counts)
+        self._keys, self._counts, self._prefix = keys, counts, prefix
         if self._cum:
-            # A context still over after one halving is halved again at
-            # the next boundary even if that chunk never touched it.
-            for ctx in np.union1d(hashes, over).tolist():
-                self._cum.pop(ctx, None)
-
-    # -- introspection (tests) ---------------------------------------------
-
-    @property
-    def touched_contexts(self) -> int:
-        return int(np.count_nonzero(self._totals))
+            for ctx_id in np.union1d(hashes, halved).tolist():
+                self._cum.pop(ctx_id, None)

@@ -63,6 +63,7 @@ REGISTRY: "dict[str, Twin]" = {row.name: row for row in (
     Twin("inflate", deflate_decompress, huffman.inflate),
     Twin("ac_coder", encode_batches, ac.reference_encode_batches),
     Twin("ac_decode", ac_decompress, ac.decode_stepwise),
+    Twin("context_model", ContextModel, ac.DenseContextModel),
     Twin("xxh32", xxh32, xxhash32.xxh32_scalar),
 )}
 

@@ -14,9 +14,11 @@ renormalization style (bitwise vs byte-wise), different carry handling
 to be mirrored in the other.
 
 Also here: :func:`decode_stepwise`, the one-call-per-step twin of
-``ac_decompress``'s fused loop, and the per-position twins of
+``ac_decompress``'s fused loop, the per-position twins of
 ``ContextModel.context_hashes`` (:func:`context_hashes`,
-:func:`context_hash_scalar`).
+:func:`context_hash_scalar`), and :class:`DenseContextModel`, the
+model's counts as the dense ``(2**table_bits, 256)`` matrix that
+``ContextModel`` keeps only the nonzero entries of.
 """
 
 from __future__ import annotations
@@ -228,3 +230,63 @@ def context_hash_scalar(model: ContextModel, history: list[int]) -> int:
     order = model.config.order
     return model.context_hash_packed(
         int.from_bytes(bytes(history[-order:]), "big") if order else 0)
+
+
+class DenseContextModel(ContextModel):
+    """:class:`ContextModel` over a dense ``(2**table_bits, 256)`` count
+    matrix: the same triples, rows and halving, with a row and a total
+    for every context whether seen or not (1 GiB of int32 at
+    ``table_bits`` 20)."""
+
+    def __init__(self, config: ACConfig) -> None:
+        super().__init__(config)
+        self.n_contexts = 1 << config.table_bits
+        # Row = context, column = next byte.  int32 is ample (totals
+        # are halved long before overflow).
+        self._counts = np.zeros((self.n_contexts, 256), dtype=np.int32)
+        self._totals = np.zeros(self.n_contexts, dtype=np.int64)
+
+    def chunk_triples(
+        self, data: np.ndarray, start: int, stop: int
+    ) -> "tuple[list[int], list[int], list[int]]":
+        """One cumulative matrix per *distinct* context in the chunk,
+        then the triples by fancy indexing."""
+        hashes = self.context_hashes(data, start, stop)
+        syms = data[start:stop].astype(np.int64)
+        uniq, inv = np.unique(hashes, return_inverse=True)
+        block = self._counts[uniq].astype(np.int64) + 1
+        mat = np.zeros((len(uniq), 257), dtype=np.int64)
+        np.cumsum(block, axis=1, out=mat[:, 1:])
+        lo = mat[inv, syms]
+        fr = mat[inv, syms + 1] - lo
+        tot = mat[inv, 256]
+        return lo.tolist(), fr.tolist(), tot.tolist()
+
+    def cum_row(self, ctx: int) -> list[int]:
+        row = self._cum.get(ctx)
+        if row is not None:
+            return row
+        if self._totals[ctx] == 0:
+            return self.uniform_row
+        cum = np.empty(257, dtype=np.int64)
+        cum[0] = 0
+        np.cumsum(self._counts[ctx] + 1, out=cum[1:])
+        row = cum.tolist()
+        self._cum[ctx] = row
+        return row
+
+    def update_chunk(self, data: np.ndarray, start: int, stop: int) -> None:
+        hashes = self.context_hashes(data, start, stop)
+        syms = data[start:stop].astype(np.int64)
+        # Unique (context, symbol) pairs give duplicate-free fancy
+        # indices, so += is safe and one C call.
+        pairs, pair_counts = np.unique(hashes * 256 + syms, return_counts=True)
+        self._counts[pairs >> 8, pairs & 255] += pair_counts.astype(np.int32)
+        self._totals += np.bincount(hashes, minlength=self.n_contexts)
+        over = np.flatnonzero(self._totals + 256 > self.config.max_total)
+        if len(over):
+            self._counts[over] >>= 1
+            self._totals[over] = self._counts[over].sum(axis=1)
+        if self._cum:
+            for ctx in np.union1d(hashes, over).tolist():
+                self._cum.pop(ctx, None)

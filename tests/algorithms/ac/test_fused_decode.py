@@ -159,9 +159,10 @@ print((after - before) // 1024)
 def test_hostile_table_bits_stays_small():
     """A header naming 2**20 contexts (and, second, 4 GiB of output) for
     a 10-byte stream decodes or raises typed, and peak RSS moves by less
-    than a few MB: the zeroed count matrix is never written (the only
-    chunk is the last, which is not folded in) and there is no
-    per-length buffer."""
+    than a few MB: the model holds only the (context, symbol) pairs it
+    has seen, so ``table_bits`` sizes no table (and the only chunk is
+    the last, which is not folded in), and there is no per-length
+    buffer."""
     done = subprocess.run(
         [sys.executable, "-c", _HOSTILE_SCRIPT], timeout=120,
         capture_output=True, text=True, check=True,

@@ -1,13 +1,24 @@
-"""Context-model unit tests: hashing twins, adaptation, halving."""
+"""Context-model unit tests: hashing twins, adaptation, halving, the
+dense twin and the model's memory."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms.ac import ac_compress, ac_decompress
 from repro.algorithms.ac.model import MAX_ORDER, ACConfig, ContextModel
+from repro.algorithms.reference import REGISTRY
 from repro.algorithms.reference.ac import context_hash_scalar
+from repro.datasets import get_dataset
 from repro.errors import CorruptStreamError
+
+KIB = 1024
+MIB = 1 << 20
 
 
 def _config(**kw) -> ACConfig:
@@ -62,16 +73,21 @@ def test_untouched_context_is_uniform():
 
 
 def test_update_is_deterministic():
+    """Two models fed the same chunks agree on everything they expose:
+    the next chunk's triples and the row of every context seen."""
     config = _config()
     rng = np.random.default_rng(13)
-    data = rng.integers(0, 256, size=2048, dtype=np.uint8)
+    data = rng.integers(0, 256, size=2048 + config.chunk_bytes, dtype=np.uint8)
     models = [ContextModel(config) for _ in range(2)]
     for model in models:
-        for start in range(0, len(data), config.chunk_bytes):
-            stop = min(start + config.chunk_bytes, len(data))
-            model.update_chunk(data, start, stop)
-    assert np.array_equal(models[0]._counts, models[1]._counts)
-    assert np.array_equal(models[0]._totals, models[1]._totals)
+        for start in range(0, 2048, config.chunk_bytes):
+            model.update_chunk(data, start, start + config.chunk_bytes)
+    seen = sorted(set(models[0].context_hashes(data, 0, 2048).tolist()))
+    first, second = (
+        (model.chunk_triples(data, 2048, len(data)),
+         [model.cum_row(ctx) for ctx in seen])
+        for model in models)
+    assert first == second
 
 
 def test_halving_keeps_totals_inside_coder_budget():
@@ -130,3 +146,102 @@ def test_config_validation(kw):
 def test_chunk_log2_round_trips():
     config = ACConfig(chunk_bytes=8192)
     assert 1 << config.chunk_log2 == 8192
+
+
+# -- the dense twin -----------------------------------------------------------
+
+_ALPHABET = b"\x00\x00\x00ab\xff"
+
+#: Runs of a few symbols (a context takes thousands of hits in one chunk
+#: and is skipped by the next), seeded low-entropy noise, and arbitrary
+#: short inputs.
+_INPUTS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_ALPHABET), st.integers(1, 3000)),
+             min_size=1, max_size=8).map(
+        lambda runs: b"".join(bytes([sym]) * n for sym, n in runs)),
+    st.builds(lambda seed, n, k: np.random.default_rng(seed).choice(
+                  np.frombuffer(_ALPHABET[:k], dtype=np.uint8), n).tobytes(),
+              st.integers(0, 2**32 - 1), st.integers(1, 12 * KIB),
+              st.integers(1, len(_ALPHABET))),
+    st.binary(min_size=1, max_size=KIB),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+# A context still over budget after one halving, skipped by the next
+# chunk (halved again there), then coded from; and one hot context
+# halved every few small chunks.
+@example(data=bytes(2046) + b"bb" + b"a" * 2048 + bytes(2048) + b"xyz" * 100,
+         order=2, table_bits=10, chunk_log2=11, max_total_log2=10)
+@example(data=bytes(4096) + b"ab" * 200, order=0, table_bits=8, chunk_log2=8,
+         max_total_log2=10)
+@given(data=_INPUTS, order=st.integers(0, MAX_ORDER),
+       table_bits=st.integers(8, 16), chunk_log2=st.integers(8, 17),
+       max_total_log2=st.integers(10, 16))
+def test_sparse_model_matches_dense_twin(data, order, table_bits, chunk_log2,
+                                         max_total_log2):
+    """Chunk by chunk, the model and its dense twin (the registry's
+    ``context_model`` row) give the same triples and the same row for
+    every context touched so far (cached rows included, so a row kept
+    past a halving shows), and an untouched context gets the shared
+    uniform row."""
+    config = ACConfig(order=order, chunk_bytes=1 << chunk_log2,
+                      table_bits=table_bits, max_total=1 << max_total_log2)
+    row = REGISTRY["context_model"]
+    sparse, dense = row.production(config), row.twin(config)
+    arr = np.frombuffer(data, dtype=np.uint8)
+    touched: set[int] = set()
+    for start in range(0, len(arr), config.chunk_bytes):
+        stop = min(start + config.chunk_bytes, len(arr))
+        assert sparse.chunk_triples(arr, start, stop) == dense.chunk_triples(
+            arr, start, stop)
+        touched.update(sparse.context_hashes(arr, start, stop).tolist())
+        sparse.update_chunk(arr, start, stop)
+        dense.update_chunk(arr, start, stop)
+        for ctx in sorted(touched):
+            assert sparse.cum_row(ctx) == dense.cum_row(ctx), ctx
+        untouched = next((ctx for ctx in range(1 << table_bits)
+                          if ctx not in touched), None)
+        if untouched is not None:
+            assert sparse.cum_row(untouched) is sparse.uniform_row
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("key, corpus_bytes",
+                         [("silesia/xml", 256 * KIB), ("obs_error", 128 * KIB)])
+def test_codec_compress_windows_stay_small(key, corpus_bytes):
+    """The 12 KiB AC windows of the ``codec_compress`` benchmark: the
+    model holds their few thousand (context, symbol) pairs, not a
+    ``2**table_bits``-row table, so a call peaks at <= 4 MiB traced."""
+    corpus = bytes(get_dataset(key).generate(corpus_bytes))
+    window = corpus[corpus_bytes // 2:corpus_bytes // 2 + 12 * KIB]
+    blob = ac_compress(window)
+    assert ac_decompress(blob) == window  # and numpy's lazy imports are done
+    assert _traced_peak(ac_compress, window) <= 4 * MIB
+    assert _traced_peak(ac_decompress, blob) <= 4 * MIB
+
+
+@pytest.mark.parametrize("repeats", [10, 40], ids=["one-chunk", "two-chunks"])
+def test_table_bits_20_decode_stays_within_its_cap(repeats):
+    """A 141-byte stream naming 2**20 contexts (one chunk), and one of
+    two chunks that folds the first in, decode under ``max_output``
+    1024 with a traced peak <= 2 * cap + 1 MiB."""
+    data = b"hello world " * repeats
+    blob = ac_compress(data, ACConfig(table_bits=20, chunk_bytes=256))
+    if repeats == 10:
+        assert len(blob) == 141
+    cap = 1024
+    assert ac_decompress(blob, max_output=cap) == data
+    assert _traced_peak(ac_decompress, blob, cap) <= 2 * cap + MIB
