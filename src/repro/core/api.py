@@ -28,8 +28,9 @@ from repro.core.charges import (  # phase names are re-exported from here
     PHASE_HEADER,
     PHASE_INIT,
     PHASE_PREP,
+    PlanEntry,
     execute,
-    op_plan,
+    plan_entry,
 )
 from repro.core.codecs import CodecConfig, real_compress, real_decompress
 from repro.core.designs import CompressionDesign, Placement, parse_design_spec
@@ -353,21 +354,21 @@ def compress_op(
             _payload_nbytes(data) if sim_bytes is None else sim_bytes
         ))
         mode = decision.placement
-    dsg = CompressionDesign(algo, mode)
+    entry = plan_entry(device, algo, mode, Direction.COMPRESS, hoisted,
+                       engine_ok)
+    dsg = entry.design
     real = real_compress(dsg, data, codecs)
     sim_in = float(real.original_bytes if sim_bytes is None else sim_bytes)
     scale = sim_in / real.original_bytes if real.original_bytes else 1.0
     stage = real.cengine_stage_bytes
     resolved, breakdown, span = _open_op(
-        device, span_name, dsg, Direction.COMPRESS, sim_in,
-        real.original_bytes, engine_ok, select is not None, decision,
+        device, span_name, entry, Direction.COMPRESS, sim_in,
+        real.original_bytes, select is not None, decision,
     )
     with span:
         payload, engine_up = yield from execute(
             device,
-            op_plan(device, algo, mode, Direction.COMPRESS, sim_in,
-                    None if stage is None else stage * scale,
-                    hoisted, engine_ok),
+            entry.plan(sim_in, None if stage is None else stage * scale),
             retry, breakdown,
             # The SZ3 hybrid's engine job carries the lossless stage, not
             # the message payload, so there is nothing of it to verify.
@@ -376,7 +377,7 @@ def compress_op(
         )
     if not engine_up:   # a per-op DOCA bring-up gave up: the op ran SoC-side
         resolved = resolve(device, dsg, force_soc=True)
-    message = PedalHeader.for_algo(algo).encode() + (
+    message = entry.header + (
         real.payload if payload is None else payload
     )
     _count_codec_bytes(algo, real.original_bytes, len(message))
@@ -423,20 +424,19 @@ def decompress_op(
     if mode is PATH_AUTO:
         decision = select(algo, Direction.DECOMPRESS, sim_out, stage_bytes)
         mode = decision.placement
-    dsg = CompressionDesign(algo, mode)
+    entry = plan_entry(device, algo, mode, Direction.DECOMPRESS, hoisted,
+                       engine_ok)
     resolved, breakdown, span = _open_op(
-        device, span_name, dsg, Direction.DECOMPRESS, sim_out, actual_out,
-        engine_ok, select is not None, decision,
+        device, span_name, entry, Direction.DECOMPRESS, sim_out, actual_out,
+        select is not None, decision,
     )
     with span:
         verified, engine_up = yield from execute(
-            device,
-            op_plan(device, algo, mode, Direction.DECOMPRESS, sim_out,
-                    stage_bytes, hoisted, engine_ok),
+            device, entry.plan(sim_out, stage_bytes),
             retry, breakdown, data if isinstance(data, bytes) else None, pool,
         )
     if not engine_up:
-        resolved = resolve(device, dsg, force_soc=True)
+        resolved = resolve(device, entry.design, force_soc=True)
     _count_codec_bytes(algo, len(payload), actual_out)
     return DecompressResult(
         data=data if verified is None else verified,
@@ -447,25 +447,24 @@ def decompress_op(
 def _open_op(
     device: BlueFieldDPU,
     span_name: str,
-    dsg: CompressionDesign,
+    entry: PlanEntry,
     direction: Direction,
     sim_bytes: float,
     actual_bytes: int,
-    engine_ok: bool,
     selects: bool,
     decision: PathDecision | None,
 ) -> "tuple[ResolvedDesign, TimeBreakdown, Any]":
-    """Resolve ``dsg`` on the device and open the op's span, with its
+    """Resolve the op's design on the device and open its span, with its
     breakdown bound to it; returns ``(resolved, breakdown, span)``.  An
     owner that ``selects`` paths records how this one was picked."""
-    resolved = resolve(device, dsg, force_soc=not engine_ok)
+    resolved = entry.resolve()
     breakdown = TimeBreakdown()
     if not get_tracer().recording:   # the attributes are ~5 % of an op's host time
         return resolved, breakdown, NULL_SPAN
     span = device_span(
         span_name, device,
         device=device.name,
-        algo=dsg.algo.value,
+        algo=entry.design.algo.value,
         engine=resolved.engine_for(direction),
         direction=direction.value,
         sim_bytes=sim_bytes,

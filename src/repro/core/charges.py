@@ -22,6 +22,11 @@ queue (map → exec → drain): :class:`~repro.sched.PipelineScheduler`
 runs it, the parallel compressor's chunk split and
 :meth:`~repro.select.PathSelector.job_costs` sum it.
 
+What a plan decides from its key alone is decided once per device:
+:func:`plan_entry` keeps one :class:`PlanEntry` per (algorithm, placement,
+direction, hoisted, engine_ok) in the device's table, and :func:`op_plan`
+(:func:`job_plan`, per algorithm and direction) prices it at a size.
+
 A stage is a plain tuple ``(phase, resource, seconds, detail,
 fallback)``:
 
@@ -42,10 +47,11 @@ fallback)``:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, NamedTuple
 
-from repro.core.designs import Placement
-from repro.core.registry import cengine_core_algo
+from repro.core.designs import CompressionDesign, Placement
+from repro.core.header import PedalHeader
+from repro.core.registry import ResolvedDesign, cengine_core_algo
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaInitError
 from repro.faults.plan import get_fault_plan
@@ -63,7 +69,8 @@ if TYPE_CHECKING:
     from repro.sim import TimeBreakdown
 
 __all__ = [
-    "SOC", "ENGINE", "SETUP", "op_plan", "job_plan", "steal_stage",
+    "SOC", "ENGINE", "SETUP", "PlanEntry", "plan_entry", "build_entry",
+    "op_plan", "job_plan", "build_job_plan", "steal_stage",
     "plan_seconds", "execute", "PHASE_INIT", "PHASE_PREP", "PHASE_COMP",
     "PHASE_DECOMP", "PHASE_HEADER", "PHASE_STAGE", "PHASE_MAP", "PHASE_EXEC",
     "PHASE_DRAIN",
@@ -86,16 +93,42 @@ ENGINE = "cengine"
 SETUP = "setup"
 
 
-def op_plan(
-    device: "BlueFieldDPU",
-    algo: Algo,
-    placement: Placement,
-    direction: Direction,
-    sim_bytes: float,
-    stage_bytes: float | None = None,
-    hoisted: bool = True,
-    engine_ok: bool = True,
-) -> tuple:
+class PlanEntry(NamedTuple):
+    """What one op key decides on a device (see :func:`plan_entry`)."""
+
+    design: CompressionDesign   # interned
+    resolved: ResolvedDesign    # Table III, or SoC-only without the engine
+    fallback: bool              # resolved.any_fallback
+    on_engine: bool             # this direction runs on the C-Engine
+    header: bytes               # the PEDAL header
+    plan: Callable              # (sim_bytes, stage_bytes) -> stage tuple
+
+    def resolve(self) -> ResolvedDesign:
+        """``resolved``; a fallback counts one ``pedal.fallback_soc``."""
+        if self.fallback and get_metrics().recording:
+            get_metrics().inc("pedal.fallback_soc")
+        return self.resolved
+
+
+def _lookup(device: "BlueFieldDPU", key: tuple, build: Callable) -> Any:
+    """``device.plans[key]``, built on first use and never invalidated:
+    a device's calibration and capability matrix are fixed."""
+    table = device.plans
+    return table.get(key) or table.setdefault(key, build(device, *key))
+
+
+def plan_entry(device: "BlueFieldDPU", algo: Algo, placement: Placement,
+               direction: Direction, hoisted: bool = True,
+               engine_ok: bool = True) -> PlanEntry:
+    """The device's table entry for one op key, built on first use."""
+    return _lookup(device, (algo, placement, direction, hoisted, engine_ok),
+                   build_entry)
+
+
+def op_plan(device: "BlueFieldDPU", algo: Algo, placement: Placement,
+            direction: Direction, sim_bytes: float,
+            stage_bytes: float | None = None, hoisted: bool = True,
+            engine_ok: bool = True) -> tuple:
     """The stages one op charges on ``device``.
 
     ``stage_bytes`` is the (scaled) entropy-payload size SZ3's lossless
@@ -104,75 +137,91 @@ def op_plan(
     is False for an op whose DOCA bring-up was given up on: every
     C-Engine design then takes its Table III SoC fallback.
     """
-    cal = device.cal
+    return plan_entry(device, algo, placement, direction, hoisted,
+                      engine_ok).plan(sim_bytes, stage_bytes)
+
+
+def build_entry(device: "BlueFieldDPU", algo: Algo, placement: Placement,
+                direction: Direction, hoisted: bool,
+                engine_ok: bool) -> PlanEntry:
+    """The uncached entry: every branch taken, every constant looked up,
+    once; its ``plan`` only evaluates the calibration's expressions."""
+    cal, memory = device.cal, device.memory
     phase = PHASE_COMP if direction is Direction.COMPRESS else PHASE_DECOMP
     # Table III: a C-Engine design runs on the engine only where the
     # device natively supports its core algorithm in this direction.
     core = cengine_core_algo(algo)
-    on_engine = (
-        placement is not Placement.SOC
-        and engine_ok
-        and device.cengine.supports(core, direction)
-    )
-    if placement is Placement.SOC:
-        # Native SoC design: the calibrated throughput covers the whole
-        # algorithm (zlib's includes its checksum work, SZ3's the full
-        # pipeline with the zstd-class backend).
-        soc = ((phase, SOC, cal.soc_time(algo, direction, sim_bytes),
-                None, None),)
-    elif algo is Algo.SZ3:
-        # Hybrid design: entropy pipeline on the SoC, then the lossless
-        # stage as DEFLATE over the entropy-coded payload — on SoC cores
-        # at the backend rate (the BF3 story, paper §V-C2), or as a
+    design = CompressionDesign(algo, placement)
+    resolved = ResolvedDesign(design, device.name, *(
+        "cengine" if placement is not Placement.SOC and engine_ok
+        and device.cengine.supports(core, d) else "soc" for d in Direction))
+    on_engine = resolved.engine_for(direction) == "cengine"
+    overhead = cal.cengine_overhead[direction]
+    job_rate = cal.cengine_throughput.get((core, direction))  # None: no engine
+    # A native SoC design's calibrated throughput covers the whole
+    # algorithm (zlib's includes its checksum work, SZ3's the full
+    # pipeline with the zstd-class backend); the engine-shaped pipeline
+    # runs the core codec, then for zlib the adler32/header work, which
+    # stays on an SoC core either way — so on cores it is slightly slower
+    # than the integrated SoC zlib.  On the engine the job takes the
+    # codec's place, falling back to the SoC pipeline; the trailer stays.
+    hybrid = placement is Placement.CENGINE and algo is Algo.SZ3
+    rate = cal.soc_throughput[algo if hybrid or placement is Placement.SOC
+                              else core, direction]
+
+    def soc(n, s):
+        return ((phase, SOC, n / rate, None, None),)
+    if placement is Placement.CENGINE and algo is Algo.ZLIB:
+        def soc(n, s):
+            return ((phase, SOC, n / rate, None, None),
+                    (PHASE_HEADER, SOC, cal.checksum_time(n), None, None))
+
+    def engine(n, s):
+        stages = soc(n, s)
+        return ((phase, ENGINE, overhead + n / job_rate, (core, direction, n),
+                 stages),) + stages[1:]
+    if hybrid:
+        # Entropy pipeline on the SoC, then the lossless stage as DEFLATE
+        # over the entropy-coded payload (measured, else n / 3) — on SoC
+        # cores at the backend rate (the BF3 story, paper §V-C2), or as a
         # C-Engine job where the device supports the direction.
-        stage = stage_bytes if stage_bytes is not None else sim_bytes / 3.0
-        soc = (
-            (phase, SOC, (1.0 - cal.sz3_lossless_fraction) * cal.soc_time(
-                Algo.SZ3, direction, sim_bytes), None, None),
-            (PHASE_STAGE, SOC, stage / cal.sz3_backend_deflate_throughput,
-             None, None),
-        )
-        at, job = 1, (Algo.DEFLATE, direction, stage)
-    else:
-        # The engine-shaped pipeline: the core codec, then for zlib the
-        # adler32/header work, which stays on an SoC core either way —
-        # so on cores it is slightly slower than the integrated SoC zlib.
-        soc = ((phase, SOC, cal.soc_time(core, direction, sim_bytes),
-                None, None),)
-        if algo is Algo.ZLIB:
-            soc += ((PHASE_HEADER, SOC, cal.checksum_time(sim_bytes),
-                     None, None),)
-        at, job = 0, (core, direction, sim_bytes)
-    stages = soc
-    if on_engine:
-        # The job takes one SoC stage's place and falls back to the SoC
-        # plan from that stage on; what follows it (zlib's trailer) stays.
-        stages = soc[:at] + ((soc[at][0], ENGINE, cal.cengine_time(*job),
-                              job, soc[at:]),) + soc[at + 1:]
-    if hoisted:
-        return stages
-    # The naive flow allocates source + destination buffers for this one
-    # op, and on the engine path first brings DOCA up and DMA-maps them;
-    # past the bring-up budget the op continues as its SoC-side self.
-    nbytes = int(2 * sim_bytes)
-    alloc = (PHASE_PREP, SETUP, device.memory.alloc_time(nbytes),
-             ("per_op_alloc", nbytes), None)
-    if not on_engine:
-        return (alloc,) + stages
-    return (
-        (PHASE_INIT, SETUP, cal.doca_init_time, None, (alloc,) + soc),
-        (PHASE_PREP, SETUP, device.memory.doca_buffer_prep_time(nbytes),
-         ("per_op_dma_map", nbytes), None),
-    ) + stages
+        keep = 1.0 - cal.sz3_lossless_fraction
+        backend = cal.sz3_backend_deflate_throughput
+
+        def soc(n, s):
+            return ((phase, SOC, keep * (n / rate), None, None),
+                    (PHASE_STAGE, SOC, (s if s is not None else n / 3.0)
+                     / backend, None, None))
+
+        def engine(n, s):
+            entropy, fallback = soc(n, s)
+            stage = s if s is not None else n / 3.0
+            return (entropy, (PHASE_STAGE, ENGINE, overhead + stage / job_rate,
+                              (core, direction, stage), (fallback,)))
+    plan = engine if on_engine else soc
+    if not hoisted:
+        # The naive flow allocates source + destination buffers for this
+        # one op (``int(2 * n)`` bytes), and on the engine path first
+        # brings DOCA up and DMA-maps them; past the bring-up budget the
+        # op continues as its SoC-side self.
+        def soc_side(n, s):
+            nbytes = int(2 * n)
+            return ((PHASE_PREP, SETUP, memory.alloc_time(nbytes),
+                     ("per_op_alloc", nbytes), None),) + soc(n, s)
+
+        def prefixed(n, s):
+            nbytes = int(2 * n)
+            return ((PHASE_INIT, SETUP, cal.doca_init_time, None,
+                     soc_side(n, s)),
+                    (PHASE_PREP, SETUP, memory.doca_buffer_prep_time(nbytes),
+                     ("per_op_dma_map", nbytes), None)) + engine(n, s)
+        plan = prefixed if on_engine else soc_side
+    return PlanEntry(design, resolved, resolved.any_fallback, on_engine,
+                     PedalHeader.for_algo(algo).encode(), plan)
 
 
-def job_plan(
-    device: "BlueFieldDPU",
-    algo: Algo,
-    direction: Direction,
-    engine_bytes: float,
-    soc_bytes: float,
-) -> tuple:
+def job_plan(device: "BlueFieldDPU", algo: Algo, direction: Direction,
+             engine_bytes: float, soc_bytes: float) -> tuple:
     """The stages one pipelined work-queue job charges on ``device``.
 
     ``engine_bytes`` is what the C-Engine ingests (compressed bytes on
@@ -182,19 +231,30 @@ def job_plan(
     the engine lacks (``algo``, ``direction``) the plan is the steal
     alone.
     """
-    cal = device.cal
-    steal = (PHASE_EXEC, SOC, cal.soc_time(algo, direction, soc_bytes),
-             None, None)
+    return _lookup(device, (algo, direction), build_job_plan)(
+        engine_bytes, soc_bytes)
+
+
+def build_job_plan(device: "BlueFieldDPU", algo: Algo,
+                   direction: Direction) -> Callable:
+    """The uncached ``(engine_bytes, soc_bytes) -> stages`` builder."""
+    cal, memory = device.cal, device.memory
+    rate = cal.soc_throughput[algo, direction]
+
+    def steal(e, s):
+        return ((PHASE_EXEC, SOC, s / rate, None, None),)
     if not device.cengine.supports(algo, direction):
-        return (steal,)
-    memory = device.memory
-    job = (algo, direction, engine_bytes)
-    return (
-        (PHASE_MAP, SETUP, memory.alloc_time(engine_bytes)
-         + memory.dma_map_time(engine_bytes), None, None),
-        (PHASE_EXEC, ENGINE, cal.cengine_time(*job), job, (steal,)),
-        (PHASE_DRAIN, SOC, cal.checksum_time(soc_bytes), None, None),
-    )
+        return steal
+    overhead = cal.cengine_overhead[direction]
+    job_rate = cal.cengine_throughput[algo, direction]
+
+    def plan(e, s):
+        return ((PHASE_MAP, SETUP, memory.alloc_time(e)
+                 + memory.dma_map_time(e), None, None),
+                (PHASE_EXEC, ENGINE, overhead + e / job_rate,
+                 (algo, direction, e), steal(e, s)),
+                (PHASE_DRAIN, SOC, cal.checksum_time(s), None, None))
+    return plan
 
 
 def steal_stage(plan: tuple) -> tuple:

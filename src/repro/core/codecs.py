@@ -10,6 +10,7 @@ is byte-identical by construction).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -118,11 +119,11 @@ def clear_codec_cache() -> None:
 
 
 def _fingerprint(data: Any) -> tuple:
-    import hashlib
-
     if isinstance(data, np.ndarray):
-        digest = hashlib.sha1(np.ascontiguousarray(data).tobytes()).hexdigest()
-        return ("nd", str(data.dtype), data.shape, digest)
+        # sha1 reads a C-contiguous array's buffer in place (only a
+        # strided view is copied); ``dtype.str`` carries the byte order.
+        digest = hashlib.sha1(np.ascontiguousarray(data)).hexdigest()
+        return ("nd", data.dtype.str, data.shape, digest)
     blob = bytes(data)
     return ("b", len(blob), hashlib.sha1(blob).hexdigest())
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.core.designs import CompressionDesign, Placement
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
-from repro.obs import get_metrics
 
 __all__ = ["ResolvedDesign", "resolve", "cengine_core_algo"]
 
@@ -77,28 +76,10 @@ def resolve(
     capability matrix — the runtime escalation used when DOCA bring-up
     failed past its retry budget (:mod:`repro.faults`), mirroring the
     capability fallback for an engine that is *temporarily* unusable
-    rather than architecturally absent.
+    rather than architecturally absent.  Read off the device's plan
+    table; each call that lands on a fallback counts once.
     """
-    if design.placement is Placement.SOC:
-        return ResolvedDesign(
-            design=design,
-            device_name=device.name,
-            compress_engine="soc",
-            decompress_engine="soc",
-        )
-    core = cengine_core_algo(design.algo)
-    engines = {}
-    for direction in (Direction.COMPRESS, Direction.DECOMPRESS):
-        supported = not force_soc and device.cengine.supports(core, direction)
-        engines[direction] = "cengine" if supported else "soc"
-    resolved = ResolvedDesign(
-        design=design,
-        device_name=device.name,
-        compress_engine=engines[Direction.COMPRESS],
-        decompress_engine=engines[Direction.DECOMPRESS],
-    )
-    if resolved.any_fallback:
-        metrics = get_metrics()
-        if metrics.recording:
-            metrics.inc("pedal.fallback_soc")
-    return resolved
+    from repro.core.charges import plan_entry  # charges imports this module
+
+    return plan_entry(device, design.algo, design.placement,
+                      Direction.COMPRESS, True, not force_soc).resolve()

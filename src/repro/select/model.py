@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.charges import op_plan, plan_seconds
+from repro.core.charges import op_plan, plan_entry, plan_seconds
 from repro.core.designs import Placement
-from repro.core.registry import cengine_core_algo
 from repro.dpu.specs import Algo, Direction
 
 if TYPE_CHECKING:
@@ -49,8 +48,8 @@ class CostModel:
         zlib; SZ3's hybrid only needs the DEFLATE stage, which falls
         back to SoC DEFLATE when absent, so SZ3 counts as capable in
         the hybrid sense only when the stage engine exists)."""
-        core = cengine_core_algo(algo)
-        return self.device.cengine.supports(core, direction)
+        return plan_entry(self.device, algo, Placement.CENGINE,
+                          direction).on_engine
 
     def capable_paths(self, algo: Algo, direction: Direction) -> tuple[str, ...]:
         """The paths worth dispatching to (SoC always; C-Engine when
@@ -97,10 +96,10 @@ class CostModel:
         stage_bytes: float | None = None,
     ) -> dict[str, float]:
         """Costs of every *capable* path, keyed by path name."""
-        return {
-            path: self.path_seconds(
-                algo, direction, sim_bytes, path,
-                amortized=amortized, stage_bytes=stage_bytes,
-            )
-            for path in self.capable_paths(algo, direction)
-        }
+        costs = {}
+        for path, placement in PLACEMENTS.items():
+            entry = plan_entry(self.device, algo, placement, direction,
+                               amortized)
+            if placement is Placement.SOC or entry.on_engine:
+                costs[path] = plan_seconds(entry.plan(sim_bytes, stage_bytes))
+        return costs

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.charges import job_plan, steal_stage
+from repro.core.charges import job_plan, plan_entry, plan_seconds, steal_stage
 from repro.core.designs import Placement
 from repro.dpu.specs import Algo, Direction
 from repro.select.model import (
@@ -123,13 +123,10 @@ class PathSelector:
     ) -> tuple[float, float]:
         """Corrected (intercept, slope) of one path's affine cost."""
         c = self.correction(path, algo, direction)
-        a = c * self.model.path_seconds(
-            algo, direction, 0.0, path, amortized=amortized
-        )
-        t1 = c * self.model.path_seconds(
-            algo, direction, 1.0, path, amortized=amortized
-        )
-        return a, t1 - a
+        plan = plan_entry(
+            self.device, algo, PLACEMENTS[path], direction, amortized).plan
+        a = c * plan_seconds(plan(0.0, None))
+        return a, c * plan_seconds(plan(1.0, None)) - a
 
     # ------------------------------------------------------------------
     # The crossover cache
@@ -191,14 +188,13 @@ class PathSelector:
         the memoized crossover size decides in O(1).
         """
         n = float(sim_bytes)
-        engine_ok = allow_engine and self.model.engine_capable(algo, direction)
         key = (algo, direction, amortized)
         from_cache = key in self._crossover
         crossover = self.crossover_bytes(algo, direction, amortized)
         costs = self.predict(
             algo, direction, n, amortized=amortized, stage_bytes=stage_bytes
         )
-        if not engine_ok:
+        if not (allow_engine and PATH_CENGINE in costs):  # costs: capable paths
             path = PATH_SOC
         elif stage_bytes is not None:
             # Ties prefer the engine, matching the n >= n* convention.

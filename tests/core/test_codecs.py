@@ -84,6 +84,20 @@ class TestMemoisation:
         b = real_compress(design("SoC_SZ3"), square, CFG)
         assert a is not b
 
+    def test_ndarray_key_reads_values_not_layout(self):
+        """A strided view of an equal array hits the same entry; the same
+        bytes under another dtype do not."""
+        clear_codec_cache()
+        field = np.linspace(0.0, 1.0, 64, dtype=np.float32)
+        view = np.repeat(field, 2)[::2]
+        assert not view.flags.c_contiguous and np.array_equal(view, field)
+        a = real_compress(design("SoC_SZ3"), field, CFG)
+        assert real_compress(design("SoC_SZ3"), view, CFG) is a
+        ints = field.view(np.int32)
+        lossless = design("SoC_DEFLATE")
+        assert (real_compress(lossless, ints, CFG)
+                is not real_compress(lossless, field, CFG))
+
     def test_clear_cache(self, text_payload):
         a = real_compress(design("SoC_DEFLATE"), text_payload, CFG)
         clear_codec_cache()

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dpu.specs import Direction
+from repro.dpu import make_device
+from repro.dpu.specs import Algo, Direction
 from repro.serve import (
     ROUTERS,
     CapabilityAwareRouter,
@@ -31,6 +32,15 @@ class FakeWorker:
 class FakeBatch:
     def __init__(self, direction=Direction.COMPRESS):
         self.direction = direction
+
+
+class SizedBatch(FakeBatch):
+    """A DEFLATE batch with the sizes the cost-aware router prices."""
+
+    def __init__(self, direction, nbytes):
+        super().__init__(direction)
+        self.algo = Algo.DEFLATE
+        self.engine_sim_bytes = self.soc_sim_bytes = nbytes
 
 
 class TestRoundRobin:
@@ -82,6 +92,32 @@ class TestRealWorkersRoute(object):
         router = CapabilityAwareRouter()
         pick = router.pick(workers, FakeBatch(Direction.COMPRESS))
         assert pick.device.spec.generation == 2  # BF-3 has no compress engine
+
+
+class TestCostAwareLoadWeight:
+    def test_score_is_cost_times_load_plus_one(self, env):
+        """A busy BF-3 (load 1) against an idle BF-2 (load 0) on a
+        5.4 MB decompress job, which costs the BF-2 engine 1.75x the
+        BF-3's.  Under ``cost x (load + 1)`` the idle BF-2 wins
+        (1.75 < 2); under ``load + 2`` the busy BF-3 would
+        (2 x 1.75 = 3.5 against 3)."""
+        from repro.sched import EngineJob, SchedConfig
+        from repro.select import PathSelector
+        from repro.serve import CostAwareRouter, DpuWorker
+
+        n = 5.4e6
+        busy = DpuWorker(make_device(env, "bf3"), SchedConfig())
+        idle = DpuWorker(make_device(env, "bf2"), SchedConfig())
+        busy.scheduler.submit(EngineJob(Algo.DEFLATE, Direction.DECOMPRESS,
+                                        n, soc_sim_bytes=n))
+        env.run(until=1e-9)
+        assert (busy.load, idle.load) == (1, 0)
+        cost = {worker: min(PathSelector(worker.device).job_costs(
+            Algo.DEFLATE, Direction.DECOMPRESS, n, n).values())
+            for worker in (busy, idle)}
+        assert 1.5 < cost[idle] / cost[busy] < 2.0
+        batch = SizedBatch(Direction.DECOMPRESS, n)
+        assert CostAwareRouter().pick([busy, idle], batch) is idle
 
 
 class TestRegistry:
