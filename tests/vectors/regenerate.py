@@ -151,6 +151,17 @@ def _ac_with(**config):
     return lambda data: ac_compress(data, config)
 
 
+def _incompressible(n: int) -> bytes:
+    """``n`` bytes of a sha256 counter stream (no RNG-version drift): no
+    LZ4 block shrinks it, so every block is stored."""
+    return b"".join(hashlib.sha256(i.to_bytes(4, "little")).digest()
+                    for i in range(-(-n // 32)))[:n]
+
+
+def _lz4_with(block_size_code: int):
+    return lambda data: lz4_compress(data, block_size_code=block_size_code)
+
+
 def _parallel_8chunks(data: bytes) -> bytes:
     """The chunk-parallel container (RST1, one DEFLATE frame per chunk)."""
     env = Environment()
@@ -188,7 +199,10 @@ CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
 #: its hot context, both ends of ``table_bits`` and ``chunk_bytes``, and
 #: both ends of ``max_total`` (encoder bytes only: the RAC1 header does
 #: not carry it, so only the default decodes), one of them on an input
-#: whose middle chunk skips a context that is still over budget.
+#: whose middle chunk skips a context that is still over budget.  Last
+#: the LZ4 frame at block-size codes 4 (64 KiB blocks, so every window
+#: spans several) and 7 on the xml, mozilla and obs_error windows, an
+#: incompressible window (stored blocks) and the empty input.
 DIGEST_PINS = {
     "deflate-xml-64k": (lambda: _head("silesia/xml", 64 * KIB), deflate_compress),
     "deflate-mozilla-32k": (
@@ -254,6 +268,16 @@ DIGEST_PINS = {
         _ac_skip, _ac_with(chunk_bytes=AC_SKIP_CHUNK, max_total=1 << 10)),
     "ac-maxtotal64k-hot-40k": (
         lambda: _hot_context(40 * KIB), _ac_with(max_total=1 << 16)),
+    **{
+        f"lz4-bd{code}-{name}": (lambda key=key, n=n: _head(key, n), _lz4_with(code))
+        for name, key, n in (
+            ("xml-128k", "silesia/xml", 128 * KIB),
+            ("mozilla-96k", "silesia/mozilla", 96 * KIB),
+            ("obs-error-96k", "obs_error", 96 * KIB))
+        for code in (4, 7)
+    },
+    "lz4-bd4-incompressible-80k": (lambda: _incompressible(80 * KIB), _lz4_with(4)),
+    "lz4-empty": (lambda: b"", lz4_compress),
 }
 
 

@@ -24,7 +24,10 @@ its hot context, ``table_bits`` 8 and 20, ``chunk_bytes`` 256 and
 2^17, and ``max_total`` 2^10 and 2^16 (encoder bytes only), the first
 on an input whose middle chunk skips a context still over budget (they
 were first computed at the commit before the model kept only the
-counts it has seen).
+counts it has seen).  The LZ4 pins freeze the frame at block-size codes
+4 and 7 on 128 KiB of xml and 96 KiB of mozilla and ``obs_error``, an
+80 KiB incompressible window (stored blocks only) and the empty input;
+each decodes back.
 
 The inputs and encoders are defined once, in ``regenerate.py``; the
 digests live in ``manifest.json`` under ``digest_pins`` (the five
@@ -43,6 +46,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.ac import ACConfig, ContextModel, ac_decompress
+from repro.algorithms.lz4 import lz4_decompress
 from repro.algorithms.deflate.compress import _SMALL_BLOCK_TOKENS
 from repro.algorithms.lz77 import tokenize
 from repro.core.parallel import ParallelCompressor
@@ -103,3 +107,32 @@ def test_ac_skip_pin_halves_a_context_its_middle_chunk_skips():
     assert hot not in model.context_hashes(data, n, 2 * n)
     model.update_chunk(data, n, 2 * n)
     assert model.cum_row(hot)[256] < over
+
+
+def _lz4_blocks(frame: bytes) -> "list[tuple[int, bool]]":
+    """``(size, stored)`` of every block of a frame ``lz4_compress`` wrote
+    (15-byte header: magic, FLG, BD, content size, HC)."""
+    blocks, pos = [], 15
+    while (word := int.from_bytes(frame[pos:pos + 4], "little")):
+        size = word & 0x7FFFFFFF
+        blocks.append((size, bool(word >> 31)))
+        pos += 4 + size
+    return blocks
+
+
+def test_lz4_pins_decode_back():
+    lz4 = {name: pin for name, pin in DIGEST_PINS.items() if name.startswith("lz4-")}
+    assert len(lz4) == 8
+    for name, (make_input, encode) in lz4.items():
+        data = make_input()
+        blob = encode(data)
+        assert lz4_decompress(blob) == data, name
+        if "-bd4-" in name:  # 64 KiB blocks: every window spans several
+            assert len(_lz4_blocks(blob)) == -(-len(data) // (64 << 10)), name
+
+
+def test_lz4_incompressible_pin_stores_every_block():
+    make_input, encode = DIGEST_PINS["lz4-bd4-incompressible-80k"]
+    assert _lz4_blocks(encode(make_input())) == [(64 << 10, True), (16 << 10, True)]
+    make_input, encode = DIGEST_PINS["lz4-empty"]
+    assert _lz4_blocks(encode(make_input())) == []
