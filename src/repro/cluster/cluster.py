@@ -89,14 +89,10 @@ class ServeCluster:
         )
         self.gateways: "dict[str, ServeGateway]" = {}
         for i, (name, members) in enumerate(zip(self.shard_names, groups)):
-            # Telemetry fan-out: each shard's gateway is labeled
-            # gateway=gw<i>, shard=<name> so fleet scrapes can
-            # group_by=("tenant", "shard").
+            # Telemetry fan-out: each shard's gateway is labeled gateway=gw<i>.
             telemetry = None
             if aggregator is not None:
-                telemetry = TelemetryConfig(
-                    gateway=f"gw{i}", aggregator=aggregator, shard=name,
-                )
+                telemetry = TelemetryConfig(gateway=f"gw{i}", aggregator=aggregator)
             shard_config = dataclasses.replace(
                 self.config.serve,
                 max_pending=self.config.shard_max_pending,

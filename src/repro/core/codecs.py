@@ -100,42 +100,69 @@ def _as_array(data: Any) -> np.ndarray:
 # through the same design many times (ping-pong echoes, broadcast
 # relays), and pure-Python compression dominates their wall-clock.  The
 # simulated-time accounting is unaffected — only the byte-production is
-# cached.  Keys fingerprint the content (sha1) rather than object
-# identity, so logically equal payloads share entries.  Every simulated
-# op in repro.core and repro.mpi gets its bytes here: whole PEDAL
-# messages, each chunk of a streamed MPI message (an echoed or relayed
-# stream re-sends the same chunks) and each ParallelCompressor chunk.
-# The serve gateway and the repro.stream library API call byte_codec
-# directly and stay un-memoised (DESIGN.md lists who memoises and why).
+# cached.  A bytes payload is its own key (dict equality is exact, and
+# ``bytes`` caches its hash, so a reused payload costs one probe), so
+# logically equal payloads share entries; an ndarray is keyed by dtype,
+# shape and a sha1 of its values.  Every simulated op in repro.core and
+# repro.mpi gets its bytes here: whole PEDAL messages, each chunk of a
+# streamed MPI message (an echoed or relayed stream re-sends the same
+# chunks) and each ParallelCompressor chunk.  The serve gateway and the
+# repro.stream library API call byte_codec directly and stay
+# un-memoised (DESIGN.md lists who memoises and why).
 _COMPRESS_CACHE: dict[tuple, RealCompression] = {}
 _DECOMPRESS_CACHE: dict[tuple, tuple] = {}
 _CACHE_LIMIT = 256
+# The config part of a compress key is a token for the config's value,
+# so its three nested dataclasses are hashed once per config object, not
+# per lookup: _CONFIG_VALUES gives each config value a token, and
+# _CONFIG_TOKENS finds it by object id.  Every PedalContext makes its own
+# (equal) CodecConfig, so the id table turns over while the values stay
+# few.
+_CONFIG_VALUES: dict[CodecConfig, int] = {}
+_CONFIG_TOKENS: dict[int, tuple[CodecConfig, int]] = {}  # id -> (config, token)
 
 
 def clear_codec_cache() -> None:
     """Drop memoised codec runs (tests use this for isolation)."""
     _COMPRESS_CACHE.clear()
     _DECOMPRESS_CACHE.clear()
+    _CONFIG_TOKENS.clear()
+    _CONFIG_VALUES.clear()  # tokens restart only with the memo empty
 
 
-def _fingerprint(data: Any) -> tuple:
+def _config_token(config: CodecConfig) -> int:
+    entry = _CONFIG_TOKENS.get(id(config))
+    if entry is None:
+        token = _CONFIG_VALUES.get(config)
+        if token is None:
+            if len(_CONFIG_VALUES) >= _CACHE_LIMIT:
+                clear_codec_cache()
+            token = _CONFIG_VALUES[config] = len(_CONFIG_VALUES)
+        if len(_CONFIG_TOKENS) >= _CACHE_LIMIT:
+            _CONFIG_TOKENS.clear()  # tokens follow values: no key moves
+        # The entry holds ``config`` alive, so no other object can take
+        # its id while the entry stands.
+        entry = _CONFIG_TOKENS[id(config)] = (config, token)
+    return entry[1]
+
+
+def _payload_key(data: Any) -> Any:
+    if type(data) is bytes:
+        return data
     if isinstance(data, np.ndarray):
         # sha1 reads a C-contiguous array's buffer in place (only a
         # strided view is copied); ``dtype.str`` carries the byte order.
         digest = hashlib.sha1(np.ascontiguousarray(data)).hexdigest()
         return ("nd", data.dtype.str, data.shape, digest)
-    blob = bytes(data)
-    return ("b", len(blob), hashlib.sha1(blob).hexdigest())
+    return bytes(data)
 
 
 def real_compress(
     design: CompressionDesign, data: Any, config: CodecConfig
 ) -> RealCompression:
     """Run the design's real compressor over ``data`` (memoised)."""
-    key = (
-        design.algo, design.placement, config.deflate, config.sz3, config.ac,
-        _fingerprint(data),
-    )
+    key = (design.algo, design.placement, _config_token(config),
+           _payload_key(data))
     cached = _COMPRESS_CACHE.get(key)
     if cached is not None:
         return cached
@@ -197,7 +224,7 @@ def real_decompress(
     """
     if max_output is not None and algo is Algo.SZ3:
         raise ValueError("real_decompress: SZ3 takes no max_output")
-    key = (algo, _fingerprint(payload))
+    key = (algo, _payload_key(payload))
     cached = _DECOMPRESS_CACHE.get(key)
     if cached is not None and (max_output is None or len(cached[0]) <= max_output):
         return cached

@@ -56,12 +56,10 @@ class PedalHeader:
             raise HeaderError(
                 f"bad header sentinels 0x{first:02x}/0x{third:02x}"
             )
-        if algo_id == PASSTHROUGH_ID:
-            return cls.passthrough()
-        try:
-            return cls(algo=ALGO_FROM_ID[algo_id])
-        except KeyError:
-            raise HeaderError(f"unknown AlgoID {algo_id}") from None
+        header = _DECODED.get(algo_id)
+        if header is None:
+            raise HeaderError(f"unknown AlgoID {algo_id}")
+        return header
 
     @staticmethod
     def looks_compressed(message: bytes) -> bool:
@@ -71,3 +69,8 @@ class PedalHeader:
             and message[0] == _SENTINEL
             and message[2] == _SENTINEL
         )
+
+
+# Every header decode() can return, built once (the header is frozen).
+_DECODED = {PASSTHROUGH_ID: PedalHeader.passthrough(),
+            **{i: PedalHeader.for_algo(a) for i, a in ALGO_FROM_ID.items()}}

@@ -184,24 +184,22 @@ class SloMonitor:
 
     def _sample(self, snapshot: "FleetSnapshot", tenant_axis: int,
                 obj: SloObjective) -> _TenantSample:
-        merged = None
+        """Fold every group of ``obj.tenant``: a ``group_by`` that splits
+        a tenant (by gateway, say) still sees all of its requests.
+        Requests, ``count_above`` and goodput all add exactly."""
+        requests = bad = 0
+        bytes_total = 0.0
         for key, registry in snapshot.groups.items():
-            if key[tenant_axis] == obj.tenant:
-                merged = registry
-                break
-        if merged is None:
-            return _TenantSample(snapshot.sim_now, 0, 0, 0.0)
-        hist = merged.histograms.get(LATENCY_METRIC)
-        goodput = merged.counters.get(GOODPUT_COUNTER)
-        return _TenantSample(
-            sim_now=snapshot.sim_now,
-            requests=0 if hist is None else hist.count,
-            bad_requests=(
-                0 if hist is None
-                else hist.sketch.count_above(obj.latency_target_s)
-            ),
-            bytes_total=0.0 if goodput is None else goodput.value,
-        )
+            if key[tenant_axis] != obj.tenant:
+                continue
+            hist = registry.histograms.get(LATENCY_METRIC)
+            if hist is not None:
+                requests += hist.count
+                bad += hist.sketch.count_above(obj.latency_target_s)
+            goodput = registry.counters.get(GOODPUT_COUNTER)
+            if goodput is not None:
+                bytes_total += goodput.value
+        return _TenantSample(snapshot.sim_now, requests, bad, bytes_total)
 
     # ------------------------------------------------------------------
     # Window evaluation

@@ -6,22 +6,24 @@ cheapest?*  Because every path cost in :class:`~repro.select.model.
 CostModel` is affine in the payload size (``t = a + b*n``), the
 SoC-vs-C-Engine decision reduces to a single calibrated *crossover
 size* ``n* = (a_e - a_s) / (b_s - b_e)`` per (algo, direction,
-amortization) — memoized, so steady-state dispatch is one dict lookup
-and one comparison.
+amortization) — memoized, and each decision is memoized on its
+arguments, so a repeated dispatch is one dict lookup.
 
 Online refinement: :meth:`PathSelector.observe` folds measured span
 durations into per-(path, algo, direction) multiplicative corrections
 (an EWMA of the observed/predicted ratio, clamped), and invalidates
-the crossover cache so the next decision re-derives ``n*`` from the
-nudged model; :meth:`PathSelector.refine_from_spans` does the same in
-bulk from a :class:`repro.obs.Tracer`'s recorded ``pedal.compress`` /
+the crossover cache and the decision memo so the next decision
+re-derives ``n*`` from the nudged model;
+:meth:`PathSelector.refine_from_spans` does the same in bulk from a
+:class:`repro.obs.Tracer`'s recorded ``pedal.compress`` /
 ``pedal.decompress`` spans.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from repro.core.charges import job_plan, plan_entry, plan_seconds, steal_stage
@@ -41,6 +43,8 @@ if TYPE_CHECKING:
 
 __all__ = ["PathDecision", "PathSelector"]
 
+_DECISION_LIMIT = 256  # memoized decisions per selector (wholesale clear)
+
 
 @dataclass(frozen=True)
 class PathDecision:
@@ -51,7 +55,7 @@ class PathDecision:
     sim_bytes: float
     path: str                      # "soc" | "cengine"
     predicted_seconds: float
-    costs: Mapping[str, float]     # corrected costs of every capable path
+    costs: Mapping[str, float]     # read-only: corrected cost of each capable path
     crossover_bytes: float         # n* for this (algo, direction, amortized)
     amortized: bool
     from_cache: bool               # n* came from the memoized cache
@@ -87,6 +91,9 @@ class PathSelector:
         self.correction_bounds = correction_bounds
         self._corrections: dict[tuple[str, Algo, Direction], float] = {}
         self._crossover: dict[tuple[Algo, Direction, bool], float] = {}
+        # choose() arguments -> the decision they give; cleared with
+        # _crossover, so a decision is never older than its n*.
+        self._decisions: dict[tuple, PathDecision] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.observations = 0
@@ -185,9 +192,16 @@ class PathSelector:
         failed (SoC-only runtime fallback).  With a measured SZ3
         ``stage_bytes`` hint the costs are compared directly (the hint
         shifts the engine path off its cached affine line); otherwise
-        the memoized crossover size decides in O(1).
+        the memoized crossover size decides in O(1).  Decisions are
+        memoized on the arguments: a repeat is one dict probe, and it
+        counts as the crossover-cache hit a fresh decision would make.
         """
         n = float(sim_bytes)
+        memo_key = (algo, direction, n, amortized, stage_bytes, allow_engine)
+        decision = self._decisions.get(memo_key)
+        if decision is not None:
+            self.cache_hits += 1
+            return decision
         key = (algo, direction, amortized)
         from_cache = key in self._crossover
         crossover = self.crossover_bytes(algo, direction, amortized)
@@ -201,17 +215,23 @@ class PathSelector:
             path = min(ALL_PATHS, key=lambda p: (costs[p], p != PATH_CENGINE))
         else:
             path = PATH_CENGINE if n >= crossover else PATH_SOC
-        return PathDecision(
+        decision = PathDecision(
             algo=algo,
             direction=direction,
             sim_bytes=n,
             path=path,
             predicted_seconds=costs[path],
-            costs=costs,
+            costs=MappingProxyType(costs),
             crossover_bytes=crossover,
             amortized=amortized,
             from_cache=from_cache,
         )
+        if len(self._decisions) >= _DECISION_LIMIT:
+            self._decisions.clear()
+        # n* is cached from here on, so a repeat finds it there.
+        self._decisions[memo_key] = (
+            decision if from_cache else replace(decision, from_cache=True))
+        return decision
 
     # ------------------------------------------------------------------
     # Scheduler-level jobs (repro.sched / repro.serve)
@@ -291,6 +311,7 @@ class PathSelector:
         if new != old:
             self._corrections[key] = new
             self._crossover.clear()  # memoized crossovers are now stale
+            self._decisions.clear()  # and so are the decisions they gave
         return new
 
     def refine_from_spans(self, tracer: "Tracer") -> int:

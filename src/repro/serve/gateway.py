@@ -77,9 +77,6 @@ class TelemetryConfig:
 
     gateway: str = "gw0"
     aggregator: "FleetAggregator | None" = None
-    # Cluster deployments set the owning shard so fleet scrapes can
-    # group_by=("tenant", "shard"); None omits the label entirely.
-    shard: "str | None" = None
 
 
 @dataclass(frozen=True)

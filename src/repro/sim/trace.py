@@ -16,7 +16,6 @@ forwarded and the class behaves exactly as it always has.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -28,8 +27,10 @@ __all__ = ["TimeBreakdown"]
 class TimeBreakdown:
     """Ordered accumulation of time per named phase (seconds)."""
 
+    __slots__ = ("_phases", "_span")
+
     def __init__(self) -> None:
-        self._phases: "OrderedDict[str, float]" = OrderedDict()
+        self._phases: dict[str, float] = {}  # in first-charge order
         self._span = None
 
     def bind(self, span: "Span") -> "TimeBreakdown":

@@ -1,12 +1,17 @@
 """Real-codec dispatch and memoisation."""
 
 import ast
+import gc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.algorithms.ac import ACConfig
+from repro.algorithms.deflate import DeflateConfig, deflate_compress
+from repro.algorithms.sz3 import SZ3Config
+from repro.core import codecs
 from repro.core.codecs import (
     CodecConfig,
     clear_codec_cache,
@@ -110,6 +115,84 @@ class TestMemoisation:
         a = real_decompress(Algo.DEFLATE, result.payload)
         b = real_decompress(Algo.DEFLATE, result.payload)
         assert a is b
+
+
+class TestMemoKeys:
+    """The memo keys a bytes payload by its value and a config by a token
+    for its value: equal inputs share one entry, unequal ones never do."""
+
+    def test_bytes_bytearray_and_memoryview_share_one_entry(self, text_payload):
+        clear_codec_cache()
+        dsg = design("SoC_DEFLATE")
+        a = real_compress(dsg, text_payload, CFG)
+        assert real_compress(dsg, bytearray(text_payload), CFG) is a
+        assert real_compress(dsg, memoryview(text_payload), CFG) is a
+        assert len(codecs._COMPRESS_CACHE) == 1
+        blob = a.payload
+        d = real_decompress(Algo.DEFLATE, blob)
+        assert real_decompress(Algo.DEFLATE, bytearray(blob)) is d
+        assert real_decompress(Algo.DEFLATE, memoryview(blob)) is d
+        assert len(codecs._DECOMPRESS_CACHE) == 1
+
+    def test_bytes_payload_is_its_own_key(self, text_payload):
+        """No digest: the key holds the payload, so equality is exact."""
+        clear_codec_cache()
+        real_compress(design("SoC_LZ4"), text_payload, CFG)
+        (key,) = codecs._COMPRESS_CACHE
+        assert key[-1] is text_payload
+
+    @pytest.mark.parametrize("config", [
+        CodecConfig(deflate=DeflateConfig(strategy="fixed")),
+        CodecConfig(sz3=SZ3Config(error_bound=1e-3)),
+        CodecConfig(ac=ACConfig(order=1)),
+    ], ids=["deflate", "sz3", "ac"])
+    def test_configs_that_differ_in_any_field_never_share(self, config, text_payload):
+        dsg = design("SoC_DEFLATE")
+        default = real_compress(dsg, text_payload, CodecConfig())
+        other = real_compress(dsg, text_payload, config)
+        assert other is not default
+        assert real_compress(dsg, text_payload, CodecConfig()) is default
+        assert real_compress(dsg, text_payload, config) is other
+
+    def test_equal_configs_share_entries(self, text_payload):
+        dsg = design("SoC_DEFLATE")
+        fixed = lambda: CodecConfig(deflate=DeflateConfig(strategy="fixed"))
+        assert fixed() is not fixed()
+        a = real_compress(dsg, text_payload, fixed())
+        assert real_compress(dsg, text_payload, fixed()) is a
+
+    def test_reused_config_id_never_aliases_an_old_entry(self, text_payload):
+        """Configs are made, used and dropped one after another, so
+        CPython is free to hand a dropped config's id to the next one;
+        every result still carries its own config's bytes."""
+        clear_codec_cache()
+        dsg = design("SoC_DEFLATE")
+        for _ in range(3):
+            for strategy in ("fixed", "dynamic", "stored"):
+                config = CodecConfig(deflate=DeflateConfig(strategy=strategy))
+                got = real_compress(dsg, text_payload, config).payload
+                assert got == deflate_compress(text_payload, config.deflate)
+                del config
+                gc.collect()
+
+    def test_many_equal_configs_never_clear_the_memo(self, text_payload):
+        """Every PedalContext makes its own CodecConfig: a stream of
+        equal configs turns the id table over without dropping a run."""
+        clear_codec_cache()
+        dsg = design("SoC_LZ4")
+        first = real_compress(dsg, text_payload, CodecConfig())
+        for _ in range(3 * codecs._CACHE_LIMIT):
+            assert real_compress(dsg, text_payload, CodecConfig()) is first
+        assert len(codecs._CONFIG_VALUES) == 1
+
+    def test_config_table_stays_bounded(self, text_payload):
+        clear_codec_cache()
+        dsg = design("SoC_LZ4")
+        for i in range(codecs._CACHE_LIMIT + 8):
+            config = CodecConfig(sz3=SZ3Config(error_bound=1e-4 * (i + 1)))
+            real_compress(dsg, text_payload, config)
+            assert len(codecs._CONFIG_TOKENS) <= codecs._CACHE_LIMIT
+            assert len(codecs._CONFIG_VALUES) <= codecs._CACHE_LIMIT
 
 
 class TestCappedDecode:

@@ -152,6 +152,42 @@ class TestLatencyBurn:
         assert monitor.observe(fleet.scrape(1e-3)) == []
 
 
+class TestSplitTenant:
+    """A ``group_by`` that splits a tenant across groups (here by
+    gateway) folds every group: the monitor sees what one group per
+    tenant would show."""
+
+    def fleet(self):
+        aggregator = FleetAggregator()
+        gateways = [
+            aggregator.register(MetricsRegistry(
+                labels={"tenant": "hot", "gateway": f"gw{i}"}))
+            for i in range(2)
+        ]
+        for latency, registry in zip((1e-5, 5e-3), gateways):
+            for _ in range(10):
+                registry.observe(LATENCY_METRIC, latency)
+            registry.inc(GOODPUT_COUNTER, 50.0)
+        return aggregator
+
+    def test_two_gateways_fold_into_one_tenant(self):
+        objective = SloObjective("hot", 1e-3, budget_fraction=0.01,
+                                 goodput_floor_bytes_s=1e6)
+        split, whole = (SloMonitor([objective], windows=[WINDOW])
+                        for _ in range(2))
+        snapshot = self.fleet().scrape(1e-3, group_by=("tenant", "gateway"))
+        assert len(snapshot.groups) == 2
+        fired = split.observe(snapshot)
+        burn = next(a for a in fired if a.kind == "latency_burn")
+        assert burn.detail["requests"] == 20
+        assert burn.detail["bad_requests"] == 10
+        assert burn.burn_rate == pytest.approx(50.0)
+        floor = next(a for a in fired if a.kind == "goodput_floor")
+        assert floor.detail["goodput_bytes_s"] == pytest.approx(100.0 / 1e-3)
+        assert fired == whole.observe(
+            self.fleet().scrape(1e-3, group_by=("tenant",)))
+
+
 class TestGoodputFloor:
     def objective(self):
         return SloObjective("cold", 1e-3, budget_fraction=0.05,
