@@ -240,3 +240,97 @@ class TestRun:
         p = env.process(stuck(env))
         with pytest.raises(SimDeadlockError):
             env.run(until=p)
+
+
+class TestKernelOrdering:
+    """The ``(time, seq)`` contract over a scripted mix of every way an
+    event gets scheduled: ``succeed`` with and without a delay, a
+    ``Timeout``, a ``Process`` boot, ``AllOf`` / ``AnyOf`` decided at
+    construction, and ``interrupt``.  Events at one instant fire in the
+    order they were scheduled; the expected log was recorded from the
+    kernel before its constructors were inlined."""
+
+    EXPECTED = [
+        ("t0", 0.0),
+        ("boot:sleeper", 0.0),
+        ("e-now", 0.0),
+        ("boot:driver", 0.0),
+        ("boot:waiter", 0.0),
+        ("waiter got", 0.0, "v-now"),
+        ("boot:late", 0.0),
+        ("late", 0.0, "spawned"),
+        ("e-delay", 1.0),
+        ("t1", 1.0),
+        ("driver at", 1.0),
+        ("all-decided", 1.0, ["v-now", "v-delay"]),
+        ("any-decided", 1.0, "v-now"),
+        ("sleeper interrupted", 1.0),
+        ("boot:child", 1.0),
+        ("child", 1.0),
+        ("sleeper after", 1.0),
+        ("driver done", 1.5),
+        ("stale t3 ignored", 3.0),
+    ]
+
+    def test_scripted_mix_fires_in_recorded_order(self, env):
+        log = []
+
+        def note(tag, event):
+            event.callbacks.append(lambda _ev: log.append((tag, env.now)))
+            return event
+
+        def proc(tag, gen):
+            def booted():
+                log.append((f"boot:{tag}", env.now))
+                yield from gen
+
+            return env.process(booted(), name=tag)
+
+        def sleeper():
+            try:
+                yield note("stale t3 ignored", env.timeout(3.0))
+            except SimulationError:
+                log.append(("sleeper interrupted", env.now))
+            yield env.timeout(0.0)
+            log.append(("sleeper after", env.now))
+
+        def waiter(event):
+            value = yield event
+            log.append(("waiter got", env.now, value))
+
+        def late():
+            yield env.timeout(0.0)
+            log.append(("late", env.now, "spawned"))
+
+        def child():
+            log.append(("child", env.now))
+            yield env.timeout(0.0)
+
+        e_now = env.event()
+        e_delay = env.event()
+
+        def driver():
+            yield env.timeout(1.0)
+            log.append(("driver at", env.now))
+            all_of = env.all_of([e_now, e_delay])
+            any_of = env.any_of([e_now, env.event()])
+            all_of.callbacks.append(
+                lambda ev: log.append(("all-decided", env.now, ev.value)))
+            any_of.callbacks.append(
+                lambda ev: log.append(("any-decided", env.now, ev.value[1])))
+            sleeper_proc.interrupt("driver")
+            proc("child", child())
+            yield env.timeout(0.5)
+            log.append(("driver done", env.now))
+
+        note("t0", env.timeout(0.0))
+        sleeper_proc = proc("sleeper", sleeper())
+        note("e-now", e_now).succeed("v-now")
+        note("e-delay", e_delay).succeed("v-delay", delay=1.0)
+        proc("driver", driver())
+        proc("waiter", waiter(e_now))
+        note("t1", env.timeout(1.0))
+        proc("late", late())
+        env.run()
+        assert log == self.EXPECTED
+        assert env.now == 3.0
