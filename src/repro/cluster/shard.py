@@ -33,6 +33,8 @@ __all__ = ["ConsistentHashRing", "ShardMap", "hash64"]
 
 #: Ring points per member.
 VNODES = 64
+#: Keys whose owner one ring remembers; past this the memo starts over.
+_OWNER_MEMO_KEYS = 4096
 
 
 def hash64(key: str) -> int:
@@ -51,7 +53,7 @@ class ConsistentHashRing:
     lets independent gateways agree without coordination.
     """
 
-    __slots__ = ("_points", "_owners", "_members")
+    __slots__ = ("_points", "_owners", "_members", "_owner_of")
 
     def __init__(self, members: Iterable[str]) -> None:
         self._members = tuple(sorted(set(members)))
@@ -65,6 +67,9 @@ class ConsistentHashRing:
         points.sort()
         self._points = [p[0] for p in points]
         self._owners = [p[1] for p in points]
+        # key -> owner.  A ring never changes (joins and leaves build a
+        # new one), so an owner, once found, is found for good.
+        self._owner_of: "dict[str, str]" = {}
 
     @property
     def members(self) -> "tuple[str, ...]":
@@ -81,13 +86,20 @@ class ConsistentHashRing:
 
     def lookup(self, key: str) -> str:
         """The member owning ``key`` (first ring point clockwise)."""
+        owner = self._owner_of.get(key)
+        if owner is not None:
+            return owner
         if not self._members:
             raise ShardMapError("lookup on an empty ring")
         h = hash64(key)
         idx = bisect.bisect_right(self._points, h)
         if idx == len(self._points):  # wrap past the top of the ring
             idx = 0
-        return self._owners[idx]
+        owner = self._owners[idx]
+        if len(self._owner_of) >= _OWNER_MEMO_KEYS:
+            self._owner_of.clear()
+        self._owner_of[key] = owner
+        return owner
 
     def with_member(self, member: str) -> "ConsistentHashRing":
         """A new ring with ``member`` joined (idempotent)."""

@@ -154,14 +154,10 @@ class TrafficSchedule:
         return pool[arrival.pool_index % len(pool)]
 
     def request(self, arrival: Arrival, req_id: object = None) -> ServeRequest:
-        return ServeRequest(
-            arrival.direction,
-            self.payload(arrival),
-            sim_bytes=arrival.sim_bytes,
-            req_id=req_id,
-            tenant=arrival.tenant,
-            algo=arrival.algo,
-        )
+        # Positional: one request is built per arrival.
+        return ServeRequest(arrival.direction, self.payload(arrival),
+                            arrival.sim_bytes, req_id, arrival.tenant,
+                            arrival.algo)
 
 
 @lru_cache(maxsize=32)

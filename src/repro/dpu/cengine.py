@@ -27,7 +27,7 @@ from repro.dpu.calibration import Calibration
 from repro.dpu.specs import Algo, Direction, DpuSpec
 from repro.errors import DocaCapabilityError, DocaJobError, DocaTimeoutError
 from repro.faults.plan import KIND_DEGRADE, KIND_FAIL, KIND_STALL, get_fault_plan
-from repro.obs import device_span, get_metrics
+from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
 from repro.obs.metrics import SIM_SECONDS_BUCKETS
 from repro.sim import Environment, Resource
 
@@ -83,14 +83,16 @@ class CEngine:
         the wasted time.
         """
         seconds = self.job_time(algo, direction, nbytes)  # may raise
-        anchor = self.owner if self.owner is not None else self
-        with device_span(
-            f"cengine.{direction.value}",
-            anchor,
-            algo=algo.value,
-            bytes=nbytes,
-            device=self.spec.name,
-        ) as span:
+        span = NULL_SPAN
+        if get_tracer().recording:
+            span = device_span(
+                f"cengine.{direction.value}",
+                self.owner if self.owner is not None else self,
+                algo=algo.value,
+                bytes=nbytes,
+                device=self.spec.name,
+            )
+        with span:
             req = self.queue.request()
             yield req
             wait = self.env.now - req.requested_at

@@ -169,12 +169,24 @@ class Histogram:
         self.counts[bisect_left(self.boundaries, value)] += 1
         self.sum += value
         self.count += 1
-        self.sketch.add(value, exemplar=exemplar)
+        self.sketch.add(value, exemplar)
 
     def quantile(self, q: float) -> float:
         """Sketch-backed quantile (``q`` in [0, 1]) within the sketch's
         relative-error bound; raises ``ValueError`` when empty."""
         return self.sketch.quantile(q)
+
+    def copy(self) -> "Histogram":
+        """An independent histogram equal to this one — exactly what
+        merging it into an empty one with the same grid gives."""
+        twin = Histogram.__new__(Histogram)
+        twin.name = self.name
+        twin.boundaries = self.boundaries
+        twin.counts = list(self.counts)
+        twin.sum = self.sum
+        twin.count = self.count
+        twin.sketch = self.sketch.copy()
+        return twin
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fleet roll-up: pool bucket counts and sketches in place.

@@ -50,7 +50,7 @@ from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaCapabilityError, DocaTransientError
 from repro.faults.plan import get_fault_plan
 from repro.faults.policy import RetryPolicy, backoff_wait
-from repro.obs import device_span, get_metrics
+from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
 from repro.obs.metrics import RETRY_ATTEMPT_BUCKETS
 from repro.sim import Resource, Store, TimeBreakdown
 from repro.util.checksums import crc32
@@ -109,11 +109,22 @@ class EngineJob:
     # Uncompressed size for decompress jobs (None = same as sim_bytes).
     soc_sim_bytes: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.sim_bytes < 0:
-            raise ValueError(f"negative job size {self.sim_bytes}")
-        if self.soc_sim_bytes is not None and self.soc_sim_bytes < 0:
-            raise ValueError(f"negative SoC job size {self.soc_sim_bytes}")
+    def __init__(self, algo: Algo, direction: Direction, sim_bytes: float,
+                 payload: "bytes | None" = None, tag: object = None,
+                 soc_sim_bytes: "float | None" = None) -> None:
+        if sim_bytes < 0:
+            raise ValueError(f"negative job size {sim_bytes}")
+        if soc_sim_bytes is not None and soc_sim_bytes < 0:
+            raise ValueError(f"negative SoC job size {soc_sim_bytes}")
+        # Direct instance-dict stores (see ServeRequest.__init__): one
+        # job is built per served batch.  Instances stay frozen.
+        fields = self.__dict__
+        fields["algo"] = algo
+        fields["direction"] = direction
+        fields["sim_bytes"] = sim_bytes
+        fields["payload"] = payload
+        fields["tag"] = tag
+        fields["soc_sim_bytes"] = soc_sim_bytes
 
     @property
     def soc_bytes(self) -> float:
@@ -121,7 +132,7 @@ class EngineJob:
         return self.sim_bytes if self.soc_sim_bytes is None else self.soc_sim_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class JobOutcome:
     """Everything the scheduler learned about one completed job."""
 
@@ -262,12 +273,11 @@ class PipelineScheduler:
             metrics.inc("sched.jobs")
         plan = job_plan(self.device, job.algo, job.direction,
                         job.sim_bytes, job.soc_bytes)
-        steal = steal_stage(plan)
 
         if len(plan) == 1:
             # Capability-matrix reject: the plan is the SoC steal alone.
-            yield from self._soc_lane(index, job, steal, breakdown,
-                                      reason="capability")
+            yield from self._soc_lane(index, job, steal_stage(plan),
+                                      breakdown, reason="capability")
             return self._finish(index, job, "soc", 0, submitted_at, breakdown)
         map_stage, exec_stage, drain_stage = plan
 
@@ -277,19 +287,21 @@ class PipelineScheduler:
             attempts += 1
             slot = self._slots.request()
             yield slot
-            self._note_occupancy(metrics)
+            if metrics.recording:
+                self._note_occupancy(metrics)
             buf = None
             failure: DocaTransientError | str | None = None
             try:
                 buf = yield from self._map_stage(index, job, map_stage,
                                                  breakdown)
                 try:
-                    with device_span(
+                    span = device_span(
                         "sched.exec", self.device,
                         job=index, attempt=attempts,
                         algo=job.algo.value, direction=job.direction.value,
                         bytes=job.sim_bytes,
-                    ):
+                    ) if get_tracer().recording else NULL_SPAN
+                    with span:
                         seconds = yield from self.device.cengine.submit(
                             *exec_stage[3])
                     breakdown.add(PHASE_EXEC, seconds)
@@ -310,7 +322,8 @@ class PipelineScheduler:
                 if buf is not None:
                     self._release_buffer(buf)
                 self._slots.release(slot)
-                self._note_occupancy(metrics)
+                if metrics.recording:
+                    self._note_occupancy(metrics)
 
             if failure is None:
                 return self._finish(
@@ -326,8 +339,8 @@ class PipelineScheduler:
                     if isinstance(failure, DocaTransientError):
                         raise failure
                     raise DocaTransientError(failure)
-                yield from self._soc_lane(index, job, steal, breakdown,
-                                          reason="retry_budget")
+                yield from self._soc_lane(index, job, steal_stage(plan),
+                                          breakdown, reason="retry_budget")
                 return self._finish(
                     index, job, "soc", attempts, submitted_at, breakdown
                 )
@@ -342,9 +355,10 @@ class PipelineScheduler:
         """Acquire a DMA-mapped buffer big enough for the job."""
         device = self.device
         t0 = device.env.now
-        with device_span(
+        span = device_span(
             "sched.map", device, job=index, bytes=job.sim_bytes,
-        ) as span:
+        ) if get_tracer().recording else NULL_SPAN
+        with span:
             if self.pool is not None:
                 buf = yield from self.pool.acquire()
                 span.set_attr("source", "mempool")
@@ -380,9 +394,10 @@ class PipelineScheduler:
         decompress); returns False when the output failed it."""
         device = self.device
         phase, _, seconds, _, _ = stage
-        with device_span(
+        span = device_span(
             "sched.drain", device, job=index, bytes=job.sim_bytes,
-        ) as span:
+        ) if get_tracer().recording else NULL_SPAN
+        with span:
             yield from device.soc.run(seconds)
             breakdown.add(phase, seconds)
             if job.payload is None:
@@ -425,8 +440,7 @@ class PipelineScheduler:
     # -- bookkeeping ------------------------------------------------------
 
     def _note_occupancy(self, metrics) -> None:
-        if metrics.recording:
-            metrics.set_gauge("sched.occupancy", float(self._slots.in_use))
+        metrics.set_gauge("sched.occupancy", float(self._slots.in_use))
 
     def _finish(self, index: int, job: EngineJob, engine: str, attempts: int,
                 submitted_at: float, breakdown: TimeBreakdown) -> JobOutcome:

@@ -33,16 +33,18 @@ class AdmissionController:
         metrics = get_metrics()
         if self.pending >= self.max_pending:
             self.shed += 1
-            metrics.inc("serve.shed")
+            if metrics.recording:
+                metrics.inc("serve.shed")
             return False
-        self.pending += 1
+        pending = self.pending = self.pending + 1
         self.accepted += 1
-        if self.pending > self.peak_pending:
-            self.peak_pending = self.pending
-        metrics.inc("serve.accepted")
-        metrics.set_gauge("serve.pending", self.pending)
-        metrics.observe("serve.pending_depth", self.pending,
-                        boundaries=QUEUE_DEPTH_BUCKETS)
+        if pending > self.peak_pending:
+            self.peak_pending = pending
+        if metrics.recording:
+            metrics.inc("serve.accepted")
+            metrics.set_gauge("serve.pending", pending)
+            metrics.observe("serve.pending_depth", pending,
+                            boundaries=QUEUE_DEPTH_BUCKETS)
         return True
 
     def complete(self) -> None:
@@ -50,4 +52,6 @@ class AdmissionController:
         if self.pending <= 0:
             raise RuntimeError("admission completed with nothing pending")
         self.pending -= 1
-        get_metrics().set_gauge("serve.pending", self.pending)
+        metrics = get_metrics()
+        if metrics.recording:
+            metrics.set_gauge("serve.pending", self.pending)

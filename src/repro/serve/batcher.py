@@ -14,8 +14,9 @@ baseline the serve bench compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from repro.dpu.specs import Algo, Direction
 from repro.obs import QUEUE_DEPTH_BUCKETS, get_metrics
@@ -33,6 +34,8 @@ __all__ = [
 MAX_SIM_BYTES = 8 * 2**20
 #: ...or once it is this old on the sim clock.
 FLUSH_DEADLINE_S = 2.5e-4
+# What a request without an ``algo`` batches as.
+_DEFAULT_ALGO = Algo.DEFLATE
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,11 @@ class BatchPolicy:
             raise ValueError("max_msgs must be >= 1")
 
 
-@dataclass(frozen=True)
-class BatchEntry:
-    """One admitted request plus its precomputed codec output + billing."""
+class BatchEntry(NamedTuple):
+    """One admitted request plus its precomputed codec output + billing.
+
+    An immutable slotted record: one is built per admitted request.
+    """
 
     request: "ServeRequest"
     output: bytes             # real codec output (computed eagerly)
@@ -58,32 +63,47 @@ class BatchEntry:
     event: "Event"            # fires with this request's ServeResponse
 
 
-@dataclass
 class Batch:
     """An accumulating (then flushed) group of entries sharing one
-    (direction, algo) — so a flushed batch is exactly one engine job."""
+    (direction, algo) — so a flushed batch is exactly one engine job.
 
-    batch_id: int
-    direction: Direction
-    opened_s: float
-    entries: "list[BatchEntry]" = field(default_factory=list)
-    algo: Algo = Algo.DEFLATE
+    Entries go in through :meth:`append`, which keeps the two billing
+    totals as running sums (left to right, the order a plain loop over
+    ``entries`` adds them in).
+    """
+
+    __slots__ = ("batch_id", "direction", "opened_s", "entries", "algo",
+                 "engine_sim_bytes", "soc_sim_bytes")
+
+    def __init__(self, batch_id: int, direction: Direction, opened_s: float,
+                 entries: "Iterable[BatchEntry]" = (),
+                 algo: Algo = Algo.DEFLATE) -> None:
+        self.batch_id = batch_id
+        self.direction = direction
+        self.opened_s = opened_s
+        self.algo = algo
+        self.entries: "list[BatchEntry]" = []
+        self.engine_sim_bytes = 0.0
+        self.soc_sim_bytes = 0.0
+        for entry in entries:
+            self.append(entry)
+
+    def append(self, entry: BatchEntry) -> None:
+        self.entries.append(entry)
+        self.engine_sim_bytes += entry.engine_sim_bytes
+        self.soc_sim_bytes += entry.soc_sim_bytes
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
     @property
-    def engine_sim_bytes(self) -> float:
-        return sum(e.engine_sim_bytes for e in self.entries)
-
-    @property
-    def soc_sim_bytes(self) -> float:
-        return sum(e.soc_sim_bytes for e in self.entries)
-
-    @property
     def payload(self) -> bytes:
         return b"".join(e.output for e in self.entries)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"Batch({self.batch_id}, {self.direction.value}, "
+                f"{self.algo.value}, size={self.size})")
 
 
 class Batcher:
@@ -120,8 +140,9 @@ class Batcher:
         return sum(b.size for b in self._open.values())
 
     def add(self, entry: BatchEntry) -> None:
-        algo = getattr(entry.request, "algo", Algo.DEFLATE)
-        key = (entry.request.direction, algo)
+        request = entry.request
+        algo = getattr(request, "algo", _DEFAULT_ALGO)
+        key = (request.direction, algo)
         batch = self._open.get(key)
         newly_opened = batch is None
         if batch is None:
@@ -131,17 +152,18 @@ class Batcher:
             self._next_batch_id += 1
             self._open[key] = batch
             self._epoch[key] = self._epoch.get(key, 0) + 1
-        batch.entries.append(entry)
+        batch.append(entry)
         if (
             batch.size >= self.policy.max_msgs
             or batch.engine_sim_bytes >= MAX_SIM_BYTES
         ):
             self._flush_key(key)
         elif newly_opened:
-            self.env.process(
-                self._deadline(key, self._epoch[key]),
-                name=f"serve:deadline:{batch.batch_id}",
-            )
+            # A bare timer, not a process: its callback runs at the
+            # instant a sleeping deadline process would have woken.
+            timer = self.env.timeout(FLUSH_DEADLINE_S)
+            timer.callbacks.append(
+                partial(self._deadline, key, self._epoch[key]))
 
     def flush(self, direction: Direction, algo: "Algo | None" = None) -> None:
         """Close and dispatch the open batch(es) for ``direction``.
@@ -163,17 +185,18 @@ class Batcher:
             return
         self.batches_flushed += 1
         metrics = get_metrics()
-        metrics.inc("serve.batches")
-        metrics.observe("serve.batch_msgs", batch.size,
-                        boundaries=QUEUE_DEPTH_BUCKETS)
+        if metrics.recording:
+            metrics.inc("serve.batches")
+            metrics.observe("serve.batch_msgs", batch.size,
+                            boundaries=QUEUE_DEPTH_BUCKETS)
         self.on_flush(batch)
 
     def flush_all(self) -> None:
         for key in list(self._open):
             self._flush_key(key)
 
-    def _deadline(self, key: "tuple[Direction, Algo]", epoch: int) -> Generator:
-        yield self.env.timeout(FLUSH_DEADLINE_S)
+    def _deadline(self, key: "tuple[Direction, Algo]", epoch: int,
+                  _timer: "Event") -> None:
         # Only fire for the batch that armed this timer: if it already
         # flushed on size (epoch advanced when a successor opened, or
         # the slot is simply empty), do nothing.

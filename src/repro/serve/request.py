@@ -43,9 +43,22 @@ class ServeRequest:
     tenant: str | None = None
     algo: Algo = Algo.DEFLATE
 
-    def __post_init__(self) -> None:
-        if self.sim_bytes is not None and self.sim_bytes < 0:
-            raise ValueError(f"negative sim_bytes {self.sim_bytes}")
+    def __init__(self, direction: Direction, payload: bytes,
+                 sim_bytes: "float | None" = None, req_id: object = None,
+                 tenant: "str | None" = None,
+                 algo: Algo = Algo.DEFLATE) -> None:
+        if sim_bytes is not None and sim_bytes < 0:
+            raise ValueError(f"negative sim_bytes {sim_bytes}")
+        # What the generated frozen __init__ does through one
+        # object.__setattr__ per field, at a third of the cost: one
+        # request is built per arrival.  Instances stay frozen.
+        fields = self.__dict__
+        fields["direction"] = direction
+        fields["payload"] = payload
+        fields["sim_bytes"] = sim_bytes
+        fields["req_id"] = req_id
+        fields["tenant"] = tenant
+        fields["algo"] = algo
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,22 @@ class ServeResponse:
     completed_s: float      # sim time its batch drained
     batch_id: int
     batch_size: int
+
+    def __init__(self, req_id: object, direction: Direction, payload: bytes,
+                 device: str, engine: str, accepted_s: float,
+                 completed_s: float, batch_id: int, batch_size: int) -> None:
+        # Direct instance-dict stores, as in ServeRequest.__init__: one
+        # response is built per completed request.
+        fields = self.__dict__
+        fields["req_id"] = req_id
+        fields["direction"] = direction
+        fields["payload"] = payload
+        fields["device"] = device
+        fields["engine"] = engine
+        fields["accepted_s"] = accepted_s
+        fields["completed_s"] = completed_s
+        fields["batch_id"] = batch_id
+        fields["batch_size"] = batch_size
 
     @property
     def latency_s(self) -> float:

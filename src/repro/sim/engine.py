@@ -10,7 +10,7 @@ makes runs fully deterministic.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimDeadlockError, SimulationError
@@ -62,7 +62,11 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.env._schedule(self, delay)
+        # Environment._schedule, inlined: this is the hottest push.
+        env = self.env
+        seq = env._seq
+        heappush(env._queue, (env._now + delay, seq, self))
+        env._seq = seq + 1
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -83,10 +87,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout {delay}")
-        super().__init__(env)
-        self._triggered = True
+        # Event.__init__ and Environment._schedule, inlined.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay)
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        seq = env._seq
+        heappush(env._queue, (env._now + delay, seq, self))
+        env._seq = seq + 1
 
 
 class Process(Event):
@@ -95,25 +105,34 @@ class Process(Event):
     __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: SimGenerator, name: str = "") -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume the generator at the current time.
+        # Bootstrap: resume the generator at the current time (a boot
+        # event succeeded now, with Environment._schedule inlined).
         boot = Event(env)
-        self._target: Event | None = boot
         boot.callbacks.append(self._resume)
-        boot.succeed()
+        boot._triggered = True
+        self._target: Event | None = boot
+        seq = env._seq
+        heappush(env._queue, (env._now, seq, boot))
+        env._seq = seq + 1
 
     def _resume(self, trigger: Event) -> None:
         if trigger is not self._target:
             return  # stale wakeup (e.g. the event an interrupted wait held)
+        generator = self._generator
         while True:
             try:
-                if trigger is not None and trigger._exc is not None:
-                    target = self._generator.throw(trigger._exc)
+                if trigger._exc is not None:
+                    target = generator.throw(trigger._exc)
                 else:
-                    value = None if trigger is None else trigger._value
-                    target = self._generator.send(value)
+                    target = generator.send(trigger._value)
             except StopIteration as stop:
                 if not self._triggered:
                     self.succeed(stop.value)
@@ -207,8 +226,19 @@ class AnyOf(Event):
             return
         if child._exc is not None:
             self.fail(child._exc)
-            return
-        self.succeed((child, child._value))
+        else:
+            self.succeed((child, child._value))
+        # Detach from the losers: a long-lived child (a worker's death
+        # event) would otherwise hold one stale callback — and through
+        # it this race and everything its waiter references — per race
+        # it ever lost.
+        on_child = self._on_child
+        for ev in self._events:
+            if ev is not child and not ev._processed:
+                try:
+                    ev.callbacks.remove(on_child)
+                except ValueError:
+                    pass  # never subscribed (decided at construction)
 
 
 class Environment:
@@ -225,7 +255,8 @@ class Environment:
         return self._now
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        # Event.succeed, Timeout and Process push the same way, inlined.
+        heappush(self._queue, (self._now + delay, self._seq, event))
         self._seq += 1
 
     def event(self) -> Event:
@@ -250,7 +281,7 @@ class Environment:
 
     def step(self) -> None:
         """Fire the next scheduled event."""
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, event = heappop(self._queue)
         self._now = when
         callbacks = event.callbacks
         event.callbacks = []
@@ -267,18 +298,20 @@ class Environment:
           return its value; raise :class:`SimDeadlockError` if the queue
           drains first.
         """
+        queue = self._queue
+        step = self.step
         if isinstance(until, Event):
             target = until
             while not target._processed:
-                if not self._queue:
+                if not queue:
                     raise SimDeadlockError(
                         "event queue drained before awaited event fired"
                     )
-                self.step()
+                step()
             return target.value
         horizon = float("inf") if until is None else float(until)
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        while queue and queue[0][0] <= horizon:
+            step()
         if until is not None:
             self._now = max(self._now, horizon) if self._queue else self._now
         return None

@@ -125,3 +125,53 @@ def test_gauge_rollup_last_write_wins_any_merge_order(writes, split, order):
     assert a.gauges["depth"].updates == b.gauges["depth"].updates == len(writes)
     assert a.gauges["depth"].min == b.gauges["depth"].min == min(writes)
     assert a.gauges["depth"].max == b.gauges["depth"].max == max(writes)
+
+
+# -- exemplar retention ------------------------------------------------------
+
+# Few distinct values and links, so ties on value and on the whole
+# (value, repr(link)) key are common.
+tie_values = st.sampled_from([1e-3, 2e-3, 2e-3, 0.5, 7.0])
+links = st.one_of(st.integers(min_value=0, max_value=4),
+                  st.sampled_from(["span-1", "span-2", "a"]))
+linked = st.lists(st.tuples(tie_values, links), max_size=40)
+
+
+def sort_and_trim(pairs):
+    """The retention rule written out: after each pair, a stable sort on
+    ``(value, repr(link))`` and the head dropped past capacity."""
+    from repro.obs.sketch import EXEMPLAR_CAPACITY
+
+    kept = []
+    for pair in pairs:
+        kept.append(pair)
+        kept.sort(key=lambda p: (p[0], repr(p[1])))
+        del kept[:-EXEMPLAR_CAPACITY]
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=linked)
+def test_exemplars_follow_the_sort_and_trim_rule(pairs):
+    sketch = QuantileSketch()
+    for value, link in pairs:
+        sketch.add(value, exemplar=link)
+    assert sketch.exemplars == sort_and_trim(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shards=st.lists(linked, min_size=1, max_size=4))
+def test_merged_exemplars_follow_the_sort_and_trim_rule(shards):
+    sketches = []
+    for shard in shards:
+        sketch = QuantileSketch()
+        for value, link in shard:
+            sketch.add(value, exemplar=link)
+        sketches.append(sketch)
+    merged = QuantileSketch.merged(sketches)
+    retained = [pair for sketch in sketches for pair in sketch.exemplars]
+    assert merged.exemplars == sort_and_trim(retained)
+    # Retention is lossless for the tail: the merge keeps exactly what
+    # one sketch over the pooled stream keeps.
+    assert merged.exemplars == sort_and_trim(
+        [pair for shard in shards for pair in shard])

@@ -183,3 +183,42 @@ def test_round_robin_raises_typed_error_on_dead_fleet(env):
     with pytest.raises(NoCapableWorkerError) as excinfo:
         router.pick(gateway.workers, _Batch())
     assert excinfo.value.direction == Direction.COMPRESS
+
+
+def test_death_race_subscriptions_stay_bounded_by_in_flight_batches(env):
+    """Every failover-enabled batch races its job against its worker's
+    death event.  A decided race must unsubscribe from ``died``: on a
+    worker that lives all run long, the subscriber list is never longer
+    than the batches in flight on it, and is empty once they drain."""
+    gateway = _gateway(env, n_workers=2, failover=True, max_pending=32)
+    peaks = {w.name: 0 for w in gateway.workers}
+    over = []  # (time, worker, subscribed, in flight) past the bound
+
+    def in_flight(worker):
+        placed = sum(1 for _batch, _kind, name in gateway.routing_log
+                     if name == worker.name)
+        return placed - worker.batches_served
+
+    def sampler(env):
+        while True:
+            yield env.timeout(1e-4)
+            for worker in gateway.workers:
+                subscribed = len(worker.died.callbacks)
+                if subscribed > in_flight(worker):
+                    over.append((env.now, worker.name, subscribed,
+                                 in_flight(worker)))
+                peaks[worker.name] = max(peaks[worker.name], subscribed)
+
+    def driver(env):
+        for request in _requests(400):
+            gateway.submit(request)
+            yield env.timeout(2e-5)
+        yield from gateway.drain()
+
+    env.process(sampler(env))
+    env.run(until=env.process(driver(env)))
+    assert over == []
+    assert sum(w.batches_served for w in gateway.workers) >= 40
+    assert max(peaks.values()) >= 2  # several races subscribed at once
+    for worker in gateway.workers:
+        assert worker.died.callbacks == []

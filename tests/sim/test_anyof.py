@@ -93,3 +93,49 @@ def test_any_of_requires_events():
         AnyOf(env, [])
     with pytest.raises(SimulationError):
         env.any_of([])
+
+
+def test_decided_race_detaches_from_its_losers():
+    """A long-lived loser (a worker's death event) must not keep one
+    stale callback — and the race behind it — per race it lost."""
+    env = Environment()
+    never = env.event()
+    for i in range(50):
+        race = env.any_of([env.timeout(1.0, value=i), never])
+        env.run(until=race)
+    assert never.callbacks == []
+
+
+def test_race_decided_at_construction_detaches_earlier_children():
+    env = Environment()
+    pending = env.event()
+    done = env.event()
+    done.succeed("already")
+    env.run()
+    race = env.any_of([pending, done, env.event()])
+    assert race.triggered
+    assert pending.callbacks == []
+
+
+def test_failed_race_detaches_from_its_losers():
+    env = Environment()
+    never = env.event()
+    boom = env.event()
+    race = env.any_of([never, boom])
+    boom.fail(RuntimeError("gone"))
+    with pytest.raises(RuntimeError):
+        env.run(until=race)
+    assert never.callbacks == []
+
+
+def test_detaching_leaves_other_waiters_subscribed():
+    env = Environment()
+    shared = env.event()
+    heard = []
+    shared.callbacks.append(lambda ev: heard.append(ev.value))
+    first = env.any_of([env.timeout(1.0), shared])
+    second = env.any_of([shared, env.timeout(5.0)])
+    env.run(until=first)
+    shared.succeed("late")
+    assert env.run(until=second) == (shared, "late")
+    assert heard == ["late"]
