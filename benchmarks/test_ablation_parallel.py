@@ -58,8 +58,8 @@ def test_parallel_vs_single_engine_job(benchmark):
     buffer-map lead-in and one CRC-drain tail; every interior map and
     drain overlaps engine execution."""
     device = make_device(Environment(), "bf2")
-    from repro.core.charges import job_plan
     from repro.dpu.specs import Algo, Direction
+    from repro.plan.charges import job_plan
 
     one_job = device.cal.cengine_time(Algo.DEFLATE, Direction.COMPRESS, NOMINAL)
     hybrid = benchmark.pedantic(_run, args=(8, True), rounds=1, iterations=1)

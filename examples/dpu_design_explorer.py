@@ -14,10 +14,10 @@ Run:  python examples/dpu_design_explorer.py [dataset-key]
 import sys
 
 from repro.core import PedalContext
-from repro.core.designs import ALL_DESIGNS
-from repro.core.registry import resolve
 from repro.datasets import DATASETS, get_dataset
 from repro.dpu import make_device
+from repro.plan.designs import ALL_DESIGNS
+from repro.plan.registry import resolve
 from repro.sim import Environment
 
 

@@ -14,10 +14,10 @@ Run:  python examples/scientific_lossy_pipeline.py
 import numpy as np
 
 from repro.algorithms.sz3 import SZ3Compressor, SZ3Config, sz3_decompress
-from repro.core.sz3_hybrid import hybrid_sz3_compress
 from repro.datasets import get_dataset
 from repro.dpu.calibration import CAL_BF2
 from repro.dpu.specs import Algo, Direction
+from repro.plan.sz3_hybrid import hybrid_sz3_compress
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ Stream layout (little-endian)::
     bytes   backend blob (lossless-compressed entropy payload)
 
 :class:`SZ3Compressor` additionally exposes each stage separately and
-records per-stage byte counts, which :mod:`repro.core.sz3_hybrid` uses
+records per-stage byte counts, which :mod:`repro.plan.sz3_hybrid` uses
 to charge the right simulated hardware for the right stage.
 """
 

@@ -4,7 +4,7 @@ SZ3 finishes by losslessly compressing the entropy-coded payload (the
 real SZ3 defaults to zstd).  PEDAL's lossy optimisation (paper §III-C.2)
 reroutes exactly this stage to the C-Engine; keeping it behind one
 two-function interface is what makes that rerouting a one-line change in
-:mod:`repro.core.sz3_hybrid`.
+:mod:`repro.plan.sz3_hybrid`.
 """
 
 from __future__ import annotations

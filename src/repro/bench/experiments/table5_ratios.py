@@ -18,8 +18,8 @@ from repro.bench.harness import (
     generate_payload,
     register_experiment,
 )
-from repro.core.sz3_hybrid import hybrid_sz3_compress
 from repro.datasets import lossless_datasets, lossy_datasets
+from repro.plan.sz3_hybrid import hybrid_sz3_compress
 
 __all__ = ["run", "PAPER_LOSSLESS", "PAPER_LOSSY"]
 

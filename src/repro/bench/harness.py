@@ -15,9 +15,9 @@ from typing import Any, Callable
 
 from repro.core.api import PedalContext
 from repro.core.baseline import NaiveCompressor
-from repro.core.designs import CompressionDesign, design as lookup_design
 from repro.datasets import Dataset, get_dataset
 from repro.dpu.device import make_device
+from repro.plan.designs import CompressionDesign, design as lookup_design
 from repro.sim import Environment, TimeBreakdown
 
 __all__ = [

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.registry import cengine_core_algo
 from repro.dpu.specs import Algo, Direction
 from repro.errors import ClusterError
+from repro.plan.registry import cengine_core_algo
 
 if TYPE_CHECKING:
     from repro.dpu.device import BlueFieldDPU

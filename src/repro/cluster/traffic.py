@@ -21,7 +21,7 @@ function of ``(TrafficConfig, seed)`` and replays bit-for-bit.
   wall-clock cheap without changing any simulated number.  Nothing
   memoises it: the gateway runs the real codec on every admitted
   request (``ServeGateway._make_entry`` calls
-  :func:`repro.core.codecs.byte_codec` directly), which is why a
+  :func:`repro.plan.codecs.byte_codec` directly), which is why a
   serving benchmark measures codec cost at all.
 * **Tenants** — weighted mix of compress and decompress profiles,
   each carrying an optional p99 SLO threshold the bench feeds to the

@@ -35,8 +35,8 @@ from repro.core.api import (
     PEDAL_finalize,
     PEDAL_init,
 )
-from repro.core.designs import ALL_DESIGNS, CompressionDesign, Placement, design
-from repro.core.header import PedalHeader
+from repro.plan.designs import ALL_DESIGNS, CompressionDesign, Placement, design
+from repro.plan.header import PedalHeader
 
 __all__ = [
     "ALL_DESIGNS",

@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
-from repro.core.charges import (  # phase names are re-exported from here
+from repro.core.mempool import MemoryPool
+from repro.doca.sdk import DocaSession
+from repro.dpu.device import BlueFieldDPU
+from repro.dpu.specs import Algo, Direction
+from repro.errors import PedalNotInitializedError, UnknownDesignError
+from repro.faults.policy import EngineFallback, RetryPolicy, init_with_retry
+from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
+from repro.plan.charges import (  # phase names are re-exported from here
     PHASE_COMP,
     PHASE_DECOMP,
     PHASE_HEADER,
@@ -32,17 +39,10 @@ from repro.core.charges import (  # phase names are re-exported from here
     execute,
     plan_entry,
 )
-from repro.core.codecs import CodecConfig, real_compress, real_decompress
-from repro.core.designs import CompressionDesign, Placement, parse_design_spec
-from repro.core.header import HEADER_SIZE, PedalHeader
-from repro.core.mempool import MemoryPool
-from repro.core.registry import ResolvedDesign, resolve
-from repro.doca.sdk import DocaSession
-from repro.dpu.device import BlueFieldDPU
-from repro.dpu.specs import Algo, Direction
-from repro.errors import PedalNotInitializedError, UnknownDesignError
-from repro.faults.policy import EngineFallback, RetryPolicy, init_with_retry
-from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
+from repro.plan.codecs import CodecConfig, real_compress, real_decompress
+from repro.plan.designs import CompressionDesign, Placement, parse_design_spec
+from repro.plan.header import HEADER_SIZE, PedalHeader
+from repro.plan.registry import ResolvedDesign, resolve
 from repro.select import PathDecision, PathSelector
 from repro.sim import TimeBreakdown
 

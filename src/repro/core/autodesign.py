@@ -9,7 +9,7 @@ minimising the cost model's predicted compress+transfer+decompress time.
 
 The chooser is deliberately simple and fully explainable: it evaluates
 each candidate design's predicted pipeline time by summing the charge
-plan the simulator executes (:mod:`repro.core.charges`), assuming a caller-supplied expected
+plan the simulator executes (:mod:`repro.plan.charges`), assuming a caller-supplied expected
 compression ratio (measurable from a data sample via
 :func:`estimate_ratio`).
 """
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.charges import op_plan, plan_seconds
-from repro.core.designs import LOSSLESS_DESIGNS, LOSSY_DESIGNS, CompressionDesign
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Direction
+from repro.plan.charges import op_plan, plan_seconds
+from repro.plan.designs import LOSSLESS_DESIGNS, LOSSY_DESIGNS, CompressionDesign
 
 __all__ = ["DesignChoice", "choose_design", "estimate_ratio", "predict_pipeline_time"]
 

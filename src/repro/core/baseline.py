@@ -10,7 +10,7 @@ DOCA but still allocate their working buffers per call.
 The same real codecs produce the same real bytes as PEDAL, through the
 same op body (:func:`~repro.core.api.compress_op` /
 :func:`~repro.core.api.decompress_op`) and the same charge plan
-(:mod:`repro.core.charges`) — only *un-hoisted*: no memory pool, no
+(:mod:`repro.plan.charges`) — only *un-hoisted*: no memory pool, no
 path selector, and the per-op set-up prefix on every plan.
 
 Fault response is therefore PEDAL's too: injected DOCA init failures and
@@ -26,10 +26,10 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.core.api import compress_op, decompress_op
-from repro.core.codecs import CodecConfig
-from repro.core.designs import CompressionDesign, Placement, design as lookup_design
 from repro.dpu.device import BlueFieldDPU
 from repro.faults.policy import RetryPolicy
+from repro.plan.codecs import CodecConfig
+from repro.plan.designs import CompressionDesign, Placement, design as lookup_design
 
 __all__ = ["NaiveCompressor"]
 

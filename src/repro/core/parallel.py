@@ -23,8 +23,8 @@ that design as an experimental extension:
 Chunk bytes are compressed eagerly, before any simulated scheduling, so
 the container is byte-identical whatever the queue depth, device, or
 fault plan — only the simulated clock changes.  They come from the
-real-codec memo (:func:`~repro.core.codecs.real_compress` under
-``SoC_DEFLATE``, :func:`~repro.core.codecs.real_decompress` capped at
+real-codec memo (:func:`~repro.plan.codecs.real_compress` under
+``SoC_DEFLATE``, :func:`~repro.plan.codecs.real_decompress` capped at
 each frame's ``raw_len``), so a repeated round trip of the same payload
 runs the codec only once per distinct chunk and direction.
 
@@ -40,12 +40,13 @@ import math
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.core.charges import job_plan, steal_stage
-from repro.core.codecs import CodecConfig, real_compress, real_decompress
-from repro.core.designs import design
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
 from repro.errors import StreamCorruptError
+from repro.plan.charges import job_plan, steal_stage
+from repro.plan.codecs import CodecConfig, real_compress, real_decompress
+from repro.plan.designs import design
+from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.sim import TimeBreakdown
 from repro.stream.api import FrameReader, FrameWriter, StreamConfig
 
@@ -112,7 +113,7 @@ def _engine_chunks(
 ) -> int:
     """Number of chunks the C-Engine lane should take (0..n_chunks).
 
-    ``plan`` is one even chunk's :func:`~repro.core.charges.job_plan`;
+    ``plan`` is one even chunk's :func:`~repro.plan.charges.job_plan`;
     the engine serves at most one chunk stream (it is a single-server
     queue, so more streams would just queue), none where it lacks the
     direction.  The split is the argmin over ``k`` of the steady-state
@@ -242,8 +243,6 @@ class ParallelCompressor:
         SoC inside the scheduler; the returned engine/SoC counts
         reflect where each chunk actually executed.
         """
-        from repro.sched import EngineJob, PipelineScheduler, SchedConfig
-
         n_chunks = len(payloads)
         if not n_chunks:  # empty input: nothing framed, nothing to run
             return TimeBreakdown(), 0, 0

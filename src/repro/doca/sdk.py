@@ -9,6 +9,7 @@ from repro.dpu.device import BlueFieldDPU
 from repro.errors import DocaInitError, DocaNotInitializedError
 from repro.faults.plan import get_fault_plan
 from repro.obs import device_span
+from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 
 __all__ = ["DocaSession"]
 
@@ -94,8 +95,6 @@ class DocaSession:
         :class:`~repro.sched.SchedConfig` as ``config`` to override
         (e.g. ``soc_fallback=True``).
         """
-        from repro.sched import EngineJob, PipelineScheduler, SchedConfig
-
         self.require_open()
         if config is None:
             config = SchedConfig(depth=depth, soc_fallback=False)

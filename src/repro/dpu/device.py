@@ -31,7 +31,7 @@ class BlueFieldDPU:
         self.cengine = CEngine(env, spec, self.cal)
         self.cengine.owner = self  # job spans share the device's trace track
         self.memory = MemoryModel(spec.memory, self.cal.buffer_fixed_time)
-        # Charge plans by op key, filled by repro.core.charges on first use.
+        # Charge plans by op key, filled by repro.plan.charges on first use.
         self.plans: dict = {}
 
     @property

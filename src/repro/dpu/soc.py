@@ -5,7 +5,7 @@ codecs the paper runs are single-threaded per message).  The core pool
 is a simulated :class:`~repro.sim.resources.Resource`, so concurrent
 messages contend for cores exactly as they would on the 8-core A72 /
 16-core A78 SoCs.  What a piece of work costs is the charge plan's
-business (:mod:`repro.core.charges`); a core only runs it.
+business (:mod:`repro.plan.charges`); a core only runs it.
 """
 
 from __future__ import annotations

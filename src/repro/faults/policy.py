@@ -10,7 +10,7 @@ budget is exhausted, escalated to the SoC pipeline by the caller.
 :func:`init_with_retry` one DOCA bring-up; both raise
 :class:`EngineFallback` when the engine must be given up on.  For
 PEDAL and naive ops alike the charge-plan executor
-(:func:`repro.core.charges.execute`) catches it and runs the stage's
+(:func:`repro.plan.charges.execute`) catches it and runs the stage's
 SoC fallback plan, which is exactly what makes fault runs
 byte-identical to fault-free runs (the real codec bytes never depend
 on which engine the simulation charged).

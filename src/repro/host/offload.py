@@ -15,14 +15,14 @@ from enum import Enum
 from typing import Any, Generator
 
 from repro.core.api import PedalContext
-from repro.core.codecs import CodecConfig, real_compress, real_decompress
-from repro.core.designs import CompressionDesign, design as lookup_design
-from repro.core.header import HEADER_SIZE, PedalHeader
-from repro.core.registry import cengine_core_algo, resolve
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
 from repro.host.model import HostNode
 from repro.host.specs import PcieSpec
+from repro.plan.codecs import CodecConfig, real_compress, real_decompress
+from repro.plan.designs import CompressionDesign, design as lookup_design
+from repro.plan.header import HEADER_SIZE, PedalHeader
+from repro.plan.registry import cengine_core_algo, resolve
 from repro.sim import TimeBreakdown
 
 __all__ = ["OffloadPath", "OffloadResult", "HostOffloadEngine"]

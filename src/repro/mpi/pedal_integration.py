@@ -23,13 +23,13 @@ from typing import Any, Generator
 
 from repro.core.api import PedalConfig, PedalContext
 from repro.core.baseline import NaiveCompressor
-from repro.core.codecs import CodecConfig
-from repro.core.designs import CompressionDesign, design as lookup_design
-from repro.core.header import HEADER_SIZE, PedalHeader
 from repro.dpu.device import BlueFieldDPU
 from repro.errors import MpiConfigError
 from repro.mpi.protocol import EAGER_THRESHOLD_BYTES, should_compress
 from repro.obs import get_metrics
+from repro.plan.codecs import CodecConfig
+from repro.plan.designs import CompressionDesign, design as lookup_design
+from repro.plan.header import HEADER_SIZE, PedalHeader
 from repro.sim import TimeBreakdown
 from repro.stream import DEFAULT_CHUNK_BYTES as STREAM_CHUNK_BYTES
 

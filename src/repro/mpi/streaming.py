@@ -29,8 +29,8 @@ simulated byte domain, so the streamed wire total equals the real
 container size times the same scale the whole-message path uses.
 
 Chunk bytes come from the real-codec memo
-(:func:`~repro.core.codecs.real_compress` /
-:func:`~repro.core.codecs.real_decompress`), like every whole-message
+(:func:`~repro.plan.codecs.real_compress` /
+:func:`~repro.plan.codecs.real_decompress`), like every whole-message
 send: an echoed or relayed stream re-sends the same chunks, so only the
 first pass runs the codec.  Each chunk decodes under a cap of its
 frame's ``raw_len``, memo hit or not, so a frame that understates its
@@ -42,13 +42,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.core.charges import op_plan
-from repro.core.codecs import real_compress, real_decompress
-from repro.core.designs import CompressionDesign, Placement
 from repro.dpu.specs import Direction
 from repro.errors import StreamError
 from repro.mpi.protocol import Envelope, Protocol, should_compress
 from repro.obs import device_span
+from repro.plan.charges import op_plan
+from repro.plan.codecs import real_compress, real_decompress
+from repro.plan.designs import CompressionDesign, Placement
 from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.sim import Event, Resource, Store
 from repro.stream import ALGO_IDS, Frame, FrameReader, FrameWriter, StreamConfig

@@ -49,9 +49,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, NamedTuple
 
-from repro.core.designs import CompressionDesign, Placement
-from repro.core.header import PedalHeader
-from repro.core.registry import ResolvedDesign, cengine_core_algo
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaInitError
 from repro.faults.plan import get_fault_plan
@@ -62,6 +59,9 @@ from repro.faults.policy import (
     init_with_retry,
 )
 from repro.obs import device_span, get_metrics
+from repro.plan.designs import CompressionDesign, Placement
+from repro.plan.header import PedalHeader
+from repro.plan.registry import ResolvedDesign, cengine_core_algo
 
 if TYPE_CHECKING:
     from repro.core.mempool import MemoryPool

@@ -20,11 +20,11 @@ from repro.algorithms.ac import ACConfig, ac_compress, ac_decompress
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
 from repro.algorithms.lz4 import lz4_compress, lz4_decompress
 from repro.algorithms.sz3 import SZ3Compressor, SZ3Config
-from repro.core.designs import CompressionDesign, Placement
-from repro.core.sz3_hybrid import hybrid_sz3_compress
-from repro.core.zlib_hybrid import hybrid_zlib_compress, hybrid_zlib_decompress
 from repro.dpu.specs import Algo
 from repro.errors import UnsupportedDataError
+from repro.plan.designs import CompressionDesign, Placement
+from repro.plan.sz3_hybrid import hybrid_sz3_compress
+from repro.plan.zlib_hybrid import hybrid_zlib_compress, hybrid_zlib_decompress
 
 __all__ = [
     "CodecConfig",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.designs import ALGO_FROM_ID, ALGO_IDS
 from repro.dpu.specs import Algo
 from repro.errors import HeaderError
+from repro.plan.designs import ALGO_FROM_ID, ALGO_IDS
 
 __all__ = ["PedalHeader", "HEADER_SIZE"]
 

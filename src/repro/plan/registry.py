@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.designs import CompressionDesign, Placement
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
+from repro.plan.designs import CompressionDesign, Placement
 
 __all__ = ["ResolvedDesign", "resolve", "cengine_core_algo"]
 
@@ -79,7 +79,7 @@ def resolve(
     rather than architecturally absent.  Read off the device's plan
     table; each call that lands on a fallback counts once.
     """
-    from repro.core.charges import plan_entry  # charges imports this module
+    from repro.plan.charges import plan_entry  # charges imports this module
 
     return plan_entry(device, design.algo, design.placement,
                       Direction.COMPRESS, True, not force_soc).resolve()

@@ -37,12 +37,12 @@ from repro.algorithms.ac import (
     ac_compress,
     ac_compress_pipelined,
 )
-from repro.core.charges import op_plan
-from repro.core.designs import Placement
 from repro.dpu.calibration import AC_MODEL_FRACTION
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
 from repro.obs import device_span, get_logger
+from repro.plan.charges import op_plan
+from repro.plan.designs import Placement
 from repro.sim import AllOf, Resource, Store
 
 __all__ = ["DecoupledConfig", "DecoupledResult", "DecoupledCodecPipeline"]

@@ -36,7 +36,7 @@ byte-identical to serial (``depth=1``) runs — only the sim clock
 improves.
 
 What each stage costs is the job's charge plan
-(:func:`repro.core.charges.job_plan`); this module only decides when
+(:func:`repro.plan.charges.job_plan`); this module only decides when
 and on which resource the plan's stages run.
 """
 
@@ -45,13 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Iterable
 
-from repro.core.charges import PHASE_EXEC, job_plan, steal_stage
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaCapabilityError, DocaTransientError
 from repro.faults.plan import get_fault_plan
 from repro.faults.policy import RetryPolicy, backoff_wait
 from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
 from repro.obs.metrics import RETRY_ATTEMPT_BUCKETS
+from repro.plan.charges import PHASE_EXEC, job_plan, steal_stage
 from repro.sim import Resource, Store, TimeBreakdown
 from repro.util.checksums import crc32
 

@@ -3,7 +3,7 @@
 The selection layer the paper's end-to-end numbers imply: both
 dispatch surfaces (``PedalContext`` with ``path="auto"`` and the
 serving gateway's ``cost_aware`` router) sum the charge plans of
-:mod:`repro.core.charges` and pick the cheapest *capable* path, with a
+:mod:`repro.plan.charges` and pick the cheapest *capable* path, with a
 memoized crossover-size cache for O(1) steady-state decisions and an
 online-refinement hook fed by observed ``repro.obs`` spans.  The
 pipeline scheduler (:mod:`repro.sched`) does not consult it: a job

@@ -1,6 +1,6 @@
 """Per-path latency prediction for one PEDAL operation.
 
-:class:`CostModel` sums the charge plan (:func:`repro.core.charges.
+:class:`CostModel` sums the charge plan (:func:`repro.plan.charges.
 op_plan`) that :class:`~repro.core.api.PedalContext` — or, un-hoisted,
 :class:`~repro.core.baseline.NaiveCompressor` — executes for each
 (algorithm, direction, path), so it predicts exactly what the
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.charges import op_plan, plan_entry, plan_seconds
-from repro.core.designs import Placement
 from repro.dpu.specs import Algo, Direction
+from repro.plan.charges import op_plan, plan_entry, plan_seconds
+from repro.plan.designs import Placement
 
 if TYPE_CHECKING:
     from repro.dpu.device import BlueFieldDPU

@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.charges import job_plan, plan_entry, plan_seconds, steal_stage
-from repro.core.designs import Placement
 from repro.dpu.specs import Algo, Direction
+from repro.plan.charges import job_plan, plan_entry, plan_seconds, steal_stage
+from repro.plan.designs import Placement
 from repro.select.model import (
     ALL_PATHS,
     PATH_CENGINE,

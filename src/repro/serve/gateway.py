@@ -37,13 +37,13 @@ from typing import TYPE_CHECKING, Generator, Sequence
 # from ``byte_codec``.  benchmarks/perf's harness test probes this name
 # to check its tracer's by-name rebinding; drop it when that probe moves.
 from repro.algorithms.deflate import deflate_compress  # noqa: F401
-from repro.core.codecs import CodecConfig, byte_codec
-from repro.core.registry import cengine_core_algo
 from repro.dpu.specs import Algo, Direction
 from repro.errors import NoCapableWorkerError, NoLatencySamplesError, WorkerDiedError
 from repro.obs import (NULL_SPAN, MetricsRegistry, QuantileSketch, device_span,
                        get_metrics, get_tracer)
 from repro.obs.slo import GOODPUT_COUNTER, LATENCY_METRIC
+from repro.plan.codecs import CodecConfig, byte_codec
+from repro.plan.registry import cengine_core_algo
 from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import Batch, BatchEntry, Batcher, BatchPolicy

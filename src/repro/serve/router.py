@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from repro.dpu.specs import Algo
 from repro.errors import NoCapableWorkerError
+from repro.select import PathSelector
 
 if TYPE_CHECKING:
     from repro.serve.batcher import Batch
@@ -162,8 +164,6 @@ class CostAwareRouter(Router):
         self._selectors: dict[int, object] = {}
 
     def _selector(self, worker: "DpuWorker"):
-        from repro.select import PathSelector
-
         key = id(worker.device)
         selector = self._selectors.get(key)
         if selector is None:
@@ -179,8 +179,6 @@ class CostAwareRouter(Router):
             )
         best = None
         best_score = None
-        from repro.dpu.specs import Algo
-
         algo = getattr(batch, "algo", Algo.DEFLATE)
         for worker in capable or alive:
             costs = self._selector(worker).job_costs(

@@ -170,6 +170,18 @@ class Process(Event):
         punch.fail(SimulationError(f"interrupted: {reason}"))
 
 
+def _detach(joined: "AllOf | AnyOf", decider: Event) -> None:
+    """Unsubscribe a decided AllOf/AnyOf from its still-pending children,
+    so a long-lived child (a worker's death event) does not keep it alive."""
+    on_child = joined._on_child
+    for ev in joined._events:
+        if ev is not decider and not ev._processed:
+            try:
+                ev.callbacks.remove(on_child)
+            except ValueError:
+                pass  # never subscribed (decided at construction)
+
+
 class AllOf(Event):
     """Fires when all given events have fired; value is their value list."""
 
@@ -191,6 +203,7 @@ class AllOf(Event):
             return
         if child._exc is not None:
             self.fail(child._exc)
+            _detach(self, child)
             return
         self._pending -= 1
         if self._pending == 0:
@@ -228,17 +241,7 @@ class AnyOf(Event):
             self.fail(child._exc)
         else:
             self.succeed((child, child._value))
-        # Detach from the losers: a long-lived child (a worker's death
-        # event) would otherwise hold one stale callback — and through
-        # it this race and everything its waiter references — per race
-        # it ever lost.
-        on_child = self._on_child
-        for ev in self._events:
-            if ev is not child and not ev._processed:
-                try:
-                    ev.callbacks.remove(on_child)
-                except ValueError:
-                    pass  # never subscribed (decided at construction)
+        _detach(self, child)
 
 
 class Environment:

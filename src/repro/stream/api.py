@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.core.codecs import CodecConfig, byte_codec
 from repro.dpu.specs import Algo
 from repro.errors import (
     CodecError,
@@ -37,6 +36,7 @@ from repro.errors import (
     StreamStateError,
     StreamTruncatedError,
 )
+from repro.plan.codecs import CodecConfig, byte_codec
 from repro.stream.container import (
     ALGO_IDS,
     Frame,

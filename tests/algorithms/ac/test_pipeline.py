@@ -22,11 +22,11 @@ from repro.algorithms.ac import (
     ac_compress_pipelined,
     ac_decompress,
 )
-from repro.core.charges import op_plan
-from repro.core.designs import Placement
 from repro.dpu.calibration import AC_MODEL_FRACTION
 from repro.dpu.device import make_device
 from repro.dpu.specs import Algo, Direction
+from repro.plan.charges import op_plan
+from repro.plan.designs import Placement
 from repro.sched import DecoupledCodecPipeline, DecoupledConfig
 from repro.sim import Environment
 

@@ -7,9 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.codecs import clear_codec_cache
 from repro.core.mempool import ScratchPool, set_scratch_pool
 from repro.dpu import make_device
+from repro.plan.codecs import clear_codec_cache
 from repro.sim import Environment
 
 
@@ -24,9 +24,9 @@ def _fresh_codec_cache():
 @pytest.fixture
 def codec_calls(monkeypatch) -> Counter:
     """Counts calls, by name, of the byte-codec kernels that
-    ``repro.core.codecs`` looks up at call time (only the memo's misses
+    ``repro.plan.codecs`` looks up at call time (only the memo's misses
     reach them)."""
-    import repro.core.codecs as codecs
+    import repro.plan.codecs as codecs
 
     calls: Counter = Counter()
 

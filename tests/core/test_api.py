@@ -14,10 +14,10 @@ from repro.core.api import (
     PEDAL_finalize,
     PEDAL_init,
 )
-from repro.core.designs import ALL_DESIGNS
 from repro.core.mempool import ScratchStats
 from repro.dpu.specs import Algo
 from repro.errors import PedalNotInitializedError
+from repro.plan.designs import ALL_DESIGNS
 
 
 @pytest.fixture
@@ -157,7 +157,7 @@ class TestAccounting:
 
 class TestPassthrough:
     def test_passthrough_message(self, env, ctx2, run_sim):
-        from repro.core.header import PedalHeader
+        from repro.plan.header import PedalHeader
 
         message = PedalHeader.passthrough().encode() + b"raw bytes"
         dec = run_sim(env, ctx2.decompress(message))

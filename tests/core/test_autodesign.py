@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.autodesign import choose_design, estimate_ratio, predict_pipeline_time
-from repro.core.designs import design
 from repro.dpu import make_device
+from repro.plan.designs import design
 
 
 @pytest.fixture

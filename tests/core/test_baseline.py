@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.api import PHASE_INIT, PHASE_PREP
 from repro.core.baseline import NaiveCompressor
-from repro.core.designs import Placement
-from repro.core.header import HEADER_SIZE
+from repro.plan.designs import Placement
+from repro.plan.header import HEADER_SIZE
 
 
 @pytest.fixture
@@ -104,7 +104,7 @@ class TestProducesSameBytesAsPedal:
         assert err <= 1e-4 + 1e-6
 
     def test_passthrough_decompress(self, env, naive2, run_sim):
-        from repro.core.header import PedalHeader
+        from repro.plan.header import PedalHeader
 
         message = PedalHeader.passthrough().encode() + b"plain"
         dec = run_sim(env, naive2.decompress(message))

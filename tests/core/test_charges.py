@@ -1,6 +1,6 @@
 """The charge plan: one grid pins what is executed to what is summed.
 
-``repro.core.charges.op_plan`` is the only place an op's cost is
+``repro.plan.charges.op_plan`` is the only place an op's cost is
 written down; PEDAL and the naive baseline execute it, ``CostModel``
 and ``autodesign`` sum it.  The grid below drives every (device, algo,
 placement, direction, hoisted, size) through the real op and compares
@@ -22,7 +22,10 @@ import repro
 from repro.core.api import PedalConfig, PedalContext
 from repro.core.autodesign import predict_pipeline_time
 from repro.core.baseline import NaiveCompressor
-from repro.core.charges import (
+from repro.dpu.device import make_device
+from repro.dpu.specs import Algo, Direction
+from repro.faults import FaultPlan, injecting
+from repro.plan.charges import (
     ENGINE,
     PHASE_DRAIN,
     PHASE_EXEC,
@@ -34,12 +37,9 @@ from repro.core.charges import (
     plan_seconds,
     steal_stage,
 )
-from repro.core.codecs import CodecConfig, real_compress, real_decompress
-from repro.core.designs import CompressionDesign, Placement
-from repro.core.header import HEADER_SIZE
-from repro.dpu.device import make_device
-from repro.dpu.specs import Algo, Direction
-from repro.faults import FaultPlan, injecting
+from repro.plan.codecs import CodecConfig, real_compress, real_decompress
+from repro.plan.designs import CompressionDesign, Placement
+from repro.plan.header import HEADER_SIZE
 from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.select import PATH_CENGINE, PATH_SOC, CostModel, PathSelector
 from repro.sim import Environment
@@ -332,7 +332,7 @@ def test_charge_functions_are_called_from_the_plan_only():
         r"soc_time|codec_time|cengine_time|checksum_time"
         r"|alloc_time|dma_map_time|soc_throughput"
         r"|sz3_lossless_fraction|doca_buffer_prep_time")
-    allowed = ("core/charges.py", "doca/buffers.py", "dpu/", "host/")
+    allowed = ("plan/charges.py", "doca/buffers.py", "dpu/", "host/")
     checked = set()
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
@@ -345,6 +345,6 @@ def test_charge_functions_are_called_from_the_plan_only():
             "core/parallel.py", "select/model.py", "select/selector.py",
             "sched/pipeline.py", "sched/decoupled.py", "mpi/streaming.py",
             "faults/policy.py"} <= checked
-    assert banned.search((src / "core/charges.py").read_text())
+    assert banned.search((src / "plan/charges.py").read_text())
     # The chunk splitter sums the job plan beside its one caller.
     assert not (src / "select/planning.py").exists()

@@ -11,16 +11,16 @@ import repro
 from repro.algorithms.ac import ACConfig
 from repro.algorithms.deflate import DeflateConfig, deflate_compress
 from repro.algorithms.sz3 import SZ3Config
-from repro.core import codecs
-from repro.core.codecs import (
+from repro.dpu.specs import Algo
+from repro.errors import CodecError, UnsupportedDataError
+from repro.plan import codecs
+from repro.plan.codecs import (
     CodecConfig,
     clear_codec_cache,
     real_compress,
     real_decompress,
 )
-from repro.core.designs import CompressionDesign, Placement, design
-from repro.dpu.specs import Algo
-from repro.errors import CodecError, UnsupportedDataError
+from repro.plan.designs import CompressionDesign, Placement, design
 
 
 CFG = CodecConfig()
@@ -241,11 +241,12 @@ def _names(path: Path) -> set[str]:
 
 
 def test_simulated_ops_get_their_bytes_from_the_memo():
-    """Source guard: under ``repro.core`` and ``repro.mpi`` every codec
-    call that produces the bytes of a simulated op goes through
-    ``real_compress`` / ``real_decompress``.  Only the memo's own module
-    and the stage-split hybrids it calls may name a codec kernel, the
-    ``byte_codec`` choice or the stream engine's ``chunk_codec``.
+    """Source guard: under ``repro.core``, ``repro.plan`` and
+    ``repro.mpi`` every codec call that produces the bytes of a
+    simulated op goes through ``real_compress`` / ``real_decompress``.
+    Only the memo's own module and the stage-split hybrids it calls may
+    name a codec kernel, the ``byte_codec`` choice or the stream
+    engine's ``chunk_codec``.
     (``autodesign.estimate_ratio``'s LZ4 block probe sizes a prefix
     sample and ships no bytes, so it is not in the list.)"""
     src = Path(repro.__file__).parent
@@ -253,9 +254,11 @@ def test_simulated_ops_get_their_bytes_from_the_memo():
               "lz4_decompress", "ac_compress", "ac_decompress", "byte_codec",
               "chunk_codec", "hybrid_zlib_compress", "hybrid_zlib_decompress",
               "hybrid_sz3_compress", "SZ3Compressor"}
-    allowed = {"core/codecs.py", "core/zlib_hybrid.py", "core/sz3_hybrid.py"}
+    allowed = {"plan/codecs.py", "plan/zlib_hybrid.py", "plan/sz3_hybrid.py",
+               "core/sz3_hybrid.py"}  # the last re-exports hybrid_sz3_compress
     checked = set()
-    for path in sorted([*src.glob("core/*.py"), *src.glob("mpi/*.py")]):
+    for path in sorted([*src.glob("core/*.py"), *src.glob("plan/*.py"),
+                        *src.glob("mpi/*.py")]):
         rel = path.relative_to(src).as_posix()
         if rel in allowed:
             continue
@@ -263,5 +266,6 @@ def test_simulated_ops_get_their_bytes_from_the_memo():
         hits = _names(path) & banned
         assert not hits, f"{rel} runs a codec past the memo: {sorted(hits)}"
     assert {"core/api.py", "core/baseline.py", "core/parallel.py",
-            "mpi/streaming.py", "mpi/pedal_integration.py"} <= checked
-    assert _names(src / "core/codecs.py") >= banned - {"chunk_codec"}
+            "plan/charges.py", "mpi/streaming.py",
+            "mpi/pedal_integration.py"} <= checked
+    assert _names(src / "plan/codecs.py") >= banned - {"chunk_codec"}

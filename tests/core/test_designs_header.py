@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.designs import (
+from repro.dpu.specs import Algo
+from repro.errors import HeaderError, UnknownDesignError
+from repro.plan.designs import (
     ALGO_IDS,
     ALL_DESIGNS,
     LOSSLESS_DESIGNS,
@@ -11,9 +13,7 @@ from repro.core.designs import (
     Placement,
     design,
 )
-from repro.core.header import HEADER_SIZE, PedalHeader
-from repro.dpu.specs import Algo
-from repro.errors import HeaderError, UnknownDesignError
+from repro.plan.header import HEADER_SIZE, PedalHeader
 
 
 class TestDesigns:

@@ -5,9 +5,9 @@ import pytest
 
 from repro.algorithms.sz3 import SZ3Compressor, SZ3Config
 from repro.algorithms.zlib_format import zlib_compress, zlib_decompress
-from repro.core.sz3_hybrid import hybrid_sz3_compress, hybrid_sz3_decompress
-from repro.core.zlib_hybrid import hybrid_zlib_compress, hybrid_zlib_decompress
 from repro.errors import ChecksumMismatchError
+from repro.plan.sz3_hybrid import hybrid_sz3_compress, hybrid_sz3_decompress
+from repro.plan.zlib_hybrid import hybrid_zlib_compress, hybrid_zlib_decompress
 
 
 class TestZlibHybrid:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.codecs import clear_codec_cache
 from repro.core.parallel import ParallelCompressor, ParallelConfig
 from repro.dpu import make_device
 from repro.errors import CorruptStreamError
+from repro.plan.codecs import clear_codec_cache
 from repro.sim import Environment
 from repro.stream import FrameParser
 

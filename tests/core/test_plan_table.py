@@ -1,6 +1,6 @@
 """The per-device plan table: served entries are the uncached build.
 
-``repro.core.charges.plan_entry`` keeps one entry per (algo, placement,
+``repro.plan.charges.plan_entry`` keeps one entry per (algo, placement,
 direction, hoisted, engine_ok) key on each device, and ``op_plan`` /
 ``job_plan`` price those entries.  These tests pin that the table only
 ever hands back what the uncached builder would (the full nested stage
@@ -18,18 +18,18 @@ import pytest
 
 from repro import obs
 from repro.core.api import PedalContext
-from repro.core.charges import (
+from repro.dpu.device import make_device
+from repro.dpu.specs import Algo, Direction
+from repro.plan.charges import (
     build_entry,
     build_job_plan,
     job_plan,
     op_plan,
     plan_entry,
 )
-from repro.core.designs import CompressionDesign, Placement
-from repro.core.header import PedalHeader
-from repro.core.registry import resolve
-from repro.dpu.device import make_device
-from repro.dpu.specs import Algo, Direction
+from repro.plan.designs import CompressionDesign, Placement
+from repro.plan.header import PedalHeader
+from repro.plan.registry import resolve
 from repro.select import PathSelector
 from repro.sim import Environment
 from tests.conftest import drive

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.designs import design
-from repro.core.registry import cengine_core_algo, resolve
 from repro.dpu.specs import Algo, Direction
+from repro.plan.designs import design
+from repro.plan.registry import cengine_core_algo, resolve
 
 
 class TestCoreAlgo:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.charges import job_plan, op_plan
-from repro.core.designs import Placement
 from repro.dpu import make_device
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaCapabilityError
+from repro.plan.charges import job_plan, op_plan
+from repro.plan.designs import Placement
 
 
 class TestMakeDevice:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import PedalContext
-from repro.core.designs import ALL_DESIGNS
 from repro.datasets import DATASETS, get_dataset
 from repro.dpu import make_device
 from repro.mpi import CommConfig, CommMode, run_mpi
+from repro.plan.designs import ALL_DESIGNS
 from repro.sim import Environment
 
 

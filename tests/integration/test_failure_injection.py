@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import PedalContext
-from repro.core.designs import Placement
 from repro.dpu import make_device
 from repro.errors import (
     ChecksumMismatchError,
@@ -17,6 +16,7 @@ from repro.errors import (
     HeaderError,
     ReproError,
 )
+from repro.plan.designs import Placement
 from repro.sim import Environment
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms.deflate import deflate_compress
-from repro.core.codecs import CodecConfig
 from repro.errors import MpiAbortError, SimDeadlockError
 from repro.mpi import CommConfig, CommMode, run_mpi
+from repro.plan.codecs import CodecConfig
 
 
 class TestBasics:

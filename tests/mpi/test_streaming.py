@@ -14,7 +14,6 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.codecs import clear_codec_cache
 from repro.datasets import get_dataset
 from repro.dpu.specs import Algo
 from repro.errors import OutputOverflowError, StreamCorruptError
@@ -22,6 +21,7 @@ from repro.mpi import CommConfig, CommMode, run_mpi
 from repro.mpi.communicator import ANY_TAG
 from repro.mpi.protocol import EAGER_THRESHOLD_BYTES
 from repro.mpi.streaming import stream_recv
+from repro.plan.codecs import clear_codec_cache
 from repro.sim import Event
 from repro.stream import STREAM_HEADER_BYTES
 

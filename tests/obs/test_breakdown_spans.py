@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.api import PedalContext
 from repro.core.baseline import NaiveCompressor
-from repro.core.designs import design
 from repro.datasets import get_dataset
 from repro.dpu.device import make_device
 from repro.obs import Tracer, tracing
+from repro.plan.designs import design
 from repro.sim import Environment, TimeBreakdown
 
 

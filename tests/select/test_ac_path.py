@@ -13,8 +13,8 @@ import math
 
 import pytest
 
-from repro.core.charges import job_plan
 from repro.dpu.specs import Algo, Direction
+from repro.plan.charges import job_plan
 from repro.select import PATH_SOC, CostModel, PathSelector
 
 DIRECTIONS = (Direction.COMPRESS, Direction.DECOMPRESS)

@@ -6,8 +6,8 @@ import pytest
 
 from repro import obs
 from repro.core.api import PATH_AUTO, PedalContext
-from repro.core.designs import Placement, UnknownDesignError
 from repro.dpu.specs import Algo, Direction
+from repro.plan.designs import Placement, UnknownDesignError
 from repro.sched import EngineJob, PipelineScheduler, SchedConfig
 from repro.select import PATH_CENGINE, PATH_SOC, PathSelector
 from repro.serve import CostAwareRouter, DpuWorker, make_router

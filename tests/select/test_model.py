@@ -7,9 +7,9 @@ import math
 import pytest
 
 from repro.core.api import PedalContext
-from repro.core.charges import job_plan, steal_stage
-from repro.core.designs import CompressionDesign, Placement
 from repro.dpu.specs import Algo, Direction
+from repro.plan.charges import job_plan, steal_stage
+from repro.plan.designs import CompressionDesign, Placement
 from repro.select import ALL_PATHS, PATH_CENGINE, PATH_SOC, CostModel
 
 LOSSLESS = (Algo.DEFLATE, Algo.ZLIB, Algo.LZ4)

@@ -8,8 +8,8 @@ import pytest
 
 from repro import obs
 from repro.core.api import PedalContext
-from repro.core.designs import Placement
 from repro.dpu.specs import Algo, Direction
+from repro.plan.designs import Placement
 from repro.select import PATH_CENGINE, PATH_SOC, PathSelector
 
 C, D = Direction.COMPRESS, Direction.DECOMPRESS

@@ -119,6 +119,19 @@ class TestCostAwareLoadWeight:
         batch = SizedBatch(Direction.DECOMPRESS, n)
         assert CostAwareRouter().pick([busy, idle], batch) is idle
 
+    def test_idle_fleet_still_ranks_by_cost(self, env):
+        """With every worker idle the ``+ 1`` keeps the cost in the
+        score: the cheaper BF-3 engine takes a decompress batch although
+        the BF-2 comes first in fleet order (``cost x load`` would score
+        both 0 and hand it to the BF-2)."""
+        from repro.sched import SchedConfig
+        from repro.serve import CostAwareRouter, DpuWorker
+
+        bf2 = DpuWorker(make_device(env, "bf2"), SchedConfig())
+        bf3 = DpuWorker(make_device(env, "bf3"), SchedConfig())
+        batch = SizedBatch(Direction.DECOMPRESS, 5.4e6)
+        assert CostAwareRouter().pick([bf2, bf3], batch) is bf3
+
 
 class TestRegistry:
     def test_known_names(self):

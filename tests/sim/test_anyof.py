@@ -139,3 +139,17 @@ def test_detaching_leaves_other_waiters_subscribed():
     shared.succeed("late")
     assert env.run(until=second) == (shared, "late")
     assert heard == ["late"]
+
+
+def test_failed_all_of_detaches_from_its_pending_children():
+    """An AllOf that a failing child decides is the same leak shape: its
+    still-pending children must not keep its callback."""
+    env = Environment()
+    never = env.event()
+    for i in range(50):
+        boom = env.event()
+        barrier = env.all_of([never, boom])
+        boom.fail(RuntimeError(f"job {i} failed"))
+        with pytest.raises(RuntimeError):
+            env.run(until=barrier)
+    assert never.callbacks == []

@@ -16,13 +16,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.codecs import CodecConfig
-from repro.core.designs import CompressionDesign, Placement
 from repro.dpu import make_device
 from repro.dpu.specs import Algo
 from repro.mpi import CommConfig, CommMode, run_mpi
 from repro.mpi.communicator import ANY_TAG
 from repro.mpi.streaming import stream_recv
+from repro.plan.codecs import CodecConfig
+from repro.plan.designs import CompressionDesign, Placement
 from repro.serve import ServeConfig, ServeGateway, StreamingSession
 from repro.sim import Environment
 from repro.stream import (

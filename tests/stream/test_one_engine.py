@@ -3,7 +3,7 @@
 The container is written and checked only in :mod:`repro.stream`; the
 serving and MPI adapters neither import nor use the frame assembly, the
 parser or the CRC.  The DEFLATE / LZ4 / AC ``(compress, decompress)``
-choice is made only in :func:`repro.core.codecs.byte_codec`: the gateway
+choice is made only in :func:`repro.plan.codecs.byte_codec`: the gateway
 and the stream engine never use a codec function by name.  (The gateway
 still *binds* ``deflate_compress``, unused, as the probe of
 benchmarks/perf's harness test.)

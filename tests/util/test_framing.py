@@ -28,7 +28,7 @@ CONTAINER_MODULES = (
     "algorithms/zstdlite.py",
     "algorithms/gzip_format.py",
     "algorithms/zlib_format.py",
-    "core/zlib_hybrid.py",
+    "plan/zlib_hybrid.py",
 )
 _U32 = struct.Struct("<I")
 
