@@ -180,6 +180,34 @@ def _serve_window() -> bytes:
     return _head("silesia/xml", 256 * KIB)[182140:182140 + 256]
 
 
+#: Literal count per code length of :func:`_cl_limit_binds` (end of
+#: block is the 56th 15-bit code).  The lengths fill the code space
+#: exactly; as the code-length alphabet's histogram (plus the one
+#: distance code and the zero run) they make a Huffman tree 8 deep.
+CL_BIND_COUNTS = {1: 1, 2: 1, 3: 1, 5: 1, 6: 2, 7: 4, 8: 2, 9: 4, 10: 4,
+                  11: 9, 12: 9, 13: 11, 14: 34, 15: 55}
+
+def _litlen_limit_binds() -> bytes:
+    """128 KiB over 18 byte values, byte ``k`` ``2**(k - 1)`` times (byte
+    0 once): with end of block, a literal/length Huffman tree 17 deep."""
+    return bytes([0]) + b"".join(bytes([k]) * (1 << (k - 1)) for k in range(1, 18))
+
+
+def _cl_limit_binds() -> bytes:
+    """Byte ``b`` ``2**(15 - L)`` times, its code length ``L`` dealt from
+    :data:`CL_BIND_COUNTS` so that no four neighbours share one (the RLE
+    would fold such a run into a repeat code): the literal/length tree
+    is forced, and the code-length tree built from it is 8 deep."""
+    left = dict(CL_BIND_COUNTS)
+    lengths: "list[int]" = []
+    while any(left.values()):
+        length = max((n, bits) for bits, n in left.items()
+                     if n and lengths[-3:] != [bits] * 3)[1]
+        lengths.append(length)
+        left[length] -= 1
+    return b"".join(bytes([b]) * (1 << (15 - bits)) for b, bits in enumerate(lengths))
+
+
 #: The 40-byte input on which the LZ77 walk once quartered a budget
 #: clamped to len(data) instead of ``max_chain`` (see
 #: tests/algorithms/test_lz77_layout.py).
@@ -194,7 +222,8 @@ CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
 #: to the input length reads 2n as n + 1); then the ``pedal_ops``
 #: chunk-parallel container's framing; last the small blocks
 #: ``serve_sweep`` encodes, around the size at which a DEFLATE block
-#: stops being a few hundred tokens.  Then the AC context model: the two
+#: stops being a few hundred tokens, and two inputs on which a Huffman
+#: length limit binds (the literal/length and the code-length tree).  Then the AC context model: the two
 #: 12 KiB ``codec_compress`` windows, every order on an input that halves
 #: its hot context, both ends of ``table_bits`` and ``chunk_bytes``, and
 #: both ends of ``max_total`` (encoder bytes only: the RAC1 header does
@@ -247,6 +276,13 @@ DIGEST_PINS = {
             ("telemetry-2k", lambda: _head("net_telemetry", 2 * KIB)))
         for block in (7, 100)
     },
+    # Length limits that bind: an unbounded Huffman tree would be deeper
+    # than 15 bits (literal/length) or 7 bits (code-length alphabet).
+    # max_chain=0 walks no candidate, so every byte goes out a literal.
+    "deflate-nomatch-litlen-depth17-128k": (
+        _litlen_limit_binds, _deflate_with(dict(max_chain=0))),
+    "deflate-nomatch-cl-depth8-32k": (
+        _cl_limit_binds, _deflate_with(dict(max_chain=0))),
     "ac-xml-12k": (lambda: _head("silesia/xml", 12 * KIB), ac_compress),
     "ac-obs-error-12k": (lambda: _head("obs_error", 12 * KIB), ac_compress),
     **{

@@ -35,11 +35,18 @@ benchmark-scale ones were first computed at the commit *before* the
 bucket-slice LZ77 walk landed).  For a speed-up, "no encoder emits a
 different byte" fails here.  Input digests are pinned too, so a
 dataset-generator change reads as that and not as an encoder change.
+
+Two DEFLATE pins sit where a Huffman length limit binds, so they reach
+the length-limited build that no other pin does: a literal/length tree
+that would be 17 deep under no limit, and a code-length tree that would
+be 8 deep.  Each decodes back through ``deflate_decompress`` and zlib.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +54,9 @@ import pytest
 
 from repro.algorithms.ac import ACConfig, ContextModel, ac_decompress
 from repro.algorithms.lz4 import lz4_decompress
-from repro.algorithms.deflate.compress import _SMALL_BLOCK_TOKENS
+from repro.algorithms import huffman
+from repro.algorithms.deflate import deflate_decompress
+from repro.algorithms.deflate.compress import _SMALL_BLOCK_TOKENS, _rle_code_lengths
 from repro.algorithms.lz77 import tokenize
 from repro.core.parallel import ParallelCompressor
 from repro.dpu import make_device
@@ -83,6 +92,34 @@ def test_token_count_pins_straddle_the_small_block_threshold():
     for name, side in (("deflate-xml-511-tokens", -1), ("deflate-xml-513-tokens", 1)):
         make_input, _ = DIGEST_PINS[name]
         assert len(tokenize(make_input())) == _SMALL_BLOCK_TOKENS + side
+
+
+def _unlimited_depths(data: bytes) -> "tuple[int, int]":
+    """Deepest literal/length and code-length codes of a one-block,
+    all-literal encode of ``data`` with no length limit (31 bits)."""
+    counts = Counter(data)
+    litlen = [counts[b] for b in range(256)] + [1]  # end of block
+    bits = huffman.code_lengths(litlen, 15).tolist()
+    while not bits[-1]:
+        bits.pop()
+    cl_syms, _ = _rle_code_lengths(bits + [1])  # one distance code
+    cl = [cl_syms.count(sym) for sym in range(19)]
+    return (int(huffman.code_lengths(litlen, 31).max()),
+            int(huffman.code_lengths(cl, 31).max()))
+
+
+@pytest.mark.parametrize("name, depths", [
+    ("deflate-nomatch-litlen-depth17-128k", (17, 4)),
+    ("deflate-nomatch-cl-depth8-32k", (15, 8)),
+])
+def test_length_limit_pins_bind_and_decode_back(name, depths):
+    make_input, encode = DIGEST_PINS[name]
+    data = make_input()
+    assert _unlimited_depths(data) == depths
+    blob = encode(data)
+    assert blob[0] >> 1 & 3 == 2  # one dynamic block
+    assert deflate_decompress(blob) == data
+    assert zlib.decompress(blob, -15) == data
 
 
 def test_ac_pins_decode_back():
