@@ -41,33 +41,16 @@ def _read_dynamic_trees(
     hlit = (counts & 31) + 257
     hdist = (counts >> 5 & 31) + 1
     hclen = (counts >> 10) + 4
+    if hlit > 286 or hdist > 30:
+        raise CorruptStreamError("too many length or distance symbols")
 
     packed = reader.read_bits(3 * hclen)
     cl_lengths = [0] * 19
     for slot in _CLCODE_ORDER[:hclen]:
         cl_lengths[slot] = packed & 7
         packed >>= 3
-    cl_decoder = huffman.HuffmanDecoder(cl_lengths)
-
-    total = hlit + hdist
-    lengths: list[int] = []
-    while len(lengths) < total:
-        sym = huffman.decode_run(
-            cl_decoder, reader, lengths, total - len(lengths), stop=16
-        )
-        if sym < 0:
-            break
-        if sym == 16:
-            if not lengths:
-                raise CorruptStreamError("repeat code with no previous length")
-            run = [lengths[-1]] * (3 + reader.read_bits(2))
-        elif sym == 17:
-            run = [0] * (3 + reader.read_bits(3))
-        else:  # sym == 18
-            run = [0] * (11 + reader.read_bits(7))
-        lengths += run
-        if len(lengths) > total:
-            raise CorruptStreamError("code-length run overruns alphabet")
+    lengths = _read_code_lengths(reader, huffman.HuffmanDecoder(cl_lengths),
+                                 hlit + hdist)
 
     if lengths[T.END_OF_BLOCK] == 0:
         raise CorruptStreamError("dynamic block has no end-of-block code")
@@ -75,6 +58,66 @@ def _read_dynamic_trees(
     if not any(lengths[hlit:]):
         return litlen_decoder, None
     return litlen_decoder, huffman.HuffmanDecoder(lengths[hlit:])
+
+
+def _read_code_lengths(
+    reader: BitReader, cl_decoder: huffman.HuffmanDecoder, total: int
+) -> "list[int]":
+    """The ``total`` literal/length and distance code lengths, run-length
+    coded under ``cl_decoder``.
+
+    ``huffman.decode_run``'s loop with the repeat codes inline: reader
+    state in locals, eight-byte refills, each covering one code-length
+    code (at most 7 bits) and its repeat field (at most 7).
+    """
+    table = cl_decoder.lookup
+    mask = (1 << cl_decoder.max_bits) - 1
+    lengths: "list[int]" = []
+    append = lengths.append
+    left = total
+    data, pos, acc, nbits = reader.hoist()
+    while left > 0:
+        if nbits < 14:
+            if nbits < 0:
+                raise CorruptStreamError("unexpected end of bit stream")
+            chunk = data[pos : pos + 8]
+            acc |= int.from_bytes(chunk, "little") << nbits
+            pos += len(chunk)
+            nbits += len(chunk) << 3
+        entry = table[acc & mask]
+        if not entry:
+            raise CorruptStreamError("invalid Huffman code in stream")
+        used = entry >> 9
+        acc >>= used
+        nbits -= used
+        sym = entry & 0x1FF
+        if sym < 16:
+            append(sym)
+            left -= 1
+            continue
+        if sym == 16:
+            if not lengths:
+                raise CorruptStreamError("repeat code with no previous length")
+            run = 3 + (acc & 3)
+            value = lengths[-1]
+            acc >>= 2
+            nbits -= 2
+        elif sym == 17:
+            run = 3 + (acc & 7)
+            value = 0
+            acc >>= 3
+            nbits -= 3
+        else:  # sym == 18
+            run = 11 + (acc & 127)
+            value = 0
+            acc >>= 7
+            nbits -= 7
+        if run > left:
+            raise CorruptStreamError("code-length run overruns alphabet")
+        lengths += [value] * run
+        left -= run
+    reader.restore(pos, acc, nbits)
+    return lengths
 
 
 def _inflate_block(
@@ -150,10 +193,9 @@ def _inflate_block_loop(
         used = entry >> 9
         acc >>= used
         nbits -= used
-        sym = entry & 0x1FF
-        if sym > 29:
-            raise CorruptStreamError(f"invalid distance symbol {sym}")
-        dist, extra = dist_codes[sym]
+        # Symbols 0..29 only: HDIST is capped at 30 and the fixed tree
+        # has 30 codes.
+        dist, extra = dist_codes[entry & 0x1FF]
         if extra:
             dist += acc & ((1 << extra) - 1)
             acc >>= extra

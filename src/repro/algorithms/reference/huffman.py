@@ -145,6 +145,9 @@ def decoder_table(lengths: np.ndarray) -> np.ndarray:
     max_bits = int(lengths.max(initial=0))
     if max_bits == 0:
         raise CorruptStreamError("empty Huffman tree")
+    if max_bits > huffman.MAX_CODE_BITS:
+        raise CorruptStreamError(f"Huffman code length {max_bits} exceeds "
+                                 f"{huffman.MAX_CODE_BITS} bits")
     codes = huffman.canonical_codes(lengths)
     table = np.zeros(1 << max_bits, dtype=np.uint32)
     for sym in np.flatnonzero(lengths > 0):
@@ -217,6 +220,8 @@ def _read_dynamic_tables(reader: _ByteReader) -> "tuple[np.ndarray, np.ndarray |
     hlit = reader.read_bits(5) + 257
     hdist = reader.read_bits(5) + 1
     hclen = reader.read_bits(4) + 4
+    if hlit > 286 or hdist > 30:
+        raise CorruptStreamError("too many length or distance symbols")
     cl_lengths = np.zeros(19, dtype=np.int32)
     for k in range(hclen):
         cl_lengths[int(T.CLCODE_ORDER[k])] = reader.read_bits(3)
