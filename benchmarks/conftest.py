@@ -1,7 +1,7 @@
 """Shared benchmark configuration.
 
 Each driver regenerates one paper artifact via
-:func:`repro.bench.harness.run_experiment`, measures it under
+:func:`repro.bench.experiments.run_experiment`, measures it under
 pytest-benchmark (single round — the simulation is deterministic, so
 repeated rounds only re-measure Python overhead), and asserts the
 paper-shape headline bands.

@@ -10,7 +10,7 @@ Paper claims re-checked (§V-E):
 
 from conftest import run_once
 
-from repro.bench.harness import run_experiment
+from repro.bench.experiments import run_experiment
 
 
 def test_fig11(benchmark, experiment_kwargs):

@@ -7,7 +7,7 @@ Paper claims re-checked:
 
 from conftest import run_once
 
-from repro.bench.harness import run_experiment
+from repro.bench.experiments import run_experiment
 
 
 def test_fig7(benchmark, experiment_kwargs):

@@ -9,7 +9,7 @@ Paper claims re-checked (all from §V-C1):
 import pytest
 from conftest import run_once
 
-from repro.bench.harness import run_experiment
+from repro.bench.experiments import run_experiment
 
 
 def test_fig8(benchmark, experiment_kwargs):

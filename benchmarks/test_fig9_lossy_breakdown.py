@@ -11,7 +11,7 @@ Paper claims re-checked (§V-C2):
 
 from conftest import run_once
 
-from repro.bench.harness import run_experiment
+from repro.bench.experiments import run_experiment
 
 
 def test_fig9(benchmark, experiment_kwargs):

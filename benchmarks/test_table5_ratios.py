@@ -9,7 +9,7 @@ import pytest
 from conftest import run_once
 
 from repro.bench.experiments.table5_ratios import PAPER_LOSSLESS, PAPER_LOSSY
-from repro.bench.harness import run_experiment
+from repro.bench.experiments import run_experiment
 
 TUNED_BYTES = 256 * 1024
 

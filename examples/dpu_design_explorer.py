@@ -16,8 +16,8 @@ import sys
 from repro.core import PedalContext
 from repro.datasets import DATASETS, get_dataset
 from repro.dpu import make_device
+from repro.plan.charges import resolve
 from repro.plan.designs import ALL_DESIGNS
-from repro.plan.registry import resolve
 from repro.sim import Environment
 
 

@@ -11,6 +11,7 @@ See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.bench.harness import ExperimentResult, run_experiment, EXPERIMENTS
+from repro.bench.experiments import run_experiment
+from repro.bench.harness import EXPERIMENTS, ExperimentResult
 
 __all__ = ["EXPERIMENTS", "ExperimentResult", "run_experiment"]

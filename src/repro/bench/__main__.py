@@ -37,8 +37,8 @@ import sys
 import time
 
 from repro import obs
-from repro.bench import experiments  # noqa: F401  (registers every id)
-from repro.bench.harness import EXPERIMENTS, run_experiment
+from repro.bench.experiments import run_experiment  # registers every id
+from repro.bench.harness import EXPERIMENTS
 from repro.faults import FaultPlan, parse_fault_spec, set_fault_plan
 
 log = obs.get_logger("bench")

@@ -1,6 +1,6 @@
 """Experiment modules — importing this package registers them all."""
 
-from repro.bench.experiments import (  # noqa: F401
+from repro.bench.experiments import (
     cluster_fleet,
     edpc_pipeline,
     fig7_lossless_breakdown,
@@ -16,8 +16,10 @@ from repro.bench.experiments import (  # noqa: F401
     table4_datasets,
     table5_ratios,
 )
+from repro.bench.harness import EXPERIMENTS, ExperimentResult
 
 __all__ = [
+    "run_experiment",
     "cluster_fleet",
     "edpc_pipeline",
     "fig7_lossless_breakdown",
@@ -33,3 +35,14 @@ __all__ = [
     "table4_datasets",
     "table5_ratios",
 ]
+
+
+def run_experiment(name: str, **kwargs) -> ExperimentResult:
+    """Run a registered experiment by id (e.g. ``"fig8"``)."""
+    try:
+        fn = EXPERIMENTS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
+        ) from None
+    return fn(**kwargs)

@@ -23,7 +23,6 @@ from repro.sim import Environment, TimeBreakdown
 __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
-    "run_experiment",
     "register_experiment",
     "generate_payload",
     "run_pedal_roundtrip",
@@ -181,17 +180,3 @@ def register_experiment(name: str):
         return fn
 
     return wrap
-
-
-def run_experiment(name: str, **kwargs) -> ExperimentResult:
-    """Run a registered experiment by id (e.g. ``"fig8"``)."""
-    # Import the experiment modules lazily so registration happens on use.
-    from repro.bench import experiments  # noqa: F401
-
-    try:
-        fn = EXPERIMENTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    return fn(**kwargs)

@@ -38,11 +38,12 @@ from repro.plan.charges import (  # phase names are re-exported from here
     PlanEntry,
     execute,
     plan_entry,
+    resolve,
 )
 from repro.plan.codecs import CodecConfig, real_compress, real_decompress
 from repro.plan.designs import CompressionDesign, Placement, parse_design_spec
 from repro.plan.header import HEADER_SIZE, PedalHeader
-from repro.plan.registry import ResolvedDesign, resolve
+from repro.plan.registry import ResolvedDesign
 from repro.select import PathDecision, PathSelector
 from repro.sim import TimeBreakdown
 

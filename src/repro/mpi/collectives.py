@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
+from repro.mpi.nonblocking import isend, waitall
 from repro.obs import device_span
 
 if TYPE_CHECKING:
@@ -184,8 +185,6 @@ def _bcast_scatter_allgather(
     # Non-blocking sends avoid the classic all-blocking-send rendezvous
     # deadlock; chunk indices are deterministic per step, so only the
     # chunk bytes travel.
-    from repro.mpi.nonblocking import isend
-
     collected: dict[int, Any] = {(ctx.rank - root) % size: mine}
     right = (ctx.rank + 1) % size
     left = (ctx.rank - 1) % size
@@ -243,8 +242,6 @@ def allgather(
     ctx: "RankContext", data: Any, sim_bytes: float | None = None
 ) -> Generator:
     """Ring allgather; every rank returns the rank-ordered list."""
-    from repro.mpi.nonblocking import isend
-
     size = ctx.size
     if size == 1:
         return [data]
@@ -287,8 +284,6 @@ def alltoall(
     sends keep the exchange deadlock-free; the XOR-pairing schedule
     keeps each step contention-free on the fabric.
     """
-    from repro.mpi.nonblocking import isend, waitall
-
     size = ctx.size
     if len(chunks) != size:
         raise ValueError(f"alltoall needs {size} chunks, got {len(chunks)}")

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Iterable
 
+import numpy as np
+
 from repro.sim.engine import Event
 
 if TYPE_CHECKING:
@@ -27,6 +29,15 @@ if TYPE_CHECKING:
     from repro.sched import JobTicket
 
 __all__ = ["Request", "waitall", "icompress", "from_ticket"]
+
+
+def _default_sim_bytes(data: Any) -> float:
+    """The nominal wire size of a message payload without ``sim_bytes``."""
+    if isinstance(data, np.ndarray):
+        return float(data.nbytes)
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return float(len(data))
+    return 64.0  # small control object
 
 
 class Request:
@@ -90,8 +101,6 @@ def icompress(
     puts on the wire without recompressing — the compress-ahead overlap
     the pipelined C-Engine work queue exists for.
     """
-    from repro.mpi.runtime import _default_sim_bytes
-
     nominal = _default_sim_bytes(data) if sim_bytes is None else float(sim_bytes)
     proc = ctx.env.process(
         ctx.layer.outbound(data, nominal), name=f"icompress:{ctx.rank}"

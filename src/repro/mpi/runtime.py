@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-import numpy as np
 
 from repro.dpu.device import BlueFieldDPU, make_device
 from repro.errors import MpiAbortError
-from repro.mpi import collectives
+from repro.mpi import collectives, nonblocking
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.network import Fabric
+from repro.mpi.nonblocking import _default_sim_bytes
 from repro.mpi.pedal_integration import CommConfig, CompressionLayer
 from repro.obs import device_span
 from repro.sim import Environment, Event, TimeBreakdown
@@ -44,14 +44,6 @@ class _Barrier:
             self._event = Event(self.env)
             event.succeed()
         yield event
-
-
-def _default_sim_bytes(data: Any) -> float:
-    if isinstance(data, np.ndarray):
-        return float(data.nbytes)
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        return float(len(data))
-    return 64.0  # small control object
 
 
 class RankContext:
@@ -177,28 +169,20 @@ class RankContext:
         sim_bytes: float | None = None,
     ):
         """MPI_Isend: start a send, return a Request."""
-        from repro.mpi.nonblocking import isend
-
-        return isend(self, dest, data, tag=tag, sim_bytes=sim_bytes)
+        return nonblocking.isend(self, dest, data, tag=tag, sim_bytes=sim_bytes)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """MPI_Irecv: start a receive, return a Request."""
-        from repro.mpi.nonblocking import irecv
-
-        return irecv(self, source=source, tag=tag)
+        return nonblocking.irecv(self, source=source, tag=tag)
 
     def icompress(self, data: Any, sim_bytes: float | None = None):
         """Start outbound compression in flight; returns a Request whose
         value feeds :meth:`send_prepared`."""
-        from repro.mpi.nonblocking import icompress
-
-        return icompress(self, data, sim_bytes=sim_bytes)
+        return nonblocking.icompress(self, data, sim_bytes=sim_bytes)
 
     def waitall(self, requests) -> Generator:
         """MPI_Waitall over Request handles; returns their values."""
-        from repro.mpi.nonblocking import waitall
-
-        values = yield from waitall(self, requests)
+        values = yield from nonblocking.waitall(self, requests)
         return values
 
     # -- collectives ----------------------------------------------------------

@@ -69,7 +69,7 @@ if TYPE_CHECKING:
     from repro.sim import TimeBreakdown
 
 __all__ = [
-    "SOC", "ENGINE", "SETUP", "PlanEntry", "plan_entry", "build_entry",
+    "SOC", "ENGINE", "SETUP", "PlanEntry", "plan_entry", "resolve", "build_entry",
     "op_plan", "job_plan", "build_job_plan", "steal_stage",
     "plan_seconds", "execute", "PHASE_INIT", "PHASE_PREP", "PHASE_COMP",
     "PHASE_DECOMP", "PHASE_HEADER", "PHASE_STAGE", "PHASE_MAP", "PHASE_EXEC",
@@ -123,6 +123,24 @@ def plan_entry(device: "BlueFieldDPU", algo: Algo, placement: Placement,
     """The device's table entry for one op key, built on first use."""
     return _lookup(device, (algo, placement, direction, hoisted, engine_ok),
                    build_entry)
+
+
+def resolve(
+    device: "BlueFieldDPU",
+    design: CompressionDesign,
+    force_soc: bool = False,
+) -> ResolvedDesign:
+    """Bind ``design`` to ``device``, applying Table III's fallbacks.
+
+    ``force_soc`` routes both directions to the SoC regardless of the
+    capability matrix — the runtime escalation used when DOCA bring-up
+    failed past its retry budget (:mod:`repro.faults`), mirroring the
+    capability fallback for an engine that is *temporarily* unusable
+    rather than architecturally absent.  Read off the device's plan
+    table; each call that lands on a fallback counts once.
+    """
+    return plan_entry(device, design.algo, design.placement,
+                      Direction.COMPRESS, True, not force_soc).resolve()
 
 
 def op_plan(device: "BlueFieldDPU", algo: Algo, placement: Placement,

@@ -10,18 +10,18 @@ extends exactly those rows), so their capability checks are made against
 the device's DEFLATE support.  The resolved plan records, per direction,
 where the payload codec actually runs.  Note the asymmetry this creates
 on BlueField-3: a C-Engine design may *compress* on the SoC (fallback)
-yet *decompress* on the C-Engine.
+yet *decompress* on the C-Engine.  :func:`repro.plan.charges.resolve`
+binds a design to a device through the device's plan table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
 from repro.plan.designs import CompressionDesign, Placement
 
-__all__ = ["ResolvedDesign", "resolve", "cengine_core_algo"]
+__all__ = ["ResolvedDesign", "cengine_core_algo"]
 
 
 def cengine_core_algo(algo: Algo) -> Algo:
@@ -63,23 +63,3 @@ class ResolvedDesign:
         return self.uses_fallback(Direction.COMPRESS) or self.uses_fallback(
             Direction.DECOMPRESS
         )
-
-
-def resolve(
-    device: BlueFieldDPU,
-    design: CompressionDesign,
-    force_soc: bool = False,
-) -> ResolvedDesign:
-    """Bind ``design`` to ``device``, applying Table III's fallbacks.
-
-    ``force_soc`` routes both directions to the SoC regardless of the
-    capability matrix — the runtime escalation used when DOCA bring-up
-    failed past its retry budget (:mod:`repro.faults`), mirroring the
-    capability fallback for an engine that is *temporarily* unusable
-    rather than architecturally absent.  Read off the device's plan
-    table; each call that lands on a fallback counts once.
-    """
-    from repro.plan.charges import plan_entry  # charges imports this module
-
-    return plan_entry(device, design.algo, design.placement,
-                      Direction.COMPRESS, True, not force_soc).resolve()

@@ -7,7 +7,7 @@ its grid, and preserves the qualitative orderings at reduced scale.
 
 import pytest
 
-from repro.bench.harness import run_experiment
+from repro.bench.experiments import run_experiment
 
 SMALL = 16 * 1024
 

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.bench.experiments import run_experiment
 from repro.bench.harness import (
     ExperimentResult,
     generate_payload,
-    run_experiment,
     run_naive_roundtrip,
     run_pedal_roundtrip,
 )

@@ -26,10 +26,10 @@ from repro.plan.charges import (
     job_plan,
     op_plan,
     plan_entry,
+    resolve,
 )
 from repro.plan.designs import CompressionDesign, Placement
 from repro.plan.header import PedalHeader
-from repro.plan.registry import resolve
 from repro.select import PathSelector
 from repro.sim import Environment
 from tests.conftest import drive

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.dpu.specs import Algo, Direction
+from repro.plan.charges import resolve
 from repro.plan.designs import design
-from repro.plan.registry import cengine_core_algo, resolve
+from repro.plan.registry import cengine_core_algo
 
 
 class TestCoreAlgo:

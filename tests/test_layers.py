@@ -8,6 +8,10 @@ imports inside functions count, and ``from repro import x`` counts as
 an import of ``x``.  The only exemption is an ``if TYPE_CHECKING:``
 block, which never runs.
 
+Inside one package the modules must not import each other in a circle
+either, counted the same way (a cycle hidden behind an in-function
+import is still a cycle).
+
 Four modules at the old ``repro.core`` paths only re-export
 ``repro.plan`` for ``benchmarks/perf``; nothing in ``src/``, ``tests/``
 or ``examples/`` may import them.
@@ -103,6 +107,51 @@ def test_every_import_points_down():
             if target == "repro" or RANK[target] > RANK[own]:
                 upward.append(f"{path.relative_to(SRC)}:{lineno} {own} -> {module}")
     assert upward == []
+
+
+def _module_name(path: Path) -> str:
+    parts = ["repro", *path.relative_to(SRC).with_suffix("").parts]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_no_import_cycle_inside_a_package():
+    """Within each top-level package, the module import graph is a DAG.
+
+    An import names the longest module prefix of its target (``from
+    repro.plan import registry`` is ``repro.plan.registry``, ``from
+    repro.obs import get_metrics`` is ``repro.obs``).  The implicit
+    import of a module's parent package is not an edge.
+    """
+    paths = {_module_name(path): path for path in SRC.rglob("*.py")}
+
+    def module_of(target: str) -> str:
+        while target not in paths and "." in target:
+            target = target.rpartition(".")[0]
+        return target
+
+    graph = {}
+    for name, path in paths.items():
+        package = name.split(".")[:2]
+        graph[name] = sorted({
+            target for target in map(module_of, (m for _, m in _imports(path)))
+            if target != name and len(package) == 2
+            and target.split(".")[:2] == package})
+
+    cycles, state = [], {}  # state: 1 on the DFS stack, 2 done
+
+    def visit(node, trail):
+        state[node] = 1
+        for nxt in graph[node]:
+            if state.get(nxt) == 1:
+                cycles.append(" -> ".join(trail[trail.index(nxt):] + [nxt]))
+            elif nxt not in state:
+                visit(nxt, trail + [nxt])
+        state[node] = 2
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [name])
+    assert cycles == []
 
 
 @pytest.mark.parametrize("tree", ["src", "tests", "examples"])
