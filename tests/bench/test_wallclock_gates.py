@@ -134,7 +134,7 @@ def test_fresh_entropy_stage_beats_reference():
 
     ``_wall_entropy_rows`` first asserts the fast kernels reproduce the
     reference arrays and bytes, then times both.  Recorded: code-length
-    build ~3.7x at every block size, inflate ~2.3x on small blocks and
+    build ~7x at every block size, inflate ~3x on small blocks and
     ~2.5x at 64 KiB.  The floors here sit well under the recorded
     values: they catch a kernel that silently fell back to the
     reference's method, not host jitter.
