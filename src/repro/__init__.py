@@ -21,7 +21,6 @@ Subpackages
 ``repro.doca``        DOCA-shaped SDK simulation,
 ``repro.core``        the PEDAL library itself,
 ``repro.mpi``         simulated MPICH with the PEDAL shim,
-``repro.host``        host-offload deployment scenario (paper §VI),
 ``repro.serve``       multi-DPU serving gateway (batching + backpressure),
 ``repro.stream``      chunked streaming container + feed/flush codecs,
 ``repro.datasets``    synthetic Table IV corpora,

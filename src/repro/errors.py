@@ -70,10 +70,6 @@ class StreamChecksumError(StreamError, ChecksumMismatchError):
     match the recomputed value."""
 
 
-class ErrorBoundViolation(CodecError):
-    """A lossy codec produced reconstruction error above the configured bound."""
-
-
 class UnsupportedDataError(CodecError):
     """The codec cannot handle the supplied data shape or dtype."""
 

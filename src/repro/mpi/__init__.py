@@ -14,7 +14,7 @@ integration points exist:
   NAIVE (per-message DOCA init — the paper's baseline);
 * point-to-point uses eager/rendezvous protocols with PEDAL active only
   on the rendezvous path (paper §IV, last paragraph);
-* collectives (binomial-tree Bcast and friends) compose the pt2pt path,
+* Bcast (binomial tree or scatter + ring allgather) composes the pt2pt path,
   so every hop decompresses and recompresses exactly as MPICH would.
 
 Public API
@@ -23,18 +23,12 @@ Public API
 :class:`CommConfig`, :class:`CommMode` — communication configuration.
 """
 
-from repro.mpi.datatypes import MPI_BYTE, MPI_DOUBLE, MPI_FLOAT, MPI_INT, Datatype
 from repro.mpi.pedal_integration import CommConfig, CommMode
 from repro.mpi.runtime import MpiJobResult, RankContext, run_mpi
 
 __all__ = [
     "CommConfig",
     "CommMode",
-    "Datatype",
-    "MPI_BYTE",
-    "MPI_DOUBLE",
-    "MPI_FLOAT",
-    "MPI_INT",
     "MpiJobResult",
     "RankContext",
     "run_mpi",

@@ -141,24 +141,6 @@ class RankContext:
                 data = yield from self.layer.inbound(envlp.payload, envlp.meta)
         return data
 
-    def recv_with_source(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Generator:
-        """Like :meth:`recv` but returns ``(source, data)`` (MPI_Status)."""
-        from repro.mpi import streaming
-
-        with device_span(
-            "mpi.recv", self.device, rank=self.rank, source=source, tag=tag,
-        ) as span:
-            envlp = yield from self.comm.recv(self.rank, source, tag)
-            span.set_attr("protocol", envlp.protocol.value)
-            span.set_attr("wire_bytes", envlp.wire_bytes)
-            if envlp.meta.get("stream"):
-                data = yield from streaming.stream_recv(self, envlp)
-            else:
-                data = yield from self.layer.inbound(envlp.payload, envlp.meta)
-        return envlp.source, data
-
     # -- non-blocking point-to-point ------------------------------------------
 
     def isend(
@@ -195,43 +177,6 @@ class RankContext:
         algorithm: str = "binomial",
     ) -> Generator:
         result = yield from collectives.bcast(self, data, root, sim_bytes, algorithm)
-        return result
-
-    def allgather(self, data: Any, sim_bytes: float | None = None) -> Generator:
-        result = yield from collectives.allgather(self, data, sim_bytes)
-        return result
-
-    def allreduce(
-        self,
-        data: Any,
-        op: Callable[[Any, Any], Any],
-        sim_bytes: float | None = None,
-    ) -> Generator:
-        result = yield from collectives.allreduce(self, data, op, sim_bytes)
-        return result
-
-    def alltoall(self, chunks: list, sim_bytes: float | None = None) -> Generator:
-        result = yield from collectives.alltoall(self, chunks, sim_bytes)
-        return result
-
-    def gather(self, data: Any, root: int = 0, sim_bytes: float | None = None) -> Generator:
-        result = yield from collectives.gather(self, data, root, sim_bytes)
-        return result
-
-    def scatter(
-        self, chunks: "list[Any] | None", root: int = 0, sim_bytes: float | None = None
-    ) -> Generator:
-        result = yield from collectives.scatter(self, chunks, root, sim_bytes)
-        return result
-
-    def reduce(
-        self,
-        data: Any,
-        op: Callable[[Any, Any], Any],
-        root: int = 0,
-        sim_bytes: float | None = None,
-    ) -> Generator:
-        result = yield from collectives.reduce(self, data, op, root, sim_bytes)
         return result
 
     def barrier(self) -> Generator:

@@ -14,9 +14,9 @@ Everything that needs the rule reads this module: the simulator
 *executes* a plan (:func:`execute`, under
 :class:`~repro.core.api.PedalContext` and
 :class:`~repro.core.baseline.NaiveCompressor` alike), while the path
-selector (:class:`~repro.select.CostModel`) and
-:mod:`~repro.core.autodesign` *sum* it (:func:`plan_seconds`) — so a
-prediction cannot drift from what the simulator charges.
+selector (:class:`~repro.select.CostModel`) *sums* it
+(:func:`plan_seconds`) — so a prediction cannot drift from what the
+simulator charges.
 :func:`job_plan` is the same rule for one job of the pipelined work
 queue (map → exec → drain): :class:`~repro.sched.PipelineScheduler`
 runs it, the parallel compressor's chunk split and

@@ -2,7 +2,7 @@
 
 ``repro.plan.charges.op_plan`` is the only place an op's cost is
 written down; PEDAL and the naive baseline execute it, ``CostModel``
-and ``autodesign`` sum it.  The grid below drives every (device, algo,
+sums it.  The grid below drives every (device, algo,
 placement, direction, hoisted, size) through the real op and compares
 the charged breakdown with the plan's sum; a second grid does the same
 for one work-queue job (``job_plan``) against ``PipelineScheduler`` and
@@ -20,7 +20,6 @@ import pytest
 
 import repro
 from repro.core.api import PedalConfig, PedalContext
-from repro.core.autodesign import predict_pipeline_time
 from repro.core.baseline import NaiveCompressor
 from repro.dpu.device import make_device
 from repro.dpu.specs import Algo, Direction
@@ -111,17 +110,13 @@ def test_executed_equals_plan(kind, algo, placement, direction,
     assert elapsed == pytest.approx(expected, rel=1e-9)
     assert list(result.breakdown.as_dict()) == list(
         dict.fromkeys(stage[0] for stage in plan))
-    # What the selector and the design chooser predict for the same op.
+    # What the selector predicts for the same op.
     model = CostModel(device)
     assert model.path_seconds(
         algo, direction, n, ran_on.value, amortized=hoisted, stage_bytes=stage
     ) == expected
     unhinted = plan_seconds(op_plan(device, algo, ran_on, direction, n))
     assert model.path_seconds(algo, direction, n, ran_on.value) == unhinted
-    choice = predict_pipeline_time(
-        device, device, CompressionDesign(algo, ran_on), n, 4.0)
-    assert (choice.compress_seconds if direction is C
-            else choice.decompress_seconds) == unhinted
 
 
 class TestPlanAgainstCalibration:
@@ -325,14 +320,14 @@ def test_charge_functions_are_called_from_the_plan_only():
     """Source guard: op and job accounting have one spelling.  If one
     of the calibration charge functions reappears in a module that
     should only execute or sum a plan, a second copy has been started.
-    Only the device models themselves (dpu/, the DOCA buffer mapping)
-    and the host model are allowed to name them."""
+    Only the device models themselves (dpu/ and the DOCA buffer
+    mapping) are allowed to name them."""
     src = Path(repro.__file__).parent
     banned = re.compile(
         r"soc_time|codec_time|cengine_time|checksum_time"
         r"|alloc_time|dma_map_time|soc_throughput"
         r"|sz3_lossless_fraction|doca_buffer_prep_time")
-    allowed = ("plan/charges.py", "doca/buffers.py", "dpu/", "host/")
+    allowed = ("plan/charges.py", "doca/buffers.py", "dpu/")
     checked = set()
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
@@ -341,9 +336,9 @@ def test_charge_functions_are_called_from_the_plan_only():
         checked.add(rel)
         hits = banned.findall(path.read_text())
         assert not hits, f"{rel} charges on its own: {sorted(set(hits))}"
-    assert {"core/api.py", "core/baseline.py", "core/autodesign.py",
-            "core/parallel.py", "select/model.py", "select/selector.py",
-            "sched/pipeline.py", "sched/decoupled.py", "mpi/streaming.py",
+    assert {"core/api.py", "core/baseline.py", "core/parallel.py",
+            "select/model.py", "select/selector.py", "sched/pipeline.py",
+            "sched/decoupled.py", "mpi/streaming.py",
             "faults/policy.py"} <= checked
     assert banned.search((src / "plan/charges.py").read_text())
     # The chunk splitter sums the job plan beside its one caller.

@@ -246,9 +246,7 @@ def test_simulated_ops_get_their_bytes_from_the_memo():
     simulated op goes through ``real_compress`` / ``real_decompress``.
     Only the memo's own module and the stage-split hybrids it calls may
     name a codec kernel, the ``byte_codec`` choice or the stream
-    engine's ``chunk_codec``.
-    (``autodesign.estimate_ratio``'s LZ4 block probe sizes a prefix
-    sample and ships no bytes, so it is not in the list.)"""
+    engine's ``chunk_codec``."""
     src = Path(repro.__file__).parent
     banned = {"deflate_compress", "deflate_decompress", "lz4_compress",
               "lz4_decompress", "ac_compress", "ac_decompress", "byte_codec",

@@ -8,9 +8,9 @@ Two historical defects pinned here:
   decision from the root's actual payload (shared over a tiny control
   broadcast so every rank agrees and nothing deadlocks).
 * ``_split`` with ``parts > len(data)`` produces empty tail chunks;
-  that is deliberate and must round-trip losslessly through scatter /
-  alltoall / the PEDAL compression shim — and ``parts < 1`` must be
-  rejected rather than return garbage.
+  that is deliberate and must round-trip losslessly through
+  point-to-point, Bcast's scatter and ring, and the PEDAL compression
+  shim — and ``parts < 1`` must be rejected rather than return garbage.
 """
 
 from __future__ import annotations
@@ -172,33 +172,40 @@ class TestSplit:
 
 
 class TestEmptyChunkCollectives:
-    """Empty chunks must flow through every collective and the shim."""
+    """Empty chunks must flow through pt2pt, Bcast and the shim."""
 
     def test_scatter_empty_chunks(self):
+        """A root-side scatter by ``isend`` delivers the empty tail."""
+
         def program(ctx):
-            chunks = _split(b"ab", ctx.size) if ctx.rank == 0 else None
-            mine = yield from ctx.scatter(chunks, root=0)
+            if ctx.rank == 0:
+                chunks = _split(b"ab", ctx.size)
+                yield from ctx.waitall(
+                    [ctx.isend(dst, chunks[dst]) for dst in range(1, ctx.size)]
+                )
+                return chunks[0]
+            mine = yield from ctx.recv(source=0)
             return mine
 
         result = run_mpi(program, 4)
         assert result.returns == [b"a", b"b", b"", b""]
 
-    def test_scatter_gather_roundtrip_with_empties(self):
-        def program(ctx):
-            chunks = _split(b"xyz", ctx.size) if ctx.rank == 0 else None
-            mine = yield from ctx.scatter(chunks, root=0)
-            out = yield from ctx.gather(mine, root=0)
-            return _join(out) if ctx.rank == 0 else None
-
-        result = run_mpi(program, 5)
-        assert result.returns[0] == b"xyz"
-
-    def test_alltoall_with_empty_chunks(self):
+    def test_exchange_with_empty_chunks(self):
         def program(ctx):
             # Rank r sends r bytes to everyone — rank 0 sends empties.
-            chunks = [bytes([ctx.rank]) * ctx.rank for _ in range(ctx.size)]
-            out = yield from ctx.alltoall(chunks)
-            return [len(c) for c in out]
+            mine = bytes([ctx.rank]) * ctx.rank
+            requests = [ctx.isend(peer, mine)
+                        for peer in range(ctx.size) if peer != ctx.rank]
+            out = []
+            for peer in range(ctx.size):
+                if peer == ctx.rank:
+                    got = mine
+                else:
+                    got = yield from ctx.recv(source=peer)
+                assert got == bytes([peer]) * peer
+                out.append(len(got))
+            yield from ctx.waitall(requests)
+            return out
 
         result = run_mpi(program, 4)
         assert all(r == [0, 1, 2, 3] for r in result.returns)
@@ -217,17 +224,19 @@ class TestEmptyChunkCollectives:
         assert all(run_mpi(program, 5).returns)
 
     def test_empty_chunks_under_pedal_shim(self):
-        """Zero-byte messages pass the compression shim unharmed."""
+        """Zero-byte messages pass the compression shim unharmed, in
+        both Bcast's scatter and its ring."""
 
         def program(ctx):
-            chunks = _split(b"q", ctx.size) if ctx.rank == 0 else None
-            mine = yield from ctx.scatter(chunks, root=0)
-            out = yield from ctx.gather(mine, root=0)
-            return _join(out) if ctx.rank == 0 else None
+            data = b"q" if ctx.rank == 0 else None
+            out = yield from ctx.bcast(
+                data, root=0, algorithm="scatter_allgather"
+            )
+            return out
 
         cfg = CommConfig(mode=CommMode.PEDAL, design="SoC_LZ4")
         result = run_mpi(program, 4, "bf2", cfg)
-        assert result.returns[0] == b"q"
+        assert result.returns == [b"q"] * 4
 
     def test_zero_byte_engine_billing_is_overhead_only(self, bf2):
         """A zero-byte engine job bills the fixed overhead, nothing

@@ -1,4 +1,4 @@
-"""Non-blocking operations and the extended collectives."""
+"""Non-blocking operations and the scatter + ring-allgather Bcast."""
 
 import numpy as np
 import pytest
@@ -72,45 +72,6 @@ class TestIsendIrecv:
 
         started, finished = run_mpi(program, 2).returns[0]
         assert started is False and finished is True
-
-
-class TestExtendedCollectives:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_allgather(self, n):
-        def program(ctx):
-            out = yield from ctx.allgather(f"r{ctx.rank}")
-            return out
-
-        result = run_mpi(program, n)
-        expected = [f"r{i}" for i in range(n)]
-        assert all(r == expected for r in result.returns)
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 6])
-    def test_allreduce_sum(self, n):
-        def program(ctx):
-            out = yield from ctx.allreduce(ctx.rank + 1, op=lambda a, b: a + b)
-            return out
-
-        result = run_mpi(program, n)
-        assert all(v == n * (n + 1) // 2 for v in result.returns)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_alltoall(self, n):
-        def program(ctx):
-            chunks = [f"{ctx.rank}->{d}" for d in range(ctx.size)]
-            out = yield from ctx.alltoall(chunks)
-            return out
-
-        result = run_mpi(program, n)
-        for rank, row in enumerate(result.returns):
-            assert row == [f"{src}->{rank}" for src in range(n)]
-
-    def test_alltoall_wrong_chunk_count(self):
-        def program(ctx):
-            yield from ctx.alltoall(["only-one"])
-
-        with pytest.raises(ValueError):
-            run_mpi(program, 3)
 
 
 class TestScatterAllgatherBcast:

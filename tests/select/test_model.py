@@ -57,8 +57,7 @@ class TestMatchesSimulator:
     guarantee rests on this.  These BF-2 lossless rows are the
     selector-side view of the full device x algo x placement x direction
     x hoisted grid in ``tests/core/test_charges.py`` (SZ3 stage hints,
-    AC, ``path="auto"``, the naive prefix and autodesign are rows
-    there)."""
+    AC, ``path="auto"`` and the naive prefix are rows there)."""
 
     @pytest.mark.parametrize("algo", LOSSLESS)
     @pytest.mark.parametrize("n", [512.0, 64e3, 5.1e6])

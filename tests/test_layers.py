@@ -1,6 +1,6 @@
 """One declared layer order for ``src/repro`` (DESIGN.md §5).
 
-``LAYERS`` lists the 19 top-level names under ``src/repro`` bottom-up.
+``LAYERS`` lists the 18 top-level names under ``src/repro`` bottom-up.
 Every ``repro`` import in the package must name its own package or one
 earlier in the list, so the runtime import graph is a DAG and stays
 one.  The check is on the source, not on what happens to be loaded:
@@ -35,7 +35,7 @@ SECTION = "## 5. Repository layout"
 LAYERS = (
     "errors", "util", "obs", "algorithms", "faults", "sim", "dpu",
     "datasets", "plan", "select", "sched", "doca", "stream", "core",
-    "mpi", "serve", "cluster", "bench", "host",
+    "mpi", "serve", "cluster", "bench",
 )
 RANK = {name: i for i, name in enumerate(LAYERS)}
 REEXPORTS = frozenset(
@@ -91,7 +91,7 @@ def test_layers_name_every_top_level_entry():
              if p.name != "__init__.py"
              and (p.suffix == ".py" or (p / "__init__.py").exists())}
     assert sorted(names) == sorted(LAYERS)
-    assert len(LAYERS) == len(set(LAYERS)) == 19
+    assert len(LAYERS) == len(set(LAYERS)) == 18
 
 
 def test_every_import_points_down():
