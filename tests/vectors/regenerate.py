@@ -222,8 +222,11 @@ CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
 #: to the input length reads 2n as n + 1); then the ``pedal_ops``
 #: chunk-parallel container's framing; last the small blocks
 #: ``serve_sweep`` encodes, around the size at which a DEFLATE block
-#: stops being a few hundred tokens, and two inputs on which a Huffman
-#: length limit binds (the literal/length and the code-length tree).  Then the AC context model: the two
+#: stops being a few hundred tokens, zstd-lite's shallow greedy matcher
+#: on the serve request and on 1 KiB of xml, a 64-byte window on that
+#: 1 KiB (matcher paths the default-config small pins do not reach), and
+#: two inputs on which a Huffman length limit binds (the literal/length
+#: and the code-length tree).  Then the AC context model: the two
 #: 12 KiB ``codec_compress`` windows, every order on an input that halves
 #: its hot context, both ends of ``table_bits`` and ``chunk_bytes``, and
 #: both ends of ``max_total`` (encoder bytes only: the RAC1 header does
@@ -276,6 +279,14 @@ DIGEST_PINS = {
             ("telemetry-2k", lambda: _head("net_telemetry", 2 * KIB)))
         for block in (7, 100)
     },
+    # Matcher paths the default-config small pins miss: zstd-lite's
+    # greedy shallow walk on the serve request (the default's tokens
+    # there) and on 1 KiB of xml (three more tokens), and a window short
+    # enough to cut most chains on the same 1 KiB.
+    "zstdlite-serve-xml-256": (_serve_window, zstdlite_compress),
+    "zstdlite-xml-1k": (lambda: _head("silesia/xml", KIB), zstdlite_compress),
+    "deflate-window64-xml-1k": (
+        lambda: _head("silesia/xml", KIB), _deflate_with(dict(window_size=64))),
     # Length limits that bind: an unbounded Huffman tree would be deeper
     # than 15 bits (literal/length) or 7 bits (code-length alphabet).
     # max_chain=0 walks no candidate, so every byte goes out a literal.

@@ -18,7 +18,11 @@ pins cover what ``serve_sweep`` encodes: its first 256 B xml request,
 513 tokens, the 256 B request under each forced block type, and
 ``block_tokens`` 7 and 100 on the 256 B and 2 KiB inputs (they were
 first computed at the commit before small blocks got their own encode
-path).  The AC pins cover the context model: the two 12 KiB
+path).  Three more reach matcher paths those default-config pins do
+not: zstd-lite's greedy ``max_chain`` 8 walk on the 256 B request and
+on 1 KiB of xml, and a 64-byte window, which cuts most chains, on the
+same 1 KiB (first computed
+at the commit before small inputs got their own tokenizer).  The AC pins cover the context model: the two 12 KiB
 ``codec_compress`` windows, orders 0-4 on a 40 KiB input that halves
 its hot context, ``table_bits`` 8 and 20, ``chunk_bytes`` 256 and
 2^17, and ``max_total`` 2^10 and 2^16 (encoder bytes only), the first
