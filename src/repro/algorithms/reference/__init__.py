@@ -42,6 +42,8 @@ class Twin:
 
 REGISTRY: "dict[str, Twin]" = {row.name: row for row in (
     Twin("tokenize", _lz77._tokenize_vec, lz77.tokenize, ((_lz77, "_tokenize_vec"),)),
+    Twin("tokenize_small", _lz77._tokenize_small, lz77.tokenize,
+         ((_lz77, "_tokenize_small"),)),
     Twin("canonical_codes", _huffman.canonical_code_list, huffman.canonical_codes,
          ((_huffman, "canonical_code_list"),)),
     Twin("write_code_array", BitWriter.write_code_array, huffman.write_code_array,

@@ -103,6 +103,15 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(bad)
 
+    @pytest.mark.parametrize("distance", [0, -1])
+    def test_distance_below_one_rejected(self, distance):
+        """A copy from the byte being written (or ahead of it) has no
+        source: the same ValueError, not an IndexError from the loop."""
+        from repro.algorithms.lz77 import TokenStream
+
+        with pytest.raises(ValueError, match="copy distance"):
+            reconstruct(TokenStream([0, 3], [65, distance], 4))
+
 
 @given(st.binary(max_size=3000))
 @settings(max_examples=60, deadline=None)
