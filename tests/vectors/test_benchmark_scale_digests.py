@@ -30,8 +30,11 @@ on an input whose middle chunk skips a context still over budget (they
 were first computed at the commit before the model kept only the
 counts it has seen).  The LZ4 pins freeze the frame at block-size codes
 4 and 7 on 128 KiB of xml and 96 KiB of mozilla and ``obs_error``, an
-80 KiB incompressible window (stored blocks only) and the empty input;
-each decodes back.
+80 KiB incompressible window (stored blocks only), the empty input and
+96 KiB of ``obs_error`` at acceleration 4 (probe misses there run long
+enough for the stride to grow, so it differs from acceleration 1);
+bare blocks pin 128 B, 256 B and 1 KiB of xml and 2 047-2 049 bytes,
+sizes at which a frame may store the block instead.  Each decodes back.
 
 The inputs and encoders are defined once, in ``regenerate.py``; the
 digests live in ``manifest.json`` under ``digest_pins`` (the five
@@ -57,7 +60,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.ac import ACConfig, ContextModel, ac_decompress
-from repro.algorithms.lz4 import lz4_decompress
+from repro.algorithms.lz4 import lz4_block_decompress, lz4_decompress
 from repro.algorithms import huffman
 from repro.algorithms.deflate import deflate_decompress
 from repro.algorithms.deflate.compress import _SMALL_BLOCK_TOKENS, _rle_code_lengths
@@ -163,13 +166,31 @@ def _lz4_blocks(frame: bytes) -> "list[tuple[int, bool]]":
 
 def test_lz4_pins_decode_back():
     lz4 = {name: pin for name, pin in DIGEST_PINS.items() if name.startswith("lz4-")}
-    assert len(lz4) == 8
+    assert len(lz4) == 9
     for name, (make_input, encode) in lz4.items():
         data = make_input()
         blob = encode(data)
         assert lz4_decompress(blob) == data, name
         if "-bd4-" in name:  # 64 KiB blocks: every window spans several
             assert len(_lz4_blocks(blob)) == -(-len(data) // (64 << 10)), name
+
+
+def test_lz4_block_pins_decode_back():
+    lz4b = {name: pin for name, pin in DIGEST_PINS.items() if name.startswith("lz4b-")}
+    assert sorted(len(make_input()) for make_input, _ in lz4b.values()) == [
+        128, 256, 1024, 2047, 2048, 2049]
+    for name, (make_input, encode) in lz4b.items():
+        data = make_input()
+        blob = encode(data)
+        assert len(blob) < len(data), name  # has matches, not only literals
+        assert lz4_block_decompress(blob) == data, name
+
+
+def test_lz4_acceleration_pin_reaches_the_stride_growth():
+    make_input, encode = DIGEST_PINS["lz4-bd4-accel4-obs-error-96k"]
+    data = make_input()
+    _, default = DIGEST_PINS["lz4-bd4-obs-error-96k"]
+    assert encode(data) != default(data)
 
 
 def test_lz4_incompressible_pin_stores_every_block():
