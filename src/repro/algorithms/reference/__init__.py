@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.algorithms import huffman as _huffman
+from repro.algorithms import lz4 as _lz4
 from repro.algorithms import lz77 as _lz77
 from repro.algorithms.ac.codec import ac_decompress, encode_batches
 from repro.algorithms.ac.model import ContextModel
 from repro.algorithms.deflate import compress as _deflate_compress
 from repro.algorithms.deflate import deflate_decompress
-from repro.algorithms.reference import ac, huffman, lz77, sz3, xxhash32
+from repro.algorithms.lz4 import block as _lz4_block
+from repro.algorithms.lz4 import frame as _lz4_frame
+from repro.algorithms.reference import ac, huffman, lz4, lz77, sz3, xxhash32
 from repro.algorithms.sz3 import predictor as _predictor
 from repro.algorithms.sz3 import quantizer as _quantizer
 from repro.util.bitio import BitWriter
@@ -44,6 +47,15 @@ REGISTRY: "dict[str, Twin]" = {row.name: row for row in (
     Twin("tokenize", _lz77._tokenize_vec, lz77.tokenize, ((_lz77, "_tokenize_vec"),)),
     Twin("tokenize_small", _lz77._tokenize_small, lz77.tokenize,
          ((_lz77, "_tokenize_small"),)),
+    # Frames call the block codec through ``frame``; ``block`` and the
+    # package hold it under the same name.
+    Twin("lz4_block_compress", _lz4_block.lz4_block_compress, lz4.lz4_block_compress,
+         ((_lz4_block, "lz4_block_compress"), (_lz4_frame, "lz4_block_compress"),
+          (_lz4, "lz4_block_compress"))),
+    Twin("lz4_block_decompress", _lz4_block.lz4_block_decompress,
+         lz4.lz4_block_decompress,
+         ((_lz4_block, "lz4_block_decompress"), (_lz4_frame, "lz4_block_decompress"),
+          (_lz4, "lz4_block_decompress"))),
     Twin("canonical_codes", _huffman.canonical_code_list, huffman.canonical_codes,
          ((_huffman, "canonical_code_list"),)),
     Twin("write_code_array", BitWriter.write_code_array, huffman.write_code_array,

@@ -444,6 +444,9 @@ _WALL_AC_DECODE = (("silesia/xml", 6144), ("obs_error", 6144))
 #: xxh32 rows: input bytes — an LZ4 block's content, a small frame's,
 #: and a frame descriptor's (no stripe: only call overhead can differ).
 _WALL_XXH32_BYTES = (65536, 128, 12)
+#: LZ4 block rows: (block bytes, silesia/xml windows per timing) — the
+#: size of ``codec_compress``'s small frames and of a 64 KiB frame block.
+_WALL_LZ4_BLOCKS = ((1024, 16), (65536, 3))
 
 #: Floors only, deliberately generous (roughly half of what a loaded CI
 #: host measures; recorded trajectory values run 1.5-2x above every
@@ -498,6 +501,16 @@ WALL_BANDS: Bands = {
     "wall_xxh32_speedup_65536": (2.5, None),
     "wall_xxh32_speedup_128": (1.3, None),
     "wall_xxh32_speedup_12": (1 / 1.15, None),
+    # LZ4 block codec vs its per-byte twins (reference.lz4) on xml
+    # windows, blocks and outputs asserted equal first: word-XOR probe
+    # and extension with one typed table; a per-sequence decoder.  Ten
+    # collections read compress 1.37-1.74x at 1 KiB and 1.64-2.52x at
+    # 64 KiB, decompress 1.35-1.53x and 1.48-2.02x; each floor is about
+    # 0.8x the lowest.
+    "wall_lz4_compress_speedup_1024": (1.1, None),
+    "wall_lz4_compress_speedup_65536": (1.3, None),
+    "wall_lz4_decompress_speedup_1024": (1.1, None),
+    "wall_lz4_decompress_speedup_65536": (1.2, None),
     # Per-codec compress throughput, MB/s (production kernels, 256 KiB
     # silesia/xml sample; sz3 on a float32 field): roughly 1/6 of a
     # development-host measurement so loaded CI machines clear them.
@@ -737,6 +750,49 @@ def _wall_decode_rows() -> "list[dict[str, Any]]":
     return rows
 
 
+def _wall_lz4_rows() -> "list[dict[str, Any]]":
+    """The LZ4 block codec against its per-byte twins, both directions.
+
+    Per block size, ``silesia/xml`` windows are compressed by both
+    compressors and decoded by both decoders, and every block and every
+    output is asserted identical before anything is timed.
+    """
+    from repro.algorithms.lz4 import lz4_block_compress, lz4_block_decompress
+    from repro.algorithms.reference import REGISTRY
+
+    compress_twin = REGISTRY["lz4_block_compress"].twin
+    decompress_twin = REGISTRY["lz4_block_decompress"].twin
+    corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
+    rows = []
+    for size, count in _WALL_LZ4_BLOCKS:
+        stride = (len(corpus) - size) // count
+        windows = [corpus[i * stride:i * stride + size] for i in range(count)]
+        blocks = [lz4_block_compress(w) for w in windows]
+        if blocks != [compress_twin(w) for w in windows]:
+            raise AssertionError("lz4_block_compress diverges from its twin")
+        if not ([lz4_block_decompress(b) for b in blocks]
+                == [decompress_twin(b) for b in blocks] == windows):
+            raise AssertionError("lz4_block_decompress diverges from its twin")
+        timings = {
+            "compress": _interleaved_best(
+                lambda: [compress_twin(w) for w in windows],
+                lambda: [lz4_block_compress(w) for w in windows]),
+            "decompress": _interleaved_best(
+                lambda: [decompress_twin(b) for b in blocks],
+                lambda: [lz4_block_decompress(b) for b in blocks]),
+        }
+        for direction, (reference_s, fast_s) in timings.items():
+            rows.append({
+                "headline": f"wall_lz4_{direction}_speedup_{size}",
+                "kernel": f"lz4_block_{direction}", "dataset": "silesia/xml",
+                "input_bytes": size, "blocks": count,
+                "reference_us": reference_s / count * 1e6,
+                "us": fast_s / count * 1e6,
+                "speedup": reference_s / fast_s,
+                "mb_s": size * count / fast_s / 1e6,
+            })
+    return rows
+
 
 def _wall() -> "dict[str, Any]":
     """Three row families, all host wall clock:
@@ -754,6 +810,8 @@ def _wall() -> "dict[str, Any]":
       (:func:`_wall_entropy_rows`).
     * AC decode and xxh32 as ratios against their step-wise / scalar
       twins (:func:`_wall_decode_rows`).
+    * the LZ4 block codec, both directions, against its per-byte twins
+      (:func:`_wall_lz4_rows`).
 
     Per-codec compress throughput rides along as ``wall_mbps_*``.
     """
@@ -814,7 +872,8 @@ def _wall() -> "dict[str, Any]":
             if f"wall_{stage}_speedup_{size}" in WALL_BANDS:
                 headlines[f"wall_{stage}_speedup_{size}"] = row[f"{stage}_speedup"]
     decode_rows = _wall_decode_rows()
-    for row in decode_rows:
+    lz4_rows = _wall_lz4_rows()
+    for row in decode_rows + lz4_rows:
         headlines[row["headline"]] = row["speedup"]
 
     return {
@@ -830,6 +889,7 @@ def _wall() -> "dict[str, Any]":
             "rows": rows,
             "entropy_rows": entropy_rows,
             "decode_rows": decode_rows,
+            "lz4_rows": lz4_rows,
             "top_kernel": top,
         },
     }

@@ -109,6 +109,25 @@ class TestBlock:
             with pytest.raises(OutputOverflowError):
                 lz4_block_decompress(block, max_output=limit)
 
+    def test_block_cut_after_a_match_is_rejected(self):
+        """The last sequence of a block is literal-only, so a block that
+        ends right after a match's offset or length bytes was cut: the
+        first sequence of this 338-byte input alone decodes to a 320-byte
+        prefix of it, and must raise instead."""
+        phrase = b"0123456789abcdefghij"
+        data = phrase * 16 + b"KLMNOPQRSTUVWXYZ!?"
+        block = lz4_block_compress(data)
+        literals, match_len, offset = next(_sequences(block))
+        assert (len(literals), match_len, offset) == (20, 300, 20)
+        first = len(block) - 2 - 18  # closing token, length byte, literals
+        assert block[first] == 0xF0
+        assert lz4_block_decompress(block) == data
+        with pytest.raises(CorruptStreamError, match="ends on a match"):
+            lz4_block_decompress(block[:first])
+        # A match short enough for the token nibble ends at its offset.
+        with pytest.raises(CorruptStreamError, match="ends on a match"):
+            lz4_block_decompress(bytes([0x14]) + b"x" + bytes([1, 0]))
+
     def test_long_match_extension_bytes(self):
         # A >270-byte match exercises the 255-saturated extension path.
         data = b"Lorem ipsum " + b"A" * 2000 + b" dolor sit amet"
@@ -284,28 +303,23 @@ def test_property_low_entropy_block(symbols):
     assert lz4_block_decompress(lz4_block_compress(blob)) == blob
 
 
-def test_sparse_table_blocks_equal_dense_table_blocks(monkeypatch):
-    """Short inputs keep the matcher's hash table in a dict, long ones
-    in a 64 Ki-entry list: same slots, same candidates, same block.
-    Every length 0..300 and a stride up to 4 KiB, each compressed with
-    the switch forced both ways."""
-    from repro.algorithms.lz4 import block
+def test_compressing_one_mebibyte_of_xml_stays_small():
+    """The matcher's per-position tables are typed arrays (a hash and an
+    8-byte word, 10 bytes a position), not lists of ints: 1 MiB of xml
+    peaks at ~18 MB traced (49.8 MB with the hashes in a list)."""
+    import tracemalloc
 
-    rng = np.random.default_rng(8)
-    corpora = [
-        b"the quick brown fox jumps over the lazy dog. " * 100,
-        bytes(rng.integers(0, 4, size=4200, dtype=np.uint8)),
-        rng.bytes(4200),
-        b"\x00" * 4200,
-    ]
-    lengths = [*range(301), *range(301, 4200, 97), 2047, 2048, 2049, 4096]
-    for corpus in corpora:
-        for n in lengths:
-            monkeypatch.setattr(block, "_SPARSE_TABLE_BELOW", 1 << 30)
-            sparse = lz4_block_compress(corpus[:n])
-            monkeypatch.setattr(block, "_SPARSE_TABLE_BELOW", 0)
-            assert sparse == lz4_block_compress(corpus[:n]), n
-            assert lz4_block_decompress(sparse) == corpus[:n]
+    from repro.datasets import get_dataset
+
+    data = bytes(get_dataset("silesia/xml").generate(1 << 20))
+    tracemalloc.start()
+    try:
+        frame = lz4_compress(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6, peak
+    assert lz4_decompress(frame) == data
 
 
 def _sequences(block: bytes):
