@@ -38,7 +38,7 @@ from repro.algorithms.gzip_format import gzip_compress
 from repro.algorithms import lz4
 from repro.algorithms.lz4 import Lz4Config, lz4_compress
 from repro.algorithms.lz77 import MatcherConfig
-from repro.algorithms.sz3 import SZ3Config, sz3_compress
+from repro.algorithms.sz3 import SZ3Config, sz3_compress, sz3_decompress
 from repro.algorithms.zlib_format import zlib_compress
 from repro.algorithms.zstdlite import zstdlite_compress
 from repro.core.parallel import ParallelCompressor, ParallelConfig
@@ -171,6 +171,11 @@ def _lz4_with(block_size_code: int, acceleration: int = 1):
     return lambda data: lz4_compress(data, config, block_size_code=block_size_code)
 
 
+def _sz3_with(**config):
+    config = SZ3Config(error_bound=1e-4, **config)
+    return lambda field: sz3_compress(field, config)
+
+
 def _parallel_8chunks(data: bytes) -> bytes:
     """The chunk-parallel container (RST1, one DEFLATE frame per chunk)."""
     env = Environment()
@@ -221,6 +226,10 @@ def _cl_limit_binds() -> bytes:
 #: clamped to len(data) instead of ``max_chain`` (see
 #: tests/algorithms/test_lz77_layout.py).
 CHAIN_COUNTEREXAMPLE = bytes([0] * 8 + [2, 1] + [0] * 20 + [3] + [0] * 8 + [2])
+
+#: The ``exaalt-dataset1`` floats the SZ3R pins code: about 17 % of
+#: their Lorenzo residuals at 1e-4 are escapes (11 % under ``interp``).
+SZ3_PIN_FLOATS = 8 * KIB
 
 #: name -> (make input, encode).  The first five are the
 #: ``codec_compress`` / ``stream_paths`` operating points (the golden
@@ -349,7 +358,19 @@ DIGEST_PINS = {
             lambda n=n: _head("silesia/xml", 8 * KIB)[:n], lz4_block_compress)
         for n in (2047, 2048, 2049)
     },
+    **{
+        f"sz3r-{backend}-exaalt-8ki-floats": (
+            lambda: _exaalt_window()[:SZ3_PIN_FLOATS], _sz3_with(backend=backend))
+        for backend in ("zstdlite", "deflate", "lz4", "ac", "none")
+    },
+    "sz3r-interp-exaalt-8ki-floats": (
+        lambda: _exaalt_window()[:SZ3_PIN_FLOATS], _sz3_with(predictor="interp")),
+    "ac-noise-16k": (lambda: _incompressible(16 * KIB), ac_compress),
 }
+
+#: Pins whose manifest entry also holds the digest of the decoded output
+#: (lossy codecs, where "decodes back to the input" does not apply).
+PIN_DECODERS = {name: sz3_decompress for name in DIGEST_PINS if name.startswith("sz3r-")}
 
 
 def _sha256(blob: bytes) -> str:
@@ -362,7 +383,10 @@ def pin_entry(name: str) -> dict:
     payload = make_input()
     raw = payload.tobytes() if isinstance(payload, np.ndarray) else payload
     blob = encode(payload)
-    return {"input_sha256": _sha256(raw), "bytes": len(blob), "sha256": _sha256(blob)}
+    entry = {"input_sha256": _sha256(raw), "bytes": len(blob), "sha256": _sha256(blob)}
+    if name in PIN_DECODERS:
+        entry["decoded_sha256"] = _sha256(PIN_DECODERS[name](blob).tobytes())
+    return entry
 
 
 def _case_entry(files: dict, case: str, payload: bytes, encoders: dict, suffix: str) -> dict:
