@@ -66,9 +66,9 @@ def _read_code_lengths(
     """The ``total`` literal/length and distance code lengths, run-length
     coded under ``cl_decoder``.
 
-    ``huffman.decode_run``'s loop with the repeat codes inline: reader
-    state in locals, eight-byte refills, each covering one code-length
-    code (at most 7 bits) and its repeat field (at most 7).
+    One loop with the repeat codes inline: reader state in locals,
+    eight-byte refills, each covering one code-length code (at most 7
+    bits) and its repeat field (at most 7).
     """
     table = cl_decoder.lookup
     mask = (1 << cl_decoder.max_bits) - 1
@@ -140,10 +140,9 @@ def _inflate_block_loop(
     dist_decoder: huffman.HuffmanDecoder | None,
     max_output: int | None,
 ) -> None:
-    # The hottest loop in the decompressor.  It is huffman.decode_run's
-    # loop written out — reader state in locals, eight-byte refills —
-    # with the match path inline, because a call per match costs more
-    # than the decode it would share.  One refill covers a whole token:
+    # The hottest loop in the decompressor: reader state in locals,
+    # eight-byte refills, and the match path inline, because a call per
+    # match costs more than the decode it would share.  One refill covers a whole token:
     # 15 + 5 bits of length, 15 + 13 of distance.
     lit_lookup = litlen_decoder.lookup
     lit_mask = (1 << litlen_decoder.max_bits) - 1

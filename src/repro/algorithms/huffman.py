@@ -16,10 +16,8 @@ Three pieces, shared by DEFLATE and the SZ3 encoder stage:
   wire.
 * :class:`HuffmanDecoder` — flat-table decoder: one table lookup per
   symbol against an LSB-first :class:`~repro.util.bitio.BitReader`.
-* :func:`decode_run` — SZ3's residual decode loop: symbols until one
-  needs the caller, reader state in locals.  DEFLATE's tree header is
-  the same loop with its repeat codes inline
-  (``deflate.decompress._read_code_lengths``).
+  The hot decode loops (inflate's blocks and tree header, SZ3's
+  residuals) index its ``lookup`` with the reader state in locals.
 
 The alphabets are small (at most 288 symbols), so the code builders
 and the narrow decode tables work on plain ``list``s of ints: at that
@@ -50,7 +48,6 @@ __all__ = [
     "lsb_codes",
     "lsb_code_list",
     "HuffmanDecoder",
-    "decode_run",
 ]
 
 #: Longest code :func:`lsb_codes` and :class:`HuffmanDecoder` handle (the
@@ -392,45 +389,3 @@ class HuffmanDecoder:
         reader.skip_bits(entry >> 9)
         return entry & 0x1FF
 
-
-def decode_run(
-    decoder: HuffmanDecoder, reader: BitReader, out, count: int, stop: int
-) -> int:
-    """Decode symbols below ``stop`` onto ``out`` until one is not.
-
-    Appends at most ``count`` symbols.  Returns the first symbol that is
-    ``>= stop`` (consumed, not appended — the caller reads whatever
-    follows it from ``reader``) or -1 once ``count`` were appended.
-
-    The reader's state lives in locals for the length of the run and is
-    refilled eight bytes at a time; past the end of the input the refill
-    supplies zero bits and ``nbits`` goes negative once one of them is
-    consumed, which is checked before any refill and on the way out.
-    """
-    table = decoder.lookup
-    mask = (1 << decoder.max_bits) - 1
-    longest_code = MAX_CODE_BITS
-    append = out.append
-    data, pos, acc, nbits = reader.hoist()
-    for _ in range(count):
-        if nbits < longest_code:
-            if nbits < 0:
-                raise CorruptStreamError("unexpected end of bit stream")
-            chunk = data[pos : pos + 8]
-            acc |= int.from_bytes(chunk, "little") << nbits
-            pos += len(chunk)
-            nbits += len(chunk) << 3
-        entry = table[acc & mask]
-        if not entry:
-            raise CorruptStreamError("invalid Huffman code in stream")
-        used = entry >> 9
-        acc >>= used
-        nbits -= used
-        sym = entry & 0x1FF
-        if sym >= stop:
-            break
-        append(sym)
-    else:
-        sym = -1
-    reader.restore(pos, acc, nbits)
-    return sym

@@ -25,6 +25,7 @@ from repro.algorithms.deflate import deflate_decompress
 from repro.algorithms.lz4 import block as _lz4_block
 from repro.algorithms.lz4 import frame as _lz4_frame
 from repro.algorithms.reference import ac, huffman, lz4, lz77, sz3, xxhash32
+from repro.algorithms.sz3 import encoder as _sz3_encoder
 from repro.algorithms.sz3 import predictor as _predictor
 from repro.algorithms.sz3 import quantizer as _quantizer
 from repro.util.bitio import BitWriter
@@ -69,6 +70,8 @@ REGISTRY: "dict[str, Twin]" = {row.name: row for row in (
     Twin("quantize", _quantizer._quantize, sz3.quantize, ((_quantizer, "_quantize"),)),
     Twin("dequantize", _quantizer._dequantize, sz3.dequantize,
          ((_quantizer, "_dequantize"),)),
+    Twin("decode_residuals", _sz3_encoder.decode_residuals, sz3.decode_residuals,
+         ((_sz3_encoder, "decode_residuals"),)),
     Twin("context_hashes", ContextModel.context_hashes, ac.context_hashes,
          ((ContextModel, "context_hashes"),)),
     Twin("code_lengths", _huffman.code_lengths, huffman.code_lengths),

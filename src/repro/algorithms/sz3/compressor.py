@@ -138,9 +138,11 @@ class SZ3Compressor:
         blob = r.take(blob_len, "backend blob")
         r.end()
 
-        payload = lossless.backend_decompress(blob, lossless.BACKEND_NAMES[backend_id])
-        residual = encoder.decode_residuals(payload)
+        # The declared shape caps what the backend may inflate.
         n = math.prod(shape)
+        payload = lossless.backend_decompress(
+            blob, lossless.BACKEND_NAMES[backend_id], encoder.max_payload_bytes(n))
+        residual = encoder.decode_residuals(payload)
         if residual.size != n:
             raise CorruptStreamError(
                 f"decoded {residual.size} residuals for shape {shape} ({n} expected)"

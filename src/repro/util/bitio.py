@@ -19,11 +19,10 @@ emission does not allocate.  Its byte-identical twin (one
 :mod:`repro.algorithms.reference.huffman`.
 
 The reader refills its accumulator eight bytes at a time; decode loops
-that cannot afford a method call per symbol (inflate, its tree header,
-the Huffman symbol run in :func:`repro.algorithms.huffman.decode_run`) hoist
-``(data, pos, acc, nbits)`` into locals with :meth:`BitReader.hoist`,
-repeat the same refill inline, and hand the state back with
-:meth:`BitReader.restore`.
+that cannot afford a method call per symbol (inflate and its tree
+header) hoist ``(data, pos, acc, nbits)`` into locals with
+:meth:`BitReader.hoist`, repeat the same refill inline, and hand the
+state back with :meth:`BitReader.restore`.
 """
 
 from __future__ import annotations

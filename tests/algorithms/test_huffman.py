@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import huffman
+from repro.algorithms.reference.sz3 import decode_run
 from repro.errors import CorruptStreamError
 from repro.util.bitio import BitReader, BitWriter
 
@@ -332,6 +333,8 @@ def test_decoder_rejects_oversubscribed_and_overlong_codes():
 
 
 class TestDecodeRun:
+    """The symbol run of the SZ3 residual decoder's twin."""
+
     def _stream(self, lengths, symbols, tail_bits=0):
         codes = huffman.lsb_codes(lengths)
         w = BitWriter()
@@ -346,10 +349,10 @@ class TestDecodeRun:
         reader = BitReader(self._stream(lengths, symbols, tail_bits=5))
         decoder = huffman.HuffmanDecoder(lengths)
         out: "list[int]" = []
-        assert huffman.decode_run(decoder, reader, out, 100, stop=16) == 17
+        assert decode_run(decoder, reader, out, 100, stop=16) == 17
         assert out == [3, 4, 15, 0]
         # The reader sits right behind the stop symbol.
-        assert huffman.decode_run(decoder, reader, out, 2, stop=16) == -1
+        assert decode_run(decoder, reader, out, 2, stop=16) == -1
         assert out == [3, 4, 15, 0, 2, 2]
         assert reader.read_bits(5) == 0b11111
 
@@ -361,7 +364,7 @@ class TestDecodeRun:
         data = self._stream(lengths, symbols)
         decoder = huffman.HuffmanDecoder(lengths)
         out = bytearray()
-        assert huffman.decode_run(
+        assert decode_run(
             decoder, BitReader(data), out, len(symbols), stop=512) == -1
         reader = BitReader(data)
         assert list(out) == [decoder.decode(reader) for _ in symbols] == symbols
@@ -373,9 +376,9 @@ class TestDecodeRun:
         decoder = huffman.HuffmanDecoder(lengths)
         data = self._stream(lengths, [1, 2, 1, 2])  # exactly one byte
         with pytest.raises(CorruptStreamError):
-            huffman.decode_run(decoder, BitReader(data), [], 5, stop=512)
+            decode_run(decoder, BitReader(data), [], 5, stop=512)
 
     def test_invalid_code_raises(self):
         decoder = huffman.HuffmanDecoder(np.array([2, 0, 0], dtype=np.int32))
         with pytest.raises(CorruptStreamError):
-            huffman.decode_run(decoder, BitReader(b"\xff"), [], 1, stop=512)
+            decode_run(decoder, BitReader(b"\xff"), [], 1, stop=512)
