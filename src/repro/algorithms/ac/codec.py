@@ -211,9 +211,10 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
     and every renormalization consumes interval width, so corrupt
     streams can never hang the decoder.
 
-    The loop is :class:`RangeDecoder` plus ``symbol_from_target`` with
-    the coder state in locals; ``reference.decode_stepwise`` is the same
-    decode through those objects (DESIGN.md §5j, decode round 2).
+    The loop is :class:`RangeDecoder` with the coder state in locals and
+    ``ContextModel.sparse_rows`` bisected in place of a dense row;
+    ``reference.decode_stepwise`` is the same decode through those
+    objects and ``symbol_from_target`` (DESIGN.md §5j, decode rounds 2-3).
     """
     config, length, crc = parse_header(blob)
     cap(length, max_output, "ac")
@@ -236,13 +237,14 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
         for start in range(0, length, config.chunk_bytes):
             stop = min(start + config.chunk_bytes, length)
             # The tables are frozen within a chunk, so a history names
-            # its row: one hash and one row build per distinct history.
-            rows: dict[int, list[int]] = {}
+            # its row: one hash and one row lookup per distinct history.
+            rows: dict = {}
+            if start:  # nothing is folded in before the first boundary
+                row_of, lows, highs, syms = model.sparse_rows()
             for _ in range(start, stop):
                 row = rows.get(history)
                 if row is None:
-                    # Nothing is folded in before the first boundary.
-                    row = rows[history] = model.cum_row(
+                    row = rows[history] = row_of(
                         model.context_hash_packed(history)) if start else uniform
                 if row is uniform:
                     # row[s] == s, total 256: the search is the division.
@@ -255,13 +257,24 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
                         rng -= r * 255
                     code -= r * sym
                 else:
-                    total = row[256]
+                    first, end, base, total = row
                     r = rng // total
                     target = code // r
-                    # Top-symbol slack (or corrupt input) can overshoot.
-                    sym = bisect_right(row, target) - 1 if target < total else 255
-                    lo = row[sym]
-                    hi = row[sym + 1]
+                    if target >= total:  # top-symbol slack, or corrupt input
+                        target = total - 1
+                    at = bisect_right(lows, target + base, first, end) - 1
+                    if at < first:  # below the context's first symbol
+                        sym = lo = target
+                        hi = target + 1
+                    else:
+                        hi = highs[at] - base
+                        if target < hi:  # a symbol the context has seen
+                            sym = syms[at]
+                            lo = lows[at] - base
+                        else:  # an unseen one past it, one unit wide
+                            sym = syms[at] + 1 + target - hi
+                            lo = target
+                            hi = target + 1
                     code -= r * lo
                     if hi == total:
                         rng -= r * lo

@@ -439,8 +439,12 @@ _WALL_PARITY_SUITE = ("silesia/xml", "silesia/samba", "runs2")
 _WALL_ENTROPY_BLOCKS = ((256, 16), (1024, 16), (65536, 2))
 _WALL_ENTROPY_REPS = 9    # min-of-N per side, sides interleaved
 #: AC decode rows: (dataset, window bytes) — the ``codec_decompress``
-#: operating point of benchmarks/perf (one full chunk plus half of one).
-_WALL_AC_DECODE = (("silesia/xml", 6144), ("obs_error", 6144))
+#: operating point of benchmarks/perf (one full chunk plus half of one),
+#: and four chunks of noise, whose contexts have seen one to three symbols.
+_WALL_AC_DECODE = (("silesia/xml", 6144), ("obs_error", 6144), ("noise", 16384))
+#: SZ3 residual decode row: ``exaalt-dataset1`` floats at the 1e-4 bound,
+#: the ``codec_decompress`` field size (about 17 % escapes).
+_WALL_SZ3_FLOATS = 32768
 #: xxh32 rows: input bytes — an LZ4 block's content, a small frame's,
 #: and a frame descriptor's (no stripe: only call overhead can differ).
 _WALL_XXH32_BYTES = (65536, 128, 12)
@@ -488,16 +492,20 @@ WALL_BANDS: Bands = {
     "wall_match_vs_bulk_speedup_256": (1.2, None),
     # Decode kernels vs their retained step-wise / scalar twins, same
     # interleaved timing.  AC: the fused loop vs
-    # RangeDecoder + ContextModel.symbol_from_target (recorded ~3.0x on
-    # xml).  The twin shares the model, and on obs_error — where nearly
-    # every history of the second chunk is new — set-up and row builds
-    # are ~60 % of the fused time: recorded 1.98x, so the 2.0x
-    # target is not met there and that one floor sits below it.
+    # RangeDecoder + ContextModel.symbol_from_target.  The fused loop
+    # bisects each context's sparse keys where the twin builds a dense
+    # row, so the ratio grew where new contexts dominate: ten
+    # collections read 7.2-10.1x on xml, 5.4-8.7x on obs_error (1.98x
+    # before) and 5.3-7.0x on four chunks of noise (floor ~0.75x the
+    # lowest).  SZ3 residuals: one loop vs a symbol run that stops at
+    # each escape, on 32 Ki exaalt floats (ten read 2.10-2.40x).
     # xxh32: packed lanes vs the scalar stripe loop (recorded ~4.2x at
     # 64 KiB, ~1.85x at 128 B); at 12 B both take the scalar loop and
     # the floor only bounds the dispatch overhead (<= 1.15x slower).
     "wall_ac_decode_speedup_silesia_xml": (2.5, None),
     "wall_ac_decode_speedup_obs_error": (1.8, None),
+    "wall_ac_decode_speedup_noise": (4.0, None),
+    "wall_sz3_residual_speedup_exaalt": (1.7, None),
     "wall_xxh32_speedup_65536": (2.5, None),
     "wall_xxh32_speedup_128": (1.3, None),
     "wall_xxh32_speedup_12": (1 / 1.15, None),
@@ -693,20 +701,25 @@ def _wall_entropy_rows() -> "list[dict[str, Any]]":
 
 
 def _wall_decode_rows() -> "list[dict[str, Any]]":
-    """AC decode and xxh32 against their retained twins.
+    """AC decode, SZ3 residual decode and xxh32 against their retained
+    twins.
 
     ``ac_decompress``'s fused loop is timed against its twin
     ``decode_stepwise`` over a ``RangeDecoder`` (the same decode, one
     ``decode_target`` / ``consume`` / ``symbol_from_target`` call at a
-    time); ``xxh32`` against ``xxh32_scalar``.  Outputs are
-    asserted identical before anything is timed.
+    time); SZ3's one-loop ``decode_residuals`` against the symbol run
+    that stops at each escape; ``xxh32`` against ``xxh32_scalar``.
+    Outputs are asserted identical before anything is timed.
     """
     from repro.algorithms.ac import (HEADER_BYTES, RangeDecoder, ac_compress,
                                      ac_decompress, parse_header)
     from repro.algorithms.reference import REGISTRY
+    from repro.algorithms.sz3 import SZ3Compressor, SZ3Config
+    from repro.algorithms.sz3.encoder import decode_residuals
     from repro.util.xxhash32 import xxh32
 
     decode_stepwise = REGISTRY["ac_decode"].twin
+    residuals_twin = REGISTRY["decode_residuals"].twin
     xxh32_scalar = REGISTRY["xxh32"].twin
     rows = []
     for dataset, nbytes in _WALL_AC_DECODE:
@@ -729,6 +742,20 @@ def _wall_decode_rows() -> "list[dict[str, Any]]":
             "speedup": reference_s / fused_s,
             "mb_s": nbytes / fused_s / 1e6,
         })
+    payload = SZ3Compressor(SZ3Config(error_bound=1e-4)).entropy_stage(
+        get_dataset("exaalt-dataset1").generate(4 * _WALL_SZ3_FLOATS))[1]
+    if not np.array_equal(decode_residuals(payload), residuals_twin(payload)):
+        raise AssertionError("decode_residuals diverges from its twin")
+    reference_s, fused_s = _interleaved_best(
+        lambda: residuals_twin(payload), lambda: decode_residuals(payload))
+    rows.append({
+        "headline": "wall_sz3_residual_speedup_exaalt",
+        "kernel": "decode_residuals", "dataset": "exaalt-dataset1",
+        "input_bytes": len(payload), "values": _WALL_SZ3_FLOATS,
+        "reference_us": reference_s * 1e6, "us": fused_s * 1e6,
+        "speedup": reference_s / fused_s,
+        "mb_s": len(payload) / fused_s / 1e6,
+    })
     corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
     for nbytes in _WALL_XXH32_BYTES:
         data = corpus[:nbytes]
@@ -808,8 +835,8 @@ def _wall() -> "dict[str, Any]":
     * the DEFLATE entropy stage on 256 B / 1 KiB / 64 KiB blocks, as
       ratios against their retained reference twins
       (:func:`_wall_entropy_rows`).
-    * AC decode and xxh32 as ratios against their step-wise / scalar
-      twins (:func:`_wall_decode_rows`).
+    * AC decode, SZ3 residual decode and xxh32 as ratios against their
+      step-wise / scalar twins (:func:`_wall_decode_rows`).
     * the LZ4 block codec, both directions, against its per-byte twins
       (:func:`_wall_lz4_rows`).
 

@@ -207,6 +207,53 @@ def test_sparse_model_matches_dense_twin(data, order, table_bits, chunk_log2,
             assert sparse.cum_row(untouched) is sparse.uniform_row
 
 
+def _row_from_sparse(rows, ctx: int) -> "list[int]":
+    """The 257-entry cumulative row of ``ctx`` read back from
+    :meth:`ContextModel.sparse_rows`, interval by interval."""
+    row_of, lows, highs, syms = rows
+    row = row_of(ctx)
+    if isinstance(row, list):
+        return row
+    first, end, base, total = row
+    out, below = [], 0  # below: the counts of the seen symbols so far
+    keys = iter(range(first, end))
+    at = next(keys, None)
+    for sym in range(256):
+        out.append(sym + below)
+        if at is not None and syms[at] == sym:
+            assert lows[at] - base == out[-1]
+            below = highs[at] - base - sym - 1
+            at = next(keys, None)
+    assert at is None
+    return out + [total]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(data=bytes(2046) + b"bb" + b"a" * 2048 + bytes(2048) + b"xyz" * 100,
+         order=2, table_bits=10, chunk_log2=11, max_total_log2=10)
+@given(data=_INPUTS, order=st.integers(0, MAX_ORDER),
+       table_bits=st.integers(8, 16), chunk_log2=st.integers(8, 17),
+       max_total_log2=st.integers(10, 16))
+def test_sparse_rows_are_the_dense_rows(data, order, table_bits, chunk_log2,
+                                        max_total_log2):
+    """After every chunk, the decoder's sparse form of each context the
+    message reaches reads back as the dense twin's row, and an unseen
+    context is the shared uniform row."""
+    config = ACConfig(order=order, chunk_bytes=1 << chunk_log2,
+                      table_bits=table_bits, max_total=1 << max_total_log2)
+    sparse, dense = ContextModel(config), REGISTRY["context_model"].twin(config)
+    arr = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, len(arr), config.chunk_bytes):
+        stop = min(start + config.chunk_bytes, len(arr))
+        sparse.update_chunk(arr, start, stop)
+        dense.update_chunk(arr, start, stop)
+        rows = sparse.sparse_rows()
+        for ctx in np.unique(sparse.context_hashes(arr, 0, len(arr))).tolist():
+            assert _row_from_sparse(rows, ctx) == dense.cum_row(ctx), ctx
+        assert rows[0](-1) is sparse.uniform_row
+
+
 # -- memory -------------------------------------------------------------------
 
 

@@ -7,8 +7,8 @@ included), and fresh measurements re-check the headline claims — the vectorize
 DEFLATE pipeline beats the same pipeline on its reference twins
 (``repro.algorithms.reference.twins``) on the literal-dominated
 (``lz77.match_loop``-bound) payload, the entropy stage beats its
-retained reference twins, AC decode and xxh32 beat their step-wise
-/ scalar twins, and the LZ4 block codec beats its per-byte twins in
+retained reference twins, AC decode, SZ3 residual decode and xxh32
+beat their step-wise / scalar twins, and the LZ4 block codec beats its per-byte twins in
 both directions — on whatever machine runs the tests.
 """
 
@@ -77,13 +77,17 @@ def test_committed_entropy_rows_back_their_headlines(committed_report):
 
 
 def test_committed_decode_rows_back_their_headlines(committed_report):
-    """AC decode and xxh32 ratios sit next to the microseconds they
-    were computed from: two AC windows, three xxh32 lengths."""
+    """AC decode, SZ3 residual decode and xxh32 ratios sit next to the
+    microseconds they were computed from: three AC windows, one SZ3
+    entropy payload, three xxh32 lengths."""
     wall = committed_report["wall"]
     rows = wall["decode_rows"]
-    assert [(r["kernel"], r["input_bytes"]) for r in rows] == [
-        ("ac_decode", 6144), ("ac_decode", 6144),
-        ("xxh32", 65536), ("xxh32", 128), ("xxh32", 12)]
+    assert [(r["kernel"], r["dataset"]) for r in rows] == [
+        ("ac_decode", "silesia/xml"), ("ac_decode", "obs_error"),
+        ("ac_decode", "noise"), ("decode_residuals", "exaalt-dataset1"),
+        ("xxh32", "silesia/xml"), ("xxh32", "silesia/xml"), ("xxh32", "silesia/xml")]
+    assert [r["input_bytes"] for r in rows if r["kernel"] != "decode_residuals"] == [
+        6144, 6144, 16384, 65536, 128, 12]
     for row in rows:
         assert row["speedup"] == pytest.approx(
             row["reference_us"] / row["us"], rel=1e-9)
@@ -188,17 +192,18 @@ def test_fresh_entropy_stage_beats_reference():
 
 
 def test_fresh_decode_kernels_beat_their_twins():
-    """Live ratios for the fused AC decode loop and the packed-lane
-    xxh32, interleaved in-process after asserting equal outputs.
+    """Live ratios for the fused AC decode loop, the one-loop SZ3
+    residual decoder and the packed-lane xxh32, interleaved in-process
+    after asserting equal outputs.
 
-    Recorded: AC ~3.0x (xml) / ~2.0x (obs_error) over the step-wise
-    twin, xxh32 ~4x at 64 KiB and ~1.85x at 128 B over the scalar loop.
-    The floors are the committed report's own ``WALL_BANDS`` (ISSUE 15's
-    numbers; see there for obs_error); the 12-byte row (no stripe on
-    either side) only bounds what the length dispatch may cost.
+    Recorded: AC 5-10x over the step-wise twin (xml, obs_error, noise),
+    SZ3 residuals ~2.2x over the escape-stopping symbol run, xxh32 ~4x
+    at 64 KiB and ~1.85x at 128 B over the scalar loop.  The floors
+    are the committed report's own ``WALL_BANDS``; the 12-byte row (no
+    stripe on either side) only bounds what the length dispatch may cost.
     """
     rows = regress._wall_decode_rows()
-    assert len(rows) == 5
+    assert len(rows) == 7
     for row in rows:
         floor, _ = regress.WALL_BANDS[row["headline"]]
         assert row["speedup"] > floor, (
