@@ -70,6 +70,19 @@ def test_fused_equals_stepwise_through_halvings(order):
     assert ac_decompress(blob) == _stepwise(blob) == data
 
 
+@pytest.mark.parametrize("config", [ACConfig(), ACConfig(order=1, chunk_bytes=CHUNK,
+                                                           table_bits=8)])
+def test_top_symbol_slack_in_a_seen_context(config):
+    """Byte 255 coded again and again from contexts that have seen it:
+    the code then often falls in the top symbol's division slack, where
+    the target reaches ``total`` and must resolve to 255."""
+    rng = np.random.default_rng(255)
+    for data in (b"\xff" * 12_000,
+                 rng.integers(250, 256, 12_000, dtype=np.uint8).tobytes()):
+        blob = ac_compress(data, config)
+        assert ac_decompress(blob) == _stepwise(blob) == data
+
+
 def test_context_halved_again_in_a_chunk_that_skips_it():
     """A context that takes more than 2 * max_total hits in one chunk is
     still over after one halving and is halved again at the next
