@@ -213,8 +213,9 @@ def ac_decompress(blob: bytes, max_output: "int | None" = None) -> bytes:
 
     The loop is :class:`RangeDecoder` with the coder state in locals and
     ``ContextModel.sparse_rows`` bisected in place of a dense row;
-    ``reference.decode_stepwise`` is the same decode through those
-    objects and ``symbol_from_target`` (DESIGN.md §5j, decode rounds 2-3).
+    ``reference.decode_stepwise`` is the same decode through the decoder
+    object and the dense rows of ``reference.ac.RowContextModel``
+    (DESIGN.md §5j, decode rounds 2-3).
     """
     config, length, crc = parse_header(blob)
     cap(length, max_output, "ac")

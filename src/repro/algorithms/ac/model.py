@@ -25,20 +25,18 @@ Encoder and decoder run the *identical* update schedule, so their
 tables stay bit-for-bit synchronized without any side channel.
 Everything is integer arithmetic — deterministic across platforms.
 The decoder bisects a context's own keys; only the step-wise decode
-twin builds 257-entry rows.  The model's twin,
+twin (``repro.algorithms.reference.ac``) builds 257-entry rows.  The
+model's twin,
 ``repro.algorithms.reference.ac.DenseContextModel``, keeps the same
 counts as a dense ``(2**table_bits, 256)`` matrix.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-
-from repro.errors import CorruptStreamError
 
 MASK64 = (1 << 64) - 1
 
@@ -54,10 +52,6 @@ _LAG_MULTIPLIERS = (
 _FOLD_MULTIPLIER = 0xFF51AFD7ED558CCD
 
 MAX_ORDER = len(_LAG_MULTIPLIERS)
-
-#: The +1 smoothing's share of a cumulative row: ``row[s]`` is ``s``
-#: plus the counts of the symbols below ``s``.
-_SYMBOL_RANKS = np.arange(257, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -110,9 +104,6 @@ class ContextModel:
         #: The one row object every untouched context shares
         #: (``row[s] == s``); decoders test for it by identity.
         self.uniform_row = list(range(257))
-        # Decode-side rows, built on first use and dropped when their
-        # context's counts change.
-        self._cum: dict[int, list[int]] = {}
         self._lag_multipliers = _LAG_MULTIPLIERS[:config.order]
         self._shift = np.uint64(64 - config.table_bits)
         self._fold = np.uint64(_FOLD_MULTIPLIER)
@@ -180,20 +171,6 @@ class ContextModel:
 
     # -- sequential decode path --------------------------------------------
 
-    def cum_row(self, ctx: int) -> list[int]:
-        """257-entry cumulative row of ``counts + 1`` for ``ctx``."""
-        row = self._cum.get(ctx)
-        if row is not None:
-            return row
-        first, end = self._keys.searchsorted((ctx << 8, ctx + 1 << 8)).tolist()
-        if first == end:
-            return self.uniform_row
-        cum = np.zeros(257, dtype=np.int64)
-        cum[(self._keys[first:end] & 255) + 1] = self._counts[first:end]
-        row = (cum.cumsum() + _SYMBOL_RANKS).tolist()
-        self._cum[ctx] = row
-        return row
-
     def sparse_rows(self) -> "tuple[Callable[[int], Any], memoryview, memoryview, memoryview]":
         """The frozen tables as ``ac_decompress`` bisects them: ``(row,
         lows, highs, syms)``.  Key ``i`` has symbol ``syms[i]``, ``lows[i]
@@ -224,21 +201,6 @@ class ContextModel:
 
         return row, memoryview(lows), memoryview(highs), memoryview(syms)
 
-    def triple(self, ctx: int, symbol: int) -> "tuple[int, int, int]":
-        row = self.cum_row(ctx)
-        lo = row[symbol]
-        return lo, row[symbol + 1] - lo, row[256]
-
-    def symbol_from_target(self, ctx: int, target: int) -> int:
-        """Inverse lookup: cumulative target -> symbol (decoder side)."""
-        row = self.cum_row(ctx)
-        if not 0 <= target < row[256]:
-            raise CorruptStreamError(
-                f"cumulative target {target} outside model range {row[256]}"
-            )
-        # rows are strictly increasing (+1 smoothing), so bisect is exact
-        return bisect.bisect_right(row, target) - 1
-
     # -- adaptation --------------------------------------------------------
 
     def update_chunk(self, data: np.ndarray, start: int, stop: int) -> None:
@@ -265,13 +227,9 @@ class ContextModel:
         bounds = np.append(np.flatnonzero(np.diff(ctx, prepend=-1)), len(keys))
         prefix = _prefix_sums(counts)
         over = np.diff(prefix[bounds]) + 256 > self.config.max_total
-        halved = ctx[bounds[:-1][over]]
-        if len(halved):
+        if over.any():
             counts[np.repeat(over, np.diff(bounds))] >>= 1
             kept = counts > 0
             keys, counts = keys[kept], counts[kept]
             prefix = _prefix_sums(counts)
         self._keys, self._counts, self._prefix = keys, counts, prefix
-        if self._cum:
-            for ctx_id in np.union1d(hashes, halved).tolist():
-                self._cum.pop(ctx_id, None)

@@ -14,15 +14,17 @@ renormalization style (bitwise vs byte-wise), different carry handling
 to be mirrored in the other.
 
 Also here: :func:`decode_stepwise`, the one-call-per-step twin of
-``ac_decompress``'s fused loop, the per-position twins of
+``ac_decompress``'s fused loop, over :class:`RowContextModel`'s
+257-entry cumulative rows; the per-position twins of
 ``ContextModel.context_hashes`` (:func:`context_hashes`,
-:func:`context_hash_scalar`), and :class:`DenseContextModel`, the
+:func:`context_hash_scalar`); and :class:`DenseContextModel`, the
 model's counts as the dense ``(2**table_bits, 256)`` matrix that
 ``ContextModel`` keeps only the nonzero entries of.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable
 
 from repro.algorithms.ac.codec import CodingBatch, model_batches
@@ -186,7 +188,7 @@ def decode_stepwise(decoder, length: int, config: ACConfig) -> bytes:
     ``RangeDecoder`` it is the twin ``ac_decompress``'s fused loop is
     tested and timed against.
     """
-    model = ContextModel(config)
+    model = RowContextModel(config)
     out = np.empty(length, dtype=np.uint8)
     history: list[int] = []
     order = config.order
@@ -232,7 +234,57 @@ def context_hash_scalar(model: ContextModel, history: list[int]) -> int:
         int.from_bytes(bytes(history[-order:]), "big") if order else 0)
 
 
-class DenseContextModel(ContextModel):
+#: The +1 smoothing's share of a cumulative row: ``row[s]`` is ``s``
+#: plus the counts of the symbols below ``s``.
+_SYMBOL_RANKS = np.arange(257, dtype=np.int64)
+
+
+class RowContextModel(ContextModel):
+    """:class:`ContextModel` read one symbol at a time: the 257-entry
+    cumulative row of ``counts + 1`` per context, its triples and its
+    inverse lookup.  Rows are built on first use and dropped at every
+    chunk boundary, the only place counts change."""
+
+    def __init__(self, config: ACConfig) -> None:
+        super().__init__(config)
+        self._cum: dict[int, list[int]] = {}
+
+    def cum_row(self, ctx: int) -> list[int]:
+        """257-entry cumulative row of ``counts + 1`` for ``ctx``."""
+        row = self._cum.get(ctx)
+        if row is None:
+            row = self._cum[ctx] = self._build_row(ctx)
+        return row
+
+    def _build_row(self, ctx: int) -> list[int]:
+        first, end = self._keys.searchsorted((ctx << 8, ctx + 1 << 8)).tolist()
+        if first == end:
+            return self.uniform_row
+        cum = np.zeros(257, dtype=np.int64)
+        cum[(self._keys[first:end] & 255) + 1] = self._counts[first:end]
+        return (cum.cumsum() + _SYMBOL_RANKS).tolist()
+
+    def triple(self, ctx: int, symbol: int) -> "tuple[int, int, int]":
+        row = self.cum_row(ctx)
+        lo = row[symbol]
+        return lo, row[symbol + 1] - lo, row[256]
+
+    def symbol_from_target(self, ctx: int, target: int) -> int:
+        """Inverse lookup: cumulative target -> symbol (decoder side)."""
+        row = self.cum_row(ctx)
+        if not 0 <= target < row[256]:
+            raise CorruptStreamError(
+                f"cumulative target {target} outside model range {row[256]}"
+            )
+        # rows are strictly increasing (+1 smoothing), so bisect is exact
+        return bisect.bisect_right(row, target) - 1
+
+    def update_chunk(self, data: np.ndarray, start: int, stop: int) -> None:
+        super().update_chunk(data, start, stop)
+        self._cum.clear()
+
+
+class DenseContextModel(RowContextModel):
     """:class:`ContextModel` over a dense ``(2**table_bits, 256)`` count
     matrix: the same triples, rows and halving, with a row and a total
     for every context whether seen or not (1 GiB of int32 at
@@ -262,18 +314,13 @@ class DenseContextModel(ContextModel):
         tot = mat[inv, 256]
         return lo.tolist(), fr.tolist(), tot.tolist()
 
-    def cum_row(self, ctx: int) -> list[int]:
-        row = self._cum.get(ctx)
-        if row is not None:
-            return row
+    def _build_row(self, ctx: int) -> list[int]:
         if self._totals[ctx] == 0:
             return self.uniform_row
         cum = np.empty(257, dtype=np.int64)
         cum[0] = 0
         np.cumsum(self._counts[ctx] + 1, out=cum[1:])
-        row = cum.tolist()
-        self._cum[ctx] = row
-        return row
+        return cum.tolist()
 
     def update_chunk(self, data: np.ndarray, start: int, stop: int) -> None:
         hashes = self.context_hashes(data, start, stop)
@@ -287,6 +334,4 @@ class DenseContextModel(ContextModel):
         if len(over):
             self._counts[over] >>= 1
             self._totals[over] = self._counts[over].sum(axis=1)
-        if self._cum:
-            for ctx in np.union1d(hashes, over).tolist():
-                self._cum.pop(ctx, None)
+        self._cum.clear()

@@ -10,8 +10,8 @@ dispatch), and checks the paper shape:
 
 * SoC wins below the calibrated crossover, the C-Engine above it;
 * ``auto`` always lands on the cheapest capable path — its latency is
-  never worse than the best static path by more than the selector's
-  stated tolerance;
+  never worse than the best static path by more than
+  ``regress.SELECT_TOLERANCE``;
 * BF-3 *compress* never routes to the engine (Tables II/III: its
   C-Engine is decompress-only), at any size;
 * steady-state decisions come from the memoized crossover cache.

@@ -491,11 +491,11 @@ WALL_BANDS: Bands = {
     "wall_match_speedup_256": (2.0, None),
     "wall_match_vs_bulk_speedup_256": (1.2, None),
     # Decode kernels vs their retained step-wise / scalar twins, same
-    # interleaved timing.  AC: the fused loop vs
-    # RangeDecoder + ContextModel.symbol_from_target.  The fused loop
-    # bisects each context's sparse keys where the twin builds a dense
-    # row, so the ratio grew where new contexts dominate: ten
-    # collections read 7.2-10.1x on xml, 5.4-8.7x on obs_error (1.98x
+    # interleaved timing.  AC: the fused loop vs RangeDecoder + the
+    # reference model's dense-row lookup (reference.ac.RowContextModel).
+    # The fused loop bisects each context's sparse keys where the twin
+    # builds a dense row, so the ratio grew where new contexts dominate:
+    # ten collections read 7.2-10.1x on xml, 5.4-8.7x on obs_error (1.98x
     # before) and 5.3-7.0x on four chunks of noise (floor ~0.75x the
     # lowest).  SZ3 residuals: one loop vs a symbol run that stops at
     # each escape, on 32 Ki exaalt floats (ten read 2.10-2.40x).
@@ -706,9 +706,9 @@ def _wall_decode_rows() -> "list[dict[str, Any]]":
 
     ``ac_decompress``'s fused loop is timed against its twin
     ``decode_stepwise`` over a ``RangeDecoder`` (the same decode, one
-    ``decode_target`` / ``consume`` / ``symbol_from_target`` call at a
-    time); SZ3's one-loop ``decode_residuals`` against the symbol run
-    that stops at each escape; ``xxh32`` against ``xxh32_scalar``.
+    ``decode_target`` / ``consume`` call and one lookup in the reference
+    ``RowContextModel``'s dense rows at a time); SZ3's one-loop
+    ``decode_residuals`` against the symbol run that stops at each escape; ``xxh32`` against ``xxh32_scalar``.
     Outputs are asserted identical before anything is timed.
     """
     from repro.algorithms.ac import (HEADER_BYTES, RangeDecoder, ac_compress,

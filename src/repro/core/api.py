@@ -27,7 +27,7 @@ from repro.doca.sdk import DocaSession
 from repro.dpu.device import BlueFieldDPU
 from repro.dpu.specs import Algo, Direction
 from repro.errors import PedalNotInitializedError, UnknownDesignError
-from repro.faults.policy import EngineFallback, RetryPolicy, init_with_retry
+from repro.faults.policy import EngineFallback, init_with_retry
 from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
 from repro.plan.charges import (  # phase names are re-exported from here
     PHASE_COMP,
@@ -90,10 +90,8 @@ class PedalConfig:
     codecs: CodecConfig = field(default_factory=CodecConfig)
     # Pool sizing: buffers pre-mapped at PEDAL_init (paper §III-C).
     pool_buffers: int = 4
+    # Pool buffer size and the decode cap of decompress (SZ3 excepted).
     max_message_bytes: int = 128 << 20
-    # Engine-job retry budget + backoff; past it, jobs escalate to the
-    # SoC pipeline (runtime mirror of the capability fallback).
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
 
 @dataclass
@@ -177,7 +175,7 @@ class PedalContext:
         into ``MPI_Init`` by the MPICH co-design (paper §IV).
 
         DOCA bring-up failures (injected by :mod:`repro.faults`) are
-        retried under the configured :class:`RetryPolicy`; if every
+        retried under the :mod:`repro.faults.policy` budget; if every
         attempt fails the context comes up *SoC-only* — initialization
         still succeeds, but every design resolves to the SoC until a
         fresh context is created (counted as ``faults.fallbacks``).
@@ -192,8 +190,7 @@ class PedalContext:
                 breakdown.bind(span)
                 try:
                     yield from init_with_retry(
-                        self.device, self.config.retry, breakdown,
-                        PHASE_INIT, self.session.open,
+                        self.device, breakdown, PHASE_INIT, self.session.open,
                     )
                 except EngineFallback:
                     self._engine_available = False
@@ -285,7 +282,7 @@ class PedalContext:
             mode = PATH_AUTO if spec_placement is None else spec_placement
         result = yield from compress_op(
             self.device, "pedal.compress", algo, mode, data, sim_bytes,
-            self.config.codecs, self.config.retry, pool=self.pool,
+            self.config.codecs, pool=self.pool,
             engine_ok=self._engine_available, select=self._select_path,
         )
         return result
@@ -309,7 +306,10 @@ class PedalContext:
         codec first, so SZ3's auto decision sees the *measured*
         lossless-stage size).  ``sim_bytes`` is the simulated
         uncompressed size (the cost-model convention for decompression
-        throughput); defaults to the actual decoded size.
+        throughput); defaults to the actual decoded size.  A DEFLATE,
+        LZ4, AC or zlib payload that decodes past
+        ``config.max_message_bytes`` raises
+        :class:`~repro.errors.OutputOverflowError`.
         """
         self._require_init()
         mode = _coerce_path(placement)
@@ -317,7 +317,7 @@ class PedalContext:
             raise UnknownDesignError("placement must not be None")
         result = yield from decompress_op(
             self.device, "pedal.decompress", message, mode, sim_bytes,
-            self.config.retry, pool=self.pool,
+            self.config.max_message_bytes, pool=self.pool,
             engine_ok=self._engine_available, select=self._select_path,
         )
         return result
@@ -339,7 +339,6 @@ def compress_op(
     data: Any,
     sim_bytes: float | None,
     codecs: CodecConfig,
-    retry: RetryPolicy,
     hoisted: bool = True,
     pool: MemoryPool | None = None,
     engine_ok: bool = True,
@@ -370,7 +369,7 @@ def compress_op(
         payload, engine_up = yield from execute(
             device,
             entry.plan(sim_in, None if stage is None else stage * scale),
-            retry, breakdown,
+            breakdown,
             # The SZ3 hybrid's engine job carries the lossless stage, not
             # the message payload, so there is nothing of it to verify.
             None if algo is Algo.SZ3 else real.payload,
@@ -400,13 +399,16 @@ def decompress_op(
     message: bytes,
     mode: "str | Placement",
     sim_bytes: float | None,
-    retry: RetryPolicy,
+    max_output: int | None,
     hoisted: bool = True,
     pool: MemoryPool | None = None,
     engine_ok: bool = True,
     select: "Callable[..., PathDecision] | None" = None,
 ) -> Generator:
-    """Decode a PEDAL message for real and charge the op's plan."""
+    """Decode a PEDAL message for real and charge the op's plan.
+
+    ``max_output`` caps the decoded length of a byte format (SZ3 takes
+    no cap)."""
     header = PedalHeader.decode(message)
     payload = message[HEADER_SIZE:]
     if not header.is_compressed:
@@ -415,7 +417,8 @@ def decompress_op(
         )
     algo = header.algo
     assert algo is not None
-    data, stage_bytes = real_decompress(algo, payload)
+    data, stage_bytes = real_decompress(
+        algo, payload, None if algo is Algo.SZ3 else max_output)
     actual_out = _payload_nbytes(data)
     sim_out = float(actual_out if sim_bytes is None else sim_bytes)
     scale = sim_out / actual_out if actual_out else 1.0
@@ -434,7 +437,7 @@ def decompress_op(
     with span:
         verified, engine_up = yield from execute(
             device, entry.plan(sim_out, stage_bytes),
-            retry, breakdown, data if isinstance(data, bytes) else None, pool,
+            breakdown, data if isinstance(data, bytes) else None, pool,
         )
     if not engine_up:
         resolved = resolve(device, entry.design, force_soc=True)

@@ -14,8 +14,8 @@ same op body (:func:`~repro.core.api.compress_op` /
 path selector, and the per-op set-up prefix on every plan.
 
 Fault response is therefore PEDAL's too: injected DOCA init failures and
-engine job failures are retried under the
-:class:`~repro.faults.RetryPolicy` and escalate to the SoC pipeline for
+engine job failures are retried under the retry budget of
+:mod:`repro.faults.policy` and escalate to the SoC pipeline for
 the current operation once the budget is exhausted — but, true to the
 naive flow, nothing is remembered across operations (the next op pays
 full DOCA init and may fail all over again).
@@ -27,7 +27,6 @@ from typing import Any, Generator
 
 from repro.core.api import compress_op, decompress_op
 from repro.dpu.device import BlueFieldDPU
-from repro.faults.policy import RetryPolicy
 from repro.plan.codecs import CodecConfig
 from repro.plan.designs import CompressionDesign, Placement, design as lookup_design
 
@@ -37,11 +36,9 @@ __all__ = ["NaiveCompressor"]
 class NaiveCompressor:
     """Per-operation (PEDAL-less) compression on one device."""
 
-    def __init__(self, device: BlueFieldDPU, codecs: CodecConfig | None = None,
-                 retry: RetryPolicy | None = None) -> None:
+    def __init__(self, device: BlueFieldDPU, codecs: CodecConfig | None = None) -> None:
         self.device = device
         self.codecs = codecs or CodecConfig()
-        self.retry = retry or RetryPolicy()
 
     def compress(
         self,
@@ -53,7 +50,7 @@ class NaiveCompressor:
         dsg = lookup_design(design)
         result = yield from compress_op(
             self.device, "naive.compress", dsg.algo, dsg.placement, data,
-            sim_bytes, self.codecs, self.retry, hoisted=False,
+            sim_bytes, self.codecs, hoisted=False,
         )
         return result
 
@@ -66,6 +63,6 @@ class NaiveCompressor:
         """One naive decompression (same per-op overheads)."""
         result = yield from decompress_op(
             self.device, "naive.decompress", message, placement, sim_bytes,
-            self.retry, hoisted=False,
+            None, hoisted=False,
         )
         return result

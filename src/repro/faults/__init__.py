@@ -9,8 +9,9 @@ Two composable halves:
   tracer/metrics (:func:`set_fault_plan` / :func:`injecting`), no-op by
   default.
 * **policy** (:mod:`repro.faults.policy`): the caller-side response —
-  :class:`RetryPolicy` (attempt budget + sim-clock exponential backoff)
-  and the shared retry driver that escalates a persistently failing
+  the attempt budget and sim-clock exponential backoff
+  (``MAX_ATTEMPTS``, ``BACKOFF_BASE_S``, ``BACKOFF_MULTIPLIER``) and the
+  shared retry driver that escalates a persistently failing
   C-Engine job to the SoC pipeline, mirroring the registry's capability
   fallback at run time.
 
@@ -42,7 +43,6 @@ from repro.faults.plan import (
 from repro.faults.policy import (
     PHASE_RETRY,
     EngineFallback,
-    RetryPolicy,
     engine_job_with_retry,
 )
 from repro.faults.workers import (
@@ -64,7 +64,6 @@ __all__ = [
     "injecting",
     "parse_fault_spec",
     # policy
-    "RetryPolicy",
     "EngineFallback",
     "engine_job_with_retry",
     "PHASE_RETRY",

@@ -4,7 +4,10 @@ The registry's *capability* fallback (paper §III-D) redirects designs
 the hardware can never run; this module adds the *runtime* mirror of
 that decision: a job the hardware should run but keeps failing is
 retried under an exponential sim-clock backoff and, once the attempt
-budget is exhausted, escalated to the SoC pipeline by the caller.
+budget is exhausted, escalated to the SoC pipeline by the caller.  The
+budget and the backoff are the module constants :data:`MAX_ATTEMPTS`,
+:data:`BACKOFF_BASE_S` and :data:`BACKOFF_MULTIPLIER`, read at call
+time.
 
 :func:`engine_job_with_retry` drives one engine job and
 :func:`init_with_retry` one DOCA bring-up; both raise
@@ -23,7 +26,6 @@ backoff waits appear as ``fault.backoff`` spans on the device track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.errors import DocaInitError, DocaTransientError
@@ -37,32 +39,19 @@ if TYPE_CHECKING:
     from repro.dpu.specs import Algo, Direction
     from repro.sim import TimeBreakdown
 
-__all__ = ["RetryPolicy", "EngineFallback", "engine_job_with_retry",
-           "init_with_retry", "backoff_wait", "PHASE_RETRY"]
+__all__ = ["MAX_ATTEMPTS", "BACKOFF_BASE_S", "BACKOFF_MULTIPLIER",
+           "EngineFallback", "engine_job_with_retry", "init_with_retry",
+           "backoff_wait", "PHASE_RETRY"]
 
 # Breakdown phase for retry backoff waits and corruption re-verification.
 PHASE_RETRY = "fault_retry"
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Attempt budget and sim-clock exponential backoff."""
-
-    max_attempts: int = 3          # total engine attempts before fallback
-    backoff_base: float = 2e-5     # sim seconds before the 2nd attempt
-    backoff_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-
-    def backoff(self, failed_attempts: int) -> float:
-        """Wait before the next attempt, after ``failed_attempts`` failures."""
-        return self.backoff_base * self.backoff_multiplier ** (failed_attempts - 1)
+#: Total engine attempts (or DOCA bring-ups) before the SoC fallback.
+MAX_ATTEMPTS = 3
+#: Sim seconds of backoff before the second attempt ...
+BACKOFF_BASE_S = 2e-5
+#: ... multiplied by this before each later one.
+BACKOFF_MULTIPLIER = 2.0
 
 
 class EngineFallback(Exception):
@@ -84,14 +73,13 @@ def engine_job_with_retry(
     algo: "Algo",
     direction: "Direction",
     sim_bytes: float,
-    policy: RetryPolicy,
     breakdown: "TimeBreakdown",
     phase: str,
     verify_seconds: float,
     payload: "bytes | None" = None,
 ) -> Generator:
-    """Run one C-Engine job under ``policy``; returns the (possibly
-    re-verified) ``payload``.
+    """Run one C-Engine job under the retry budget; returns the
+    (possibly re-verified) ``payload``.
 
     Engine execution time — including time burned by failed attempts —
     is charged to ``phase``; backoff waits and corruption verification
@@ -101,7 +89,7 @@ def engine_job_with_retry(
     CRC-32 comparison against the engine's job completion record (the
     "existing checksum layer" of the wire formats stands in for the
     DOCA output CRC here) and treated as one more transient failure.
-    Raises :class:`EngineFallback` once ``policy.max_attempts`` engine
+    Raises :class:`EngineFallback` once :data:`MAX_ATTEMPTS` engine
     attempts have failed.
     """
     env = device.env
@@ -119,9 +107,9 @@ def engine_job_with_retry(
                 metrics.inc("faults.retries")
                 metrics.observe("faults.attempts", float(failed),
                                 RETRY_ATTEMPT_BUCKETS)
-            if failed >= policy.max_attempts:
+            if failed >= MAX_ATTEMPTS:
                 raise EngineFallback(str(exc), failed) from exc
-            yield from backoff_wait(device, policy, failed, breakdown)
+            yield from backoff_wait(device, failed, breakdown)
             continue
         breakdown.add(phase, seconds)
         if payload is None or not plan.active:
@@ -145,25 +133,25 @@ def engine_job_with_retry(
             metrics.inc("faults.retries")
             metrics.observe("faults.attempts", float(failed),
                             RETRY_ATTEMPT_BUCKETS)
-        if failed >= policy.max_attempts:
+        if failed >= MAX_ATTEMPTS:
             raise EngineFallback("output corruption persisted", failed)
-        yield from backoff_wait(device, policy, failed, breakdown)
+        yield from backoff_wait(device, failed, breakdown)
 
 
 def init_with_retry(
     device: "BlueFieldDPU",
-    policy: RetryPolicy,
     breakdown: "TimeBreakdown",
     phase: str,
     bring_up: "Callable[[], Generator]",
 ) -> Generator:
-    """Bring DOCA up under ``policy`` — hoisted (``PEDAL_init``) or per op.
+    """Bring DOCA up under the retry budget — hoisted (``PEDAL_init``)
+    or per op.
 
     ``bring_up()`` is one attempt: a generator that returns its sim
     seconds or raises :class:`~repro.errors.DocaInitError` carrying
     them.  Every attempt, failed ones included, is charged to
     ``phase``.  Raises :class:`EngineFallback` once
-    ``policy.max_attempts`` attempts have failed.
+    :data:`MAX_ATTEMPTS` attempts have failed.
     """
     metrics = get_metrics()
     failed = 0
@@ -175,20 +163,20 @@ def init_with_retry(
             breakdown.add(phase, exc.sim_seconds)
             if metrics.recording:
                 metrics.inc("faults.retries")
-            if failed >= policy.max_attempts:
+            if failed >= MAX_ATTEMPTS:
                 if metrics.recording:
                     metrics.inc("faults.init_giveups")
                 raise EngineFallback(str(exc), failed) from exc
-            yield from backoff_wait(device, policy, failed, breakdown)
+            yield from backoff_wait(device, failed, breakdown)
         else:
             breakdown.add(phase, seconds)
             return
 
 
-def backoff_wait(device: "BlueFieldDPU", policy: RetryPolicy, failed: int,
+def backoff_wait(device: "BlueFieldDPU", failed: int,
                  breakdown: "TimeBreakdown") -> Generator:
-    """Sleep the policy's backoff for attempt ``failed`` on the sim clock."""
-    wait = policy.backoff(failed)
+    """Sleep the backoff after ``failed`` failed attempts on the sim clock."""
+    wait = BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (failed - 1)
     if wait <= 0:
         return
     with device_span("fault.backoff", device, device=device.name,

@@ -106,10 +106,6 @@ class CompressionLayer:
             return breakdown
         return TimeBreakdown()
 
-    def mpi_finalize(self) -> Generator:
-        if self.pedal is not None:
-            yield from self.pedal.finalize()
-
     # -- send path -----------------------------------------------------------
 
     def outbound(

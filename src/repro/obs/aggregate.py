@@ -163,10 +163,6 @@ class FleetAggregator:
             self._buckets.clear()
         return registry
 
-    def register_all(self, registries: "Iterable[MetricsRegistry]") -> None:
-        for registry in registries:
-            self.register(registry)
-
     @property
     def members(self) -> "tuple[MetricsRegistry, ...]":
         return tuple(self._members)

@@ -33,8 +33,8 @@ fallback)``:
 * ``phase`` — the :class:`~repro.sim.TimeBreakdown` phase it is billed
   to (the Fig. 7 / Fig. 9 legends);
 * ``resource`` — :data:`SOC` (one core busy for ``seconds``),
-  :data:`ENGINE` (one C-Engine job, retried under the
-  :class:`~repro.faults.RetryPolicy`) or :data:`SETUP` (un-hoisted
+  :data:`ENGINE` (one C-Engine job, retried under the retry budget of
+  :mod:`repro.faults.policy`) or :data:`SETUP` (un-hoisted
   per-op set-up, a plain wait);
 * ``seconds`` — the calibrated cost (:mod:`repro.dpu.calibration`);
 * ``detail`` — the engine job ``(core algo, direction, bytes)``, or the
@@ -52,12 +52,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, NamedTuple
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaInitError
 from repro.faults.plan import get_fault_plan
-from repro.faults.policy import (
-    EngineFallback,
-    RetryPolicy,
-    engine_job_with_retry,
-    init_with_retry,
-)
+from repro.faults.policy import EngineFallback, engine_job_with_retry, init_with_retry
 from repro.obs import device_span, get_metrics
 from repro.plan.designs import CompressionDesign, Placement
 from repro.plan.header import PedalHeader
@@ -291,7 +286,6 @@ def plan_seconds(plan: tuple) -> float:
 def execute(
     device: "BlueFieldDPU",
     plan: tuple,
-    retry: RetryPolicy,
     breakdown: "TimeBreakdown",
     payload: "bytes | None" = None,
     pool: "MemoryPool | None" = None,
@@ -322,7 +316,7 @@ def execute(
                     # A corrupted output is re-verified at the job
                     # plan's drain rate (a CRC over the job's bytes).
                     payload = yield from engine_job_with_retry(
-                        device, *detail, retry, breakdown, phase,
+                        device, *detail, breakdown, phase,
                         device.cal.checksum_time(detail[2]), payload=payload,
                     )
                 elif fallback is None:
@@ -333,7 +327,7 @@ def execute(
                         yield device.env.timeout(seconds)
                 else:
                     yield from init_with_retry(
-                        device, retry, breakdown, phase,
+                        device, breakdown, phase,
                         lambda: _per_op_doca_init(device, seconds),
                     )
             except EngineFallback:
@@ -341,7 +335,7 @@ def execute(
                 if metrics.recording:
                     metrics.inc("faults.fallbacks")
                 payload, _ = yield from execute(
-                    device, fallback, retry, breakdown, payload)
+                    device, fallback, breakdown, payload)
                 # Only a failed bring-up takes the engine down for the op.
                 return payload, resource is not SETUP
         return payload, True

@@ -42,13 +42,13 @@ and on which resource the plan's stages run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Iterable
 
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaCapabilityError, DocaTransientError
+from repro.faults import policy
 from repro.faults.plan import get_fault_plan
-from repro.faults.policy import RetryPolicy, backoff_wait
 from repro.obs import NULL_SPAN, device_span, get_metrics, get_tracer
 from repro.obs.metrics import RETRY_ATTEMPT_BUCKETS
 from repro.plan.charges import PHASE_EXEC, job_plan, steal_stage
@@ -75,7 +75,6 @@ class SchedConfig:
 
     depth: int = 2                 # queue slots: max jobs in flight
     soc_fallback: bool = True      # work-steal exhausted jobs to the SoC
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -281,7 +280,6 @@ class PipelineScheduler:
             return self._finish(index, job, "soc", 0, submitted_at, breakdown)
         map_stage, exec_stage, drain_stage = plan
 
-        policy = self.config.retry
         attempts = 0
         while True:
             attempts += 1
@@ -334,7 +332,7 @@ class PipelineScheduler:
                 metrics.inc("sched.retries")
                 metrics.observe("faults.attempts", float(attempts),
                                 RETRY_ATTEMPT_BUCKETS)
-            if attempts >= policy.max_attempts:
+            if attempts >= policy.MAX_ATTEMPTS:
                 if not self.config.soc_fallback:
                     if isinstance(failure, DocaTransientError):
                         raise failure
@@ -346,7 +344,7 @@ class PipelineScheduler:
                 )
             # Retry re-enters the pipeline: backoff outside the slot,
             # then loop back to a fresh slot request.
-            yield from backoff_wait(self.device, policy, attempts, breakdown)
+            yield from policy.backoff_wait(self.device, attempts, breakdown)
 
     # -- stages -----------------------------------------------------------
 

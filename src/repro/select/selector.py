@@ -7,16 +7,10 @@ CostModel` is affine in the payload size (``t = a + b*n``), the
 SoC-vs-C-Engine decision reduces to a single calibrated *crossover
 size* ``n* = (a_e - a_s) / (b_s - b_e)`` per (algo, direction,
 amortization) — memoized, and each decision is memoized on its
-arguments, so a repeated dispatch is one dict lookup.
-
-Online refinement: :meth:`PathSelector.observe` folds measured span
-durations into per-(path, algo, direction) multiplicative corrections
-(an EWMA of the observed/predicted ratio, clamped), and invalidates
-the crossover cache and the decision memo so the next decision
-re-derives ``n*`` from the nudged model;
-:meth:`PathSelector.refine_from_spans` does the same in bulk from a
-:class:`repro.obs.Tracer`'s recorded ``pedal.compress`` /
-``pedal.decompress`` spans.
+arguments, so a repeated dispatch is one dict lookup.  Both caches are
+pure functions of the device: the costs are the sums of the same
+per-device plan table the simulator executes, so nothing invalidates
+them.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from repro.select.model import (
 
 if TYPE_CHECKING:
     from repro.dpu.device import BlueFieldDPU
-    from repro.obs.tracer import Tracer
 
 __all__ = ["PathDecision", "PathSelector"]
 
@@ -55,7 +48,7 @@ class PathDecision:
     sim_bytes: float
     path: str                      # "soc" | "cengine"
     predicted_seconds: float
-    costs: Mapping[str, float]     # read-only: corrected cost of each capable path
+    costs: Mapping[str, float]     # read-only: cost of each capable path
     crossover_bytes: float         # n* for this (algo, direction, amortized)
     amortized: bool
     from_cache: bool               # n* came from the memoized cache
@@ -68,76 +61,32 @@ class PathDecision:
 class PathSelector:
     """Cheapest-capable-path dispatch for one device.
 
-    ``tolerance`` is the model's stated slack: the selector guarantees
-    its choice is never worse than any capable path it rejected by more
-    than ``tolerance`` (relative) — the property the bench gate and the
-    hypothesis suite pin.  The un-refined model mirrors the simulator
-    exactly, so the un-refined slack is zero; the tolerance budgets for
-    corrections learned from observed spans and for SZ3's estimated
-    lossless-stage size.
+    The model mirrors the simulator exactly, so a choice is never beaten
+    by a capable path it rejected, except through SZ3's estimated
+    lossless-stage size (the bench gate's ``regress.SELECT_TOLERANCE``).
     """
 
-    def __init__(
-        self,
-        device: "BlueFieldDPU",
-        tolerance: float = 0.05,
-        refine_alpha: float = 0.25,
-        correction_bounds: tuple[float, float] = (0.25, 4.0),
-    ) -> None:
+    def __init__(self, device: "BlueFieldDPU") -> None:
         self.device = device
         self.model = CostModel(device)
-        self.tolerance = tolerance
-        self.refine_alpha = refine_alpha
-        self.correction_bounds = correction_bounds
-        self._corrections: dict[tuple[str, Algo, Direction], float] = {}
         self._crossover: dict[tuple[Algo, Direction, bool], float] = {}
-        # choose() arguments -> the decision they give; cleared with
-        # _crossover, so a decision is never older than its n*.
+        # choose() arguments -> the decision they give.
         self._decisions: dict[tuple, PathDecision] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.observations = 0
-
-    # ------------------------------------------------------------------
-    # Prediction
-    # ------------------------------------------------------------------
-
-    def correction(self, path: str, algo: Algo, direction: Direction) -> float:
-        """Learned multiplicative correction for one path (1.0 = trust
-        the calibration tables as-is)."""
-        return self._corrections.get((path, algo, direction), 1.0)
-
-    def predict(
-        self,
-        algo: Algo,
-        direction: Direction,
-        sim_bytes: float,
-        amortized: bool = True,
-        stage_bytes: float | None = None,
-    ) -> dict[str, float]:
-        """Corrected cost of every capable path, keyed by path name."""
-        raw = self.model.path_costs(
-            algo, direction, sim_bytes,
-            amortized=amortized, stage_bytes=stage_bytes,
-        )
-        return {
-            path: self.correction(path, algo, direction) * seconds
-            for path, seconds in raw.items()
-        }
-
-    def _affine(
-        self, algo: Algo, direction: Direction, path: str, amortized: bool
-    ) -> tuple[float, float]:
-        """Corrected (intercept, slope) of one path's affine cost."""
-        c = self.correction(path, algo, direction)
-        plan = plan_entry(
-            self.device, algo, PLACEMENTS[path], direction, amortized).plan
-        a = c * plan_seconds(plan(0.0, None))
-        return a, c * plan_seconds(plan(1.0, None)) - a
 
     # ------------------------------------------------------------------
     # The crossover cache
     # ------------------------------------------------------------------
+
+    def _affine(
+        self, algo: Algo, direction: Direction, path: str, amortized: bool
+    ) -> tuple[float, float]:
+        """(intercept, slope) of one path's affine cost."""
+        plan = plan_entry(
+            self.device, algo, PLACEMENTS[path], direction, amortized).plan
+        a = plan_seconds(plan(0.0, None))
+        return a, plan_seconds(plan(1.0, None)) - a
 
     def crossover_bytes(
         self, algo: Algo, direction: Direction, amortized: bool = True
@@ -205,7 +154,7 @@ class PathSelector:
         key = (algo, direction, amortized)
         from_cache = key in self._crossover
         crossover = self.crossover_bytes(algo, direction, amortized)
-        costs = self.predict(
+        costs = self.model.path_costs(
             algo, direction, n, amortized=amortized, stage_bytes=stage_bytes
         )
         if not (allow_engine and PATH_CENGINE in costs):  # costs: capable paths
@@ -244,7 +193,7 @@ class PathSelector:
         engine_bytes: float,
         soc_bytes: float,
     ) -> dict[str, float]:
-        """Corrected exec cost of one pipeline job per capable lane.
+        """Exec cost of one pipeline job per capable lane.
 
         Follows the :class:`~repro.sched.EngineJob` size conventions
         (``engine_bytes`` is what the C-Engine ingests, ``soc_bytes``
@@ -255,13 +204,9 @@ class PathSelector:
         excluded.
         """
         plan = job_plan(self.device, algo, direction, engine_bytes, soc_bytes)
-        costs = {
-            PATH_SOC: self.correction(PATH_SOC, algo, direction)
-            * steal_stage(plan)[2]
-        }
+        costs = {PATH_SOC: steal_stage(plan)[2]}
         if len(plan) > 1:
-            costs[PATH_CENGINE] = self.correction(
-                PATH_CENGINE, algo, direction) * plan[1][2]
+            costs[PATH_CENGINE] = plan[1][2]
         return costs
 
     def job_engine(
@@ -279,62 +224,3 @@ class PathSelector:
         if PATH_CENGINE in costs and costs[PATH_CENGINE] <= costs[PATH_SOC]:
             return PATH_CENGINE
         return PATH_SOC
-
-    # ------------------------------------------------------------------
-    # Online refinement
-    # ------------------------------------------------------------------
-
-    def observe(
-        self,
-        path: str,
-        algo: Algo,
-        direction: Direction,
-        sim_bytes: float,
-        seconds: float,
-        amortized: bool = True,
-        stage_bytes: float | None = None,
-    ) -> float:
-        """Fold one measured op duration into the model; returns the
-        updated correction for (path, algo, direction)."""
-        predicted = self.model.path_seconds(
-            algo, direction, sim_bytes, path,
-            amortized=amortized, stage_bytes=stage_bytes,
-        )
-        key = (path, algo, direction)
-        old = self._corrections.get(key, 1.0)
-        if predicted <= 0.0 or seconds <= 0.0:
-            return old
-        ratio = seconds / predicted
-        lo, hi = self.correction_bounds
-        new = min(max(old + self.refine_alpha * (ratio - old), lo), hi)
-        self.observations += 1
-        if new != old:
-            self._corrections[key] = new
-            self._crossover.clear()  # memoized crossovers are now stale
-            self._decisions.clear()  # and so are the decisions they gave
-        return new
-
-    def refine_from_spans(self, tracer: "Tracer") -> int:
-        """Bulk refinement from recorded PEDAL op spans; returns the
-        number of observations folded in."""
-        count = 0
-        for name in ("pedal.compress", "pedal.decompress"):
-            for span in tracer.find(name):
-                attrs = span.attrs
-                if attrs.get("device") != self.device.name:
-                    continue
-                path = attrs.get("engine")
-                if path not in ALL_PATHS:
-                    continue
-                try:
-                    algo = Algo(attrs["algo"])
-                    direction = Direction(attrs["direction"])
-                    sim_bytes = float(attrs["sim_bytes"])
-                except (KeyError, ValueError):
-                    continue
-                seconds = span.sim_duration
-                if sim_bytes <= 0.0 or seconds is None or seconds <= 0.0:
-                    continue
-                self.observe(path, algo, direction, sim_bytes, seconds)
-                count += 1
-        return count

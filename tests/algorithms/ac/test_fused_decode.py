@@ -1,8 +1,9 @@
 """``ac_decompress``'s fused loop against its step-wise twin.
 
 The twin is ``reference.decode_stepwise`` driving a
-:class:`RangeDecoder` through ``decode_target`` / ``consume`` and the
-model through ``cum_row`` / ``symbol_from_target`` — the objects whose
+:class:`RangeDecoder` through ``decode_target`` / ``consume`` and
+``reference.ac.RowContextModel`` through ``cum_row`` /
+``symbol_from_target`` — the objects whose
 arithmetic the fused loop writes out in locals.  The two must produce
 the same symbols on well-formed streams and the same error type on
 malformed ones.

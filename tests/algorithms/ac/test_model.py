@@ -1,5 +1,9 @@
 """Context-model unit tests: hashing twins, adaptation, halving, the
-dense twin and the model's memory."""
+dense twin and the model's memory.
+
+Per-symbol rows, triples and inverse lookups come from the step-wise
+decoder's :class:`~repro.algorithms.reference.ac.RowContextModel`;
+production's decoder reads the same tables through ``sparse_rows``."""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 from repro.algorithms.ac import ac_compress, ac_decompress
 from repro.algorithms.ac.model import MAX_ORDER, ACConfig, ContextModel
 from repro.algorithms.reference import REGISTRY
-from repro.algorithms.reference.ac import context_hash_scalar
+from repro.algorithms.reference.ac import RowContextModel, context_hash_scalar
 from repro.datasets import get_dataset
 from repro.errors import CorruptStreamError
 
@@ -47,7 +51,7 @@ def test_scalar_hash_matches_vectorized(order):
 def test_chunk_triples_match_sequential_triples():
     config = _config()
     vec_model = ContextModel(config)
-    seq_model = ContextModel(config)
+    seq_model = RowContextModel(config)
     rng = np.random.default_rng(11)
     data = rng.integers(0, 64, size=600, dtype=np.uint8)
     for start in range(0, len(data), config.chunk_bytes):
@@ -66,7 +70,7 @@ def test_chunk_triples_match_sequential_triples():
 
 
 def test_untouched_context_is_uniform():
-    model = ContextModel(_config())
+    model = RowContextModel(_config())
     row = model.cum_row(0)
     assert row == list(range(257))
     assert model.triple(0, 255) == (255, 1, 256)
@@ -78,7 +82,7 @@ def test_update_is_deterministic():
     config = _config()
     rng = np.random.default_rng(13)
     data = rng.integers(0, 256, size=2048 + config.chunk_bytes, dtype=np.uint8)
-    models = [ContextModel(config) for _ in range(2)]
+    models = [RowContextModel(config) for _ in range(2)]
     for model in models:
         for start in range(0, 2048, config.chunk_bytes):
             model.update_chunk(data, start, start + config.chunk_bytes)
@@ -94,7 +98,7 @@ def test_halving_keeps_totals_inside_coder_budget():
     """Hammer one context until it halves; smoothed totals must stay
     within max_total (the range coder's precision budget)."""
     config = _config(order=0, max_total=1 << 10)
-    model = ContextModel(config)
+    model = RowContextModel(config)
     data = np.zeros(4096, dtype=np.uint8)  # all mass on one symbol
     for start in range(0, len(data), config.chunk_bytes):
         model.update_chunk(data, start, start + config.chunk_bytes)
@@ -106,7 +110,7 @@ def test_halving_keeps_totals_inside_coder_budget():
 
 def test_symbol_from_target_inverts_triple():
     config = _config()
-    model = ContextModel(config)
+    model = RowContextModel(config)
     rng = np.random.default_rng(14)
     data = rng.integers(0, 32, size=512, dtype=np.uint8)
     model.update_chunk(data, 0, 256)
@@ -118,7 +122,7 @@ def test_symbol_from_target_inverts_triple():
 
 
 def test_symbol_from_target_rejects_out_of_range():
-    model = ContextModel(_config())
+    model = RowContextModel(_config())
     with pytest.raises(CorruptStreamError):
         model.symbol_from_target(0, 256)
     with pytest.raises(CorruptStreamError):
@@ -149,6 +153,27 @@ def test_chunk_log2_round_trips():
 
 
 # -- the dense twin -----------------------------------------------------------
+
+def _row_from_sparse(rows, ctx: int) -> "list[int]":
+    """The 257-entry cumulative row of ``ctx`` read back from
+    :meth:`ContextModel.sparse_rows`, interval by interval."""
+    row_of, lows, highs, syms = rows
+    row = row_of(ctx)
+    if isinstance(row, list):
+        return row
+    first, end, base, total = row
+    out, below = [], 0  # below: the counts of the seen symbols so far
+    keys = iter(range(first, end))
+    at = next(keys, None)
+    for sym in range(256):
+        out.append(sym + below)
+        if at is not None and syms[at] == sym:
+            assert lows[at] - base == out[-1]
+            below = highs[at] - base - sym - 1
+            at = next(keys, None)
+    assert at is None
+    return out + [total]
+
 
 _ALPHABET = b"\x00\x00\x00ab\xff"
 
@@ -182,10 +207,9 @@ _INPUTS = st.one_of(
 def test_sparse_model_matches_dense_twin(data, order, table_bits, chunk_log2,
                                          max_total_log2):
     """Chunk by chunk, the model and its dense twin (the registry's
-    ``context_model`` row) give the same triples and the same row for
-    every context touched so far (cached rows included, so a row kept
-    past a halving shows), and an untouched context gets the shared
-    uniform row."""
+    ``context_model`` row) give the same triples, the model's sparse rows
+    read back as the twin's row for every context touched so far, and an
+    untouched context gets the shared uniform row."""
     config = ACConfig(order=order, chunk_bytes=1 << chunk_log2,
                       table_bits=table_bits, max_total=1 << max_total_log2)
     row = REGISTRY["context_model"]
@@ -199,33 +223,13 @@ def test_sparse_model_matches_dense_twin(data, order, table_bits, chunk_log2,
         touched.update(sparse.context_hashes(arr, start, stop).tolist())
         sparse.update_chunk(arr, start, stop)
         dense.update_chunk(arr, start, stop)
+        rows = sparse.sparse_rows()
         for ctx in sorted(touched):
-            assert sparse.cum_row(ctx) == dense.cum_row(ctx), ctx
+            assert _row_from_sparse(rows, ctx) == dense.cum_row(ctx), ctx
         untouched = next((ctx for ctx in range(1 << table_bits)
                           if ctx not in touched), None)
         if untouched is not None:
-            assert sparse.cum_row(untouched) is sparse.uniform_row
-
-
-def _row_from_sparse(rows, ctx: int) -> "list[int]":
-    """The 257-entry cumulative row of ``ctx`` read back from
-    :meth:`ContextModel.sparse_rows`, interval by interval."""
-    row_of, lows, highs, syms = rows
-    row = row_of(ctx)
-    if isinstance(row, list):
-        return row
-    first, end, base, total = row
-    out, below = [], 0  # below: the counts of the seen symbols so far
-    keys = iter(range(first, end))
-    at = next(keys, None)
-    for sym in range(256):
-        out.append(sym + below)
-        if at is not None and syms[at] == sym:
-            assert lows[at] - base == out[-1]
-            below = highs[at] - base - sym - 1
-            at = next(keys, None)
-    assert at is None
-    return out + [total]
+            assert rows[0](untouched) is sparse.uniform_row
 
 
 @settings(max_examples=40, deadline=None,

@@ -13,18 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.core.api import PedalConfig, PedalContext
+from repro.core.api import PedalContext
 from repro.core.baseline import NaiveCompressor
 from repro.dpu.device import make_device
 from repro.dpu.specs import Algo, Direction
 from repro.errors import DocaInitError, DocaJobError, DocaTimeoutError
-from repro.faults import (
-    EngineFallback,
-    FaultPlan,
-    RetryPolicy,
-    injecting,
-)
-from repro.faults.policy import PHASE_RETRY, engine_job_with_retry
+from repro.faults import EngineFallback, FaultPlan, injecting, policy
+from repro.faults.policy import PHASE_RETRY, backoff_wait, engine_job_with_retry
 from repro.sim import Environment, TimeBreakdown
 from tests.conftest import drive
 
@@ -33,12 +28,11 @@ from .conftest import counters
 PAYLOAD = (b"the quick brown fox jumps over the lazy dog. " * 300)[:12288]
 
 
-def pedal_roundtrip(plan=None, design="C-Engine_DEFLATE", device="bf2",
-                    config=None):
+def pedal_roundtrip(plan=None, design="C-Engine_DEFLATE", device="bf2"):
     """One init+compress+decompress; returns (env.now, message, data)."""
     env = Environment()
     dev = make_device(env, device)
-    ctx = PedalContext(dev, config=config)
+    ctx = PedalContext(dev)
 
     def run():
         drive(env, ctx.init())
@@ -70,21 +64,22 @@ def naive_roundtrip(plan=None, design="C-Engine_DEFLATE"):
 
 class TestRetryPolicy:
     def test_defaults_valid(self):
-        p = RetryPolicy()
-        assert p.max_attempts >= 1
+        assert policy.MAX_ATTEMPTS >= 1
+        assert policy.BACKOFF_BASE_S >= 0
+        assert policy.BACKOFF_MULTIPLIER >= 1.0
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"backoff_base": -1.0},
-        {"backoff_multiplier": 0.5},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-    def test_backoff_is_exponential(self):
-        p = RetryPolicy(backoff_base=1.0, backoff_multiplier=2.0)
-        assert [p.backoff(n) for n in (1, 2, 3)] == [1.0, 2.0, 4.0]
+    def test_backoff_is_exponential(self, monkeypatch):
+        monkeypatch.setattr(policy, "BACKOFF_BASE_S", 1.0)
+        monkeypatch.setattr(policy, "BACKOFF_MULTIPLIER", 2.0)
+        env = Environment()
+        dev = make_device(env, "bf2")
+        waits = []
+        for failed in (1, 2, 3):
+            breakdown = TimeBreakdown()
+            drive(env, backoff_wait(dev, failed, breakdown))
+            waits.append(breakdown.get(PHASE_RETRY))
+        assert waits == [1.0, 2.0, 4.0]
+        assert env.now == 7.0
 
 
 class TestZeroProbabilityNoOp:
@@ -184,8 +179,7 @@ class TestInitFailure:
         got = counters(metrics)
         assert got["faults.init_giveups"] == 1
         assert got["faults.fallbacks"] >= 1
-        assert got["faults.injected.init_fail"] == \
-            ctx.config.retry.max_attempts
+        assert got["faults.injected.init_fail"] == policy.MAX_ATTEMPTS
 
     def test_pedal_transient_init_recovers(self, metrics):
         # ~50%: bring-up may need retries but usually lands engine-side.
@@ -321,22 +315,23 @@ class TestPolicyDriver:
                 drive(env, dev.cengine.submit(Algo.DEFLATE,
                                               Direction.COMPRESS, 4096))
 
-    def test_fallback_after_exact_budget(self, metrics):
+    def test_fallback_after_exact_budget(self, metrics, monkeypatch):
+        monkeypatch.setattr(policy, "MAX_ATTEMPTS", 4)
         env = Environment()
         dev = make_device(env, "bf2")
         breakdown = TimeBreakdown()
-        policy = RetryPolicy(max_attempts=4)
         with injecting(seed=1, engine_fail=1.0):
             with pytest.raises(EngineFallback) as excinfo:
                 drive(env, engine_job_with_retry(
                     dev, Algo.DEFLATE, Direction.COMPRESS, 4096,
-                    policy, breakdown, "phase", 4096 / 10e9))
+                    breakdown, "phase", 4096 / 10e9))
         assert excinfo.value.attempts == 4
         assert counters(metrics)["faults.retries"] == 4
         assert breakdown.get("phase") > 0          # burned engine time
         assert breakdown.get(PHASE_RETRY) > 0      # backoff waits
 
-    def test_failed_attempt_time_charged_to_phase(self):
+    def test_failed_attempt_time_charged_to_phase(self, monkeypatch):
+        monkeypatch.setattr(policy, "MAX_ATTEMPTS", 2)
         env = Environment()
         dev = make_device(env, "bf2")
         breakdown = TimeBreakdown()
@@ -346,8 +341,7 @@ class TestPolicyDriver:
             with pytest.raises(EngineFallback):
                 drive(env, engine_job_with_retry(
                     dev, Algo.DEFLATE, Direction.COMPRESS, 4096,
-                    RetryPolicy(max_attempts=2), breakdown, "phase",
-                    4096 / 10e9))
+                    breakdown, "phase", 4096 / 10e9))
         assert breakdown.get("phase") == pytest.approx(2 * 0.5 * nominal)
 
     def test_engine_fallback_never_escapes_pipelines(self):
@@ -372,12 +366,3 @@ class TestPolicyDriver:
                 drive(env, submit_job(session, Algo.DEFLATE,
                                       Direction.COMPRESS, buf))
         assert metrics.as_dict()["counters"]["doca.job_errors"] == 1
-
-
-class TestConfigKnobs:
-    def test_custom_retry_policy_via_pedal_config(self, metrics):
-        config = PedalConfig(retry=RetryPolicy(max_attempts=1))
-        pedal_roundtrip(FaultPlan(seed=2, engine_fail=1.0), config=config)
-        got = counters(metrics)
-        # One attempt per engine job: every retry immediately falls back.
-        assert got["faults.retries"] == got["faults.fallbacks"]

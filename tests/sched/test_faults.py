@@ -8,8 +8,7 @@ from repro import obs
 from repro.core.parallel import ParallelCompressor, ParallelConfig
 from repro.dpu import make_device
 from repro.errors import DocaTransientError
-from repro.faults import FaultPlan, set_fault_plan
-from repro.faults.policy import RetryPolicy
+from repro.faults import FaultPlan, policy, set_fault_plan
 from repro.sched import PipelineScheduler, SchedConfig
 from repro.sim import Environment
 
@@ -77,16 +76,14 @@ class TestRetryBudget:
 
 
 class TestSlotRelease:
-    def test_backoff_does_not_hold_the_slot(self, make_jobs):
+    def test_backoff_does_not_hold_the_slot(self, make_jobs, monkeypatch):
         """With depth 1 and a long backoff, two always-failing jobs must
         interleave their backoff waits: if a failed job kept its slot
         while backing off, the makespan would be ~2 backoff chains."""
+        monkeypatch.setattr(policy, "BACKOFF_BASE_S", 0.01)
         chain = 0.01 * (1 + 2)  # base * (2^0 + 2^1) per job
-        config = SchedConfig(
-            depth=1, retry=RetryPolicy(backoff_base=0.01),
-        )
         t, _, outcomes = _run(
-            make_jobs(2, sim_bytes=1e5), config,
+            make_jobs(2, sim_bytes=1e5), SchedConfig(depth=1),
             plan=FaultPlan(seed=3, engine_fail=1.0),
         )
         assert all(o.engine == "soc" for o in outcomes)

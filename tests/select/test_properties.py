@@ -3,8 +3,8 @@
 Two contracts from the issue, over sizes in [1 B, 64 MiB]:
 
 * **No regret** — the selector's choice is never beaten by a capable
-  path it rejected by more than the model's stated ``tolerance``
-  (checked against the *simulator*, not the model's own numbers).
+  path it rejected by more than ``regress.SELECT_TOLERANCE`` (checked
+  against the *simulator*, not the model's own numbers).
 * **Byte identity** — ``path="auto"`` produces the exact same message
   bytes as every forced path for the lossless designs (routing is a
   latency decision, never a format decision).
@@ -15,6 +15,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.regress import SELECT_TOLERANCE
 from repro.core.api import PedalContext
 from repro.dpu import make_device
 from repro.dpu.specs import Algo, Direction
@@ -53,7 +54,6 @@ def _seconds(env, gen) -> float:
 def test_auto_never_beaten_beyond_tolerance(n, kind):
     """Simulated auto latency <= best forced latency * (1 + tolerance)."""
     env, ctx = _fresh_context(kind)
-    tol = ctx.selector.tolerance
     forced = {
         path: _seconds(env, ctx.compress(
             PAYLOAD, Algo.DEFLATE, sim_bytes=float(n), path=path
@@ -63,7 +63,7 @@ def test_auto_never_beaten_beyond_tolerance(n, kind):
     auto = _seconds(env, ctx.compress(
         PAYLOAD, Algo.DEFLATE, sim_bytes=float(n), path="auto"
     ))
-    assert auto <= min(forced.values()) * (1.0 + tol)
+    assert auto <= min(forced.values()) * (1.0 + SELECT_TOLERANCE)
 
 
 @settings(max_examples=15, **_SETTINGS)
@@ -89,24 +89,11 @@ def test_auto_bytes_identical_to_every_forced_path(n, algo):
     direction=st.sampled_from([Direction.COMPRESS, Direction.DECOMPRESS]),
     algo=st.sampled_from([Algo.DEFLATE, Algo.ZLIB, Algo.LZ4, Algo.SZ3]),
     kind=st.sampled_from(["bf2", "bf3"]),
-    corrections=st.lists(
-        st.floats(min_value=0.25, max_value=4.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=2, max_size=2,
-    ),
 )
-def test_choice_is_argmin_of_corrected_costs(n, direction, algo, kind,
-                                             corrections):
-    """Even with learned per-path corrections (any clamped values), the
-    crossover-cache decision equals the direct argmin of the corrected
-    costs — no rejected capable path is ever cheaper."""
-    sel = PathSelector(make_device(Environment(), kind), refine_alpha=1.0)
-    for path, factor in zip(ALL_PATHS, corrections):
-        predicted = sel.model.path_seconds(algo, direction, 1e6, path)
-        # alpha=1.0 makes one observation set the correction exactly.
-        sel.observe(path, algo, direction, 1e6, factor * predicted)
-        assert abs(sel.correction(path, algo, direction) - factor) \
-            <= 1e-12 * factor
+def test_choice_is_argmin_of_corrected_costs(n, direction, algo, kind):
+    """The crossover-cache decision equals the direct argmin of the
+    plan-sum costs — no rejected capable path is ever cheaper."""
+    sel = PathSelector(make_device(Environment(), kind))
     decision = sel.choose(algo, direction, float(n))
     assert decision.predicted_seconds == min(decision.costs.values())
     for path, cost in decision.costs.items():

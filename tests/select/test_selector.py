@@ -1,4 +1,4 @@
-"""PathSelector: crossover cache, choice consistency, online refinement."""
+"""PathSelector: crossover cache, choice consistency, decision memo."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import math
 
 import pytest
 
-from repro import obs
-from repro.core.api import PedalContext
 from repro.dpu.specs import Algo, Direction
 from repro.plan.designs import Placement
 from repro.select import PATH_CENGINE, PATH_SOC, PathSelector
@@ -38,7 +36,7 @@ class TestCrossoverCache:
         """n* is exactly where the two affine cost lines meet."""
         sel = PathSelector(bf2)
         n_star = sel.crossover_bytes(Algo.DEFLATE, C)
-        costs = sel.predict(Algo.DEFLATE, C, n_star)
+        costs = sel.model.path_costs(Algo.DEFLATE, C, n_star)
         assert costs[PATH_SOC] == pytest.approx(costs[PATH_CENGINE], rel=1e-9)
 
     def test_amortization_raises_the_crossover(self, bf2):
@@ -154,29 +152,6 @@ class TestDecisionMemo:
             s.crossover_bytes(Algo.ZLIB, C)
         assert sel.cache_info() == ref.cache_info()
 
-    def test_observe_that_moves_a_correction_drops_decisions(self, bf2):
-        sel, ref = PathSelector(bf2), _Unmemoised(bf2)
-        n = 1 << 20
-        before = sel.choose(Algo.DEFLATE, C, n)
-        assert before.path == PATH_CENGINE
-        ref.choose(Algo.DEFLATE, C, n)
-        for s in (sel, ref):
-            s.choose(Algo.DEFLATE, C, n)
-            predicted = s.model.path_seconds(Algo.DEFLATE, C, n, PATH_CENGINE)
-            s.observe(PATH_CENGINE, Algo.DEFLATE, C, n, 4.0 * predicted)
-        assert sel._decisions == {}
-        after = sel.choose(Algo.DEFLATE, C, n)
-        assert after == ref.choose(Algo.DEFLATE, C, n)
-        assert after.costs[PATH_CENGINE] > before.costs[PATH_CENGINE]
-        assert sel.cache_info() == ref.cache_info()
-
-    def test_observe_that_moves_nothing_keeps_decisions(self, bf2):
-        sel = PathSelector(bf2)
-        decision = sel.choose(Algo.DEFLATE, C, 1e6)
-        sel.observe(PATH_CENGINE, Algo.DEFLATE, C, 1e6,
-                    decision.predicted_seconds)
-        assert sel.choose(Algo.DEFLATE, C, 1e6).costs is decision.costs
-
     def test_memo_is_bounded(self, bf2):
         sel = PathSelector(bf2)
         for i in range(600):
@@ -208,91 +183,3 @@ class TestJobCosts:
     def test_bf3_jobs_always_soc(self, bf3):
         sel = PathSelector(bf3)
         assert sel.job_engine(Algo.DEFLATE, C, 8e6, 8e6) == PATH_SOC
-
-
-class TestObserve:
-    def test_exact_observation_changes_nothing(self, bf2):
-        """Feeding back the model's own prediction leaves the
-        correction at 1.0 and keeps the cache warm."""
-        sel = PathSelector(bf2)
-        predicted = sel.choose(Algo.DEFLATE, C, 1e6).predicted_seconds
-        new = sel.observe(PATH_CENGINE, Algo.DEFLATE, C, 1e6, predicted)
-        assert new == 1.0
-        assert sel.cache_info()["size"] == 1
-
-    def test_slow_path_observation_moves_the_crossover(self, bf2):
-        """An engine observed 2x slower than calibrated shifts the
-        break-even size up — and invalidates the memoized value."""
-        sel = PathSelector(bf2)
-        before = sel.crossover_bytes(Algo.DEFLATE, C)
-        predicted = sel.model.path_seconds(Algo.DEFLATE, C, 1e6, PATH_CENGINE)
-        sel.observe(PATH_CENGINE, Algo.DEFLATE, C, 1e6, 2.0 * predicted)
-        assert sel.correction(PATH_CENGINE, Algo.DEFLATE, C) > 1.0
-        assert sel.cache_info()["size"] == 0  # invalidated
-        assert sel.crossover_bytes(Algo.DEFLATE, C) > before
-
-    def test_ewma_step(self, bf2):
-        sel = PathSelector(bf2, refine_alpha=0.25)
-        predicted = sel.model.path_seconds(Algo.DEFLATE, C, 1e6, PATH_SOC)
-        new = sel.observe(PATH_SOC, Algo.DEFLATE, C, 1e6, 2.0 * predicted)
-        # old + alpha * (ratio - old) = 1 + 0.25 * (2 - 1)
-        assert new == pytest.approx(1.25)
-
-    def test_corrections_are_clamped(self, bf2):
-        sel = PathSelector(bf2, correction_bounds=(0.25, 4.0))
-        predicted = sel.model.path_seconds(Algo.DEFLATE, C, 1e6, PATH_SOC)
-        for _ in range(100):
-            sel.observe(PATH_SOC, Algo.DEFLATE, C, 1e6, 1000.0 * predicted)
-        assert sel.correction(PATH_SOC, Algo.DEFLATE, C) == 4.0
-        for _ in range(100):
-            sel.observe(PATH_SOC, Algo.DEFLATE, C, 1e6, 1e-6 * predicted)
-        assert sel.correction(PATH_SOC, Algo.DEFLATE, C) == 0.25
-
-    def test_nonpositive_samples_ignored(self, bf2):
-        sel = PathSelector(bf2)
-        assert sel.observe(PATH_SOC, Algo.DEFLATE, C, 1e6, 0.0) == 1.0
-        assert sel.observations == 0
-
-
-class TestRefineFromSpans:
-    def test_refines_from_recorded_pedal_spans(self, env, bf2, run_sim,
-                                               text_payload):
-        """Spans recorded by the real runtime feed straight back in —
-        and because the model mirrors the simulator exactly, the
-        corrections stay at 1.0."""
-        tracer = obs.Tracer()
-        prev = obs.set_tracer(tracer)
-        try:
-            ctx = PedalContext(bf2)
-            run_sim(env, ctx.init())
-            comp = run_sim(env, ctx.compress(
-                text_payload, "C-Engine_DEFLATE", sim_bytes=5.1e6
-            ))
-            run_sim(env, ctx.decompress(comp.message, sim_bytes=5.1e6))
-        finally:
-            obs.set_tracer(prev)
-
-        sel = PathSelector(bf2)
-        count = sel.refine_from_spans(tracer)
-        assert count == 2
-        assert sel.correction(PATH_CENGINE, Algo.DEFLATE, C) \
-            == pytest.approx(1.0, rel=1e-9)
-        assert sel.correction(PATH_CENGINE, Algo.DEFLATE, D) \
-            == pytest.approx(1.0, rel=1e-9)
-
-    def test_ignores_other_devices(self, env, bf2, bf3, run_sim,
-                                   text_payload):
-        tracer = obs.Tracer()
-        prev = obs.set_tracer(tracer)
-        try:
-            ctx = PedalContext(bf2)
-            run_sim(env, ctx.init())
-            run_sim(env, ctx.compress(text_payload, "C-Engine_DEFLATE"))
-        finally:
-            obs.set_tracer(prev)
-        assert PathSelector(bf3).refine_from_spans(tracer) == 0
-
-    def test_empty_tracer_is_a_noop(self, bf2):
-        sel = PathSelector(bf2)
-        assert sel.refine_from_spans(obs.Tracer()) == 0
-        assert sel.observations == 0

@@ -6,8 +6,6 @@ import pytest
 
 from repro.dpu import make_device
 from repro.dpu.specs import Direction
-from repro.errors import DocaCapabilityError
-from repro.sched import SchedConfig
 from repro.serve import BatchPolicy, ServeConfig, ServeGateway, ServeRequest
 from repro.sim import Environment
 
@@ -354,34 +352,6 @@ class TestDrain:
 
 
 class TestFailurePropagation:
-    def test_capability_error_fans_out_to_tickets(self, env):
-        """BF-3 cannot compress on the engine; with SoC fallback off the
-        scheduler's refusal must reach every ticket in the batch rather
-        than hang the drain."""
-        gateway = ServeGateway(
-            env,
-            [make_device(env, "bf3")],
-            ServeConfig(
-                batch=BatchPolicy(max_msgs=2),
-                sched=SchedConfig(soc_fallback=False),
-            ),
-        )
-
-        def client(env):
-            a = gateway.submit(
-                ServeRequest(Direction.COMPRESS, b"a" * 256, req_id="a")
-            )
-            b = gateway.submit(
-                ServeRequest(Direction.COMPRESS, b"b" * 256, req_id="b")
-            )
-            for ticket in (a, b):
-                with pytest.raises(DocaCapabilityError):
-                    yield from ticket.wait()
-
-        env.run(until=env.process(client(env)))
-        assert gateway.completed == 0
-        assert gateway.admission.pending == 0  # slots were released
-
     def test_mismatched_environment_rejected(self, env):
         other = Environment()
         with pytest.raises(ValueError, match="different Environment"):

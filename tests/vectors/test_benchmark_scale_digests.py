@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.algorithms.ac import ACConfig, ContextModel, ac_decompress
+from repro.algorithms.ac import ACConfig, ac_decompress
 from repro.algorithms.lz4 import lz4_block_decompress, lz4_decompress
 from repro.algorithms.sz3 import encoder, lossless
 from repro.algorithms.sz3.config import BACKENDS
@@ -74,6 +74,7 @@ from repro.algorithms import huffman
 from repro.algorithms.deflate import deflate_decompress
 from repro.algorithms.deflate.compress import _SMALL_BLOCK_TOKENS, _rle_code_lengths
 from repro.algorithms.lz77 import tokenize
+from repro.algorithms.reference.ac import RowContextModel
 from repro.core.parallel import ParallelCompressor
 from repro.dpu import make_device
 from repro.sim import Environment
@@ -152,7 +153,7 @@ def test_ac_skip_pin_halves_a_context_its_middle_chunk_skips():
     config = ACConfig(chunk_bytes=n, max_total=1 << 10)
     make_input, _ = DIGEST_PINS["ac-maxtotal1k-skip"]
     data = np.frombuffer(make_input(), dtype=np.uint8)
-    model = ContextModel(config)
+    model = RowContextModel(config)
     model.update_chunk(data, 0, n)
     hot = int(model.context_hashes(data, 0, 1)[0])
     over = model.cum_row(hot)[256]
@@ -240,7 +241,7 @@ def test_ac_noise_pin_reaches_contexts_of_one_to_three_symbols():
     make_input, _ = DIGEST_PINS["ac-noise-16k"]
     data = np.frombuffer(make_input(), dtype=np.uint8)
     chunk = ACConfig().chunk_bytes
-    model = ContextModel(ACConfig())
+    model = RowContextModel(ACConfig())
     for start in range(0, len(data) - chunk, chunk):
         model.update_chunk(data, start, start + chunk)
     distinct = Counter(

@@ -3,8 +3,8 @@ than their caller is entitled to.
 
 One row per container and nesting level.  Each row names the stream,
 the decoder, and the cap the decoder derives (or is given); the decode
-must end in a typed error with a ``tracemalloc`` peak of at most
-``2 * cap + 1 MiB``.
+must end in ``OutputOverflowError`` with a ``tracemalloc`` peak of at
+most ``2 * cap + 1 MiB``.
 
 The SZ3R rows declare a one-value float32 field, so the entropy payload
 may be at most ``encoder.max_payload_bytes(1)`` = 281 bytes, and carry
@@ -16,6 +16,10 @@ zstd-lite container around it and an LZ4 frame of sixteen 1 MiB zero
 blocks without a content size (so only the per-block cap can stop it).
 The ``ac`` and ``none`` rows carry a one-value payload with 16 KiB of
 padding behind its bitstream, coded and as is: uncapped, both decode.
+
+``pedal-deflate-16m`` is the same raw DEFLATE expansion behind a PEDAL
+header, decoded by a ``PedalContext`` whose ``max_message_bytes`` is
+64 KiB: the context's decode cap, not the SZ3R shape, must stop it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,12 @@ import pytest
 from repro.algorithms.ac import ac_compress
 from repro.algorithms.lz4 import lz4_block_compress
 from repro.algorithms.sz3 import SZ3Config, encoder, lossless, sz3_compress, sz3_decompress
-from repro.errors import CodecError
+from repro.core.api import PedalConfig, PedalContext
+from repro.dpu import make_device
+from repro.dpu.specs import Algo
+from repro.errors import OutputOverflowError
+from repro.plan.header import PedalHeader
+from repro.sim import Environment
 from repro.util.xxhash32 import xxh32
 
 MIB = 1 << 20
@@ -66,7 +75,16 @@ def _sz3r(backend: str, blob: bytes) -> bytes:
     return head + struct.pack("<Q", len(blob)) + blob
 
 
+def _pedal_decode(message: bytes, cap: int) -> None:
+    """Decode ``message`` with a PEDAL context whose decode cap is ``cap``."""
+    env = Environment()
+    ctx = PedalContext(make_device(env, "bf2"), PedalConfig(max_message_bytes=cap))
+    env.run(until=env.process(ctx.init()))
+    env.run(until=env.process(ctx.decompress(message)))
+
+
 SZ3R_CAP = encoder.max_payload_bytes(1)
+PEDAL_CAP = 64 << 10
 
 #: name -> (make stream, decode, cap)
 BOMBS = {
@@ -78,6 +96,9 @@ BOMBS = {
     "sz3r-ac-16k": (lambda: _sz3r("ac", ac_compress(_padded_payload())),
                     sz3_decompress, SZ3R_CAP),
     "sz3r-none-16k": (lambda: _sz3r("none", _padded_payload()), sz3_decompress, SZ3R_CAP),
+    "pedal-deflate-16m": (
+        lambda: PedalHeader.for_algo(Algo.DEFLATE).encode() + _zero_deflate(),
+        lambda message: _pedal_decode(message, PEDAL_CAP), PEDAL_CAP),
 }
 
 
@@ -94,7 +115,7 @@ def test_bomb_ends_in_a_typed_error_within_its_cap(name):
     stream = make()
     tracemalloc.start()
     try:
-        with pytest.raises(CodecError):
+        with pytest.raises(OutputOverflowError):
             decode(stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
