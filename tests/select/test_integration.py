@@ -153,8 +153,8 @@ class TestCostAwareRouter:
         engine overhead is ~161 us vs BF-2's ~1 ms."""
         from repro.dpu import make_device
 
-        bf2 = DpuWorker(make_device(env, "bf2"), SchedConfig())
-        bf3 = DpuWorker(make_device(env, "bf3"), SchedConfig())
+        bf2 = DpuWorker(make_device(env, "bf2"))
+        bf3 = DpuWorker(make_device(env, "bf3"))
         pick = CostAwareRouter().pick(
             [bf2, bf3], _Batch(Direction.DECOMPRESS, 64 * 1024, 256 * 1024)
         )
@@ -165,8 +165,8 @@ class TestCostAwareRouter:
         even when BF-3 sits first in fleet order."""
         from repro.dpu import make_device
 
-        bf3 = DpuWorker(make_device(env, "bf3"), SchedConfig())
-        bf2 = DpuWorker(make_device(env, "bf2"), SchedConfig())
+        bf3 = DpuWorker(make_device(env, "bf3"))
+        bf2 = DpuWorker(make_device(env, "bf2"))
         pick = CostAwareRouter().pick(
             [bf3, bf2], _Batch(Direction.COMPRESS, 1 << 20)
         )
@@ -183,8 +183,8 @@ class TestCostAwareRouter:
             def load(self):
                 return 50
 
-        busy_bf3 = _Loaded(make_device(env, "bf3"), SchedConfig())
-        idle_bf2 = DpuWorker(make_device(env, "bf2"), SchedConfig())
+        busy_bf3 = _Loaded(make_device(env, "bf3"))
+        idle_bf2 = DpuWorker(make_device(env, "bf2"))
         pick = CostAwareRouter().pick(
             [busy_bf3, idle_bf2],
             _Batch(Direction.DECOMPRESS, 64 * 1024, 256 * 1024),
@@ -199,7 +199,7 @@ class TestCostAwareSteal:
         engine."""
         assert PathSelector(bf2).job_engine(
             Algo.DEFLATE, Direction.COMPRESS, 64.0, 64.0) == PATH_SOC
-        sched = PipelineScheduler(bf2, SchedConfig())
+        sched = PipelineScheduler(bf2)
         job = EngineJob(Algo.DEFLATE, Direction.COMPRESS, 64.0)
         (outcome,) = run_sim(env, sched.submit_many([job]))
         assert outcome.engine == "cengine"

@@ -86,9 +86,8 @@ class TestCapabilityAware:
 class TestRealWorkersRoute(object):
     def test_capability_router_on_real_fleet(self, env, fleet):
         from repro.serve import DpuWorker
-        from repro.sched import SchedConfig
 
-        workers = [DpuWorker(device, SchedConfig()) for device in fleet]
+        workers = [DpuWorker(device) for device in fleet]
         router = CapabilityAwareRouter()
         pick = router.pick(workers, FakeBatch(Direction.COMPRESS))
         assert pick.device.spec.generation == 2  # BF-3 has no compress engine
@@ -101,13 +100,13 @@ class TestCostAwareLoadWeight:
         BF-3's.  Under ``cost x (load + 1)`` the idle BF-2 wins
         (1.75 < 2); under ``load + 2`` the busy BF-3 would
         (2 x 1.75 = 3.5 against 3)."""
-        from repro.sched import EngineJob, SchedConfig
+        from repro.sched import EngineJob
         from repro.select import PathSelector
         from repro.serve import CostAwareRouter, DpuWorker
 
         n = 5.4e6
-        busy = DpuWorker(make_device(env, "bf3"), SchedConfig())
-        idle = DpuWorker(make_device(env, "bf2"), SchedConfig())
+        busy = DpuWorker(make_device(env, "bf3"))
+        idle = DpuWorker(make_device(env, "bf2"))
         busy.scheduler.submit(EngineJob(Algo.DEFLATE, Direction.DECOMPRESS,
                                         n, soc_sim_bytes=n))
         env.run(until=1e-9)
@@ -124,11 +123,10 @@ class TestCostAwareLoadWeight:
         score: the cheaper BF-3 engine takes a decompress batch although
         the BF-2 comes first in fleet order (``cost x load`` would score
         both 0 and hand it to the BF-2)."""
-        from repro.sched import SchedConfig
         from repro.serve import CostAwareRouter, DpuWorker
 
-        bf2 = DpuWorker(make_device(env, "bf2"), SchedConfig())
-        bf3 = DpuWorker(make_device(env, "bf3"), SchedConfig())
+        bf2 = DpuWorker(make_device(env, "bf2"))
+        bf3 = DpuWorker(make_device(env, "bf3"))
         batch = SizedBatch(Direction.DECOMPRESS, 5.4e6)
         assert CostAwareRouter().pick([bf2, bf3], batch) is bf3
 
