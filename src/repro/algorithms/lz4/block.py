@@ -56,6 +56,10 @@ _LAST_LITERALS = 5
 _MAX_OFFSET = 65535
 _HASH_BITS = 16
 _HASH_PRIME = 2654435761
+#: Probe misses per stride step, as liblz4's ``LZ4_skipTrigger``: the
+#: miss counter starts at ``acceleration << _SKIP_TRIGGER``, so the
+#: stride starts at ``acceleration`` and grows by one every 128 misses.
+_SKIP_TRIGGER = 7
 #: An empty table slot: ``i - _EMPTY > _MAX_OFFSET`` at every ``i >= 0``,
 #: so the offset test rejects it before its word is read.
 _EMPTY = -(_MAX_OFFSET + 1)
@@ -147,8 +151,8 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
     end = n - _LAST_LITERALS  # a match stops before the trailing literals
     anchor = 0
     i = 0
-    skip_trigger = 6 + cfg.acceleration  # probe misses before stride grows
-    misses = 1 << skip_trigger
+    first_step = cfg.acceleration << _SKIP_TRIGGER
+    misses = first_step
 
     while i <= match_limit:
         # Probe: a candidate within reach whose low 4 bytes are equal.
@@ -157,7 +161,7 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
         cand = table[h]
         table[h] = i
         if i - cand > _MAX_OFFSET or (diff := words[cand] ^ words[i]) & 0xFFFFFFFF:
-            i += misses >> skip_trigger
+            i += misses >> _SKIP_TRIGGER
             misses += 1
             continue
 
@@ -197,7 +201,7 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
             _emit_sequence(out, data[anchor:i], mlen, i - cand)
         i += mlen
         anchor = i
-        misses = 1 << skip_trigger
+        misses = first_step
         # Seed the table for intra-match positions (sparse, like lz4
         # fast).  Every table entry is below the probe that found it, so
         # i - 2 is past the candidate.

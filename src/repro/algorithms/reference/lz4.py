@@ -20,6 +20,7 @@ from repro.algorithms.lz4.block import (
     _MAX_OFFSET,
     _MFLIMIT,
     _MIN_MATCH,
+    _SKIP_TRIGGER,
     Lz4Config,
     _emit_sequence,
 )
@@ -68,11 +69,10 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
     match_limit = n - _MFLIMIT  # last position where a match may start
     anchor = 0
     i = 0
-    skip_trigger = 6 + cfg.acceleration  # probe misses before stride grows
 
     while i <= match_limit:
         # --- search for a match at i (with step acceleration) ---
-        misses = 1 << skip_trigger
+        misses = cfg.acceleration << _SKIP_TRIGGER
         cand = -1
         while True:
             if i > match_limit:
@@ -87,7 +87,7 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
                 and data[cand : cand + 4] == data[i : i + 4]
             ):
                 break
-            step = misses >> skip_trigger
+            step = misses >> _SKIP_TRIGGER
             misses += 1
             i += step
             cand = -1

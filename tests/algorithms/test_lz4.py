@@ -15,6 +15,7 @@ from repro.algorithms.lz4 import (
     lz4_decompress,
 )
 from repro.algorithms.lz4.frame import MAGIC
+from repro.datasets import get_dataset
 from repro.errors import ChecksumMismatchError, CorruptStreamError, OutputOverflowError
 
 
@@ -40,6 +41,16 @@ class TestBlock:
         for accel in (1, 4, 16):
             block = lz4_block_compress(text_payload, Lz4Config(acceleration=accel))
             assert lz4_block_decompress(block) == text_payload
+
+    def test_acceleration_trades_ratio_for_speed(self):
+        """As in liblz4, the probe stride starts at ``acceleration``, so
+        a higher acceleration never finds more matches on a 64 KiB block
+        of near-incompressible floats (before, the stride grew later as
+        acceleration rose and the block shrank)."""
+        data = bytes(get_dataset("obs_error").generate(96 * 1024))[:65536]
+        sizes = [len(lz4_block_compress(data, Lz4Config(acceleration=accel)))
+                 for accel in (1, 2, 4, 8)]
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
 
     def test_bad_acceleration(self):
         with pytest.raises(ValueError):
