@@ -13,9 +13,10 @@ renormalization style (bitwise vs byte-wise), different carry handling
 (pending bits vs cache+0xFF run).  A bug in one is vanishingly unlikely
 to be mirrored in the other.
 
-Also here: :func:`decode_stepwise`, the one-call-per-step twin of
-``ac_decompress``'s fused loop, over :class:`RowContextModel`'s
-257-entry cumulative rows; the per-position twins of
+Also here: :func:`decompress_stepwise`, the twin of ``ac_decompress``
+whose symbol loop (:func:`decode_stepwise`) is one call per step over
+:class:`RowContextModel`'s 257-entry cumulative rows; the per-position
+twins of
 ``ContextModel.context_hashes`` (:func:`context_hashes`,
 :func:`context_hash_scalar`); and :class:`DenseContextModel`, the
 model's counts as the dense ``(2**table_bits, 256)`` matrix that
@@ -25,11 +26,14 @@ model's counts as the dense ``(2**table_bits, 256)`` matrix that
 from __future__ import annotations
 
 import bisect
+import zlib
 from typing import Iterable
 
-from repro.algorithms.ac.codec import CodingBatch, model_batches
+from repro.algorithms.ac.codec import HEADER_BYTES, CodingBatch, model_batches, parse_header
 from repro.algorithms.ac.model import ACConfig, ContextModel
+from repro.algorithms.ac.rangecoder import RangeDecoder
 from repro.errors import CorruptStreamError
+from repro.util.framing import cap, verify
 
 import numpy as np
 
@@ -181,12 +185,23 @@ def reference_decompress_payload(
     return decode_stepwise(ReferenceDecoder(payload), length, config or ACConfig())
 
 
+def decompress_stepwise(blob: bytes, max_output: "int | None" = None) -> bytes:
+    """Twin of ``ac_decompress``: the same header, cap and CRC checks
+    around :func:`decode_stepwise` over a ``RangeDecoder``."""
+    config, length, crc = parse_header(blob)
+    cap(length, max_output, "ac")
+    raw = b""
+    if length:
+        raw = decode_stepwise(RangeDecoder(blob[HEADER_BYTES:]), length, config)
+    verify("crc32", crc, zlib.crc32(raw) & 0xFFFF_FFFF)
+    return raw
+
+
 def decode_stepwise(decoder, length: int, config: ACConfig) -> bytes:
     """Decode one ``decode_target`` / ``consume`` step at a time.
 
     With a :class:`ReferenceDecoder` this is the bitwise oracle; with a
-    ``RangeDecoder`` it is the twin ``ac_decompress``'s fused loop is
-    tested and timed against.
+    ``RangeDecoder`` it is the loop of :func:`decompress_stepwise`.
     """
     model = RowContextModel(config)
     out = np.empty(length, dtype=np.uint8)

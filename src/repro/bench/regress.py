@@ -46,15 +46,24 @@ the diff *is* the perf trajectory, reviewed like any other artifact.
 from __future__ import annotations
 
 import json
-import math
 import statistics
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
 from repro import obs
+from repro.algorithms import huffman, lz4
+from repro.algorithms.ac import ac_compress
+from repro.algorithms.deflate import compress as deflate_stages
+from repro.algorithms.deflate import deflate_compress
+from repro.algorithms.gzip_format import gzip_compress
+from repro.algorithms.lz77 import tokenize
+from repro.algorithms.sz3 import SZ3Compressor, SZ3Config, sz3_compress
+from repro.algorithms.zlib_format import zlib_compress
+from repro.algorithms.zstdlite import zstdlite_compress
 from repro.bench.experiments import (
     cluster_fleet,
     edpc_pipeline,
@@ -338,8 +347,6 @@ def _wall_serve_pair() -> "tuple[float, float, float]":
 
 
 def _obs() -> "dict[str, Any]":
-    from repro.algorithms.deflate import deflate_compress
-
     demo = obs_telemetry.run_fleet_demo()
 
     # Telemetry must not change a single simulated number (NaN
@@ -435,22 +442,7 @@ _WALL_LIT_SUITE = ("noise", "ascii")
 #: iteration per hop, so the silesia members gate on a gain, ``runs2``
 #: (few walks, all ``limit``-long matches) on non-inferiority.
 _WALL_PARITY_SUITE = ("silesia/xml", "silesia/samba", "runs2")
-#: Entropy-stage rows: (block bytes, silesia/xml windows per timing).
-_WALL_ENTROPY_BLOCKS = ((256, 16), (1024, 16), (65536, 2))
-_WALL_ENTROPY_REPS = 9    # min-of-N per side, sides interleaved
-#: AC decode rows: (dataset, window bytes) — the ``codec_decompress``
-#: operating point of benchmarks/perf (one full chunk plus half of one),
-#: and four chunks of noise, whose contexts have seen one to three symbols.
-_WALL_AC_DECODE = (("silesia/xml", 6144), ("obs_error", 6144), ("noise", 16384))
-#: SZ3 residual decode row: ``exaalt-dataset1`` floats at the 1e-4 bound,
-#: the ``codec_decompress`` field size (about 17 % escapes).
-_WALL_SZ3_FLOATS = 32768
-#: xxh32 rows: input bytes — an LZ4 block's content, a small frame's,
-#: and a frame descriptor's (no stripe: only call overhead can differ).
-_WALL_XXH32_BYTES = (65536, 128, 12)
-#: LZ4 block rows: (block bytes, silesia/xml windows per timing) — the
-#: size of ``codec_compress``'s small frames and of a 64 KiB frame block.
-_WALL_LZ4_BLOCKS = ((1024, 16), (65536, 3))
+_WALL_PAIRS = 9           # interleaved slow/fast pairs; each side's min is kept
 
 #: Floors only, deliberately generous (roughly half of what a loaded CI
 #: host measures; recorded trajectory values run 1.5-2x above every
@@ -470,38 +462,39 @@ WALL_BANDS: Bands = {
     "wall_vec_speedup_runs2": (0.45, None),
     # The headline suite must be measuring what it claims to measure.
     "wall_top_kernel_is_lz77": (1.0, 1.0),
-    # Entropy stage vs its retained reference twins, timed interleaved
-    # in one process (so the ratio, unlike the microseconds beside it,
-    # carries over between hosts).  Code-length build: two-queue (count-
-    # only package-merge where a limit binds) vs tuple-carrying
-    # package-merge on the histograms real small blocks produce; inflate:
-    # word-at-a-time vs per-symbol peek/skip over a byte-at-a-time
-    # reader.  The small-block floors were raised once ten collections
-    # cleared them by >= 1.5x (lowest of ten: build 6.4x at 256 B, 7.2x
-    # at 1 KiB; inflate 3.0x at 256 B); inflate at 1 KiB and 64 KiB
-    # (lowest 2.7x / 2.35x, ~2.5x at 64 KiB recorded before) keep theirs.
+    # The rows of WALL_CASES: one kernel against its twin, timed
+    # interleaved in one process (so the ratio, unlike the microseconds
+    # beside it, carries over between hosts).  Code-length build: two-
+    # queue (count-only package-merge where a limit binds) vs tuple-
+    # carrying package-merge on the histograms real small blocks
+    # produce; inflate: word-at-a-time vs per-symbol peek/skip over a
+    # byte-at-a-time reader.  The small-block floors were raised once
+    # ten collections cleared them by >= 1.5x (lowest of ten: build 6.4x
+    # at 256 B, 7.2x at 1 KiB; inflate 3.0x at 256 B); inflate at 1 KiB
+    # and 64 KiB (lowest 2.7x / 2.35x, ~2.5x at 64 KiB recorded before)
+    # keep theirs.
     "wall_build_speedup_256": (4.0, None),
     "wall_build_speedup_1024": (4.0, None),
     "wall_inflate_speedup_256": (1.8, None),
     "wall_inflate_speedup_1024": (1.2, None),
     "wall_inflate_speedup_65536": (1.8, None),
-    # Match loop at 256 B, tokens asserted equal first: the small-input
-    # tokenizer vs the scalar zlib-shaped matcher (ten collections 2.9-3.8x;
-    # the bulk kernel alone reads ~2x) and vs that bulk kernel (1.4-1.7x).
+    # Match loop at 256 B: the small-input tokenizer vs the scalar
+    # zlib-shaped matcher (ten collections 2.9-3.8x; the bulk kernel
+    # alone reads ~2x) and vs that bulk kernel (1.4-1.7x).
     "wall_match_speedup_256": (2.0, None),
     "wall_match_vs_bulk_speedup_256": (1.2, None),
-    # Decode kernels vs their retained step-wise / scalar twins, same
-    # interleaved timing.  AC: the fused loop vs RangeDecoder + the
-    # reference model's dense-row lookup (reference.ac.RowContextModel).
-    # The fused loop bisects each context's sparse keys where the twin
-    # builds a dense row, so the ratio grew where new contexts dominate:
-    # ten collections read 7.2-10.1x on xml, 5.4-8.7x on obs_error (1.98x
-    # before) and 5.3-7.0x on four chunks of noise (floor ~0.75x the
-    # lowest).  SZ3 residuals: one loop vs a symbol run that stops at
-    # each escape, on 32 Ki exaalt floats (ten read 2.10-2.40x).
-    # xxh32: packed lanes vs the scalar stripe loop (recorded ~4.2x at
-    # 64 KiB, ~1.85x at 128 B); at 12 B both take the scalar loop and
-    # the floor only bounds the dispatch overhead (<= 1.15x slower).
+    # Decode kernels vs their step-wise / scalar twins.  AC: the fused
+    # loop vs RangeDecoder + the reference model's dense-row lookup
+    # (reference.ac.RowContextModel).  The fused loop bisects each
+    # context's sparse keys where the twin builds a dense row, so the
+    # ratio grew where new contexts dominate: ten collections read
+    # 7.2-10.1x on xml, 5.4-8.7x on obs_error (1.98x before) and 5.3-7.0x
+    # on four chunks of noise (floor ~0.75x the lowest).  SZ3 residuals:
+    # one loop vs a symbol run that stops at each escape, on 32 Ki
+    # exaalt floats (ten read 2.10-2.40x).  xxh32: packed lanes vs the
+    # scalar stripe loop (recorded ~4.2x at 64 KiB, ~1.85x at 128 B); at
+    # 12 B both take the scalar loop and the floor only bounds the
+    # dispatch overhead (<= 1.15x slower).
     "wall_ac_decode_speedup_silesia_xml": (2.5, None),
     "wall_ac_decode_speedup_obs_error": (1.8, None),
     "wall_ac_decode_speedup_noise": (4.0, None),
@@ -510,11 +503,10 @@ WALL_BANDS: Bands = {
     "wall_xxh32_speedup_128": (1.3, None),
     "wall_xxh32_speedup_12": (1 / 1.15, None),
     # LZ4 block codec vs its per-byte twins (reference.lz4) on xml
-    # windows, blocks and outputs asserted equal first: word-XOR probe
-    # and extension with one typed table; a per-sequence decoder.  Ten
-    # collections read compress 1.37-1.74x at 1 KiB and 1.64-2.52x at
-    # 64 KiB, decompress 1.35-1.53x and 1.48-2.02x; each floor is about
-    # 0.8x the lowest.
+    # windows: word-XOR probe and extension with one typed table; a
+    # per-sequence decoder.  Ten collections read compress 1.37-1.74x at
+    # 1 KiB and 1.64-2.52x at 64 KiB, decompress 1.35-1.53x and
+    # 1.48-2.02x; each floor is about 0.8x the lowest.
     "wall_lz4_compress_speedup_1024": (1.1, None),
     "wall_lz4_compress_speedup_65536": (1.3, None),
     "wall_lz4_decompress_speedup_1024": (1.1, None),
@@ -554,28 +546,13 @@ def _wall_payload(name: str, nbytes: int) -> bytes:
 
 
 def _wall_deflate_seconds(data: bytes, scope) -> float:
-    from repro.algorithms.deflate import deflate_compress
-
-    best = float("inf")
     with scope():
         deflate_compress(data[:4096])  # warm numpy/codepaths
-        for _ in range(_WALL_REPS):
-            started = time.perf_counter()
-            deflate_compress(data)
-            best = min(best, time.perf_counter() - started)
-    return best
+        return _best_seconds(lambda: deflate_compress(data))
 
 
 def _wall_codec_mbps() -> "dict[str, float]":
     """Compress throughput (MB/s) per codec."""
-    from repro.algorithms.ac import ac_compress
-    from repro.algorithms.deflate import deflate_compress
-    from repro.algorithms.gzip_format import gzip_compress
-    from repro.algorithms.lz4 import lz4_block_compress, lz4_compress
-    from repro.algorithms.sz3 import SZ3Config, sz3_compress
-    from repro.algorithms.zlib_format import zlib_compress
-    from repro.algorithms.zstdlite import zstdlite_compress
-
     payload = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
     t = np.linspace(0.0, 40.0, _WALL_CODEC_BYTES // 8)
     field = (np.sin(t) + 0.25 * np.sin(6.3 * t)).astype(np.float32)
@@ -583,8 +560,8 @@ def _wall_codec_mbps() -> "dict[str, float]":
         "deflate": (deflate_compress, payload),
         "zlib": (zlib_compress, payload),
         "gzip": (gzip_compress, payload),
-        "lz4b": (lz4_block_compress, payload),
-        "lz4f": (lz4_compress, payload),
+        "lz4b": (lz4.lz4_block_compress, payload),
+        "lz4f": (lz4.lz4_compress, payload),
         "zstdlite": (zstdlite_compress, payload),
         "ac": (ac_compress, payload),
         "sz3": (lambda d: sz3_compress(d, SZ3Config(error_bound=1e-3)), field),
@@ -593,12 +570,7 @@ def _wall_codec_mbps() -> "dict[str, float]":
     for name, (fn, data) in codecs.items():
         nbytes = data.nbytes if isinstance(data, np.ndarray) else len(data)
         fn(data)  # warm
-        best = float("inf")
-        for _ in range(_WALL_REPS):
-            started = time.perf_counter()
-            fn(data)
-            best = min(best, time.perf_counter() - started)
-        out[name] = nbytes / best / 1e6
+        out[name] = nbytes / _best_seconds(lambda: fn(data)) / 1e6
     return out
 
 
@@ -608,216 +580,137 @@ def _timed(fn) -> float:
     return time.perf_counter() - started
 
 
+def _best_seconds(fn) -> float:
+    return min(_timed(fn) for _ in range(_WALL_REPS))
+
+
 def _interleaved_best(slow, fast) -> "tuple[float, float]":
     """Min-of-N seconds of two callables, run alternately so a slow
     minute lands on both."""
-    pairs = [(_timed(slow), _timed(fast)) for _ in range(_WALL_ENTROPY_REPS)]
+    pairs = [(_timed(slow), _timed(fast)) for _ in range(_WALL_PAIRS)]
     return min(s for s, _ in pairs), min(f for _, f in pairs)
 
 
-def _wall_entropy_rows() -> "list[dict[str, Any]]":
-    """Small-block DEFLATE stages vs their reference twins.
+# -- wall: twin rows ----------------------------------------------------
 
-    Per block size: the three code-length builds a dynamic block needs
-    (literal/length, distance, code-length alphabets), a whole inflate
-    and, where ``_tokenize_small`` runs, the match loop (also against the
-    bulk kernel), each timed against its reference twin; compress
-    microseconds per block ride along.  Outputs are asserted identical first.
-    """
-    from repro.algorithms import huffman, lz77
-    from repro.algorithms.deflate import compress as dc
-    from repro.algorithms.deflate import deflate_compress, deflate_decompress
-    from repro.algorithms.lz77 import MatcherConfig, tokenize
+
+@dataclass(frozen=True)
+class WallCase:
+    """One twin-row headline: REGISTRY row ``row``'s production kernel
+    timed against its twin, or against the production kernel of row
+    ``against``, one call per argument tuple that ``args`` builds."""
+
+    row: str
+    args: "Callable[[], list[tuple]]"
+    against: "str | None" = None
+
+
+def _wall_key(dataset: str) -> str:
+    return dataset.replace("/", "_").replace("-", "_")
+
+
+def _xml_calls(size: int, count: int, make=lambda window: (window,)) -> "list[tuple]":
+    """One argument tuple, ``make(window)``, per window: ``count`` evenly
+    spaced ``size``-byte windows of 256 KiB of xml."""
+    corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
+    stride = (len(corpus) - size) // count
+    return [make(corpus[i * stride:i * stride + size]) for i in range(count)]
+
+
+def _block_trees(window: bytes) -> "list[tuple]":
+    """The three code-length builds a dynamic DEFLATE block of
+    ``window`` needs: literal/length, distance and code-length."""
+    syms = deflate_stages._map_symbols(*tokenize(window, None).arrays())
+    litlen = np.bincount(syms["litlen_sym"], minlength=286)
+    litlen[256] += 1
+    dist = np.bincount(syms["dist_sym"], minlength=30)
+    trees = [huffman.code_lengths(litlen, 15), huffman.code_lengths(dist, 15)]
+    cl_syms, _ = deflate_stages._rle_code_lengths(np.concatenate(trees).tolist())
+    return [(litlen, 15), (dist, 15), (np.bincount(cl_syms, minlength=19), 7)]
+
+
+def _ac_blob(dataset: str, nbytes: int) -> "list[tuple]":
+    """One default-config AC stream of ``nbytes`` of ``dataset``: the
+    ``codec_decompress`` operating point is one full chunk plus half of
+    one; four chunks of noise reach contexts that saw one to three
+    symbols."""
+    return [(ac_compress(_wall_payload(dataset, _WALL_CODEC_BYTES)[:nbytes]),)]
+
+
+def _sz3_payload() -> "list[tuple]":
+    """The SZ3 entropy payload of 32 Ki ``exaalt-dataset1`` floats at the
+    1e-4 bound, the ``codec_decompress`` field size (~17 % escapes)."""
+    floats = get_dataset("exaalt-dataset1").generate(4 * 32768)
+    return [(SZ3Compressor(SZ3Config(error_bound=1e-4)).entropy_stage(floats)[1],)]
+
+
+def _xxh32_inputs(nbytes: int) -> "list[tuple]":
+    """An LZ4 block's content (64 KiB), a small frame's (128 B) or a
+    frame descriptor (12 B, no stripe: only call overhead can differ),
+    repeated so that one timing takes milliseconds."""
+    data = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)[:nbytes]
+    return [(data,)] * max(1, 65536 // (nbytes + 64))
+
+
+WALL_CASES: "dict[str, WallCase]" = {
+    **{f"wall_build_speedup_{size}": WallCase("code_lengths", lambda size=size: [
+        build for (window,) in _xml_calls(size, 16) for build in _block_trees(window)])
+       for size in (256, 1024)},
+    **{f"wall_inflate_speedup_{size}": WallCase(
+        "inflate", partial(_xml_calls, size, count, lambda w: (deflate_compress(w),)))
+       for size, count in ((256, 16), (1024, 16), (65536, 2))},
+    "wall_match_speedup_256": WallCase(
+        "tokenize_small", partial(_xml_calls, 256, 16, lambda w: (w, None))),
+    "wall_match_vs_bulk_speedup_256": WallCase(
+        "tokenize_small", partial(_xml_calls, 256, 16, lambda w: (w, None)),
+        against="tokenize"),
+    **{f"wall_ac_decode_speedup_{_wall_key(dataset)}": WallCase(
+        "ac_decode", partial(_ac_blob, dataset, nbytes))
+       for dataset, nbytes in (("silesia/xml", 6144), ("obs_error", 6144),
+                               ("noise", 16384))},
+    "wall_sz3_residual_speedup_exaalt": WallCase("decode_residuals", _sz3_payload),
+    **{f"wall_xxh32_speedup_{nbytes}": WallCase("xxh32", partial(_xxh32_inputs, nbytes))
+       for nbytes in (65536, 128, 12)},
+    **{f"wall_lz4_compress_speedup_{size}": WallCase(
+        "lz4_block_compress", partial(_xml_calls, size, count))
+       for size, count in ((1024, 16), (65536, 3))},
+    **{f"wall_lz4_decompress_speedup_{size}": WallCase(
+        "lz4_block_decompress",
+        partial(_xml_calls, size, count, lambda w: (lz4.lz4_block_compress(w),)))
+       for size, count in ((1024, 16), (65536, 3))},
+}
+
+
+def _same(a: Any, b: Any) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def _wall_twin_rows() -> "list[dict[str, Any]]":
+    """Every :data:`WALL_CASES` row: both sides' outputs asserted equal
+    on every argument tuple, then the two timed interleaved."""
     from repro.algorithms.reference import REGISTRY
 
-    code_lengths_twin = REGISTRY["code_lengths"].twin
-    inflate_twin = REGISTRY["inflate"].twin
-    tokenize_twin = REGISTRY["tokenize_small"].twin
-    corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
     rows = []
-    for size, count in _WALL_ENTROPY_BLOCKS:
-        stride = (len(corpus) - size) // count
-        blocks = [corpus[i * stride:i * stride + size] for i in range(count)]
-        blobs = [deflate_compress(block) for block in blocks]
-
-        histograms = []
-        for block in blocks:
-            syms = dc._map_symbols(*tokenize(block, MatcherConfig()).arrays())
-            litlen = np.bincount(syms["litlen_sym"], minlength=286)
-            litlen[256] += 1
-            dist = np.bincount(syms["dist_sym"], minlength=30)
-            trees = [huffman.code_lengths(litlen, 15), huffman.code_lengths(dist, 15)]
-            cl_syms, _ = dc._rle_code_lengths(np.concatenate(trees).tolist())
-            histograms += [(litlen, 15), (dist, 15),
-                           (np.bincount(cl_syms, minlength=19), 7)]
-        for freqs, limit in histograms:
-            if not np.array_equal(huffman.code_lengths(freqs, limit),
-                                  code_lengths_twin(freqs, limit)):
-                raise AssertionError("code_lengths diverges from its reference")
-        for block, blob in zip(blocks, blobs):
-            if not deflate_decompress(blob) == inflate_twin(blob) == block:
-                raise AssertionError("inflate diverges from its reference")
-
-        build_ref_s, build_s = _interleaved_best(
-            lambda: [code_lengths_twin(f, b) for f, b in histograms],
-            lambda: [huffman.code_lengths(f, b) for f, b in histograms],
-        )
-        inflate_ref_s, inflate_s = _interleaved_best(
-            lambda: [inflate_twin(blob) for blob in blobs],
-            lambda: [deflate_decompress(blob) for blob in blobs],
-        )
-        compress_s = min(
-            _timed(lambda: [deflate_compress(block) for block in blocks])
-            for _ in range(_WALL_ENTROPY_REPS)
-        )
+    for headline, case in WALL_CASES.items():
+        fast = REGISTRY[case.row].production
+        slow = REGISTRY[case.against].production if case.against \
+            else REGISTRY[case.row].twin
+        args = case.args()
+        for call in args:
+            if not _same(fast(*call), slow(*call)):
+                raise AssertionError(f"{headline}: {case.row} diverges")
+        slow_s, fast_s = _interleaved_best(
+            lambda: [slow(*call) for call in args],
+            lambda: [fast(*call) for call in args])
         rows.append({
-            "block_bytes": size,
-            "blocks": count,
-            "build_reference_us": build_ref_s / count * 1e6,
-            "build_us": build_s / count * 1e6,
-            "build_speedup": build_ref_s / build_s,
-            "inflate_reference_us": inflate_ref_s / count * 1e6,
-            "inflate_us": inflate_s / count * 1e6,
-            "inflate_speedup": inflate_ref_s / inflate_s,
-            "inflate_mb_s": size * count / inflate_s / 1e6,
-            "compress_us": compress_s / count * 1e6,
+            "headline": headline, "row": case.row, "against": case.against,
+            "calls": len(args),
+            "slow_us": slow_s / len(args) * 1e6,
+            "fast_us": fast_s / len(args) * 1e6,
+            "speedup": slow_s / fast_s,
         })
-        if size <= lz77._SMALL_INPUT_BYTES:
-            small = lambda: [lz77._tokenize_small(block, None) for block in blocks]
-            twin = lambda: [tokenize_twin(block) for block in blocks]
-            bulk = lambda: [lz77._tokenize_vec(block, None) for block in blocks]
-            small_t, twin_t, bulk_t = ([(t.lengths, t.values) for t in run()]
-                                       for run in (small, twin, bulk))
-            if not small_t == twin_t == bulk_t:
-                raise AssertionError("an LZ77 kernel diverges from its reference")
-            match_ref_s, match_s = _interleaved_best(twin, small)
-            bulk_s, vs_bulk_s = _interleaved_best(bulk, small)
-            rows[-1].update(match_reference_us=match_ref_s / count * 1e6,
-                            match_us=match_s / count * 1e6,
-                            match_speedup=match_ref_s / match_s,
-                            match_bulk_us=bulk_s / count * 1e6,
-                            match_vs_bulk_speedup=bulk_s / vs_bulk_s)
-    return rows
-
-
-def _wall_decode_rows() -> "list[dict[str, Any]]":
-    """AC decode, SZ3 residual decode and xxh32 against their retained
-    twins.
-
-    ``ac_decompress``'s fused loop is timed against its twin
-    ``decode_stepwise`` over a ``RangeDecoder`` (the same decode, one
-    ``decode_target`` / ``consume`` call and one lookup in the reference
-    ``RowContextModel``'s dense rows at a time); SZ3's one-loop
-    ``decode_residuals`` against the symbol run that stops at each escape; ``xxh32`` against ``xxh32_scalar``.
-    Outputs are asserted identical before anything is timed.
-    """
-    from repro.algorithms.ac import (HEADER_BYTES, RangeDecoder, ac_compress,
-                                     ac_decompress, parse_header)
-    from repro.algorithms.reference import REGISTRY
-    from repro.algorithms.sz3 import SZ3Compressor, SZ3Config
-    from repro.algorithms.sz3.encoder import decode_residuals
-    from repro.util.xxhash32 import xxh32
-
-    decode_stepwise = REGISTRY["ac_decode"].twin
-    residuals_twin = REGISTRY["decode_residuals"].twin
-    xxh32_scalar = REGISTRY["xxh32"].twin
-    rows = []
-    for dataset, nbytes in _WALL_AC_DECODE:
-        data = _wall_payload(dataset, _WALL_CODEC_BYTES)[:nbytes]
-        blob = ac_compress(data)
-        config, length, _crc = parse_header(blob)
-
-        def stepwise():
-            return decode_stepwise(
-                RangeDecoder(blob[HEADER_BYTES:]), length, config)
-
-        if not ac_decompress(blob) == stepwise() == data:
-            raise AssertionError("ac_decompress diverges from its twin")
-        reference_s, fused_s = _interleaved_best(
-            stepwise, lambda: ac_decompress(blob))
-        rows.append({
-            "headline": f"wall_ac_decode_speedup_{_wall_key(dataset)}",
-            "kernel": "ac_decode", "dataset": dataset, "input_bytes": nbytes,
-            "reference_us": reference_s * 1e6, "us": fused_s * 1e6,
-            "speedup": reference_s / fused_s,
-            "mb_s": nbytes / fused_s / 1e6,
-        })
-    payload = SZ3Compressor(SZ3Config(error_bound=1e-4)).entropy_stage(
-        get_dataset("exaalt-dataset1").generate(4 * _WALL_SZ3_FLOATS))[1]
-    if not np.array_equal(decode_residuals(payload), residuals_twin(payload)):
-        raise AssertionError("decode_residuals diverges from its twin")
-    reference_s, fused_s = _interleaved_best(
-        lambda: residuals_twin(payload), lambda: decode_residuals(payload))
-    rows.append({
-        "headline": "wall_sz3_residual_speedup_exaalt",
-        "kernel": "decode_residuals", "dataset": "exaalt-dataset1",
-        "input_bytes": len(payload), "values": _WALL_SZ3_FLOATS,
-        "reference_us": reference_s * 1e6, "us": fused_s * 1e6,
-        "speedup": reference_s / fused_s,
-        "mb_s": len(payload) / fused_s / 1e6,
-    })
-    corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
-    for nbytes in _WALL_XXH32_BYTES:
-        data = corpus[:nbytes]
-        calls = max(1, 65536 // (nbytes + 64))  # milliseconds per timing, not µs
-        if xxh32(data) != xxh32_scalar(data):
-            raise AssertionError("xxh32 diverges from its scalar loop")
-        reference_s, packed_s = _interleaved_best(
-            lambda: [xxh32_scalar(data) for _ in range(calls)],
-            lambda: [xxh32(data) for _ in range(calls)],
-        )
-        rows.append({
-            "headline": f"wall_xxh32_speedup_{nbytes}",
-            "kernel": "xxh32", "dataset": "silesia/xml", "input_bytes": nbytes,
-            "reference_us": reference_s / calls * 1e6,
-            "us": packed_s / calls * 1e6,
-            "speedup": reference_s / packed_s,
-            "mb_s": nbytes * calls / packed_s / 1e6,
-        })
-    return rows
-
-
-def _wall_lz4_rows() -> "list[dict[str, Any]]":
-    """The LZ4 block codec against its per-byte twins, both directions.
-
-    Per block size, ``silesia/xml`` windows are compressed by both
-    compressors and decoded by both decoders, and every block and every
-    output is asserted identical before anything is timed.
-    """
-    from repro.algorithms.lz4 import lz4_block_compress, lz4_block_decompress
-    from repro.algorithms.reference import REGISTRY
-
-    compress_twin = REGISTRY["lz4_block_compress"].twin
-    decompress_twin = REGISTRY["lz4_block_decompress"].twin
-    corpus = _wall_payload("silesia/xml", _WALL_CODEC_BYTES)
-    rows = []
-    for size, count in _WALL_LZ4_BLOCKS:
-        stride = (len(corpus) - size) // count
-        windows = [corpus[i * stride:i * stride + size] for i in range(count)]
-        blocks = [lz4_block_compress(w) for w in windows]
-        if blocks != [compress_twin(w) for w in windows]:
-            raise AssertionError("lz4_block_compress diverges from its twin")
-        if not ([lz4_block_decompress(b) for b in blocks]
-                == [decompress_twin(b) for b in blocks] == windows):
-            raise AssertionError("lz4_block_decompress diverges from its twin")
-        timings = {
-            "compress": _interleaved_best(
-                lambda: [compress_twin(w) for w in windows],
-                lambda: [lz4_block_compress(w) for w in windows]),
-            "decompress": _interleaved_best(
-                lambda: [decompress_twin(b) for b in blocks],
-                lambda: [lz4_block_decompress(b) for b in blocks]),
-        }
-        for direction, (reference_s, fast_s) in timings.items():
-            rows.append({
-                "headline": f"wall_lz4_{direction}_speedup_{size}",
-                "kernel": f"lz4_block_{direction}", "dataset": "silesia/xml",
-                "input_bytes": size, "blocks": count,
-                "reference_us": reference_s / count * 1e6,
-                "us": fast_s / count * 1e6,
-                "speedup": reference_s / fast_s,
-                "mb_s": size * count / fast_s / 1e6,
-            })
     return rows
 
 
@@ -832,19 +725,12 @@ def _wall() -> "dict[str, Any]":
       headline aggregate; the deep-chain ``silesia/*`` members gate
       on the bucket-slice walk's gain over the scalar per-hop loop,
       ``runs2`` on a non-inferiority floor.
-    * the DEFLATE entropy stage on 256 B / 1 KiB / 64 KiB blocks, as
-      ratios against their retained reference twins
-      (:func:`_wall_entropy_rows`).
-    * AC decode, SZ3 residual decode and xxh32 as ratios against their
-      step-wise / scalar twins (:func:`_wall_decode_rows`).
-    * the LZ4 block codec, both directions, against its per-byte twins
-      (:func:`_wall_lz4_rows`).
-
-    Per-codec compress throughput rides along as ``wall_mbps_*``.
+    * one kernel against its twin per :data:`WALL_CASES` row
+      (:func:`_wall_twin_rows`).
+    * per-codec compress throughput, as ``wall_mbps_*``.
     """
     from contextlib import nullcontext
 
-    from repro.algorithms.deflate import deflate_compress
     from repro.algorithms.reference import twins
 
     rows = []
@@ -867,11 +753,6 @@ def _wall() -> "dict[str, Any]":
             "vectorized_mb_s": len(data) / vec_s / 1e6,
         })
 
-    lit_geomean = math.exp(
-        sum(math.log(speedups[n]) for n in _WALL_LIT_SUITE)
-        / len(_WALL_LIT_SUITE)
-    )
-
     # The headline suite must actually be match_loop-dominated: profile
     # the twin pipeline on the first literal-suite member.
     profiler = obs.CodecProfiler()
@@ -884,23 +765,16 @@ def _wall() -> "dict[str, Any]":
     top = profiler.top_kernel(("deflate.compress",))
 
     headlines: "dict[str, float]" = {
-        "wall_vec_speedup_lit_geomean": lit_geomean,
+        "wall_vec_speedup_lit_geomean": statistics.geometric_mean(
+            speedups[name] for name in _WALL_LIT_SUITE),
         "wall_top_kernel_is_lz77": 1.0 if top == "lz77.match_loop" else 0.0,
     }
     for name, value in speedups.items():
         headlines[f"wall_vec_speedup_{_wall_key(name)}"] = value
     for codec, mbps in _wall_codec_mbps().items():
         headlines[f"wall_mbps_{codec}"] = mbps
-    entropy_rows = _wall_entropy_rows()
-    for row in entropy_rows:
-        size = row["block_bytes"]
-        headlines[f"wall_inflate_speedup_{size}"] = row["inflate_speedup"]
-        for stage in ("build", "match", "match_vs_bulk"):
-            if f"wall_{stage}_speedup_{size}" in WALL_BANDS:
-                headlines[f"wall_{stage}_speedup_{size}"] = row[f"{stage}_speedup"]
-    decode_rows = _wall_decode_rows()
-    lz4_rows = _wall_lz4_rows()
-    for row in decode_rows + lz4_rows:
+    twin_rows = _wall_twin_rows()
+    for row in twin_rows:
         headlines[row["headline"]] = row["speedup"]
 
     return {
@@ -914,16 +788,10 @@ def _wall() -> "dict[str, Any]":
         "wall": {
             "headlines": headlines,
             "rows": rows,
-            "entropy_rows": entropy_rows,
-            "decode_rows": decode_rows,
-            "lz4_rows": lz4_rows,
+            "twin_rows": twin_rows,
             "top_kernel": top,
         },
     }
-
-
-def _wall_key(dataset: str) -> str:
-    return dataset.replace("/", "_").replace("-", "_")
 
 
 # -- cluster (BENCH_PR9) -----------------------------------------------

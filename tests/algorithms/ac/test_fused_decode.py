@@ -1,50 +1,29 @@
-"""``ac_decompress``'s fused loop against its step-wise twin.
+"""Named inputs of the ``ac_decode`` row of :mod:`tests.algorithms.test_twins`.
 
-The twin is ``reference.decode_stepwise`` driving a
+``ac_decompress``'s fused loop against its twin
+``reference.ac.decompress_stepwise``, which drives a
 :class:`RangeDecoder` through ``decode_target`` / ``consume`` and
 ``reference.ac.RowContextModel`` through ``cum_row`` /
-``symbol_from_target`` — the objects whose
-arithmetic the fused loop writes out in locals.  The two must produce
-the same symbols on well-formed streams and the same error type on
-malformed ones.
+``symbol_from_target`` — the objects whose arithmetic the fused loop
+writes out in locals.  Through :func:`~tests.algorithms.test_twins.agree`
+the two must produce the same bytes on well-formed streams and the same
+error type on malformed ones.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from repro.algorithms.ac import (
-    ACConfig,
-    HEADER_BYTES,
-    RangeDecoder,
-    ac_compress,
-    ac_decompress,
-    parse_header,
-)
-from repro.algorithms.reference.ac import decode_stepwise
-from repro.datasets import get_dataset
-from repro.errors import ChecksumMismatchError, CorruptStreamError, ReproError
+from repro.algorithms.ac import ACConfig, ac_compress, ac_decompress
+from repro.errors import CorruptStreamError
+from tests.algorithms.test_twins import ac_damaged, ac_payload, agree
 
 CHUNK = 256
-
-
-def _stepwise(blob: bytes) -> bytes:
-    config, length, _crc = parse_header(blob)
-    return decode_stepwise(RangeDecoder(blob[HEADER_BYTES:]), length, config)
-
-
-def _payload(name: str, nbytes: int) -> bytes:
-    if name == "zeros":
-        return bytes(nbytes)
-    if name == "random":
-        return np.random.default_rng(0xAC).bytes(nbytes)
-    return bytes(get_dataset(name).generate(nbytes))
 
 
 @pytest.mark.parametrize("dataset", ["silesia/xml", "zeros", "random", "obs_error"])
@@ -54,10 +33,9 @@ def test_fused_equals_stepwise(order, table_bits, dataset):
     """Lengths on, just before and just after a chunk boundary, and a
     ragged tail, so every ``stop < length`` decision is taken both ways."""
     config = ACConfig(order=order, chunk_bytes=CHUNK, table_bits=table_bits)
-    data = _payload(dataset, 3 * CHUNK + 37)
+    data = ac_payload(dataset, 3 * CHUNK + 37)
     for length in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, len(data)):
-        blob = ac_compress(data[:length], config)
-        assert ac_decompress(blob) == _stepwise(blob) == data[:length]
+        assert agree("ac_decode", ac_compress(data[:length], config)) == data[:length]
 
 
 @pytest.mark.parametrize("order", [0, 1, 3])
@@ -67,8 +45,7 @@ def test_fused_equals_stepwise_through_halvings(order):
     the default 2**15 is decodable)."""
     config = ACConfig(order=order, chunk_bytes=4096, table_bits=10)
     data = bytes(80_000) + b"tail after the run" * 8
-    blob = ac_compress(data, config)
-    assert ac_decompress(blob) == _stepwise(blob) == data
+    assert agree("ac_decode", ac_compress(data, config)) == data
 
 
 @pytest.mark.parametrize("config", [ACConfig(), ACConfig(order=1, chunk_bytes=CHUNK,
@@ -80,8 +57,7 @@ def test_top_symbol_slack_in_a_seen_context(config):
     rng = np.random.default_rng(255)
     for data in (b"\xff" * 12_000,
                  rng.integers(250, 256, 12_000, dtype=np.uint8).tobytes()):
-        blob = ac_compress(data, config)
-        assert ac_decompress(blob) == _stepwise(blob) == data
+        assert agree("ac_decode", ac_compress(data, config)) == data
 
 
 def test_context_halved_again_in_a_chunk_that_skips_it():
@@ -97,53 +73,27 @@ def test_context_halved_again_in_a_chunk_that_skips_it():
     assert len(blob) == 134280
     assert hashlib.sha256(blob).hexdigest() == (
         "1b31c99c600e5e425588a91a4a268637b342b871b5fd49043d0c0bc7f74bc2f7")
-    assert ac_decompress(blob) == _stepwise(blob) == data
+    assert agree("ac_decode", blob) == data
 
 
 def test_first_chunk_never_builds_a_row():
     """Nothing is folded in before the first boundary, so a one-chunk
     stream decodes through the uniform shortcut alone — the same bytes
     whatever table the header names."""
-    data = _payload("silesia/xml", CHUNK)
+    data = ac_payload("silesia/xml", CHUNK)
     blob = bytearray(ac_compress(data, ACConfig(chunk_bytes=CHUNK, table_bits=8)))
     for table_bits in (8, 14, 20):
         blob[6] = table_bits
         assert ac_decompress(bytes(blob)) == data
 
 
-def _fused_symbols(blob: bytes) -> bytes:
-    """``ac_decompress`` with the CRC taken out of the comparison: on a
-    mismatch the stored CRC is rewritten to the computed one and the
-    decode repeated, which returns the symbols the loop produced."""
-    try:
-        return ac_decompress(blob)
-    except ChecksumMismatchError as exc:
-        patched = bytearray(blob)
-        struct.pack_into("<I", patched, 12, exc.actual)
-        return ac_decompress(bytes(patched))
-
-
-def _outcome(decode, blob):
-    try:
-        return decode(blob)
-    except ReproError as exc:
-        return type(exc)
-
-
 def test_malformed_payloads_fail_alike():
-    """Cuts and byte flips inside the coded payload: the fused loop and
-    the twin return the same symbols or raise the same error type
-    (exhausted payload and a broken ``code < range`` invariant are both
-    CorruptStreamError in both)."""
+    """Cuts and byte flips inside the coded payload: the same bytes or
+    the same error type (an exhausted payload and a broken ``code <
+    range`` invariant are both CorruptStreamError in both)."""
     config = ACConfig(order=2, chunk_bytes=CHUNK, table_bits=10)
-    blob = ac_compress(_payload("silesia/xml", 3 * CHUNK), config)
-    candidates = [blob[:cut] for cut in range(HEADER_BYTES, len(blob), 7)]
-    for index in range(HEADER_BYTES, len(blob), 5):
-        flipped = bytearray(blob)
-        flipped[index] ^= 0x5A
-        candidates.append(bytes(flipped))
-    outcomes = [_outcome(_fused_symbols, c) for c in candidates]
-    assert outcomes == [_outcome(_stepwise, c) for c in candidates]
+    outcomes = [agree("ac_decode", *args)
+                for args in ac_damaged(config, ac_payload("silesia/xml", 3 * CHUNK), 5)]
     assert CorruptStreamError in outcomes
     assert any(isinstance(o, bytes) for o in outcomes)
 

@@ -223,53 +223,20 @@ def test_property_encode_decode_roundtrip(data):
 
 # -- production kernels vs the retained reference twins ----------------------
 #
-# ``repro.algorithms.reference`` keeps the pre-hoist implementations;
-# the fast ones must reproduce them exactly — the same arrays, not merely
+# Named inputs of the ``code_lengths``, ``lsb_codes`` and
+# ``decoder_table`` rows of tests/algorithms/test_twins.py: the fast
+# kernels must reproduce the twins exactly — the same arrays, not merely
 # the same cost — because every compressed stream is pinned byte for byte.
 
-from repro.algorithms.reference import huffman as reference  # noqa: E402
-
-
-def _fibonacci(count: int) -> "list[int]":
-    out = [1, 1]
-    while len(out) < count:
-        out.append(out[-1] + out[-2])
-    return out[:count]
-
-
-@st.composite
-def histograms(draw):
-    """(freqs, max_bits): 1..286 used symbols scattered over an alphabet,
-    from weight families chosen to hit ties and to make the limit bind."""
-    max_bits = draw(st.sampled_from([7, 15]))
-    n_used = draw(st.integers(1, min(286, 1 << max_bits)))
-    family = draw(st.sampled_from(
-        ["random", "few_values", "fibonacci", "equal", "powers_of_two"]
-    ))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if family == "random":
-        weights = rng.integers(1, 5000, n_used)
-    elif family == "few_values":        # ties everywhere
-        weights = rng.integers(1, 4, n_used)
-    elif family == "fibonacci":         # deepest possible unbounded tree
-        weights = np.array(_fibonacci(80) * 4)[:n_used]
-    elif family == "equal":
-        weights = np.full(n_used, int(rng.integers(1, 100)))
-    else:
-        weights = 1 << rng.integers(0, 30, n_used)
-    weights = rng.permutation(weights)
-    freqs = np.zeros(draw(st.integers(n_used, 286)), dtype=np.int64)
-    freqs[rng.choice(freqs.size, n_used, replace=False)] = weights
-    return freqs, max_bits
+from tests.algorithms.test_twins import _fibonacci, agree, histograms  # noqa: E402
 
 
 @given(histograms())
 @settings(max_examples=300, deadline=None)
 def test_code_lengths_equal_reference(case):
     freqs, max_bits = case
+    agree("code_lengths", freqs, max_bits)
     lengths = huffman.code_lengths(freqs, max_bits)
-    assert lengths.dtype == np.int32
-    assert np.array_equal(lengths, reference.code_lengths(freqs, max_bits))
     used = lengths[lengths > 0].astype(np.int64)
     assert ((freqs > 0) == (lengths > 0)).all()
     assert lengths.max() <= max_bits
@@ -280,19 +247,14 @@ def test_code_lengths_equal_reference(case):
 @pytest.mark.parametrize("max_bits, count", [(15, 17), (15, 40), (7, 9), (7, 19)])
 def test_fibonacci_weights_bind_the_limit(max_bits, count):
     freqs = np.array(_fibonacci(count), dtype=np.int64)
-    lengths = huffman.code_lengths(freqs, max_bits)
-    assert lengths.max() == max_bits  # an unbounded tree would be deeper
-    assert np.array_equal(lengths, reference.code_lengths(freqs, max_bits))
+    assert huffman.code_lengths(freqs, max_bits).max() == max_bits  # unbounded: deeper
+    agree("code_lengths", freqs, max_bits)
 
 
 @given(histograms())
 @settings(max_examples=100, deadline=None)
 def test_lsb_codes_equal_per_symbol_reversal(case):
-    freqs, max_bits = case
-    lengths = huffman.code_lengths(freqs, max_bits)
-    codes = huffman.lsb_codes(lengths)
-    assert codes.dtype == np.uint32
-    assert np.array_equal(codes, reference.lsb_codes(lengths))
+    agree("lsb_codes", huffman.code_lengths(*case))
 
 
 def test_lsb_codes_rejects_lengths_beyond_reversal_table():
@@ -303,26 +265,18 @@ def test_lsb_codes_rejects_lengths_beyond_reversal_table():
 @given(histograms(), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_decoder_table_equals_reference(case, drop_one):
-    freqs, max_bits = case
-    lengths = huffman.code_lengths(freqs, max_bits)
+    lengths = huffman.code_lengths(*case)
     if drop_one and np.count_nonzero(lengths) > 1:
         # Remove a code: the tree becomes incomplete, its slots invalid.
         lengths[np.flatnonzero(lengths)[0]] = 0
-    decoder = huffman.HuffmanDecoder(lengths)
-    expected = reference.decoder_table(lengths)
-    assert decoder.max_bits == lengths.max()
-    assert np.array_equal(decoder.table, expected)
-    assert list(decoder.lookup) == expected.tolist()
-    assert decoder.is_complete == bool((expected != 0).all())
+    _, _, max_bits = agree("decoder_table", lengths)
+    assert max_bits == lengths.max()
 
 
 def test_decoder_table_single_symbol_code():
     lengths = np.zeros(30, dtype=np.int32)
     lengths[7] = 1
-    decoder = huffman.HuffmanDecoder(lengths)
-    assert decoder.table.tolist() == [(1 << 9) | 7, 0]
-    assert np.array_equal(decoder.table, reference.decoder_table(lengths))
-    assert not decoder.is_complete
+    assert agree("decoder_table", lengths) == ([(1 << 9) | 7, 0], False, 1)
 
 
 def test_decoder_rejects_oversubscribed_and_overlong_codes():

@@ -1,4 +1,5 @@
-"""The small-block Huffman builders against their reference twins.
+"""Named inputs of the ``code_lengths`` and ``decoder_table`` rows of
+:mod:`tests.algorithms.test_twins`.
 
 ``huffman._code_lengths`` builds an unlimited Huffman code with the
 two-queue method and falls back to count-only package-merge only when
@@ -21,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import huffman
-from repro.algorithms.reference import huffman as reference
 from repro.errors import CorruptStreamError
+from tests.algorithms.test_twins import agree, tied_histograms
 
 
 def _unlimited_depth(freqs: "list[int]") -> int:
@@ -30,34 +31,10 @@ def _unlimited_depth(freqs: "list[int]") -> int:
     return max(huffman._huffman_depths(leaves)) if len(leaves) > 1 else len(leaves)
 
 
-@st.composite
-def tied_histograms(draw):
-    """(freqs, max_bits): few distinct weights (ties everywhere), or a
-    powers-of-two chain ``1, 1, 2, 4, ...`` whose unlimited depth is
-    ``max_bits + offset``, padded with tied weights."""
-    max_bits = draw(st.sampled_from([7, 15]))
-    if draw(st.booleans()):
-        n_used = draw(st.integers(2, min(286, 1 << max_bits)))
-        weights = draw(st.lists(st.sampled_from([1, 2, 3, 4, 8]),
-                                min_size=n_used, max_size=n_used))
-    else:
-        depth = max(2, max_bits + draw(st.integers(-2, 2)))
-        weights = [1] + [1 << k for k in range(depth)]
-        weights += [draw(st.sampled_from([1, 2, 1 << depth]))] * draw(st.integers(0, 6))
-    order = draw(st.permutations(range(len(weights))))
-    size = len(weights) + draw(st.integers(0, 40))
-    freqs = [0] * size
-    for slot, weight in zip(order, weights):
-        freqs[slot] = weight
-    return freqs, max_bits
-
-
 @given(tied_histograms())
 @settings(max_examples=400, deadline=None)
 def test_two_queue_lengths_equal_reference(case):
-    freqs, max_bits = case
-    lengths = huffman.code_length_list(freqs, max_bits)
-    assert lengths == reference.code_lengths(np.array(freqs), max_bits).tolist()
+    agree("code_lengths", *case)
 
 
 @pytest.mark.parametrize("max_bits", [7, 15])
@@ -69,9 +46,8 @@ def test_powers_of_two_chain_either_side_of_the_limit(max_bits, offset):
     depth = max_bits + offset
     freqs = [1] + [1 << k for k in range(depth)]
     assert _unlimited_depth(freqs) == depth
-    lengths = huffman.code_length_list(freqs, max_bits)
-    assert max(lengths) == min(depth, max_bits)
-    assert lengths == reference.code_lengths(np.array(freqs), max_bits).tolist()
+    assert max(huffman.code_length_list(freqs, max_bits)) == min(depth, max_bits)
+    agree("code_lengths", np.array(freqs), max_bits)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -83,12 +59,10 @@ def test_every_small_alphabet_equals_reference(n):
     checked = fell_back = 0
     for combo in combinations_with_replacement(range(1, top + 1), n):
         for freqs in {combo, combo[::-1], combo[1:] + combo[:1]}:
-            freqs = list(freqs)
             for max_bits in range((n - 1).bit_length(), n):
-                got = huffman.code_length_list(freqs, max_bits)
-                assert got == reference.code_lengths(np.array(freqs), max_bits).tolist()
+                agree("code_lengths", np.array(freqs), max_bits)
                 checked += 1
-                fell_back += _unlimited_depth(freqs) > max_bits
+                fell_back += _unlimited_depth(list(freqs)) > max_bits
     assert checked and (fell_back or n <= 3)
 
 
@@ -96,13 +70,14 @@ def test_two_queue_takes_a_leaf_before_a_node_of_equal_weight():
     """Weights 1, 1, 2, 2: leaf-first joins the two 2-leaves (all four
     at depth 2); node-first would give depths 3, 3, 2, 1 at equal cost."""
     assert huffman._huffman_depths([1, 1, 2, 2]) == [2, 2, 2, 2]
-    assert reference.code_lengths(np.array([1, 1, 2, 2]), 15).tolist() == [2, 2, 2, 2]
+    assert agree("code_lengths", np.array([1, 1, 2, 2]), 15)[2] \
+        == np.array([2, 2, 2, 2], dtype=np.int32).tobytes()
 
 
 # -- decode tables ----------------------------------------------------------
 
 
-def _complete_lengths(width: int, n_symbols: int) -> "list[int]":
+def complete_lengths(width: int, n_symbols: int = 40) -> "list[int]":
     """A complete code whose longest length is ``width``: one symbol at
     each length below it, two at ``width``, the rest unused."""
     lengths = [0] * n_symbols
@@ -111,17 +86,19 @@ def _complete_lengths(width: int, n_symbols: int) -> "list[int]":
     return lengths
 
 
+#: Code-length lists no decoder may build: empty, over-subscribed at
+#: list-built and numpy-built widths, over 16 bits, a hostile u8 length.
+BAD_TREES = {"empty": [0, 0, 0], "over-1": [1, 1, 1], "over-2": [1] + [2] * 3,
+             "over-12": [1] * 2 + [12] * 5, "17-bit": [1, 17, 17], "200-bit": [3, 200]}
+
+
 @pytest.mark.parametrize("width", range(1, huffman.MAX_CODE_BITS + 1))
 def test_list_and_numpy_tables_equal_reference_at_every_width(width):
-    lengths = _complete_lengths(width, 40)
-    decoder = huffman.HuffmanDecoder(lengths)
-    expected = reference.decoder_table(np.array(lengths))
-    assert decoder.max_bits == width
-    assert decoder.is_complete
-    assert type(decoder.lookup) is (
+    lengths = complete_lengths(width)
+    _, complete, max_bits = agree("decoder_table", lengths)
+    assert (complete, max_bits) == (True, width)
+    assert type(huffman.HuffmanDecoder(lengths).lookup) is (
         tuple if width <= huffman._LIST_TABLE_BITS else memoryview)
-    assert list(decoder.lookup) == expected.tolist()
-    assert np.array_equal(decoder.table, expected)
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=40))
@@ -129,27 +106,10 @@ def test_list_and_numpy_tables_equal_reference_at_every_width(width):
 def test_decode_table_or_its_error_equals_reference(lengths):
     """Any length list, complete, incomplete, over-subscribed or empty:
     the same table or the same typed error."""
-    try:
-        expected = reference.decoder_table(np.array(lengths)).tolist()
-    except CorruptStreamError:
-        with pytest.raises(CorruptStreamError):
-            huffman.HuffmanDecoder(lengths)
-        return
-    assert list(huffman.HuffmanDecoder(lengths).lookup) == expected
+    agree("decoder_table", lengths)
 
 
-@pytest.mark.parametrize("lengths", [
-    [0, 0, 0],                     # empty
-    [1, 1, 1],                     # over-subscribed, list-built width
-    [1] + [2] * 3,                 # over-subscribed at the last length
-    [1] * 2 + [12] * 5,            # over-subscribed, numpy-built width
-    [1, 17, 17],                   # over 16 bits
-    [3, 200],                      # a hostile u8 length
-], ids=["empty", "over-1", "over-2", "over-12", "17-bit", "200-bit"])
+@pytest.mark.parametrize("lengths", BAD_TREES.values(), ids=BAD_TREES.keys())
 def test_bad_trees_raise_the_same_typed_error(lengths):
-    with pytest.raises(CorruptStreamError):
-        reference.decoder_table(np.array(lengths))
-    with pytest.raises(CorruptStreamError):
-        huffman.HuffmanDecoder(lengths)
-    with pytest.raises(CorruptStreamError):
-        huffman.HuffmanDecoder(np.array(lengths, dtype=np.uint8))
+    assert agree("decoder_table", lengths) is CorruptStreamError
+    assert agree("decoder_table", np.array(lengths, dtype=np.uint8)) is CorruptStreamError

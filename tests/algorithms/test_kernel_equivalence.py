@@ -1,19 +1,16 @@
-"""Twin-vs-production kernel equivalence.
+"""Kernel equivalence over the byte and float corpora, and bounded scratch.
 
-Every hot kernel that grew a vectorized fast path keeps its scalar
-twin in :mod:`repro.algorithms.reference`; these tests run the same
-input through both implementations inside one process (production,
-then the same call inside :func:`~repro.algorithms.reference.twins`)
-and require **byte-identical** results — not "close", identical.  The corpus is adversarial by construction
-(empty, single byte, all-zero, incompressible, max-match-length runs,
-NaN/Inf/denormal floats) plus hypothesis-generated inputs, with the
-seeded corpus rotating via ``REPRO_FUZZ_SEED`` like the round-trip
-fuzzers.
+The kernel-against-twin cases here are named inputs of the rows in
+:mod:`tests.algorithms.test_twins` and compare through its
+:func:`~tests.algorithms.test_twins.agree`: the same tokens, arrays,
+bytes or typed error.  Two cases run the whole DEFLATE pipeline on the
+production kernels and again inside
+:func:`~repro.algorithms.reference.twins`; the last group holds host
+scratch to one block.
 """
 
 from __future__ import annotations
 
-import os
 from unittest.mock import patch
 
 import numpy as np
@@ -24,22 +21,21 @@ from hypothesis import strategies as st
 from repro.algorithms import huffman
 from repro.algorithms.ac import ACConfig
 from repro.algorithms.ac.model import ContextModel
-from repro.algorithms.deflate import (
-    DeflateConfig,
-    deflate_compress,
-    deflate_decompress,
-)
+from repro.algorithms.deflate import DeflateConfig, deflate_compress
 from repro.algorithms.deflate import compress as deflate_compress_module
 from repro.algorithms.lz77 import MatcherConfig, tokenize
-from repro.algorithms.reference import huffman as huffman_reference
 from repro.algorithms.reference import twins
-from repro.algorithms.sz3.predictor import predict_residual, reconstruct_codes
-from repro.algorithms.sz3.quantizer import dequantize, quantize
-from repro.datasets import get_dataset
-from repro.util.bitio import BitWriter
+from repro.algorithms.sz3.predictor import predict_residual
+from repro.bench.regress import _block_trees
 from repro.util.scratch import ScratchPool, set_scratch_pool
+from tests.algorithms.test_twins import (
+    BASE_SEED,
+    CORPUS,
+    agree,
+    code_array_args,
+)
 
-BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260806"))
+LZ77_ROWS = ("tokenize", "tokenize_small")
 
 
 def both_modes(fn):
@@ -49,36 +45,13 @@ def both_modes(fn):
     return scalar, fn()
 
 
-def adversarial_corpus() -> "dict[str, bytes]":
-    rng = np.random.default_rng(BASE_SEED)
-    return {
-        "empty": b"",
-        "one_byte": b"\xa5",
-        "two_bytes": b"ab",
-        "all_zero": b"\x00" * 5000,
-        "incompressible": rng.bytes(4096),
-        "max_match_runs": b"A" * (258 * 4 + 7) + b"B" * 258 + b"A" * 300,
-        "period2": b"\x7f\x80" * 700,
-        "period3": b"abc" * 900,
-        "period4_break": (b"PQRS" * 300 + b"\x00" * 600) * 2,
-        "ascii_noise": bytes(rng.integers(32, 127, 4096, dtype=np.uint8)),
-        "xml_sample": bytes(get_dataset("silesia/xml").generate(32 * 1024)),
-    }
-
-
-CORPUS = adversarial_corpus()
-
-
 # -- LZ77 + DEFLATE ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_tokenize_equivalence_corpus(case):
-    data = CORPUS[case]
-    scalar, vec = both_modes(lambda: tokenize(data))
-    assert scalar.lengths == vec.lengths
-    assert scalar.values == vec.values
-    assert scalar.n_input == vec.n_input
+    for row in LZ77_ROWS:
+        agree(row, CORPUS[case], None)
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
@@ -91,18 +64,15 @@ def test_deflate_compress_equivalence_corpus(case):
 def test_tokenize_equivalence_tiny_window():
     # Small window + short chains hit the budget/window break arms.
     cfg = MatcherConfig(window_size=64, max_chain=4, good_match=4)
-    data = CORPUS["period3"] + CORPUS["max_match_runs"]
-    scalar, vec = both_modes(lambda: tokenize(data, cfg))
-    assert scalar.lengths == vec.lengths
-    assert scalar.values == vec.values
+    for row in LZ77_ROWS:
+        agree(row, CORPUS["period3"] + CORPUS["max_match_runs"], cfg)
 
 
 @settings(max_examples=40)
 @given(st.binary(max_size=2048))
 def test_tokenize_equivalence_hypothesis(data):
-    scalar, vec = both_modes(lambda: tokenize(data))
-    assert scalar.lengths == vec.lengths
-    assert scalar.values == vec.values
+    for row in LZ77_ROWS:
+        agree(row, data, None)
 
 
 #: Arbitrary bytes up to 1 KiB, then inputs either side of the
@@ -135,7 +105,7 @@ def test_deflate_equivalence_hypothesis(data, strategy, block_tokens):
         assert deflate_compress(data, cfg) == vec
 
 
-# -- Huffman emission -------------------------------------------------------
+# -- Huffman ------------------------------------------------------------------
 
 
 @settings(max_examples=40)
@@ -148,9 +118,7 @@ def test_canonical_codes_equivalence(freq_list, max_bits):
     if not freqs.any():
         freqs[0] = 1
     assume(np.count_nonzero(freqs) <= 1 << max_bits)  # else no such code exists
-    lengths = huffman.code_lengths(freqs, max_bits)
-    scalar, vec = both_modes(lambda: huffman.canonical_codes(lengths))
-    assert np.array_equal(scalar, vec)
+    agree("canonical_codes", huffman.code_lengths(freqs, max_bits).tolist())
 
 
 @settings(max_examples=40)
@@ -165,52 +133,16 @@ def test_canonical_codes_equivalence(freq_list, max_bits):
     st.integers(min_value=0, max_value=7),
 )
 def test_write_code_array_equivalence(pairs, lead_bits):
-    codes = np.asarray([c for c, _ in pairs], dtype=np.uint32)
-    lengths = np.asarray([l for _, l in pairs], dtype=np.int64)
-
-    def emit():
-        writer = BitWriter()
-        if lead_bits:  # non-byte-aligned pending prefix
-            writer.write_bits((1 << lead_bits) - 1, lead_bits)
-        writer.write_code_array(codes, lengths)
-        writer.write_bits(0b101, 3)  # tail after the bulk region
-        return writer.getvalue()
-
-    scalar, vec = both_modes(emit)
-    assert scalar == vec
-
-
-# -- Entropy stage vs its retained reference twins --------------------------
-#
-# The count-only package-merge, the table-driven code reversal and the
-# word-at-a-time inflate have no call-time site: their pre-rewrite twins
-# live in ``reference.huffman`` and are compared here on the histograms
-# and streams real blocks produce (tests/algorithms/test_huffman.py has
-# the synthetic families).
+    agree("write_code_array", *code_array_args(pairs, lead_bits))
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_block_code_lengths_equal_reference(case):
-    tokens = tokenize(CORPUS[case], MatcherConfig())
-    syms = deflate_compress_module._map_symbols(*tokens.arrays())
-    litlen_freq = np.bincount(syms["litlen_sym"], minlength=286)
-    litlen_freq[256] += 1
-    dist_freq = np.bincount(syms["dist_sym"], minlength=30)
-    litlen = huffman.code_lengths(litlen_freq, 15)
-    dist = huffman.code_lengths(dist_freq, 15)
-    assert np.array_equal(litlen, huffman_reference.code_lengths(litlen_freq, 15))
-    assert np.array_equal(dist, huffman_reference.code_lengths(dist_freq, 15))
-    cl_syms, _ = deflate_compress_module._rle_code_lengths(
-        np.concatenate([litlen, dist]).tolist()
-    )
-    cl_freq = np.bincount(cl_syms, minlength=19)
-    assert np.array_equal(
-        huffman.code_lengths(cl_freq, 7), huffman_reference.code_lengths(cl_freq, 7)
-    )
-    for lengths in (litlen, dist):
-        assert np.array_equal(
-            huffman.lsb_codes(lengths), huffman_reference.lsb_codes(lengths)
-        )
+    """The histograms and trees real blocks produce: code lengths and
+    their LSB-first codes."""
+    for freqs, max_bits in _block_trees(CORPUS[case]):
+        agree("code_lengths", freqs, max_bits)
+        agree("lsb_codes", huffman.code_lengths(freqs, max_bits))
 
 
 @pytest.mark.parametrize("strategy", ["auto", "fixed", "dynamic", "stored"])
@@ -218,15 +150,13 @@ def test_block_code_lengths_equal_reference(case):
 def test_inflate_equals_reference(case, strategy):
     data = CORPUS[case]
     cfg = DeflateConfig(strategy=strategy, block_tokens=700)  # multi-block
-    stream = deflate_compress(data, cfg)
-    assert deflate_decompress(stream) == huffman_reference.inflate(stream) == data
+    assert agree("inflate", deflate_compress(data, cfg)) == data
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.binary(max_size=1024))
 def test_inflate_equals_reference_hypothesis(data):
-    stream = deflate_compress(data)
-    assert deflate_decompress(stream) == huffman_reference.inflate(stream) == data
+    assert agree("inflate", deflate_compress(data)) == data
 
 
 # -- Scratch traffic --------------------------------------------------------
@@ -303,36 +233,23 @@ def float_corpus() -> "dict[str, np.ndarray]":
 @pytest.mark.parametrize("case", sorted(float_corpus()))
 @pytest.mark.parametrize("eb", [1e-3, 1e-1])
 def test_quantize_equivalence(case, eb):
-    data = float_corpus()[case]
-    if case == "specials":
-        # NaN/Inf -> int64 casts are platform-defined; both kernels must
-        # still agree bit for bit because they share the same cast.
-        with np.errstate(invalid="ignore"):
-            scalar, vec = both_modes(lambda: quantize(data, eb))
-    else:
-        scalar, vec = both_modes(lambda: quantize(data, eb))
-    assert scalar.dtype == vec.dtype
-    assert scalar.tobytes() == vec.tobytes()
+    agree("quantize", float_corpus()[case], 2.0 * eb)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dequantize_equivalence(dtype):
     rng = np.random.default_rng(BASE_SEED + 2)
     codes = rng.integers(-(1 << 20), 1 << 20, size=257).astype(np.int64)
-    scalar, vec = both_modes(lambda: dequantize(codes, 1e-3, np.dtype(dtype)))
-    assert scalar.dtype == vec.dtype
-    assert scalar.tobytes() == vec.tobytes()
+    agree("dequantize", codes, 2e-3, np.dtype(dtype))
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (17,), (5, 4), (3, 4, 2)])
 def test_lorenzo_equivalence(shape):
     rng = np.random.default_rng(BASE_SEED + 3)
     codes = rng.integers(-1000, 1000, size=shape).astype(np.int64)
-    s_res, v_res = both_modes(lambda: predict_residual(codes, "lorenzo"))
-    assert np.array_equal(s_res, v_res)
-    s_rec, v_rec = both_modes(lambda: reconstruct_codes(s_res, "lorenzo"))
-    assert np.array_equal(s_rec, v_rec)
-    assert np.array_equal(s_rec, codes)  # exact inverse, both modes
+    agree("lorenzo_residual", codes)
+    residual = predict_residual(codes, "lorenzo")
+    assert agree("lorenzo_reconstruct", residual)[2] == codes.tobytes()  # exact inverse
 
 
 # -- AC context model -------------------------------------------------------
@@ -343,17 +260,11 @@ def test_lorenzo_equivalence(shape):
 def test_context_hashes_equivalence(order, start, stop):
     rng = np.random.default_rng(BASE_SEED + 4)
     data = rng.integers(0, 256, 256, dtype=np.uint8)
-    model_cfg = ACConfig(order=order)
-    model = ContextModel(model_cfg)
-    scalar, vec = both_modes(lambda: model.context_hashes(data, start, stop))
-    assert np.array_equal(scalar, vec)
+    agree("context_hashes", ContextModel(ACConfig(order=order)), data, start, stop)
 
 
 @settings(max_examples=30)
 @given(st.binary(min_size=0, max_size=600), st.integers(min_value=0, max_value=4))
 def test_context_hashes_hypothesis(raw, order):
     data = np.frombuffer(raw, dtype=np.uint8)
-    model = ContextModel(ACConfig(order=order))
-    stop = data.size
-    scalar, vec = both_modes(lambda: model.context_hashes(data, 0, stop))
-    assert np.array_equal(scalar, vec)
+    agree("context_hashes", ContextModel(ACConfig(order=order)), data, 0, data.size)

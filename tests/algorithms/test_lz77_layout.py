@@ -1,26 +1,27 @@
 """Token identity of both LZ77 kernels against the scalar matcher.
 
-``lz77.tokenize`` must return its scalar twin's (the registry rows
-``tokenize`` and ``tokenize_small``) two lists element for element — not
-an equally good factorization, the same one — for every
+``lz77.tokenize`` must return its scalar twin's two lists element for
+element — not an equally good factorization, the same one — for every
 ``MatcherConfig``: DEFLATE block boundaries, Huffman trees and therefore
-every compressed byte downstream depend on it.  Every case below runs
-both kernels, ``_tokenize_vec`` and ``_tokenize_small``, on its input
-whatever its size, as well as ``tokenize`` itself.  A seeded sample of
-the configuration grid runs over six data families and the lengths
-around every set-up edge, ``bytes`` and ``memoryview``; directed cases
-pin each branch the bucket-slice layout added (window cut, walk past the
-column width, the ``good_match`` budget restated on slice bounds, zero
-padding at the tail).  Hypothesis draws inputs of 0-4 KiB, a sweep
-takes every short two-letter input, and the cases either side of the
-size split also check which kernel ``tokenize`` picks.  The seed
-rotates with ``REPRO_FUZZ_SEED`` like the other fuzzers.
+every compressed byte downstream depend on it.  These are named inputs
+of the registry rows ``tokenize`` and ``tokenize_small``
+(:mod:`tests.algorithms.test_twins`): every case runs both kernels,
+``_tokenize_vec`` and ``_tokenize_small``, on its input whatever its
+size, through :func:`~tests.algorithms.test_twins.agree`, as well as
+``tokenize`` itself.  A seeded sample of the configuration grid runs
+over six data families and the lengths around every set-up edge,
+``bytes`` and ``memoryview``; directed cases pin each branch the
+bucket-slice layout added (window cut, walk past the column width, the
+``good_match`` budget restated on slice bounds, zero padding at the
+tail).  Hypothesis draws inputs of 0-4 KiB, a sweep takes every short
+two-letter input, and the cases either side of the size split also
+check which kernel ``tokenize`` picks.  The seed rotates with
+``REPRO_FUZZ_SEED`` like the other fuzzers.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from unittest.mock import patch
 
@@ -30,82 +31,27 @@ from hypothesis import strategies as st
 
 from repro.algorithms import lz77
 from repro.algorithms.lz77 import MatcherConfig, reconstruct
-from repro.algorithms.reference import REGISTRY
+from tests.algorithms.test_twins import (
+    BASE_SEED,
+    FAMILIES,
+    WORDS,
+    agree,
+    configs,
+    draw_config,
+    family_inputs,
+)
 
-BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260806"))
-
-WINDOWS = (1, 5, 64, 300, 4096, 32768)
-MIN_MATCHES = (3, 4, 5)
-MAX_MATCHES = (5, 16, 33, 258)
-MAX_CHAINS = (1, 2, 4, 13, 48, 128)
-GOOD_MATCHES = (3, 4, 8, 32, 300)
 LENGTHS = (0, 1, 2, 3, 4, 5, 7, 12, 31, 255, 256, 257, 1000, 4097, 20000)
-WORDS = (b"alpha", b"beta ", b"<row id=", b"</row>", b"0123456789", b"ab")
 
 
 def assert_same_tokens(data, cfg):
-    """Both kernels' and ``tokenize``'s tokens == scalar tokens; returns
-    ``tokenize``'s."""
-    want = REGISTRY["tokenize"].twin(data, cfg)
-    for kernel in (lz77._tokenize_vec, lz77._tokenize_small, lz77.tokenize):
-        got = kernel(data, cfg)
-        assert got.lengths == want.lengths, (kernel.__name__, cfg)
-        assert got.values == want.values, (kernel.__name__, cfg)
-        assert got.n_input == want.n_input == len(data)
-    return got
-
-
-def draw_config(rng: random.Random) -> MatcherConfig:
-    return MatcherConfig(
-        window_size=rng.choice(WINDOWS),
-        min_match=rng.choice(MIN_MATCHES),
-        max_match=rng.choice(MAX_MATCHES),
-        max_chain=rng.choice(MAX_CHAINS),
-        lazy=rng.random() < 0.5,
-        good_match=rng.choice(GOOD_MATCHES),
-    )
-
-
-def _random(rng, n):
-    return rng.randbytes(n)
-
-
-def _three_symbols(rng, n):
-    return bytes(rng.choice(b"abc") for _ in range(n))
-
-
-def _zeros(rng, n):
-    return bytes(n)
-
-
-def _dictionary(rng, n):
-    out = bytearray()
-    while len(out) < n:
-        out += rng.choice(WORDS)
-    return bytes(out[:n])
-
-
-def _noisy_period(rng, n):
-    period = rng.randbytes(rng.randint(1, 40))
-    out = bytearray((period * (n // len(period) + 1))[:n])
-    for _ in range(n // 50):
-        out[rng.randrange(n)] = rng.randrange(256)
-    return bytes(out)
-
-
-def _ramps(rng, n):
-    step = rng.randint(1, 4)
-    return bytes((i // step) & 0xFF for i in range(n))
-
-
-FAMILIES = {
-    "random": _random,
-    "three_symbols": _three_symbols,
-    "zeros": _zeros,
-    "dictionary": _dictionary,
-    "noisy_period": _noisy_period,
-    "ramps": _ramps,
-}
+    """``_tokenize_vec``'s tokens == scalar tokens (the ``tokenize``
+    row), and ``_tokenize_small``'s and ``tokenize``'s == those; returns
+    them."""
+    tokens = agree("tokenize", data, cfg)
+    for kernel in (lz77._tokenize_small, lz77.tokenize):
+        assert kernel(data, cfg) == tokens, (kernel.__name__, cfg)
+    return tokens
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -123,17 +69,6 @@ def test_default_config_roundtrips(family):
     rng = random.Random(f"{BASE_SEED}:default:{family}")
     data = FAMILIES[family](rng, 6000)
     assert reconstruct(assert_same_tokens(data, None)) == data
-
-
-configs = st.builds(
-    MatcherConfig,
-    window_size=st.sampled_from(WINDOWS),
-    min_match=st.sampled_from(MIN_MATCHES),
-    max_match=st.sampled_from(MAX_MATCHES),
-    max_chain=st.sampled_from(MAX_CHAINS),
-    lazy=st.booleans(),
-    good_match=st.sampled_from(GOOD_MATCHES),
-)
 
 
 @seed(BASE_SEED)
@@ -254,18 +189,6 @@ def test_zero_padding_does_not_extend_a_match_past_the_input(tail):
 
 
 # -- hypothesis, short inputs, views and the size split ---------------------
-
-
-@st.composite
-def family_inputs(draw):
-    """0-4 KiB of one of the six families, from a drawn seed.  The seed
-    also picks the size, uniform under a drawn cap: hypothesis's own
-    integers rarely leave the first few hundred (and favour the first
-    cap listed)."""
-    family = draw(st.sampled_from(sorted(FAMILIES)))
-    cap = draw(st.sampled_from((4096, 1024, 64)))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    return FAMILIES[family](rng, rng.randint(0, cap))
 
 
 @seed(BASE_SEED)

@@ -1,13 +1,14 @@
-"""The dynamic-block tree header: the fused reader against its twin.
+"""Damaged dynamic-block tree headers, and the RFC 1951 count caps.
 
 ``deflate.decompress._read_dynamic_trees`` reads the literal/length and
 distance code lengths in one hoisted loop with the repeat codes inline;
 ``reference.huffman`` reads them one ``read_bits`` call at a time over a
-byte-at-a-time reader.  On whole, cut and bit-flipped headers both must
-give the same outcome: the same two decode tables after the same number
-of bits, or a ``CorruptStreamError``.  RFC 1951 caps HLIT at 286 and
-HDIST at 30 (zlib: "too many length or distance symbols"); both readers
-reject a header above either cap.
+byte-at-a-time reader.  These are named inputs of the ``inflate`` row of
+:mod:`tests.algorithms.test_twins`: on whole, cut and bit-flipped
+headers both inflates must give the same bytes or the same typed error
+(:func:`~tests.algorithms.test_twins.agree`).  RFC 1951 caps HLIT at 286
+and HDIST at 30 (zlib: "too many length or distance symbols"); both
+readers reject a header above either cap.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import pytest
 
 from repro.algorithms import huffman
 from repro.algorithms.deflate import DeflateConfig, deflate_compress, deflate_decompress
-from repro.algorithms.deflate import decompress as inflate_module
 from repro.algorithms.deflate import tables as T
 from repro.algorithms.reference import huffman as reference
 from repro.datasets import get_dataset
 from repro.errors import CorruptStreamError
-from repro.util.bitio import BitReader, BitWriter
+from repro.util.bitio import BitWriter
+from tests.algorithms.test_twins import agree, cuts, flips, header_bits
 
 
 def _dynamic_streams() -> "dict[str, bytes]":
@@ -41,64 +42,29 @@ def _dynamic_streams() -> "dict[str, bytes]":
 STREAMS = _dynamic_streams()
 
 
-def _header_outcome(read, reader, consumed):
-    """``(tables, bits read)`` of one header reader, or the error type."""
-    try:
-        lit, dist = read(reader)
-    except CorruptStreamError:
-        return CorruptStreamError
-    return lit, dist, consumed(reader)
-
-
-def _production(blob: bytes):
-    reader = BitReader(blob)
-    reader.read_bits(3)
-
-    def read(r):
-        lit, dist = inflate_module._read_dynamic_trees(r)
-        return list(lit.lookup), None if dist is None else list(dist.lookup)
-
-    return _header_outcome(read, reader, lambda r: r.bits_consumed)
-
-
-def _twin(blob: bytes):
-    reader = reference._ByteReader(blob)
-    reader.read_bits(3)
-
-    def read(r):
-        lit, dist = reference._read_dynamic_tables(r)
-        return lit.tolist(), None if dist is None else dist.tolist()
-
-    return _header_outcome(read, reader, lambda r: r._pos * 8 - r._nbits)
-
-
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_whole_header_reads_the_same_tables(name):
     blob = STREAMS[name]
     assert blob[0] >> 1 & 3 == 2
-    got = _production(blob)
-    assert got is not CorruptStreamError
-    assert got == _twin(blob)
+    assert isinstance(agree("inflate", blob), bytes)
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_cut_headers_fail_alike(name):
     """Every cut up to the first payload byte, and a few past it."""
     blob = STREAMS[name]
-    header_bytes = -(-_production(blob)[2] // 8)
-    for cut in range(1, min(len(blob), header_bytes + 4)):
-        assert _production(blob[:cut]) == _twin(blob[:cut]), cut
+    for cut in cuts(blob, min(len(blob), -(-header_bits(blob) // 8) + 4), start=1):
+        agree("inflate", cut)
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_bit_flipped_headers_give_the_same_outcome(name):
+    """Every header flip under a cap one byte short of the whole
+    stream's output: the same bytes or the same typed error."""
     blob = STREAMS[name]
-    header_bits = _production(blob)[2]
-    for bit in range(3, header_bits):
-        flipped = bytearray(blob)
-        flipped[bit >> 3] ^= 1 << (bit & 7)
-        flipped = bytes(flipped)
-        assert _production(flipped) == _twin(flipped), bit
+    cap = len(deflate_decompress(blob)) - 1
+    for flipped in flips(blob, range(3, header_bits(blob))):
+        agree("inflate", flipped, cap)
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
@@ -106,16 +72,8 @@ def test_bit_flipped_streams_inflate_alike(name):
     """Whole inflate on every header flip: the same bytes or both a
     ``CorruptStreamError``."""
     blob = STREAMS[name]
-    for bit in range(3, _production(blob)[2]):
-        flipped = bytearray(blob)
-        flipped[bit >> 3] ^= 1 << (bit & 7)
-        outcomes = []
-        for inflate in (deflate_decompress, reference.inflate):
-            try:
-                outcomes.append(inflate(bytes(flipped)))
-            except CorruptStreamError:
-                outcomes.append(CorruptStreamError)
-        assert outcomes[0] == outcomes[1], bit
+    for flipped in flips(blob, range(3, header_bits(blob))):
+        agree("inflate", flipped)
 
 
 def _block_with_counts(hlit: int, hdist: int) -> bytes:

@@ -6,10 +6,11 @@ must sit inside the generous ``WALL_BANDS`` (per-codec MB/s floors
 included), and fresh measurements re-check the headline claims — the vectorized
 DEFLATE pipeline beats the same pipeline on its reference twins
 (``repro.algorithms.reference.twins``) on the literal-dominated
-(``lz77.match_loop``-bound) payload, the entropy stage beats its
-retained reference twins, AC decode, SZ3 residual decode and xxh32
-beat their step-wise / scalar twins, and the LZ4 block codec beats its per-byte twins in
-both directions — on whatever machine runs the tests.
+(``lz77.match_loop``-bound) payload, and each ``regress.WALL_CASES``
+kernel beats its twin (the entropy stage, AC decode, SZ3 residual
+decode, xxh32 and the LZ4 block codec in both directions) — on
+whatever machine runs the tests.  The case rows are one ``twin_rows``
+list, read here a family at a time.
 """
 
 from __future__ import annotations
@@ -49,63 +50,43 @@ def test_committed_rows_are_byte_identical_across_kernels(committed_report):
         )
 
 
+#: The wall cases of each family, by REGISTRY row.
+ENTROPY = ("code_lengths", "inflate", "tokenize_small")
+DECODE = ("ac_decode", "decode_residuals", "xxh32")
+LZ4 = ("lz4_block_compress", "lz4_block_decompress")
+
+
+def _assert_rows_back_headlines(wall, family):
+    """The family's twin rows, in ``WALL_CASES`` order, each ratio next
+    to the microseconds it was computed from and equal to its headline."""
+    rows = [row for row in wall["twin_rows"] if row["row"] in family]
+    assert [row["headline"] for row in rows] == [
+        headline for headline, case in regress.WALL_CASES.items() if case.row in family]
+    for row in rows:
+        assert row["speedup"] == pytest.approx(row["slow_us"] / row["fast_us"], rel=1e-9)
+        assert wall["headlines"][row["headline"]] == row["speedup"]
+
+
 def test_committed_entropy_rows_back_their_headlines(committed_report):
-    """The entropy-stage ratios are recorded next to the microseconds
-    they were computed from, one row per block size."""
-    wall = committed_report["wall"]
-    rows = {row["block_bytes"]: row for row in wall["entropy_rows"]}
-    assert sorted(rows) == [256, 1024, 65536]
-    for size, row in rows.items():
-        assert row["build_speedup"] == pytest.approx(
-            row["build_reference_us"] / row["build_us"], rel=1e-9)
-        assert row["inflate_speedup"] == pytest.approx(
-            row["inflate_reference_us"] / row["inflate_us"], rel=1e-9)
-        assert wall["headlines"][f"wall_inflate_speedup_{size}"] \
-            == row["inflate_speedup"]
-        assert row["compress_us"] > 0
-    # The match loop is timed only where the small tokenizer runs.
-    assert [size for size, row in rows.items() if "match_speedup" in row] \
-        == [256, 1024]
-    assert wall["headlines"]["wall_match_speedup_256"] \
-        == rows[256]["match_speedup"] == pytest.approx(
-            rows[256]["match_reference_us"] / rows[256]["match_us"], rel=1e-9)
-    # Against the bulk kernel the ratio comes from its own interleaved
-    # pair, not from the two columns above.
-    assert wall["headlines"]["wall_match_vs_bulk_speedup_256"] \
-        == rows[256]["match_vs_bulk_speedup"]
-    assert rows[256]["match_bulk_us"] > 0
+    """Code-length build and inflate at 256 B / 1 KiB (and inflate at
+    64 KiB), the small tokenizer against its twin and, in its own
+    interleaved pair, against the bulk kernel."""
+    _assert_rows_back_headlines(committed_report["wall"], ENTROPY)
+    against = {row["headline"]: row["against"]
+               for row in committed_report["wall"]["twin_rows"]}
+    assert against["wall_match_vs_bulk_speedup_256"] == "tokenize"
+    assert against["wall_match_speedup_256"] is None
 
 
 def test_committed_decode_rows_back_their_headlines(committed_report):
-    """AC decode, SZ3 residual decode and xxh32 ratios sit next to the
-    microseconds they were computed from: three AC windows, one SZ3
-    entropy payload, three xxh32 lengths."""
-    wall = committed_report["wall"]
-    rows = wall["decode_rows"]
-    assert [(r["kernel"], r["dataset"]) for r in rows] == [
-        ("ac_decode", "silesia/xml"), ("ac_decode", "obs_error"),
-        ("ac_decode", "noise"), ("decode_residuals", "exaalt-dataset1"),
-        ("xxh32", "silesia/xml"), ("xxh32", "silesia/xml"), ("xxh32", "silesia/xml")]
-    assert [r["input_bytes"] for r in rows if r["kernel"] != "decode_residuals"] == [
-        6144, 6144, 16384, 65536, 128, 12]
-    for row in rows:
-        assert row["speedup"] == pytest.approx(
-            row["reference_us"] / row["us"], rel=1e-9)
-        assert wall["headlines"][row["headline"]] == row["speedup"]
+    """Three AC windows, one SZ3 entropy payload, three xxh32 lengths."""
+    _assert_rows_back_headlines(committed_report["wall"], DECODE)
 
 
 def test_committed_lz4_rows_back_their_headlines(committed_report):
     """LZ4 block compress and decompress against their twins, at 1 KiB
-    and 64 KiB, next to the microseconds they were computed from."""
-    wall = committed_report["wall"]
-    rows = wall["lz4_rows"]
-    assert [(r["kernel"], r["input_bytes"]) for r in rows] == [
-        ("lz4_block_compress", 1024), ("lz4_block_decompress", 1024),
-        ("lz4_block_compress", 65536), ("lz4_block_decompress", 65536)]
-    for row in rows:
-        assert row["speedup"] == pytest.approx(
-            row["reference_us"] / row["us"], rel=1e-9)
-        assert wall["headlines"][row["headline"]] == row["speedup"]
+    and 64 KiB."""
+    _assert_rows_back_headlines(committed_report["wall"], LZ4)
 
 
 def test_top_kernel_is_lz77(committed_report):
@@ -159,69 +140,50 @@ def test_fresh_vectorized_beats_scalar_on_literal_payload():
     )
 
 
-def test_fresh_entropy_stage_beats_reference():
-    """Live ratios against the retained twins, interleaved in-process.
-
-    ``_wall_entropy_rows`` first asserts the fast kernels reproduce the
-    reference arrays, tokens and bytes, then times both.  Recorded:
-    code-length build ~7x at every block size, inflate ~3x on small
-    blocks and ~2.5x at 64 KiB, the small-input match loop 3.4x at 256 B
-    and 2.0x at 1 KiB (1.5x and 1.4x the bulk kernel it replaces there).
-    The floors here sit well under the recorded values: they catch a
-    kernel that silently fell back to the reference's method, not host
-    jitter.
-    """
-    for row in regress._wall_entropy_rows():
-        size = row["block_bytes"]
-        assert row["build_speedup"] > 1.5, (
-            f"code-length build only {row['build_speedup']:.2f}x the "
-            f"reference on {size} B blocks"
-        )
-        assert row["inflate_speedup"] > (1.4 if size >= 65536 else 1.2), (
-            f"inflate only {row['inflate_speedup']:.2f}x the reference "
-            f"on {size} B blocks"
-        )
-        assert row.get("match_speedup", 2.0) > 1.2, (
-            f"match loop only {row['match_speedup']:.2f}x the reference "
-            f"on {size} B blocks"
-        )
-        assert row.get("match_vs_bulk_speedup", 2.0) > 1.0, (
-            f"small tokenizer only {row['match_vs_bulk_speedup']:.2f}x the "
-            f"bulk kernel on {size} B blocks"
-        )
+@pytest.fixture(scope="module")
+def fresh_twin_rows():
+    """One live collection of every wall case: outputs asserted equal
+    on every argument tuple, then slow and fast timed interleaved."""
+    return {row["headline"]: row for row in regress._wall_twin_rows()}
 
 
-def test_fresh_decode_kernels_beat_their_twins():
-    """Live ratios for the fused AC decode loop, the one-loop SZ3
-    residual decoder and the packed-lane xxh32, interleaved in-process
-    after asserting equal outputs.
-
-    Recorded: AC 5-10x over the step-wise twin (xml, obs_error, noise),
-    SZ3 residuals ~2.2x over the escape-stopping symbol run, xxh32 ~4x
-    at 64 KiB and ~1.85x at 128 B over the scalar loop.  The floors
-    are the committed report's own ``WALL_BANDS``; the 12-byte row (no
-    stripe on either side) only bounds what the length dispatch may cost.
-    """
-    rows = regress._wall_decode_rows()
-    assert len(rows) == 7
-    for row in rows:
-        floor, _ = regress.WALL_BANDS[row["headline"]]
-        assert row["speedup"] > floor, (
-            f"{row['headline']}: only {row['speedup']:.2f}x its twin"
-        )
+def _assert_fresh(rows, floors):
+    for headline, floor in floors.items():
+        speedup = rows[headline]["speedup"]
+        assert speedup > floor, f"{headline}: only {speedup:.2f}x"
 
 
-def test_fresh_lz4_block_codec_beats_its_twins():
-    """Live ratios for the LZ4 block codec, both directions, interleaved
-    in-process after asserting equal blocks and outputs.  Recorded
-    1.35-2.5x; the floor catches a codec that fell back to per-byte
-    work, not host jitter."""
-    rows = regress._wall_lz4_rows()
-    assert len(rows) == 4
-    for row in rows:
-        assert row["speedup"] > 1.0, (
-            f"{row['headline']}: only {row['speedup']:.2f}x its twin"
-        )
+def test_fresh_entropy_stage_beats_reference(fresh_twin_rows):
+    """Recorded: code-length build ~7x at every block size, inflate ~3x
+    on small blocks and ~2.5x at 64 KiB, the small-input match loop
+    3.4x at 256 B (1.5x the bulk kernel it replaces there).  The floors
+    here sit well under the recorded values: they catch a kernel that
+    silently fell back to the reference's method, not host jitter."""
+    _assert_fresh(fresh_twin_rows, {
+        "wall_build_speedup_256": 1.5, "wall_build_speedup_1024": 1.5,
+        "wall_inflate_speedup_256": 1.2, "wall_inflate_speedup_1024": 1.2,
+        "wall_inflate_speedup_65536": 1.4,
+        "wall_match_speedup_256": 1.2, "wall_match_vs_bulk_speedup_256": 1.0,
+    })
+
+
+def test_fresh_decode_kernels_beat_their_twins(fresh_twin_rows):
+    """Recorded: AC 5-10x over the step-wise twin (xml, obs_error,
+    noise), SZ3 residuals ~2.2x over the escape-stopping symbol run,
+    xxh32 ~4x at 64 KiB and ~1.85x at 128 B over the scalar loop.  The
+    floors are the committed report's own ``WALL_BANDS``; the 12-byte
+    row (no stripe on either side) only bounds what the length dispatch
+    may cost."""
+    _assert_fresh(fresh_twin_rows, {
+        headline: regress.WALL_BANDS[headline][0]
+        for headline, case in regress.WALL_CASES.items() if case.row in DECODE})
+
+
+def test_fresh_lz4_block_codec_beats_its_twins(fresh_twin_rows):
+    """Recorded 1.35-2.5x; the floor catches a codec that fell back to
+    per-byte work, not host jitter."""
+    _assert_fresh(fresh_twin_rows, {
+        headline: 1.0 for headline, case in regress.WALL_CASES.items() if case.row in LZ4})
 
 
 def test_each_block_size_takes_its_faster_encode_path():

@@ -1,11 +1,13 @@
-"""xxHash32 against the official test vectors."""
+"""xxHash32 against the official test vectors, and named inputs of the
+``xxh32`` row of :mod:`tests.algorithms.test_twins`: the packed lanes
+against the scalar stripe loop."""
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms.reference.xxhash32 import xxh32_scalar
 from repro.util.xxhash32 import xxh32
+from tests.algorithms.test_twins import agree, xxh32_args
 
 
 # Official XXH32 vectors (from the xxHash repository's test suite).
@@ -63,23 +65,10 @@ def test_accepts_bytearray_and_memoryview():
     assert xxh32(memoryview(blob)) == xxh32(blob)
 
 
-@given(
-    length=st.integers(0, 4100),
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**40),
-                   st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1])),
-    fill=st.one_of(st.none(), st.sampled_from([0x00, 0xFF])),
-    wrap=st.sampled_from([bytes, bytearray, memoryview]),
-    data=st.data(),
-)
+@given(xxh32_args())
 @settings(max_examples=300, deadline=None)
-def test_packed_lanes_equal_scalar_loop(length, seed, fill, wrap, data):
-    """Every ``n % 16``, seeds past 2**32, and all-0xFF input — the
-    largest lane products, where a field comes closest to 2**64."""
-    if fill is None:
-        blob = data.draw(st.binary(min_size=length, max_size=length))
-    else:
-        blob = bytes([fill]) * length
-    assert xxh32(wrap(blob), seed) == xxh32_scalar(blob, seed)
+def test_packed_lanes_equal_scalar_loop(args):
+    agree("xxh32", *args)
 
 
 def test_every_length_through_both_loops():
@@ -89,8 +78,8 @@ def test_every_length_through_both_loops():
     ones = b"\xff" * 4100
     ramp = bytes(range(256)) * 17
     for n in range(4101):
-        assert xxh32(ones[:n], 0xFFFFFFFF) == xxh32_scalar(ones[:n], 0xFFFFFFFF), n
-        assert xxh32(ramp[:n], n) == xxh32_scalar(ramp[:n], n), n
+        agree("xxh32", ones[:n], 0xFFFFFFFF)
+        agree("xxh32", ramp[:n], n)
 
 
 def test_blocked_premultiply_matches_scalar(monkeypatch):
@@ -101,4 +90,4 @@ def test_blocked_premultiply_matches_scalar(monkeypatch):
     monkeypatch.setattr(xxhash32, "_PACKED_BLOCK_STRIPES", 5)
     data = bytes(range(256)) * 3
     for n in (5 * 16, 5 * 16 + 1, 10 * 16, 11 * 16 + 7, len(data)):
-        assert xxh32(data[:n], 7) == xxh32_scalar(data[:n], 7)
+        agree("xxh32", data[:n], 7)
