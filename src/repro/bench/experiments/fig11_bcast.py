@@ -14,6 +14,8 @@ Headlines:
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Any
 
 from repro.bench.harness import (
@@ -136,7 +138,6 @@ def run(actual_bytes: int = DEFAULT_ACTUAL_BYTES) -> ExperimentResult:
         for r in rows
         if r["device"] == "bf3" and r["design"].startswith("SoC_")
     ]
-    result.headlines["bf3_soc_mean_bcast_reduction (paper ~0.49)"] = sum(
-        reductions
-    ) / len(reductions)
+    result.headlines["bf3_soc_mean_bcast_reduction (paper ~0.49)"] = reduce(
+        operator.add, reductions, 0) / len(reductions)
     return result

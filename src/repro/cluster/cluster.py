@@ -32,7 +32,9 @@ membership.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING, Generator, Sequence
 
 from repro.errors import ClusterError, NoLatencySamplesError
@@ -198,7 +200,8 @@ class ServeCluster:
 
     @property
     def completed_sim_bytes(self) -> float:
-        return sum(g.completed_sim_bytes for g in self.gateways.values())
+        return reduce(operator.add,
+                      (g.completed_sim_bytes for g in self.gateways.values()), 0)
 
     @property
     def shed(self) -> int:

@@ -16,6 +16,8 @@ forwarded and the class behaves exactly as it always has.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -79,14 +81,15 @@ class TimeBreakdown:
         return self._phases.get(phase, 0.0)
 
     def total(self) -> float:
-        return sum(self._phases.values())
+        return reduce(operator.add, self._phases.values(), 0)
 
     def fraction(self, *phases: str) -> float:
         """Combined share of ``phases`` in the total (0 when empty)."""
         total = self.total()
         if total == 0:
             return 0.0
-        return sum(self._phases.get(p, 0.0) for p in phases) / total
+        shares = (self._phases.get(p, 0.0) for p in phases)
+        return reduce(operator.add, shares, 0) / total
 
     def as_dict(self) -> dict[str, float]:
         return dict(self._phases)
