@@ -151,7 +151,8 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
     end = n - _LAST_LITERALS  # a match stops before the trailing literals
     anchor = 0
     i = 0
-    first_step = cfg.acceleration << _SKIP_TRIGGER
+    skip_trigger = _SKIP_TRIGGER  # a local: the probe loop reads it on every miss
+    first_step = cfg.acceleration << skip_trigger
     misses = first_step
 
     while i <= match_limit:
@@ -161,7 +162,7 @@ def lz4_block_compress(data: bytes, config: Lz4Config | None = None) -> bytes:
         cand = table[h]
         table[h] = i
         if i - cand > _MAX_OFFSET or (diff := words[cand] ^ words[i]) & 0xFFFFFFFF:
-            i += misses >> _SKIP_TRIGGER
+            i += misses >> skip_trigger
             misses += 1
             continue
 

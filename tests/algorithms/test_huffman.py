@@ -228,7 +228,13 @@ def test_property_encode_decode_roundtrip(data):
 # kernels must reproduce the twins exactly — the same arrays, not merely
 # the same cost — because every compressed stream is pinned byte for byte.
 
-from tests.algorithms.test_twins import _fibonacci, agree, histograms  # noqa: E402
+from tests.algorithms.test_twins import (  # noqa: E402
+    dropped_one,
+    fibonacci,
+    agree,
+    given_agree,
+    histograms,
+)
 
 
 @given(histograms())
@@ -246,15 +252,12 @@ def test_code_lengths_equal_reference(case):
 
 @pytest.mark.parametrize("max_bits, count", [(15, 17), (15, 40), (7, 9), (7, 19)])
 def test_fibonacci_weights_bind_the_limit(max_bits, count):
-    freqs = np.array(_fibonacci(count), dtype=np.int64)
+    freqs = np.array(fibonacci(count), dtype=np.int64)
     assert huffman.code_lengths(freqs, max_bits).max() == max_bits  # unbounded: deeper
     agree("code_lengths", freqs, max_bits)
 
 
-@given(histograms())
-@settings(max_examples=100, deadline=None)
-def test_lsb_codes_equal_per_symbol_reversal(case):
-    agree("lsb_codes", huffman.code_lengths(*case))
+test_lsb_codes_equal_per_symbol_reversal = given_agree("lsb_codes", 100)
 
 
 def test_lsb_codes_rejects_lengths_beyond_reversal_table():
@@ -262,15 +265,9 @@ def test_lsb_codes_rejects_lengths_beyond_reversal_table():
         huffman.lsb_codes(np.array([1, 17, 17]))
 
 
-@given(histograms(), st.booleans())
-@settings(max_examples=100, deadline=None)
-def test_decoder_table_equals_reference(case, drop_one):
-    lengths = huffman.code_lengths(*case)
-    if drop_one and np.count_nonzero(lengths) > 1:
-        # Remove a code: the tree becomes incomplete, its slots invalid.
-        lengths[np.flatnonzero(lengths)[0]] = 0
-    _, _, max_bits = agree("decoder_table", lengths)
-    assert max_bits == lengths.max()
+#: Tables of real codes, some with one code removed (incomplete trees).
+test_decoder_table_equals_reference = given_agree(
+    "decoder_table", 100, st.builds(dropped_one, histograms(), st.booleans()))
 
 
 def test_decoder_table_single_symbol_code():

@@ -18,12 +18,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import huffman
 from repro.errors import CorruptStreamError
-from tests.algorithms.test_twins import agree, tied_histograms
+from tests.algorithms.test_twins import agree, given_agree, tied_histograms
 
 
 def _unlimited_depth(freqs: "list[int]") -> int:
@@ -31,10 +30,7 @@ def _unlimited_depth(freqs: "list[int]") -> int:
     return max(huffman._huffman_depths(leaves)) if len(leaves) > 1 else len(leaves)
 
 
-@given(tied_histograms())
-@settings(max_examples=400, deadline=None)
-def test_two_queue_lengths_equal_reference(case):
-    agree("code_lengths", *case)
+test_two_queue_lengths_equal_reference = given_agree("code_lengths", 400, tied_histograms())
 
 
 @pytest.mark.parametrize("max_bits", [7, 15])
@@ -101,12 +97,11 @@ def test_list_and_numpy_tables_equal_reference_at_every_width(width):
         tuple if width <= huffman._LIST_TABLE_BITS else memoryview)
 
 
-@given(st.lists(st.integers(0, 9), min_size=1, max_size=40))
-@settings(max_examples=300, deadline=None)
-def test_decode_table_or_its_error_equals_reference(lengths):
-    """Any length list, complete, incomplete, over-subscribed or empty:
-    the same table or the same typed error."""
-    agree("decoder_table", lengths)
+#: Any length list, complete, incomplete, over-subscribed or empty: the
+#: same table or the same typed error.
+test_decode_table_or_its_error_equals_reference = given_agree(
+    "decoder_table", 300, st.lists(st.integers(0, 9), min_size=1, max_size=40).map(
+        lambda lengths: (lengths,)))
 
 
 @pytest.mark.parametrize("lengths", BAD_TREES.values(), ids=BAD_TREES.keys())

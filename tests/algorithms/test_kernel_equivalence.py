@@ -15,7 +15,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import huffman
@@ -32,7 +32,7 @@ from tests.algorithms.test_twins import (
     BASE_SEED,
     CORPUS,
     agree,
-    code_array_args,
+    given_agree,
 )
 
 LZ77_ROWS = ("tokenize", "tokenize_small")
@@ -108,32 +108,8 @@ def test_deflate_equivalence_hypothesis(data, strategy, block_tokens):
 # -- Huffman ------------------------------------------------------------------
 
 
-@settings(max_examples=40)
-@given(
-    st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=80),
-    st.integers(min_value=5, max_value=15),
-)
-def test_canonical_codes_equivalence(freq_list, max_bits):
-    freqs = np.asarray(freq_list, dtype=np.int64)
-    if not freqs.any():
-        freqs[0] = 1
-    assume(np.count_nonzero(freqs) <= 1 << max_bits)  # else no such code exists
-    agree("canonical_codes", huffman.code_lengths(freqs, max_bits).tolist())
-
-
-@settings(max_examples=40)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=(1 << 16) - 1),
-            st.integers(min_value=0, max_value=16),
-        ),
-        max_size=120,
-    ),
-    st.integers(min_value=0, max_value=7),
-)
-def test_write_code_array_equivalence(pairs, lead_bits):
-    agree("write_code_array", *code_array_args(pairs, lead_bits))
+test_canonical_codes_equivalence = given_agree("canonical_codes", 40)
+test_write_code_array_equivalence = given_agree("write_code_array", 40)
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
@@ -153,10 +129,7 @@ def test_inflate_equals_reference(case, strategy):
     assert agree("inflate", deflate_compress(data, cfg)) == data
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.binary(max_size=1024))
-def test_inflate_equals_reference_hypothesis(data):
-    assert agree("inflate", deflate_compress(data)) == data
+test_inflate_equals_reference_hypothesis = given_agree("inflate", 25)
 
 
 # -- Scratch traffic --------------------------------------------------------
@@ -263,8 +236,4 @@ def test_context_hashes_equivalence(order, start, stop):
     agree("context_hashes", ContextModel(ACConfig(order=order)), data, start, stop)
 
 
-@settings(max_examples=30)
-@given(st.binary(min_size=0, max_size=600), st.integers(min_value=0, max_value=4))
-def test_context_hashes_hypothesis(raw, order):
-    data = np.frombuffer(raw, dtype=np.uint8)
-    agree("context_hashes", ContextModel(ACConfig(order=order)), data, 0, data.size)
+test_context_hashes_hypothesis = given_agree("context_hashes", 30)

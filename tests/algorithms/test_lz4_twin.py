@@ -18,18 +18,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms.lz4 import Lz4Config, lz4_block_compress
 from repro.datasets import get_dataset
-from tests.algorithms.test_twins import agree, damaged_lz4_blocks, lz4_args
+from tests.algorithms.test_twins import agree, damaged_lz4_blocks, given_agree
 
 
-@given(lz4_args)
-@settings(max_examples=150, deadline=None)
-def test_blocks_equal_twin_blocks_hypothesis(args):
-    agree("lz4_block_compress", *args)
+test_blocks_equal_twin_blocks_hypothesis = given_agree("lz4_block_compress", 150)
 
 
 def test_every_short_two_symbol_input():
@@ -94,7 +89,4 @@ def test_decode_valid_cut_and_flipped_blocks(index):
         agree("lz4_block_decompress", *args)
 
 
-@given(st.binary(max_size=300), st.one_of(st.none(), st.integers(-2, 2000)))
-@settings(max_examples=300, deadline=None)
-def test_decode_random_bytes(blob, cap):
-    agree("lz4_block_decompress", blob, cap)
+test_decode_random_bytes = given_agree("lz4_block_decompress", 300)

@@ -107,6 +107,19 @@ def agree(name: str, *args: Any) -> Any:
     return got
 
 
+def given_agree(name: str, examples: "int | None" = None,
+                strategy: "st.SearchStrategy | None" = None):
+    """A hypothesis test of row ``name``: argument tuples drawn from
+    ``strategy``, the row's own by default, each through :func:`agree`."""
+    @settings(max_examples=examples or CASES[name].examples, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(CASES[name].strategy if strategy is None else strategy)
+    def run(args):
+        agree(name, *args)
+
+    return run
+
+
 def cuts(blob: bytes, stop: "int | None" = None, step: int = 1,
          start: int = 0) -> "Iterator[bytes]":
     """Every ``step``-th prefix of ``blob`` from ``start`` bytes up to
@@ -331,7 +344,7 @@ def lorenzo_corpus() -> "Iterator[tuple]":
 # -- Huffman ---------------------------------------------------------------
 
 
-def _fibonacci(count: int) -> "list[int]":
+def fibonacci(count: int) -> "list[int]":
     out = [1, 1]
     while len(out) < count:
         out.append(out[-1] + out[-2])
@@ -352,7 +365,7 @@ def histograms(draw):
     elif family == "few_values":        # ties everywhere
         weights = rng.integers(1, 4, n_used)
     elif family == "fibonacci":         # deepest possible unbounded tree
-        weights = np.array(_fibonacci(80) * 4)[:n_used]
+        weights = np.array(fibonacci(80) * 4)[:n_used]
     elif family == "equal":
         weights = np.full(n_used, int(rng.integers(1, 100)))
     else:
@@ -384,7 +397,7 @@ def tied_histograms(draw):
     return freqs, max_bits
 
 
-def _dropped_one(case: tuple, drop: bool) -> tuple:
+def dropped_one(case: tuple, drop: bool) -> tuple:
     """The code lengths of a histogram, one code removed when ``drop``
     (the tree becomes incomplete, its slots invalid)."""
     lengths = huffman.code_lengths(*case)
@@ -614,7 +627,7 @@ CASES: "dict[str, Case]" = {
     "decoder_table": Case(
         st.one_of(st.lists(st.integers(0, 9), min_size=1, max_size=40)
                   .map(lambda lengths: (lengths,)),
-                  st.builds(_dropped_one, histograms(), st.booleans())),
+                  st.builds(dropped_one, histograms(), st.booleans())),
         50,
         lambda: [([3, 3, 3, 3, 3, 2, 4, 4],), ([8] * 256,), ([1, 1],), ([0, 1],)],
         project=_table, project_twin=_table_twin),
@@ -673,13 +686,7 @@ def test_every_row_has_a_case_and_every_case_a_row():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_hypothesis_inputs_agree(name):
-    @settings(max_examples=CASES[name].examples, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    @given(CASES[name].strategy)
-    def run(args):
-        agree(name, *args)
-
-    run()
+    given_agree(name)()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

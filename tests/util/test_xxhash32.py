@@ -3,11 +3,10 @@
 against the scalar stripe loop."""
 
 import pytest
-from hypothesis import given, settings
 
 from repro.algorithms.reference.xxhash32 import xxh32_scalar
 from repro.util.xxhash32 import xxh32
-from tests.algorithms.test_twins import agree, xxh32_args
+from tests.algorithms.test_twins import agree, given_agree
 
 
 # Official XXH32 vectors (from the xxHash repository's test suite).
@@ -65,10 +64,7 @@ def test_accepts_bytearray_and_memoryview():
     assert xxh32(memoryview(blob)) == xxh32(blob)
 
 
-@given(xxh32_args())
-@settings(max_examples=300, deadline=None)
-def test_packed_lanes_equal_scalar_loop(args):
-    agree("xxh32", *args)
+test_packed_lanes_equal_scalar_loop = given_agree("xxh32", 300)
 
 
 def test_every_length_through_both_loops():
