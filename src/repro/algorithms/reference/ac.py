@@ -16,8 +16,7 @@ to be mirrored in the other.
 Also here: :func:`decompress_stepwise`, the twin of ``ac_decompress``
 whose symbol loop (:func:`decode_stepwise`) is one call per step over
 :class:`RowContextModel`'s 257-entry cumulative rows; the per-position
-twins of
-``ContextModel.context_hashes`` (:func:`context_hashes`,
+twins of ``ContextModel.context_hashes`` (:func:`context_hashes`,
 :func:`context_hash_scalar`); and :class:`DenseContextModel`, the
 model's counts as the dense ``(2**table_bits, 256)`` matrix that
 ``ContextModel`` keeps only the nonzero entries of.
