@@ -84,15 +84,6 @@ class TokenStream:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __eq__(self, other: object) -> bool:
-        """The same tokens over the same input length."""
-        if not isinstance(other, TokenStream):
-            return NotImplemented
-        return (self.lengths, self.values, self.n_input) == (
-            other.lengths, other.values, other.n_input)
-
-    __hash__ = None  # mutable lists
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(lengths, values)`` as ``int32`` numpy arrays."""
         return (

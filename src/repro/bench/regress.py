@@ -60,7 +60,7 @@ from repro.algorithms.ac import ac_compress
 from repro.algorithms.deflate import compress as deflate_stages
 from repro.algorithms.deflate import deflate_compress
 from repro.algorithms.gzip_format import gzip_compress
-from repro.algorithms.lz77 import tokenize
+from repro.algorithms.lz77 import TokenStream, tokenize
 from repro.algorithms.sz3 import SZ3Compressor, SZ3Config, sz3_compress
 from repro.algorithms.zlib_format import zlib_compress
 from repro.algorithms.zstdlite import zstdlite_compress
@@ -684,6 +684,8 @@ WALL_CASES: "dict[str, WallCase]" = {
 def _same(a: Any, b: Any) -> bool:
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, TokenStream):
+        return (a.lengths, a.values, a.n_input) == (b.lengths, b.values, b.n_input)
     return a == b
 
 

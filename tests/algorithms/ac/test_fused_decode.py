@@ -6,8 +6,9 @@
 ``reference.ac.RowContextModel`` through ``cum_row`` /
 ``symbol_from_target`` — the objects whose arithmetic the fused loop
 writes out in locals.  Through :func:`~tests.algorithms.test_twins.agree`
-the two must produce the same bytes on well-formed streams and the same
-error type on malformed ones.
+the two must produce the same bytes on well-formed streams, and on
+malformed ones the same bytes with the CRC taken out or the same error
+type.
 """
 
 from __future__ import annotations
@@ -88,11 +89,12 @@ def test_first_chunk_never_builds_a_row():
 
 
 def test_malformed_payloads_fail_alike():
-    """Cuts and byte flips inside the coded payload: the same bytes or
-    the same error type (an exhausted payload and a broken ``code <
-    range`` invariant are both CorruptStreamError in both)."""
+    """Cuts and byte flips inside the coded payload: the same bytes,
+    compared with the CRC taken out, or the same error type (an
+    exhausted payload and a broken ``code < range`` invariant are both
+    CorruptStreamError in both)."""
     config = ACConfig(order=2, chunk_bytes=CHUNK, table_bits=10)
-    outcomes = [agree("ac_decode", *args)
+    outcomes = [agree("ac_decode", *args, damaged=True)
                 for args in ac_damaged(config, ac_payload("silesia/xml", 3 * CHUNK), 5)]
     assert CorruptStreamError in outcomes
     assert any(isinstance(o, bytes) for o in outcomes)

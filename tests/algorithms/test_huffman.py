@@ -228,20 +228,21 @@ def test_property_encode_decode_roundtrip(data):
 # kernels must reproduce the twins exactly — the same arrays, not merely
 # the same cost — because every compressed stream is pinned byte for byte.
 
+from repro.bench.regress import _block_trees  # noqa: E402
 from tests.algorithms.test_twins import (  # noqa: E402
+    CORPUS,
+    agree,
     dropped_one,
     fibonacci,
-    agree,
-    given_agree,
-    histograms,
+    given_case,
 )
 
 
-@given(histograms())
-@settings(max_examples=300, deadline=None)
-def test_code_lengths_equal_reference(case):
-    freqs, max_bits = case
-    agree("code_lengths", freqs, max_bits)
+@given_case("code_lengths")
+def test_code_lengths_equal_reference(freqs, max_bits):
+    """The row's hypothesis runner: the twin's lengths, as ``int32``,
+    and a valid limited code."""
+    assert agree("code_lengths", freqs, max_bits)[0] == np.dtype(np.int32).str
     lengths = huffman.code_lengths(freqs, max_bits)
     used = lengths[lengths > 0].astype(np.int64)
     assert ((freqs > 0) == (lengths > 0)).all()
@@ -257,7 +258,9 @@ def test_fibonacci_weights_bind_the_limit(max_bits, count):
     agree("code_lengths", freqs, max_bits)
 
 
-test_lsb_codes_equal_per_symbol_reversal = given_agree("lsb_codes", 100)
+@given_case("lsb_codes")
+def test_lsb_codes_equal_per_symbol_reversal(lengths):
+    assert agree("lsb_codes", lengths)[0] == np.dtype(np.uint32).str
 
 
 def test_lsb_codes_rejects_lengths_beyond_reversal_table():
@@ -265,9 +268,13 @@ def test_lsb_codes_rejects_lengths_beyond_reversal_table():
         huffman.lsb_codes(np.array([1, 17, 17]))
 
 
-#: Tables of real codes, some with one code removed (incomplete trees).
-test_decoder_table_equals_reference = given_agree(
-    "decoder_table", 100, st.builds(dropped_one, histograms(), st.booleans()))
+def test_decoder_table_equals_reference():
+    """Tables of the codes the corpus's blocks build, whole and with one
+    code removed (an incomplete tree)."""
+    for data in CORPUS.values():
+        for tree in _block_trees(data):
+            for drop in (False, True):
+                agree("decoder_table", *dropped_one(tree, drop))
 
 
 def test_decoder_table_single_symbol_code():

@@ -26,19 +26,17 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
+from hypothesis import seed
 
 from repro.algorithms import lz77
 from repro.algorithms.lz77 import MatcherConfig, reconstruct
 from tests.algorithms.test_twins import (
     BASE_SEED,
     FAMILIES,
-    WORDS,
     agree,
-    configs,
     draw_config,
-    family_inputs,
+    given_agree,
+    token_fields,
 )
 
 LENGTHS = (0, 1, 2, 3, 4, 5, 7, 12, 31, 255, 256, 257, 1000, 4097, 20000)
@@ -48,9 +46,10 @@ def assert_same_tokens(data, cfg):
     """``_tokenize_vec``'s tokens == scalar tokens (the ``tokenize``
     row), and ``_tokenize_small``'s and ``tokenize``'s == those; returns
     them."""
-    tokens = agree("tokenize", data, cfg)
+    fields = agree("tokenize", data, cfg)
     for kernel in (lz77._tokenize_small, lz77.tokenize):
-        assert kernel(data, cfg) == tokens, (kernel.__name__, cfg)
+        tokens = kernel(data, cfg)
+        assert token_fields(tokens) == fields, (kernel.__name__, cfg)
     return tokens
 
 
@@ -71,19 +70,7 @@ def test_default_config_roundtrips(family):
     assert reconstruct(assert_same_tokens(data, None)) == data
 
 
-@seed(BASE_SEED)
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(
-        st.binary(max_size=600),
-        st.lists(st.sampled_from(WORDS), max_size=120).map(b"".join),
-        st.lists(st.sampled_from([b"a", b"b", b"ab", b"\x00" * 9]),
-                 max_size=300).map(b"".join),
-    ),
-    configs,
-)
-def test_token_identity_hypothesis(data, cfg):
-    assert_same_tokens(data, cfg)
+test_token_identity_hypothesis = seed(BASE_SEED)(given_agree("tokenize_small"))
 
 
 # -- directed cases: one per branch the layout added ------------------------
@@ -191,11 +178,7 @@ def test_zero_padding_does_not_extend_a_match_past_the_input(tail):
 # -- hypothesis, short inputs, views and the size split ---------------------
 
 
-@seed(BASE_SEED)
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(family_inputs(), st.binary(max_size=4096)), configs)
-def test_both_kernels_hypothesis(data, cfg):
-    assert_same_tokens(data, cfg)
+test_both_kernels_hypothesis = seed(BASE_SEED)(given_agree("tokenize"))
 
 
 @pytest.mark.parametrize("lazy", [False, True])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-from hypothesis import given, settings
 
 from repro.algorithms.sz3 import encoder as production
 from repro.errors import CorruptStreamError
@@ -26,7 +25,8 @@ from tests.algorithms.test_twins import (
     agree,
     cuts,
     flips,
-    residual_arrays,
+    given_case,
+    residual_sources,
     sz3_bit_cuts,
 )
 
@@ -39,10 +39,8 @@ def _same_values(residuals: np.ndarray) -> None:
     assert agree("decode_residuals", payload)[2] == residuals.tobytes()
 
 
-@given(residual_arrays())
-@settings(max_examples=150, deadline=None)
-def test_fused_decode_matches_the_twin(residuals):
-    _same_values(residuals)
+test_fused_decode_matches_the_twin = given_case("decode_residuals", residual_sources)(
+    _same_values)
 
 
 def test_escape_as_the_final_symbol():

@@ -15,12 +15,18 @@ Adding a twin is one REGISTRY row, one entry here, and a
 the bottom fail when a row has no entry or an entry no row, and when a
 wall case or a speedup band names something that is not there.
 Directed cases that predate this table keep their test ids in the
-kernels' own test files and compare through :func:`agree` too.
+kernels' own test files and compare through :func:`agree` too.  Where
+such a file already had a hypothesis test of a row, that test is the
+row's one hypothesis runner (:attr:`Case.runner`, built by
+:func:`given_case`) and may check more than :func:`agree` does, a round
+trip or a dtype.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import importlib
 import itertools
 import os
 import random
@@ -50,7 +56,7 @@ from repro.algorithms.reference.ac import ReferenceDecoder
 from repro.algorithms.sz3.encoder import encode_residuals
 from repro.bench import regress
 from repro.datasets import get_dataset
-from repro.errors import ReproError
+from repro.errors import ChecksumMismatchError, ReproError
 from repro.util.bitio import BitReader, BitWriter
 from repro.util.xxhash32 import xxh32
 
@@ -61,12 +67,16 @@ BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260806"))
 class Case:
     """How one registry row is compared with its twin.
 
-    ``strategy`` draws argument tuples, ``examples`` of them per run;
-    ``corpus`` and ``damaged`` build directed ones, the latter cut or
-    bit-flipped inputs of which some must be rejected.  ``project`` maps
-    ``(output, *args)`` to the value compared, ``project_twin`` the
-    twin's where it differs.  A kernel that writes to its first argument
-    is ``mutates``: each side then gets its own deep copy.
+    ``strategy`` draws argument tuples, ``examples`` of them per run, in
+    :func:`test_hypothesis_inputs_agree` or, when ``runner`` names one
+    (``"module::test"``, the module under ``tests``), in that older
+    test.  ``corpus`` and ``damaged`` build directed ones, the latter
+    cut or bit-flipped inputs of which some must be rejected;
+    ``lenient`` wraps each side's kernel for those, to take out a check
+    both share.  ``project`` maps ``(output, *args)`` to the value
+    compared, ``project_twin`` the twin's where it differs.  A kernel
+    that writes to its first argument is ``mutates``: each side then
+    gets its own deep copy.
     """
 
     strategy: st.SearchStrategy
@@ -75,7 +85,9 @@ class Case:
     project: "Callable[..., Any] | None" = None
     project_twin: "Callable[..., Any] | None" = None
     damaged: "Callable[[], Iterable[tuple]] | None" = None
+    lenient: "Callable[[Callable], Callable] | None" = None
     mutates: bool = False
+    runner: "str | None" = None
 
 
 def _outcome(kernel, args: tuple, project) -> Any:
@@ -95,29 +107,40 @@ def _outcome(kernel, args: tuple, project) -> Any:
     return out
 
 
-def agree(name: str, *args: Any) -> Any:
+def agree(name: str, *args: Any, damaged: bool = False) -> Any:
     """Row ``name``'s production kernel and twin on ``args``: the same
-    outcome, which is returned."""
+    outcome, which is returned.  ``damaged`` inputs run through the
+    row's ``lenient`` wrapper, if it has one."""
     row, case = REGISTRY[name], CASES[name]
+    wrap = case.lenient if damaged and case.lenient else (lambda kernel: kernel)
     got, want = (
-        _outcome(kernel, copy.deepcopy(args) if case.mutates else args, project)
+        _outcome(wrap(kernel), copy.deepcopy(args) if case.mutates else args, project)
         for kernel, project in ((row.production, case.project),
                                 (row.twin, case.project_twin or case.project)))
     assert got == want, (name, repr(args)[:300])
     return got
 
 
-def given_agree(name: str, examples: "int | None" = None,
-                strategy: "st.SearchStrategy | None" = None):
-    """A hypothesis test of row ``name``: argument tuples drawn from
-    ``strategy``, the row's own by default, each through :func:`agree`."""
-    @settings(max_examples=examples or CASES[name].examples, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    @given(CASES[name].strategy if strategy is None else strategy)
-    def run(args):
-        agree(name, *args)
+def given_case(name: str, source: "st.SearchStrategy | None" = None):
+    """Decorate ``check(*drawn)`` into row ``name``'s hypothesis runner:
+    ``CASES[name].examples`` tuples drawn from the row's strategy, or
+    from ``source``, what that strategy maps to arguments, for a check
+    that needs the input behind them."""
+    def decorate(check):
+        @settings(max_examples=CASES[name].examples, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+        @given(CASES[name].strategy if source is None else source)
+        def run(drawn):
+            check(*drawn)
 
-    return run
+        run.twin_row = name
+        return run
+    return decorate
+
+
+def given_agree(name: str):
+    """Row ``name``'s hypothesis runner that only runs :func:`agree`."""
+    return given_case(name)(functools.partial(agree, name))
 
 
 def cuts(blob: bytes, stop: "int | None" = None, step: int = 1,
@@ -248,6 +271,11 @@ lz77_args = st.tuples(
 )
 
 
+def token_fields(tokens, *_) -> tuple:
+    """What two token streams must share: both lists and the input length."""
+    return tokens.lengths, tokens.values, tokens.n_input
+
+
 def lz77_corpus() -> "Iterator[tuple]":
     """Each family at 3 KiB under a drawn matcher, and as a view into a
     larger buffer under the default one."""
@@ -311,6 +339,9 @@ def residual_arrays(draw):
     return np.array([draw(large) if esc else draw(small) for esc in escapes],
                     dtype=np.int64)
 
+
+#: Residual arrays, the input behind the ``decode_residuals`` payloads.
+residual_sources = residual_arrays().map(lambda residuals: (residuals,))
 
 #: A small payload with escapes, to cut and flip bit by bit.
 _SZ3_SMALL = encode_residuals(np.array([5, -3, 2**50, 0, 1, -(2**62), 7], dtype=np.int64))
@@ -491,6 +522,21 @@ def ac_payload(name: str, nbytes: int) -> bytes:
     return _dataset(name, nbytes)
 
 
+def without_crc(decode):
+    """``decode`` with the CRC taken out: on a mismatch the stored CRC is
+    rewritten to the computed one and the blob decoded again, which
+    returns the bytes the loop produced, so two decoders that produce
+    different garbage do not agree on the error alone."""
+    def run(blob: bytes, *rest):
+        try:
+            return decode(blob, *rest)
+        except ChecksumMismatchError as exc:
+            patched = bytearray(blob)
+            struct.pack_into("<I", patched, HEADER_BYTES - 4, exc.actual)
+            return decode(bytes(patched), *rest)
+    return run
+
+
 def ac_damaged(config: ACConfig, data: bytes, step: int) -> "Iterator[tuple]":
     """Every ``step``-th cut of the coded payload of ``data``, and a byte
     flip at every ``step``-th payload byte (header fields stay whole:
@@ -548,29 +594,46 @@ def xxh32_args(draw):
     return wrap(blob), seed
 
 
+# -- DEFLATE ---------------------------------------------------------------
+
+#: Bytes and a block strategy, the input behind the ``inflate`` streams.
+deflate_sources = st.tuples(st.binary(max_size=1024),
+                            st.sampled_from(["auto", "fixed", "dynamic", "stored"]))
+
+
+def deflated(data: bytes, strategy: str) -> bytes:
+    return deflate_compress(data, DeflateConfig(strategy=strategy))
+
+
 # -- the table -------------------------------------------------------------
 
 CASES: "dict[str, Case]" = {
-    # More hypothesis examples of the rows below run under older test ids
-    # (test_kernel_equivalence.py, test_lz77_layout.py, test_lz4_twin.py,
-    # test_sz3_twin.py, test_huffman*.py, test_xxhash32.py).
-    "tokenize": Case(lz77_args, 50, lz77_corpus),
-    "tokenize_small": Case(lz77_args, 50, lz77_corpus),
-    "lz4_block_compress": Case(lz4_args, 50, lambda: itertools.chain(
-        ((data, None) for data in CORPUS.values()),
-        [(memoryview(CORPUS["xml_sample"]), Lz4Config(acceleration=4))])),
+    "tokenize": Case(
+        lz77_args, 200, lz77_corpus, project=token_fields,
+        runner="algorithms.test_lz77_layout::test_both_kernels_hypothesis"),
+    "tokenize_small": Case(
+        lz77_args, 200, lz77_corpus, project=token_fields,
+        runner="algorithms.test_lz77_layout::test_token_identity_hypothesis"),
+    "lz4_block_compress": Case(
+        lz4_args, 150,
+        lambda: itertools.chain(
+            ((data, None) for data in CORPUS.values()),
+            [(memoryview(CORPUS["xml_sample"]), Lz4Config(acceleration=4))]),
+        runner="algorithms.test_lz4_twin::test_blocks_equal_twin_blocks_hypothesis"),
     "lz4_block_decompress": Case(
         st.tuples(st.binary(max_size=300), st.one_of(st.none(), st.integers(-2, 2000))),
-        50,
+        300,
         lambda: ((lz4_block_compress(data), cap) for data in CORPUS.values()
                  for cap in (None, max(len(data) - 1, 0))),
-        damaged=lambda: damaged_lz4_blocks(lz4_block_compress(CORPUS["xml_sample"][:96]))),
+        damaged=lambda: damaged_lz4_blocks(lz4_block_compress(CORPUS["xml_sample"][:96])),
+        runner="algorithms.test_lz4_twin::test_decode_random_bytes"),
     "canonical_codes": Case(
         st.one_of(st.lists(st.integers(0, 9), max_size=40),
                   histograms().map(lambda case: huffman.code_lengths(*case).tolist()))
         .map(lambda lengths: (lengths,)),
         40,
-        lambda: [([3, 3, 3, 3, 3, 2, 4, 4],), ([],), ([1, 1, 1],), ([8] * 256,)]),
+        lambda: [([3, 3, 3, 3, 3, 2, 4, 4],), ([],), ([1, 1, 1],), ([8] * 256,)],
+        runner="algorithms.test_kernel_equivalence::test_canonical_codes_equivalence"),
     "write_code_array": Case(
         st.builds(code_array_args,
                   st.lists(st.tuples(st.integers(0, (1 << 16) - 1), st.integers(0, 16)),
@@ -579,7 +642,8 @@ CASES: "dict[str, Case]" = {
         40,
         lambda: (code_array_args([(5, 3), (0, 0), (0xFFFF, 16)] * n, lead)
                  for n in (0, 1, 17) for lead in (0, 3, 7)),
-        project=_written, mutates=True),
+        project=_written, mutates=True,
+        runner="algorithms.test_kernel_equivalence::test_write_code_array_equivalence"),
     "pack_tokens": Case(
         st.one_of(st.binary(max_size=2048),
                   st.builds(lambda start, size: CORPUS["xml_sample"][start:start + size],
@@ -605,43 +669,47 @@ CASES: "dict[str, Case]" = {
         lambda: ((np.array([0, 1, -1, 1 << 40, -(1 << 40)]), 1.0, np.dtype(dtype))
                  for dtype in (np.float32, np.float64))),
     "decode_residuals": Case(
-        residual_arrays().map(lambda r: (encode_residuals(r),)),
-        30,
+        residual_sources.map(lambda source: (encode_residuals(*source),)),
+        150,
         lambda: ((encode_residuals(np.array(r, dtype=np.int64)),)
                  for r in ([], [0], [2**40] * 5, [0] * 1000)),
         damaged=lambda: ((blob,) for blob in itertools.chain(
             cuts(_SZ3_SMALL), sz3_bit_cuts(_SZ3_SMALL),
-            flips(_SZ3_SMALL, range(8 * (SZ3_BITSTREAM - 8), 8 * len(_SZ3_SMALL)))))),
+            flips(_SZ3_SMALL, range(8 * (SZ3_BITSTREAM - 8), 8 * len(_SZ3_SMALL))))),
+        runner="algorithms.test_sz3_twin::test_fused_decode_matches_the_twin"),
     "context_hashes": Case(
         hash_windows(), 30,
         lambda: ((ContextModel(ACConfig(order=3)), _HASHED, start, stop)
-                 for start, stop in ((0, 1000), (2, 3), (997, 1000)))),
+                 for start, stop in ((0, 1000), (2, 3), (997, 1000))),
+        runner="algorithms.test_kernel_equivalence::test_context_hashes_hypothesis"),
     "code_lengths": Case(
-        st.one_of(histograms(), tied_histograms()), 50,
+        st.one_of(histograms(), tied_histograms()), 700,
         lambda: ((np.array(freqs), max_bits) for freqs, max_bits in (
-            ([1] * 286, 9), ([1] * 286, 15), ([0, 5, 0], 15), ([3, 1], 1), ([0] * 30, 15)))),
+            ([1] * 286, 9), ([1] * 286, 15), ([0, 5, 0], 15), ([3, 1], 1), ([0] * 30, 15))),
+        runner="algorithms.test_huffman::test_code_lengths_equal_reference"),
     "lsb_codes": Case(
-        histograms().map(lambda case: (huffman.code_lengths(*case),)), 50,
+        histograms().map(lambda case: (huffman.code_lengths(*case),)), 100,
         lambda: [(np.array([3, 3, 3, 3, 3, 2, 4, 4]),), (np.array([0, 2, 0, 2, 1]),),
-                 (np.zeros(19, dtype=np.int32),)]),
+                 (np.zeros(19, dtype=np.int32),)],
+        runner="algorithms.test_huffman::test_lsb_codes_equal_per_symbol_reversal"),
     "decoder_table": Case(
         st.one_of(st.lists(st.integers(0, 9), min_size=1, max_size=40)
                   .map(lambda lengths: (lengths,)),
                   st.builds(dropped_one, histograms(), st.booleans())),
-        50,
+        400,
         lambda: [([3, 3, 3, 3, 3, 2, 4, 4],), ([8] * 256,), ([1, 1],), ([0, 1],)],
-        project=_table, project_twin=_table_twin),
+        project=_table, project_twin=_table_twin,
+        runner=("algorithms.test_huffman_build"
+                "::test_decode_table_or_its_error_equals_reference")),
     "inflate": Case(
-        st.builds(lambda data, strategy: (deflate_compress(data, DeflateConfig(
-            strategy=strategy)),), st.binary(max_size=1024),
-            st.sampled_from(["auto", "fixed", "dynamic", "stored"])),
-        25,
-        lambda: ((deflate_compress(data, DeflateConfig(strategy=strategy)), cap)
+        deflate_sources.map(lambda source: (deflated(*source),)), 25,
+        lambda: ((deflated(data, strategy), cap)
                  for data in (CORPUS["xml_sample"][:3000], CORPUS["ascii_noise"])
                  for strategy in ("fixed", "dynamic", "stored")
                  for cap in (0, len(data) - 1, len(data))),
-        damaged=lambda: damaged_headers(deflate_compress(
-            b"hello hello world, " * 8 + bytes(range(30)), DeflateConfig(strategy="dynamic")))),
+        damaged=lambda: damaged_headers(deflated(
+            b"hello hello world, " * 8 + bytes(range(30)), "dynamic")),
+        runner="algorithms.test_kernel_equivalence::test_inflate_equals_reference_hypothesis"),
     "ac_coder": Case(
         st.builds(_batches, st.binary(max_size=3000),
                   st.builds(ACConfig, order=st.integers(0, 4),
@@ -660,7 +728,8 @@ CASES: "dict[str, Case]" = {
             for name in ("silesia/xml", "zeros", "random", "obs_error")
             for order in (0, 2, 4)),
         damaged=lambda: ac_damaged(ACConfig(order=1, chunk_bytes=256, table_bits=8),
-                                   ac_payload("obs_error", 300), step=3)),
+                                   ac_payload("obs_error", 300), step=3),
+        lenient=without_crc),
     "context_model": Case(
         st.builds(lambda order, table_bits, chunk_log2, max_total_log2: (ACConfig(
             order=order, chunk_bytes=1 << chunk_log2, table_bits=table_bits,
@@ -672,8 +741,9 @@ CASES: "dict[str, Case]" = {
                  (ACConfig(order=4, chunk_bytes=1024, table_bits=12),)],
         project=_model_trace),
     "xxh32": Case(
-        xxh32_args(), 50,
-        lambda: [(bytes(range(256)) * 3, 7), (b"", 0), (b"\xff" * 48, 2**32 - 1)]),
+        xxh32_args(), 300,
+        lambda: [(bytes(range(256)) * 3, 7), (b"", 0), (b"\xff" * 48, 2**32 - 1)],
+        runner="util.test_xxhash32::test_packed_lanes_equal_scalar_loop"),
 }
 
 
@@ -684,9 +754,15 @@ def test_every_row_has_a_case_and_every_case_a_row():
     assert sorted(CASES) == sorted(REGISTRY)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if not case.runner))
 def test_hypothesis_inputs_agree(name):
     given_agree(name)()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case.runner))
+def test_each_runner_is_its_rows_hypothesis_test(name):
+    module, test = CASES[name].runner.split("::")
+    assert getattr(importlib.import_module(f"tests.{module}"), test).twin_row == name
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -697,7 +773,7 @@ def test_directed_inputs_agree(name):
 @pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case.damaged))
 def test_damaged_inputs_fail_alike(name):
     """The same bytes or the same typed error, and the damage is seen."""
-    outcomes = [agree(name, *args) for args in CASES[name].damaged()]
+    outcomes = [agree(name, *args, damaged=True) for args in CASES[name].damaged()]
     assert any(isinstance(outcome, type) for outcome in outcomes)
 
 

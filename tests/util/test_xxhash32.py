@@ -64,7 +64,7 @@ def test_accepts_bytearray_and_memoryview():
     assert xxh32(memoryview(blob)) == xxh32(blob)
 
 
-test_packed_lanes_equal_scalar_loop = given_agree("xxh32", 300)
+test_packed_lanes_equal_scalar_loop = given_agree("xxh32")
 
 
 def test_every_length_through_both_loops():
