@@ -3,6 +3,12 @@
 Everything is driven by a seeded :class:`numpy.random.Generator`, so a
 given (dataset, size) pair is bit-reproducible across runs and
 platforms.
+
+Categorical draws take a CDF built once per distribution by
+:func:`sampling_cdf`; a draw is then one ``searchsorted`` over
+``rng.random(size)``, the step ``Generator.choice(n, size, p=p)`` takes
+after building that same CDF, so it yields the same indices and leaves
+the generator in the same state.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import numpy as np
 __all__ = [
     "rng_for",
     "markov_text",
+    "sampling_cdf",
     "zipf_vocabulary",
     "smooth_field_2d",
     "weighted_bytes",
@@ -30,33 +37,47 @@ def rng_for(key: str, nbytes: int) -> np.random.Generator:
     return np.random.default_rng((acc << 20) ^ nbytes)
 
 
+def sampling_cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF of the categorical distribution ``weights / weights.sum()``,
+    as ``Generator.choice`` builds it from ``p``."""
+    probs = np.asarray(weights, dtype=np.float64)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``size`` indices from ``cdf``: ``rng.choice(len(cdf), size, p=p)``
+    for the ``p`` that :func:`sampling_cdf` was given."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def zipf_vocabulary(rng: np.random.Generator, n_words: int, alpha: float = 1.3) -> tuple[list[bytes], np.ndarray]:
-    """A vocabulary plus Zipf-ish sampling probabilities."""
+    """A vocabulary plus the :func:`sampling_cdf` of its Zipf-ish word
+    probabilities."""
     letters = np.array(list(b"abcdefghijklmnopqrstuvwxyz_"), dtype=np.uint8)
     words = []
     for _ in range(n_words):
         length = int(rng.integers(3, 12))
         words.append(bytes(rng.choice(letters, size=length)))
     ranks = np.arange(1, n_words + 1, dtype=np.float64)
-    probs = ranks**-alpha
-    probs /= probs.sum()
-    return words, probs
+    return words, sampling_cdf(ranks**-alpha)
 
 
 def markov_text(
     rng: np.random.Generator,
     nbytes: int,
     words: list[bytes],
-    probs: np.ndarray,
+    cdf: np.ndarray,
     separator: bytes = b" ",
     line_width: int = 72,
 ) -> bytes:
-    """Concatenate Zipf-sampled words into text with line breaks."""
+    """Concatenate words drawn from ``cdf`` into text with line breaks."""
     out = bytearray()
     col = 0
     n_words = len(words)
     # Vectorised draw, then assemble.
-    draws = rng.choice(n_words, size=max(nbytes // 4, 16), p=probs)
+    draws = _draw(rng, cdf, max(nbytes // 4, 16))
     for idx in draws:
         word = words[int(idx)]
         out += word
@@ -92,10 +113,6 @@ def smooth_field_2d(
     return np.clip(field, 0.0, 1.0)
 
 
-def weighted_bytes(
-    rng: np.random.Generator, nbytes: int, weights: np.ndarray
-) -> bytes:
-    """Random bytes drawn from a non-uniform distribution."""
-    probs = np.asarray(weights, dtype=np.float64)
-    probs = probs / probs.sum()
-    return bytes(rng.choice(256, size=nbytes, p=probs).astype(np.uint8))
+def weighted_bytes(rng: np.random.Generator, nbytes: int, cdf: np.ndarray) -> bytes:
+    """Random bytes drawn from a 256-entry :func:`sampling_cdf`."""
+    return bytes(_draw(rng, cdf, nbytes).astype(np.uint8))

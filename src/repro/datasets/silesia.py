@@ -13,6 +13,7 @@ import numpy as np
 from repro.datasets.generators import (
     markov_text,
     rng_for,
+    sampling_cdf,
     smooth_field_2d,
     weighted_bytes,
     zipf_vocabulary,
@@ -28,7 +29,7 @@ def generate_xml(nbytes: int) -> bytes:
     tags = [b"entry", b"title", b"author", b"year", b"journal", b"pages",
             b"volume", b"booktitle", b"url", b"ee", b"cite"]
     # Tuned: DEFLATE ~7.5 at 256 KiB (paper: 7.77).
-    words, probs = zipf_vocabulary(rng, 80, alpha=1.8)
+    words, cdf = zipf_vocabulary(rng, 80, alpha=1.8)
     out = bytearray(b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n')
     serial = 0
     while len(out) < nbytes:
@@ -38,7 +39,7 @@ def generate_xml(nbytes: int) -> bytes:
         n_inner = int(rng.integers(1, 4))
         for _ in range(n_inner):
             inner = tags[int(rng.integers(0, len(tags)))]
-            body = markov_text(rng, int(rng.integers(12, 60)), words, probs)
+            body = markov_text(rng, int(rng.integers(12, 60)), words, cdf)
             out += b'<' + inner + b'>' + body.strip() + b'</' + inner + b'>'
         out += b'</' + tag + b'>\n'
     out += b"</dblp>\n"
@@ -69,7 +70,7 @@ def generate_samba(nbytes: int) -> bytes:
     rng = rng_for("silesia/samba", nbytes)
     # Tuned: DEFLATE ~3.9 at 256 KiB (paper: 3.96); 8% of the archive is
     # an image-like section (the corpus file mixes code and graphics).
-    idents, probs = zipf_vocabulary(rng, 500, alpha=1.15)
+    idents, _ = zipf_vocabulary(rng, 500, alpha=1.15)
     keywords = [b"static", b"int", b"char", b"return", b"if", b"else",
                 b"struct", b"void", b"const", b"uint32_t", b"NULL", b"for"]
     out = bytearray()
@@ -93,8 +94,8 @@ def generate_samba(nbytes: int) -> bytes:
         out += b"\treturn 0;\n}\n\n"
     # Graphics section: byte histogram with an exponential skew
     # (image-like, partially compressible).
-    gfx_weights = np.exp(-np.arange(256) / 40.0)
-    out += weighted_bytes(rng, max(nbytes - len(out), 0), gfx_weights)
+    gfx_cdf = sampling_cdf(np.exp(-np.arange(256) / 40.0))
+    out += weighted_bytes(rng, max(nbytes - len(out), 0), gfx_cdf)
     return bytes(out[:nbytes])
 
 
@@ -119,14 +120,15 @@ def generate_mozilla(nbytes: int) -> bytes:
     ]
     weights = np.ones(256)
     weights[[0x00, 0x48, 0x89, 0x8B, 0xE8, 0x0F, 0xFF, 0x24, 0x45]] = 120.0
+    cdf = sampling_cdf(weights)
     code = bytearray()
     while len(code) < code_budget:
         code += idioms[int(rng.integers(0, len(idioms)))]
-        code += weighted_bytes(rng, int(rng.integers(2, 5)), weights)
+        code += weighted_bytes(rng, int(rng.integers(2, 5)), cdf)
     out += code[:code_budget]
 
     # String table: library symbol-ish names.
-    idents, probs = zipf_vocabulary(rng, 300, alpha=1.2)
+    idents, _ = zipf_vocabulary(rng, 300, alpha=1.2)
     prefixes = [b"_ZN7mozilla", b"NS_", b"JS_", b"nsI", b"PR_"]
     strtab = bytearray()
     while len(strtab) < strtab_budget:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.ac import ACConfig, HEADER_BYTES, ac_compress, ac_decompress
-from repro.errors import ReproError
+from repro.algorithms.reference.ac import decompress_stepwise
+from repro.errors import CorruptStreamError, ReproError
 
 # Small operating point keeps the exhaustive sweeps fast while still
 # crossing several chunk boundaries.
@@ -69,6 +70,20 @@ def test_random_garbage_fails_cleanly(blob):
     # Random blobs essentially never carry a valid magic+CRC; accept a
     # clean decode only for the empty container case.
     assert out is None or isinstance(out, bytes)
+
+
+def test_code_equal_to_range_is_rejected_at_the_first_symbol():
+    """Code bytes ``ff ff ff ff`` after the pad byte start the decoder at
+    ``code == range`` (both 2**32 - 1), which no encoder emits.  With
+    the rest of the payload zero, every step keeps them equal, so a
+    ``code > range`` check would decode to the end and fail only at the
+    CRC; the per-symbol ``code >= range`` check rejects the first symbol,
+    in the production loop and in the step-wise twin alike."""
+    corrupted = bytearray(STREAM)
+    corrupted[HEADER_BYTES + 1:] = b"\xff" * 4 + bytes(len(STREAM) - HEADER_BYTES - 5)
+    for decode in (ac_decompress, decompress_stepwise):
+        with pytest.raises(CorruptStreamError, match="decoder state invariant violated"):
+            decode(bytes(corrupted))
 
 
 def test_empty_and_tiny_inputs_are_typed():

@@ -537,6 +537,14 @@ def without_crc(decode):
     return run
 
 
+def code_at_range(blob: bytes) -> bytes:
+    """``blob`` with the four code bytes after the pad byte set to ``ff``
+    and the rest of the payload to zero: the decoder starts at, and
+    stays at, ``code == range``, which both decoders reject at the first
+    symbol."""
+    return blob[:HEADER_BYTES + 1] + b"\xff" * 4 + bytes(len(blob) - HEADER_BYTES - 5)
+
+
 def ac_damaged(config: ACConfig, data: bytes, step: int) -> "Iterator[tuple]":
     """Every ``step``-th cut of the coded payload of ``data``, and a byte
     flip at every ``step``-th payload byte (header fields stay whole:
@@ -723,10 +731,12 @@ CASES: "dict[str, Case]" = {
         st.builds(lambda data, config: (ac_compress(data, config),),
                   st.binary(max_size=2000), ac_configs),
         30,
-        lambda: ((ac_compress(ac_payload(name, 600), ACConfig(
-            order=order, chunk_bytes=256, table_bits=10)),)
-            for name in ("silesia/xml", "zeros", "random", "obs_error")
-            for order in (0, 2, 4)),
+        lambda: itertools.chain(
+            ((ac_compress(ac_payload(name, 600), ACConfig(
+                order=order, chunk_bytes=256, table_bits=10)),)
+             for name in ("silesia/xml", "zeros", "random", "obs_error")
+             for order in (0, 2, 4)),
+            [(code_at_range(ac_compress(ac_payload("silesia/xml", 600))),)]),
         damaged=lambda: ac_damaged(ACConfig(order=1, chunk_bytes=256, table_bits=8),
                                    ac_payload("obs_error", 300), step=3),
         lenient=without_crc),
