@@ -18,9 +18,9 @@ per admitted request, on the request event's completion — success *or*
 failure — via an event callback, so worker death cannot leak the global
 budget any more than the per-shard one.
 
-**Failover** is layered: shard gateways run with
-``ServeConfig.failover=True``, so a killed worker's in-flight batches
-re-dispatch to surviving replicas inside the shard.  When a kill takes
+**Failover** is layered: a shard gateway re-dispatches a killed
+worker's in-flight batches to the surviving replicas inside the shard
+(:meth:`~repro.serve.ServeGateway.kill_worker`).  When a kill takes
 a shard's *last* replica, the cluster heals the shard map — the shard
 leaves the ring at that sim instant, the epoch bumps, and subsequent
 submits for its tenants land on surviving shards.  Healing is
@@ -60,9 +60,9 @@ class ClusterConfig:
     """Cluster-level policy knobs.
 
     ``serve`` is the per-shard gateway template; the cluster overrides
-    its ``max_pending`` (with ``shard_max_pending``), turns on
-    ``failover``, and stamps per-shard telemetry, leaving every other
-    knob (batching, router, sched, codecs) as given.
+    its ``max_pending`` (with ``shard_max_pending``) and stamps
+    per-shard telemetry, leaving every other knob (batching, router,
+    sched, codecs) as given.
     """
 
     num_shards: int = 4
@@ -98,7 +98,6 @@ class ServeCluster:
             shard_config = dataclasses.replace(
                 self.config.serve,
                 max_pending=self.config.shard_max_pending,
-                failover=True,
                 telemetry=telemetry,
             )
             self.gateways[name] = ServeGateway(env, members, shard_config)

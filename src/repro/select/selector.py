@@ -94,7 +94,7 @@ class PathSelector:
         """The size above which the C-Engine path wins (``inf`` when it
         never does — notably every op the capability matrix rejects,
         e.g. BF3 compression).  Memoized per (algo, direction,
-        amortized); :meth:`observe` invalidates the cache."""
+        amortized)."""
         key = (algo, direction, amortized)
         cached = self._crossover.get(key)
         if cached is not None:

@@ -89,19 +89,13 @@ class ServeConfig:
     max_pending: int = 64
     router: "str | Router" = "least_queue_depth"
     telemetry: TelemetryConfig | None = None
-    # Worker-death failover: when on, every in-flight batch races its
-    # scheduler completion against the worker's death event and
-    # re-dispatches to a surviving replica on loss.  Off by default:
-    # the race inserts one extra event per batch into the sim queue,
-    # which would perturb the pinned single-gateway bench trajectories.
-    failover: bool = False
 
 
 class DpuWorker:
     """One fleet member: a device plus its pipelined scheduler."""
 
     __slots__ = ("device", "scheduler", "batches_served", "requests_served",
-                 "registry", "alive", "died", "_supported")
+                 "registry", "alive", "running", "_supported")
 
     def __init__(self, device: "BlueFieldDPU",
                  registry: "MetricsRegistry | None" = None) -> None:
@@ -110,23 +104,31 @@ class DpuWorker:
         self.scheduler = PipelineScheduler(device, metrics=registry)
         self.batches_served = 0
         self.requests_served = 0
-        # Whole-worker death: routers skip dead workers; failover-enabled
-        # batch runners race their completion against ``died``.
+        # Whole-worker death: routers skip dead workers, and ``kill``
+        # fails the completion of every job still ``running`` here (in
+        # submit order), which sends its batch back to the router.
         self.alive = True
-        self.died = device.env.event()
+        self.running: "dict[Event, None]" = {}
         # Engine capability per (direction, algo): fixed by the spec.
         self._supported: "dict[tuple[Direction, Algo], bool]" = {}
 
     def kill(self) -> None:
-        """Mark this worker dead and wake every batch racing on it.
+        """Mark this worker dead and fail its in-flight jobs.
 
-        Idempotent: a second kill is a no-op (the death event is
-        one-shot, like the real DPU falling off the PCIe bus once).
+        Each job still running here has its completion failed with
+        :class:`~repro.errors.WorkerDiedError`, in submit order; a
+        completion already decided keeps its outcome.  The orphaned job
+        runs on against the dead device, and its late success is
+        ignored.  Idempotent: a second kill is a no-op (the real DPU
+        falls off the PCIe bus once).
         """
         if not self.alive:
             return
         self.alive = False
-        self.died.succeed(self.name)
+        for completion in self.running:
+            if not completion.triggered:
+                completion.fail(WorkerDiedError(self.name))
+        self.running.clear()
 
     @property
     def name(self) -> str:
@@ -284,16 +286,15 @@ class ServeGateway:
     def kill_worker(self, name: str) -> DpuWorker:
         """Kill the named worker (fault injection / cluster failover).
 
-        Routers stop picking it immediately.  With ``failover`` enabled
-        in :class:`ServeConfig`, batches in flight on it lose their
-        death race (:class:`~repro.errors.WorkerDiedError` internally)
-        and re-dispatch to a surviving replica — or fail their tickets
-        with :class:`~repro.errors.NoCapableWorkerError` when none is
-        left.  Without ``failover`` the kill only stops *new*
-        placements: in-flight batches run to completion against the
-        cost model (their bytes were pinned at submit).  Either way
-        every admitted request releases its admission slot exactly
-        once.
+        Routers stop picking it immediately, and every batch in flight
+        on it fails over: its job's completion fails with
+        :class:`~repro.errors.WorkerDiedError` and the batch
+        re-dispatches to a surviving replica (a ``failover`` routing
+        record), or fails its tickets with
+        :class:`~repro.errors.NoCapableWorkerError` when none is left.
+        The bytes were fixed at submit, so a re-dispatch moves only the
+        clock.  Every admitted request releases its admission slot
+        exactly once.
         """
         for worker in self.workers:
             if worker.name == name:
@@ -429,20 +430,16 @@ class ServeGateway:
                     with span:
                         if span.recording:
                             span_index = span.index
+                        if not worker.alive:
+                            # Killed between the pick and this submit.
+                            raise WorkerDiedError(worker.name)
                         completion = worker.scheduler.submit(job).event
-                        if not self.config.failover:
+                        # ``worker.kill`` fails the completion.
+                        worker.running[completion] = None
+                        try:
                             outcome = yield completion
-                        else:
-                            # Race the job against whole-worker death.  A
-                            # losing completion that fires later is ignored
-                            # (the orphan job finishes against a dead
-                            # device; its bytes were fixed at submit).
-                            winner, value = yield self.env.any_of(
-                                [completion, worker.died]
-                            )
-                            if winner is not completion:
-                                raise WorkerDiedError(worker.name)
-                            outcome = value
+                        finally:
+                            worker.running.pop(completion, None)
                     break
                 except WorkerDiedError:
                     # Re-dispatch to a surviving replica; raises

@@ -10,18 +10,17 @@ not available offline), trimmed to the primitives this project needs.
 Public API
 ----------
 :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
-:class:`AllOf`, :class:`AnyOf` from :mod:`repro.sim.engine`;
+:class:`AllOf` from :mod:`repro.sim.engine`;
 :class:`Resource`, :class:`Store` from :mod:`repro.sim.resources`;
 :class:`TimeBreakdown` from :mod:`repro.sim.trace`.
 """
 
-from repro.sim.engine import AllOf, AnyOf, Environment, Event, Process, Timeout
+from repro.sim.engine import AllOf, Environment, Event, Process, Timeout
 from repro.sim.resources import Resource, Store
 from repro.sim.trace import TimeBreakdown
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Process",

@@ -15,7 +15,7 @@ from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimDeadlockError, SimulationError
 
-__all__ = ["Environment", "Event", "Timeout", "Process", "AllOf", "AnyOf"]
+__all__ = ["Environment", "Event", "Timeout", "Process", "AllOf"]
 
 SimGenerator = Generator["Event", Any, Any]
 
@@ -170,20 +170,13 @@ class Process(Event):
         punch.fail(SimulationError(f"interrupted: {reason}"))
 
 
-def _detach(joined: "AllOf | AnyOf", decider: Event) -> None:
-    """Unsubscribe a decided AllOf/AnyOf from its still-pending children,
-    so a long-lived child (a worker's death event) does not keep it alive."""
-    on_child = joined._on_child
-    for ev in joined._events:
-        if ev is not decider and not ev._processed:
-            try:
-                ev.callbacks.remove(on_child)
-            except ValueError:
-                pass  # never subscribed (decided at construction)
-
-
 class AllOf(Event):
-    """Fires when all given events have fired; value is their value list."""
+    """Fires when all given events have fired; value is their value list.
+
+    A failing child fails the join with the child's exception, and the
+    decided join unsubscribes from its still-pending children, so a
+    long-lived child does not keep it alive.
+    """
 
     __slots__ = ("_pending", "_events")
 
@@ -203,45 +196,15 @@ class AllOf(Event):
             return
         if child._exc is not None:
             self.fail(child._exc)
-            _detach(self, child)
+            # Every child still pending subscribed at construction.
+            on_child = self._on_child
+            for ev in self._events:
+                if ev is not child and not ev._processed:
+                    ev.callbacks.remove(on_child)
             return
         self._pending -= 1
         if self._pending == 0:
             self.succeed([ev._value for ev in self._events])
-
-
-class AnyOf(Event):
-    """Fires when the first of the given events fires.
-
-    The value is ``(winner, winner.value)`` so waiters can tell *which*
-    event won the race without re-inspecting every candidate.  A failing
-    child fails the race with the child's exception.  Children that fire
-    after the race is decided are ignored — they are not cancelled, so
-    side effects of losing events still happen in the background.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        if not self._events:
-            raise SimulationError("AnyOf requires at least one event")
-        for ev in self._events:
-            if ev._processed:
-                # Already fired: the race is decided at construction.
-                self._on_child(ev)
-                break
-            ev.callbacks.append(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            return
-        if child._exc is not None:
-            self.fail(child._exc)
-        else:
-            self.succeed((child, child._value))
-        _detach(self, child)
 
 
 class Environment:
@@ -277,10 +240,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event firing once every event in ``events`` has fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing when the first event in ``events`` fires."""
-        return AnyOf(self, events)
 
     def step(self) -> None:
         """Fire the next scheduled event."""

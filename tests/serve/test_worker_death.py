@@ -1,5 +1,6 @@
 """Whole-worker death at the single-gateway layer: the admission
-slot-leak regression, the failover race, and router liveness/cloning."""
+slot-leak regression, failover of in-flight batches, and router
+liveness/cloning."""
 
 from __future__ import annotations
 
@@ -21,12 +22,11 @@ def _requests(n: int):
     ]
 
 
-def _gateway(env, n_workers=2, failover=False, **kwargs):
+def _gateway(env, n_workers=2, **kwargs):
     devices = [
         make_device(env, "bf2", name=f"bf2-{i}") for i in range(n_workers)
     ]
-    config = ServeConfig(batch=BatchPolicy(max_msgs=4), failover=failover,
-                         **kwargs)
+    config = ServeConfig(batch=BatchPolicy(max_msgs=4), **kwargs)
     return ServeGateway(env, devices, config)
 
 
@@ -50,29 +50,11 @@ def _drain(env, gateway):
     env.run(until=env.process(driver(env)))
 
 
-def test_worker_death_without_failover_releases_every_slot(env):
-    """The slot-leak regression: pending must drain to zero after a
-    mid-batch kill, leaving the budget fully usable.  Without the
-    failover race the kill only stops new placements — in-flight
-    batches run to completion against the cost model."""
-    gateway = _gateway(env, n_workers=1, failover=False, max_pending=8)
-    tickets = [gateway.submit(r) for r in _requests(4)]
-    assert gateway.admission.pending == 4
-    _kill_dispatched_worker(env, gateway)
-    _drain(env, gateway)
-
-    assert all(t.event.ok for t in tickets)
-    assert gateway.admission.pending == 0
-    assert gateway.completed == 4
-    # The budget is intact: a fresh full batch admits again.
-    assert all(not gateway.submit(r).shed for r in _requests(4))
-
-
 def test_failover_with_no_survivor_fails_tickets_and_drains(env):
     """The slot-leak regression's sharp edge: the batch fails *after*
     admission (worker died, nobody left to re-dispatch to) and every
     slot still releases exactly once."""
-    gateway = _gateway(env, n_workers=1, failover=True, max_pending=8)
+    gateway = _gateway(env, n_workers=1, max_pending=8)
     tickets = [gateway.submit(r) for r in _requests(4)]
     assert gateway.admission.pending == 4
     _kill_dispatched_worker(env, gateway)
@@ -93,7 +75,7 @@ def test_failover_with_no_survivor_fails_tickets_and_drains(env):
 
 
 def test_worker_death_with_failover_redispatches_in_flight(env):
-    gateway = _gateway(env, n_workers=2, failover=True, max_pending=8)
+    gateway = _gateway(env, n_workers=2, max_pending=8)
     tickets = [gateway.submit(r) for r in _requests(4)]
     _kill_dispatched_worker(env, gateway)
     _drain(env, gateway)
@@ -113,7 +95,7 @@ def test_dead_fleet_fails_tickets_with_typed_error(env):
     """No survivors: submit-side dispatch raises the typed
     NoCapableWorkerError (never a bare IndexError) and the tickets fail
     with it, slots released."""
-    gateway = _gateway(env, n_workers=2, failover=False, max_pending=8)
+    gateway = _gateway(env, n_workers=2, max_pending=8)
     for worker in list(gateway.workers):
         gateway.kill_worker(worker.name)
     tickets = [gateway.submit(r) for r in _requests(4)]
@@ -135,7 +117,7 @@ def test_kill_worker_is_idempotent_and_checks_names(env):
 
 
 def test_routers_skip_dead_workers(env):
-    gateway = _gateway(env, n_workers=2, failover=False)
+    gateway = _gateway(env, n_workers=2)
     gateway.kill_worker("bf2-0")
     tickets = [gateway.submit(r) for r in _requests(4)]
     _drain(env, gateway)
@@ -186,13 +168,13 @@ def test_round_robin_raises_typed_error_on_dead_fleet(env):
 
 
 def test_death_race_subscriptions_stay_bounded_by_in_flight_batches(env):
-    """Every failover-enabled batch races its job against its worker's
-    death event.  A decided race must unsubscribe from ``died``: on a
-    worker that lives all run long, the subscriber list is never longer
-    than the batches in flight on it, and is empty once they drain."""
-    gateway = _gateway(env, n_workers=2, failover=True, max_pending=32)
+    """Every batch registers its job's completion in ``worker.running``
+    so a kill can fail it, and takes it out again when the job ends: on
+    a worker that lives all run long, the registry is never longer than
+    the batches in flight on it, and is empty once they drain."""
+    gateway = _gateway(env, n_workers=2, max_pending=32)
     peaks = {w.name: 0 for w in gateway.workers}
-    over = []  # (time, worker, subscribed, in flight) past the bound
+    over = []  # (time, worker, registered, in flight) past the bound
 
     def in_flight(worker):
         placed = sum(1 for _batch, _kind, name in gateway.routing_log
@@ -203,11 +185,11 @@ def test_death_race_subscriptions_stay_bounded_by_in_flight_batches(env):
         while True:
             yield env.timeout(1e-4)
             for worker in gateway.workers:
-                subscribed = len(worker.died.callbacks)
-                if subscribed > in_flight(worker):
-                    over.append((env.now, worker.name, subscribed,
+                registered = len(worker.running)
+                if registered > in_flight(worker):
+                    over.append((env.now, worker.name, registered,
                                  in_flight(worker)))
-                peaks[worker.name] = max(peaks[worker.name], subscribed)
+                peaks[worker.name] = max(peaks[worker.name], registered)
 
     def driver(env):
         for request in _requests(400):
@@ -219,6 +201,36 @@ def test_death_race_subscriptions_stay_bounded_by_in_flight_batches(env):
     env.run(until=env.process(driver(env)))
     assert over == []
     assert sum(w.batches_served for w in gateway.workers) >= 40
-    assert max(peaks.values()) >= 2  # several races subscribed at once
+    assert max(peaks.values()) >= 2  # several jobs in flight at once
     for worker in gateway.workers:
-        assert worker.died.callbacks == []
+        assert worker.running == {}
+
+
+@pytest.mark.parametrize("submitted", [False, True],
+                         ids=["before-submit", "after-submit"])
+def test_kill_at_the_dispatch_instant_still_fails_over(env, submitted):
+    """A kill at the very sim instant its worker is picked: before the
+    batch process has submitted the job (the batch must not submit to
+    the dead worker) or just after (the fresh job must fail)."""
+    gateway = _gateway(env, n_workers=2, max_pending=8)
+    victim = []
+
+    def driver(env):
+        tickets = [gateway.submit(r) for r in _requests(4)]  # one full batch
+        (_batch, kind, name), = gateway.routing_log
+        assert kind == "dispatch"
+        if submitted:
+            yield env.timeout(0.0)  # the batch process boots first
+            assert gateway.workers[0].running or gateway.workers[1].running
+        victim.append(gateway.kill_worker(name))
+        assert env.now == 0.0
+        yield from gateway.drain()
+        return tickets
+
+    tickets = env.run(until=env.process(driver(env)))
+    assert all(t.event.ok for t in tickets)
+    assert [rec[1] for rec in gateway.routing_log] == ["dispatch", "failover"]
+    survivor = next(w for w in gateway.workers if w is not victim[0])
+    assert {t.event.value.device for t in tickets} == {survivor.name}
+    assert victim[0].batches_served == 0
+    assert gateway.admission.pending == 0

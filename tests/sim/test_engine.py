@@ -211,6 +211,33 @@ class TestEvents:
         with pytest.raises(RuntimeError):
             env.run(until=combo)
 
+    def test_failed_all_of_detaches_from_its_pending_children(self, env):
+        """An AllOf that a failing child decides must not stay subscribed
+        to its still-pending children: a long-lived child would keep one
+        stale callback, and the join behind it, per join it was in."""
+        never = env.event()
+        for i in range(50):
+            boom = env.event()
+            barrier = env.all_of([never, boom])
+            boom.fail(RuntimeError(f"job {i} failed"))
+            with pytest.raises(RuntimeError):
+                env.run(until=barrier)
+        assert never.callbacks == []
+
+    def test_failed_all_of_leaves_other_waiters_subscribed(self, env):
+        shared = env.event()
+        heard = []
+        shared.callbacks.append(lambda ev: heard.append(ev.value))
+        boom = env.event()
+        first = env.all_of([shared, boom])
+        second = env.all_of([env.timeout(1.0), shared])
+        boom.fail(RuntimeError("gone"))
+        with pytest.raises(RuntimeError):
+            env.run(until=first)
+        shared.succeed("late")
+        assert env.run(until=second) == [None, "late"]
+        assert heard == ["late"]
+
 
 class TestRun:
     def test_run_until_time(self, env):
@@ -245,7 +272,7 @@ class TestRun:
 class TestKernelOrdering:
     """The ``(time, seq)`` contract over a scripted mix of every way an
     event gets scheduled: ``succeed`` with and without a delay, a
-    ``Timeout``, a ``Process`` boot, ``AllOf`` / ``AnyOf`` decided at
+    ``Timeout``, a ``Process`` boot, an ``AllOf`` decided at
     construction, and ``interrupt``.  Events at one instant fire in the
     order they were scheduled; the expected log was recorded from the
     kernel before its constructors were inlined."""
@@ -263,7 +290,6 @@ class TestKernelOrdering:
         ("t1", 1.0),
         ("driver at", 1.0),
         ("all-decided", 1.0, ["v-now", "v-delay"]),
-        ("any-decided", 1.0, "v-now"),
         ("sleeper interrupted", 1.0),
         ("boot:child", 1.0),
         ("child", 1.0),
@@ -313,11 +339,8 @@ class TestKernelOrdering:
             yield env.timeout(1.0)
             log.append(("driver at", env.now))
             all_of = env.all_of([e_now, e_delay])
-            any_of = env.any_of([e_now, env.event()])
             all_of.callbacks.append(
                 lambda ev: log.append(("all-decided", env.now, ev.value)))
-            any_of.callbacks.append(
-                lambda ev: log.append(("any-decided", env.now, ev.value[1])))
             sleeper_proc.interrupt("driver")
             proc("child", child())
             yield env.timeout(0.5)
