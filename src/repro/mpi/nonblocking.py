@@ -7,13 +7,9 @@ happens inside the spawned flow exactly as in the blocking path, so a
 rank can overlap codec/communication work across several in-flight
 messages (the C-Engine and SoC resources arbitrate contention).
 
-Requests are not limited to sends and receives: :func:`icompress`
-starts the PEDAL compression shim as its own in-flight operation (the
-prepared wire payload is the request's value, ready for
-:meth:`~repro.mpi.runtime.RankContext.send_prepared`), and
-:func:`from_ticket` wraps a pipelined C-Engine job
-(:class:`~repro.sched.JobTicket`) so ``waitall`` can await compression
-jobs and communication side by side.
+Requests are not limited to sends and receives: :func:`from_ticket`
+wraps a pipelined C-Engine job (:class:`~repro.sched.JobTicket`) so
+``waitall`` can await compression jobs and communication side by side.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ if TYPE_CHECKING:
     from repro.mpi.runtime import RankContext
     from repro.sched import JobTicket
 
-__all__ = ["Request", "waitall", "icompress", "from_ticket"]
+__all__ = ["Request", "waitall", "from_ticket"]
 
 
 def _default_sim_bytes(data: Any) -> float:
@@ -45,7 +41,7 @@ class Request:
 
     Wraps any simulation event — usually the :class:`~repro.sim.Process`
     of a spawned send/receive flow, but equally an in-flight compression
-    (see :func:`icompress` / :func:`from_ticket`).
+    job (see :func:`from_ticket`).
     """
 
     __slots__ = ("_proc",)
@@ -60,9 +56,8 @@ class Request:
 
     def wait(self) -> Generator:
         """Block until completion; returns the operation's value (the
-        received data for irecv, the prepared payload for icompress,
-        the :class:`~repro.sched.JobOutcome` for a pipeline ticket,
-        None for isend)."""
+        received data for irecv, the :class:`~repro.sched.JobOutcome`
+        for a pipeline ticket, None for isend)."""
         value = yield self._proc
         return value
 
@@ -86,24 +81,6 @@ def irecv(ctx: "RankContext", source: int = -1, tag: int = -1) -> Request:
     """Start a non-blocking receive; ``wait`` returns the data."""
     proc = ctx.env.process(
         ctx.recv(source=source, tag=tag), name=f"irecv:{ctx.rank}<-{source}"
-    )
-    return Request(proc)
-
-
-def icompress(
-    ctx: "RankContext", data: Any, sim_bytes: float | None = None
-) -> Request:
-    """Start the outbound compression shim as an in-flight operation.
-
-    The rank keeps computing (or communicating) while the codec work
-    runs; ``wait`` returns the prepared ``(payload, wire_bytes, meta)``
-    triple, which :meth:`~repro.mpi.runtime.RankContext.send_prepared`
-    puts on the wire without recompressing — the compress-ahead overlap
-    the pipelined C-Engine work queue exists for.
-    """
-    nominal = _default_sim_bytes(data) if sim_bytes is None else float(sim_bytes)
-    proc = ctx.env.process(
-        ctx.layer.outbound(data, nominal), name=f"icompress:{ctx.rank}"
     )
     return Request(proc)
 

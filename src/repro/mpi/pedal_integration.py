@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Generator
 
-from repro.core.api import PedalConfig, PedalContext
+from repro.core.api import PEDAL_finalize, PedalConfig, PedalContext
 from repro.core.baseline import NaiveCompressor
 from repro.dpu.device import BlueFieldDPU
-from repro.errors import MpiConfigError
+from repro.errors import MpiConfigError, SimulationError
 from repro.mpi.protocol import EAGER_THRESHOLD_BYTES, should_compress
 from repro.obs import get_metrics
 from repro.plan.codecs import CodecConfig
@@ -105,6 +105,14 @@ class CompressionLayer:
             breakdown = yield from self.pedal.init()
             return breakdown
         return TimeBreakdown()
+
+    def mpi_finalize(self) -> None:
+        """The ``MPI_Finalize`` hook: runs ``PEDAL_finalize`` (PEDAL mode
+        only).  Tear-down charges no sim time, so the generator runs to
+        its end here, outside the event loop."""
+        if self.pedal is not None:
+            for _event in PEDAL_finalize(self.pedal):
+                raise SimulationError("PEDAL_finalize waited on a sim event")
 
     # -- send path -----------------------------------------------------------
 

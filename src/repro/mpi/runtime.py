@@ -5,7 +5,8 @@ yields simulation events through the :class:`RankContext` helpers, just
 like an ``mpi4py`` script uses its communicator.  :func:`run_mpi`
 builds the cluster (one DPU per rank), runs the ``MPI_Init`` hooks
 (which host ``PEDAL_init`` — paper §IV), executes all rank programs to
-completion, and reports their return values plus timing.
+completion, reports their return values plus timing, and runs the
+``MPI_Finalize`` hooks (``PEDAL_finalize``).
 """
 
 from __future__ import annotations
@@ -103,26 +104,6 @@ class RankContext:
                 self.rank, dest, tag, payload, wire_bytes, meta
             )
 
-    def send_prepared(
-        self, dest: int, prepared: tuple, tag: int = 0
-    ) -> Generator:
-        """Send a payload already prepared by :meth:`icompress`.
-
-        ``prepared`` is the ``(payload, wire_bytes, meta)`` triple an
-        :func:`~repro.mpi.nonblocking.icompress` request resolved to;
-        only the wire transfer is charged here — the codec work already
-        happened in flight.
-        """
-        payload, wire_bytes, meta = prepared
-        with device_span(
-            "mpi.send", self.device,
-            rank=self.rank, dest=dest, tag=tag, wire_bytes=wire_bytes,
-            prepared=True,
-        ):
-            yield from self.comm.send(
-                self.rank, dest, tag, payload, wire_bytes, meta
-            )
-
     def recv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Generator:
@@ -156,11 +137,6 @@ class RankContext:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """MPI_Irecv: start a receive, return a Request."""
         return nonblocking.irecv(self, source=source, tag=tag)
-
-    def icompress(self, data: Any, sim_bytes: float | None = None):
-        """Start outbound compression in flight; returns a Request whose
-        value feeds :meth:`send_prepared`."""
-        return nonblocking.icompress(self, data, sim_bytes=sim_bytes)
 
     def waitall(self, requests) -> Generator:
         """MPI_Waitall over Request handles; returns their values."""
@@ -235,6 +211,8 @@ def run_mpi(
     procs = [env.process(rank_program(ctx), name=f"rank{ctx.rank}") for ctx in contexts]
     returns = env.run(until=env.all_of(procs))
     elapsed = env.now - init_seconds
+    for layer in layers:
+        layer.mpi_finalize()
 
     return MpiJobResult(
         returns=returns,

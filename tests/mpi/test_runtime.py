@@ -197,10 +197,30 @@ class TestModes:
         cfg = CommConfig(mode=CommMode.PEDAL, design="C-Engine_DEFLATE")
         result = run_mpi(self._pingpong(text_payload, 1e6), 2, "bf2", cfg)
         assert result.init_seconds > 0.05  # DOCA init + pool prewarm
-        assert all(
-            layer.pedal is not None and layer.pedal.is_initialized
-            for layer in result.layers
-        )
+        assert len(result.init_breakdowns) == 2
+        for breakdown in result.init_breakdowns:
+            assert breakdown.total() == pytest.approx(result.init_seconds)
+
+    def test_pedal_contexts_are_finalized_when_the_job_ends(self, text_payload):
+        """``run_mpi`` closes what ``MPI_Init`` opened: every rank's
+        context is torn down (pool drained, session closed) once the
+        returns are taken, without moving the job's sim figures."""
+        cfg = CommConfig(mode=CommMode.PEDAL, design="C-Engine_DEFLATE")
+
+        def send(ctx):
+            if ctx.rank == 0:
+                yield from ctx.send(1, text_payload, sim_bytes=1e6)
+                return None
+            data = yield from ctx.recv(source=0)
+            return data
+
+        result = run_mpi(send, 2, "bf2", cfg)
+        assert result.returns == [None, text_payload]
+        for layer in result.layers:
+            assert layer.pedal is not None
+            assert not layer.pedal.is_initialized
+            assert not layer.pedal.session.is_open
+        assert result.env.now == result.init_seconds + result.elapsed_seconds
 
     def test_raw_mode_has_no_init_cost(self, text_payload):
         result = run_mpi(self._pingpong(text_payload, 1e6), 2)
