@@ -8,9 +8,36 @@ import numpy as np
 import pytest
 
 from repro.core.mempool import ScratchPool, set_scratch_pool
+from repro.datasets.registry import DEFAULT_ACTUAL_BYTES, Dataset
 from repro.dpu import make_device
 from repro.plan.codecs import clear_codec_cache
 from repro.sim import Environment
+
+
+#: ``Dataset.generate`` itself.  The tests of the generators call it
+#: (``generate_fresh(dataset, nbytes)``); the rest of the session reads
+#: corpora through the memo below.
+generate_fresh = Dataset.generate
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _corpus_memo():
+    """Generate each dataset corpus once per session, keyed by (key,
+    size).  Arrays come back as copies, so a test that writes into its
+    corpus cannot change the next test's."""
+    memo: dict = {}
+
+    def generate(self, actual_bytes=None):
+        key = (self.key, DEFAULT_ACTUAL_BYTES if actual_bytes is None
+               else actual_bytes)
+        data = memo.get(key)
+        if data is None:
+            data = memo[key] = generate_fresh(self, actual_bytes)
+        return data.copy() if isinstance(data, np.ndarray) else data
+
+    Dataset.generate = generate
+    yield
+    Dataset.generate = generate_fresh
 
 
 @pytest.fixture(autouse=True)

@@ -8,7 +8,8 @@ it.  The pins live in ``tests/vectors/manifest.json`` under
 ``dataset_pins`` (written by ``regenerate.py``, which refuses to move a
 pinned digest without ``--format-change``, and whose round trip in
 ``tests/vectors/test_regenerate.py`` fails when a dataset has no pin);
-float corpora are pinned as their ``tobytes()``.
+float corpora are pinned as their ``tobytes()``.  The corpora are
+generated afresh here, past the test session's corpus memo.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from tests.vectors.regenerate import dataset_pin_entry
+from repro.datasets import get_dataset
+from tests.conftest import generate_fresh
+from tests.vectors.regenerate import corpus_pin_entry
 
 PINS = json.loads(
     (Path(__file__).resolve().parents[1] / "vectors" / "manifest.json").read_text()
@@ -28,4 +31,5 @@ PINS = json.loads(
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_dataset_bytes_are_pinned(name):
     key, nbytes = name.rsplit("@", 1)
-    assert dataset_pin_entry(key, int(nbytes)) == PINS[name]
+    data = generate_fresh(get_dataset(key), int(nbytes))
+    assert corpus_pin_entry(data) == PINS[name]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets import DATASETS, get_dataset, lossless_datasets, lossy_datasets
 from repro.util.stats import byte_entropy
+from tests.conftest import generate_fresh
 
 N = 64 * 1024
 
@@ -54,8 +55,8 @@ class TestGeneration:
     @pytest.mark.parametrize("key", sorted(DATASETS))
     def test_deterministic(self, key):
         ds = get_dataset(key)
-        a = ds.generate(N)
-        b = ds.generate(N)
+        a = generate_fresh(ds, N)
+        b = generate_fresh(ds, N)
         if isinstance(a, np.ndarray):
             np.testing.assert_array_equal(a, b)
         else:

@@ -397,10 +397,9 @@ def pin_entry(name: str) -> dict:
     return entry
 
 
-def dataset_pin_entry(key: str, nbytes: int) -> dict:
-    """The manifest entry of dataset ``key`` at ``nbytes``, computed now
-    (float corpora are pinned as their ``tobytes()``)."""
-    data = get_dataset(key).generate(nbytes)
+def corpus_pin_entry(data) -> dict:
+    """The manifest entry of one generated dataset corpus (float
+    corpora are pinned as their ``tobytes()``)."""
     raw = data.tobytes() if isinstance(data, np.ndarray) else data
     return {"bytes": len(raw), "sha256": _sha256(raw)}
 
@@ -457,8 +456,9 @@ def build() -> "tuple[dict[str, bytes], dict]":
         for case, payload in stream_inputs().items()
     }
     manifest["digest_pins"] = {name: pin_entry(name) for name in DIGEST_PINS}
-    manifest["dataset_pins"] = {f"{key}@{n}": dataset_pin_entry(key, n)
-                                for key in sorted(DATASETS) for n in DATASET_PIN_SIZES}
+    manifest["dataset_pins"] = {
+        f"{key}@{n}": corpus_pin_entry(get_dataset(key).generate(n))
+        for key in sorted(DATASETS) for n in DATASET_PIN_SIZES}
     return files, manifest
 
 
